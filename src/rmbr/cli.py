@@ -7,8 +7,10 @@ Subcommands: ``rerank`` (direct expected-utility reranking), ``c2f``
 of a hypothesis file).
 
 Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
-scorer-transport or other runtime failures.  Errors go to stderr prefixed
-``error:``.  Commands that write an output file also write a JSON run
+scorer-transport, scoring (including a non-finite score) or other runtime
+failures.  Errors go to stderr prefixed ``error:``.  Output files are
+written to a temp file and renamed into place, so none is left
+half-written.  Commands that write an output file also write a JSON run
 report next to it (``<output>.report.json``) with timings and call counts;
 the report is informational and not part of the output contract.
 """
@@ -37,7 +39,7 @@ from .errors import (
     ScoringError,
     TransportError,
 )
-from .io import load_nbest, load_utility_matrices, write_results
+from .io import atomic_write, load_nbest, load_utility_matrices, write_results
 from .mbr import MatrixUtility, make_utility, regularizer_values, rerank
 from .metrics import corpus_bleu, sentence_chrf
 
@@ -230,7 +232,7 @@ def _write_report(output, command, args, lists, results, elapsed):
     if results is not None:
         report["utility_calls"] = [r.utility_calls for r in results]
         report["total_utility_calls"] = sum(r.utility_calls for r in results)
-    with open(f"{output}.report.json", "w", encoding="utf-8") as fh:
+    with atomic_write(f"{output}.report.json") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
 
 
@@ -290,7 +292,7 @@ def _emit_record(args, record, summary_lines):
     for line in summary_lines:
         print(line)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with atomic_write(args.output) as fh:
             fh.write(json.dumps(record, indent=2) + "\n")
 
 

@@ -25,6 +25,8 @@ import queue
 import socket
 import subprocess
 import threading
+import uuid
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +47,39 @@ DEFAULT_TIMEOUT_SECS = 30.0
 TIMEOUT_ENV_VAR = "RMBR_SCORER_TIMEOUT_SECS"
 
 RESULT_MODES = ("text", "full")
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@contextmanager
+def atomic_write(path):
+    """Open ``path`` for UTF-8 text writing so it is never seen half-written.
+
+    Text goes to a temp file in the same directory, which is flushed to disk
+    and renamed over ``path`` only when the block exits cleanly.  On any
+    error the temp file is removed and an existing ``path`` is untouched.
+    A symlink is followed, so its target is replaced and the link kept; a
+    path that is not a regular file, such as ``/dev/stdout`` or a pipe,
+    cannot be replaced and is written in place.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +167,7 @@ def load_nbest(path) -> list[NBestList]:
 
 def write_nbest(path, lists: Sequence[NBestList]) -> None:
     """Write n-best lists as line-JSON; inverse of :func:`load_nbest`."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for lst in lists:
             rec = {
                 "source": lst.source,
@@ -156,7 +191,7 @@ def write_utility_matrix(path, matrix: UtilityMatrix) -> None:
 def write_utility_matrices(path, matrices: Sequence[UtilityMatrix]) -> None:
     """Write matrices back-to-back: a JSON header line, then n rows of l
     repr-precision decimals each."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for matrix in matrices:
             header = {"utility_name": matrix.utility_name, "n": matrix.n, "l": matrix.l}
             fh.write(json.dumps(header) + "\n")
@@ -239,7 +274,7 @@ def write_results(path, results, lists, mode: str = "text") -> None:
         raise InvalidInputError(
             f"got {len(results)} results for {len(lists)} lists"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for result, lst in zip(results, lists):
             selected_text = lst.candidates[result.selected].text
             if mode == "text":
@@ -472,6 +507,10 @@ class ScorerClient:
                 if isinstance(score, bool) or not isinstance(score, (int, float)):
                     raise TransportError(
                         f"scorer response for pair {pos} has no numeric score"
+                    )
+                if not math.isfinite(score):
+                    raise ScoringError(
+                        f"scorer returned a non-finite score for pair {pos}: {score!r}"
                     )
                 out[pos] = float(score)
             return out  # type: ignore[return-value]

@@ -1,39 +1,37 @@
-"""Pairwise n-gram match-counting kernels for utility-matrix construction.
+"""Pairwise n-gram match counting for utility-matrix construction.
 
 Building an n x l utility matrix needs clipped n-gram match counts for every
 (hypothesis, pseudo-reference) pair and every order.  Candidates are encoded
 once into per-order blocks of sorted (n-gram id, count) pairs — n-grams are
-interned into integer ids per order — and the kernel runs a merge
-intersection over each pair of blocks.
+interned into integer ids per order — and one kernel turns those blocks into
+the whole (n, l, order) count tensor with dense matrix products.
 
-The kernels return integer match counts only.  Turning counts into BLEU or
+The clipped match count of items i and j at one order is
+sum_v min(C[i, v], C[j, v]) over the order's n-gram ids v, and
+min(a, b) = sum_{t >= 1} [a >= t] * [b >= t] for non-negative integers.  So
+with the 0/1 indicator matrix B_t = (C >= t), the counts are
+sum_t B_t @ B_t[:l].T, where t runs up to the largest count in the order
+(rarely above 2).  The products run in BLAS, which releases the GIL.  Each
+B_t is float32 and built one order and one threshold at a time to keep
+memory flat; every partial sum is an integer no larger than a sequence
+length, and float32 holds integers exactly up to 2**24, so the counts are
+exact.  The kernel checks that bound rather than assume it.
+
+The kernel returns integer match counts only.  Turning counts into BLEU or
 chrF scores happens in the shared scalar routines in :mod:`rmbr.metrics`,
-so the JIT path, the numpy fallback, and the plain per-sentence metrics all
-produce bit-identical scores.
-
-Set ``RMBR_NO_NUMBA=1`` to force the pure-numpy fallback; it is also used
-automatically when numba is not importable.
+so the matrix builders and the plain per-sentence metrics produce
+bit-identical scores.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
-_USE_NUMBA = os.environ.get("RMBR_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if _USE_NUMBA:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover - depends on environment
-        _USE_NUMBA = False
-
-
-def using_numba() -> bool:
-    """Whether the JIT-compiled kernel path is active."""
-    return _USE_NUMBA
+# Largest integer up to which float32 represents every integer exactly.
+_FLOAT32_EXACT = 2**24
 
 
 def encode_ngram_blocks(
@@ -88,73 +86,6 @@ def encode_ngram_blocks(
     return flat_ids, flat_counts, offsets, lengths
 
 
-def pair_match_counts_numpy(
-    ids: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    max_order: int,
-    n: int,
-    l: int,
-) -> np.ndarray:
-    """Pure-numpy pairwise clipped match counts, shape (n, l, max_order).
-
-    Entry [i, j, k] is the clipped order-(k+1) match count of candidate i
-    scored against candidate j.
-    """
-    out = np.zeros((n, l, max_order), dtype=np.int64)
-    for i in range(n):
-        for j in range(l):
-            for k in range(max_order):
-                a0, a1 = offsets[i * max_order + k], offsets[i * max_order + k + 1]
-                b0, b1 = offsets[j * max_order + k], offsets[j * max_order + k + 1]
-                common, ia, ib = np.intersect1d(
-                    ids[a0:a1], ids[b0:b1], assume_unique=True, return_indices=True
-                )
-                if common.size:
-                    out[i, j, k] = np.minimum(
-                        counts[a0:a1][ia], counts[b0:b1][ib]
-                    ).sum()
-    return out
-
-
-if _USE_NUMBA:
-
-    @njit(cache=True, nogil=True, parallel=True)
-    def _match_counts_jit(ids, counts, offsets, max_order, n, l):  # pragma: no cover
-        out = np.zeros((n, l, max_order), dtype=np.int64)
-        for i in prange(n):
-            for j in range(l):
-                for k in range(max_order):
-                    a = offsets[i * max_order + k]
-                    a_end = offsets[i * max_order + k + 1]
-                    b = offsets[j * max_order + k]
-                    b_end = offsets[j * max_order + k + 1]
-                    m = 0
-                    while a < a_end and b < b_end:
-                        ga = ids[a]
-                        gb = ids[b]
-                        if ga == gb:
-                            ca = counts[a]
-                            cb = counts[b]
-                            m += ca if ca < cb else cb
-                            a += 1
-                            b += 1
-                        elif ga < gb:
-                            a += 1
-                        else:
-                            b += 1
-                    out[i, j, k] = m
-        return out
-
-    def pair_match_counts_jit(ids, counts, offsets, max_order, n, l):
-        return _match_counts_jit(
-            ids, counts, offsets, np.int64(max_order), np.int64(n), np.int64(l)
-        )
-
-else:
-    pair_match_counts_jit = None
-
-
 def pair_match_counts(
     ids: np.ndarray,
     counts: np.ndarray,
@@ -163,7 +94,42 @@ def pair_match_counts(
     n: int,
     l: int,
 ) -> np.ndarray:
-    """Pairwise clipped match counts via the active path (JIT or numpy)."""
-    if _USE_NUMBA:
-        return pair_match_counts_jit(ids, counts, offsets, max_order, n, l)
-    return pair_match_counts_numpy(ids, counts, offsets, max_order, n, l)
+    """Pairwise clipped match counts, shape (n, l, max_order), int64.
+
+    Entry [i, j, k] is the clipped order-(k+1) match count of item i scored
+    against item j, for the first ``n`` items of an
+    :func:`encode_ngram_blocks` encoding and the first ``l <= n`` of them as
+    references.
+    """
+    out = np.zeros((n, l, max_order), dtype=np.int64)
+    offsets = offsets[: n * max_order + 1]
+    ids = ids[: offsets[-1]]
+    counts = counts[: offsets[-1]]
+    # A product entry never exceeds the total count in the hypothesis block,
+    # which is the number of n-grams of that order in the sequence.
+    running = np.concatenate(([0], np.cumsum(counts)))
+    totals = running[offsets[1:]] - running[offsets[:-1]]
+    if totals.size and totals.max() > _FLOAT32_EXACT:
+        raise ValueError(
+            f"a sequence holds {int(totals.max())} n-grams of one order; "
+            f"float32 match counting is exact only up to {_FLOAT32_EXACT}"
+        )
+    block = np.repeat(np.arange(n * max_order), np.diff(offsets))
+    items = block // max_order
+    orders = block % max_order
+    for k in range(max_order):
+        in_order = orders == k
+        if not in_order.any():
+            continue
+        rows = items[in_order]
+        order_ids = ids[in_order]
+        order_counts = counts[in_order]
+        acc = np.zeros((n, l), dtype=np.float32)
+        for t in range(1, int(order_counts.max()) + 1):
+            hit = order_counts >= t
+            cols, col_of = np.unique(order_ids[hit], return_inverse=True)
+            indicator = np.zeros((n, cols.size), dtype=np.float32)
+            indicator[rows[hit], col_of] = 1.0
+            acc += indicator @ indicator[:l].T
+        out[:, :, k] = acc
+    return out

@@ -11,9 +11,13 @@ cheap proxy utility over all n pseudo-references, keeps the best k, and
 reranks only the survivors with the target utility, for n^2 + k^2 pair
 evaluations instead of n^2.
 
-Utilities are pluggable: the built-in BLEU/chrF matrix builders run on the
-match-count kernels, a precomputed matrix can be loaded from disk, and an
-external scorer process can be attached over the line-JSON protocol.
+Utilities are pluggable: the built-in BLEU/chrF matrix builders get every
+pairwise clipped n-gram match count from one kernel,
+:func:`rmbr.kernels.pair_match_counts` (0/1 indicator matrix products in
+BLAS, exact in integers), and turn counts into scores with the same scalar
+routines as the sentence metrics; a precomputed matrix can be loaded from
+disk; and an external scorer process can be attached over the line-JSON
+protocol.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class Utility(Protocol):
 
 
 class BleuUtility:
-    """Sentence BLEU between tokenized candidates, via the count kernels."""
+    """Sentence BLEU between tokenized candidates, via the match-count kernel."""
 
     name = "bleu"
 
@@ -93,7 +97,7 @@ class BleuUtility:
 
 
 class ChrfUtility:
-    """Character n-gram F-score between candidate texts, via the count kernels."""
+    """Character n-gram F-score between candidate texts, via the match-count kernel."""
 
     name = "chrf"
 

@@ -89,7 +89,7 @@ def bleu_from_counts(
 
     ``matches[k]`` is the clipped match count at order k+1; totals are
     derived from ``hyp_len``.  This is the single score formula shared by
-    the direct metric and the pairwise-matrix kernels.
+    the direct metric and the pairwise matrix builders.
     """
     smoothing = cfg.bleu_smoothing == "epsilon-floor"
     if matches[0] == 0:
@@ -135,7 +135,7 @@ def chrf_from_counts(
     """Sentence chrF from per-order character n-gram match counts.
 
     ``hyp_len`` / ``ref_len`` are character counts after whitespace removal.
-    Shared by the direct metric and the pairwise-matrix kernels.
+    Shared by the direct metric and the pairwise matrix builders.
     """
     beta_sq = cfg.chrf_beta * cfg.chrf_beta
     f_sum = 0.0

@@ -1,6 +1,8 @@
 """End-to-end checks of the ``rmbr`` command line."""
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -298,6 +300,33 @@ def test_scorer_error_response_exits_2(tmp_path, scorer_server, capsys):
     ]
     assert run(args) == 2
     assert "no model loaded" in capsys.readouterr().err
+
+
+_NONFINITE_SCORER = """
+import json, os, sys
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+for line in sys.stdin:
+    print('{"id": %d, "score": %s}' % (json.loads(line)["id"], sys.argv[2]), flush=True)
+"""
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_nonfinite_scorer_score_exits_2_and_stops_scorer(tmp_path, capsys, literal):
+    script = tmp_path / "scorer.py"
+    script.write_text(_NONFINITE_SCORER, encoding="utf-8")
+    pid_file = tmp_path / "scorer.pid"
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, [make_list(["a b", "c d"])])
+    spec = f"service:exec:{sys.executable} {script} {pid_file} {literal}"
+    assert run(["rerank", "-i", nbest, "-o", tmp_path / "o.txt", "--utility", spec]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+    # the client waited for its scorer, so the pid no longer names a process
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_no_command_exits_1(capsys):

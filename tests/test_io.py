@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
+import stat
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from rmbr.errors import (
 )
 from rmbr.io import (
     ScorerClient,
+    atomic_write,
     load_nbest,
     load_utility_matrices,
     load_utility_matrix,
@@ -243,6 +247,86 @@ def test_write_results_validation(tmp_path):
         write_results(tmp_path / "o", results, [], mode="text")
     with pytest.raises(InvalidInputError):
         write_results(tmp_path / "o", results, lists, mode="fancy")
+
+
+def test_atomic_write_keeps_old_file_when_block_fails(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(path) as fh:
+            fh.write("new, half")
+            raise OSError("disk full")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_atomic_write_keeps_symlink_and_writes_through_pipes(tmp_path):
+    target = tmp_path / "real.txt"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with atomic_write(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    with atomic_write(fifo) as fh:
+        fh.write("streamed\n")
+    reader.join(timeout=5)
+    assert not reader.is_alive() and got == ["streamed\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "real.txt"]
+
+
+def _write_two_results(path):
+    rng = np.random.default_rng(21)
+    lists = [random_list(rng, 4) for _ in range(2)]
+    write_results(path, [rerank(lst, RerankConfig()) for lst in lists], lists, mode="full")
+
+
+def _write_two_matrices(path):
+    rng = np.random.default_rng(22)
+    write_utility_matrices(path, [random_matrix(rng, 3), random_matrix(rng, 2)])
+
+
+def _write_two_lists(path):
+    rng = np.random.default_rng(23)
+    write_nbest(path, [random_list(rng, 3) for _ in range(2)])
+
+
+@pytest.mark.parametrize("writer", [_write_two_results, _write_two_matrices, _write_two_lists])
+def test_writer_failing_partway_leaves_earlier_file_intact(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    path.write_text("earlier run\n", encoding="utf-8")
+    real_dumps = json.dumps
+    calls = []
+
+    def dumps_then_fail(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_dumps(*args, **kwargs)
+
+    # the first record is written, the second fails
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path)
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    writer(path)
+    assert path.read_text(encoding="utf-8") != "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_read_results_errors(tmp_path):

@@ -1,19 +1,9 @@
-"""Kernel correctness: encoding, both count paths, and matrix/metric agreement."""
-
-import os
-import subprocess
-import sys
+"""Kernel correctness: encoding, match counts, and matrix/metric agreement."""
 
 import numpy as np
 import pytest
 
-from rmbr.kernels import (
-    encode_ngram_blocks,
-    pair_match_counts,
-    pair_match_counts_jit,
-    pair_match_counts_numpy,
-    using_numba,
-)
+from rmbr.kernels import encode_ngram_blocks, pair_match_counts
 from rmbr.mbr import BleuUtility, ChrfUtility
 from rmbr.metrics import MetricConfig, clipped_matches, sentence_bleu, sentence_chrf
 
@@ -64,27 +54,45 @@ def test_match_counts_agree_with_counter_oracle():
                 assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], order)
 
 
-def test_numpy_path_agrees_with_counter_oracle():
+def _oracle_cases():
     rng = np.random.default_rng(4)
-    seqs = random_seqs(rng, 6)
-    ids, counts, offsets, _ = encode_ngram_blocks(seqs, 4)
-    got = pair_match_counts_numpy(ids, counts, offsets, 4, 6, 6)
-    for i in range(6):
-        for j in range(6):
-            assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], 4)
+    repeated = [list(rng.integers(0, 2, size=30)) for _ in range(5)]
+    tokens = random_seqs(rng, 7)
+    chars = ["".join(seq) for seq in random_seqs(rng, 6, max_len=20)]
+    return {
+        # a two-symbol vocabulary gives counts of 3 and more at every order
+        "repeated-counts": (repeated, 4, 5),
+        "l-below-n": (tokens, 4, 3),
+        "l-one": (tokens, 4, 1),
+        # sequences of length 1-2 leave the higher-order blocks empty
+        "short-sequences": ([["a"], ["a", "b"], ["b", "a", "b"], ["b"]], 4, 4),
+        # no item reaches order 3 or 4, so those orders have no vocabulary
+        "empty-order": ([["a"], ["a", "b"], ["b", "b"]], 4, 2),
+        "chars-order-6": (chars, 6, 4),
+    }
 
 
-@pytest.mark.skipif(not using_numba(), reason="JIT path disabled")
-def test_jit_and_numpy_paths_identical():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        seqs = random_seqs(rng, int(rng.integers(2, 10)))
-        order = int(rng.integers(1, 5))
-        n = len(seqs)
-        ids, counts, offsets, _ = encode_ngram_blocks(seqs, order)
-        jit = pair_match_counts_jit(ids, counts, offsets, order, n, n)
-        ref = pair_match_counts_numpy(ids, counts, offsets, order, n, n)
-        assert np.array_equal(jit, ref)
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_match_counts_agree_with_oracle(case):
+    seqs, order, l = _oracle_cases()[case]
+    n = len(seqs)
+    ids, counts, offsets, _ = encode_ngram_blocks(seqs, order)
+    got = pair_match_counts(ids, counts, offsets, order, n, l)
+    assert got.shape == (n, l, order) and got.dtype == np.int64
+    for i in range(n):
+        for j in range(l):
+            assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], order)
+    if case == "repeated-counts":
+        assert counts.max() >= 3
+
+
+def test_match_counts_reject_blocks_beyond_float32_exact_range():
+    # one unigram occurring 2**24 + 1 times: a count float32 cannot hold exactly
+    ids = np.zeros(1, dtype=np.int64)
+    counts = np.array([2**24 + 1], dtype=np.int64)
+    offsets = np.array([0, 1], dtype=np.int64)
+    with pytest.raises(ValueError, match="exact"):
+        pair_match_counts(ids, counts, offsets, 1, 1, 1)
 
 
 def test_char_sequences_encode_like_token_sequences():
@@ -120,58 +128,3 @@ def test_diagonal_is_identity_score():
     lst = random_list(rng, 6)
     assert np.all(np.diag(BleuUtility().matrix(lst, lst.n)) == 1.0)
     assert np.all(np.diag(ChrfUtility().matrix(lst, lst.n)) == 1.0)
-
-
-_FALLBACK_PROBE = """
-import json, sys
-import numpy as np
-from rmbr.kernels import using_numba
-from rmbr.mbr import BleuUtility, ChrfUtility
-from rmbr.core import Candidate, NBestList
-
-lists = json.load(sys.stdin)
-out = {"using_numba": using_numba(), "matrices": []}
-for texts in lists:
-    cands = tuple(
-        Candidate(text=t, tokens=tuple(t.split()), log_prob=-float(i))
-        for i, t in enumerate(texts)
-    )
-    lst = NBestList(source="s", candidates=cands)
-    out["matrices"].append(
-        [
-            BleuUtility().matrix(lst, lst.n).tobytes().hex(),
-            ChrfUtility().matrix(lst, lst.n).tobytes().hex(),
-        ]
-    )
-print(json.dumps(out))
-"""
-
-
-def test_env_flag_selects_fallback_with_identical_scores():
-    import json
-
-    rng = np.random.default_rng(9)
-    payload = [
-        [" ".join(c.tokens) for c in random_list(rng, 5).candidates] for _ in range(3)
-    ]
-
-    def run(env_flag):
-        env = dict(os.environ)
-        env.pop("RMBR_NO_NUMBA", None)
-        if env_flag:
-            env["RMBR_NO_NUMBA"] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", _FALLBACK_PROBE],
-            input=json.dumps(payload),
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        return json.loads(proc.stdout)
-
-    fallback = run(True)
-    assert fallback["using_numba"] is False
-    jit = run(False)
-    # scores must be bit-identical regardless of which path computed the counts
-    assert fallback["matrices"] == jit["matrices"]
