@@ -5,8 +5,13 @@ oracle-rank histogram shows where in the beam those best candidates sit.
 The token-probability table relates sentence length to mean per-token
 probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
-set; both precompute the per-list utility work once and only re-combine
-scores per setting.
+set.  Both resolve the utility spec once for the whole dev set in a
+:class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:`` spec, closed
+when the call returns), do the per-list utility work once, and per setting
+only re-combine scores and sum per-candidate objective statistics (corpus
+BLEU sufficient statistics or sentence chrF), each computed once.  Every
+function that takes a utility accepts a spec string, one provider shared
+by all lists, or a list with one provider per list.
 """
 
 from __future__ import annotations
@@ -25,15 +30,29 @@ from .core import (
 )
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
+    UtilitySession,
     build_utility_matrix,
     expected_utilities,
-    make_utility,
     regularizer_values,
     rerank,
 )
-from .metrics import MetricConfig, corpus_bleu, sentence_chrf
+from .metrics import (
+    MetricConfig,
+    bleu_from_stats,
+    bleu_stats,
+    corpus_bleu,
+    sentence_chrf,
+)
 
 OBJECTIVE_METRICS = ("bleu", "chrf")
+
+
+def _check_objective(lists: Sequence[NBestList], metric: str) -> None:
+    if metric not in OBJECTIVE_METRICS:
+        raise ConfigError(f"metric must be one of {OBJECTIVE_METRICS}, got {metric!r}")
+    for i, lst in enumerate(lists):
+        if lst.reference is None:
+            raise InvalidInputError(f"list {i} has no reference")
 
 
 def corpus_objective(
@@ -47,15 +66,11 @@ def corpus_objective(
     ``metric`` is "bleu" (corpus BLEU over whitespace-tokenized references)
     or "chrf" (mean sentence chrF).
     """
-    if metric not in OBJECTIVE_METRICS:
-        raise ConfigError(f"metric must be one of {OBJECTIVE_METRICS}, got {metric!r}")
+    _check_objective(lists, metric)
     if len(selections) != len(lists):
         raise InvalidInputError(
             f"got {len(selections)} selections for {len(lists)} lists"
         )
-    for i, lst in enumerate(lists):
-        if lst.reference is None:
-            raise InvalidInputError(f"list {i} has no reference")
     picked = [lst.candidates[sel] for lst, sel in zip(lists, selections)]
     if metric == "bleu":
         return corpus_bleu(
@@ -81,13 +96,14 @@ def oracle_select(
     """
     if nbest.reference is None:
         raise InvalidInputError("oracle selection needs a reference")
-    provider = make_utility(utility, metric_config)
-    best_index = 0
-    best_score = -math.inf
-    for i, cand in enumerate(nbest.candidates):
-        score = provider.score_against(nbest.source, cand, nbest.reference)
-        if score > best_score:
-            best_index, best_score = i, score
+    with UtilitySession(metric_config) as session:
+        (provider,) = session.providers(utility, 1)
+        best_index = 0
+        best_score = -math.inf
+        for i, cand in enumerate(nbest.candidates):
+            score = provider.score_against(nbest.source, cand, nbest.reference)
+            if score > best_score:
+                best_index, best_score = i, score
     return best_index, best_score
 
 
@@ -139,8 +155,9 @@ def oracle_histogram(
         raise InvalidInputError("no lists")
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    provider = make_utility(utility, metric_config)
-    picks = [oracle_select(lst, provider) for lst in lists]
+    with UtilitySession(metric_config) as session:
+        providers = session.providers(utility, len(lists))
+        picks = [oracle_select(lst, p) for lst, p in zip(lists, providers)]
     indices = tuple(i for i, _ in picks)
     scores = tuple(s for _, s in picks)
     n_bins = (max(lst.n for lst in lists) + bin_width - 1) // bin_width
@@ -243,21 +260,58 @@ def token_prob_by_length(
     return TokenProbTable(interval_width=interval_width, which=which, rows=rows)
 
 
-def _selection_objective(
-    lists: Sequence[NBestList],
-    skeletons,
-    lambdas: dict,
-    objective_metric: str,
-    metric_config: MetricConfig | None,
-) -> float:
+class _ObjectiveStats:
+    """Per-candidate statistics of the corpus objective over a dev set.
+
+    Each candidate's statistics are computed once, on first use: its
+    :func:`bleu_stats` against the reference, or its sentence chrF.  The
+    objective of a selection sums the selected candidates' statistics in
+    list order and applies the formula :func:`corpus_objective` applies
+    (BLEU statistics are integers), so the two agree bit for bit.
+    """
+
+    def __init__(
+        self,
+        lists: Sequence[NBestList],
+        metric: str,
+        metric_config: MetricConfig | None,
+    ):
+        _check_objective(lists, metric)
+        self._lists = lists
+        self._metric = metric
+        self._config = metric_config
+        self._stats: list[dict] = [{} for _ in lists]
+
+    def _candidate(self, pos: int, index: int):
+        stats = self._stats[pos]
+        if index not in stats:
+            lst = self._lists[pos]
+            cand = lst.candidates[index]
+            if self._metric == "chrf":
+                stats[index] = sentence_chrf(cand.text, lst.reference, self._config)
+            else:
+                ref = lst.reference.split()
+                if not ref:
+                    raise InvalidInputError(f"empty sentence at corpus position {pos}")
+                stats[index] = bleu_stats(cand.tokens, ref, self._config)
+        return stats[index]
+
+    def __call__(self, selections: Sequence[int]) -> float:
+        picked = [self._candidate(pos, index) for pos, index in enumerate(selections)]
+        if self._metric == "chrf":
+            return sum(picked) / len(picked)
+        return bleu_from_stats([sum(column) for column in zip(*picked)], self._config)
+
+
+def _selection_objective(skeletons, lambdas: dict, objective: _ObjectiveStats) -> float:
     """Objective of the selections a weight vector induces on precomputed
     score skeletons (λ-independent MBR + regularizer values)."""
     selections = []
-    for lst, skel in zip(lists, skeletons):
+    for skel in skeletons:
         totals = combine_scores(skel.mbr_scores, skel.regularizer_scores, lambdas)
         _, row = rank_candidates(totals)
         selections.append(skel.candidate_indices[row])
-    return corpus_objective(lists, selections, objective_metric, metric_config)
+    return objective(selections)
 
 
 def grid_search_lambdas(
@@ -272,7 +326,9 @@ def grid_search_lambdas(
     Maximizes the corpus objective of the induced selections; ties prefer
     the combination that enumerates first over the ascending grid (i.e. the
     lexicographically smallest weight vector).  Utility matrices are
-    computed once per list, not once per combination.
+    computed once per list, not once per combination, with the config's
+    utility specs resolved once for all lists (see :class:`UtilitySession`);
+    each candidate's objective statistics are computed once.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
@@ -281,17 +337,18 @@ def grid_search_lambdas(
     grid_values = sorted({float(g) for g in grid})
     if not grid_values:
         raise ConfigError("empty weight grid")
+    objective_of = _ObjectiveStats(lists, objective_metric, metric_config)
     zero_config = replace(config, lambdas={name: 0.0 for name in config.regularizers})
-    skeletons = [
-        rerank(lst, zero_config, metric_config=metric_config) for lst in lists
-    ]
+    with UtilitySession(metric_config) as session:
+        configs = session.configs(zero_config, len(lists))
+        skeletons = [
+            rerank(lst, c, metric_config=metric_config) for lst, c in zip(lists, configs)
+        ]
     best_lambdas: dict = {}
     best_objective = -math.inf
     for combo in itertools.product(grid_values, repeat=len(config.regularizers)):
         lambdas = dict(zip(config.regularizers, combo))
-        objective = _selection_objective(
-            lists, skeletons, lambdas, objective_metric, metric_config
-        )
+        objective = _selection_objective(skeletons, lambdas, objective_of)
         if objective > best_objective:
             best_lambdas, best_objective = lambdas, objective
     return best_lambdas, best_objective
@@ -307,15 +364,20 @@ def tune_l(
 
     Returns ``(best_l, best_objective, curve)`` with ``curve[l-1]`` the
     corpus objective at depth l.  Each list's full n x n utility matrix is
-    built once; per-depth scores are column-prefix means of it, exactly
-    what a fresh depth-l matrix would give.  Ties prefer smaller l.
+    built once, with the config's utility spec resolved once for all lists;
+    per-depth scores are column-prefix means of it, exactly what a fresh
+    depth-l matrix would give.  Ties prefer smaller l.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
     if config.coarse_to_fine is not None:
         raise ConfigError("truncation sweep does not apply to coarse-to-fine configs")
-    provider = make_utility(config.utility, metric_config)
-    matrices = [build_utility_matrix(lst, provider, lst.n) for lst in lists]
+    objective_of = _ObjectiveStats(lists, objective_metric, metric_config)
+    with UtilitySession(metric_config) as session:
+        providers = session.providers(config.utility, len(lists))
+        matrices = [
+            build_utility_matrix(lst, p, lst.n) for lst, p in zip(lists, providers)
+        ]
     regularizers = [
         {name: regularizer_values(lst, name) for name in config.regularizers}
         for lst in lists
@@ -326,12 +388,12 @@ def tune_l(
     best_objective = -math.inf
     for l in range(1, n_sweep + 1):
         selections = []
-        for lst, matrix, regs in zip(lists, matrices, regularizers):
+        for matrix, regs in zip(matrices, regularizers):
             consensus = expected_utilities(matrix.values, l)
             totals = combine_scores(consensus, regs, config.lambdas)
             _, selected = rank_candidates(totals, config.tie_break)
             selections.append(selected)
-        objective = corpus_objective(lists, selections, objective_metric, metric_config)
+        objective = objective_of(selections)
         curve.append(objective)
         if objective > best_objective:
             best_l, best_objective = l, objective

@@ -11,8 +11,18 @@ scorer-transport, scoring (including a non-finite score) or other runtime
 failures.  Errors go to stderr prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  Commands that write an output file also write a JSON run
-report next to it (``<output>.report.json``) with timings and call counts;
-the report is informational and not part of the output contract.
+report next to it (``<output>.report.json``) with timings and call counts,
+including the scorer connections the run opened and the pairs they
+scored; the report is informational and not part of the output contract.
+
+Every command that scores takes its utility providers from one
+:class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
+resolved once per run (one scorer per ``service:`` spec; a matrix file
+with one matrix per list gives each list its own), and every scorer is
+closed before the command returns, on success, on error and on Ctrl-C.
+A ``--dry-run`` of ``rerank`` or ``c2f`` resolves the specs, which checks
+them; one of ``tune-lambda``, ``tune-l`` or ``oracle`` resolves none and
+so starts no scorer.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .analysis import (
     grid_search_lambdas,
@@ -39,8 +50,8 @@ from .errors import (
     ScoringError,
     TransportError,
 )
-from .io import atomic_write, load_nbest, load_utility_matrices, write_results
-from .mbr import MatrixUtility, make_utility, regularizer_values, rerank
+from .io import atomic_write, load_nbest, write_results
+from .mbr import UtilitySession, regularizer_values, rerank
 from .metrics import corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
@@ -182,27 +193,6 @@ def _parse_l(value):
         raise ConfigError(f"--l wants an integer or 'full', got {value!r}") from None
 
 
-def _resolve_providers(spec: str, num_lists: int, closers: list):
-    """Turn a utility spec into one provider per list.
-
-    A matrix file must hold one matrix per list (or exactly one, reused);
-    other specs produce a single shared provider.
-    """
-    if spec.startswith("matrix:"):
-        matrices = load_utility_matrices(spec[len("matrix:") :])
-        if len(matrices) == 1:
-            return [MatrixUtility(matrices[0])] * num_lists
-        if len(matrices) != num_lists:
-            raise InvalidInputError(
-                f"matrix file holds {len(matrices)} matrices for {num_lists} lists"
-            )
-        return [MatrixUtility(m) for m in matrices]
-    provider = make_utility(spec)
-    if hasattr(provider, "close"):
-        closers.append(provider.close)
-    return [provider] * num_lists
-
-
 def _validate_lists(lists, configs):
     """The dry-run body: bounds and required fields, no utility evaluations."""
     for lst, config in zip(lists, configs):
@@ -217,7 +207,7 @@ def _validate_lists(lists, configs):
             regularizer_values(lst, name)
 
 
-def _write_report(output, command, args, lists, results, elapsed):
+def _write_report(output, command, args, lists, results, elapsed, session):
     config_echo = {
         k: v
         for k, v in vars(args).items()
@@ -228,6 +218,7 @@ def _write_report(output, command, args, lists, results, elapsed):
         "config": config_echo,
         "lists": len(lists),
         "elapsed_seconds": elapsed,
+        **session.counters(),
     }
     if results is not None:
         report["utility_calls"] = [r.utility_calls for r in results]
@@ -240,41 +231,32 @@ def _cmd_rerank(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
     lambdas = _parse_lambdas(args.lambdas)
-    coarse = (
-        CoarseToFine(proxy=args.proxy, keep=args.keep)
-        if args.command == "c2f"
-        else None
+    config = RerankConfig(
+        utility=args.utility,
+        l=_parse_l(args.l),
+        lambdas=lambdas,
+        regularizers=tuple(lambdas),
+        coarse_to_fine=(
+            CoarseToFine(proxy=args.proxy, keep=args.keep)
+            if args.command == "c2f"
+            else None
+        ),
     )
-    closers: list = []
-    try:
-        providers = _resolve_providers(args.utility, len(lists), closers)
-        if coarse is not None:
-            proxy_providers = _resolve_providers(args.proxy, len(lists), closers)
-        configs = [
-            RerankConfig(
-                utility=providers[i],
-                l=_parse_l(args.l),
-                lambdas=lambdas,
-                regularizers=tuple(lambdas),
-                coarse_to_fine=(
-                    CoarseToFine(proxy=proxy_providers[i], keep=args.keep)
-                    if coarse is not None
-                    else None
-                ),
-            )
-            for i in range(len(lists))
-        ]
+    with UtilitySession() as session:
+        configs = session.configs(config, len(lists))
         _validate_lists(lists, configs)
         if args.dry_run:
             print(f"ok: {len(lists)} lists validated")
             return 0
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        pool = ThreadPoolExecutor(max_workers=max(1, args.threads))
+        try:
             results = list(pool.map(lambda i: rerank(lists[i], configs[i]), range(len(lists))))
-    finally:
-        for close in closers:
-            close()
+        finally:
+            # on an error or Ctrl-C, lists not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     write_results(args.output, results, lists, mode=args.mode)
-    _write_report(args.output, args.command, args, lists, results, time.monotonic() - started)
+    elapsed = time.monotonic() - started
+    _write_report(args.output, args.command, args, lists, results, elapsed, session)
     print(f"reranked {len(lists)} lists -> {args.output}")
     return 0
 
@@ -311,7 +293,9 @@ def _cmd_tune_lambda(args) -> int:
     if args.dry_run:
         print(f"ok: {len(lists)} lists validated")
         return 0
-    best, objective = grid_search_lambdas(lists, config, grid, args.metric)
+    with UtilitySession() as session:
+        config = replace(config, utility=session.providers(args.utility, len(lists)))
+        best, objective = grid_search_lambdas(lists, config, grid, args.metric)
     record = {"lambdas": best, "objective": objective, "metric": args.metric}
     _emit_record(
         args,
@@ -319,7 +303,8 @@ def _cmd_tune_lambda(args) -> int:
         [f"best lambdas: {json.dumps(best)}", f"{args.metric}: {objective:.6f}"],
     )
     if args.output:
-        _write_report(args.output, args.command, args, lists, None, time.monotonic() - started)
+        elapsed = time.monotonic() - started
+        _write_report(args.output, args.command, args, lists, None, elapsed, session)
     return 0
 
 
@@ -332,7 +317,9 @@ def _cmd_tune_l(args) -> int:
     if args.dry_run:
         print(f"ok: {len(lists)} lists validated")
         return 0
-    best_l, objective, curve = tune_l(lists, config, args.metric)
+    with UtilitySession() as session:
+        config = replace(config, utility=session.providers(args.utility, len(lists)))
+        best_l, objective, curve = tune_l(lists, config, args.metric)
     record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
     _emit_record(
         args,
@@ -340,7 +327,8 @@ def _cmd_tune_l(args) -> int:
         [f"best l: {best_l}", f"{args.metric}: {objective:.6f}"],
     )
     if args.output:
-        _write_report(args.output, args.command, args, lists, None, time.monotonic() - started)
+        elapsed = time.monotonic() - started
+        _write_report(args.output, args.command, args, lists, None, elapsed, session)
     return 0
 
 
@@ -352,9 +340,13 @@ def _cmd_oracle(args) -> int:
                 raise InvalidInputError(f"list {i} has no reference")
         print(f"ok: {len(lists)} lists validated")
         return 0
-    report = oracle_histogram(
-        lists, utility=args.utility, bin_width=args.bins, objective_metric=args.metric
-    )
+    with UtilitySession() as session:
+        report = oracle_histogram(
+            lists,
+            utility=session.providers(args.utility, len(lists)),
+            bin_width=args.bins,
+            objective_metric=args.metric,
+        )
     _emit_record(args, report.to_record(), [report.format_table()])
     return 0
 

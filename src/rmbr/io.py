@@ -384,6 +384,8 @@ class ScorerClient:
         self._closed = False
         self._next_id = 0
         self._lock = threading.Lock()
+        #: pairs of the batches this client got all scores for
+        self.pairs_scored = 0
         self.timeout = _resolve_timeout(timeout)
         self._reader_thread.start()
         try:
@@ -513,6 +515,7 @@ class ScorerClient:
                         f"scorer returned a non-finite score for pair {pos}: {score!r}"
                     )
                 out[pos] = float(score)
+            self.pairs_scored += len(pairs)
             return out  # type: ignore[return-value]
 
     def close(self):

@@ -17,13 +17,16 @@ pairwise clipped n-gram match count from one kernel,
 BLAS, exact in integers), and turn counts into scores with the same scalar
 routines as the sentence metrics; a precomputed matrix can be loaded from
 disk; and an external scorer process can be attached over the line-JSON
-protocol.
+protocol.  Spec strings become providers in a :class:`UtilitySession`,
+which resolves each spec once per run and closes the scorer connections
+it opened.
 """
 
 from __future__ import annotations
 
 import math
 import shlex
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
@@ -178,6 +181,12 @@ class ServiceUtility:
             close()
 
 
+def _load_matrix_utilities(path: str) -> list[MatrixUtility]:
+    from .io import load_utility_matrices
+
+    return [MatrixUtility(m) for m in load_utility_matrices(path)]
+
+
 def make_utility(
     spec,
     metric_config: MetricConfig | None = None,
@@ -188,7 +197,8 @@ def make_utility(
     Spec strings: ``"bleu"``, ``"chrf"``, ``"matrix:PATH"`` (a stored
     matrix file holding exactly one matrix), ``"service:HOST:PORT"`` or
     ``"service:exec:COMMAND"`` (an external scorer; the returned provider
-    owns the connection and should be closed after use).
+    owns the connection and must be closed after use, which a
+    :class:`UtilitySession` does for the providers it resolves).
     """
     if hasattr(spec, "matrix") and not isinstance(spec, str):
         return spec
@@ -197,16 +207,14 @@ def make_utility(
     if spec == "chrf":
         return ChrfUtility(metric_config)
     if isinstance(spec, str) and spec.startswith("matrix:"):
-        from .io import load_utility_matrices
-
         path = spec[len("matrix:") :]
-        matrices = load_utility_matrices(path)
-        if len(matrices) != 1:
+        utilities = _load_matrix_utilities(path)
+        if len(utilities) != 1:
             raise ConfigError(
-                f"{path} holds {len(matrices)} matrices; load them yourself and "
-                "assign one per list"
+                f"{path} holds {len(utilities)} matrices; resolve it in a "
+                "UtilitySession to assign one per list"
             )
-        return MatrixUtility(matrices[0])
+        return utilities[0]
     if isinstance(spec, str) and spec.startswith("service:"):
         from .io import ScorerClient
 
@@ -223,12 +231,87 @@ def make_utility(
     raise ConfigError(f"unknown utility spec {spec!r}")
 
 
+class UtilitySession:
+    """Resolves utility specs into providers once per run and owns them.
+
+    :meth:`providers` gives one provider per list.  A spec string is
+    resolved once: a matrix file holding one matrix per list gives one
+    provider each; every other spec, and a file holding a single matrix,
+    gives one provider shared by all lists.  A ready provider is shared
+    by all lists, and a list or tuple of providers must hold one per list.
+    Scorer connections the session opened are closed when it exits, on
+    success, on error and on interrupt; providers passed in are left open,
+    so a session opened inside a call that was handed providers closes
+    nothing of its caller's.
+    """
+
+    def __init__(self, metric_config: MetricConfig | None = None):
+        self.metric_config = metric_config
+        self._services: list[ServiceUtility] = []
+        self._closers = ExitStack()
+
+    def __enter__(self) -> "UtilitySession":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Close every provider the session opened (idempotent)."""
+        self._closers.close()
+
+    def providers(self, spec, num_lists: int) -> list:
+        """One provider per list for a spec string, provider or provider list."""
+        if isinstance(spec, (list, tuple)):
+            if len(spec) != num_lists:
+                raise InvalidInputError(
+                    f"got {len(spec)} utility providers for {num_lists} lists"
+                )
+            return list(spec)
+        if hasattr(spec, "matrix"):
+            return [spec] * num_lists
+        if isinstance(spec, str) and spec.startswith("matrix:"):
+            utilities = _load_matrix_utilities(spec[len("matrix:") :])
+            if len(utilities) == 1:
+                return utilities * num_lists
+            if len(utilities) != num_lists:
+                raise InvalidInputError(
+                    f"matrix file holds {len(utilities)} matrices for {num_lists} lists"
+                )
+            return utilities
+        provider = make_utility(spec, self.metric_config)
+        if isinstance(provider, ServiceUtility):
+            self._services.append(provider)
+            self._closers.callback(provider.close)
+        return [provider] * num_lists
+
+    def configs(self, config: RerankConfig, num_lists: int) -> list[RerankConfig]:
+        """Per-list copies of a config with the target and proxy resolved."""
+        utilities = self.providers(config.utility, num_lists)
+        stages = config.coarse_to_fine
+        if stages is None:
+            return [replace(config, utility=u) for u in utilities]
+        proxies = self.providers(stages.proxy, num_lists)
+        return [
+            replace(config, utility=u, coarse_to_fine=replace(stages, proxy=p))
+            for u, p in zip(utilities, proxies)
+        ]
+
+    def counters(self) -> dict:
+        """Scorer connections this session opened and the pairs they scored."""
+        return {
+            "scorer_processes": len(self._services),
+            "scorer_pairs": sum(s.client.pairs_scored for s in self._services),
+        }
+
+
 def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
     """Score every candidate against the list's top-l candidates."""
     if not 1 <= l <= nbest.n:
         raise InvalidInputError(f"l must be in 1..{nbest.n}, got {l}")
-    utility = make_utility(utility)
-    return UtilityMatrix(values=utility.matrix(nbest, l), utility_name=utility.name)
+    with UtilitySession() as session:
+        (provider,) = session.providers(utility, 1)
+        return UtilityMatrix(values=provider.matrix(nbest, l), utility_name=provider.name)
 
 
 def expected_utilities(values: np.ndarray, l: int) -> list[float]:
@@ -335,13 +418,15 @@ def rerank(
     """Score, combine and rank one n-best list under a config.
 
     Honors ``config.coarse_to_fine`` when set; otherwise builds the n x l
-    utility matrix directly (n * l pair evaluations).
+    utility matrix directly (n * l pair evaluations).  Spec strings in the
+    config are resolved in a :class:`UtilitySession` that lasts this call.
     """
     if config.coarse_to_fine is not None:
         return coarse_to_fine(nbest, config, metric_config=metric_config)
-    utility = make_utility(config.utility, metric_config)
-    l = config.resolve_l(nbest.n)
-    matrix = build_utility_matrix(nbest, utility, l)
+    with UtilitySession(metric_config) as session:
+        (utility,) = session.providers(config.utility, 1)
+        l = config.resolve_l(nbest.n)
+        matrix = build_utility_matrix(nbest, utility, l)
     consensus = mbr_scores(matrix)
     regularizers = {
         name: regularizer_values(nbest, name) for name in config.regularizers
@@ -380,19 +465,20 @@ def coarse_to_fine(
     k = stages.keep
     if k > n:
         raise InvalidInputError(f"keep={k} exceeds list size {n}")
-    proxy = make_utility(stages.proxy, metric_config)
-    proxy_matrix = build_utility_matrix(nbest, proxy, n)
-    proxy_scores = mbr_scores(proxy_matrix)
-    order, _ = rank_candidates(proxy_scores, config.tie_break)
-    survivors = sorted(order[:k])
-    sub_list = NBestList(
-        source=nbest.source,
-        candidates=tuple(nbest.candidates[i] for i in survivors),
-        reference=nbest.reference,
-        reference_token_log_probs=nbest.reference_token_log_probs,
-    )
-    sub_config = replace(config, coarse_to_fine=None, l="full")
-    sub_result = rerank(sub_list, sub_config, metric_config=metric_config)
+    with UtilitySession(metric_config) as session:
+        (config,) = session.configs(config, 1)
+        proxy_matrix = build_utility_matrix(nbest, config.coarse_to_fine.proxy, n)
+        proxy_scores = mbr_scores(proxy_matrix)
+        order, _ = rank_candidates(proxy_scores, config.tie_break)
+        survivors = sorted(order[:k])
+        sub_list = NBestList(
+            source=nbest.source,
+            candidates=tuple(nbest.candidates[i] for i in survivors),
+            reference=nbest.reference,
+            reference_token_log_probs=nbest.reference_token_log_probs,
+        )
+        sub_config = replace(config, coarse_to_fine=None, l="full")
+        sub_result = rerank(sub_list, sub_config, metric_config=metric_config)
     return RerankResult(
         mbr_scores=sub_result.mbr_scores,
         regularizer_scores=sub_result.regularizer_scores,

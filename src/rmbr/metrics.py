@@ -7,8 +7,9 @@ n-grams at all are dropped from the geometric mean (effective order), so
 the identity score of a short sentence with itself is still 1.  With
 epsilon-floor smoothing, a zero match count at order >= 2 is replaced by a
 small constant; a zero unigram match always yields score 0.  Corpus BLEU
-aggregates clipped counts over the whole corpus first and is never
-smoothed.
+sums per-sentence sufficient statistics (:func:`bleu_stats`) over the
+whole corpus first, applies one formula to the sums
+(:func:`bleu_from_stats`) and is never smoothed.
 
 Sentence chrF is the F-beta score over character n-grams (whitespace
 removed), averaged over orders 1..char_order; orders where neither side
@@ -170,6 +171,40 @@ def sentence_chrf(hyp: str, ref: str, cfg: MetricConfig | None = None) -> float:
     return chrf_from_counts(matches, len(hyp_chars), len(ref_chars), cfg)
 
 
+def bleu_stats(
+    hyp: Sequence[str], ref: Sequence[str], cfg: MetricConfig | None = None
+) -> tuple[int, ...]:
+    """Corpus-BLEU sufficient statistics of one sentence pair.
+
+    ``max_order`` clipped match counts, then ``max_order`` hypothesis n-gram
+    totals, then the hypothesis and reference lengths.  Statistics of a
+    corpus are the element-wise sums over its pairs; all are integers, so
+    the sums do not depend on the order they are taken in.
+    """
+    cfg = cfg or MetricConfig()
+    order = cfg.bleu_max_order
+    totals = [max(0, len(hyp) - k) for k in range(order)]
+    return (*clipped_matches(hyp, ref, order), *totals, len(hyp), len(ref))
+
+
+def bleu_from_stats(stats: Sequence[int], cfg: MetricConfig | None = None) -> float:
+    """Corpus BLEU from summed :func:`bleu_stats`.
+
+    Never smoothed: any order with zero pooled matches gives score 0.
+    """
+    cfg = cfg or MetricConfig()
+    order = cfg.bleu_max_order
+    matches, totals = stats[:order], stats[order : 2 * order]
+    hyp_len, ref_len = stats[2 * order], stats[2 * order + 1]
+    log_sum = 0.0
+    for k in range(order):
+        if matches[k] == 0:
+            return 0.0
+        log_sum += math.log(matches[k] / totals[k])
+    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return math.exp(log_sum / order) * bp
+
+
 def corpus_bleu(
     hyps: Sequence[Sequence[str]],
     refs: Sequence[Sequence[str]],
@@ -187,22 +222,10 @@ def corpus_bleu(
         )
     if not hyps:
         raise InvalidInputError("empty corpus")
-    match_sums = [0] * cfg.bleu_max_order
-    total_sums = [0] * cfg.bleu_max_order
-    hyp_len_sum = 0
-    ref_len_sum = 0
+    sums = [0] * (2 * cfg.bleu_max_order + 2)
     for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
         if not hyp or not ref:
             raise InvalidInputError(f"empty sentence at corpus position {pos}")
-        for k, m in enumerate(clipped_matches(hyp, ref, cfg.bleu_max_order)):
-            match_sums[k] += m
-            total_sums[k] += max(0, len(hyp) - k)
-        hyp_len_sum += len(hyp)
-        ref_len_sum += len(ref)
-    log_sum = 0.0
-    for k in range(cfg.bleu_max_order):
-        if match_sums[k] == 0:
-            return 0.0
-        log_sum += math.log(match_sums[k] / total_sums[k])
-    bp = math.exp(min(0.0, 1.0 - ref_len_sum / hyp_len_sum))
-    return math.exp(log_sum / cfg.bleu_max_order) * bp
+        for k, v in enumerate(bleu_stats(hyp, ref, cfg)):
+            sums[k] += v
+    return bleu_from_stats(sums, cfg)

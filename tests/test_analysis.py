@@ -238,6 +238,56 @@ def test_grid_search_agrees_with_full_rerank():
     assert corpus_objective(lists, selections) == objective
 
 
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+def test_grid_objective_from_candidate_stats_is_exact(monkeypatch, metric):
+    """Every grid point's objective, summed from per-candidate statistics,
+    equals corpus_objective on the selections it induces, bit for bit."""
+    rng = np.random.default_rng(34)
+    lists = [random_list(rng, 6, with_extras=True) for _ in range(8)]
+    seen = []
+    original = analysis._selection_objective
+
+    def recording(skeletons, lambdas, objective):
+        value = original(skeletons, lambdas, objective)
+        seen.append((lambdas, value))
+        return value
+
+    monkeypatch.setattr(analysis, "_selection_objective", recording)
+    names = ("lp", "qe")
+    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0}, regularizers=names)
+    grid = (0.001, 0.01, 0.1, 1.0, 10.0)
+    grid_search_lambdas(lists, config, grid=grid, objective_metric=metric)
+    assert len(seen) == len(grid) ** 2
+    for lambdas, value in seen:
+        at_point = RerankConfig(utility="bleu", lambdas=lambdas, regularizers=names)
+        selections = [rerank(lst, at_point).selected for lst in lists]
+        assert value == corpus_objective(lists, selections, metric)
+
+
+def test_tuners_accept_one_provider_per_list():
+    rng = np.random.default_rng(35)
+    lists = [random_list(rng, 4, with_extras=True) for _ in range(3)]
+    matrices = [
+        UtilityMatrix(values=rng.uniform(size=(4, 4)), utility_name="ext") for _ in lists
+    ]
+    per_list = [MatrixUtility(m) for m in matrices]
+    config = RerankConfig(utility=per_list, lambdas={"qe": 0.0}, regularizers=("qe",))
+    best, objective = grid_search_lambdas(lists, config, grid=(0.01, 1.0))
+    selections = []
+    for lst, provider in zip(lists, per_list):
+        at_best = RerankConfig(utility=provider, lambdas=best, regularizers=("qe",))
+        selections.append(rerank(lst, at_best).selected)
+    assert objective == corpus_objective(lists, selections)
+
+    _, _, curve = tune_l(lists, RerankConfig(utility=per_list))
+    selections = [
+        rerank(lst, RerankConfig(utility=p)).selected for lst, p in zip(lists, per_list)
+    ]
+    assert curve[-1] == corpus_objective(lists, selections)
+    with pytest.raises(InvalidInputError):
+        tune_l(lists, RerankConfig(utility=per_list[:2]))
+
+
 def test_grid_search_requires_regularizers():
     with pytest.raises(ConfigError):
         grid_search_lambdas([make_list(["a"], reference="a")], RerankConfig())
@@ -306,8 +356,9 @@ def test_tune_l_uses_truncation_consistent_scores():
     rng = np.random.default_rng(33)
     lists = [random_list(rng, 5) for _ in range(3)]
     config = RerankConfig(utility="bleu")
-    _, _, curve = tune_l(lists, config)
-    for l in range(1, 6):
-        cfg_l = RerankConfig(utility="bleu", l=l)
-        selections = [rerank(lst, cfg_l).selected for lst in lists]
-        assert curve[l - 1] == corpus_objective(lists, selections)
+    for metric in ("bleu", "chrf"):
+        _, _, curve = tune_l(lists, config, metric)
+        for l in range(1, 6):
+            cfg_l = RerankConfig(utility="bleu", l=l)
+            selections = [rerank(lst, cfg_l).selected for lst in lists]
+            assert curve[l - 1] == corpus_objective(lists, selections, metric)

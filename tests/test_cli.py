@@ -11,7 +11,7 @@ from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_l
 from rmbr.cli import main
 from rmbr.core import CoarseToFine, NBestList, RerankConfig
 from rmbr.io import read_results, write_nbest, write_utility_matrices
-from rmbr.mbr import rerank
+from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
 
 from conftest import length_score, make_candidate, make_list, random_list, random_matrix
@@ -94,6 +94,8 @@ def test_rerank_writes_run_report(dev_file, tmp_path):
     assert report["total_utility_calls"] == sum(lst.n * lst.n for lst in lists)
     assert report["elapsed_seconds"] >= 0
     assert report["config"]["input"] == path
+    assert report["scorer_processes"] == 0
+    assert report["scorer_pairs"] == 0
 
 
 def test_matrix_utility_from_file(tmp_path):
@@ -111,6 +113,36 @@ def test_matrix_utility_from_file(tmp_path):
         totals = matrix.values.sum(axis=1) / matrix.l
         want.append(lst.candidates[int(np.argmax(totals))].text)
     assert out.read_text(encoding="utf-8").splitlines() == want
+
+
+def test_tuning_commands_accept_one_matrix_per_list(dev_file, tmp_path, capsys):
+    path, lists = dev_file
+    rng = np.random.default_rng(43)
+    matrices = [random_matrix(rng, lst.n, name="ext") for lst in lists]
+    mats = tmp_path / "u.mat"
+    write_utility_matrices(mats, matrices)
+    per_list = [MatrixUtility(m) for m in matrices]
+    spec = f"matrix:{mats}"
+
+    out = tmp_path / "tuned.json"
+    args = ["tune-lambda", "-i", path, "-o", out, "--utility", spec, "--regularizers", "qe,lp"]
+    assert run(args) == 0
+    config = RerankConfig(
+        utility=per_list, lambdas={"qe": 0.0, "lp": 0.0}, regularizers=("qe", "lp")
+    )
+    best, objective = grid_search_lambdas(lists, config)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record == {"lambdas": best, "objective": objective, "metric": "bleu"}
+
+    out = tmp_path / "depth.json"
+    assert run(["tune-l", "-i", path, "-o", out, "--utility", spec]) == 0
+    best_l, objective, curve = tune_l(lists, RerankConfig(utility=per_list))
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record == {"l": best_l, "objective": objective, "curve": curve, "metric": "bleu"}
+
+    capsys.readouterr()
+    assert run(["oracle", "-i", path, "--utility", spec]) == 1
+    assert "cannot score against new references" in capsys.readouterr().err
 
 
 def test_service_utility_over_tcp(tmp_path, scorer_server):
@@ -327,6 +359,127 @@ def test_nonfinite_scorer_score_exits_2_and_stops_scorer(tmp_path, capsys, liter
     # the client waited for its scorer, so the pid no longer names a process
     with pytest.raises(ProcessLookupError):
         os.kill(int(pid_file.read_text()), 0)
+
+
+_LOGGING_SCORER = """
+import json, os, sys
+with open(sys.argv[1], "a") as fh:
+    fh.write("start %d\\n" % os.getpid())
+mode = sys.argv[2]
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+for line in sys.stdin:
+    if mode == "stall":
+        continue
+    req = json.loads(line)
+    if mode == "error":
+        reply = {"id": req["id"], "error": "no model loaded"}
+    else:
+        hyp, ref = set(req["hyp"].split()), set(req["ref"].split())
+        reply = {"id": req["id"], "score": 2.0 * len(hyp & ref) / (len(hyp) + len(ref))}
+    print(json.dumps(reply), flush=True)
+"""
+
+
+def _logging_scorer(tmp_path, mode):
+    """A service spec whose scorer appends ``start <pid>`` to a log per start."""
+    script = tmp_path / "scorer.py"
+    script.write_text(_LOGGING_SCORER, encoding="utf-8")
+    log = tmp_path / "starts.log"
+    log.touch()
+    return f"service:exec:{sys.executable} {script} {log} {mode}", log
+
+
+def _started_pids(log):
+    lines = log.read_text(encoding="utf-8").split()
+    assert lines[0::2] == ["start"] * (len(lines) // 2)
+    return [int(pid) for pid in lines[1::2]]
+
+
+def _assert_all_gone(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+_SCORER_COMMANDS = {
+    "rerank": (["rerank", "--utility", "S"], 1),
+    "c2f-target": (["c2f", "--utility", "S", "--proxy", "bleu", "--keep", "3"], 1),
+    "c2f-proxy": (["c2f", "--utility", "bleu", "--proxy", "S", "--keep", "3"], 1),
+    "c2f-both": (["c2f", "--utility", "S", "--proxy", "S", "--keep", "3"], 2),
+    "tune-lambda": (["tune-lambda", "--utility", "S", "--regularizers", "qe"], 1),
+    "tune-l": (["tune-l", "--utility", "S"], 1),
+    "oracle": (["oracle", "--utility", "S"], 1),
+}
+
+
+@pytest.mark.parametrize("mode", ["ok", "error", "stall"])
+@pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
+def test_one_scorer_per_spec_and_none_outlives_the_run(
+    dev_file, tmp_path, capsys, monkeypatch, command, mode
+):
+    path, _ = dev_file
+    spec, log = _logging_scorer(tmp_path, mode)
+    words, specs = _SCORER_COMMANDS[command]
+    args = [spec if w == "S" else w for w in words]
+    args[1:1] = ["-i", path, "-o", tmp_path / "out"]
+    if mode == "stall":
+        monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", "0.2")
+    code = run(args)
+    err = capsys.readouterr().err
+    pids = _started_pids(log)
+    if mode == "ok":
+        assert code == 0, err
+        assert len(pids) == specs
+    elif mode == "error":
+        assert code == 2
+        assert "no model loaded" in err
+        assert len(pids) == specs
+    else:
+        assert code == 2
+        assert "timed out" in err
+        # a start slower than the timeout fails the handshake before logging
+        assert len(pids) <= specs
+    _assert_all_gone(pids)
+
+
+def test_tune_lambda_report_counts_scorer_work(dev_file, tmp_path):
+    path, lists = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    out = tmp_path / "tuned.json"
+    args = ["tune-lambda", "-i", path, "-o", out, "--utility", spec, "--regularizers", "qe"]
+    assert run(args) == 0
+    report = json.loads((tmp_path / "tuned.json.report.json").read_text(encoding="utf-8"))
+    assert report["scorer_processes"] == 1
+    assert report["scorer_pairs"] == sum(lst.n * lst.n for lst in lists)
+    _assert_all_gone(_started_pids(log))
+
+
+def test_report_counts_pairs_from_concurrent_threads(dev_file, tmp_path):
+    path, lists = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    out = tmp_path / "sel.txt"
+    args = ["rerank", "-i", path, "-o", out, "--utility", spec, "--threads", 8]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(args) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    report = json.loads((tmp_path / "sel.txt.report.json").read_text(encoding="utf-8"))
+    assert report["scorer_processes"] == 1
+    assert report["scorer_pairs"] == sum(lst.n * lst.n for lst in lists)
+    _assert_all_gone(_started_pids(log))
+
+
+def test_grid_search_with_service_spec_leaves_no_child(dev_file, tmp_path):
+    _, lists = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    config = RerankConfig(utility=spec, lambdas={"qe": 0.0}, regularizers=("qe",))
+    grid_search_lambdas(lists, config, grid=(0.1, 1.0))
+    pids = _started_pids(log)
+    assert len(pids) == 1
+    _assert_all_gone(pids)
 
 
 def test_no_command_exits_1(capsys):

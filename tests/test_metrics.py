@@ -9,6 +9,8 @@ import pytest
 from rmbr.errors import ConfigError, InvalidInputError
 from rmbr.metrics import (
     MetricConfig,
+    bleu_from_stats,
+    bleu_stats,
     clipped_matches,
     corpus_bleu,
     ngram_counts,
@@ -130,6 +132,16 @@ def test_corpus_bleu_single_sentence_equals_sentence_bleu():
     hyp = ["a", "b", "c", "d", "e"]
     ref = ["a", "b", "c", "d", "x"]
     assert corpus_bleu([hyp], [ref]) == sentence_bleu(hyp, ref, NO_SMOOTH)
+
+
+def test_corpus_bleu_is_the_formula_over_summed_stats():
+    h1 = ["the", "black", "cat", "sat", "down"]
+    h2 = ["a", "b", "c", "d", "e"]
+    r2 = ["a", "b", "c", "d", "x"]
+    # matches per order, totals per order, hypothesis and reference length
+    assert bleu_stats(h2, r2) == (4, 3, 2, 1, 5, 4, 3, 2, 5, 5)
+    sums = [a + b for a, b in zip(bleu_stats(h1, h1), bleu_stats(h2, r2))]
+    assert bleu_from_stats(sums) == corpus_bleu([h1, h2], [list(h1), r2])
 
 
 def test_corpus_bleu_pools_counts():
