@@ -11,7 +11,8 @@ when the call returns), do the per-list utility work once, and per setting
 only re-combine scores and sum per-candidate objective statistics (corpus
 BLEU sufficient statistics or sentence chrF), each computed once.  Every
 function that takes a utility accepts a spec string, one provider shared
-by all lists, or a list with one provider per list.
+by all lists, or a list with one provider per list.  Objectives use the
+default :class:`~rmbr.metrics.MetricConfig`.
 """
 
 from __future__ import annotations
@@ -36,13 +37,7 @@ from .mbr import (
     regularizer_values,
     rerank,
 )
-from .metrics import (
-    MetricConfig,
-    bleu_from_stats,
-    bleu_stats,
-    corpus_bleu,
-    sentence_chrf,
-)
+from .metrics import bleu_from_stats, bleu_stats, corpus_bleu, sentence_chrf
 
 OBJECTIVE_METRICS = ("bleu", "chrf")
 
@@ -59,7 +54,6 @@ def corpus_objective(
     lists: Sequence[NBestList],
     selections: Sequence[int],
     metric: str = "bleu",
-    metric_config: MetricConfig | None = None,
 ) -> float:
     """Corpus score of one selected candidate per list against the references.
 
@@ -76,27 +70,19 @@ def corpus_objective(
         return corpus_bleu(
             [list(c.tokens) for c in picked],
             [lst.reference.split() for lst in lists],
-            metric_config,
         )
-    scores = [
-        sentence_chrf(c.text, lst.reference, metric_config)
-        for c, lst in zip(picked, lists)
-    ]
+    scores = [sentence_chrf(c.text, lst.reference) for c, lst in zip(picked, lists)]
     return sum(scores) / len(scores)
 
 
-def oracle_select(
-    nbest: NBestList,
-    utility="bleu",
-    metric_config: MetricConfig | None = None,
-) -> tuple[int, float]:
+def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
     """The candidate closest to the true reference, and its score.
 
     Ties go to the earlier (better beam rank) candidate.
     """
     if nbest.reference is None:
         raise InvalidInputError("oracle selection needs a reference")
-    with UtilitySession(metric_config) as session:
+    with UtilitySession() as session:
         (provider,) = session.providers(utility, 1)
         best_index = 0
         best_score = -math.inf
@@ -143,7 +129,6 @@ def oracle_histogram(
     utility="bleu",
     bin_width: int = 5,
     objective_metric: str = "bleu",
-    metric_config: MetricConfig | None = None,
 ) -> OracleReport:
     """Oracle-rank histogram over a corpus.
 
@@ -155,7 +140,7 @@ def oracle_histogram(
         raise InvalidInputError("no lists")
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    with UtilitySession(metric_config) as session:
+    with UtilitySession() as session:
         providers = session.providers(utility, len(lists))
         picks = [oracle_select(lst, p) for lst, p in zip(lists, providers)]
     indices = tuple(i for i, _ in picks)
@@ -165,7 +150,7 @@ def oracle_histogram(
     for idx in indices:
         counts[idx // bin_width] += 1
     proportions = tuple(c / len(lists) for c in counts)
-    corpus_metric = corpus_objective(lists, indices, objective_metric, metric_config)
+    corpus_metric = corpus_objective(lists, indices, objective_metric)
     return OracleReport(
         indices=indices,
         scores=scores,
@@ -270,16 +255,10 @@ class _ObjectiveStats:
     (BLEU statistics are integers), so the two agree bit for bit.
     """
 
-    def __init__(
-        self,
-        lists: Sequence[NBestList],
-        metric: str,
-        metric_config: MetricConfig | None,
-    ):
+    def __init__(self, lists: Sequence[NBestList], metric: str):
         _check_objective(lists, metric)
         self._lists = lists
         self._metric = metric
-        self._config = metric_config
         self._stats: list[dict] = [{} for _ in lists]
 
     def _candidate(self, pos: int, index: int):
@@ -288,19 +267,19 @@ class _ObjectiveStats:
             lst = self._lists[pos]
             cand = lst.candidates[index]
             if self._metric == "chrf":
-                stats[index] = sentence_chrf(cand.text, lst.reference, self._config)
+                stats[index] = sentence_chrf(cand.text, lst.reference)
             else:
                 ref = lst.reference.split()
                 if not ref:
                     raise InvalidInputError(f"empty sentence at corpus position {pos}")
-                stats[index] = bleu_stats(cand.tokens, ref, self._config)
+                stats[index] = bleu_stats(cand.tokens, ref)
         return stats[index]
 
     def __call__(self, selections: Sequence[int]) -> float:
         picked = [self._candidate(pos, index) for pos, index in enumerate(selections)]
         if self._metric == "chrf":
             return sum(picked) / len(picked)
-        return bleu_from_stats([sum(column) for column in zip(*picked)], self._config)
+        return bleu_from_stats([sum(column) for column in zip(*picked)])
 
 
 def _selection_objective(skeletons, lambdas: dict, objective: _ObjectiveStats) -> float:
@@ -319,7 +298,6 @@ def grid_search_lambdas(
     config: RerankConfig,
     grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
     objective_metric: str = "bleu",
-    metric_config: MetricConfig | None = None,
 ) -> tuple[dict, float]:
     """Exhaustive weight search over ``grid^r`` for the r active regularizers.
 
@@ -337,13 +315,11 @@ def grid_search_lambdas(
     grid_values = sorted({float(g) for g in grid})
     if not grid_values:
         raise ConfigError("empty weight grid")
-    objective_of = _ObjectiveStats(lists, objective_metric, metric_config)
+    objective_of = _ObjectiveStats(lists, objective_metric)
     zero_config = replace(config, lambdas={name: 0.0 for name in config.regularizers})
-    with UtilitySession(metric_config) as session:
+    with UtilitySession() as session:
         configs = session.configs(zero_config, len(lists))
-        skeletons = [
-            rerank(lst, c, metric_config=metric_config) for lst, c in zip(lists, configs)
-        ]
+        skeletons = [rerank(lst, c) for lst, c in zip(lists, configs)]
     best_lambdas: dict = {}
     best_objective = -math.inf
     for combo in itertools.product(grid_values, repeat=len(config.regularizers)):
@@ -358,7 +334,6 @@ def tune_l(
     lists: Sequence[NBestList],
     config: RerankConfig,
     objective_metric: str = "bleu",
-    metric_config: MetricConfig | None = None,
 ) -> tuple[int, float, list[float]]:
     """Sweep the truncation depth l = 1..min(n) and pick the best.
 
@@ -372,8 +347,8 @@ def tune_l(
         raise InvalidInputError("no dev lists")
     if config.coarse_to_fine is not None:
         raise ConfigError("truncation sweep does not apply to coarse-to-fine configs")
-    objective_of = _ObjectiveStats(lists, objective_metric, metric_config)
-    with UtilitySession(metric_config) as session:
+    objective_of = _ObjectiveStats(lists, objective_metric)
+    with UtilitySession() as session:
         providers = session.providers(config.utility, len(lists))
         matrices = [
             build_utility_matrix(lst, p, lst.n) for lst, p in zip(lists, providers)
@@ -391,7 +366,7 @@ def tune_l(
         for matrix, regs in zip(matrices, regularizers):
             consensus = expected_utilities(matrix.values, l)
             totals = combine_scores(consensus, regs, config.lambdas)
-            _, selected = rank_candidates(totals, config.tie_break)
+            _, selected = rank_candidates(totals)
             selections.append(selected)
         objective = objective_of(selections)
         curve.append(objective)

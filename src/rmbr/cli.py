@@ -10,19 +10,22 @@ Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
 scorer-transport, scoring (including a non-finite score) or other runtime
 failures.  Errors go to stderr prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
-half-written.  Commands that write an output file also write a JSON run
-report next to it (``<output>.report.json``) with timings and call counts,
-including the scorer connections the run opened and the pairs they
-scored; the report is informational and not part of the output contract.
+half-written.  The commands that score (``rerank``, ``c2f``,
+``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
+next to their output file (``<output>.report.json``) with timings and
+call counts, including the scorer connections the run opened and the
+pairs they scored; the report is informational and not part of the
+output contract.
 
 Every command that scores takes its utility providers from one
 :class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
 resolved once per run (one scorer per ``service:`` spec; a matrix file
 with one matrix per list gives each list its own), and every scorer is
 closed before the command returns, on success, on error and on Ctrl-C.
-A ``--dry-run`` of ``rerank`` or ``c2f`` resolves the specs, which checks
-them; one of ``tune-lambda``, ``tune-l`` or ``oracle`` resolves none and
-so starts no scorer.
+Their ``--dry-run`` checks each spec with
+:func:`~rmbr.mbr.check_utility_spec` and starts or connects to no scorer.
+Only ``rerank`` and ``c2f`` take ``--threads``; once one list fails,
+they start no further list.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -51,7 +55,7 @@ from .errors import (
     TransportError,
 )
 from .io import atomic_write, load_nbest, write_results
-from .mbr import UtilitySession, regularizer_values, rerank
+from .mbr import UtilitySession, check_utility_spec, regularizer_values, rerank
 from .metrics import corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
@@ -77,12 +81,6 @@ def _add_common(sub, output_required=False):
         "--output",
         required=output_required,
         help="output path" + ("" if output_required else " (default: stdout summary only)"),
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for per-list reranking (default 1)",
     )
     sub.add_argument(
         "--dry-run",
@@ -112,6 +110,16 @@ def _add_scoring(sub):
     )
 
 
+def _add_rerank_options(sub):
+    sub.add_argument("--mode", choices=["text", "full"], default="text")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for per-list reranking (default 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rmbr", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -119,14 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rerank", help="rerank each list by expected utility")
     _add_common(p, output_required=True)
     _add_scoring(p)
-    p.add_argument("--mode", choices=["text", "full"], default="text")
+    _add_rerank_options(p)
 
     p = subs.add_parser("c2f", help="coarse-to-fine rerank (proxy shortlists, target rescores)")
     _add_common(p, output_required=True)
     _add_scoring(p)
     p.add_argument("--proxy", default="bleu", help="stage-1 proxy utility spec")
     p.add_argument("--keep", type=int, required=True, help="survivors kept for stage 2")
-    p.add_argument("--mode", choices=["text", "full"], default="text")
+    _add_rerank_options(p)
 
     p = subs.add_parser("tune-lambda", help="grid-search regularizer weights on a dev set")
     _add_common(p)
@@ -163,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyps", required=True, help="hypothesis text, one sentence per line")
     p.add_argument("--refs", required=True, help="reference text, one sentence per line")
     p.add_argument("--metric", choices=["bleu", "chrf"], default="bleu")
-    p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--dry-run", action="store_true")
 
     return parser
@@ -193,9 +200,9 @@ def _parse_l(value):
         raise ConfigError(f"--l wants an integer or 'full', got {value!r}") from None
 
 
-def _validate_lists(lists, configs):
-    """The dry-run body: bounds and required fields, no utility evaluations."""
-    for lst, config in zip(lists, configs):
+def _validate_lists(lists, config):
+    """Bounds and required fields of each list, no utility evaluations."""
+    for lst in lists:
         if config.coarse_to_fine is not None:
             if config.coarse_to_fine.keep > lst.n:
                 raise InvalidInputError(
@@ -207,23 +214,32 @@ def _validate_lists(lists, configs):
             regularizer_values(lst, name)
 
 
-def _write_report(output, command, args, lists, results, elapsed, session):
+def _dry_run(lists, config) -> int:
+    """End a dry run: check the utility specs, starting and connecting nothing."""
+    check_utility_spec(config.utility, len(lists))
+    if config.coarse_to_fine is not None:
+        check_utility_spec(config.coarse_to_fine.proxy, len(lists))
+    print(f"ok: {len(lists)} lists validated")
+    return 0
+
+
+def _write_report(args, lists, results, started, session):
     config_echo = {
         k: v
         for k, v in vars(args).items()
         if k != "command" and isinstance(v, (str, int, float, bool, list, type(None)))
     }
     report = {
-        "command": command,
+        "command": args.command,
         "config": config_echo,
         "lists": len(lists),
-        "elapsed_seconds": elapsed,
+        "elapsed_seconds": time.monotonic() - started,
         **session.counters(),
     }
     if results is not None:
         report["utility_calls"] = [r.utility_calls for r in results]
         report["total_utility_calls"] = sum(r.utility_calls for r in results)
-    with atomic_write(f"{output}.report.json") as fh:
+    with atomic_write(f"{args.output}.report.json") as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
 
 
@@ -242,21 +258,33 @@ def _cmd_rerank(args) -> int:
             else None
         ),
     )
+    _validate_lists(lists, config)
+    if args.dry_run:
+        return _dry_run(lists, config)
     with UtilitySession() as session:
         configs = session.configs(config, len(lists))
-        _validate_lists(lists, configs)
-        if args.dry_run:
-            print(f"ok: {len(lists)} lists validated")
-            return 0
+        failed = threading.Event()
+
+        def rerank_list(i):
+            # after a failure start no further list (each would wait out a
+            # stalled scorer); skipped lists come after the failed one in the
+            # queue, so map() raises before it reaches their None
+            if failed.is_set():
+                return None
+            try:
+                return rerank(lists[i], configs[i])
+            except BaseException:
+                failed.set()
+                raise
+
         pool = ThreadPoolExecutor(max_workers=max(1, args.threads))
         try:
-            results = list(pool.map(lambda i: rerank(lists[i], configs[i]), range(len(lists))))
+            results = list(pool.map(rerank_list, range(len(lists))))
         finally:
             # on an error or Ctrl-C, lists not yet started are dropped
             pool.shutdown(cancel_futures=True)
     write_results(args.output, results, lists, mode=args.mode)
-    elapsed = time.monotonic() - started
-    _write_report(args.output, args.command, args, lists, results, elapsed, session)
+    _write_report(args, lists, results, started, session)
     print(f"reranked {len(lists)} lists -> {args.output}")
     return 0
 
@@ -289,10 +317,9 @@ def _cmd_tune_lambda(args) -> int:
     except ValueError:
         raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
     config = _tuning_config(args, {n: 0.0 for n in names}, names)
-    _validate_lists(lists, [config] * len(lists))
+    _validate_lists(lists, config)
     if args.dry_run:
-        print(f"ok: {len(lists)} lists validated")
-        return 0
+        return _dry_run(lists, config)
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(args.utility, len(lists)))
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
@@ -303,8 +330,7 @@ def _cmd_tune_lambda(args) -> int:
         [f"best lambdas: {json.dumps(best)}", f"{args.metric}: {objective:.6f}"],
     )
     if args.output:
-        elapsed = time.monotonic() - started
-        _write_report(args.output, args.command, args, lists, None, elapsed, session)
+        _write_report(args, lists, None, started, session)
     return 0
 
 
@@ -313,10 +339,9 @@ def _cmd_tune_l(args) -> int:
     lists = load_nbest(args.input)
     lambdas = _parse_lambdas(args.lambdas)
     config = _tuning_config(args, lambdas, tuple(lambdas))
-    _validate_lists(lists, [config] * len(lists))
+    _validate_lists(lists, config)
     if args.dry_run:
-        print(f"ok: {len(lists)} lists validated")
-        return 0
+        return _dry_run(lists, config)
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(args.utility, len(lists)))
         best_l, objective, curve = tune_l(lists, config, args.metric)
@@ -327,19 +352,18 @@ def _cmd_tune_l(args) -> int:
         [f"best l: {best_l}", f"{args.metric}: {objective:.6f}"],
     )
     if args.output:
-        elapsed = time.monotonic() - started
-        _write_report(args.output, args.command, args, lists, None, elapsed, session)
+        _write_report(args, lists, None, started, session)
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    started = time.monotonic()
     lists = load_nbest(args.input)
     if args.dry_run:
         for i, lst in enumerate(lists):
             if lst.reference is None:
                 raise InvalidInputError(f"list {i} has no reference")
-        print(f"ok: {len(lists)} lists validated")
-        return 0
+        return _dry_run(lists, RerankConfig(utility=args.utility))
     with UtilitySession() as session:
         report = oracle_histogram(
             lists,
@@ -348,6 +372,8 @@ def _cmd_oracle(args) -> int:
             objective_metric=args.metric,
         )
     _emit_record(args, report.to_record(), [report.format_table()])
+    if args.output:
+        _write_report(args, lists, None, started, session)
     return 0
 
 

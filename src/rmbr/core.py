@@ -185,7 +185,6 @@ class RerankConfig:
     lambdas: Mapping[str, float] = field(default_factory=dict)
     regularizers: tuple[str, ...] = ()
     coarse_to_fine: CoarseToFine | None = None
-    tie_break: str = "beam"
 
     def __post_init__(self):
         object.__setattr__(self, "regularizers", tuple(self.regularizers))
@@ -208,8 +207,6 @@ class RerankConfig:
             if int(self.l) < 1:
                 raise ConfigError(f"l must be >= 1 or 'full', got {self.l!r}")
             object.__setattr__(self, "l", int(self.l))
-        if self.tie_break != "beam":
-            raise ConfigError(f"unknown tie_break policy {self.tie_break!r}")
 
     def resolve_l(self, n: int) -> int:
         if self.l == "full":
@@ -286,9 +283,7 @@ def combine_scores(
     return totals
 
 
-def rank_candidates(
-    totals: Sequence[float], tie_break: str = "beam"
-) -> tuple[list[int], int]:
+def rank_candidates(totals: Sequence[float]) -> tuple[list[int], int]:
     """Rank candidate indices by descending total score.
 
     Ties are broken by beam order: the lower original index wins.  Returns
@@ -296,8 +291,6 @@ def rank_candidates(
     """
     if len(totals) == 0:
         raise InvalidInputError("cannot rank an empty score list")
-    if tie_break != "beam":
-        raise ConfigError(f"unknown tie_break policy {tie_break!r}")
     values = [float(v) for v in totals]
     if not all(math.isfinite(v) for v in values):
         raise InvalidInputError("total scores must be finite")

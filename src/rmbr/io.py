@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import Candidate, NBestList, RerankResult, UtilityMatrix
 from .errors import (
-    DimensionError,
     InvalidInputError,
     ParseError,
     ScoringError,
@@ -246,19 +245,6 @@ def load_utility_matrices(path) -> list[UtilityMatrix]:
     if not matrices:
         raise InvalidInputError(f"{path} holds no utility matrices")
     return matrices
-
-
-def load_utility_matrix(path, n: int, l: int) -> UtilityMatrix:
-    """Read the first stored matrix and crop it to (n, l).
-
-    The stored dimensions must be at least (n, l).
-    """
-    first = load_utility_matrices(path)[0]
-    if first.n < n or first.l < l:
-        raise DimensionError(
-            f"stored matrix is {first.n}x{first.l}, need at least {n}x{l}"
-        )
-    return UtilityMatrix(values=first.values[:n, :l], utility_name=first.utility_name)
 
 
 # ---------------------------------------------------------------------------

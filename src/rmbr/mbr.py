@@ -17,24 +17,26 @@ pairwise clipped n-gram match count from one kernel,
 BLAS, exact in integers), and turn counts into scores with the same scalar
 routines as the sentence metrics; a precomputed matrix can be loaded from
 disk; and an external scorer process can be attached over the line-JSON
-protocol.  Spec strings become providers in a :class:`UtilitySession`,
-which resolves each spec once per run and closes the scorer connections
-it opened.
+protocol.  :func:`check_utility_spec` checks and parses a spec string
+without starting or connecting anything; spec strings become providers
+in a :class:`UtilitySession`, which resolves each spec once per run and
+closes the scorer connections it opened.  The built-in metrics use the
+default :class:`~rmbr.metrics.MetricConfig`; another is chosen by passing
+a provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
 """
 
 from __future__ import annotations
 
-import math
 import shlex
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .core import (
     Candidate,
-    CoarseToFine,
+    REGULARIZER_NAMES,
     NBestList,
     RerankConfig,
     RerankResult,
@@ -181,54 +183,67 @@ class ServiceUtility:
             close()
 
 
-def _load_matrix_utilities(path: str) -> list[MatrixUtility]:
-    from .io import load_utility_matrices
+def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
+    """Check a utility spec string and parse it, starting and connecting nothing.
 
-    return [MatrixUtility(m) for m in load_utility_matrices(path)]
-
-
-def make_utility(
-    spec,
-    metric_config: MetricConfig | None = None,
-    timeout: float | None = None,
-):
-    """Resolve a utility from a spec string, or pass a provider through.
-
-    Spec strings: ``"bleu"``, ``"chrf"``, ``"matrix:PATH"`` (a stored
-    matrix file holding exactly one matrix), ``"service:HOST:PORT"`` or
-    ``"service:exec:COMMAND"`` (an external scorer; the returned provider
-    owns the connection and must be closed after use, which a
-    :class:`UtilitySession` does for the providers it resolves).
+    Returns ``(kind, value)``: ``("bleu", None)`` and ``("chrf", None)``;
+    ``("matrix", providers)`` for ``"matrix:PATH"``, whose file must hold
+    one matrix or one per list (``num_lists``); ``("exec", argv)`` for
+    ``"service:exec:COMMAND"``; ``("tcp", (host, port))`` for
+    ``"service:HOST:PORT"`` with a port in 1..65535.  Every other value
+    raises :class:`ConfigError`.
     """
-    if hasattr(spec, "matrix") and not isinstance(spec, str):
-        return spec
-    if spec == "bleu":
-        return BleuUtility(metric_config)
-    if spec == "chrf":
-        return ChrfUtility(metric_config)
-    if isinstance(spec, str) and spec.startswith("matrix:"):
-        path = spec[len("matrix:") :]
-        utilities = _load_matrix_utilities(path)
-        if len(utilities) != 1:
-            raise ConfigError(
-                f"{path} holds {len(utilities)} matrices; resolve it in a "
-                "UtilitySession to assign one per list"
-            )
-        return utilities[0]
-    if isinstance(spec, str) and spec.startswith("service:"):
-        from .io import ScorerClient
+    if not isinstance(spec, str):
+        raise ConfigError(f"unknown utility spec {spec!r}")
+    if spec in ("bleu", "chrf"):
+        return spec, None
+    scheme, _, rest = spec.partition(":")
+    if scheme == "matrix":
+        from .io import load_utility_matrices
 
-        address = spec[len("service:") :]
-        if address.startswith("exec:"):
-            argv = shlex.split(address[len("exec:") :])
-            client = ScorerClient.spawn(argv, timeout=timeout)
-        else:
-            host, sep, port = address.rpartition(":")
-            if not sep or not port.isdigit():
-                raise ConfigError(f"bad service address {address!r}, want HOST:PORT")
-            client = ScorerClient.connect_tcp(host, int(port), timeout=timeout)
-        return ServiceUtility(client)
+        utilities = [MatrixUtility(m) for m in load_utility_matrices(rest)]
+        if len(utilities) not in (1, num_lists):
+            raise ConfigError(
+                f"{rest} holds {len(utilities)} matrices for {num_lists} lists; "
+                "it must hold 1 or one per list"
+            )
+        return "matrix", utilities
+    if scheme == "service" and rest.startswith("exec:"):
+        try:
+            argv = shlex.split(rest[len("exec:") :])
+        except ValueError as e:
+            raise ConfigError(f"bad scorer command in {spec!r}: {e}") from None
+        if not argv:
+            raise ConfigError(f"{spec!r} names no scorer command")
+        return "exec", argv
+    if scheme == "service":
+        host, sep, port = rest.rpartition(":")
+        if not host or not sep or not port.isdigit() or not 1 <= int(port) <= 65535:
+            raise ConfigError(f"bad service address {rest!r}, want HOST:PORT")
+        return "tcp", (host, int(port))
     raise ConfigError(f"unknown utility spec {spec!r}")
+
+
+def make_utility(spec: str):
+    """Resolve a utility from a spec string (see :func:`check_utility_spec`).
+
+    A ``matrix:`` file must hold exactly one matrix here.  A ``service:``
+    spec starts or connects to an external scorer; the returned provider
+    owns the connection and must be closed after use, which a
+    :class:`UtilitySession` does for the providers it resolves.
+    """
+    kind, value = check_utility_spec(spec)
+    if kind == "bleu":
+        return BleuUtility()
+    if kind == "chrf":
+        return ChrfUtility()
+    if kind == "matrix":
+        return value[0]
+    from .io import ScorerClient
+
+    if kind == "exec":
+        return ServiceUtility(ScorerClient.spawn(value))
+    return ServiceUtility(ScorerClient.connect_tcp(*value))
 
 
 class UtilitySession:
@@ -245,8 +260,7 @@ class UtilitySession:
     nothing of its caller's.
     """
 
-    def __init__(self, metric_config: MetricConfig | None = None):
-        self.metric_config = metric_config
+    def __init__(self):
         self._services: list[ServiceUtility] = []
         self._closers = ExitStack()
 
@@ -270,16 +284,10 @@ class UtilitySession:
             return list(spec)
         if hasattr(spec, "matrix"):
             return [spec] * num_lists
-        if isinstance(spec, str) and spec.startswith("matrix:"):
-            utilities = _load_matrix_utilities(spec[len("matrix:") :])
-            if len(utilities) == 1:
-                return utilities * num_lists
-            if len(utilities) != num_lists:
-                raise InvalidInputError(
-                    f"matrix file holds {len(utilities)} matrices for {num_lists} lists"
-                )
-            return utilities
-        provider = make_utility(spec, self.metric_config)
+        kind, value = check_utility_spec(spec, num_lists)
+        if kind == "matrix":
+            return value if len(value) == num_lists else value * num_lists
+        provider = make_utility(spec)
         if isinstance(provider, ServiceUtility):
             self._services.append(provider)
             self._closers.callback(provider.close)
@@ -330,64 +338,32 @@ def mbr_scores(matrix: UtilityMatrix) -> list[float]:
     return expected_utilities(matrix.values, matrix.l)
 
 
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """How one auxiliary score is pulled out of a candidate.
-
-    ``negate`` flips scores whose raw form is "lower is better" so every
-    stored regularizer value is higher-is-better.
-    """
-
-    name: str
-    field: str
-    negate: bool = False
-
-
-REGULARIZERS = {
-    "lp": RegularizerSpec("lp", "log_prob"),
-    "lm": RegularizerSpec("lm", "external_scores"),
-    "bt": RegularizerSpec("bt", "external_scores"),
-    "qe": RegularizerSpec("qe", "external_scores"),
-    "mc_dropout": RegularizerSpec("mc_dropout", "mc_pass_scores", negate=True),
-    "entropy": RegularizerSpec("entropy", "token_entropies", negate=True),
-}
-
-
-def regularizer_values(nbest: NBestList, spec: RegularizerSpec | str) -> list[float]:
+def regularizer_values(nbest: NBestList, name: str) -> list[float]:
     """One higher-is-better score per candidate for a single regularizer.
 
     ``lp`` reads the decoder log-probability; ``lm``/``bt``/``qe`` read the
     identically named external score; ``mc_dropout`` and ``entropy`` average
     the per-pass / per-token uncertainty values and negate them.
     """
-    if isinstance(spec, str):
-        try:
-            spec = REGULARIZERS[spec]
-        except KeyError:
-            raise ConfigError(
-                f"unknown regularizer {spec!r}; known: {sorted(REGULARIZERS)}"
-            ) from None
+    if name not in REGULARIZER_NAMES:
+        raise ConfigError(f"unknown regularizer {name!r}; known: {REGULARIZER_NAMES}")
     out = []
     for i, cand in enumerate(nbest.candidates):
-        if spec.field == "log_prob":
+        if name == "lp":
             value = cand.log_prob
-        elif spec.field == "external_scores":
-            if spec.name not in cand.external_scores:
-                raise MissingScoreError(
-                    f"candidate {i} has no external score {spec.name!r}"
-                )
-            value = cand.external_scores[spec.name]
-        elif spec.field == "mc_pass_scores":
+        elif name == "mc_dropout":
             if cand.mc_pass_scores is None:
                 raise MissingScoreError(f"candidate {i} has no mc_pass_scores")
-            value = sum(cand.mc_pass_scores) / len(cand.mc_pass_scores)
-        elif spec.field == "token_entropies":
+            value = -sum(cand.mc_pass_scores) / len(cand.mc_pass_scores)
+        elif name == "entropy":
             if cand.token_entropies is None:
                 raise MissingScoreError(f"candidate {i} has no token_entropies")
-            value = sum(cand.token_entropies) / len(cand.token_entropies)
+            value = -sum(cand.token_entropies) / len(cand.token_entropies)
         else:
-            raise ConfigError(f"regularizer reads unknown field {spec.field!r}")
-        out.append(-value if spec.negate else value)
+            if name not in cand.external_scores:
+                raise MissingScoreError(f"candidate {i} has no external score {name!r}")
+            value = cand.external_scores[name]
+        out.append(value)
     return out
 
 
@@ -409,12 +385,7 @@ def token_entropy(distribution) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def rerank(
-    nbest: NBestList,
-    config: RerankConfig,
-    *,
-    metric_config: MetricConfig | None = None,
-) -> RerankResult:
+def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
     Honors ``config.coarse_to_fine`` when set; otherwise builds the n x l
@@ -422,8 +393,8 @@ def rerank(
     config are resolved in a :class:`UtilitySession` that lasts this call.
     """
     if config.coarse_to_fine is not None:
-        return coarse_to_fine(nbest, config, metric_config=metric_config)
-    with UtilitySession(metric_config) as session:
+        return coarse_to_fine(nbest, config)
+    with UtilitySession() as session:
         (utility,) = session.providers(config.utility, 1)
         l = config.resolve_l(nbest.n)
         matrix = build_utility_matrix(nbest, utility, l)
@@ -432,7 +403,7 @@ def rerank(
         name: regularizer_values(nbest, name) for name in config.regularizers
     }
     totals = combine_scores(consensus, regularizers, config.lambdas)
-    ranking, selected = rank_candidates(totals, config.tie_break)
+    ranking, selected = rank_candidates(totals)
     return RerankResult(
         mbr_scores=tuple(consensus),
         regularizer_scores={k: tuple(v) for k, v in regularizers.items()},
@@ -444,12 +415,7 @@ def rerank(
     )
 
 
-def coarse_to_fine(
-    nbest: NBestList,
-    config: RerankConfig,
-    *,
-    metric_config: MetricConfig | None = None,
-) -> RerankResult:
+def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Two-stage rerank: proxy utility over the full list, target on survivors.
 
     Stage 1 scores all n candidates against all n with the proxy (no
@@ -465,11 +431,11 @@ def coarse_to_fine(
     k = stages.keep
     if k > n:
         raise InvalidInputError(f"keep={k} exceeds list size {n}")
-    with UtilitySession(metric_config) as session:
+    with UtilitySession() as session:
         (config,) = session.configs(config, 1)
         proxy_matrix = build_utility_matrix(nbest, config.coarse_to_fine.proxy, n)
         proxy_scores = mbr_scores(proxy_matrix)
-        order, _ = rank_candidates(proxy_scores, config.tie_break)
+        order, _ = rank_candidates(proxy_scores)
         survivors = sorted(order[:k])
         sub_list = NBestList(
             source=nbest.source,
@@ -478,7 +444,7 @@ def coarse_to_fine(
             reference_token_log_probs=nbest.reference_token_log_probs,
         )
         sub_config = replace(config, coarse_to_fine=None, l="full")
-        sub_result = rerank(sub_list, sub_config, metric_config=metric_config)
+        sub_result = rerank(sub_list, sub_config)
     return RerankResult(
         mbr_scores=sub_result.mbr_scores,
         regularizer_scores=sub_result.regularizer_scores,

@@ -370,6 +370,8 @@ print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
 sys.stdin.readline()
 for line in sys.stdin:
     if mode == "stall":
+        with open(sys.argv[1] + ".requests", "a") as fh:
+            fh.write(line)
         continue
     req = json.loads(line)
     if mode == "error":
@@ -413,16 +415,23 @@ _SCORER_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["ok", "error", "stall"])
+def _scorer_command(command, spec, *extra):
+    words, specs = _SCORER_COMMANDS[command]
+    args = [spec if w == "S" else w for w in words]
+    args[1:1] = extra
+    return args, specs
+
+
+@pytest.mark.parametrize("mode", ["ok", "error", "stall", "dry"])
 @pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
 def test_one_scorer_per_spec_and_none_outlives_the_run(
     dev_file, tmp_path, capsys, monkeypatch, command, mode
 ):
     path, _ = dev_file
-    spec, log = _logging_scorer(tmp_path, mode)
-    words, specs = _SCORER_COMMANDS[command]
-    args = [spec if w == "S" else w for w in words]
-    args[1:1] = ["-i", path, "-o", tmp_path / "out"]
+    spec, log = _logging_scorer(tmp_path, "ok" if mode == "dry" else mode)
+    args, specs = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
+    if mode == "dry":
+        args.append("--dry-run")
     if mode == "stall":
         monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", "0.2")
     code = run(args)
@@ -431,6 +440,10 @@ def test_one_scorer_per_spec_and_none_outlives_the_run(
     if mode == "ok":
         assert code == 0, err
         assert len(pids) == specs
+    elif mode == "dry":
+        assert code == 0, err
+        assert pids == []
+        assert not (tmp_path / "out").exists()
     elif mode == "error":
         assert code == 2
         assert "no model loaded" in err
@@ -441,6 +454,58 @@ def test_one_scorer_per_spec_and_none_outlives_the_run(
         # a start slower than the timeout fails the handshake before logging
         assert len(pids) <= specs
     _assert_all_gone(pids)
+
+
+@pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize(
+    "spec",
+    ["tf-idf", "service:exec:", "service:exec:python3 'unclosed", "service:localhost:0"],
+)
+@pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
+def test_malformed_spec_exits_1(dev_file, tmp_path, capsys, command, spec, dry):
+    path, _ = dev_file
+    args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
+    if dry:
+        args.append("--dry-run")
+    assert run(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(43)
+    lists = [random_list(rng, 5) for _ in range(4)]
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, lists)
+    spec, log = _logging_scorer(tmp_path, "stall")
+    monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", "0.5")
+    args = ["rerank", "-i", nbest, "-o", tmp_path / "o.txt", "--utility", spec]
+    assert run(args + ["--threads", 1]) == 2
+    assert "timed out" in capsys.readouterr().err
+    requests = (tmp_path / "starts.log.requests").read_text(encoding="utf-8")
+    assert len(requests.splitlines()) == 5 * 5
+    _assert_all_gone(_started_pids(log))
+
+
+def test_threads_only_on_rerank_and_c2f(dev_file, tmp_path, capsys):
+    path, _ = dev_file
+    for words in (["tune-lambda", "--regularizers", "qe"], ["tune-l"], ["oracle"], ["tokenprob"]):
+        assert run(words + ["-i", path, "--threads", 2]) == 1
+        assert "--threads" in capsys.readouterr().err
+    hyps = tmp_path / "h.txt"
+    hyps.write_text("a b\n", encoding="utf-8")
+    assert run(["eval", "--hyps", hyps, "--refs", hyps, "--threads", 2]) == 1
+
+
+def test_oracle_report_counts_scorer_work(dev_file, tmp_path):
+    path, lists = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "-i", path, "-o", out, "--utility", spec]) == 0
+    report = json.loads((tmp_path / "oracle.json.report.json").read_text(encoding="utf-8"))
+    assert report["command"] == "oracle"
+    assert report["scorer_processes"] == 1
+    assert report["scorer_pairs"] == sum(lst.n for lst in lists)
+    _assert_all_gone(_started_pids(log))
 
 
 def test_tune_lambda_report_counts_scorer_work(dev_file, tmp_path):

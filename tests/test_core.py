@@ -125,8 +125,6 @@ def test_rerank_config_l_handling():
         RerankConfig(l=8).resolve_l(7)
     with pytest.raises(ConfigError):
         RerankConfig(l=0)
-    with pytest.raises(ConfigError):
-        RerankConfig(tie_break="random")
 
 
 def test_rerank_result_consistency_checks():
@@ -193,8 +191,6 @@ def test_rank_candidates_rejects_bad_input():
         rank_candidates([])
     with pytest.raises(InvalidInputError):
         rank_candidates([0.5, math.nan])
-    with pytest.raises(ConfigError):
-        rank_candidates([0.5], tie_break="lexicographic")
 
 
 def test_rank_candidates_random_properties():

@@ -23,7 +23,6 @@ from rmbr.io import (
     atomic_write,
     load_nbest,
     load_utility_matrices,
-    load_utility_matrix,
     read_results,
     write_nbest,
     write_results,
@@ -149,7 +148,7 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     matrix = random_matrix(rng, 7, 4)
     path = tmp_path / "m.matrix"
     write_utility_matrix(path, matrix)
-    loaded = load_utility_matrix(path, 7, 4)
+    (loaded,) = load_utility_matrices(path)
     assert loaded.utility_name == matrix.utility_name
     assert loaded.values.tobytes() == matrix.values.tobytes()
 
@@ -163,26 +162,6 @@ def test_matrix_multi_record_file(tmp_path):
     assert len(loaded) == 3
     for got, want in zip(loaded, matrices):
         assert got.values.tobytes() == want.values.tobytes()
-
-
-def test_load_utility_matrix_crops(tmp_path):
-    rng = np.random.default_rng(23)
-    matrix = random_matrix(rng, 5, 5)
-    path = tmp_path / "m.matrix"
-    write_utility_matrix(path, matrix)
-    cropped = load_utility_matrix(path, 3, 2)
-    assert cropped.values.shape == (3, 2)
-    assert np.array_equal(cropped.values, matrix.values[:3, :2])
-
-
-def test_load_utility_matrix_too_small(tmp_path):
-    rng = np.random.default_rng(24)
-    path = tmp_path / "m.matrix"
-    write_utility_matrix(path, random_matrix(rng, 3, 3))
-    with pytest.raises(DimensionError):
-        load_utility_matrix(path, 4, 3)
-    with pytest.raises(DimensionError):
-        load_utility_matrix(path, 3, 4)
 
 
 @pytest.mark.parametrize(

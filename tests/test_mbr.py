@@ -301,12 +301,18 @@ def test_token_entropy_validation():
 def test_make_utility_builtins_and_passthrough():
     assert isinstance(make_utility("bleu"), BleuUtility)
     assert isinstance(make_utility("chrf"), ChrfUtility)
-    provider = BleuUtility()
-    assert make_utility(provider) is provider
-    with pytest.raises(ConfigError):
-        make_utility("rouge")
-    with pytest.raises(ConfigError):
-        make_utility("service:not-an-address")
+    for spec in (
+        "rouge",
+        "service:not-an-address",
+        "service:localhost:0",
+        "service:localhost:65536",
+        "service::9000",
+        "service:exec:",
+        "service:exec:python3 'unclosed",
+        BleuUtility(),
+    ):
+        with pytest.raises(ConfigError):
+            make_utility(spec)
 
 
 def test_make_utility_matrix_file(tmp_path):
@@ -326,9 +332,12 @@ def test_make_utility_matrix_file(tmp_path):
 
 def test_matrix_utility_requires_big_enough_matrix():
     rng = np.random.default_rng(18)
-    util = MatrixUtility(random_matrix(rng, 3))
-    with pytest.raises(DimensionError):
-        util.matrix(trivial_list(4), 4)
+    matrix = random_matrix(rng, 3)
+    util = MatrixUtility(matrix)
+    for n, l in ((4, 4), (4, 3), (3, 4)):
+        with pytest.raises(DimensionError):
+            util.matrix(trivial_list(n), l)
+    assert np.array_equal(util.matrix(trivial_list(2), 1), matrix.values[:2, :1])
     with pytest.raises(ConfigError):
         util.score_against("s", trivial_list(1).candidates[0], "ref")
 
