@@ -84,13 +84,9 @@ def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
         raise InvalidInputError("oracle selection needs a reference")
     with UtilitySession() as session:
         (provider,) = session.providers(utility, 1)
-        best_index = 0
-        best_score = -math.inf
-        for i, cand in enumerate(nbest.candidates):
-            score = provider.score_against(nbest.source, cand, nbest.reference)
-            if score > best_score:
-                best_index, best_score = i, score
-    return best_index, best_score
+        scores = provider.score_against(nbest, nbest.reference)
+    best_index = max(range(len(scores)), key=scores.__getitem__)
+    return best_index, scores[best_index]
 
 
 @dataclass(frozen=True)

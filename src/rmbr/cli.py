@@ -359,6 +359,10 @@ def _cmd_tune_l(args) -> int:
 def _cmd_oracle(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
+    if check_utility_spec(args.utility, len(lists))[0] == "matrix":
+        raise ConfigError(
+            "a precomputed utility matrix cannot score against new references"
+        )
     if args.dry_run:
         for i, lst in enumerate(lists):
             if lst.reference is None:

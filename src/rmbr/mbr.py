@@ -11,13 +11,15 @@ cheap proxy utility over all n pseudo-references, keeps the best k, and
 reranks only the survivors with the target utility, for n^2 + k^2 pair
 evaluations instead of n^2.
 
-Utilities are pluggable: the built-in BLEU/chrF matrix builders get every
-pairwise clipped n-gram match count from one kernel,
-:func:`rmbr.kernels.pair_match_counts` (0/1 indicator matrix products in
-BLAS, exact in integers), and turn counts into scores with the same scalar
-routines as the sentence metrics; a precomputed matrix can be loaded from
-disk; and an external scorer process can be attached over the line-JSON
-protocol.  :func:`check_utility_spec` checks and parses a spec string
+Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
+builder, which counts a list's n-grams into one matrix per order
+(:func:`rmbr.kernels.encode_ngram_blocks`), gets every pairwise clipped
+match count from one kernel, :func:`rmbr.kernels.pair_match_counts` (0/1
+indicator matrix products in BLAS, exact in integers), and turns counts
+into scores with the same scalar routines as the sentence metrics; a
+precomputed matrix can be loaded from disk; and an external scorer process
+can be attached over the line-JSON protocol, with one batch of pairs per
+list.  :func:`check_utility_spec` checks and parses a spec string
 without starting or connecting anything; spec strings become providers
 in a :class:`UtilitySession`, which resolves each spec once per run and
 closes the scorer connections it opened.  The built-in metrics use the
@@ -35,7 +37,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .core import (
-    Candidate,
     REGULARIZER_NAMES,
     NBestList,
     RerankConfig,
@@ -65,15 +66,27 @@ class Utility(Protocol):
     """A pairwise utility over candidates.
 
     ``matrix`` scores every candidate against the first ``l`` candidates of
-    the list; ``score_against`` scores one candidate against an arbitrary
-    reference text (used for oracle analysis).
+    the list; ``score_against`` scores every candidate against an arbitrary
+    reference text, one score per candidate (used for oracle analysis).
     """
 
     name: str
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray: ...
 
-    def score_against(self, source: str | None, candidate: Candidate, reference: str) -> float: ...
+    def score_against(self, nbest: NBestList, reference: str) -> list[float]: ...
+
+
+def _ngram_matrix(seqs, order, l, from_counts, config) -> np.ndarray:
+    """Score each sequence against the first l with a count->score routine."""
+    counts, lengths = encode_ngram_blocks(seqs, order)
+    matches = pair_match_counts(counts, lengths, l)
+    lengths = lengths.tolist()
+    out = np.empty((len(seqs), l), dtype=np.float64)
+    for i in range(len(seqs)):
+        for j in range(l):
+            out[i, j] = from_counts(matches[i, j], lengths[i], lengths[j], config)
+    return out
 
 
 class BleuUtility:
@@ -85,20 +98,14 @@ class BleuUtility:
         self.config = config or MetricConfig()
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        order = self.config.bleu_max_order
         seqs = [c.tokens for c in nbest.candidates]
-        ids, counts, offsets, lengths = encode_ngram_blocks(seqs, order)
-        matches = pair_match_counts(ids, counts, offsets, order, len(seqs), l)
-        out = np.empty((len(seqs), l), dtype=np.float64)
-        for i in range(len(seqs)):
-            for j in range(l):
-                out[i, j] = bleu_from_counts(
-                    matches[i, j], int(lengths[i]), int(lengths[j]), self.config
-                )
-        return out
+        return _ngram_matrix(
+            seqs, self.config.bleu_max_order, l, bleu_from_counts, self.config
+        )
 
-    def score_against(self, source, candidate, reference):
-        return sentence_bleu(candidate.tokens, tuple(reference.split()), self.config)
+    def score_against(self, nbest, reference):
+        ref = tuple(reference.split())
+        return [sentence_bleu(c.tokens, ref, self.config) for c in nbest.candidates]
 
 
 class ChrfUtility:
@@ -110,7 +117,6 @@ class ChrfUtility:
         self.config = config or MetricConfig()
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        order = self.config.chrf_char_order
         seqs = []
         for i, cand in enumerate(nbest.candidates):
             chars = chrf_characters(cand.text)
@@ -119,18 +125,12 @@ class ChrfUtility:
                     f"candidate {i} has no characters after whitespace stripping"
                 )
             seqs.append(chars)
-        ids, counts, offsets, lengths = encode_ngram_blocks(seqs, order)
-        matches = pair_match_counts(ids, counts, offsets, order, len(seqs), l)
-        out = np.empty((len(seqs), l), dtype=np.float64)
-        for i in range(len(seqs)):
-            for j in range(l):
-                out[i, j] = chrf_from_counts(
-                    matches[i, j], int(lengths[i]), int(lengths[j]), self.config
-                )
-        return out
+        return _ngram_matrix(
+            seqs, self.config.chrf_char_order, l, chrf_from_counts, self.config
+        )
 
-    def score_against(self, source, candidate, reference):
-        return sentence_chrf(candidate.text, reference, self.config)
+    def score_against(self, nbest, reference):
+        return [sentence_chrf(c.text, reference, self.config) for c in nbest.candidates]
 
 
 class MatrixUtility:
@@ -148,7 +148,7 @@ class MatrixUtility:
             )
         return np.asarray(self._matrix.values[: nbest.n, :l])
 
-    def score_against(self, source, candidate, reference):
+    def score_against(self, nbest, reference):
         raise ConfigError(
             "a precomputed utility matrix cannot score against new references"
         )
@@ -174,8 +174,10 @@ class ServiceUtility:
         scores = self.client.score_pairs(pairs)
         return np.array(scores, dtype=np.float64).reshape(nbest.n, l)
 
-    def score_against(self, source, candidate, reference):
-        return self.client.score_pairs([(source, candidate.text, reference)])[0]
+    def score_against(self, nbest, reference):
+        return self.client.score_pairs(
+            [(nbest.source, c.text, reference) for c in nbest.candidates]
+        )
 
     def close(self):
         close = getattr(self.client, "close", None)

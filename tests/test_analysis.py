@@ -16,7 +16,7 @@ from rmbr.analysis import (
 )
 from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
 from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError
-from rmbr.mbr import MatrixUtility, rerank
+from rmbr.mbr import MatrixUtility, ServiceUtility, rerank
 from rmbr.metrics import corpus_bleu, sentence_bleu, sentence_chrf
 
 from conftest import make_candidate, make_list, random_list
@@ -68,6 +68,28 @@ def test_oracle_select_finds_planted_reference_copy():
 def test_oracle_select_breaks_ties_by_beam_order():
     lst = make_list(["same text", "same text"], reference="same text")
     assert oracle_select(lst)[0] == 0
+
+
+class _CountingClient:
+    def __init__(self):
+        self.calls = 0
+
+    def score_pairs(self, pairs):
+        self.calls += 1
+        return [float(hyp == ref) for _, hyp, ref in pairs]
+
+
+def test_oracle_sends_one_scorer_batch_per_list():
+    client = _CountingClient()
+    lists = [
+        make_list(["x", "y", f"hit {i}", "z", f"hit {i}"], reference=f"hit {i}")
+        for i in range(3)
+    ]
+    report = oracle_histogram(lists, utility=ServiceUtility(client))
+    assert client.calls == len(lists)
+    # the two copies of the reference tie; the beam-earlier one wins
+    assert report.indices == (2, 2, 2)
+    assert report.scores == (1.0, 1.0, 1.0)
 
 
 def test_oracle_select_needs_reference():

@@ -140,9 +140,10 @@ def test_tuning_commands_accept_one_matrix_per_list(dev_file, tmp_path, capsys):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record == {"l": best_l, "objective": objective, "curve": curve, "metric": "bleu"}
 
-    capsys.readouterr()
-    assert run(["oracle", "-i", path, "--utility", spec]) == 1
-    assert "cannot score against new references" in capsys.readouterr().err
+    for dry in ([], ["--dry-run"]):
+        capsys.readouterr()
+        assert run(["oracle", "-i", path, "--utility", spec, *dry]) == 1
+        assert "cannot score against new references" in capsys.readouterr().err
 
 
 def test_service_utility_over_tcp(tmp_path, scorer_server):

@@ -18,26 +18,23 @@ def random_seqs(rng, count, vocab_size=6, max_len=12):
     ]
 
 
-def test_encode_blocks_structure():
+def test_encode_counts_one_matrix_per_order():
     seqs = [["a", "b", "a"], ["b"]]
-    ids, counts, offsets, lengths = encode_ngram_blocks(seqs, 2)
+    counts, lengths = encode_ngram_blocks(seqs, 3)
     assert lengths.tolist() == [3, 1]
-    assert offsets[0] == 0 and offsets[-1] == len(ids) == len(counts)
-    # ids strictly increase inside each block
-    for b in range(len(offsets) - 1):
-        block = ids[offsets[b] : offsets[b + 1]]
-        assert all(x < y for x, y in zip(block, block[1:]))
-    # item 0: unigrams {a: 2, b: 1}, bigrams {ab: 1, ba: 1}; item 1: {b: 1}, {}
-    assert sorted(counts[offsets[0] : offsets[1]].tolist()) == [1, 2]
-    assert counts[offsets[1] : offsets[2]].tolist() == [1, 1]
-    assert offsets[3] - offsets[2] == 1  # item 1 unigrams
-    assert offsets[4] - offsets[3] == 0  # item 1 has no bigrams
-
-
-def test_encode_blocks_interning_is_shared_across_items():
-    # "b" must get the same unigram id in both items
-    ids, counts, offsets, _ = encode_ngram_blocks([["b"], ["b"]], 1)
-    assert ids[offsets[0]] == ids[offsets[1]]
+    assert [c.dtype for c in counts] == [np.int32] * 3
+    unigrams, bigrams, trigrams = counts
+    # item 0: {a: 2, b: 1}; item 1: {b: 1}; "b" has one column shared by both
+    assert unigrams.shape == (2, 2)
+    b = int(np.flatnonzero(unigrams[1])[0])
+    assert unigrams[:, b].tolist() == [1, 1]
+    assert unigrams[0, 1 - b] == 2 and unigrams[1, 1 - b] == 0
+    # item 0: {ab: 1, ba: 1}; item 1 has no bigrams
+    assert bigrams.tolist() == [[1, 1], [0, 0]]
+    # item 0: {aba: 1}
+    assert trigrams.tolist() == [[1], [0]]
+    # an order no item reaches has no columns
+    assert encode_ngram_blocks(seqs, 4)[0][3].shape == (2, 0)
 
 
 def test_match_counts_agree_with_counter_oracle():
@@ -47,8 +44,7 @@ def test_match_counts_agree_with_counter_oracle():
         order = int(rng.integers(1, 5))
         n = len(seqs)
         l = int(rng.integers(1, n + 1))
-        ids, counts, offsets, _ = encode_ngram_blocks(seqs, order)
-        got = pair_match_counts(ids, counts, offsets, order, n, l)
+        got = pair_match_counts(*encode_ngram_blocks(seqs, order), l)
         for i in range(n):
             for j in range(l):
                 assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], order)
@@ -69,6 +65,8 @@ def _oracle_cases():
         # no item reaches order 3 or 4, so those orders have no vocabulary
         "empty-order": ([["a"], ["a", "b"], ["b", "b"]], 4, 2),
         "chars-order-6": (chars, 6, 4),
+        # "c" and "c d" occur only outside the first l rows
+        "outside-references": ([["a", "b"], ["b", "a"], ["c", "d", "c"], ["a", "c", "d"]], 2, 2),
     }
 
 
@@ -76,28 +74,26 @@ def _oracle_cases():
 def test_match_counts_agree_with_oracle(case):
     seqs, order, l = _oracle_cases()[case]
     n = len(seqs)
-    ids, counts, offsets, _ = encode_ngram_blocks(seqs, order)
-    got = pair_match_counts(ids, counts, offsets, order, n, l)
+    counts, lengths = encode_ngram_blocks(seqs, order)
+    got = pair_match_counts(counts, lengths, l)
     assert got.shape == (n, l, order) and got.dtype == np.int64
     for i in range(n):
         for j in range(l):
             assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], order)
     if case == "repeated-counts":
-        assert counts.max() >= 3
+        assert all(c.max() >= 3 for c in counts)
 
 
 def test_match_counts_reject_blocks_beyond_float32_exact_range():
-    # one unigram occurring 2**24 + 1 times: a count float32 cannot hold exactly
-    ids = np.zeros(1, dtype=np.int64)
-    counts = np.array([2**24 + 1], dtype=np.int64)
-    offsets = np.array([0, 1], dtype=np.int64)
+    # a sequence of 2**24 + 1 tokens: counts float32 cannot hold exactly
+    counts = [np.ones((1, 1), dtype=np.int32)]
     with pytest.raises(ValueError, match="exact"):
-        pair_match_counts(ids, counts, offsets, 1, 1, 1)
+        pair_match_counts(counts, np.array([2**24 + 1]), 1)
 
 
 def test_char_sequences_encode_like_token_sequences():
-    ids, counts, offsets, lengths = encode_ngram_blocks(["abab", "ba"], 2)
-    got = pair_match_counts(ids, counts, offsets, 2, 2, 2)
+    counts, lengths = encode_ngram_blocks(["abab", "ba"], 2)
+    got = pair_match_counts(counts, lengths, 2)
     assert got[0, 1].tolist() == clipped_matches("abab", "ba", 2)
     assert lengths.tolist() == [4, 2]
 

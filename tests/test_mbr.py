@@ -339,7 +339,7 @@ def test_matrix_utility_requires_big_enough_matrix():
             util.matrix(trivial_list(n), l)
     assert np.array_equal(util.matrix(trivial_list(2), 1), matrix.values[:2, :1])
     with pytest.raises(ConfigError):
-        util.score_against("s", trivial_list(1).candidates[0], "ref")
+        util.score_against(trivial_list(1), "ref")
 
 
 def test_matrix_utility_crops_rows_and_columns():
@@ -369,7 +369,8 @@ def test_service_utility_orientation():
     assert got[2, 1] == float(3 * 10 + 2)
     assert client.pairs[0] == ("the source", "a", "a")
     assert all(src == "the source" for src, _, _ in client.pairs)
-    assert util.score_against("s", lst.candidates[0], "ref") == float(1 * 10 + 3)
+    assert util.score_against(lst, "ref") == [13.0, 23.0, 33.0]
+    assert client.pairs == [("the source", h, "ref") for h in ("a", "bb", "ccc")]
 
 
 def test_chrf_utility_rejects_whitespace_only_candidate():
