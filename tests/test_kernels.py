@@ -18,23 +18,33 @@ def random_seqs(rng, count, vocab_size=6, max_len=12):
     ]
 
 
-def test_encode_counts_one_matrix_per_order():
+def test_encode_blocks_structure():
     seqs = [["a", "b", "a"], ["b"]]
     counts, lengths = encode_ngram_blocks(seqs, 3)
     assert lengths.tolist() == [3, 1]
     assert [c.dtype for c in counts] == [np.int32] * 3
     unigrams, bigrams, trigrams = counts
-    # item 0: {a: 2, b: 1}; item 1: {b: 1}; "b" has one column shared by both
+    # item 0: {a: 2, b: 1}; item 1: {b: 1}
     assert unigrams.shape == (2, 2)
-    b = int(np.flatnonzero(unigrams[1])[0])
-    assert unigrams[:, b].tolist() == [1, 1]
-    assert unigrams[0, 1 - b] == 2 and unigrams[1, 1 - b] == 0
+    assert sorted(unigrams[0].tolist()) == [1, 2]
+    assert sorted(unigrams[1].tolist()) == [0, 1]
     # item 0: {ab: 1, ba: 1}; item 1 has no bigrams
     assert bigrams.tolist() == [[1, 1], [0, 0]]
     # item 0: {aba: 1}
     assert trigrams.tolist() == [[1], [0]]
     # an order no item reaches has no columns
     assert encode_ngram_blocks(seqs, 4)[0][3].shape == (2, 0)
+
+
+def test_encode_blocks_interning_is_shared_across_items():
+    # "b" must get one unigram column, shared by both items
+    (unigrams,), _ = encode_ngram_blocks([["b"], ["b"]], 1)
+    assert unigrams.tolist() == [[1], [1]]
+    # "a" and "b" get different columns; "b" keeps one column across items
+    (unigrams,), _ = encode_ngram_blocks([["a", "b", "a"], ["b"]], 1)
+    b = int(np.flatnonzero(unigrams[1])[0])
+    assert unigrams[:, b].tolist() == [1, 1]
+    assert unigrams[:, 1 - b].tolist() == [2, 0]
 
 
 def test_match_counts_agree_with_counter_oracle():
