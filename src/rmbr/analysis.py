@@ -9,7 +9,7 @@ set.  Both resolve the utility spec once for the whole dev set in a
 :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:`` spec, closed
 when the call returns), do the per-list utility work once, and per setting
 only re-combine scores and sum per-candidate objective statistics (corpus
-BLEU sufficient statistics or sentence chrF), each computed once.  Every
+BLEU sufficient statistics or sentence chrF), computed once per list.  Every
 function that takes a utility accepts a spec string, one provider shared
 by all lists, or a list with one provider per list.  Objectives use the
 default :class:`~rmbr.metrics.MetricConfig`.
@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     DEFAULT_LAMBDA_GRID,
     NBestList,
@@ -31,6 +33,7 @@ from .core import (
 )
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
+    ChrfUtility,
     UtilitySession,
     build_utility_matrix,
     expected_utilities,
@@ -244,8 +247,9 @@ def token_prob_by_length(
 class _ObjectiveStats:
     """Per-candidate statistics of the corpus objective over a dev set.
 
-    Each candidate's statistics are computed once, on first use: its
-    :func:`bleu_stats` against the reference, or its sentence chrF.  The
+    A list's statistics are computed once, the first time the list is
+    used, for all its candidates at once: the rows of :func:`bleu_stats`
+    against the reference, or the candidates' sentence chrF.  The
     objective of a selection sums the selected candidates' statistics in
     list order and applies the formula :func:`corpus_objective` applies
     (BLEU statistics are integers), so the two agree bit for bit.
@@ -255,27 +259,25 @@ class _ObjectiveStats:
         _check_objective(lists, metric)
         self._lists = lists
         self._metric = metric
-        self._stats: list[dict] = [{} for _ in lists]
+        self._stats: list = [None] * len(lists)
 
-    def _candidate(self, pos: int, index: int):
-        stats = self._stats[pos]
-        if index not in stats:
+    def _list_stats(self, pos: int):
+        if self._stats[pos] is None:
             lst = self._lists[pos]
-            cand = lst.candidates[index]
             if self._metric == "chrf":
-                stats[index] = sentence_chrf(cand.text, lst.reference)
+                self._stats[pos] = ChrfUtility().score_against(lst, lst.reference)
             else:
                 ref = lst.reference.split()
                 if not ref:
                     raise InvalidInputError(f"empty sentence at corpus position {pos}")
-                stats[index] = bleu_stats(cand.tokens, ref)
-        return stats[index]
+                self._stats[pos] = bleu_stats([c.tokens for c in lst.candidates], ref)
+        return self._stats[pos]
 
     def __call__(self, selections: Sequence[int]) -> float:
-        picked = [self._candidate(pos, index) for pos, index in enumerate(selections)]
+        picked = [self._list_stats(pos)[index] for pos, index in enumerate(selections)]
         if self._metric == "chrf":
             return sum(picked) / len(picked)
-        return bleu_from_stats([sum(column) for column in zip(*picked)])
+        return bleu_from_stats(np.sum(picked, axis=0).tolist())
 
 
 def _selection_objective(skeletons, lambdas: dict, objective: _ObjectiveStats) -> float:

@@ -400,6 +400,8 @@ def _cmd_eval(args) -> int:
         raise InvalidInputError(
             f"{len(hyps)} hypotheses but {len(refs)} references"
         )
+    if not hyps:
+        raise InvalidInputError("empty corpus")
     if args.dry_run:
         print(f"ok: {len(hyps)} sentence pairs")
         return 0

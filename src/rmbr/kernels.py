@@ -18,10 +18,10 @@ partial sum is an integer no larger than a sequence length, and float32
 holds integers exactly up to 2**24, so the counts are exact.  The kernel
 checks that bound rather than assume it.
 
-The kernel returns integer match counts only.  Turning counts into BLEU or
-chrF scores happens in the shared scalar routines in :mod:`rmbr.metrics`,
-so the matrix builders and the plain per-sentence metrics produce
-bit-identical scores.
+This is rmbr's only n-gram counter: matrices, sentence metrics, corpus
+BLEU, oracle and tuning all count here (against one reference: item 0,
+l = 1).  Counts are integers; the scalar routines in :mod:`rmbr.metrics`
+turn them into scores, so every path gives a pair the same score.
 """
 
 from __future__ import annotations

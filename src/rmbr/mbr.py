@@ -16,7 +16,8 @@ builder, which counts a list's n-grams into one matrix per order
 (:func:`rmbr.kernels.encode_ngram_blocks`), gets every pairwise clipped
 match count from one kernel, :func:`rmbr.kernels.pair_match_counts` (0/1
 indicator matrix products in BLAS, exact in integers), and turns counts
-into scores with the same scalar routines as the sentence metrics; a
+into scores with the same scalar routines as the sentence metrics
+(``score_against`` uses it with the reference first and l = 1); a
 precomputed matrix can be loaded from disk; and an external scorer process
 can be attached over the line-JSON protocol, with one batch of pairs per
 list.  :func:`check_utility_spec` checks and parses a spec string
@@ -57,8 +58,6 @@ from .metrics import (
     bleu_from_counts,
     chrf_characters,
     chrf_from_counts,
-    sentence_bleu,
-    sentence_chrf,
 )
 
 
@@ -97,15 +96,18 @@ class BleuUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
+    def _scores(self, seqs, l) -> np.ndarray:
+        order = self.config.bleu_max_order
+        return _ngram_matrix(seqs, order, l, bleu_from_counts, self.config)
+
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        seqs = [c.tokens for c in nbest.candidates]
-        return _ngram_matrix(
-            seqs, self.config.bleu_max_order, l, bleu_from_counts, self.config
-        )
+        return self._scores([c.tokens for c in nbest.candidates], l)
 
     def score_against(self, nbest, reference):
         ref = tuple(reference.split())
-        return [sentence_bleu(c.tokens, ref, self.config) for c in nbest.candidates]
+        if not ref:
+            raise InvalidInputError("reference is empty")
+        return self._scores([ref, *(c.tokens for c in nbest.candidates)], 1)[1:, 0].tolist()
 
 
 class ChrfUtility:
@@ -116,21 +118,27 @@ class ChrfUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
+    def _scores(self, seqs, l) -> np.ndarray:
+        order = self.config.chrf_char_order
+        return _ngram_matrix(seqs, order, l, chrf_from_counts, self.config)
+
+    @staticmethod
+    def _characters(nbest: NBestList) -> list[str]:
+        seqs = [chrf_characters(c.text) for c in nbest.candidates]
+        if "" in seqs:
+            raise InvalidInputError(
+                f"candidate {seqs.index('')} has no characters after whitespace stripping"
+            )
+        return seqs
+
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        seqs = []
-        for i, cand in enumerate(nbest.candidates):
-            chars = chrf_characters(cand.text)
-            if not chars:
-                raise InvalidInputError(
-                    f"candidate {i} has no characters after whitespace stripping"
-                )
-            seqs.append(chars)
-        return _ngram_matrix(
-            seqs, self.config.chrf_char_order, l, chrf_from_counts, self.config
-        )
+        return self._scores(self._characters(nbest), l)
 
     def score_against(self, nbest, reference):
-        return [sentence_chrf(c.text, reference, self.config) for c in nbest.candidates]
+        ref = chrf_characters(reference)
+        if not ref:
+            raise InvalidInputError("reference is empty after whitespace stripping")
+        return self._scores([ref, *self._characters(nbest)], 1)[1:, 0].tolist()
 
 
 class MatrixUtility:

@@ -15,18 +15,20 @@ Sentence chrF is the F-beta score over character n-grams (whitespace
 removed), averaged over orders 1..char_order; orders where neither side
 has any n-grams are skipped.
 
-All functions are pure and operate per call on their inputs; nothing is
-cached or shared.
+All functions are pure; clipped match counts come from one call of the
+kernel in :mod:`rmbr.kernels` per reference (:func:`matches_against`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, InvalidInputError
+from .kernels import encode_ngram_blocks, pair_match_counts
 
 BLEU_SMOOTHING_MODES = ("none", "epsilon-floor")
 
@@ -56,31 +58,15 @@ class MetricConfig:
             raise ConfigError(f"chrf_beta must be > 0, got {self.chrf_beta}")
 
 
-def ngram_counts(seq: Sequence, order: int) -> Counter:
-    """Count the order-k n-grams of a sequence as a multiset.
+def matches_against(hyps: Sequence[Sequence], ref: Sequence, max_order: int) -> np.ndarray:
+    """Clipped n-gram match counts of each hypothesis against one reference.
 
-    A length-T sequence has max(0, T - order + 1) n-grams of the given order.
+    Returns an int64 array of shape ``(len(hyps), max_order)`` whose row i
+    holds hypothesis i's counts at orders 1..max_order: each hypothesis
+    n-gram counts at most as often as it occurs in the reference.
     """
-    if order < 1:
-        raise InvalidInputError(f"n-gram order must be >= 1, got {order}")
-    return Counter(tuple(seq[i : i + order]) for i in range(len(seq) - order + 1))
-
-
-def clipped_matches(hyp: Sequence, ref: Sequence, max_order: int) -> list[int]:
-    """Clipped n-gram match counts of hyp against ref, one per order 1..max_order.
-
-    Each hypothesis n-gram counts at most as often as it occurs in the
-    reference (modified precision numerator).
-    """
-    out = []
-    for order in range(1, max_order + 1):
-        h = ngram_counts(hyp, order)
-        if not h:
-            out.append(0)
-            continue
-        r = ngram_counts(ref, order)
-        out.append(sum((h & r).values()))
-    return out
+    counts, lengths = encode_ngram_blocks([ref, *hyps], max_order)
+    return pair_match_counts(counts, lengths, 1)[1:, 0]
 
 
 def bleu_from_counts(
@@ -121,7 +107,7 @@ def sentence_bleu(
         raise InvalidInputError("hypothesis is empty")
     if not ref:
         raise InvalidInputError("reference is empty")
-    matches = clipped_matches(hyp, ref, cfg.bleu_max_order)
+    (matches,) = matches_against([hyp], ref, cfg.bleu_max_order)
     return bleu_from_counts(matches, len(hyp), len(ref), cfg)
 
 
@@ -167,24 +153,27 @@ def sentence_chrf(hyp: str, ref: str, cfg: MetricConfig | None = None) -> float:
         raise InvalidInputError("hypothesis is empty after whitespace stripping")
     if not ref_chars:
         raise InvalidInputError("reference is empty after whitespace stripping")
-    matches = clipped_matches(hyp_chars, ref_chars, cfg.chrf_char_order)
+    (matches,) = matches_against([hyp_chars], ref_chars, cfg.chrf_char_order)
     return chrf_from_counts(matches, len(hyp_chars), len(ref_chars), cfg)
 
 
 def bleu_stats(
-    hyp: Sequence[str], ref: Sequence[str], cfg: MetricConfig | None = None
-) -> tuple[int, ...]:
-    """Corpus-BLEU sufficient statistics of one sentence pair.
+    hyps: Sequence[Sequence[str]], ref: Sequence[str], cfg: MetricConfig | None = None
+) -> np.ndarray:
+    """Corpus-BLEU sufficient statistics of each hypothesis against one reference.
 
-    ``max_order`` clipped match counts, then ``max_order`` hypothesis n-gram
-    totals, then the hypothesis and reference lengths.  Statistics of a
-    corpus are the element-wise sums over its pairs; all are integers, so
-    the sums do not depend on the order they are taken in.
+    One int64 row per hypothesis: ``max_order`` clipped match counts, then
+    ``max_order`` hypothesis n-gram totals, then the hypothesis and
+    reference lengths.  Statistics of a corpus are the element-wise sums
+    over its pairs; all are integers, so the sums do not depend on the
+    order they are taken in.
     """
     cfg = cfg or MetricConfig()
     order = cfg.bleu_max_order
-    totals = [max(0, len(hyp) - k) for k in range(order)]
-    return (*clipped_matches(hyp, ref, order), *totals, len(hyp), len(ref))
+    lengths = np.array([len(hyp) for hyp in hyps], dtype=np.int64)
+    totals = np.maximum(lengths[:, None] - np.arange(order), 0)
+    matches = matches_against(hyps, ref, order)
+    return np.column_stack([matches, totals, lengths, np.full_like(lengths, len(ref))])
 
 
 def bleu_from_stats(stats: Sequence[int], cfg: MetricConfig | None = None) -> float:
@@ -222,10 +211,9 @@ def corpus_bleu(
         )
     if not hyps:
         raise InvalidInputError("empty corpus")
-    sums = [0] * (2 * cfg.bleu_max_order + 2)
+    sums = np.zeros(2 * cfg.bleu_max_order + 2, dtype=np.int64)
     for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
         if not hyp or not ref:
             raise InvalidInputError(f"empty sentence at corpus position {pos}")
-        for k, v in enumerate(bleu_stats(hyp, ref, cfg)):
-            sums[k] += v
-    return bleu_from_stats(sums, cfg)
+        sums += bleu_stats([hyp], ref, cfg)[0]
+    return bleu_from_stats(sums.tolist(), cfg)

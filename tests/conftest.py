@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ def make_list(texts, log_probs=None, source="src", reference=None, **kwargs):
         log_probs = [-float(i) for i in range(len(texts))]
     cands = tuple(make_candidate(t, lp) for t, lp in zip(texts, log_probs))
     return NBestList(source=source, candidates=cands, reference=reference, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# independent n-gram oracle: the kernel's counts are checked against these
+
+
+def ngram_counts(seq, order):
+    """The order-k n-grams of a sequence as a multiset."""
+    return Counter(tuple(seq[i : i + order]) for i in range(len(seq) - order + 1))
+
+
+def clipped_matches(hyp, ref, max_order):
+    """Clipped match counts of hyp against ref, one per order 1..max_order."""
+    return [
+        sum((ngram_counts(hyp, k) & ngram_counts(ref, k)).values())
+        for k in range(1, max_order + 1)
+    ]
 
 
 def random_tokens(rng, vocab, length):

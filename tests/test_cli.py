@@ -312,6 +312,39 @@ def test_eval_length_mismatch_exits_1(tmp_path, capsys):
     assert "2 hypotheses but 1 references" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+def test_eval_empty_files_exit_1(tmp_path, capsys, metric, dry):
+    for name in ("h.txt", "r.txt"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    args = ["eval", "--hyps", tmp_path / "h.txt", "--refs", tmp_path / "r.txt"]
+    args += ["--metric", metric] + (["--dry-run"] if dry else [])
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: empty corpus\n"
+
+
+_WHITESPACE_REFERENCE_ERRORS = {
+    ("oracle", "bleu"): "reference is empty",
+    ("tune-l", "bleu"): "empty sentence at corpus position 0",
+    ("tune-lambda", "bleu"): "empty sentence at corpus position 0",
+    ("oracle", "chrf"): "reference is empty after whitespace stripping",
+    ("tune-l", "chrf"): "reference is empty after whitespace stripping",
+    ("tune-lambda", "chrf"): "reference is empty after whitespace stripping",
+}
+
+
+@pytest.mark.parametrize("command, metric", sorted(_WHITESPACE_REFERENCE_ERRORS))
+def test_whitespace_only_reference_exits_1(tmp_path, capsys, command, metric):
+    path = tmp_path / "dev.jsonl"
+    write_nbest(path, [make_list(["a b", "b c"], reference=" \t ")])
+    args = [command, "-i", path, "--utility", metric, "--metric", metric]
+    if command == "tune-lambda":
+        args += ["--regularizers", "lp"]
+    assert run(args) == 1
+    want = _WHITESPACE_REFERENCE_ERRORS[command, metric]
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
 def test_connection_refused_exits_2(dev_file, tmp_path, capsys):
     path, _ = dev_file
     args = [

@@ -1,13 +1,30 @@
-"""Kernel correctness: encoding, match counts, and matrix/metric agreement."""
+"""Kernel correctness: encoding, match counts, and matrix/metric agreement.
+
+Every score is checked against the Counter oracle in ``conftest`` fed
+through the shared count->score formulas, never against another kernel
+path.
+"""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rmbr import mbr
 from rmbr.kernels import encode_ngram_blocks, pair_match_counts
 from rmbr.mbr import BleuUtility, ChrfUtility
-from rmbr.metrics import MetricConfig, clipped_matches, sentence_bleu, sentence_chrf
+from rmbr.metrics import (
+    MetricConfig,
+    bleu_from_counts,
+    chrf_characters,
+    chrf_from_counts,
+    sentence_bleu,
+    sentence_chrf,
+)
 
-from conftest import random_list
+from conftest import clipped_matches, random_list
+
+CONFIGS = (MetricConfig(), MetricConfig(bleu_smoothing="none"))
 
 
 def random_seqs(rng, count, vocab_size=6, max_len=12):
@@ -108,25 +125,89 @@ def test_char_sequences_encode_like_token_sequences():
     assert lengths.tolist() == [4, 2]
 
 
+def oracle_bleu(hyp, ref, cfg):
+    matches = clipped_matches(hyp, ref, cfg.bleu_max_order)
+    return bleu_from_counts(matches, len(hyp), len(ref), cfg)
+
+
+def oracle_chrf(hyp, ref, cfg):
+    hyp, ref = chrf_characters(hyp), chrf_characters(ref)
+    matches = clipped_matches(hyp, ref, cfg.chrf_char_order)
+    return chrf_from_counts(matches, len(hyp), len(ref), cfg)
+
+
 def test_bleu_matrix_equals_double_loop_exactly():
     rng = np.random.default_rng(6)
     for _ in range(5):
         lst = random_list(rng, int(rng.integers(2, 8)))
-        for cfg in (MetricConfig(), MetricConfig(bleu_smoothing="none")):
+        for cfg in CONFIGS:
             matrix = BleuUtility(cfg).matrix(lst, lst.n)
             for i, hyp in enumerate(lst.candidates):
                 for j, ref in enumerate(lst.candidates):
-                    assert matrix[i, j] == sentence_bleu(hyp.tokens, ref.tokens, cfg)
+                    want = oracle_bleu(hyp.tokens, ref.tokens, cfg)
+                    assert matrix[i, j] == want
+                    assert sentence_bleu(hyp.tokens, ref.tokens, cfg) == want
 
 
 def test_chrf_matrix_equals_double_loop_exactly():
     rng = np.random.default_rng(7)
+    cfg = MetricConfig()
     for _ in range(5):
         lst = random_list(rng, int(rng.integers(2, 8)))
         matrix = ChrfUtility().matrix(lst, lst.n)
         for i, hyp in enumerate(lst.candidates):
             for j, ref in enumerate(lst.candidates):
-                assert matrix[i, j] == sentence_chrf(hyp.text, ref.text)
+                want = oracle_chrf(hyp.text, ref.text, cfg)
+                assert matrix[i, j] == want
+                assert sentence_chrf(hyp.text, ref.text) == want
+
+
+REFERENCES = {
+    "ngrams-no-candidate-has": "zz w1 yy xx w2 zz",
+    "repeated-ngrams": "w1 w2 w1 w2 w1 w2 w3 w3",
+    # 1 token and 2 characters: below both max orders
+    "shorter-than-max-order": "w1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCES))
+def test_score_against_equals_oracle_exactly(case):
+    reference = REFERENCES[case]
+    rng = np.random.default_rng(9)
+    # a three-word vocabulary makes candidates repeat n-grams too
+    lst = random_list(rng, 6, vocab=["w1", "w2", "w3"])
+    for cfg in CONFIGS:
+        want = [oracle_bleu(c.tokens, reference.split(), cfg) for c in lst.candidates]
+        assert BleuUtility(cfg).score_against(lst, reference) == want
+        assert [sentence_bleu(c.tokens, reference.split(), cfg) for c in lst.candidates] == want
+    cfg = MetricConfig()
+    want = [oracle_chrf(c.text, reference, cfg) for c in lst.candidates]
+    assert ChrfUtility().score_against(lst, reference) == want
+    assert [sentence_chrf(c.text, reference) for c in lst.candidates] == want
+
+
+def test_utilities_count_through_the_traced_kernel_names(monkeypatch):
+    # benchmark tracing wraps these two names on rmbr.mbr and the
+    # utilities' own ``matrix``; every built-in score must pass through them
+    calls = Counter()
+    for name in ("encode_ngram_blocks", "pair_match_counts"):
+        def counted(*args, _real=getattr(mbr, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mbr, name, counted)
+    rng = np.random.default_rng(10)
+    lists = [random_list(rng, 5) for _ in range(3)]
+    for utility in (BleuUtility(), ChrfUtility()):
+        assert "matrix" in vars(type(utility))
+        for score in (
+            lambda lst: utility.matrix(lst, lst.n),
+            lambda lst: utility.score_against(lst, lst.reference),
+        ):
+            calls.clear()
+            for lst in lists:
+                score(lst)
+            assert calls == {"encode_ngram_blocks": 3, "pair_match_counts": 3}
 
 
 def test_diagonal_is_identity_score():

@@ -1,7 +1,6 @@
 """Metric correctness: identities, degenerate cases, and frozen goldens."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +10,8 @@ from rmbr.metrics import (
     MetricConfig,
     bleu_from_stats,
     bleu_stats,
-    clipped_matches,
     corpus_bleu,
-    ngram_counts,
+    matches_against,
     sentence_bleu,
     sentence_chrf,
 )
@@ -26,20 +24,14 @@ CHRF_ABC_ABD = 0.38888888888888884  # (2/3 + 1/2 + 0) / 3
 CORPUS_TWO_SENTENCE = 0.837592239708627  # precisions 9/10, 7/8, 5/6, 3/4; BP = 1
 
 
-def test_ngram_counts():
-    assert ngram_counts(["a", "b", "a", "b"], 2) == Counter(
-        {("a", "b"): 2, ("b", "a"): 1}
-    )
-    assert ngram_counts("abc", 1) == Counter({("a",): 1, ("b",): 1, ("c",): 1})
-    assert ngram_counts(["a"], 3) == Counter()
-    with pytest.raises(InvalidInputError):
-        ngram_counts(["a"], 0)
-
-
 def test_clipped_matches_clips_at_reference_count():
-    assert clipped_matches(["the", "the", "the"], ["the", "cat"], 2) == [1, 0]
+    # one row per hypothesis, one column per order
+    got = matches_against([["the", "the", "the"], ["the", "cat"]], ["the", "cat"], 2)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[1, 0], [2, 1]]
     # hyp has a:2 b:2 but ref caps them at a:2 b:1
-    assert clipped_matches(["a", "b", "a", "b"], ["a", "b", "a"], 2) == [3, 2]
+    assert matches_against([["a", "b", "a", "b"]], ["a", "b", "a"], 2).tolist() == [[3, 2]]
+    assert matches_against([], ["a"], 3).shape == (0, 3)
 
 
 @pytest.mark.parametrize(
@@ -139,9 +131,12 @@ def test_corpus_bleu_is_the_formula_over_summed_stats():
     h2 = ["a", "b", "c", "d", "e"]
     r2 = ["a", "b", "c", "d", "x"]
     # matches per order, totals per order, hypothesis and reference length
-    assert bleu_stats(h2, r2) == (4, 3, 2, 1, 5, 4, 3, 2, 5, 5)
-    sums = [a + b for a, b in zip(bleu_stats(h1, h1), bleu_stats(h2, r2))]
-    assert bleu_from_stats(sums) == corpus_bleu([h1, h2], [list(h1), r2])
+    assert bleu_stats([h2, h1], r2).tolist() == [
+        [4, 3, 2, 1, 5, 4, 3, 2, 5, 5],
+        [0, 0, 0, 0, 5, 4, 3, 2, 5, 5],
+    ]
+    sums = bleu_stats([h1], h1)[0] + bleu_stats([h2], r2)[0]
+    assert bleu_from_stats(sums.tolist()) == corpus_bleu([h1, h2], [list(h1), r2])
 
 
 def test_corpus_bleu_pools_counts():
