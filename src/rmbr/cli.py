@@ -39,12 +39,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .analysis import (
+    OBJECTIVE_METRICS,
     grid_search_lambdas,
     oracle_histogram,
     token_prob_by_length,
     tune_l,
 )
-from .core import DEFAULT_LAMBDA_GRID, CoarseToFine, RerankConfig
+from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
 from .errors import (
     ConfigError,
     DimensionError,
@@ -54,7 +55,7 @@ from .errors import (
     ScoringError,
     TransportError,
 )
-from .io import atomic_write, load_nbest, write_results
+from .io import RESULT_MODES, atomic_write, load_nbest, write_results
 from .mbr import UtilitySession, check_utility_spec, regularizer_values, rerank
 from .metrics import corpus_bleu, sentence_chrf
 
@@ -106,12 +107,12 @@ def _add_scoring(sub):
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="regularizer weight, repeatable (names: lp lm bt qe mc_dropout entropy)",
+        help=f"regularizer weight, repeatable (names: {' '.join(REGULARIZER_NAMES)})",
     )
 
 
 def _add_rerank_options(sub):
-    sub.add_argument("--mode", choices=["text", "full"], default="text")
+    sub.add_argument("--mode", choices=RESULT_MODES, default="text")
     sub.add_argument(
         "--threads",
         type=int,
@@ -149,18 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(g) for g in DEFAULT_LAMBDA_GRID),
         help="comma-separated candidate weights",
     )
-    p.add_argument("--metric", choices=["bleu", "chrf"], default="bleu")
+    p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
 
     p = subs.add_parser("tune-l", help="sweep the truncation depth on a dev set")
     _add_common(p)
     _add_scoring(p)
-    p.add_argument("--metric", choices=["bleu", "chrf"], default="bleu")
+    p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
 
     p = subs.add_parser("oracle", help="oracle-rank histogram and reranking ceiling")
     _add_common(p)
     p.add_argument("--utility", default="bleu", help="metric for picking the oracle")
     p.add_argument("--bins", type=int, default=5, help="histogram bin width (ranks)")
-    p.add_argument("--metric", choices=["bleu", "chrf"], default="bleu")
+    p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
 
     p = subs.add_parser("tokenprob", help="mean token probability by sentence length")
     _add_common(p)
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="corpus metric of a hypothesis file")
     p.add_argument("--hyps", required=True, help="hypothesis text, one sentence per line")
     p.add_argument("--refs", required=True, help="reference text, one sentence per line")
-    p.add_argument("--metric", choices=["bleu", "chrf"], default="bleu")
+    p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
     p.add_argument("--dry-run", action="store_true")
 
     return parser
@@ -246,12 +247,12 @@ def _write_report(args, lists, results, started, session):
 def _cmd_rerank(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
-    lambdas = _parse_lambdas(args.lambdas)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = RerankConfig(
         utility=args.utility,
         l=_parse_l(args.l),
-        lambdas=lambdas,
-        regularizers=tuple(lambdas),
+        lambdas=_parse_lambdas(args.lambdas),
         coarse_to_fine=(
             CoarseToFine(proxy=args.proxy, keep=args.keep)
             if args.command == "c2f"
@@ -277,7 +278,7 @@ def _cmd_rerank(args) -> int:
                 failed.set()
                 raise
 
-        pool = ThreadPoolExecutor(max_workers=max(1, args.threads))
+        pool = ThreadPoolExecutor(max_workers=args.threads)
         try:
             results = list(pool.map(rerank_list, range(len(lists))))
         finally:
@@ -289,13 +290,8 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
-def _tuning_config(args, lambdas, regularizers) -> RerankConfig:
-    return RerankConfig(
-        utility=args.utility,
-        l=_parse_l(args.l),
-        lambdas=lambdas,
-        regularizers=regularizers,
-    )
+def _tuning_config(args, lambdas) -> RerankConfig:
+    return RerankConfig(utility=args.utility, l=_parse_l(args.l), lambdas=lambdas)
 
 
 def _emit_record(args, record, summary_lines):
@@ -312,11 +308,13 @@ def _cmd_tune_lambda(args) -> int:
     names = tuple(n for n in args.regularizers.split(",") if n)
     if not names:
         raise ConfigError("--regularizers names no regularizers")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"--regularizers repeats a name: {args.regularizers!r}")
     try:
         grid = [float(g) for g in args.grid.split(",") if g]
     except ValueError:
         raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
-    config = _tuning_config(args, {n: 0.0 for n in names}, names)
+    config = _tuning_config(args, {n: 0.0 for n in names})
     _validate_lists(lists, config)
     if args.dry_run:
         return _dry_run(lists, config)
@@ -337,8 +335,7 @@ def _cmd_tune_lambda(args) -> int:
 def _cmd_tune_l(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
-    lambdas = _parse_lambdas(args.lambdas)
-    config = _tuning_config(args, lambdas, tuple(lambdas))
+    config = _tuning_config(args, _parse_lambdas(args.lambdas))
     _validate_lists(lists, config)
     if args.dry_run:
         return _dry_run(lists, config)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 
-#: Names accepted in RerankConfig.regularizers / RerankConfig.lambdas.
+#: Names accepted as RerankConfig.lambdas keys.
 REGULARIZER_NAMES = ("lp", "lm", "bt", "qe", "mc_dropout", "entropy")
 
 #: The conventional weight grid used when tuning regularizer weights.
@@ -176,37 +176,34 @@ class RerankConfig:
     ``utility`` is either a spec string ("bleu", "chrf", "matrix:PATH",
     "service:ADDR") or a ready utility provider object.  ``l`` is the
     truncation depth for the expected-utility sum ("full" means l = n).
-    ``lambdas`` maps each active regularizer name to its weight; the key
-    set must equal ``regularizers``.
+    ``lambdas`` maps each active regularizer name to its weight; its keys,
+    in order, are the active regularizers and the order they are combined
+    and reported in.
     """
 
     utility: object = "bleu"
     l: int | str = "full"
     lambdas: Mapping[str, float] = field(default_factory=dict)
-    regularizers: tuple[str, ...] = ()
     coarse_to_fine: CoarseToFine | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "regularizers", tuple(self.regularizers))
         object.__setattr__(
             self, "lambdas", {k: float(v) for k, v in dict(self.lambdas).items()}
         )
-        for name in self.regularizers:
+        for name in self.lambdas:
             if name not in REGULARIZER_NAMES:
                 raise ConfigError(
                     f"unknown regularizer {name!r}; expected one of {REGULARIZER_NAMES}"
                 )
-        if set(self.lambdas) != set(self.regularizers):
-            raise ConfigError(
-                "lambdas and regularizers must name the same set: "
-                f"lambdas={sorted(self.lambdas)} regularizers={sorted(self.regularizers)}"
-            )
-        if len(set(self.regularizers)) != len(self.regularizers):
-            raise ConfigError("duplicate regularizer name")
         if self.l != "full":
             if int(self.l) < 1:
                 raise ConfigError(f"l must be >= 1 or 'full', got {self.l!r}")
             object.__setattr__(self, "l", int(self.l))
+
+    @property
+    def regularizers(self) -> tuple[str, ...]:
+        """The active regularizer names, in ``lambdas`` order."""
+        return tuple(self.lambdas)
 
     def resolve_l(self, n: int) -> int:
         if self.l == "full":

@@ -316,17 +316,24 @@ def read_results(path) -> list[RerankResult]:
 
 
 def _resolve_timeout(timeout: float | None) -> float:
-    if timeout is not None:
-        return float(timeout)
-    env = os.environ.get(TIMEOUT_ENV_VAR)
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise InvalidInputError(
-                f"{TIMEOUT_ENV_VAR} must be a number, got {env!r}"
-            ) from None
-    return DEFAULT_TIMEOUT_SECS
+    """The given timeout, else the environment's, else the default.
+
+    Raises :class:`InvalidInputError` unless it is a finite number > 0.
+    """
+    name = "scorer timeout"
+    if timeout is None:
+        name, timeout = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR)
+        if not timeout:
+            return DEFAULT_TIMEOUT_SECS
+    try:
+        value = float(timeout)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(
+            f"{name} must be a finite number of seconds > 0, got {timeout!r}"
+        )
+    return value
 
 
 class _ReaderThread(threading.Thread):
@@ -363,6 +370,7 @@ class ScorerClient:
         shutdown=None,
         on_close=None,
     ):
+        self.timeout = _resolve_timeout(timeout)
         self._writer = writer
         self._reader_thread = _ReaderThread(reader)
         self._shutdown = shutdown
@@ -372,7 +380,6 @@ class ScorerClient:
         self._lock = threading.Lock()
         #: pairs of the batches this client got all scores for
         self.pairs_scored = 0
-        self.timeout = _resolve_timeout(timeout)
         self._reader_thread.start()
         try:
             self._handshake()
@@ -400,6 +407,7 @@ class ScorerClient:
 
     @classmethod
     def spawn(cls, argv: Sequence[str], timeout: float | None = None):
+        timeout = _resolve_timeout(timeout)
         try:
             proc = subprocess.Popen(
                 argv,

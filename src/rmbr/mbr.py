@@ -52,6 +52,7 @@ from .errors import (
     InvalidInputError,
     MissingScoreError,
 )
+from .io import ScorerClient, _resolve_timeout, load_utility_matrices
 from .kernels import encode_ngram_blocks, pair_match_counts
 from .metrics import (
     MetricConfig,
@@ -201,7 +202,8 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
     one matrix or one per list (``num_lists``); ``("exec", argv)`` for
     ``"service:exec:COMMAND"``; ``("tcp", (host, port))`` for
     ``"service:HOST:PORT"`` with a port in 1..65535.  Every other value
-    raises :class:`ConfigError`.
+    raises :class:`ConfigError`.  For a ``service:`` spec the scorer
+    timeout must be valid too (:class:`InvalidInputError` if not).
     """
     if not isinstance(spec, str):
         raise ConfigError(f"unknown utility spec {spec!r}")
@@ -209,8 +211,6 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
         return spec, None
     scheme, _, rest = spec.partition(":")
     if scheme == "matrix":
-        from .io import load_utility_matrices
-
         utilities = [MatrixUtility(m) for m in load_utility_matrices(rest)]
         if len(utilities) not in (1, num_lists):
             raise ConfigError(
@@ -218,6 +218,8 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
                 "it must hold 1 or one per list"
             )
         return "matrix", utilities
+    if scheme == "service":
+        _resolve_timeout(None)
     if scheme == "service" and rest.startswith("exec:"):
         try:
             argv = shlex.split(rest[len("exec:") :])
@@ -234,36 +236,16 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
     raise ConfigError(f"unknown utility spec {spec!r}")
 
 
-def make_utility(spec: str):
-    """Resolve a utility from a spec string (see :func:`check_utility_spec`).
-
-    A ``matrix:`` file must hold exactly one matrix here.  A ``service:``
-    spec starts or connects to an external scorer; the returned provider
-    owns the connection and must be closed after use, which a
-    :class:`UtilitySession` does for the providers it resolves.
-    """
-    kind, value = check_utility_spec(spec)
-    if kind == "bleu":
-        return BleuUtility()
-    if kind == "chrf":
-        return ChrfUtility()
-    if kind == "matrix":
-        return value[0]
-    from .io import ScorerClient
-
-    if kind == "exec":
-        return ServiceUtility(ScorerClient.spawn(value))
-    return ServiceUtility(ScorerClient.connect_tcp(*value))
-
-
 class UtilitySession:
     """Resolves utility specs into providers once per run and owns them.
 
+    This is the one place a spec string becomes a provider.
     :meth:`providers` gives one provider per list.  A spec string is
     resolved once: a matrix file holding one matrix per list gives one
     provider each; every other spec, and a file holding a single matrix,
-    gives one provider shared by all lists.  A ready provider is shared
-    by all lists, and a list or tuple of providers must hold one per list.
+    gives one provider shared by all lists (a ``service:`` spec starts or
+    connects to one scorer).  A ready provider is shared by all lists,
+    and a list or tuple of providers must hold one per list.
     Scorer connections the session opened are closed when it exits, on
     success, on error and on interrupt; providers passed in are left open,
     so a session opened inside a call that was handed providers closes
@@ -297,10 +279,16 @@ class UtilitySession:
         kind, value = check_utility_spec(spec, num_lists)
         if kind == "matrix":
             return value if len(value) == num_lists else value * num_lists
-        provider = make_utility(spec)
-        if isinstance(provider, ServiceUtility):
-            self._services.append(provider)
-            self._closers.callback(provider.close)
+        if kind == "bleu":
+            return [BleuUtility()] * num_lists
+        if kind == "chrf":
+            return [ChrfUtility()] * num_lists
+        if kind == "exec":
+            provider = ServiceUtility(ScorerClient.spawn(value))
+        else:
+            provider = ServiceUtility(ScorerClient.connect_tcp(*value))
+        self._services.append(provider)
+        self._closers.callback(provider.close)
         return [provider] * num_lists
 
     def configs(self, config: RerankConfig, num_lists: int) -> list[RerankConfig]:
@@ -399,15 +387,14 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
     Honors ``config.coarse_to_fine`` when set; otherwise builds the n x l
-    utility matrix directly (n * l pair evaluations).  Spec strings in the
-    config are resolved in a :class:`UtilitySession` that lasts this call.
+    utility matrix directly (n * l pair evaluations), resolving a spec
+    string through :func:`build_utility_matrix` for this call only.
+    Regularizers are combined and reported in ``config.lambdas`` order.
     """
     if config.coarse_to_fine is not None:
         return coarse_to_fine(nbest, config)
-    with UtilitySession() as session:
-        (utility,) = session.providers(config.utility, 1)
-        l = config.resolve_l(nbest.n)
-        matrix = build_utility_matrix(nbest, utility, l)
+    l = config.resolve_l(nbest.n)
+    matrix = build_utility_matrix(nbest, config.utility, l)
     consensus = mbr_scores(matrix)
     regularizers = {
         name: regularizer_values(nbest, name) for name in config.regularizers

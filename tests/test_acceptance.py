@@ -104,9 +104,7 @@ def test_weight_invariances():
     for _ in range(100):
         lst = random_list(rng, int(rng.integers(2, 9)), with_extras=True)
         names = ("lp", "qe", "mc_dropout")
-        zeroed = RerankConfig(
-            utility="bleu", lambdas={n: 0.0 for n in names}, regularizers=names
-        )
+        zeroed = RerankConfig(utility="bleu", lambdas={n: 0.0 for n in names})
         pure = RerankConfig(utility="bleu")
         assert rerank(lst, zeroed).selected == rerank(lst, pure).selected
 
@@ -202,7 +200,7 @@ def test_oracle_dominance():
         RerankConfig(utility="bleu", l=1),
         RerankConfig(utility="bleu", l=2),
         RerankConfig(utility="chrf"),
-        RerankConfig(utility="bleu", lambdas={"lp": 1.0}, regularizers=("lp",)),
+        RerankConfig(utility="bleu", lambdas={"lp": 1.0}),
         RerankConfig(utility="bleu", coarse_to_fine=CoarseToFine(proxy="chrf", keep=2)),
     ]
     for _ in range(100):

@@ -205,7 +205,7 @@ def test_grid_search_picks_smallest_sufficient_weight():
         _two_candidate_list("good words in here", "bad stuff out there"),
         _two_candidate_list("more good words too", "other bad stuff also"),
     ]
-    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0}, regularizers=("qe",))
+    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0})
     best, objective = grid_search_lambdas(lists, config, grid=(0.001, 0.01, 1.0))
     assert best == {"qe": 0.001}
     assert objective == 1.0
@@ -214,9 +214,7 @@ def test_grid_search_picks_smallest_sufficient_weight():
 def test_grid_search_prefers_lexicographically_smallest_combo():
     # the objective is flat in both weights -> first enumerated combo wins
     lists = [_two_candidate_list("a b", "a b")]
-    config = RerankConfig(
-        utility="bleu", lambdas={"lp": 0.0, "qe": 0.0}, regularizers=("lp", "qe")
-    )
+    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
     best, _ = grid_search_lambdas(lists, config, grid=(0.5, 0.1, 2.0))
     assert best == {"lp": 0.1, "qe": 0.1}
 
@@ -232,14 +230,12 @@ def test_grid_search_enumerates_grid_power_r(monkeypatch):
 
     monkeypatch.setattr(analysis, "_selection_objective", counting)
 
-    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0}, regularizers=("qe",))
+    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0})
     grid_search_lambdas(lists, config, grid=(0.1, 0.2, 0.3))
     assert len(calls) == 3
 
     calls.clear()
-    config2 = RerankConfig(
-        utility="bleu", lambdas={"lp": 0.0, "qe": 0.0}, regularizers=("lp", "qe")
-    )
+    config2 = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
     grid_search_lambdas(lists, config2, grid=(0.1, 0.2, 0.3))
     assert len(calls) == 9
 
@@ -247,15 +243,11 @@ def test_grid_search_enumerates_grid_power_r(monkeypatch):
 def test_grid_search_agrees_with_full_rerank():
     rng = np.random.default_rng(31)
     lists = [random_list(rng, 5, with_extras=True) for _ in range(4)]
-    config = RerankConfig(
-        utility="bleu", lambdas={"lp": 0.0, "qe": 0.0}, regularizers=("lp", "qe")
-    )
+    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
     grid = (0.01, 0.5)
     best, objective = grid_search_lambdas(lists, config, grid=grid)
     # re-running the full pipeline at the winning weights reproduces the objective
-    winning = RerankConfig(
-        utility="bleu", lambdas=best, regularizers=("lp", "qe")
-    )
+    winning = RerankConfig(utility="bleu", lambdas=best)
     selections = [rerank(lst, winning).selected for lst in lists]
     assert corpus_objective(lists, selections) == objective
 
@@ -275,13 +267,12 @@ def test_grid_objective_from_candidate_stats_is_exact(monkeypatch, metric):
         return value
 
     monkeypatch.setattr(analysis, "_selection_objective", recording)
-    names = ("lp", "qe")
-    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0}, regularizers=names)
+    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
     grid = (0.001, 0.01, 0.1, 1.0, 10.0)
     grid_search_lambdas(lists, config, grid=grid, objective_metric=metric)
     assert len(seen) == len(grid) ** 2
     for lambdas, value in seen:
-        at_point = RerankConfig(utility="bleu", lambdas=lambdas, regularizers=names)
+        at_point = RerankConfig(utility="bleu", lambdas=lambdas)
         selections = [rerank(lst, at_point).selected for lst in lists]
         assert value == corpus_objective(lists, selections, metric)
 
@@ -293,11 +284,11 @@ def test_tuners_accept_one_provider_per_list():
         UtilityMatrix(values=rng.uniform(size=(4, 4)), utility_name="ext") for _ in lists
     ]
     per_list = [MatrixUtility(m) for m in matrices]
-    config = RerankConfig(utility=per_list, lambdas={"qe": 0.0}, regularizers=("qe",))
+    config = RerankConfig(utility=per_list, lambdas={"qe": 0.0})
     best, objective = grid_search_lambdas(lists, config, grid=(0.01, 1.0))
     selections = []
     for lst, provider in zip(lists, per_list):
-        at_best = RerankConfig(utility=provider, lambdas=best, regularizers=("qe",))
+        at_best = RerankConfig(utility=provider, lambdas=best)
         selections.append(rerank(lst, at_best).selected)
     assert objective == corpus_objective(lists, selections)
 
@@ -314,7 +305,7 @@ def test_grid_search_requires_regularizers():
     with pytest.raises(ConfigError):
         grid_search_lambdas([make_list(["a"], reference="a")], RerankConfig())
     with pytest.raises(InvalidInputError):
-        grid_search_lambdas([], RerankConfig(lambdas={"lp": 0.0}, regularizers=("lp",)))
+        grid_search_lambdas([], RerankConfig(lambdas={"lp": 0.0}))
 
 
 def interior_peak_list(tag):

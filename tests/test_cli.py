@@ -10,6 +10,7 @@ import pytest
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import main
 from rmbr.core import CoarseToFine, NBestList, RerankConfig
+from rmbr.errors import InvalidInputError
 from rmbr.io import read_results, write_nbest, write_utility_matrices
 from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
@@ -38,7 +39,7 @@ def test_rerank_text_mode_matches_api(dev_file, tmp_path, capsys):
     path, lists = dev_file
     out = tmp_path / "sel.txt"
     assert run(["rerank", "-i", path, "-o", out, "--l", "2", "--lambda", "lp=0.5"]) == 0
-    config = RerankConfig(utility="bleu", l=2, lambdas={"lp": 0.5}, regularizers=("lp",))
+    config = RerankConfig(utility="bleu", l=2, lambdas={"lp": 0.5})
     want = [lst.candidates[rerank(lst, config).selected].text for lst in lists]
     assert out.read_text(encoding="utf-8").splitlines() == want
     assert "reranked 6 lists" in capsys.readouterr().out
@@ -56,6 +57,18 @@ def test_rerank_full_mode_matches_api(dev_file, tmp_path):
         assert result.selected == want.selected
         assert result.mbr_scores == want.mbr_scores
         assert result.total_scores == want.total_scores
+
+
+def test_full_mode_regularizer_scores_follow_flag_order(dev_file, tmp_path):
+    path, _ = dev_file
+    out = tmp_path / "sel.jsonl"
+    for names in (["qe", "lp"], ["lp", "qe"]):
+        args = ["rerank", "-i", path, "-o", out, "--mode", "full"]
+        for name in names:
+            args += ["--lambda", f"{name}=0.1"]
+        assert run(args) == 0
+        for line in out.read_text(encoding="utf-8").splitlines():
+            assert list(json.loads(line)["regularizer_scores"]) == names
 
 
 def test_c2f_matches_api(dev_file, tmp_path):
@@ -127,9 +140,7 @@ def test_tuning_commands_accept_one_matrix_per_list(dev_file, tmp_path, capsys):
     out = tmp_path / "tuned.json"
     args = ["tune-lambda", "-i", path, "-o", out, "--utility", spec, "--regularizers", "qe,lp"]
     assert run(args) == 0
-    config = RerankConfig(
-        utility=per_list, lambdas={"qe": 0.0, "lp": 0.0}, regularizers=("qe", "lp")
-    )
+    config = RerankConfig(utility=per_list, lambdas={"qe": 0.0, "lp": 0.0})
     best, objective = grid_search_lambdas(lists, config)
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record == {"lambdas": best, "objective": objective, "metric": "bleu"}
@@ -200,7 +211,7 @@ def test_tune_lambda_writes_record(tmp_path):
     )
     assert code == 0
     record = json.loads(out.read_text(encoding="utf-8"))
-    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0}, regularizers=("qe",))
+    config = RerankConfig(utility="bleu", lambdas={"qe": 0.0})
     best, objective = grid_search_lambdas(lists, config, grid=(0.001, 0.01, 1.0))
     assert record == {"lambdas": best, "objective": objective, "metric": "bleu"}
     assert (tmp_path / "tuned.json.report.json").exists()
@@ -267,6 +278,7 @@ def test_validation_failures_exit_1(dev_file, tmp_path, capsys):
         ["c2f", "-i", path, "-o", out, "--keep", "99"],
         ["tune-lambda", "-i", path, "--regularizers", "qe", "--grid", "0.1,zz"],
         ["tune-lambda", "-i", path, "--regularizers", ","],
+        ["tune-lambda", "-i", path, "--regularizers", "qe,qe"],
         ["rerank", "-i", path, "-o", out, "--nope"],
     ]
     for args in bad:
@@ -493,16 +505,31 @@ def test_one_scorer_per_spec_and_none_outlives_the_run(
 @pytest.mark.parametrize("dry", [False, True])
 @pytest.mark.parametrize(
     "spec",
-    ["tf-idf", "service:exec:", "service:exec:python3 'unclosed", "service:localhost:0"],
+    [
+        "tf-idf",
+        "service:exec:",
+        "service:exec:python3 'unclosed",
+        "service:localhost:0",
+        # a well-formed scorer spec under a bad RMBR_SCORER_TIMEOUT_SECS
+        *(f"timeout={v}" for v in ("soon", "nan", "inf", "-1", "0")),
+    ],
 )
 @pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
-def test_malformed_spec_exits_1(dev_file, tmp_path, capsys, command, spec, dry):
+def test_malformed_spec_exits_1(
+    dev_file, tmp_path, capsys, monkeypatch, command, spec, dry
+):
     path, _ = dev_file
+    log = None
+    if spec.startswith("timeout="):
+        monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", spec[len("timeout="):])
+        spec, log = _logging_scorer(tmp_path, "ok")
     args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
     if dry:
         args.append("--dry-run")
     assert run(args) == 1
     assert capsys.readouterr().err.startswith("error:")
+    if log is not None:
+        assert _started_pids(log) == []
 
 
 def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch):
@@ -522,6 +549,12 @@ def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch
 
 def test_threads_only_on_rerank_and_c2f(dev_file, tmp_path, capsys):
     path, _ = dev_file
+    for words in (["rerank"], ["c2f", "--keep", 2]):
+        for threads in (0, -3):
+            for dry in ([], ["--dry-run"]):
+                args = words + ["-i", path, "-o", tmp_path / "o", "--threads", threads]
+                assert run(args + dry) == 1
+                assert "error: --threads" in capsys.readouterr().err
     for words in (["tune-lambda", "--regularizers", "qe"], ["tune-l"], ["oracle"], ["tokenprob"]):
         assert run(words + ["-i", path, "--threads", 2]) == 1
         assert "--threads" in capsys.readouterr().err
@@ -571,10 +604,17 @@ def test_report_counts_pairs_from_concurrent_threads(dev_file, tmp_path):
     _assert_all_gone(_started_pids(log))
 
 
+def test_rerank_checks_l_before_starting_a_scorer(tmp_path):
+    spec, log = _logging_scorer(tmp_path, "ok")
+    with pytest.raises(InvalidInputError):
+        rerank(make_list(["a b", "c d"]), RerankConfig(utility=spec, l=3))
+    assert _started_pids(log) == []
+
+
 def test_grid_search_with_service_spec_leaves_no_child(dev_file, tmp_path):
     _, lists = dev_file
     spec, log = _logging_scorer(tmp_path, "ok")
-    config = RerankConfig(utility=spec, lambdas={"qe": 0.0}, regularizers=("qe",))
+    config = RerankConfig(utility=spec, lambdas={"qe": 0.0})
     grid_search_lambdas(lists, config, grid=(0.1, 1.0))
     pids = _started_pids(log)
     assert len(pids) == 1

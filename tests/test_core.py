@@ -1,6 +1,7 @@
 """Domain-type validation and score-combination arithmetic."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -109,13 +110,17 @@ def test_coarse_to_fine_keep_positive():
 
 def test_rerank_config_validates_regularizers():
     with pytest.raises(ConfigError):
-        RerankConfig(regularizers=("nope",), lambdas={"nope": 1.0})
-    with pytest.raises(ConfigError):
-        RerankConfig(regularizers=("lp",), lambdas={})
-    with pytest.raises(ConfigError):
-        RerankConfig(regularizers=(), lambdas={"lp": 1.0})
-    with pytest.raises(ConfigError):
-        RerankConfig(regularizers=("lp", "lp"), lambdas={"lp": 1.0})
+        RerankConfig(lambdas={"nope": 1.0})
+
+
+def test_regularizers_are_the_lambdas_keys_in_order():
+    config = RerankConfig(lambdas={"qe": 1, "lp": 0.5})
+    assert config.regularizers == ("qe", "lp")
+    assert replace(config, lambdas={"lp": 1, "bt": 2}).regularizers == ("lp", "bt")
+    assert RerankConfig().regularizers == ()
+    assert [f.name for f in fields(RerankConfig)] == [
+        "utility", "l", "lambdas", "coarse_to_fine"
+    ]
 
 
 def test_rerank_config_l_handling():

@@ -200,7 +200,7 @@ def test_matrix_empty_file(tmp_path):
 def test_results_full_mode_round_trip(tmp_path):
     rng = np.random.default_rng(25)
     lists = [random_list(rng, 5, with_extras=True) for _ in range(4)]
-    cfg = RerankConfig(utility="bleu", lambdas={"lp": 0.1}, regularizers=("lp",))
+    cfg = RerankConfig(utility="bleu", lambdas={"lp": 0.1})
     results = [rerank(lst, cfg) for lst in lists]
     path = tmp_path / "out.full"
     write_results(path, results, lists, mode="full")
@@ -457,10 +457,16 @@ def test_scorer_client_env_timeout(scorer_server, monkeypatch):
         client.close()
 
 
-def test_scorer_client_bad_env_timeout(monkeypatch):
-    monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", "soon")
+@pytest.mark.parametrize("value", ["soon", "-1", "0", "inf", "nan"])
+def test_scorer_client_bad_env_timeout(monkeypatch, value):
+    with pytest.raises(InvalidInputError):
+        ScorerClient.connect_tcp("127.0.0.1", 1, timeout=value)
+    monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", value)
     with pytest.raises(InvalidInputError):
         ScorerClient.connect_tcp("127.0.0.1", 1)
+    # checked before the command starts, which would raise TransportError
+    with pytest.raises(InvalidInputError):
+        ScorerClient.spawn(["/nonexistent/scorer"])
 
 
 _SPAWN_SCRIPT = """

@@ -23,10 +23,10 @@ from rmbr.mbr import (
     ChrfUtility,
     MatrixUtility,
     ServiceUtility,
+    UtilitySession,
     build_utility_matrix,
     coarse_to_fine,
     expected_utilities,
-    make_utility,
     mbr_scores,
     regularizer_values,
     rerank,
@@ -122,7 +122,7 @@ def test_rerank_with_regularizer_flips_selection():
     assert base.selected == 0  # pure consensus ties, beam order wins
     heavy = rerank(
         lst,
-        RerankConfig(utility="bleu", lambdas={"lp": -1.0}, regularizers=("lp",)),
+        RerankConfig(utility="bleu", lambdas={"lp": -1.0}),
     )
     # a negative weight on log-probability favors the low-probability candidate
     assert heavy.selected == 1
@@ -132,11 +132,7 @@ def test_rerank_with_regularizer_flips_selection():
 def test_rerank_result_breakdown_is_consistent():
     rng = np.random.default_rng(13)
     lst = random_list(rng, 6, with_extras=True)
-    cfg = RerankConfig(
-        utility="bleu",
-        lambdas={"lp": 0.05, "qe": 0.3},
-        regularizers=("lp", "qe"),
-    )
+    cfg = RerankConfig(utility="bleu", lambdas={"lp": 0.05, "qe": 0.3})
     result = rerank(lst, cfg)
     for row in range(6):
         expected = (
@@ -195,7 +191,6 @@ def test_coarse_to_fine_scores_survivors_like_a_fresh_sublist():
     cfg = RerankConfig(
         utility="bleu",
         lambdas={"lp": 0.1},
-        regularizers=("lp",),
         coarse_to_fine=CoarseToFine(proxy="chrf", keep=4),
     )
     staged = coarse_to_fine(lst, cfg)
@@ -206,7 +201,7 @@ def test_coarse_to_fine_scores_survivors_like_a_fresh_sublist():
         candidates=tuple(lst.candidates[i] for i in survivors),
         reference=lst.reference,
     )
-    fresh = rerank(sub, RerankConfig(utility="bleu", lambdas={"lp": 0.1}, regularizers=("lp",)))
+    fresh = rerank(sub, RerankConfig(utility="bleu", lambdas={"lp": 0.1}))
     assert staged.mbr_scores == fresh.mbr_scores
     assert staged.total_scores == fresh.total_scores
     assert staged.ranking == tuple(survivors[r] for r in fresh.ranking)
@@ -298,36 +293,36 @@ def test_token_entropy_validation():
         token_entropy([math.nan, 1.0])
 
 
-def test_make_utility_builtins_and_passthrough():
-    assert isinstance(make_utility("bleu"), BleuUtility)
-    assert isinstance(make_utility("chrf"), ChrfUtility)
-    for spec in (
-        "rouge",
-        "service:not-an-address",
-        "service:localhost:0",
-        "service:localhost:65536",
-        "service::9000",
-        "service:exec:",
-        "service:exec:python3 'unclosed",
-        BleuUtility(),
-    ):
-        with pytest.raises(ConfigError):
-            make_utility(spec)
+def test_session_resolves_builtin_specs_and_rejects_malformed_ones():
+    with UtilitySession() as session:
+        assert isinstance(session.providers("bleu", 1)[0], BleuUtility)
+        assert isinstance(session.providers("chrf", 1)[0], ChrfUtility)
+        for spec in (
+            "rouge",
+            "service:not-an-address",
+            "service:localhost:0",
+            "service:localhost:65536",
+            "service::9000",
+            "service:exec:",
+            "service:exec:python3 'unclosed",
+        ):
+            with pytest.raises(ConfigError):
+                session.providers(spec, 1)
 
 
-def test_make_utility_matrix_file(tmp_path):
+def test_session_resolves_matrix_file_spec(tmp_path):
     from rmbr.io import write_utility_matrices
 
     rng = np.random.default_rng(17)
     path = tmp_path / "one.matrix"
     write_utility_matrices(path, [random_matrix(rng, 3)])
-    util = make_utility(f"matrix:{path}")
+    (util,) = UtilitySession().providers(f"matrix:{path}", 1)
     assert isinstance(util, MatrixUtility)
 
     path2 = tmp_path / "two.matrix"
     write_utility_matrices(path2, [random_matrix(rng, 3), random_matrix(rng, 2)])
     with pytest.raises(ConfigError):
-        make_utility(f"matrix:{path2}")
+        UtilitySession().providers(f"matrix:{path2}", 1)
 
 
 def test_matrix_utility_requires_big_enough_matrix():
