@@ -45,11 +45,12 @@ from .metrics import bleu_from_stats, bleu_stats, corpus_bleu, sentence_chrf
 OBJECTIVE_METRICS = ("bleu", "chrf")
 
 
-def _check_objective(lists: Sequence[NBestList], metric: str) -> None:
+def check_objective(lists: Sequence[NBestList], metric: str) -> None:
+    """Check the metric name, and that every list has a non-blank reference."""
     if metric not in OBJECTIVE_METRICS:
         raise ConfigError(f"metric must be one of {OBJECTIVE_METRICS}, got {metric!r}")
     for i, lst in enumerate(lists):
-        if lst.reference is None:
+        if lst.reference is None or not lst.reference.strip():
             raise InvalidInputError(f"list {i} has no reference")
 
 
@@ -63,7 +64,7 @@ def corpus_objective(
     ``metric`` is "bleu" (corpus BLEU over whitespace-tokenized references)
     or "chrf" (mean sentence chrF).
     """
-    _check_objective(lists, metric)
+    check_objective(lists, metric)
     if len(selections) != len(lists):
         raise InvalidInputError(
             f"got {len(selections)} selections for {len(lists)} lists"
@@ -135,6 +136,7 @@ def oracle_histogram(
     proportions sum to 1.  ``corpus_metric`` is the corpus objective of the
     oracle selections — the reranking ceiling.
     """
+    check_objective(lists, objective_metric)
     if not lists:
         raise InvalidInputError("no lists")
     if bin_width < 1:
@@ -256,7 +258,7 @@ class _ObjectiveStats:
     """
 
     def __init__(self, lists: Sequence[NBestList], metric: str):
-        _check_objective(lists, metric)
+        check_objective(lists, metric)
         self._lists = lists
         self._metric = metric
         self._stats: list = [None] * len(lists)
@@ -268,8 +270,6 @@ class _ObjectiveStats:
                 self._stats[pos] = ChrfUtility().score_against(lst, lst.reference)
             else:
                 ref = lst.reference.split()
-                if not ref:
-                    raise InvalidInputError(f"empty sentence at corpus position {pos}")
                 self._stats[pos] = bleu_stats([c.tokens for c in lst.candidates], ref)
         return self._stats[pos]
 
@@ -278,6 +278,16 @@ class _ObjectiveStats:
         if self._metric == "chrf":
             return sum(picked) / len(picked)
         return bleu_from_stats(np.sum(picked, axis=0).tolist())
+
+
+def lambda_grid(weights) -> list[float]:
+    """The distinct weights of a tuning grid, ascending; none may be non-finite."""
+    grid = sorted({float(w) for w in weights})
+    if not grid:
+        raise ConfigError("empty weight grid")
+    if not all(math.isfinite(w) for w in grid):
+        raise ConfigError(f"weight grid values must be finite, got {grid}")
+    return grid
 
 
 def _selection_objective(skeletons, lambdas: dict, objective: _ObjectiveStats) -> float:
@@ -306,14 +316,12 @@ def grid_search_lambdas(
     utility specs resolved once for all lists (see :class:`UtilitySession`);
     each candidate's objective statistics are computed once.
     """
+    objective_of = _ObjectiveStats(lists, objective_metric)
     if not lists:
         raise InvalidInputError("no dev lists")
     if not config.regularizers:
         raise ConfigError("grid search needs at least one active regularizer")
-    grid_values = sorted({float(g) for g in grid})
-    if not grid_values:
-        raise ConfigError("empty weight grid")
-    objective_of = _ObjectiveStats(lists, objective_metric)
+    grid_values = lambda_grid(grid)
     zero_config = replace(config, lambdas={name: 0.0 for name in config.regularizers})
     with UtilitySession() as session:
         configs = session.configs(zero_config, len(lists))
@@ -339,13 +347,14 @@ def tune_l(
     corpus objective at depth l.  Each list's full n x n utility matrix is
     built once, with the config's utility spec resolved once for all lists;
     per-depth scores are column-prefix means of it, exactly what a fresh
-    depth-l matrix would give.  Ties prefer smaller l.
+    depth-l matrix would give.  Ties prefer smaller l.  The sweep sets l
+    itself: ``config.l`` must be "full", with no coarse-to-fine stage.
     """
+    objective_of = _ObjectiveStats(lists, objective_metric)
     if not lists:
         raise InvalidInputError("no dev lists")
-    if config.coarse_to_fine is not None:
-        raise ConfigError("truncation sweep does not apply to coarse-to-fine configs")
-    objective_of = _ObjectiveStats(lists, objective_metric)
+    if config.l != "full" or config.coarse_to_fine is not None:
+        raise ConfigError("the truncation sweep sets l itself and reranks in one stage")
     with UtilitySession() as session:
         providers = session.providers(config.utility, len(lists))
         matrices = [

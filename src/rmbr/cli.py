@@ -17,15 +17,18 @@ call counts, including the scorer connections the run opened and the
 pairs they scored; the report is informational and not part of the
 output contract.
 
+Each subcommand accepts only the flags it reads, by full name only.
+Only ``rerank`` and ``c2f`` take ``--threads``; once one list fails,
+they start no further list.
+
 Every command that scores takes its utility providers from one
 :class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
 resolved once per run (one scorer per ``service:`` spec; a matrix file
 with one matrix per list gives each list its own), and every scorer is
 closed before the command returns, on success, on error and on Ctrl-C.
-Their ``--dry-run`` checks each spec with
-:func:`~rmbr.mbr.check_utility_spec` and starts or connects to no scorer.
-Only ``rerank`` and ``c2f`` take ``--threads``; once one list fails,
-they start no further list.
+A ``--dry-run`` makes every check the real run makes (each spec through
+:func:`~rmbr.mbr.check_utility_spec`), evaluates no utility, starts no
+scorer and writes nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from dataclasses import replace
 
 from .analysis import (
     OBJECTIVE_METRICS,
+    check_objective,
     grid_search_lambdas,
+    lambda_grid,
     oracle_histogram,
     token_prob_by_length,
     tune_l,
@@ -69,7 +74,11 @@ _VALIDATION_ERRORS = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises instead of exiting so main() controls the exit code."""
+    """Accepts full flag names only, and raises instead of exiting so
+    main() controls the exit code."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -86,29 +95,33 @@ def _add_common(sub, output_required=False):
     sub.add_argument(
         "--dry-run",
         action="store_true",
-        help="validate inputs and configuration, compute nothing",
+        help="make every check of the real run; score, start and write nothing",
     )
 
 
-def _add_scoring(sub):
-    sub.add_argument(
-        "--utility",
+_SCORING_FLAGS = {
+    "--utility": dict(
         default="bleu",
         help="utility: bleu | chrf | matrix:PATH | service:HOST:PORT | service:exec:CMD",
-    )
-    sub.add_argument(
-        "--l",
+    ),
+    "--l": dict(
         default="full",
         help="truncation depth for the expected-utility sum (int or 'full')",
-    )
-    sub.add_argument(
-        "--lambda",
+    ),
+    "--lambda": dict(
         dest="lambdas",
         action="append",
         default=[],
         metavar="NAME=VALUE",
         help=f"regularizer weight, repeatable (names: {' '.join(REGULARIZER_NAMES)})",
-    )
+    ),
+}
+
+
+def _add_scoring(sub, *flags):
+    """Add ``--utility`` and the named flags of :data:`_SCORING_FLAGS`."""
+    for flag in ("--utility", *flags):
+        sub.add_argument(flag, **_SCORING_FLAGS[flag])
 
 
 def _add_rerank_options(sub):
@@ -127,19 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rerank", help="rerank each list by expected utility")
     _add_common(p, output_required=True)
-    _add_scoring(p)
+    _add_scoring(p, "--l", "--lambda")
     _add_rerank_options(p)
 
     p = subs.add_parser("c2f", help="coarse-to-fine rerank (proxy shortlists, target rescores)")
     _add_common(p, output_required=True)
-    _add_scoring(p)
+    _add_scoring(p, "--lambda")
     p.add_argument("--proxy", default="bleu", help="stage-1 proxy utility spec")
     p.add_argument("--keep", type=int, required=True, help="survivors kept for stage 2")
     _add_rerank_options(p)
 
     p = subs.add_parser("tune-lambda", help="grid-search regularizer weights on a dev set")
     _add_common(p)
-    _add_scoring(p)
+    _add_scoring(p, "--l")
     p.add_argument(
         "--regularizers",
         required=True,
@@ -154,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tune-l", help="sweep the truncation depth on a dev set")
     _add_common(p)
-    _add_scoring(p)
+    _add_scoring(p, "--lambda")
     p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
 
     p = subs.add_parser("oracle", help="oracle-rank histogram and reranking ceiling")
@@ -215,11 +228,10 @@ def _validate_lists(lists, config):
             regularizer_values(lst, name)
 
 
-def _dry_run(lists, config) -> int:
+def _dry_run(lists, *specs) -> int:
     """End a dry run: check the utility specs, starting and connecting nothing."""
-    check_utility_spec(config.utility, len(lists))
-    if config.coarse_to_fine is not None:
-        check_utility_spec(config.coarse_to_fine.proxy, len(lists))
+    for spec in specs:
+        check_utility_spec(spec, len(lists))
     print(f"ok: {len(lists)} lists validated")
     return 0
 
@@ -249,19 +261,16 @@ def _cmd_rerank(args) -> int:
     lists = load_nbest(args.input)
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    stages = CoarseToFine(args.proxy, args.keep) if args.command == "c2f" else None
     config = RerankConfig(
         utility=args.utility,
-        l=_parse_l(args.l),
+        l="full" if stages else _parse_l(args.l),
         lambdas=_parse_lambdas(args.lambdas),
-        coarse_to_fine=(
-            CoarseToFine(proxy=args.proxy, keep=args.keep)
-            if args.command == "c2f"
-            else None
-        ),
+        coarse_to_fine=stages,
     )
     _validate_lists(lists, config)
     if args.dry_run:
-        return _dry_run(lists, config)
+        return _dry_run(lists, args.utility, *([args.proxy] if stages else []))
     with UtilitySession() as session:
         configs = session.configs(config, len(lists))
         failed = threading.Event()
@@ -290,10 +299,6 @@ def _cmd_rerank(args) -> int:
     return 0
 
 
-def _tuning_config(args, lambdas) -> RerankConfig:
-    return RerankConfig(utility=args.utility, l=_parse_l(args.l), lambdas=lambdas)
-
-
 def _emit_record(args, record, summary_lines):
     for line in summary_lines:
         print(line)
@@ -305,19 +310,23 @@ def _emit_record(args, record, summary_lines):
 def _cmd_tune_lambda(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
+    check_objective(lists, args.metric)
     names = tuple(n for n in args.regularizers.split(",") if n)
     if not names:
         raise ConfigError("--regularizers names no regularizers")
     if len(set(names)) != len(names):
         raise ConfigError(f"--regularizers repeats a name: {args.regularizers!r}")
     try:
-        grid = [float(g) for g in args.grid.split(",") if g]
+        weights = [float(g) for g in args.grid.split(",") if g]
     except ValueError:
         raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
-    config = _tuning_config(args, {n: 0.0 for n in names})
+    grid = lambda_grid(weights)
+    config = RerankConfig(
+        utility=args.utility, l=_parse_l(args.l), lambdas={n: 0.0 for n in names}
+    )
     _validate_lists(lists, config)
     if args.dry_run:
-        return _dry_run(lists, config)
+        return _dry_run(lists, args.utility)
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(args.utility, len(lists)))
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
@@ -335,10 +344,11 @@ def _cmd_tune_lambda(args) -> int:
 def _cmd_tune_l(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
-    config = _tuning_config(args, _parse_lambdas(args.lambdas))
+    check_objective(lists, args.metric)
+    config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
     _validate_lists(lists, config)
     if args.dry_run:
-        return _dry_run(lists, config)
+        return _dry_run(lists, args.utility)
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(args.utility, len(lists)))
         best_l, objective, curve = tune_l(lists, config, args.metric)
@@ -356,15 +366,15 @@ def _cmd_tune_l(args) -> int:
 def _cmd_oracle(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
+    check_objective(lists, args.metric)
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     if check_utility_spec(args.utility, len(lists))[0] == "matrix":
         raise ConfigError(
             "a precomputed utility matrix cannot score against new references"
         )
     if args.dry_run:
-        for i, lst in enumerate(lists):
-            if lst.reference is None:
-                raise InvalidInputError(f"list {i} has no reference")
-        return _dry_run(lists, RerankConfig(utility=args.utility))
+        return _dry_run(lists)
     with UtilitySession() as session:
         report = oracle_histogram(
             lists,
@@ -380,10 +390,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_tokenprob(args) -> int:
     lists = load_nbest(args.input)
-    if args.dry_run:
-        print(f"ok: {len(lists)} lists loaded")
-        return 0
     table = token_prob_by_length(lists, interval_width=args.bins, which=args.which)
+    if args.dry_run:
+        return _dry_run(lists)
     _emit_record(args, table.to_record(), [table.format_table()])
     return 0
 
@@ -399,6 +408,9 @@ def _cmd_eval(args) -> int:
         )
     if not hyps:
         raise InvalidInputError("empty corpus")
+    for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
+        if not hyp.split() or not ref.split():
+            raise InvalidInputError(f"empty sentence at corpus position {pos}")
     if args.dry_run:
         print(f"ok: {len(hyps)} sentence pairs")
         return 0

@@ -175,10 +175,11 @@ class RerankConfig:
 
     ``utility`` is either a spec string ("bleu", "chrf", "matrix:PATH",
     "service:ADDR") or a ready utility provider object.  ``l`` is the
-    truncation depth for the expected-utility sum ("full" means l = n).
-    ``lambdas`` maps each active regularizer name to its weight; its keys,
-    in order, are the active regularizers and the order they are combined
-    and reported in.
+    truncation depth for the expected-utility sum ("full" means l = n); a
+    coarse-to-fine run reranks its survivors at full depth, so it takes
+    no other ``l``.  ``lambdas`` maps each active regularizer name to its
+    finite weight; its keys, in order, are the active regularizers and the
+    order they are combined and reported in.
     """
 
     utility: object = "bleu"
@@ -190,15 +191,19 @@ class RerankConfig:
         object.__setattr__(
             self, "lambdas", {k: float(v) for k, v in dict(self.lambdas).items()}
         )
-        for name in self.lambdas:
+        for name, weight in self.lambdas.items():
             if name not in REGULARIZER_NAMES:
                 raise ConfigError(
                     f"unknown regularizer {name!r}; expected one of {REGULARIZER_NAMES}"
                 )
+            if not math.isfinite(weight):
+                raise ConfigError(f"lambda {name} must be finite, got {weight!r}")
         if self.l != "full":
             if int(self.l) < 1:
                 raise ConfigError(f"l must be >= 1 or 'full', got {self.l!r}")
             object.__setattr__(self, "l", int(self.l))
+        if self.coarse_to_fine is not None and self.l != "full":
+            raise ConfigError("coarse-to-fine reranks at full depth; l must be 'full'")
 
     @property
     def regularizers(self) -> tuple[str, ...]:

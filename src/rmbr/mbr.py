@@ -419,7 +419,8 @@ def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     regularizers) and keeps the top k.  Stage 2 reranks the k survivors
     with the target utility and the configured regularizers.  Total pair
     evaluations: n^2 + k^2.  All indices in the result refer to the
-    original list; only survivors carry scores.
+    original list; only survivors carry scores.  Each stage resolves its
+    own spec string through :func:`build_utility_matrix`.
     """
     stages = config.coarse_to_fine
     if stages is None:
@@ -428,20 +429,15 @@ def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     k = stages.keep
     if k > n:
         raise InvalidInputError(f"keep={k} exceeds list size {n}")
-    with UtilitySession() as session:
-        (config,) = session.configs(config, 1)
-        proxy_matrix = build_utility_matrix(nbest, config.coarse_to_fine.proxy, n)
-        proxy_scores = mbr_scores(proxy_matrix)
-        order, _ = rank_candidates(proxy_scores)
-        survivors = sorted(order[:k])
-        sub_list = NBestList(
-            source=nbest.source,
-            candidates=tuple(nbest.candidates[i] for i in survivors),
-            reference=nbest.reference,
-            reference_token_log_probs=nbest.reference_token_log_probs,
-        )
-        sub_config = replace(config, coarse_to_fine=None, l="full")
-        sub_result = rerank(sub_list, sub_config)
+    order, _ = rank_candidates(mbr_scores(build_utility_matrix(nbest, stages.proxy, n)))
+    survivors = sorted(order[:k])
+    sub_list = NBestList(
+        source=nbest.source,
+        candidates=tuple(nbest.candidates[i] for i in survivors),
+        reference=nbest.reference,
+        reference_token_log_probs=nbest.reference_token_log_probs,
+    )
+    sub_result = rerank(sub_list, replace(config, coarse_to_fine=None))
     return RerankResult(
         mbr_scores=sub_result.mbr_scores,
         regularizer_scores=sub_result.regularizer_scores,

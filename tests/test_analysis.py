@@ -9,6 +9,7 @@ import rmbr.analysis as analysis
 from rmbr.analysis import (
     corpus_objective,
     grid_search_lambdas,
+    lambda_grid,
     oracle_histogram,
     oracle_select,
     token_prob_by_length,
@@ -301,6 +302,13 @@ def test_tuners_accept_one_provider_per_list():
         tune_l(lists, RerankConfig(utility=per_list[:2]))
 
 
+def test_lambda_grid_is_sorted_distinct_and_finite():
+    assert lambda_grid([1.0, 0.1, 1, "0.5"]) == [0.1, 0.5, 1.0]
+    for bad in ([], [0.1, math.nan], [math.inf]):
+        with pytest.raises(ConfigError):
+            lambda_grid(bad)
+
+
 def test_grid_search_requires_regularizers():
     with pytest.raises(ConfigError):
         grid_search_lambdas([make_list(["a"], reference="a")], RerankConfig())
@@ -362,6 +370,38 @@ def test_tune_l_rejects_coarse_to_fine():
     )
     with pytest.raises(ConfigError):
         tune_l([make_list(["a"], reference="a")], config)
+
+
+def test_tune_l_rejects_a_fixed_l():
+    with pytest.raises(ConfigError, match="sets l itself"):
+        tune_l([make_list(["a b", "c d"], reference="a b")], RerankConfig(l=1))
+
+
+class _NoCalls:
+    """A provider that fails the test if any utility is evaluated."""
+
+    name = "none"
+
+    def matrix(self, nbest, l):
+        raise AssertionError("utility evaluated")
+
+    score_against = matrix
+
+
+@pytest.mark.parametrize("reference", [None, "", " \t "])
+def test_reference_check_comes_before_utility_work(reference):
+    lists = [make_list(["a b", "c d"], reference="a b"), make_list(["e f"], reference=reference)]
+    config = RerankConfig(utility=_NoCalls(), lambdas={"lp": 0.0})
+    calls = [
+        lambda: grid_search_lambdas(lists, config),
+        lambda: tune_l(lists, RerankConfig(utility=_NoCalls())),
+        lambda: oracle_histogram(lists, utility=_NoCalls()),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="^list 1 has no reference$"):
+            call()
+    with pytest.raises(ConfigError, match="finite"):
+        grid_search_lambdas(lists[:1], config, grid=(0.1, math.nan))
 
 
 def test_tune_l_uses_truncation_consistent_scores():

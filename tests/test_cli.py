@@ -1,14 +1,16 @@
 """End-to-end checks of the ``rmbr`` command line."""
 
+import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
-from rmbr.cli import main
+from rmbr.cli import build_parser, main
 from rmbr.core import CoarseToFine, NBestList, RerankConfig
 from rmbr.errors import InvalidInputError
 from rmbr.io import read_results, write_nbest, write_utility_matrices
@@ -260,6 +262,99 @@ def test_dry_run_validates_without_output(dev_file, tmp_path, capsys):
     assert not out.exists()
 
 
+_FLAGS = {
+    "rerank": "-i --input -o --output --dry-run --utility --l --lambda --mode --threads",
+    "c2f": "-i --input -o --output --dry-run --utility --lambda --proxy --keep --mode --threads",
+    "tune-lambda": "-i --input -o --output --dry-run --utility --l --regularizers --grid --metric",
+    "tune-l": "-i --input -o --output --dry-run --utility --lambda --metric",
+    "oracle": "-i --input -o --output --dry-run --utility --bins --metric",
+    "tokenprob": "-i --input -o --output --dry-run --bins --which",
+    "eval": "--hyps --refs --metric --dry-run",
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(dev_file, tmp_path, capsys):
+    (subs,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in subs.choices.items()
+    }
+    assert got == {name: flags.split() for name, flags in _FLAGS.items()}
+    path, _ = dev_file
+    for words in (
+        ["rerank", "--thr", 2],
+        ["c2f", "--keep", 2, "--l", 3],
+        ["tune-l", "--l", 3],
+        ["tune-lambda", "--regularizers", "lp", "--lambda", "lp=1"],
+    ):
+        assert run(words + ["-i", path, "-o", tmp_path / "o"]) == 1, words
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a
+# blank one; "BARE" lists carry no token log-probabilities.
+_DRY_RUN_CASES = {
+    "c2f-l": ["c2f", "-i", "DEV", "--keep", "2", "--l", "3"],
+    "tune-l-l": ["tune-l", "-i", "DEV", "--l", "3"],
+    "tune-lambda-lambda": [
+        "tune-lambda", "-i", "DEV", "--regularizers", "lp", "--lambda", "lp=1"
+    ],
+    "rerank-abbreviated": ["rerank", "-i", "DEV", "--thr", "2"],
+    "rerank-lambda-nan": ["rerank", "-i", "DEV", "--lambda", "lp=nan"],
+    "rerank-lambda-inf": ["rerank", "-i", "DEV", "--lambda", "lp=inf"],
+    "c2f-lambda-nan": ["c2f", "-i", "DEV", "--keep", "2", "--lambda", "qe=nan"],
+    "tune-lambda-grid-nan": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", "nan"],
+    "tune-lambda-grid-empty": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", ","],
+    "oracle-bins-0": ["oracle", "-i", "DEV", "--bins", "0"],
+    "tokenprob-bins-0": ["tokenprob", "-i", "DEV", "--bins", "0"],
+    "tokenprob-no-token-log-probs": ["tokenprob", "-i", "BARE"],
+    "tokenprob-no-reference-log-probs": ["tokenprob", "-i", "DEV", "--which", "reference"],
+    "eval-blank-line-bleu": ["eval", "--hyps", "HYPS", "--refs", "REFS"],
+    "eval-blank-line-chrf": ["eval", "--hyps", "HYPS", "--refs", "REFS", "--metric", "chrf"],
+    **{
+        f"{command}-{ref}-reference-{metric}": [
+            command, "-i", file, "--metric", metric,
+            *(["--regularizers", "lp"] if command == "tune-lambda" else []),
+        ]
+        for command in ("tune-lambda", "tune-l", "oracle")
+        for ref, file in (("missing", "NOREF"), ("blank", "BLANK"))
+        for metric in ("bleu", "chrf")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DRY_RUN_CASES))
+def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
+    """Both runs exit 1 with the same error line.  Neither writes a file, and
+    the ``service:exec:`` scorer that every scoring case names never starts."""
+    dev, lists = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    files = {"DEV": dev, "HYPS": tmp_path / "h.txt", "REFS": tmp_path / "r.txt"}
+    (tmp_path / "h.txt").write_text("a b\n\nc d\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("a b\ne f\n \t\n", encoding="utf-8")
+    for name, ref in (("NOREF", None), ("BLANK", " \t ")):
+        files[name] = tmp_path / f"{name}.jsonl"
+        edited = [replace(lst, reference=ref) if i == 2 else lst for i, lst in enumerate(lists)]
+        write_nbest(files[name], edited)
+    files["BARE"] = tmp_path / "bare.jsonl"
+    write_nbest(files["BARE"], [make_list(["a b", "c d"], reference="a b")])
+    args = [files.get(w, w) for w in _DRY_RUN_CASES[case]]
+    if args[0] != "eval":
+        args += ["-o", tmp_path / "out.json"]
+    if args[0] not in ("tokenprob", "eval"):
+        args += ["--utility", spec]
+    errors = []
+    for dry in ([], ["--dry-run"]):
+        assert run(args + dry) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error:") and errors[0].count("\n") == 1
+    assert list(tmp_path.glob("out.json*")) == []
+    assert _started_pids(log) == []
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -336,12 +431,12 @@ def test_eval_empty_files_exit_1(tmp_path, capsys, metric, dry):
 
 
 _WHITESPACE_REFERENCE_ERRORS = {
-    ("oracle", "bleu"): "reference is empty",
-    ("tune-l", "bleu"): "empty sentence at corpus position 0",
-    ("tune-lambda", "bleu"): "empty sentence at corpus position 0",
-    ("oracle", "chrf"): "reference is empty after whitespace stripping",
-    ("tune-l", "chrf"): "reference is empty after whitespace stripping",
-    ("tune-lambda", "chrf"): "reference is empty after whitespace stripping",
+    ("oracle", "bleu"): "list 0 has no reference",
+    ("tune-l", "bleu"): "list 0 has no reference",
+    ("tune-lambda", "bleu"): "list 0 has no reference",
+    ("oracle", "chrf"): "list 0 has no reference",
+    ("tune-l", "chrf"): "list 0 has no reference",
+    ("tune-lambda", "chrf"): "list 0 has no reference",
 }
 
 

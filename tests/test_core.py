@@ -113,6 +113,15 @@ def test_rerank_config_validates_regularizers():
         RerankConfig(lambdas={"nope": 1.0})
 
 
+def test_rerank_config_rejects_settings_it_would_ignore_or_cannot_use():
+    with pytest.raises(ConfigError, match="full depth"):
+        RerankConfig(l=3, coarse_to_fine=CoarseToFine("bleu", 2))
+    for weight in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            RerankConfig(lambdas={"lp": weight})
+    assert RerankConfig(l="full", coarse_to_fine=CoarseToFine("bleu", 2)).l == "full"
+
+
 def test_regularizers_are_the_lambdas_keys_in_order():
     config = RerankConfig(lambdas={"qe": 1, "lp": 0.5})
     assert config.regularizers == ("qe", "lp")
