@@ -1,5 +1,7 @@
 """Regularized expected-utility (MBR) reranking of n-best translation lists."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     OracleReport,
     TokenProbTable,
@@ -65,55 +67,9 @@ from .metrics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BleuUtility",
-    "Candidate",
-    "ChrfUtility",
-    "CoarseToFine",
-    "ConfigError",
-    "DEFAULT_LAMBDA_GRID",
-    "DimensionError",
-    "InvalidInputError",
-    "MatrixUtility",
-    "MetricConfig",
-    "MissingScoreError",
-    "NBestList",
-    "OracleReport",
-    "ParseError",
-    "REGULARIZER_NAMES",
-    "RerankConfig",
-    "RerankResult",
-    "RmbrError",
-    "ScorerClient",
-    "ScoringError",
-    "ServiceUtility",
-    "TokenProbTable",
-    "TransportError",
-    "UtilityMatrix",
-    "UtilitySession",
-    "build_utility_matrix",
-    "check_utility_spec",
-    "coarse_to_fine",
-    "combine_scores",
-    "corpus_bleu",
-    "corpus_objective",
-    "grid_search_lambdas",
-    "load_nbest",
-    "load_utility_matrices",
-    "mbr_scores",
-    "oracle_histogram",
-    "oracle_select",
-    "rank_candidates",
-    "read_results",
-    "regularizer_values",
-    "rerank",
-    "sentence_bleu",
-    "sentence_chrf",
-    "token_entropy",
-    "token_prob_by_length",
-    "tune_l",
-    "write_nbest",
-    "write_results",
-    "write_utility_matrices",
-    "write_utility_matrix",
-]
+#: Every public name imported above, so each is listed once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

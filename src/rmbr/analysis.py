@@ -5,21 +5,23 @@ oracle-rank histogram shows where in the beam those best candidates sit.
 The token-probability table relates sentence length to mean per-token
 probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
-set.  Both resolve the utility spec once for the whole dev set in a
-:class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:`` spec, closed
-when the call returns), do the per-list utility work once, and per setting
-only re-combine scores and sum per-candidate objective statistics (corpus
-BLEU sufficient statistics or sentence chrF), computed once per list.  Every
-function that takes a utility accepts a spec string, one provider shared
-by all lists, or a list with one provider per list.  Objectives use the
-default :class:`~rmbr.metrics.MetricConfig`.
+set, along one path: the utility spec is resolved once for the whole dev
+set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
+spec, closed when the call returns), each list is scored once by
+:func:`~rmbr.mbr.list_scores`, and one loop tries every ``(l, lambdas)``
+setting, per setting only re-combining scores and summing per-candidate
+objective statistics (corpus BLEU sufficient statistics or sentence chrF),
+computed once per list.  Both tune a one-stage rerank and reject a
+coarse-to-fine config.  Every function that takes a utility accepts a spec
+string, one provider shared by all lists, or a list with one provider per
+list.  Objectives use the default :class:`~rmbr.metrics.MetricConfig`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,14 +34,7 @@ from .core import (
     rank_candidates,
 )
 from .errors import ConfigError, InvalidInputError, MissingScoreError
-from .mbr import (
-    ChrfUtility,
-    UtilitySession,
-    build_utility_matrix,
-    expected_utilities,
-    regularizer_values,
-    rerank,
-)
+from .mbr import ChrfUtility, UtilitySession, expected_utilities, list_scores
 from .metrics import bleu_from_stats, bleu_stats, corpus_bleu, sentence_chrf
 
 OBJECTIVE_METRICS = ("bleu", "chrf")
@@ -290,15 +285,40 @@ def lambda_grid(weights) -> list[float]:
     return grid
 
 
-def _selection_objective(skeletons, lambdas: dict, objective: _ObjectiveStats) -> float:
-    """Objective of the selections a weight vector induces on precomputed
-    score skeletons (λ-independent MBR + regularizer values)."""
+def _selection_objective(scored, lambdas: dict, objective: _ObjectiveStats) -> float:
+    """Objective of the selections a weight vector induces on each list's
+    consensus scores and regularizer values."""
     selections = []
-    for skel in skeletons:
-        totals = combine_scores(skel.mbr_scores, skel.regularizer_scores, lambdas)
-        _, row = rank_candidates(totals)
-        selections.append(skel.candidate_indices[row])
+    for consensus, regularizers in scored:
+        totals = combine_scores(consensus, regularizers, lambdas)
+        selections.append(rank_candidates(totals)[1])
     return objective(selections)
+
+
+def _tune(lists, config, depths, weights, objective_of):
+    """Score each dev list once, then try every weight vector at every depth.
+
+    Each list is scored at depth ``config.l`` with the config's utility
+    spec resolved once for all lists; a depth of ``None`` keeps every
+    scored column.  Returns the first ``(l, lambdas)`` setting with the
+    highest objective, that objective, and the objective of every setting.
+    """
+    if config.coarse_to_fine is not None:
+        raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
+    with UtilitySession() as session:
+        providers = session.providers(config.utility, len(lists))
+        scored = [
+            list_scores(lst, p, config.resolve_l(lst.n), config.regularizers)
+            for lst, p in zip(lists, providers)
+        ]
+    settings, curve = [], []
+    for l in depths:
+        at_l = [(expected_utilities(v, l or v.shape[1]), regs) for v, regs in scored]
+        for lambdas in weights:
+            settings.append((l, lambdas))
+            curve.append(_selection_objective(at_l, lambdas, objective_of))
+    best = max(range(len(curve)), key=curve.__getitem__)
+    return settings[best], curve[best], curve
 
 
 def grid_search_lambdas(
@@ -309,31 +329,19 @@ def grid_search_lambdas(
 ) -> tuple[dict, float]:
     """Exhaustive weight search over ``grid^r`` for the r active regularizers.
 
-    Maximizes the corpus objective of the induced selections; ties prefer
-    the combination that enumerates first over the ascending grid (i.e. the
-    lexicographically smallest weight vector).  Utility matrices are
-    computed once per list, not once per combination, with the config's
-    utility specs resolved once for all lists (see :class:`UtilitySession`);
-    each candidate's objective statistics are computed once.
+    Maximizes the corpus objective of the induced selections at depth
+    ``config.l``; ties prefer the combination that enumerates first over
+    the ascending grid (i.e. the lexicographically smallest weight vector).
     """
     objective_of = _ObjectiveStats(lists, objective_metric)
     if not lists:
         raise InvalidInputError("no dev lists")
     if not config.regularizers:
         raise ConfigError("grid search needs at least one active regularizer")
-    grid_values = lambda_grid(grid)
-    zero_config = replace(config, lambdas={name: 0.0 for name in config.regularizers})
-    with UtilitySession() as session:
-        configs = session.configs(zero_config, len(lists))
-        skeletons = [rerank(lst, c) for lst, c in zip(lists, configs)]
-    best_lambdas: dict = {}
-    best_objective = -math.inf
-    for combo in itertools.product(grid_values, repeat=len(config.regularizers)):
-        lambdas = dict(zip(config.regularizers, combo))
-        objective = _selection_objective(skeletons, lambdas, objective_of)
-        if objective > best_objective:
-            best_lambdas, best_objective = lambdas, objective
-    return best_lambdas, best_objective
+    combos = itertools.product(lambda_grid(grid), repeat=len(config.regularizers))
+    weights = [dict(zip(config.regularizers, c)) for c in combos]
+    (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
+    return best, objective
 
 
 def tune_l(
@@ -345,38 +353,17 @@ def tune_l(
 
     Returns ``(best_l, best_objective, curve)`` with ``curve[l-1]`` the
     corpus objective at depth l.  Each list's full n x n utility matrix is
-    built once, with the config's utility spec resolved once for all lists;
-    per-depth scores are column-prefix means of it, exactly what a fresh
-    depth-l matrix would give.  Ties prefer smaller l.  The sweep sets l
-    itself: ``config.l`` must be "full", with no coarse-to-fine stage.
+    scored once; per-depth scores are column-prefix means of it, exactly
+    what a fresh depth-l matrix would give.  Ties prefer smaller l.  The
+    sweep sets l itself: ``config.l`` must be "full".
     """
     objective_of = _ObjectiveStats(lists, objective_metric)
     if not lists:
         raise InvalidInputError("no dev lists")
-    if config.l != "full" or config.coarse_to_fine is not None:
-        raise ConfigError("the truncation sweep sets l itself and reranks in one stage")
-    with UtilitySession() as session:
-        providers = session.providers(config.utility, len(lists))
-        matrices = [
-            build_utility_matrix(lst, p, lst.n) for lst, p in zip(lists, providers)
-        ]
-    regularizers = [
-        {name: regularizer_values(lst, name) for name in config.regularizers}
-        for lst in lists
-    ]
-    n_sweep = min(lst.n for lst in lists)
-    curve = []
-    best_l = 1
-    best_objective = -math.inf
-    for l in range(1, n_sweep + 1):
-        selections = []
-        for matrix, regs in zip(matrices, regularizers):
-            consensus = expected_utilities(matrix.values, l)
-            totals = combine_scores(consensus, regs, config.lambdas)
-            _, selected = rank_candidates(totals)
-            selections.append(selected)
-        objective = objective_of(selections)
-        curve.append(objective)
-        if objective > best_objective:
-            best_l, best_objective = l, objective
-    return best_l, best_objective, curve
+    if config.l != "full":
+        raise ConfigError("the truncation sweep sets l itself")
+    depths = range(1, min(lst.n for lst in lists) + 1)
+    (best_l, _), objective, curve = _tune(
+        lists, config, depths, [config.lambdas], objective_of
+    )
+    return best_l, objective, curve

@@ -60,8 +60,14 @@ from .errors import (
     ScoringError,
     TransportError,
 )
-from .io import RESULT_MODES, atomic_write, load_nbest, write_results
-from .mbr import UtilitySession, check_utility_spec, regularizer_values, rerank
+from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
+from .mbr import (
+    UtilitySession,
+    check_coarse_to_fine_target,
+    check_utility_spec,
+    regularizer_values,
+    rerank,
+)
 from .metrics import corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
@@ -216,6 +222,8 @@ def _parse_l(value):
 
 def _validate_lists(lists, config):
     """Bounds and required fields of each list, no utility evaluations."""
+    if config.coarse_to_fine is not None:
+        check_coarse_to_fine_target(config.utility)
     for lst in lists:
         if config.coarse_to_fine is not None:
             if config.coarse_to_fine.keep > lst.n:
@@ -228,10 +236,17 @@ def _validate_lists(lists, config):
             regularizer_values(lst, name)
 
 
-def _dry_run(lists, *specs) -> int:
-    """End a dry run: check the utility specs, starting and connecting nothing."""
+def _dry_run(lists, *specs, l="full") -> int:
+    """End a dry run: check the utility specs, starting and connecting nothing.
+
+    A stored matrix must cover each list at the depth the real run asks
+    for: l columns, or n for "full".
+    """
     for spec in specs:
-        check_utility_spec(spec, len(lists))
+        kind, value = check_utility_spec(spec, len(lists))
+        if kind == "matrix":
+            for lst, utility in zip(lists, value):
+                utility.check_size(lst.n, lst.n if l == "full" else l)
     print(f"ok: {len(lists)} lists validated")
     return 0
 
@@ -270,7 +285,8 @@ def _cmd_rerank(args) -> int:
     )
     _validate_lists(lists, config)
     if args.dry_run:
-        return _dry_run(lists, args.utility, *([args.proxy] if stages else []))
+        specs = [args.utility, args.proxy] if stages else [args.utility]
+        return _dry_run(lists, *specs, l=config.l)
     with UtilitySession() as session:
         configs = session.configs(config, len(lists))
         failed = threading.Event()
@@ -326,7 +342,7 @@ def _cmd_tune_lambda(args) -> int:
     )
     _validate_lists(lists, config)
     if args.dry_run:
-        return _dry_run(lists, args.utility)
+        return _dry_run(lists, args.utility, l=config.l)
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(args.utility, len(lists)))
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
@@ -398,9 +414,9 @@ def _cmd_tokenprob(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.hyps, encoding="utf-8") as fh:
+    with open_input(args.hyps) as fh:
         hyps = [line.rstrip("\n") for line in fh]
-    with open(args.refs, encoding="utf-8") as fh:
+    with open_input(args.refs) as fh:
         refs = [line.rstrip("\n") for line in fh]
     if len(hyps) != len(refs):
         raise InvalidInputError(

@@ -33,6 +33,8 @@ def _as_float_tuple(values) -> tuple[float, ...]:
 class Candidate:
     """One hypothesis from an n-best list.
 
+    ``text`` must hold a non-whitespace character; ``tokens`` is a
+    non-empty list or tuple of tokens, never a string.
     ``log_prob`` is the sentence log-probability under the generating model.
     ``external_scores`` holds per-candidate quality scores computed by
     external models (keys "lm", "bt", "qe").  ``mc_pass_scores`` holds the
@@ -51,6 +53,12 @@ class Candidate:
     token_entropies: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str) or not self.text.strip():
+            raise InvalidInputError(
+                f"candidate text must hold a non-whitespace character, got {self.text!r}"
+            )
+        if not isinstance(self.tokens, (list, tuple)):
+            raise InvalidInputError(f"candidate tokens must be a list, got {self.tokens!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise InvalidInputError("candidate has no tokens")
@@ -89,10 +97,10 @@ class NBestList:
     """A source sentence with its candidate list in beam order.
 
     Candidates must be sorted by descending ``log_prob`` (ties keep input
-    order); index 0 is the beam top-1.  ``reference`` is only needed for
-    tuning and oracle analysis.  ``reference_token_log_probs`` optionally
-    carries per-token log-probabilities of the reference under the model
-    (a force-decoded reference), used by token-probability analysis.
+    order); index 0 is the beam top-1.  ``reference``, a string or None, is
+    only needed for tuning and oracle analysis.  ``reference_token_log_probs``
+    optionally carries per-token log-probabilities of the reference under
+    the model (a force-decoded reference), used by token-probability analysis.
     """
 
     source: str
@@ -104,6 +112,10 @@ class NBestList:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
             raise InvalidInputError("n-best list has no candidates")
+        if not isinstance(self.reference, (str, type(None))):
+            raise InvalidInputError(
+                f"reference must be a string or null, got {self.reference!r}"
+            )
         probs = [c.log_prob for c in self.candidates]
         if any(a < b for a, b in zip(probs, probs[1:])):
             raise InvalidInputError(

@@ -5,14 +5,18 @@ record per line.  Utility-matrix files are a JSON header line
 ``{"utility_name": ..., "n": ..., "l": ...}`` followed by n rows of l
 space-separated decimals; several matrices may be concatenated in one file
 (one per n-best list).  Floats are written with ``repr`` precision, so
-write/load round-trips are bit-exact.
+write/load round-trips are bit-exact.  An input that is a directory or not
+UTF-8 text is invalid input, as is a candidate whose text is blank or not
+a string, whose tokens are not a list, or a reference that is not a string.
 
 The scorer client speaks a line-JSON protocol over a TCP socket or a child
 process's stdin/stdout.  Both sides send ``{"protocol": "rmbr-scorer/1"}``
 on connect.  Requests are ``{"id", "src", "hyp", "ref"}``; responses are
 ``{"id", "score"}`` or ``{"id", "error"}`` and may arrive out of order —
 the client realigns them by id.  Each response must arrive within the
-timeout (default 30 s, ``RMBR_SCORER_TIMEOUT_SECS`` overrides).
+timeout (default 30 s, ``RMBR_SCORER_TIMEOUT_SECS`` overrides).  Responses
+are read on their own thread while a batch is written, so a batch larger
+than the pipe buffers cannot deadlock.
 """
 
 from __future__ import annotations
@@ -81,6 +85,16 @@ def atomic_write(path):
         raise
 
 
+@contextmanager
+def open_input(path):
+    """Open a UTF-8 text file; a directory or non-UTF-8 bytes are invalid input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (IsADirectoryError, UnicodeDecodeError):
+        raise InvalidInputError(f"{path} is not a UTF-8 text file") from None
+
+
 # ---------------------------------------------------------------------------
 # n-best files
 
@@ -91,7 +105,7 @@ def _candidate_from_record(rec: dict) -> Candidate:
             raise ParseError(f"candidate record is missing {key!r}")
     return Candidate(
         text=rec["text"],
-        tokens=tuple(rec["tokens"]),
+        tokens=rec["tokens"],
         log_prob=float(rec["log_prob"]),
         token_log_probs=rec.get("token_log_probs"),
         external_scores={k: float(v) for k, v in rec.get("external_scores", {}).items()},
@@ -121,7 +135,7 @@ def load_nbest(path) -> list[NBestList]:
     the 1-based line number; an empty file is invalid input.
     """
     lists = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -201,7 +215,7 @@ def write_utility_matrices(path, matrices: Sequence[UtilityMatrix]) -> None:
 def load_utility_matrices(path) -> list[UtilityMatrix]:
     """Read every matrix stored in a file."""
     matrices = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         lines = fh.read().splitlines()
     pos = 0
     while pos < len(lines):
@@ -285,7 +299,7 @@ def write_results(path, results, lists, mode: str = "text") -> None:
 def read_results(path) -> list[RerankResult]:
     """Re-load full-mode result records."""
     results = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -337,7 +351,11 @@ def _resolve_timeout(timeout: float | None) -> float:
 
 
 class _ReaderThread(threading.Thread):
-    """Pumps lines from a stream into a queue so reads can time out."""
+    """Pumps lines from a stream into a queue so reads can time out, and
+    drains responses while a batch is still being written: read in the
+    calling thread, a batch larger than the pipe buffers deadlocks, the
+    client blocked on the scorer's full stdin while the scorer is blocked
+    on its full stdout."""
 
     def __init__(self, stream):
         super().__init__(daemon=True)

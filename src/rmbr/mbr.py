@@ -9,7 +9,10 @@ Regularizer terms are added on top with per-name weights; the combined
 score is maximized.  A coarse-to-fine mode first ranks the full list with a
 cheap proxy utility over all n pseudo-references, keeps the best k, and
 reranks only the survivors with the target utility, for n^2 + k^2 pair
-evaluations instead of n^2.
+evaluations instead of n^2; a stored matrix can be the proxy but not the
+target, whose rows would belong to the full list.  :func:`list_scores` is
+the one per-list scoring step (utility values plus regularizer values) of
+:func:`rerank` and of the tuners in :mod:`rmbr.analysis`.
 
 Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
 builder, which counts a list's n-grams into one matrix per order
@@ -123,23 +126,15 @@ class ChrfUtility:
         order = self.config.chrf_char_order
         return _ngram_matrix(seqs, order, l, chrf_from_counts, self.config)
 
-    @staticmethod
-    def _characters(nbest: NBestList) -> list[str]:
-        seqs = [chrf_characters(c.text) for c in nbest.candidates]
-        if "" in seqs:
-            raise InvalidInputError(
-                f"candidate {seqs.index('')} has no characters after whitespace stripping"
-            )
-        return seqs
-
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        return self._scores(self._characters(nbest), l)
+        return self._scores([chrf_characters(c.text) for c in nbest.candidates], l)
 
     def score_against(self, nbest, reference):
         ref = chrf_characters(reference)
         if not ref:
             raise InvalidInputError("reference is empty after whitespace stripping")
-        return self._scores([ref, *self._characters(nbest)], 1)[1:, 0].tolist()
+        hyps = [chrf_characters(c.text) for c in nbest.candidates]
+        return self._scores([ref, *hyps], 1)[1:, 0].tolist()
 
 
 class MatrixUtility:
@@ -149,12 +144,16 @@ class MatrixUtility:
         self._matrix = matrix
         self.name = matrix.utility_name
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        if self._matrix.n < nbest.n or self._matrix.l < l:
+    def check_size(self, n: int, l: int) -> None:
+        """Raise unless the stored matrix covers n candidates at depth l."""
+        if self._matrix.n < n or self._matrix.l < l:
             raise DimensionError(
                 f"stored matrix is {self._matrix.n}x{self._matrix.l}, "
-                f"need at least {nbest.n}x{l}"
+                f"need at least {n}x{l}"
             )
+
+    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
+        self.check_size(nbest.n, l)
         return np.asarray(self._matrix.values[: nbest.n, :l])
 
     def score_against(self, nbest, reference):
@@ -198,10 +197,10 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
     """Check a utility spec string and parse it, starting and connecting nothing.
 
     Returns ``(kind, value)``: ``("bleu", None)`` and ``("chrf", None)``;
-    ``("matrix", providers)`` for ``"matrix:PATH"``, whose file must hold
-    one matrix or one per list (``num_lists``); ``("exec", argv)`` for
-    ``"service:exec:COMMAND"``; ``("tcp", (host, port))`` for
-    ``"service:HOST:PORT"`` with a port in 1..65535.  Every other value
+    ``("matrix", providers)`` for ``"matrix:PATH"``, one provider per list,
+    whose file must hold one matrix (shared) or one per list (``num_lists``);
+    ``("exec", argv)`` for ``"service:exec:COMMAND"``; ``("tcp", (host,
+    port))`` for ``"service:HOST:PORT"`` with a port in 1..65535.  Every other value
     raises :class:`ConfigError`.  For a ``service:`` spec the scorer
     timeout must be valid too (:class:`InvalidInputError` if not).
     """
@@ -217,7 +216,7 @@ def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
                 f"{rest} holds {len(utilities)} matrices for {num_lists} lists; "
                 "it must hold 1 or one per list"
             )
-        return "matrix", utilities
+        return "matrix", utilities * (num_lists // len(utilities))
     if scheme == "service":
         _resolve_timeout(None)
     if scheme == "service" and rest.startswith("exec:"):
@@ -278,7 +277,7 @@ class UtilitySession:
             return [spec] * num_lists
         kind, value = check_utility_spec(spec, num_lists)
         if kind == "matrix":
-            return value if len(value) == num_lists else value * num_lists
+            return value
         if kind == "bleu":
             return [BleuUtility()] * num_lists
         if kind == "chrf":
@@ -383,22 +382,28 @@ def token_entropy(distribution) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def list_scores(nbest: NBestList, utility, l: int, names) -> tuple[np.ndarray, dict]:
+    """One list's n x l utility values and its values of each named regularizer.
+
+    The one scoring step of :func:`rerank` and of both tuners; a spec
+    string is resolved through :func:`build_utility_matrix`.
+    """
+    values = build_utility_matrix(nbest, utility, l).values
+    return values, {name: regularizer_values(nbest, name) for name in names}
+
+
 def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
-    Honors ``config.coarse_to_fine`` when set; otherwise builds the n x l
-    utility matrix directly (n * l pair evaluations), resolving a spec
-    string through :func:`build_utility_matrix` for this call only.
+    Honors ``config.coarse_to_fine`` when set; otherwise scores the list
+    with :func:`list_scores` at depth l (n * l pair evaluations).
     Regularizers are combined and reported in ``config.lambdas`` order.
     """
     if config.coarse_to_fine is not None:
         return coarse_to_fine(nbest, config)
     l = config.resolve_l(nbest.n)
-    matrix = build_utility_matrix(nbest, config.utility, l)
-    consensus = mbr_scores(matrix)
-    regularizers = {
-        name: regularizer_values(nbest, name) for name in config.regularizers
-    }
+    values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
+    consensus = expected_utilities(values, l)
     totals = combine_scores(consensus, regularizers, config.lambdas)
     ranking, selected = rank_candidates(totals)
     return RerankResult(
@@ -410,6 +415,14 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
         utility_calls=nbest.n * l,
         candidate_indices=tuple(range(nbest.n)),
     )
+
+
+def check_coarse_to_fine_target(utility) -> None:
+    """Reject a stored matrix target, shared or per list: its rows belong to
+    the full list, not the survivors, and a proxy stage has nothing to save."""
+    for u in utility if isinstance(utility, (list, tuple)) else [utility]:
+        if isinstance(u, MatrixUtility) or isinstance(u, str) and u.startswith("matrix:"):
+            raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
 
 
 def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
@@ -425,6 +438,7 @@ def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     stages = config.coarse_to_fine
     if stages is None:
         raise ConfigError("config has no coarse_to_fine stage settings")
+    check_coarse_to_fine_target(config.utility)
     n = nbest.n
     k = stages.keep
     if k > n:

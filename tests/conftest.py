@@ -97,6 +97,21 @@ def trivial_list(n, source="src", reference=None):
     return NBestList(source=source, candidates=cands, reference=reference)
 
 
+class IndexedUtility:
+    """Stored values looked up by each candidate's ``t<i>`` text (see
+    :func:`trivial_list`), so a sub-list is scored with its own rows and
+    columns: a coarse-to-fine target, which a stored matrix cannot be."""
+
+    name = "indexed"
+
+    def __init__(self, matrix):
+        self.values = matrix.values
+
+    def matrix(self, nbest, l):
+        rows = [int(c.text[1:]) for c in nbest.candidates]
+        return self.values[np.ix_(rows, rows[:l])]
+
+
 # ---------------------------------------------------------------------------
 # scripted scorer doubles (TCP)
 

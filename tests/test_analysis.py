@@ -262,8 +262,8 @@ def test_grid_objective_from_candidate_stats_is_exact(monkeypatch, metric):
     seen = []
     original = analysis._selection_objective
 
-    def recording(skeletons, lambdas, objective):
-        value = original(skeletons, lambdas, objective)
+    def recording(scored, lambdas, objective):
+        value = original(scored, lambdas, objective)
         seen.append((lambdas, value))
         return value
 
@@ -370,6 +370,14 @@ def test_tune_l_rejects_coarse_to_fine():
     )
     with pytest.raises(ConfigError):
         tune_l([make_list(["a"], reference="a")], config)
+
+
+def test_grid_search_rejects_coarse_to_fine():
+    config = RerankConfig(
+        utility=_NoCalls(), lambdas={"lp": 0.0}, coarse_to_fine=CoarseToFine(_NoCalls(), 1)
+    )
+    with pytest.raises(ConfigError, match="one stage"):
+        grid_search_lambdas([make_list(["a b", "c d"], reference="a b")], config)
 
 
 def test_tune_l_rejects_a_fixed_l():

@@ -11,9 +11,9 @@ import pytest
 
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import build_parser, main
-from rmbr.core import CoarseToFine, NBestList, RerankConfig
+from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
 from rmbr.errors import InvalidInputError
-from rmbr.io import read_results, write_nbest, write_utility_matrices
+from rmbr.io import read_results, write_nbest, write_utility_matrices, write_utility_matrix
 from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
 
@@ -293,9 +293,47 @@ def test_each_subcommand_takes_only_the_flags_it_reads(dev_file, tmp_path, capsy
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _nbest_record(**edits):
+    """One list record in the file format, with candidate 1's fields edited."""
+    cands = [
+        {"text": "a b", "tokens": ["a", "b"], "log_prob": -1.0},
+        {"text": "a c", "tokens": ["a", "c"], "log_prob": -2.0},
+    ]
+    rec = {"source": "s", "candidates": cands, "reference": edits.pop("reference", "a b")}
+    cands[1].update(edits)
+    return json.dumps(rec) + "\n"
+
+
 # "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a
-# blank one; "BARE" lists carry no token log-probabilities.
+# blank one; "BARE" lists carry no token log-probabilities.  "N3" holds one
+# list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one.  "TEXT7",
+# "REF5", "TOKSTR" and "BLANKTEXT" hold one record with a non-string text,
+# a non-string reference, a string of tokens and a blank text; "BYTES" is
+# not UTF-8 and "DIR" is a directory.  A case that names no --utility gets
+# the scorer's.
 _DRY_RUN_CASES = {
+    "text-int-chrf": ["rerank", "-i", "TEXT7", "--utility", "chrf"],
+    "text-int-bleu": ["rerank", "-i", "TEXT7"],
+    "reference-int": ["tune-l", "-i", "REF5"],
+    "tokens-string": ["rerank", "-i", "TOKSTR"],
+    "blank-text-rerank": ["rerank", "-i", "BLANKTEXT", "--utility", "chrf"],
+    "blank-text-c2f": [
+        "c2f", "-i", "BLANKTEXT", "--utility", "chrf", "--proxy", "chrf", "--keep", "1"
+    ],
+    "not-utf8-input": ["rerank", "-i", "BYTES"],
+    "not-utf8-eval": ["eval", "--hyps", "BYTES", "--refs", "REFS"],
+    "not-utf8-matrix": ["rerank", "-i", "N3", "--utility", "matrix:BYTES"],
+    "input-directory": ["rerank", "-i", "DIR"],
+    "c2f-matrix-target": ["c2f", "-i", "N3", "--keep", "2", "--utility", "matrix:MAT3"],
+    "rerank-matrix-too-small": ["rerank", "-i", "N3", "--utility", "matrix:MAT2"],
+    "rerank-l2-matrix-too-small": ["rerank", "-i", "N3", "--l", "2", "--utility", "matrix:MAT2"],
+    "tune-lambda-matrix-too-small": [
+        "tune-lambda", "-i", "N3", "--regularizers", "lp", "--utility", "matrix:MAT2"
+    ],
+    "tune-l-matrix-too-small": ["tune-l", "-i", "N3", "--utility", "matrix:MAT2"],
+    "c2f-proxy-matrix-too-small": [
+        "c2f", "-i", "N3", "--keep", "2", "--utility", "bleu", "--proxy", "matrix:MAT2"
+    ],
     "c2f-l": ["c2f", "-i", "DEV", "--keep", "2", "--l", "3"],
     "tune-l-l": ["tune-l", "-i", "DEV", "--l", "3"],
     "tune-lambda-lambda": [
@@ -327,8 +365,9 @@ _DRY_RUN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_DRY_RUN_CASES))
 def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
-    """Both runs exit 1 with the same error line.  Neither writes a file, and
-    the ``service:exec:`` scorer that every scoring case names never starts."""
+    """Both runs exit 1 with the same error line, with no traceback.  Neither
+    writes a file, and the ``service:exec:`` scorer, given to every scoring
+    case that names no utility of its own, never starts."""
     dev, lists = dev_file
     spec, log = _logging_scorer(tmp_path, "ok")
     files = {"DEV": dev, "HYPS": tmp_path / "h.txt", "REFS": tmp_path / "r.txt"}
@@ -340,10 +379,28 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
         write_nbest(files[name], edited)
     files["BARE"] = tmp_path / "bare.jsonl"
     write_nbest(files["BARE"], [make_list(["a b", "c d"], reference="a b")])
+    files["N3"] = tmp_path / "n3.jsonl"
+    write_nbest(files["N3"], [make_list(["x y z", "a b c", "a b d"], reference="a b d")])
+    for name, rows in (("MAT2", [[0.9, 0.1], [0.1, 0.5]]), ("MAT3", [[0.9] * 3, [0.1] * 3, [0.5] * 3])):
+        write_utility_matrix(tmp_path / name, UtilityMatrix(values=rows, utility_name="ext"))
+        files[f"matrix:{name}"] = f"matrix:{tmp_path / name}"
+    for name, edit in (
+        ("TEXT7", {"text": 7}),
+        ("REF5", {"reference": 5}),
+        ("TOKSTR", {"tokens": "a b"}),
+        ("BLANKTEXT", {"text": " \t "}),
+    ):
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(_nbest_record(**edit), encoding="utf-8")
+    files["BYTES"] = tmp_path / "bytes"
+    files["BYTES"].write_bytes(b'{"source": "\xff"}\n')
+    files["matrix:BYTES"] = f"matrix:{files['BYTES']}"
+    files["DIR"] = tmp_path / "dir"
+    files["DIR"].mkdir()
     args = [files.get(w, w) for w in _DRY_RUN_CASES[case]]
     if args[0] != "eval":
         args += ["-o", tmp_path / "out.json"]
-    if args[0] not in ("tokenprob", "eval"):
+    if args[0] not in ("tokenprob", "eval") and "--utility" not in args:
         args += ["--utility", spec]
     errors = []
     for dry in ([], ["--dry-run"]):
@@ -353,6 +410,17 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
     assert errors[0].startswith("error:") and errors[0].count("\n") == 1
     assert list(tmp_path.glob("out.json*")) == []
     assert _started_pids(log) == []
+
+
+def test_dry_run_checks_a_stored_matrix_at_the_real_depth(tmp_path):
+    """A 3x2 matrix covers a 3-candidate list at l = 2, dry and real."""
+    path = tmp_path / "n3.jsonl"
+    write_nbest(path, [make_list(["x y z", "a b c", "a b d"])])
+    mat = tmp_path / "m.mat"
+    write_utility_matrix(mat, UtilityMatrix(values=np.ones((3, 2)), utility_name="ext"))
+    args = ["rerank", "-i", path, "-o", tmp_path / "o.txt", "--l", "2"]
+    for dry in ([], ["--dry-run"]):
+        assert run(args + ["--utility", f"matrix:{mat}"] + dry) == 0
 
 
 # ---------------------------------------------------------------------------

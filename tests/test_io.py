@@ -4,11 +4,14 @@ import json
 import logging
 import os
 import stat
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
+
+import rmbr
 
 from rmbr.core import Candidate, NBestList, RerankConfig, UtilityMatrix
 from rmbr.errors import (
@@ -486,3 +489,28 @@ def test_scorer_client_spawned_process():
     finally:
         client.close()
     client.close()  # idempotent
+
+
+_BIG_BATCH_CLIENT = """
+import sys
+from rmbr.io import ScorerClient
+client = ScorerClient.spawn([sys.executable, "-c", sys.argv[1]], timeout=20)
+pairs = [("s", "h", "r" * (i % 7)) for i in range(20000)]
+assert client.score_pairs(pairs) == [float(i % 7) for i in range(20000)]
+client.close()
+"""
+
+
+def test_scorer_client_reads_while_it_writes_a_batch_larger_than_the_pipes():
+    """About 1 MB of requests and 0.5 MB of responses, far beyond the
+    64 KiB pipe buffers: the client must drain responses while it is still
+    writing.  It runs in a child process with a deadline, so a deadlock
+    fails the test instead of hanging it."""
+    src = os.path.dirname(os.path.dirname(rmbr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", _BIG_BATCH_CLIENT, _SPAWN_SCRIPT]
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the client and the scorer deadlocked on one large batch")
+    assert done.returncode == 0, done.stderr

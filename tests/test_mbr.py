@@ -32,9 +32,17 @@ from rmbr.mbr import (
     rerank,
     token_entropy,
 )
+from rmbr.io import write_utility_matrix
 from rmbr.metrics import sentence_bleu
 
-from conftest import make_candidate, make_list, random_list, random_matrix, trivial_list
+from conftest import (
+    IndexedUtility,
+    make_candidate,
+    make_list,
+    random_list,
+    random_matrix,
+    trivial_list,
+)
 
 
 def test_mbr_scores_worked_example():
@@ -96,7 +104,7 @@ def test_coarse_to_fine_call_law():
     lst = trivial_list(30)
     rng = np.random.default_rng(1)
     cfg = RerankConfig(
-        utility=MatrixUtility(random_matrix(rng, 30)),
+        utility=IndexedUtility(random_matrix(rng, 30)),
         coarse_to_fine=CoarseToFine(proxy=MatrixUtility(random_matrix(rng, 30)), keep=15),
     )
     assert rerank(lst, cfg).utility_calls == 30 * 30 + 15 * 15
@@ -152,7 +160,7 @@ def test_coarse_to_fine_keep_all_matches_direct():
         n = int(rng.integers(2, 8))
         lst = trivial_list(n)
         proxy = MatrixUtility(random_matrix(rng, n, name="proxy"))
-        target = MatrixUtility(random_matrix(rng, n, name="target"))
+        target = IndexedUtility(random_matrix(rng, n, name="target"))
         direct = rerank(lst, RerankConfig(utility=target))
         staged = rerank(
             lst,
@@ -170,7 +178,7 @@ def test_coarse_to_fine_keep_one_matches_proxy_argmax():
         n = int(rng.integers(2, 8))
         lst = trivial_list(n)
         proxy_matrix = random_matrix(rng, n, name="proxy")
-        target = MatrixUtility(random_matrix(rng, n, name="target"))
+        target = IndexedUtility(random_matrix(rng, n, name="target"))
         staged = rerank(
             lst,
             RerankConfig(
@@ -206,6 +214,21 @@ def test_coarse_to_fine_scores_survivors_like_a_fresh_sublist():
     assert staged.total_scores == fresh.total_scores
     assert staged.ranking == tuple(survivors[r] for r in fresh.ranking)
     assert staged.utility_calls == 8 * 8 + 4 * 4
+
+
+def test_coarse_to_fine_rejects_a_stored_matrix_target(tmp_path):
+    # the BLEU proxy keeps candidates 1 and 2; the stored rows 0 and 1 would
+    # score them, picking "a b c" (0.1) over "a b d" (0.5)
+    lst = make_list(["x y z", "a b c", "a b d"])
+    stored = UtilityMatrix(values=[[0.9] * 3, [0.1] * 3, [0.5] * 3], utility_name="ext")
+    path = tmp_path / "target.mat"
+    write_utility_matrix(path, stored)
+    for target in (MatrixUtility(stored), [MatrixUtility(stored)], f"matrix:{path}"):
+        config = RerankConfig(utility=target, coarse_to_fine=CoarseToFine("bleu", 2))
+        with pytest.raises(ConfigError, match="coarse-to-fine target"):
+            rerank(lst, config)
+    proxy_only = CoarseToFine(MatrixUtility(stored), 2)
+    assert rerank(lst, RerankConfig(coarse_to_fine=proxy_only)).candidate_indices == (0, 2)
 
 
 def test_coarse_to_fine_without_stage_settings():
@@ -369,13 +392,11 @@ def test_service_utility_orientation():
 
 
 def test_chrf_utility_rejects_whitespace_only_candidate():
-    cands = (make_candidate("a b", -0.5), None)
+    # such a candidate cannot be built, so chrF never sees one
     from rmbr.core import Candidate
 
-    weird = Candidate(text="   ", tokens=("x",), log_prob=-1.0)
-    lst = NBestList(source="s", candidates=(cands[0], weird))
-    with pytest.raises(InvalidInputError):
-        ChrfUtility().matrix(lst, 2)
+    with pytest.raises(InvalidInputError, match="non-whitespace"):
+        Candidate(text="   ", tokens=("x",), log_prob=-1.0)
 
 
 def test_bleu_utility_respects_l():
