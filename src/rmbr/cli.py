@@ -8,7 +8,8 @@ of a hypothesis file).
 
 Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
 scorer-transport, scoring (including a non-finite score) or other runtime
-failures.  Errors go to stderr prefixed ``error:``.  Output files are
+failures.  An ``--output`` that names a directory is invalid input,
+refused before any work.  Errors go to stderr prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  The commands that score (``rerank``, ``c2f``,
 ``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 import time
@@ -450,10 +452,18 @@ _COMMANDS = {
 }
 
 
+def _check_output(args) -> None:
+    """Refuse an ``--output`` that names a directory before any work."""
+    output = getattr(args, "output", None)
+    if output is not None and os.path.isdir(output):
+        raise InvalidInputError(f"output path {output} is a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output(args)
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

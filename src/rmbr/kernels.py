@@ -20,8 +20,10 @@ checks that bound rather than assume it.
 
 This is rmbr's only n-gram counter: matrices, sentence metrics, corpus
 BLEU, oracle and tuning all count here (against one reference: item 0,
-l = 1).  Counts are integers; the scalar routines in :mod:`rmbr.metrics`
-turn them into scores, so every path gives a pair the same score.
+l = 1).  Counts are integers; one array routine per metric in
+:mod:`rmbr.metrics` turns the whole (n, l, order) tensor into scores, and
+a single pair is a 1 x 1 call of the same routine, so every path gives a
+pair the same score bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import numpy as np
 # Largest integer up to which float32 represents every integer exactly.
 _FLOAT32_EXACT = 2**24
 
+# Cells of a count matrix counted per np.bincount call (see _count_matrix).
+_COUNT_BLOCK_CELLS = 1 << 16
+
 
 def encode_ngram_blocks(
     seqs: Sequence[Sequence], max_order: int
@@ -42,7 +47,8 @@ def encode_ngram_blocks(
     Returns ``(counts, lengths)``: ``counts[k]`` is an int32 matrix of shape
     ``(len(seqs), V_k)`` whose entry [i, v] counts order-(k+1) n-gram v in
     item i, with column ids shared by all items; ``lengths[i]`` is the
-    item's sequence length.
+    item's sequence length.  Only the int32 matrices are n x V_k in size:
+    the int64 counts of ``np.bincount`` are taken a block of rows at a time.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -57,10 +63,28 @@ def encode_ngram_blocks(
             for gram in zip(*(seq[m:] for m in range(k + 1)))
         ]
         rows = np.repeat(np.arange(n), np.maximum(lengths - k, 0))
-        cells = rows * len(table) + np.array(cols, dtype=np.int64)
-        flat = np.bincount(cells, minlength=n * len(table))
-        counts.append(flat.astype(np.int32).reshape(n, len(table)))
+        counts.append(_count_matrix(rows, np.array(cols, dtype=np.int64), n, len(table)))
     return counts, lengths
+
+
+def _count_matrix(rows: np.ndarray, cols: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The int32 n x width matrix counting each (row, col) pair; rows ascending.
+
+    ``np.bincount`` counts in int64, so a matrix of more than
+    ``_COUNT_BLOCK_CELLS`` cells is counted a block of rows at a time and
+    that copy stays small however large n * width grows.
+    """
+    cells = rows * width + cols
+    step = max(1, _COUNT_BLOCK_CELLS // max(width, 1))
+    if step >= n:
+        return np.bincount(cells, minlength=n * width).astype(np.int32).reshape(n, width)
+    matrix = np.empty((n, width), dtype=np.int32)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo, hi = np.searchsorted(rows, (start, stop))
+        block = np.bincount(cells[lo:hi] - start * width, minlength=(stop - start) * width)
+        matrix[start:stop] = block.reshape(stop - start, width)
+    return matrix
 
 
 def pair_match_counts(

@@ -18,9 +18,12 @@ Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
 builder, which counts a list's n-grams into one matrix per order
 (:func:`rmbr.kernels.encode_ngram_blocks`), gets every pairwise clipped
 match count from one kernel, :func:`rmbr.kernels.pair_match_counts` (0/1
-indicator matrix products in BLAS, exact in integers), and turns counts
-into scores with the same scalar routines as the sentence metrics
-(``score_against`` uses it with the reference first and l = 1); a
+indicator matrix products in BLAS, exact in integers), and turns the whole
+count tensor into scores with one array routine per metric,
+:func:`~rmbr.metrics.bleu_scores` or :func:`~rmbr.metrics.chrf_scores`,
+whose 1 x 1 calls are the sentence metrics, so a pair's score is the same
+bit for bit on every path (``score_against`` uses the builder with the
+reference first and l = 1); a
 precomputed matrix can be loaded from disk; and an external scorer process
 can be attached over the line-JSON protocol, with one batch of pairs per
 list.  :func:`check_utility_spec` checks and parses a spec string
@@ -57,12 +60,7 @@ from .errors import (
 )
 from .io import ScorerClient, _resolve_timeout, load_utility_matrices
 from .kernels import encode_ngram_blocks, pair_match_counts
-from .metrics import (
-    MetricConfig,
-    bleu_from_counts,
-    chrf_characters,
-    chrf_from_counts,
-)
+from .metrics import MetricConfig, bleu_scores, chrf_characters, chrf_scores
 
 
 class Utility(Protocol):
@@ -80,16 +78,22 @@ class Utility(Protocol):
     def score_against(self, nbest: NBestList, reference: str) -> list[float]: ...
 
 
-def _ngram_matrix(seqs, order, l, from_counts, config) -> np.ndarray:
-    """Score each sequence against the first l with a count->score routine."""
+# Count tensor cells scored per call of a count->score routine.  Its float
+# temporaries are a few times the cells it is given, so scoring a block of
+# rows at a time keeps them near a megabyte however large n * l grows.
+_SCORE_BLOCK_CELLS = 1 << 14
+
+
+def _ngram_matrix(seqs, order, l, scores, config) -> np.ndarray:
+    """Score each sequence against the first l with an array count->score routine."""
     counts, lengths = encode_ngram_blocks(seqs, order)
     matches = pair_match_counts(counts, lengths, l)
-    lengths = lengths.tolist()
-    out = np.empty((len(seqs), l), dtype=np.float64)
-    for i in range(len(seqs)):
-        for j in range(l):
-            out[i, j] = from_counts(matches[i, j], lengths[i], lengths[j], config)
-    return out
+    rows = max(1, _SCORE_BLOCK_CELLS // (l * order))
+    blocks = [
+        scores(matches[i : i + rows], lengths[i : i + rows], lengths[:l], config)
+        for i in range(0, len(seqs), rows)
+    ]
+    return np.concatenate(blocks)
 
 
 class BleuUtility:
@@ -102,7 +106,7 @@ class BleuUtility:
 
     def _scores(self, seqs, l) -> np.ndarray:
         order = self.config.bleu_max_order
-        return _ngram_matrix(seqs, order, l, bleu_from_counts, self.config)
+        return _ngram_matrix(seqs, order, l, bleu_scores, self.config)
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
         return self._scores([c.tokens for c in nbest.candidates], l)
@@ -124,7 +128,7 @@ class ChrfUtility:
 
     def _scores(self, seqs, l) -> np.ndarray:
         order = self.config.chrf_char_order
-        return _ngram_matrix(seqs, order, l, chrf_from_counts, self.config)
+        return _ngram_matrix(seqs, order, l, chrf_scores, self.config)
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
         return self._scores([chrf_characters(c.text) for c in nbest.candidates], l)

@@ -17,6 +17,16 @@ has any n-grams are skipped.
 
 All functions are pure; clipped match counts come from one call of the
 kernel in :mod:`rmbr.kernels` per reference (:func:`matches_against`).
+Counts become scores in one array routine per metric,
+:func:`bleu_scores` and :func:`chrf_scores`, over a whole (n, l, order)
+count tensor; :func:`bleu_from_counts` and :func:`chrf_from_counts` score
+one pair as a 1 x 1 call of them.  Every score equals the per-pair
+definition above bit for bit: divisions, sums and products are float64
+array operations in the definition's order (orders summed first to
+last), logs and exps go through ``math.log``/``math.exp`` (which
+``np.log``/``np.exp`` may differ from in the last bit), and skipped
+orders and zero scores are encoded in the values, never by a division
+that could warn.
 """
 
 from __future__ import annotations
@@ -69,33 +79,87 @@ def matches_against(hyps: Sequence[Sequence], ref: Sequence, max_order: int) -> 
     return pair_match_counts(counts, lengths, 1)[1:, 0]
 
 
+# Below this many values an array goes through ``math`` value by value; from
+# it on, once per distinct value, since ``np.unique`` costs about as much as
+# a few hundred ``math`` calls.
+_DISTINCT_FROM = 256
+
+
+def _exact(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of every element of a float64 array, through ``fn`` itself.
+
+    ``np.log`` and ``np.exp`` can differ from ``math.log`` and ``math.exp``
+    in the last bit, so the array routines call the ``math`` functions, as
+    a scalar loop would.  A large array of match ratios or length ratios
+    holds few distinct values, each computed once.
+    """
+    flat = values.ravel()
+    if flat.size < _DISTINCT_FROM:
+        out = np.fromiter(map(fn, flat.tolist()), np.float64, flat.size)
+        return out.reshape(values.shape)
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    out = np.fromiter(map(fn, distinct.tolist()), np.float64, distinct.size)
+    return out[inverse].reshape(values.shape)
+
+
+def _log_ratio(ratio: float) -> float:
+    """One BLEU log term; a ratio of 0 (a zero that is not smoothed) gives -inf."""
+    return math.log(ratio) if ratio else -math.inf
+
+
+def _brevity(ratio: float) -> float:
+    """BLEU's brevity penalty for a reference-to-hypothesis length ratio."""
+    return math.exp(min(0.0, 1.0 - ratio))
+
+
+def _match_counts(matches, order: int) -> np.ndarray:
+    """Match counts as an array, checked to end in one axis of ``order`` orders."""
+    counts = np.asarray(matches)
+    if counts.shape[-1:] != (order,):
+        raise ValueError(f"match counts of shape {counts.shape} do not end in {order} orders")
+    return counts
+
+
+def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
+    """Sentence BLEU of every hypothesis against every reference, from match counts.
+
+    ``matches`` has shape ``(n, l, bleu_max_order)``: entry [i, j, k] is
+    the clipped order-(k+1) match count of hypothesis i against reference
+    j, as :func:`rmbr.kernels.pair_match_counts` returns it.  ``hyp_lens``
+    (n) and ``ref_lens`` (l) are token counts.  Returns the n x l float64
+    scores.  This is the one BLEU formula: the matrix builders and the
+    sentence metric (a 1 x 1 call, :func:`bleu_from_counts`) share it.
+    """
+    order = cfg.bleu_max_order
+    counts = _match_counts(matches, order)
+    # An empty hypothesis has no unigram match; counting it as length 1
+    # gives the same score 0 without a division by zero.
+    hyp = np.maximum(hyp_lens, 1.0)[:, None]
+    totals = hyp - np.arange(order)
+    # A zero count at an order the hypothesis is too short for becomes 1:
+    # the ratio 1 / 1 adds a log term of 0.0, so the order is skipped.
+    # Above order 1 a zero that counts becomes the smoothing floor.  Any
+    # other zero stays, and its log -inf makes the score exp(-inf) * bp 0.0.
+    ratios = np.maximum(counts, totals[:, None] <= 0.0, dtype=np.float64)
+    if cfg.bleu_smoothing == "epsilon-floor":
+        higher = ratios[..., 1:]
+        higher[higher == 0.0] = cfg.bleu_epsilon
+    ratios /= np.maximum(totals, 1.0)[:, None]
+    # accumulate adds in order, ((t1 + t2) + t3) + t4, as a scalar loop does
+    log_sum = np.add.accumulate(_exact(_log_ratio, ratios), axis=-1)[..., -1]
+    bp = _exact(_brevity, np.divide(ref_lens, hyp))
+    # divided by the effective order: the orders the hypothesis has n-grams of
+    return _exact(math.exp, log_sum / np.minimum(hyp, order)) * bp
+
+
 def bleu_from_counts(
     matches: Sequence[int], hyp_len: int, ref_len: int, cfg: MetricConfig
 ) -> float:
-    """Sentence BLEU from precomputed clipped match counts.
+    """Sentence BLEU of one pair: a 1 x 1 call of :func:`bleu_scores`.
 
-    ``matches[k]`` is the clipped match count at order k+1; totals are
-    derived from ``hyp_len``.  This is the single score formula shared by
-    the direct metric and the pairwise matrix builders.
+    ``matches[k]`` is the clipped match count at order k+1.
     """
-    smoothing = cfg.bleu_smoothing == "epsilon-floor"
-    if matches[0] == 0:
-        return 0.0
-    log_sum = 0.0
-    orders = 0
-    for k in range(cfg.bleu_max_order):
-        total = hyp_len - k
-        if total <= 0:
-            continue
-        orders += 1
-        m = float(matches[k])
-        if m == 0.0:
-            if not smoothing:
-                return 0.0
-            m = cfg.bleu_epsilon
-        log_sum += math.log(m / total)
-    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return math.exp(log_sum / orders) * bp
+    return float(bleu_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0])
 
 
 def sentence_bleu(
@@ -116,32 +180,50 @@ def chrf_characters(text: str) -> str:
     return "".join(text.split())
 
 
+def chrf_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
+    """Sentence chrF of every hypothesis against every reference, from match counts.
+
+    ``matches`` has shape ``(n, l, chrf_char_order)``, as for
+    :func:`bleu_scores`; ``hyp_lens`` (n) and ``ref_lens`` (l) are
+    character counts after whitespace removal.  Returns the n x l float64
+    scores.  This is the one chrF formula, shared like BLEU's
+    (:func:`chrf_from_counts` is the 1 x 1 call).
+    """
+    order = cfg.chrf_char_order
+    counts = _match_counts(matches, order)
+    hyp = np.asarray(hyp_lens, dtype=np.float64)
+    ref = np.asarray(ref_lens, dtype=np.float64)
+    # the orders at which either side has n-grams; the others are skipped
+    orders = np.minimum(np.maximum(hyp[:, None], ref), order)
+    if not orders.all():
+        raise InvalidInputError("no character n-grams on either side")
+    beta_sq = cfg.chrf_beta * cfg.chrf_beta
+    # A side too short for an order has no n-grams and so no matches there:
+    # 0 divided by 1 is the 0.0 the definition gives.
+    ks = np.arange(order)
+    precision = counts / np.maximum(hyp[:, None] - ks, 1.0)[:, None]
+    recall = counts / np.maximum(ref[:, None] - ks, 1.0)
+    denom = beta_sq * precision
+    denom += recall
+    # no match at an order: its F-score term is 0.0, which adds nothing
+    denom[denom == 0.0] = 1.0
+    # (1 + beta^2) * precision * recall / denom, in place and in that order
+    f = precision
+    f *= 1.0 + beta_sq
+    f *= recall
+    f /= denom
+    # accumulate adds in order, from order 1 up, as a scalar loop does
+    return np.add.accumulate(f, axis=-1)[..., -1] / orders
+
+
 def chrf_from_counts(
     matches: Sequence[int], hyp_len: int, ref_len: int, cfg: MetricConfig
 ) -> float:
-    """Sentence chrF from per-order character n-gram match counts.
+    """Sentence chrF of one pair: a 1 x 1 call of :func:`chrf_scores`.
 
     ``hyp_len`` / ``ref_len`` are character counts after whitespace removal.
-    Shared by the direct metric and the pairwise matrix builders.
     """
-    beta_sq = cfg.chrf_beta * cfg.chrf_beta
-    f_sum = 0.0
-    orders = 0
-    for k in range(cfg.chrf_char_order):
-        hyp_total = hyp_len - k
-        ref_total = ref_len - k
-        if hyp_total <= 0 and ref_total <= 0:
-            continue
-        orders += 1
-        m = float(matches[k])
-        precision = m / hyp_total if hyp_total > 0 else 0.0
-        recall = m / ref_total if ref_total > 0 else 0.0
-        denom = beta_sq * precision + recall
-        if denom > 0.0:
-            f_sum += (1.0 + beta_sq) * precision * recall / denom
-    if orders == 0:
-        raise InvalidInputError("no character n-grams on either side")
-    return f_sum / orders
+    return float(chrf_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0])
 
 
 def sentence_chrf(hyp: str, ref: str, cfg: MetricConfig | None = None) -> float:

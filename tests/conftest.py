@@ -1,6 +1,7 @@
 """Shared builders: synthetic candidates/lists and scripted scorer doubles."""
 
 import json
+import math
 import socket
 import threading
 from collections import Counter
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from rmbr.core import Candidate, NBestList
+from rmbr.errors import InvalidInputError
 
 PROTOCOL = "rmbr-scorer/1"
 
@@ -39,6 +41,55 @@ def clipped_matches(hyp, ref, max_order):
         sum((ngram_counts(hyp, k) & ngram_counts(ref, k)).values())
         for k in range(1, max_order + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# scalar count->score oracle: the array routines in rmbr.metrics must equal
+# these bit for bit, pair by pair
+
+
+def scalar_bleu_from_counts(matches, hyp_len, ref_len, cfg):
+    """Sentence BLEU of one pair from its clipped match counts."""
+    smoothing = cfg.bleu_smoothing == "epsilon-floor"
+    if matches[0] == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = 0
+    for k in range(cfg.bleu_max_order):
+        total = hyp_len - k
+        if total <= 0:
+            continue
+        orders += 1
+        m = float(matches[k])
+        if m == 0.0:
+            if not smoothing:
+                return 0.0
+            m = cfg.bleu_epsilon
+        log_sum += math.log(m / total)
+    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return math.exp(log_sum / orders) * bp
+
+
+def scalar_chrf_from_counts(matches, hyp_len, ref_len, cfg):
+    """Sentence chrF of one pair from its per-order character match counts."""
+    beta_sq = cfg.chrf_beta * cfg.chrf_beta
+    f_sum = 0.0
+    orders = 0
+    for k in range(cfg.chrf_char_order):
+        hyp_total = hyp_len - k
+        ref_total = ref_len - k
+        if hyp_total <= 0 and ref_total <= 0:
+            continue
+        orders += 1
+        m = float(matches[k])
+        precision = m / hyp_total if hyp_total > 0 else 0.0
+        recall = m / ref_total if ref_total > 0 else 0.0
+        denom = beta_sq * precision + recall
+        if denom > 0.0:
+            f_sum += (1.0 + beta_sq) * precision * recall / denom
+    if orders == 0:
+        raise InvalidInputError("no character n-grams on either side")
+    return f_sum / orders
 
 
 def random_tokens(rng, vocab, length):

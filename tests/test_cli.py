@@ -310,7 +310,7 @@ def _nbest_record(**edits):
 # "REF5", "TOKSTR" and "BLANKTEXT" hold one record with a non-string text,
 # a non-string reference, a string of tokens and a blank text; "BYTES" is
 # not UTF-8 and "DIR" is a directory.  A case that names no --utility gets
-# the scorer's.
+# the scorer's, and one that names no -o writes to "out.json".
 _DRY_RUN_CASES = {
     "text-int-chrf": ["rerank", "-i", "TEXT7", "--utility", "chrf"],
     "text-int-bleu": ["rerank", "-i", "TEXT7"],
@@ -351,6 +351,17 @@ _DRY_RUN_CASES = {
     "tokenprob-no-reference-log-probs": ["tokenprob", "-i", "DEV", "--which", "reference"],
     "eval-blank-line-bleu": ["eval", "--hyps", "HYPS", "--refs", "REFS"],
     "eval-blank-line-chrf": ["eval", "--hyps", "HYPS", "--refs", "REFS", "--metric", "chrf"],
+    **{
+        f"{command}-output-directory": [command, "-i", "DEV", *flags, "-o", "DIR"]
+        for command, flags in (
+            ("rerank", []),
+            ("c2f", ["--keep", "2"]),
+            ("tune-lambda", ["--regularizers", "lp"]),
+            ("tune-l", []),
+            ("oracle", []),
+            ("tokenprob", []),
+        )
+    },
     **{
         f"{command}-{ref}-reference-{metric}": [
             command, "-i", file, "--metric", metric,
@@ -398,7 +409,7 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
     files["DIR"] = tmp_path / "dir"
     files["DIR"].mkdir()
     args = [files.get(w, w) for w in _DRY_RUN_CASES[case]]
-    if args[0] != "eval":
+    if args[0] != "eval" and "-o" not in args:
         args += ["-o", tmp_path / "out.json"]
     if args[0] not in ("tokenprob", "eval") and "--utility" not in args:
         args += ["--utility", spec]

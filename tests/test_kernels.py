@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rmbr import mbr
+from rmbr import kernels, mbr
 from rmbr.kernels import encode_ngram_blocks, pair_match_counts
 from rmbr.mbr import BleuUtility, ChrfUtility
 from rmbr.metrics import (
@@ -109,6 +109,18 @@ def test_match_counts_agree_with_oracle(case):
             assert got[i, j].tolist() == clipped_matches(seqs[i], seqs[j], order)
     if case == "repeated-counts":
         assert all(c.max() >= 3 for c in counts)
+
+
+def test_encode_counts_in_row_blocks_equal_one_block(monkeypatch):
+    rng = np.random.default_rng(14)
+    # the one-token item leaves orders 2-5 empty for it
+    seqs = random_seqs(rng, 7) + [["w1"]]
+    want, _ = encode_ngram_blocks(seqs, 5)
+    # one row per np.bincount call
+    monkeypatch.setattr(kernels, "_COUNT_BLOCK_CELLS", 1)
+    got, _ = encode_ngram_blocks(seqs, 5)
+    assert [g.dtype for g in got] == [np.int32] * 5
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_match_counts_reject_blocks_beyond_float32_exact_range():
@@ -215,3 +227,15 @@ def test_diagonal_is_identity_score():
     lst = random_list(rng, 6)
     assert np.all(np.diag(BleuUtility().matrix(lst, lst.n)) == 1.0)
     assert np.all(np.diag(ChrfUtility().matrix(lst, lst.n)) == 1.0)
+
+
+def test_matrix_scored_in_row_blocks_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(13)
+    lst = random_list(rng, 9)
+    utilities = (BleuUtility(), ChrfUtility(), BleuUtility(CONFIGS[1]))
+    want = [u.matrix(lst, 5) for u in utilities]
+    # one row of the count tensor per call of the count->score routine
+    monkeypatch.setattr(mbr, "_SCORE_BLOCK_CELLS", 1)
+    for utility, one_block in zip(utilities, want):
+        got = utility.matrix(lst, 5)
+        assert got.shape == (9, 5) and np.array_equal(got, one_block)

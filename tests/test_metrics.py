@@ -8,13 +8,19 @@ import pytest
 from rmbr.errors import ConfigError, InvalidInputError
 from rmbr.metrics import (
     MetricConfig,
+    bleu_from_counts,
     bleu_from_stats,
+    bleu_scores,
     bleu_stats,
+    chrf_from_counts,
+    chrf_scores,
     corpus_bleu,
     matches_against,
     sentence_bleu,
     sentence_chrf,
 )
+
+from conftest import scalar_bleu_from_counts, scalar_chrf_from_counts
 
 NO_SMOOTH = MetricConfig(bleu_smoothing="none")
 
@@ -182,3 +188,117 @@ def test_bleu_scores_are_bounded():
             assert 0.0 <= score <= 1.0
         chrf = sentence_chrf(" ".join(hyp), " ".join(ref))
         assert 0.0 <= chrf <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the array count->score routines against the scalar oracle, bit for bit
+
+BLEU_CONFIGS = (
+    MetricConfig(),
+    NO_SMOOTH,
+    MetricConfig(bleu_max_order=6, bleu_epsilon=2.5),
+    MetricConfig(bleu_max_order=1),
+)
+CHRF_CONFIGS = (
+    MetricConfig(),
+    MetricConfig(chrf_char_order=3, chrf_beta=0.5),
+    MetricConfig(chrf_char_order=1, chrf_beta=3.0),
+)
+
+
+def oracle_matrix(scalar, matches, hyp_lens, ref_lens, cfg):
+    return np.array(
+        [
+            [scalar(matches[i, j].tolist(), h, r, cfg) for j, r in enumerate(ref_lens)]
+            for i, h in enumerate(hyp_lens)
+        ]
+    )
+
+
+def random_match_tensor(rng, n, l, order, min_len, max_len):
+    """Lengths and clipped counts a real pair could have: at most the
+    n-grams either side has of each order, often 0."""
+    hyp_lens = rng.integers(min_len, max_len + 1, size=n)
+    ref_lens = rng.integers(min_len, max_len + 1, size=l)
+    room = np.minimum(hyp_lens[:, None], ref_lens)[..., None] - np.arange(order)
+    matches = rng.integers(0, np.maximum(room, 0) + 1)
+    return matches, hyp_lens, ref_lens
+
+
+@pytest.mark.parametrize("cfg", BLEU_CONFIGS)
+def test_bleu_scores_equal_scalar_oracle_on_random_tensors(cfg):
+    # sizes on both sides of the one-distinct-value-at-a-time threshold; the
+    # long lengths give many length ratios, some of whose brevity penalties
+    # np.exp rounds differently from math.exp
+    rng = np.random.default_rng(11)
+    for n, l, max_len in ((1, 1, 8), (3, 2, 8), (30, 20, 8), (30, 20, 60)):
+        matches, hyp, ref = random_match_tensor(rng, n, l, cfg.bleu_max_order, 0, max_len)
+        got = bleu_scores(matches, hyp, ref, cfg)
+        assert got.shape == (n, l) and got.dtype == np.float64
+        want = oracle_matrix(scalar_bleu_from_counts, matches, hyp, ref, cfg)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cfg", CHRF_CONFIGS)
+def test_chrf_scores_equal_scalar_oracle_on_random_tensors(cfg):
+    rng = np.random.default_rng(12)
+    for n, l, max_len in ((1, 1, 8), (3, 2, 8), (30, 20, 8), (30, 20, 60)):
+        matches, hyp, ref = random_match_tensor(rng, n, l, cfg.chrf_char_order, 1, max_len)
+        got = chrf_scores(matches, hyp, ref, cfg)
+        assert got.shape == (n, l) and got.dtype == np.float64
+        want = oracle_matrix(scalar_chrf_from_counts, matches, hyp, ref, cfg)
+        assert np.array_equal(got, want)
+
+
+# (matches, hyp_len, ref_len) per case, one pair each
+BLEU_EDGES = {
+    "hyp-shorter-than-order": ([2, 1, 0, 0], 2, 5),
+    "hyp-one-token": ([1, 0, 0, 0], 1, 1),
+    "zero-unigram": ([0, 0, 0, 0], 5, 5),
+    "zero-at-order-2": ([3, 0, 0, 0], 5, 4),
+    "zero-at-order-4": ([4, 3, 2, 0], 6, 9),
+    "hyp-longer-than-ref": ([3, 2, 1, 1], 9, 3),
+}
+CHRF_EDGES = {
+    "hyp-shorter-than-order": ([2, 1, 0, 0, 0, 0], 3, 10),
+    "ref-shorter-than-order": ([2, 1, 0, 0, 0, 0], 10, 2),
+    "both-shorter-than-order": ([1, 0, 0, 0, 0, 0], 2, 1),
+    "no-match": ([0, 0, 0, 0, 0, 0], 7, 8),
+    "empty-hyp": ([0, 0, 0, 0, 0, 0], 0, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLEU_EDGES))
+@pytest.mark.parametrize("cfg", BLEU_CONFIGS[:2] + (MetricConfig(bleu_epsilon=2.5),))
+def test_bleu_edge_cases_equal_scalar_oracle(case, cfg):
+    matches, hyp_len, ref_len = BLEU_EDGES[case]
+    want = scalar_bleu_from_counts(matches, hyp_len, ref_len, cfg)
+    assert bleu_from_counts(matches, hyp_len, ref_len, cfg) == want
+    assert bleu_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0] == want
+
+
+@pytest.mark.parametrize("case", sorted(CHRF_EDGES))
+@pytest.mark.parametrize("beta", [2.0, 0.5])
+def test_chrf_edge_cases_equal_scalar_oracle(case, beta):
+    cfg = MetricConfig(chrf_beta=beta)
+    matches, hyp_len, ref_len = CHRF_EDGES[case]
+    want = scalar_chrf_from_counts(matches, hyp_len, ref_len, cfg)
+    assert chrf_from_counts(matches, hyp_len, ref_len, cfg) == want
+    assert chrf_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0] == want
+
+
+def test_one_pair_calls_on_empty_sides():
+    assert bleu_from_counts([0, 0, 0, 0], 0, 3, MetricConfig()) == 0.0
+    assert bleu_from_counts([0, 0, 0, 0], 0, 3, NO_SMOOTH) == 0.0
+    with pytest.raises(InvalidInputError, match="no character n-grams"):
+        chrf_from_counts([0] * 6, 0, 0, MetricConfig())
+    # one empty pair fails the whole matrix, as it fails the pair loop
+    with pytest.raises(InvalidInputError, match="no character n-grams"):
+        chrf_scores(np.zeros((2, 2, 6)), [0, 3], [0, 4], MetricConfig())
+
+
+def test_count_routines_reject_a_wrong_number_of_orders():
+    with pytest.raises(ValueError, match="4 orders"):
+        bleu_from_counts([1, 1, 1], 3, 3, MetricConfig())
+    with pytest.raises(ValueError, match="6 orders"):
+        chrf_scores(np.zeros((2, 2, 4)), [3, 3], [3, 3], MetricConfig())
