@@ -76,8 +76,6 @@ def _count_matrix(rows: np.ndarray, cols: np.ndarray, n: int, width: int) -> np.
     """
     cells = rows * width + cols
     step = max(1, _COUNT_BLOCK_CELLS // max(width, 1))
-    if step >= n:
-        return np.bincount(cells, minlength=n * width).astype(np.int32).reshape(n, width)
     matrix = np.empty((n, width), dtype=np.int32)
     for start in range(0, n, step):
         stop = min(start + step, n)

@@ -295,10 +295,3 @@ def test_one_pair_calls_on_empty_sides():
     # one empty pair fails the whole matrix, as it fails the pair loop
     with pytest.raises(InvalidInputError, match="no character n-grams"):
         chrf_scores(np.zeros((2, 2, 6)), [0, 3], [0, 4], MetricConfig())
-
-
-def test_count_routines_reject_a_wrong_number_of_orders():
-    with pytest.raises(ValueError, match="4 orders"):
-        bleu_from_counts([1, 1, 1], 3, 3, MetricConfig())
-    with pytest.raises(ValueError, match="6 orders"):
-        chrf_scores(np.zeros((2, 2, 4)), [3, 3], [3, 3], MetricConfig())
