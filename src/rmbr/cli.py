@@ -18,9 +18,10 @@ call counts, including the scorer connections the run opened and the
 pairs they scored; the report is informational and not part of the
 output contract.
 
-Each subcommand accepts only the flags it reads, by full name only.
-Only ``rerank`` and ``c2f`` take ``--threads``; once one list fails,
-they start no further list.
+Each subcommand accepts only the flags it reads, by full name only, with
+one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
+effect.  They rerank the lists one after another, in input order, and
+start no further list once one fails.
 
 Every command that scores takes its utility providers from one
 :class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
@@ -36,11 +37,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .analysis import (
@@ -52,7 +52,13 @@ from .analysis import (
     token_prob_by_length,
     tune_l,
 )
-from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
+from .core import (
+    DEFAULT_LAMBDA_GRID,
+    REGULARIZER_NAMES,
+    CoarseToFine,
+    RerankConfig,
+    combine_scores,
+)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -138,7 +144,7 @@ def _add_rerank_options(sub):
         "--threads",
         type=int,
         default=1,
-        help="worker threads for per-list reranking (default 1)",
+        help="accepted, has no effect; lists run in order",
     )
 
 
@@ -223,10 +229,15 @@ def _parse_l(value):
 
 
 def _validate_lists(lists, config):
-    """Bounds and required fields of each list, no utility evaluations."""
+    """Bounds and required fields of each list, no utility evaluations.
+
+    The weighted regularizer sum of every candidate must be finite: a
+    BLEU/chrF utility lies in [0, 1], so adding it cannot overflow a finite
+    sum, and the real run would fail on that total only after scoring.
+    """
     if config.coarse_to_fine is not None:
         check_coarse_to_fine_target(config.utility)
-    for lst in lists:
+    for i, lst in enumerate(lists):
         if config.coarse_to_fine is not None:
             if config.coarse_to_fine.keep > lst.n:
                 raise InvalidInputError(
@@ -234,8 +245,10 @@ def _validate_lists(lists, config):
                 )
         else:
             config.resolve_l(lst.n)
-        for name in config.regularizers:
-            regularizer_values(lst, name)
+        regs = {name: regularizer_values(lst, name) for name in config.regularizers}
+        totals = combine_scores([0.0] * lst.n, regs, config.lambdas)
+        if not all(math.isfinite(t) for t in totals):
+            raise InvalidInputError(f"list {i}: weighted regularizer scores are not finite")
 
 
 def _dry_run(lists, *specs, l="full") -> int:
@@ -291,26 +304,7 @@ def _cmd_rerank(args) -> int:
         return _dry_run(lists, *specs, l=config.l)
     with UtilitySession() as session:
         configs = session.configs(config, len(lists))
-        failed = threading.Event()
-
-        def rerank_list(i):
-            # after a failure start no further list (each would wait out a
-            # stalled scorer); skipped lists come after the failed one in the
-            # queue, so map() raises before it reaches their None
-            if failed.is_set():
-                return None
-            try:
-                return rerank(lists[i], configs[i])
-            except BaseException:
-                failed.set()
-                raise
-
-        pool = ThreadPoolExecutor(max_workers=args.threads)
-        try:
-            results = list(pool.map(rerank_list, range(len(lists))))
-        finally:
-            # on an error or Ctrl-C, lists not yet started are dropped
-            pool.shutdown(cancel_futures=True)
+        results = [rerank(lst, c) for lst, c in zip(lists, configs)]
     write_results(args.output, results, lists, mode=args.mode)
     _write_report(args, lists, results, started, session)
     print(f"reranked {len(lists)} lists -> {args.output}")

@@ -151,9 +151,7 @@ def load_nbest(path) -> list[NBestList]:
                 )
             try:
                 candidates = [_candidate_from_record(c) for c in rec["candidates"]]
-            except ParseError as e:
-                raise ParseError(str(e), line=line_no) from None
-            except (InvalidInputError, TypeError, ValueError) as e:
+            except (ParseError, InvalidInputError, TypeError, ValueError) as e:
                 raise ParseError(str(e), line=line_no) from None
             probs = [c.log_prob for c in candidates]
             if any(a < b for a, b in zip(probs, probs[1:])):

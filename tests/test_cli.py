@@ -3,12 +3,16 @@
 import argparse
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rmbr
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import build_parser, main
 from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
@@ -18,6 +22,9 @@ from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
 
 from conftest import length_score, make_candidate, make_list, random_list, random_matrix
+
+# where ``rmbr`` is imported from, for the commands run as child processes
+_SRC = os.path.dirname(os.path.dirname(rmbr.__file__))
 
 
 @pytest.fixture
@@ -309,7 +316,8 @@ def _nbest_record(**edits):
 # list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one.  "TEXT7",
 # "REF5", "TOKSTR" and "BLANKTEXT" hold one record with a non-string text,
 # a non-string reference, a string of tokens and a blank text; "BYTES" is
-# not UTF-8 and "DIR" is a directory.  A case that names no --utility gets
+# not UTF-8 and "DIR" is a directory.  "QE308" holds one list of two
+# candidates whose qe scores are 1e308.  A case that names no --utility gets
 # the scorer's, and one that names no -o writes to "out.json".
 _DRY_RUN_CASES = {
     "text-int-chrf": ["rerank", "-i", "TEXT7", "--utility", "chrf"],
@@ -343,6 +351,8 @@ _DRY_RUN_CASES = {
     "rerank-lambda-nan": ["rerank", "-i", "DEV", "--lambda", "lp=nan"],
     "rerank-lambda-inf": ["rerank", "-i", "DEV", "--lambda", "lp=inf"],
     "c2f-lambda-nan": ["c2f", "-i", "DEV", "--keep", "2", "--lambda", "qe=nan"],
+    "rerank-combine-overflow": ["rerank", "-i", "QE308", "--lambda", "qe=10"],
+    "c2f-combine-overflow": ["c2f", "-i", "QE308", "--keep", "1", "--lambda", "qe=10"],
     "tune-lambda-grid-nan": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", "nan"],
     "tune-lambda-grid-empty": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", ","],
     "oracle-bins-0": ["oracle", "-i", "DEV", "--bins", "0"],
@@ -390,6 +400,12 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
         write_nbest(files[name], edited)
     files["BARE"] = tmp_path / "bare.jsonl"
     write_nbest(files["BARE"], [make_list(["a b", "c d"], reference="a b")])
+    files["QE308"] = tmp_path / "qe308.jsonl"
+    qe308 = tuple(
+        make_candidate(t, -1.0 - i, external_scores={"qe": 1e308})
+        for i, t in enumerate(["a b", "a c"])
+    )
+    write_nbest(files["QE308"], [NBestList("s", qe308, reference="a b")])
     files["N3"] = tmp_path / "n3.jsonl"
     write_nbest(files["N3"], [make_list(["x y z", "a b c", "a b d"], reference="a b d")])
     for name, rows in (("MAT2", [[0.9, 0.1], [0.1, 0.5]]), ("MAT3", [[0.9] * 3, [0.1] * 3, [0.5] * 3])):
@@ -719,6 +735,46 @@ def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch
     requests = (tmp_path / "starts.log.requests").read_text(encoding="utf-8")
     assert len(requests.splitlines()) == 5 * 5
     _assert_all_gone(_started_pids(log))
+
+
+@pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
+def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command):
+    """SIGINT while a scorer stalls on its first batch ends the command well
+    inside the 30 s scorer timeout, writes no output and leaves no scorer."""
+    path, _ = dev_file
+    spec, log = _logging_scorer(tmp_path, "stall")
+    args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=_SRC, RMBR_SCORER_TIMEOUT_SECS="30")
+    argv = [sys.executable, "-m", "rmbr.cli", *map(str, args)]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not (tmp_path / "starts.log.requests").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the command outlived Ctrl-C by 5 s")
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode != 0, err
+    assert list(tmp_path.glob("out*")) == []
+    _assert_all_gone(_started_pids(log))
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    code = "import sys, rmbr.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_threads_only_on_rerank_and_c2f(dev_file, tmp_path, capsys):
