@@ -58,6 +58,7 @@ from .core import (
     CoarseToFine,
     RerankConfig,
     combine_scores,
+    rank_candidates,
 )
 from .errors import (
     ConfigError,
@@ -73,6 +74,7 @@ from .mbr import (
     UtilitySession,
     check_coarse_to_fine_target,
     check_utility_spec,
+    expected_utilities,
     regularizer_values,
     rerank,
 )
@@ -231,9 +233,8 @@ def _parse_l(value):
 def _validate_lists(lists, config):
     """Bounds and required fields of each list, no utility evaluations.
 
-    The weighted regularizer sum of every candidate must be finite: a
-    BLEU/chrF utility lies in [0, 1], so adding it cannot overflow a finite
-    sum, and the real run would fail on that total only after scoring.
+    Weighted regularizer sums must be finite: a BLEU/chrF utility, in
+    [0, 1], cannot then overflow the total the real run ranks after scoring.
     """
     if config.coarse_to_fine is not None:
         check_coarse_to_fine_target(config.utility)
@@ -246,22 +247,26 @@ def _validate_lists(lists, config):
         else:
             config.resolve_l(lst.n)
         regs = {name: regularizer_values(lst, name) for name in config.regularizers}
-        totals = combine_scores([0.0] * lst.n, regs, config.lambdas)
-        if not all(math.isfinite(t) for t in totals):
+        if not all(map(math.isfinite, combine_scores([0.0] * lst.n, regs, config.lambdas))):
             raise InvalidInputError(f"list {i}: weighted regularizer scores are not finite")
 
 
-def _dry_run(lists, *specs, l="full") -> int:
+def _dry_run(lists, *specs, l="full", lambdas=None) -> int:
     """End a dry run: check the utility specs, starting and connecting nothing.
 
     A stored matrix must cover each list at the depth the real run asks
-    for: l columns, or n for "full".
+    for: l columns, or n for "full"; given ``lambdas``, its totals must rank.
     """
     for spec in specs:
         kind, value = check_utility_spec(spec, len(lists))
         if kind == "matrix":
             for lst, utility in zip(lists, value):
-                utility.check_size(lst.n, lst.n if l == "full" else l)
+                depth = lst.n if l == "full" else l
+                utility.check_size(lst.n, depth)
+                if lambdas is not None:
+                    consensus = expected_utilities(utility.matrix(lst, depth), depth)
+                    regs = {name: regularizer_values(lst, name) for name in lambdas}
+                    rank_candidates(combine_scores(consensus, regs, lambdas))
     print(f"ok: {len(lists)} lists validated")
     return 0
 
@@ -300,8 +305,9 @@ def _cmd_rerank(args) -> int:
     )
     _validate_lists(lists, config)
     if args.dry_run:
-        specs = [args.utility, args.proxy] if stages else [args.utility]
-        return _dry_run(lists, *specs, l=config.l)
+        if stages:  # only the proxy can be a stored matrix; stage 1 adds no regularizers
+            return _dry_run(lists, args.utility, args.proxy, lambdas={})
+        return _dry_run(lists, args.utility, l=config.l, lambdas=config.lambdas)
     with UtilitySession() as session:
         configs = session.configs(config, len(lists))
         results = [rerank(lst, c) for lst, c in zip(lists, configs)]

@@ -151,7 +151,7 @@ def load_nbest(path) -> list[NBestList]:
                 )
             try:
                 candidates = [_candidate_from_record(c) for c in rec["candidates"]]
-            except (ParseError, InvalidInputError, TypeError, ValueError) as e:
+            except (ParseError, TypeError, ValueError) as e:
                 raise ParseError(str(e), line=line_no) from None
             probs = [c.log_prob for c in candidates]
             if any(a < b for a, b in zip(probs, probs[1:])):
@@ -169,7 +169,7 @@ def load_nbest(path) -> list[NBestList]:
                         reference_token_log_probs=rec.get("reference_token_log_probs"),
                     )
                 )
-            except (InvalidInputError, TypeError, ValueError) as e:
+            except (TypeError, ValueError) as e:
                 raise ParseError(str(e), line=line_no) from None
     if not lists:
         raise InvalidInputError(f"{path} holds no n-best lists")

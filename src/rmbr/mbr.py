@@ -330,7 +330,8 @@ def expected_utilities(values: np.ndarray, l: int) -> list[float]:
     matrix truncated to l columns gives exactly the scores a fresh n x l
     matrix would.
     """
-    sums = values[:, :l].sum(axis=1)
+    with np.errstate(over="ignore"):  # rank_candidates rejects an inf sum
+        sums = values[:, :l].sum(axis=1)
     return [float(s) / l for s in sums]
 
 

@@ -313,7 +313,8 @@ def _nbest_record(**edits):
 
 # "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a
 # blank one; "BARE" lists carry no token log-probabilities.  "N3" holds one
-# list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one.  "TEXT7",
+# list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one; the 2x2
+# "MATBIG" has a first row whose sum overflows.  "TEXT7",
 # "REF5", "TOKSTR" and "BLANKTEXT" hold one record with a non-string text,
 # a non-string reference, a string of tokens and a blank text; "BYTES" is
 # not UTF-8 and "DIR" is a directory.  "QE308" holds one list of two
@@ -353,6 +354,13 @@ _DRY_RUN_CASES = {
     "c2f-lambda-nan": ["c2f", "-i", "DEV", "--keep", "2", "--lambda", "qe=nan"],
     "rerank-combine-overflow": ["rerank", "-i", "QE308", "--lambda", "qe=10"],
     "c2f-combine-overflow": ["c2f", "-i", "QE308", "--keep", "1", "--lambda", "qe=10"],
+    "rerank-matrix-overflow": ["rerank", "-i", "BARE", "--utility", "matrix:MATBIG"],
+    "rerank-matrix-lambda-overflow": [
+        "rerank", "-i", "QE308", "--utility", "matrix:MATBIG", "--l", "1", "--lambda", "qe=1.5"
+    ],
+    "c2f-matrix-proxy-overflow": [
+        "c2f", "-i", "BARE", "--utility", "chrf", "--proxy", "matrix:MATBIG", "--keep", "1"
+    ],
     "tune-lambda-grid-nan": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", "nan"],
     "tune-lambda-grid-empty": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", ","],
     "oracle-bins-0": ["oracle", "-i", "DEV", "--bins", "0"],
@@ -408,7 +416,11 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
     write_nbest(files["QE308"], [NBestList("s", qe308, reference="a b")])
     files["N3"] = tmp_path / "n3.jsonl"
     write_nbest(files["N3"], [make_list(["x y z", "a b c", "a b d"], reference="a b d")])
-    for name, rows in (("MAT2", [[0.9, 0.1], [0.1, 0.5]]), ("MAT3", [[0.9] * 3, [0.1] * 3, [0.5] * 3])):
+    for name, rows in (
+        ("MAT2", [[0.9, 0.1], [0.1, 0.5]]),
+        ("MAT3", [[0.9] * 3, [0.1] * 3, [0.5] * 3]),
+        ("MATBIG", [[1.5e308, 1.5e308], [0.0, 0.0]]),
+    ):
         write_utility_matrix(tmp_path / name, UtilityMatrix(values=rows, utility_name="ext"))
         files[f"matrix:{name}"] = f"matrix:{tmp_path / name}"
     for name, edit in (

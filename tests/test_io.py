@@ -357,6 +357,33 @@ def test_scorer_client_ids_unique_across_batches(scorer_server):
     assert second == [2.0]
 
 
+def test_scorer_client_shared_between_threads(scorer_server):
+    """Batches sent from several threads on one client get their own scores,
+    and ``pairs_scored`` counts every pair once."""
+    server = scorer_server(lambda req: {"id": req["id"], "score": float(len(req["hyp"]))})
+    batches = [[("s", "a" * (10 * t + i + 1), "r") for i in range(t + 3)] for t in range(4)]
+    results = [None] * len(batches)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+
+            def work(t):
+                results[t] = [client.score_pairs(batches[t]) for _ in range(5)]
+
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            pairs = client.pairs_scored
+    finally:
+        sys.setswitchinterval(interval)
+    for batch, got in zip(batches, results):
+        assert got == [[float(len(hyp)) for _, hyp, _ in batch]] * 5
+    assert pairs == 5 * sum(len(batch) for batch in batches)
+
+
 def test_scorer_client_error_response(scorer_server):
     def fail_second(req):
         if req["hyp"] == "bad":
