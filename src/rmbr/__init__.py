@@ -51,7 +51,7 @@ from .mbr import (
     ServiceUtility,
     UtilitySession,
     build_utility_matrix,
-    check_utility_spec,
+    check_list,
     coarse_to_fine,
     mbr_scores,
     regularizer_values,

@@ -25,19 +25,20 @@ start no further list once one fails.
 
 Every command that scores takes its utility providers from one
 :class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
-resolved once per run (one scorer per ``service:`` spec; a matrix file
-with one matrix per list gives each list its own), and every scorer is
-closed before the command returns, on success, on error and on Ctrl-C.
-A ``--dry-run`` makes every check the real run makes (each spec through
-:func:`~rmbr.mbr.check_utility_spec`), evaluates no utility, starts no
-scorer and writes nothing.
+resolved once per run (one scorer per ``service:`` spec, started on its
+first batch; a matrix file with one matrix per list gives each list its
+own), and every scorer is closed before the command returns, on success,
+on error and on Ctrl-C.  A reranking or tuning command then runs
+:func:`~rmbr.mbr.check_list` on every list, and ``--dry-run`` stops right
+there, before the first score: it shares every line of the real run up
+to that point, so it evaluates no utility, starts no scorer and writes
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -52,14 +53,7 @@ from .analysis import (
     token_prob_by_length,
     tune_l,
 )
-from .core import (
-    DEFAULT_LAMBDA_GRID,
-    REGULARIZER_NAMES,
-    CoarseToFine,
-    RerankConfig,
-    combine_scores,
-    rank_candidates,
-)
+from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
 from .errors import (
     ConfigError,
     DimensionError,
@@ -70,14 +64,7 @@ from .errors import (
     TransportError,
 )
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
-from .mbr import (
-    UtilitySession,
-    check_coarse_to_fine_target,
-    check_utility_spec,
-    expected_utilities,
-    regularizer_values,
-    rerank,
-)
+from .mbr import MatrixUtility, UtilitySession, check_list, rerank
 from .metrics import corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
@@ -230,43 +217,16 @@ def _parse_l(value):
         raise ConfigError(f"--l wants an integer or 'full', got {value!r}") from None
 
 
-def _validate_lists(lists, config):
-    """Bounds and required fields of each list, no utility evaluations.
-
-    Weighted regularizer sums must be finite: a BLEU/chrF utility, in
-    [0, 1], cannot then overflow the total the real run ranks after scoring.
-    """
-    if config.coarse_to_fine is not None:
-        check_coarse_to_fine_target(config.utility)
-    for i, lst in enumerate(lists):
-        if config.coarse_to_fine is not None:
-            if config.coarse_to_fine.keep > lst.n:
-                raise InvalidInputError(
-                    f"keep={config.coarse_to_fine.keep} exceeds list size {lst.n}"
-                )
-        else:
-            config.resolve_l(lst.n)
-        regs = {name: regularizer_values(lst, name) for name in config.regularizers}
-        if not all(map(math.isfinite, combine_scores([0.0] * lst.n, regs, config.lambdas))):
-            raise InvalidInputError(f"list {i}: weighted regularizer scores are not finite")
+def _checked_configs(session, config, lists) -> list[RerankConfig]:
+    """Per-list configs with the specs resolved, every list through check_list."""
+    configs = session.configs(config, len(lists))
+    for lst, c in zip(lists, configs):
+        check_list(lst, c)
+    return configs
 
 
-def _dry_run(lists, *specs, l="full", lambdas=None) -> int:
-    """End a dry run: check the utility specs, starting and connecting nothing.
-
-    A stored matrix must cover each list at the depth the real run asks
-    for: l columns, or n for "full"; given ``lambdas``, its totals must rank.
-    """
-    for spec in specs:
-        kind, value = check_utility_spec(spec, len(lists))
-        if kind == "matrix":
-            for lst, utility in zip(lists, value):
-                depth = lst.n if l == "full" else l
-                utility.check_size(lst.n, depth)
-                if lambdas is not None:
-                    consensus = expected_utilities(utility.matrix(lst, depth), depth)
-                    regs = {name: regularizer_values(lst, name) for name in lambdas}
-                    rank_candidates(combine_scores(consensus, regs, lambdas))
+def _validated(lists) -> int:
+    """End a dry run."""
     print(f"ok: {len(lists)} lists validated")
     return 0
 
@@ -303,13 +263,10 @@ def _cmd_rerank(args) -> int:
         lambdas=_parse_lambdas(args.lambdas),
         coarse_to_fine=stages,
     )
-    _validate_lists(lists, config)
-    if args.dry_run:
-        if stages:  # only the proxy can be a stored matrix; stage 1 adds no regularizers
-            return _dry_run(lists, args.utility, args.proxy, lambdas={})
-        return _dry_run(lists, args.utility, l=config.l, lambdas=config.lambdas)
     with UtilitySession() as session:
-        configs = session.configs(config, len(lists))
+        configs = _checked_configs(session, config, lists)
+        if args.dry_run:
+            return _validated(lists)
         results = [rerank(lst, c) for lst, c in zip(lists, configs)]
     write_results(args.output, results, lists, mode=args.mode)
     _write_report(args, lists, results, started, session)
@@ -342,11 +299,11 @@ def _cmd_tune_lambda(args) -> int:
     config = RerankConfig(
         utility=args.utility, l=_parse_l(args.l), lambdas={n: 0.0 for n in names}
     )
-    _validate_lists(lists, config)
-    if args.dry_run:
-        return _dry_run(lists, args.utility, l=config.l)
     with UtilitySession() as session:
-        config = replace(config, utility=session.providers(args.utility, len(lists)))
+        configs = _checked_configs(session, config, lists)
+        if args.dry_run:
+            return _validated(lists)
+        config = replace(config, utility=[c.utility for c in configs])
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
     record = {"lambdas": best, "objective": objective, "metric": args.metric}
     _emit_record(
@@ -364,11 +321,11 @@ def _cmd_tune_l(args) -> int:
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
     config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
-    _validate_lists(lists, config)
-    if args.dry_run:
-        return _dry_run(lists, args.utility)
     with UtilitySession() as session:
-        config = replace(config, utility=session.providers(args.utility, len(lists)))
+        configs = _checked_configs(session, config, lists)
+        if args.dry_run:
+            return _validated(lists)
+        config = replace(config, utility=[c.utility for c in configs])
         best_l, objective, curve = tune_l(lists, config, args.metric)
     record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
     _emit_record(
@@ -387,16 +344,17 @@ def _cmd_oracle(args) -> int:
     check_objective(lists, args.metric)
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-    if check_utility_spec(args.utility, len(lists))[0] == "matrix":
-        raise ConfigError(
-            "a precomputed utility matrix cannot score against new references"
-        )
-    if args.dry_run:
-        return _dry_run(lists)
     with UtilitySession() as session:
+        providers = session.providers(args.utility, len(lists))
+        if any(isinstance(p, MatrixUtility) for p in providers):
+            raise ConfigError(
+                "a precomputed utility matrix cannot score against new references"
+            )
+        if args.dry_run:
+            return _validated(lists)
         report = oracle_histogram(
             lists,
-            utility=session.providers(args.utility, len(lists)),
+            utility=providers,
             bin_width=args.bins,
             objective_metric=args.metric,
         )
@@ -410,7 +368,7 @@ def _cmd_tokenprob(args) -> int:
     lists = load_nbest(args.input)
     table = token_prob_by_length(lists, interval_width=args.bins, which=args.which)
     if args.dry_run:
-        return _dry_run(lists)
+        return _validated(lists)
     _emit_record(args, table.to_record(), [table.format_table()])
     return 0
 

@@ -26,10 +26,12 @@ bit for bit on every path (``score_against`` uses the builder with the
 reference first and l = 1); a
 precomputed matrix can be loaded from disk; and an external scorer process
 can be attached over the line-JSON protocol, with one batch of pairs per
-list.  :func:`check_utility_spec` checks and parses a spec string
-without starting or connecting anything; spec strings become providers
-in a :class:`UtilitySession`, which resolves each spec once per run and
-closes the scorer connections it opened.  The built-in metrics use the
+list.  Spec strings become providers in a :class:`UtilitySession`, which
+resolves each spec once per run, starting and connecting nothing: a
+scorer opens on its first batch, and the session closes it.
+:func:`check_list` makes every check :func:`rerank` makes on a list
+before its first score, so a dry run is the real run stopped just before
+scoring (see :mod:`rmbr.cli`).  The built-in metrics use the
 default :class:`~rmbr.metrics.MetricConfig`; another is chosen by passing
 a provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 import shlex
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -191,72 +194,38 @@ class ServiceUtility:
             [(nbest.source, c.text, reference) for c in nbest.candidates]
         )
 
-    def close(self):
-        close = getattr(self.client, "close", None)
-        if close is not None:
-            close()
 
+class _ScorerOnFirstBatch:
+    """A scorer client that ``open_client()`` opens on the first batch."""
 
-def check_utility_spec(spec, num_lists: int = 1) -> tuple[str, object]:
-    """Check a utility spec string and parse it, starting and connecting nothing.
+    def __init__(self, open_client):
+        self._open = open_client
+        self._client = None
 
-    Returns ``(kind, value)``: ``("bleu", None)`` and ``("chrf", None)``;
-    ``("matrix", providers)`` for ``"matrix:PATH"``, one provider per list,
-    whose file must hold one matrix (shared) or one per list (``num_lists``);
-    ``("exec", argv)`` for ``"service:exec:COMMAND"``; ``("tcp", (host,
-    port))`` for ``"service:HOST:PORT"`` with a port in 1..65535.  Every other value
-    raises :class:`ConfigError`.  For a ``service:`` spec the scorer
-    timeout must be valid too (:class:`InvalidInputError` if not).
-    """
-    if not isinstance(spec, str):
-        raise ConfigError(f"unknown utility spec {spec!r}")
-    if spec in ("bleu", "chrf"):
-        return spec, None
-    scheme, _, rest = spec.partition(":")
-    if scheme == "matrix":
-        utilities = [MatrixUtility(m) for m in load_utility_matrices(rest)]
-        if len(utilities) not in (1, num_lists):
-            raise ConfigError(
-                f"{rest} holds {len(utilities)} matrices for {num_lists} lists; "
-                "it must hold 1 or one per list"
-            )
-        return "matrix", utilities * (num_lists // len(utilities))
-    if scheme == "service":
-        _resolve_timeout(None)
-    if scheme == "service" and rest.startswith("exec:"):
-        try:
-            argv = shlex.split(rest[len("exec:") :])
-        except ValueError as e:
-            raise ConfigError(f"bad scorer command in {spec!r}: {e}") from None
-        if not argv:
-            raise ConfigError(f"{spec!r} names no scorer command")
-        return "exec", argv
-    if scheme == "service":
-        host, sep, port = rest.rpartition(":")
-        if not host or not sep or not port.isdigit() or not 1 <= int(port) <= 65535:
-            raise ConfigError(f"bad service address {rest!r}, want HOST:PORT")
-        return "tcp", (host, int(port))
-    raise ConfigError(f"unknown utility spec {spec!r}")
+    def score_pairs(self, pairs):
+        if self._client is None:
+            self._client = self._open()
+        return self._client.score_pairs(pairs)
 
 
 class UtilitySession:
     """Resolves utility specs into providers once per run and owns them.
 
-    This is the one place a spec string becomes a provider.
-    :meth:`providers` gives one provider per list.  A spec string is
-    resolved once: a matrix file holding one matrix per list gives one
-    provider each; every other spec, and a file holding a single matrix,
-    gives one provider shared by all lists (a ``service:`` spec starts or
-    connects to one scorer).  A ready provider is shared by all lists,
-    and a list or tuple of providers must hold one per list.
-    Scorer connections the session opened are closed when it exits, on
-    success, on error and on interrupt; providers passed in are left open,
-    so a session opened inside a call that was handed providers closes
-    nothing of its caller's.
+    This is the one place a spec string becomes a provider, and resolving
+    starts and connects nothing.  :meth:`providers` gives one provider per
+    list.  A spec string is resolved once: a matrix file holding one
+    matrix per list gives one provider each; every other spec, and a file
+    holding a single matrix, gives one provider shared by all lists (a
+    ``service:`` spec gets one scorer, started or connected on its first
+    batch).  A ready provider is shared by all lists, and a list or tuple
+    of providers must hold one per list.  Scorers the session opened are
+    closed when it exits, on success, on error and on interrupt; providers
+    passed in are left open, so a session opened inside a call that was
+    handed providers closes nothing of its caller's.
     """
 
     def __init__(self):
-        self._services: list[ServiceUtility] = []
+        self._clients: list[ScorerClient] = []
         self._closers = ExitStack()
 
     def __enter__(self) -> "UtilitySession":
@@ -266,11 +235,18 @@ class UtilitySession:
         self.close()
 
     def close(self) -> None:
-        """Close every provider the session opened (idempotent)."""
+        """Close every scorer the session opened (idempotent)."""
         self._closers.close()
 
     def providers(self, spec, num_lists: int) -> list:
-        """One provider per list for a spec string, provider or provider list."""
+        """One provider per list for a spec string, provider or provider list.
+
+        A spec string is ``"bleu"``, ``"chrf"``, ``"matrix:PATH"`` (a file
+        holding one matrix, shared, or one per list), ``"service:exec:COMMAND"``
+        or ``"service:HOST:PORT"`` with a port in 1..65535; any other value
+        raises :class:`ConfigError`.  A ``service:`` spec also needs a valid
+        scorer timeout (:class:`InvalidInputError` if not).
+        """
         if isinstance(spec, (list, tuple)):
             if len(spec) != num_lists:
                 raise InvalidInputError(
@@ -279,20 +255,42 @@ class UtilitySession:
             return list(spec)
         if hasattr(spec, "matrix"):
             return [spec] * num_lists
-        kind, value = check_utility_spec(spec, num_lists)
-        if kind == "matrix":
-            return value
-        if kind == "bleu":
+        if spec == "bleu":
             return [BleuUtility()] * num_lists
-        if kind == "chrf":
+        if spec == "chrf":
             return [ChrfUtility()] * num_lists
-        if kind == "exec":
-            provider = ServiceUtility(ScorerClient.spawn(value))
+        scheme, _, rest = spec.partition(":") if isinstance(spec, str) else (None, "", "")
+        if scheme == "matrix":
+            utilities = [MatrixUtility(m) for m in load_utility_matrices(rest)]
+            if len(utilities) not in (1, num_lists):
+                raise ConfigError(
+                    f"{rest} holds {len(utilities)} matrices for {num_lists} lists; "
+                    "it must hold 1 or one per list"
+                )
+            return utilities * (num_lists // len(utilities))
+        if scheme != "service":
+            raise ConfigError(f"unknown utility spec {spec!r}")
+        timeout = _resolve_timeout(None)
+        if rest.startswith("exec:"):
+            try:
+                argv = shlex.split(rest[len("exec:") :])
+            except ValueError as e:
+                raise ConfigError(f"bad scorer command in {spec!r}: {e}") from None
+            if not argv:
+                raise ConfigError(f"{spec!r} names no scorer command")
+            connect = partial(ScorerClient.spawn, argv)
         else:
-            provider = ServiceUtility(ScorerClient.connect_tcp(*value))
-        self._services.append(provider)
-        self._closers.callback(provider.close)
-        return [provider] * num_lists
+            host, sep, port = rest.rpartition(":")
+            if not host or not sep or not port.isdigit() or not 1 <= int(port) <= 65535:
+                raise ConfigError(f"bad service address {rest!r}, want HOST:PORT")
+            connect = partial(ScorerClient.connect_tcp, host, int(port))
+
+        def open_client():
+            client = self._closers.enter_context(connect(timeout=timeout))
+            self._clients.append(client)
+            return client
+
+        return [ServiceUtility(_ScorerOnFirstBatch(open_client))] * num_lists
 
     def configs(self, config: RerankConfig, num_lists: int) -> list[RerankConfig]:
         """Per-list copies of a config with the target and proxy resolved."""
@@ -307,10 +305,10 @@ class UtilitySession:
         ]
 
     def counters(self) -> dict:
-        """Scorer connections this session opened and the pairs they scored."""
+        """Scorers this session opened and the pairs they scored."""
         return {
-            "scorer_processes": len(self._services),
-            "scorer_pairs": sum(s.client.pairs_scored for s in self._services),
+            "scorer_processes": len(self._clients),
+            "scorer_pairs": sum(c.pairs_scored for c in self._clients),
         }
 
 
@@ -397,6 +395,40 @@ def list_scores(nbest: NBestList, utility, l: int, names) -> tuple[np.ndarray, d
     return values, {name: regularizer_values(nbest, name) for name in names}
 
 
+def stored_consensus(nbest: NBestList, utility, l: int) -> list[float]:
+    """A stored matrix's consensus scores at depth l; zeros for any other utility."""
+    if isinstance(utility, MatrixUtility):
+        return expected_utilities(utility.matrix(nbest, l), l)
+    return [0.0] * nbest.n
+
+
+def check_list(nbest: NBestList, config: RerankConfig) -> None:
+    """Make every check :func:`rerank` makes on a list before its first score.
+
+    The depth, or the coarse-to-fine ``keep``, must fit the list, and a
+    coarse-to-fine target must not be a stored matrix.  A stored matrix
+    must cover the list at the depth the run scores (n for a proxy), and
+    its consensus scores must rank.  The regularizer fields the weights
+    read must exist, and the weighted totals must rank, taking the
+    consensus as :func:`stored_consensus` does: a BLEU/chrF value, in
+    [0, 1], cannot overflow a finite total, and a scorer's values are not
+    known before scoring.  For coarse-to-fine the totals cover the
+    candidates the proxy would drop too.
+    """
+    stages = config.coarse_to_fine
+    if stages is not None:
+        targets = config.utility if isinstance(config.utility, (list, tuple)) else [config.utility]
+        for u in targets:
+            if isinstance(u, MatrixUtility) or isinstance(u, str) and u.startswith("matrix:"):
+                raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
+        if stages.keep > nbest.n:
+            raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
+        rank_candidates(stored_consensus(nbest, stages.proxy, nbest.n))
+    l = config.resolve_l(nbest.n)
+    regs = {name: regularizer_values(nbest, name) for name in config.regularizers}
+    rank_candidates(combine_scores(stored_consensus(nbest, config.utility, l), regs, config.lambdas))
+
+
 def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
@@ -406,6 +438,7 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """
     if config.coarse_to_fine is not None:
         return coarse_to_fine(nbest, config)
+    check_list(nbest, config)
     l = config.resolve_l(nbest.n)
     values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
     consensus = expected_utilities(values, l)
@@ -422,14 +455,6 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     )
 
 
-def check_coarse_to_fine_target(utility) -> None:
-    """Reject a stored matrix target, shared or per list: its rows belong to
-    the full list, not the survivors, and a proxy stage has nothing to save."""
-    for u in utility if isinstance(utility, (list, tuple)) else [utility]:
-        if isinstance(u, MatrixUtility) or isinstance(u, str) and u.startswith("matrix:"):
-            raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
-
-
 def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Two-stage rerank: proxy utility over the full list, target on survivors.
 
@@ -443,11 +468,9 @@ def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     stages = config.coarse_to_fine
     if stages is None:
         raise ConfigError("config has no coarse_to_fine stage settings")
-    check_coarse_to_fine_target(config.utility)
+    check_list(nbest, config)
     n = nbest.n
     k = stages.keep
-    if k > n:
-        raise InvalidInputError(f"keep={k} exceeds list size {n}")
     order, _ = rank_candidates(mbr_scores(build_utility_matrix(nbest, stages.proxy, n)))
     survivors = sorted(order[:k])
     sub_list = NBestList(
