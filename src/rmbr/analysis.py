@@ -11,7 +11,9 @@ spec, closed when the call returns), each list is scored once by
 :func:`~rmbr.mbr.list_scores`, and one loop tries every ``(l, lambdas)``
 setting, per setting only re-combining scores and summing per-candidate
 objective statistics (corpus BLEU sufficient statistics or sentence chrF),
-computed once per list.  Both tune a one-stage rerank and reject a
+computed once per list.  Before it scores, ``grid_search_lambdas`` checks
+with :func:`check_lambda_grid` that no weight vector overflows a list's
+totals.  Both tune a one-stage rerank and reject a
 coarse-to-fine config.  Every function that takes a utility accepts a spec
 string, one provider shared by all lists, or a list with one provider per
 list.  Objectives use the default :class:`~rmbr.metrics.MetricConfig`.
@@ -34,7 +36,14 @@ from .core import (
     rank_candidates,
 )
 from .errors import ConfigError, InvalidInputError, MissingScoreError
-from .mbr import ChrfUtility, UtilitySession, expected_utilities, list_scores
+from .mbr import (
+    ChrfUtility,
+    UtilitySession,
+    expected_utilities,
+    list_scores,
+    regularizer_values,
+    stored_consensus,
+)
 from .metrics import bleu_from_stats, bleu_stats, corpus_bleu, sentence_chrf
 
 OBJECTIVE_METRICS = ("bleu", "chrf")
@@ -285,6 +294,34 @@ def lambda_grid(weights) -> list[float]:
     return grid
 
 
+def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) -> None:
+    """Raise unless every weight vector over ``grid`` gives every list totals that rank.
+
+    Consensus is taken as :func:`~rmbr.mbr.check_list` takes it: a stored
+    matrix's at depth ``config.l``, else zeros.  A list's worst case adds
+    |consensus| to each |regularizer value| weighted by the grid's largest
+    |weight|.  Rounding is monotone, so when that sum is finite no weight
+    vector can overflow; only a list whose worst case overflows has its
+    weight vectors combined and ranked one by one.
+    """
+    names = config.regularizers
+    top = max(abs(w) for w in grid)
+    utility = config.utility
+    utilities = utility if isinstance(utility, (list, tuple)) else [utility] * len(lists)
+    for lst, u in zip(lists, utilities):
+        consensus = stored_consensus(lst, u, config.resolve_l(lst.n))
+        regs = {name: regularizer_values(lst, name) for name in names}
+        worst = combine_scores(
+            [abs(c) for c in consensus],
+            {name: [abs(v) for v in values] for name, values in regs.items()},
+            dict.fromkeys(names, top),
+        )
+        if all(map(math.isfinite, worst)):
+            continue
+        for weights in itertools.product(grid, repeat=len(names)):
+            rank_candidates(combine_scores(consensus, regs, dict(zip(names, weights))))
+
+
 def _selection_objective(scored, lambdas: dict, objective: _ObjectiveStats) -> float:
     """Objective of the selections a weight vector induces on each list's
     consensus scores and regularizer values."""
@@ -338,7 +375,9 @@ def grid_search_lambdas(
         raise InvalidInputError("no dev lists")
     if not config.regularizers:
         raise ConfigError("grid search needs at least one active regularizer")
-    combos = itertools.product(lambda_grid(grid), repeat=len(config.regularizers))
+    grid = lambda_grid(grid)
+    check_lambda_grid(lists, config, grid)
+    combos = itertools.product(grid, repeat=len(config.regularizers))
     weights = [dict(zip(config.regularizers, c)) for c in combos]
     (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
     return best, objective

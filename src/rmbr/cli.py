@@ -8,10 +8,10 @@ of a hypothesis file).
 
 Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
 scorer-transport, scoring (including a non-finite score) or other runtime
-failures.  An ``--output`` that names a directory is invalid input,
-refused before any work.  Errors go to stderr prefixed ``error:``.  Output files are
-written to a temp file and renamed into place, so none is left
-half-written.  The commands that score (``rerank``, ``c2f``,
+failures, and 130 on Ctrl-C.  An ``--output`` that names a directory is
+invalid input, refused before any work.  Errors go to stderr prefixed
+``error:``.  Output files are written to a temp file and renamed into
+place, so none is left half-written.  The commands that score (``rerank``, ``c2f``,
 ``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
 next to their output file (``<output>.report.json``) with timings and
 call counts, including the scorer connections the run opened and the
@@ -29,7 +29,8 @@ resolved once per run (one scorer per ``service:`` spec, started on its
 first batch; a matrix file with one matrix per list gives each list its
 own), and every scorer is closed before the command returns, on success,
 on error and on Ctrl-C.  A reranking or tuning command then runs
-:func:`~rmbr.mbr.check_list` on every list, and ``--dry-run`` stops right
+:func:`~rmbr.mbr.check_list` on every list (``tune-lambda`` also runs
+:func:`~rmbr.analysis.check_lambda_grid`), and ``--dry-run`` stops right
 there, before the first score: it shares every line of the real run up
 to that point, so it evaluates no utility, starts no scorer and writes
 nothing.
@@ -46,6 +47,7 @@ from dataclasses import replace
 
 from .analysis import (
     OBJECTIVE_METRICS,
+    check_lambda_grid,
     check_objective,
     grid_search_lambdas,
     lambda_grid,
@@ -301,9 +303,10 @@ def _cmd_tune_lambda(args) -> int:
     )
     with UtilitySession() as session:
         configs = _checked_configs(session, config, lists)
+        config = replace(config, utility=[c.utility for c in configs])
+        check_lambda_grid(lists, config, grid)
         if args.dry_run:
             return _validated(lists)
-        config = replace(config, utility=[c.utility for c in configs])
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
     record = {"lambdas": best, "objective": objective, "metric": args.metric}
     _emit_record(
@@ -323,9 +326,9 @@ def _cmd_tune_l(args) -> int:
     config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
     with UtilitySession() as session:
         configs = _checked_configs(session, config, lists)
+        config = replace(config, utility=[c.utility for c in configs])
         if args.dry_run:
             return _validated(lists)
-        config = replace(config, utility=[c.utility for c in configs])
         best_l, objective, curve = tune_l(lists, config, args.metric)
     record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
     _emit_record(
@@ -423,15 +426,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_output(args)
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (*_VALIDATION_ERRORS, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (TransportError, ScoringError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # the session has closed its scorers by now
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

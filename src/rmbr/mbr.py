@@ -415,18 +415,19 @@ def check_list(nbest: NBestList, config: RerankConfig) -> None:
     known before scoring.  For coarse-to-fine the totals cover the
     candidates the proxy would drop too.
     """
-    stages = config.coarse_to_fine
+    stages, utility = config.coarse_to_fine, config.utility
     if stages is not None:
-        targets = config.utility if isinstance(config.utility, (list, tuple)) else [config.utility]
-        for u in targets:
+        for u in utility if isinstance(utility, (list, tuple)) else [utility]:
             if isinstance(u, MatrixUtility) or isinstance(u, str) and u.startswith("matrix:"):
-                raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
+                raise ConfigError(
+                    "a precomputed utility matrix cannot be the coarse-to-fine target"
+                )
         if stages.keep > nbest.n:
             raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
         rank_candidates(stored_consensus(nbest, stages.proxy, nbest.n))
-    l = config.resolve_l(nbest.n)
+    consensus = stored_consensus(nbest, utility, config.resolve_l(nbest.n))
     regs = {name: regularizer_values(nbest, name) for name in config.regularizers}
-    rank_candidates(combine_scores(stored_consensus(nbest, config.utility, l), regs, config.lambdas))
+    rank_candidates(combine_scores(consensus, regs, config.lambdas))
 
 
 def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:

@@ -1,12 +1,14 @@
 """Oracle analysis, probability tables, and the two tuners."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rmbr.analysis as analysis
 from rmbr.analysis import (
+    check_lambda_grid,
     corpus_objective,
     grid_search_lambdas,
     lambda_grid,
@@ -307,6 +309,29 @@ def test_lambda_grid_is_sorted_distinct_and_finite():
     for bad in ([], [0.1, math.nan], [math.inf]):
         with pytest.raises(ConfigError):
             lambda_grid(bad)
+
+
+def test_lambda_grid_check_ranks_vectors_only_when_the_worst_case_overflows():
+    cands = tuple(
+        make_candidate(t, -1.0 - i, external_scores={"qe": 1e308, "lm": -1e308})
+        for i, t in enumerate(["a b", "a c"])
+    )
+    lists = [NBestList("s", cands, reference="a b")]
+    config = RerankConfig(lambdas={"qe": 0.0, "lm": 0.0})
+    # worst case 2e308 overflows, but the one vector (1, 1) gives totals of 0
+    check_lambda_grid(lists, config, [1.0])
+    assert grid_search_lambdas(lists, config, grid=[1.0])[0] == {"qe": 1.0, "lm": 1.0}
+    # (-10, -10) gives -inf, before anything is scored
+    for check in (check_lambda_grid, grid_search_lambdas):
+        with pytest.raises(InvalidInputError, match="total scores must be finite"):
+            check(lists, replace(config, utility=_Unscorable()), [-10.0, 1.0])
+
+
+class _Unscorable:
+    name = "unscorable"
+
+    def matrix(self, nbest, l):
+        raise AssertionError("scored before the grid was checked")
 
 
 def test_grid_search_requires_regularizers():

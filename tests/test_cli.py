@@ -361,6 +361,13 @@ _DRY_RUN_CASES = {
     "c2f-matrix-proxy-overflow": [
         "c2f", "-i", "BARE", "--utility", "chrf", "--proxy", "matrix:MATBIG", "--keep", "1"
     ],
+    "tune-l-matrix-overflow": ["tune-l", "-i", "BARE", "--utility", "matrix:MATBIG"],
+    "tune-lambda-matrix-overflow": [
+        "tune-lambda", "-i", "BARE", "--regularizers", "lp", "--utility", "matrix:MATBIG"
+    ],
+    "tune-lambda-grid-overflow": [
+        "tune-lambda", "-i", "QE308", "--regularizers", "qe", "--grid", "10"
+    ],
     "tune-lambda-grid-nan": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", "nan"],
     "tune-lambda-grid-empty": ["tune-lambda", "-i", "DEV", "--regularizers", "qe", "--grid", ","],
     "oracle-bins-0": ["oracle", "-i", "DEV", "--bins", "0"],
@@ -753,7 +760,8 @@ def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
 def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command):
     """SIGINT while a scorer stalls on its first batch ends the command well
-    inside the 30 s scorer timeout, writes no output and leaves no scorer."""
+    inside the 30 s scorer timeout with one error line and exit code 130,
+    writes no output and leaves no scorer."""
     path, _ = dev_file
     spec, log = _logging_scorer(tmp_path, "stall")
     args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
@@ -773,7 +781,7 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     finally:
         proc.kill()
         proc.communicate()
-    assert proc.returncode != 0, err
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
     assert list(tmp_path.glob("out*")) == []
     _assert_all_gone(_started_pids(log))
 

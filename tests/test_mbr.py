@@ -1,6 +1,8 @@
 """Expected-utility scoring, regularizers, reranking, and coarse-to-fine."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -331,6 +333,37 @@ def test_session_resolves_builtin_specs_and_rejects_malformed_ones():
         ):
             with pytest.raises(ConfigError):
                 session.providers(spec, 1)
+
+
+_PID_LOGGING_SCORER = """
+import json, os, sys
+with open(sys.argv[1], "a") as fh:
+    fh.write("%d\\n" % os.getpid())
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+for line in sys.stdin:
+    print(json.dumps({"id": json.loads(line)["id"], "score": 0.5}), flush=True)
+"""
+
+
+def test_session_starts_a_scorer_on_its_first_batch_and_reaps_it(tmp_path):
+    script = tmp_path / "scorer.py"
+    script.write_text(_PID_LOGGING_SCORER, encoding="utf-8")
+    log = tmp_path / "starts.log"
+    log.touch()
+    lst = make_list(["a b", "c d", "e f"])
+    with UtilitySession() as session:
+        (provider,) = session.providers(f"service:exec:{sys.executable} {script} {log}", 1)
+        assert isinstance(provider, ServiceUtility)
+        assert log.read_text(encoding="utf-8") == ""
+        assert session.counters() == {"scorer_processes": 0, "scorer_pairs": 0}
+        assert np.array_equal(provider.matrix(lst, 2), np.full((3, 2), 0.5))
+        pids = [int(pid) for pid in log.read_text(encoding="utf-8").split()]
+        assert len(pids) == 1
+        assert session.counters() == {"scorer_processes": 1, "scorer_pairs": 3 * 2}
+        os.kill(pids[0], 0)  # still running inside the session
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
 
 
 def test_session_resolves_matrix_file_spec(tmp_path):
