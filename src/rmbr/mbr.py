@@ -255,11 +255,13 @@ class UtilitySession:
             return list(spec)
         if hasattr(spec, "matrix"):
             return [spec] * num_lists
+        if not isinstance(spec, str):
+            raise ConfigError(f"unknown utility spec {spec!r}")
         if spec == "bleu":
             return [BleuUtility()] * num_lists
         if spec == "chrf":
             return [ChrfUtility()] * num_lists
-        scheme, _, rest = spec.partition(":") if isinstance(spec, str) else (None, "", "")
+        scheme, _, rest = spec.partition(":")
         if scheme == "matrix":
             utilities = [MatrixUtility(m) for m in load_utility_matrices(rest)]
             if len(utilities) not in (1, num_lists):

@@ -311,27 +311,41 @@ def test_lambda_grid_is_sorted_distinct_and_finite():
             lambda_grid(bad)
 
 
-def test_lambda_grid_check_ranks_vectors_only_when_the_worst_case_overflows():
-    cands = tuple(
-        make_candidate(t, -1.0 - i, external_scores={"qe": 1e308, "lm": -1e308})
-        for i, t in enumerate(["a b", "a c"])
-    )
-    lists = [NBestList("s", cands, reference="a b")]
-    config = RerankConfig(lambdas={"qe": 0.0, "lm": 0.0})
-    # worst case 2e308 overflows, but the one vector (1, 1) gives totals of 0
-    check_lambda_grid(lists, config, [1.0])
-    assert grid_search_lambdas(lists, config, grid=[1.0])[0] == {"qe": 1.0, "lm": 1.0}
-    # (-10, -10) gives -inf, before anything is scored
-    for check in (check_lambda_grid, grid_search_lambdas):
-        with pytest.raises(InvalidInputError, match="total scores must be finite"):
-            check(lists, replace(config, utility=_Unscorable()), [-10.0, 1.0])
-
-
 class _Unscorable:
     name = "unscorable"
 
     def matrix(self, nbest, l):
         raise AssertionError("scored before the grid was checked")
+
+
+def _scored_list(**scores):
+    cands = tuple(
+        make_candidate(t, -1.0 - i, external_scores=scores) for i, t in enumerate(["a b", "a c"])
+    )
+    return NBestList("s", cands, reference="a b")
+
+
+def test_lambda_grid_check_ranks_vectors_only_when_the_worst_case_overflows():
+    lists = [_scored_list(qe=1e308, lm=-1e308)]
+    config = RerankConfig(lambdas={"qe": 0.0, "lm": 0.0})
+    # worst case 2e308 overflows, but the one vector (1, 1) gives totals of 0
+    check_lambda_grid(lists, config, [1.0])
+    assert grid_search_lambdas(lists, config, grid=[1.0])[0] == {"qe": 1.0, "lm": 1.0}
+    # (-1, 1) gives -inf, though the signed sum at the largest weight is 0;
+    # both raise before anything is scored
+    for check in (check_lambda_grid, grid_search_lambdas):
+        with pytest.raises(InvalidInputError, match="total scores must be finite"):
+            check(lists, replace(config, utility=_Unscorable()), [-1.0, 1.0])
+
+
+def test_lambda_grid_check_bounds_a_stored_matrix_consensus_by_its_size():
+    # consensus -5e307 on candidate 0: qe weight 1 gives 1e308, weight -1 gives -inf
+    stored = UtilityMatrix(values=[[-1e308, 0.0], [0.0, 0.0]], utility_name="ext")
+    config = RerankConfig(utility=MatrixUtility(stored), lambdas={"qe": 0.0})
+    lists = [_scored_list(qe=1.5e308)]
+    check_lambda_grid(lists, config, [1.0])
+    with pytest.raises(InvalidInputError, match="total scores must be finite"):
+        check_lambda_grid(lists, config, [-1.0, 1.0])
 
 
 def test_grid_search_requires_regularizers():
