@@ -7,11 +7,13 @@ probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
 set, along one path: the utility spec is resolved once for the whole dev
 set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
-spec, closed when the call returns), each list is scored once by
-:func:`~rmbr.mbr.list_scores`, and one loop tries every ``(l, lambdas)``
-setting, per setting only re-combining scores and summing per-candidate
-objective statistics (corpus BLEU sufficient statistics or sentence chrF),
-computed once per list.  Before it scores, ``grid_search_lambdas`` checks
+spec, closed when the call returns), and each list is scored once by
+:func:`~rmbr.mbr.list_scores`.  Then, at each depth, one array pass per
+list over blocks of weight vectors gives every vector's selection, and
+per-candidate objective statistics (corpus BLEU sufficient statistics or
+sentence chrF, computed once per list) are summed per vector, list by
+list; the objective formula then takes all vectors' sums at once.
+Before it scores, ``grid_search_lambdas`` checks
 with :func:`check_lambda_grid` that no weight vector overflows a list's
 totals.  Both tune a one-stage rerank and reject a
 coarse-to-fine config.  Every function that takes a utility accepts a spec
@@ -33,7 +35,6 @@ from .core import (
     NBestList,
     RerankConfig,
     combine_scores,
-    rank_candidates,
 )
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
@@ -44,7 +45,7 @@ from .mbr import (
     regularizer_values,
     stored_consensus,
 )
-from .metrics import bleu_from_stats, bleu_stats, corpus_bleu, sentence_chrf
+from .metrics import bleu_stats, corpus_bleu, corpus_bleu_scores, sentence_chrf
 
 OBJECTIVE_METRICS = ("bleu", "chrf")
 
@@ -267,21 +268,23 @@ class _ObjectiveStats:
         self._metric = metric
         self._stats: list = [None] * len(lists)
 
-    def _list_stats(self, pos: int):
+    def list_stats(self, pos: int) -> np.ndarray:
+        """One row of statistics per candidate of list ``pos``."""
         if self._stats[pos] is None:
             lst = self._lists[pos]
             if self._metric == "chrf":
-                self._stats[pos] = ChrfUtility().score_against(lst, lst.reference)
+                scores = ChrfUtility().score_against(lst, lst.reference)
+                self._stats[pos] = np.array(scores, dtype=np.float64)
             else:
                 ref = lst.reference.split()
                 self._stats[pos] = bleu_stats([c.tokens for c in lst.candidates], ref)
         return self._stats[pos]
 
-    def __call__(self, selections: Sequence[int]) -> float:
-        picked = [self._list_stats(pos)[index] for pos, index in enumerate(selections)]
+    def objectives(self, sums: np.ndarray) -> list[float]:
+        """The objective of each row of statistics summed over all lists in list order."""
         if self._metric == "chrf":
-            return sum(picked) / len(picked)
-        return bleu_from_stats(np.sum(picked, axis=0).tolist())
+            return (sums / len(self._lists)).tolist()
+        return corpus_bleu_scores(sums).tolist()
 
 
 def lambda_grid(weights) -> list[float]:
@@ -294,6 +297,45 @@ def lambda_grid(weights) -> list[float]:
     return grid
 
 
+def _weight_vectors(grid, r: int) -> np.ndarray:
+    """Every weight vector over ``grid``, one row each, in ``itertools.product`` order."""
+    return np.array(list(itertools.product(grid, repeat=r)), dtype=np.float64).reshape(-1, r)
+
+
+# Cells of one block of totals (weight vectors x candidates) in
+# _grid_selections.  Six regularizers over a 5-point grid are 15625 vectors;
+# at n = 400 their totals at once would take 50 MB, a block takes 512 KB.
+_GRID_BLOCK_CELLS = 1 << 16
+
+
+def _grid_selections(consensus, values, weights: np.ndarray) -> np.ndarray:
+    """The candidate each weight vector selects on one list.
+
+    ``values`` holds r rows of regularizer values, one per candidate, and
+    ``weights`` one row of r weights per vector, in the same order.  A
+    vector's totals are ``consensus + w_1 * v_1 + ... + w_r * v_r`` in
+    float64, added in that order: the operations :func:`combine_scores`
+    performs, so they are bit-identical.  The selection is the first
+    maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
+    wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
+    time.  Raises as ``rank_candidates`` does if any total is not finite.
+    """
+    base = np.asarray(consensus, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64).reshape(-1, base.size)
+    step = max(1, _GRID_BLOCK_CELLS // base.size)
+    picks = np.empty(len(weights), dtype=np.int64)
+    for start in range(0, len(weights), step):
+        block = weights[start : start + step]
+        totals = np.repeat(base[None, :], len(block), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row in enumerate(values):
+                totals += np.multiply.outer(block[:, k], row)
+        if not np.isfinite(totals).all():
+            raise InvalidInputError("total scores must be finite")
+        picks[start : start + len(block)] = totals.argmax(axis=1)
+    return picks
+
+
 def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) -> None:
     """Raise unless every weight vector over ``grid`` gives every list totals that rank.
 
@@ -301,8 +343,9 @@ def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) ->
     matrix's at depth ``config.l``, else zeros.  A list's worst case adds
     |consensus| to each |regularizer value| weighted by the grid's largest
     |weight|.  Rounding is monotone, so when that sum is finite no weight
-    vector can overflow; only a list whose worst case overflows has its
-    weight vectors combined and ranked one by one.
+    vector can overflow; only a list whose worst case overflows has the
+    totals of every weight vector computed, in the array pass that tuning
+    selects with.
     """
     names = config.regularizers
     top = max(abs(w) for w in grid)
@@ -316,20 +359,23 @@ def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) ->
             {name: [abs(v) for v in values] for name, values in regs.items()},
             dict.fromkeys(names, top),
         )
-        if all(map(math.isfinite, worst)):
-            continue
-        for weights in itertools.product(grid, repeat=len(names)):
-            rank_candidates(combine_scores(consensus, regs, dict(zip(names, weights))))
+        if not all(map(math.isfinite, worst)):
+            _grid_selections(consensus, list(regs.values()), _weight_vectors(grid, len(names)))
 
 
-def _selection_objective(scored, lambdas: dict, objective: _ObjectiveStats) -> float:
-    """Objective of the selections a weight vector induces on each list's
-    consensus scores and regularizer values."""
-    selections = []
-    for consensus, regularizers in scored:
-        totals = combine_scores(consensus, regularizers, lambdas)
-        selections.append(rank_candidates(totals)[1])
-    return objective(selections)
+def _grid_objectives(scored, weights: np.ndarray, objective: _ObjectiveStats) -> list[float]:
+    """The objective of the selections each weight vector makes on the dev lists.
+
+    ``scored`` holds each list's consensus scores and regularizer values;
+    ``weights`` holds one weight vector per row.  Statistics are summed per
+    vector by Python's ``sum``, list by list in list order as
+    :func:`corpus_objective` sums chrF, with no (vectors x lists) array.
+    """
+    sums = sum(
+        objective.list_stats(pos)[_grid_selections(consensus, values, weights)]
+        for pos, (consensus, values) in enumerate(scored)
+    )
+    return objective.objectives(sums)
 
 
 def _tune(lists, config, depths, weights, objective_of):
@@ -337,8 +383,10 @@ def _tune(lists, config, depths, weights, objective_of):
 
     Each list is scored at depth ``config.l`` with the config's utility
     spec resolved once for all lists; a depth of ``None`` keeps every
-    scored column.  Returns the first ``(l, lambdas)`` setting with the
-    highest objective, that objective, and the objective of every setting.
+    scored column.  ``weights`` holds one weight vector per row, in
+    ``config.regularizers`` order.  Returns the first ``(l, weights row)``
+    setting with the highest objective, that objective, and the objective
+    of every setting, depth by depth.
     """
     if config.coarse_to_fine is not None:
         raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
@@ -348,14 +396,15 @@ def _tune(lists, config, depths, weights, objective_of):
             list_scores(lst, p, config.resolve_l(lst.n), config.regularizers)
             for lst, p in zip(lists, providers)
         ]
-    settings, curve = [], []
+    curve = []
     for l in depths:
-        at_l = [(expected_utilities(v, l or v.shape[1]), regs) for v, regs in scored]
-        for lambdas in weights:
-            settings.append((l, lambdas))
-            curve.append(_selection_objective(at_l, lambdas, objective_of))
+        at_l = [
+            (expected_utilities(v, l or v.shape[1]), list(regs.values())) for v, regs in scored
+        ]
+        curve += _grid_objectives(at_l, weights, objective_of)
     best = max(range(len(curve)), key=curve.__getitem__)
-    return settings[best], curve[best], curve
+    depth, row = divmod(best, len(weights))
+    return (depths[depth], weights[row]), curve[best], curve
 
 
 def grid_search_lambdas(
@@ -377,10 +426,9 @@ def grid_search_lambdas(
         raise ConfigError("grid search needs at least one active regularizer")
     grid = lambda_grid(grid)
     check_lambda_grid(lists, config, grid)
-    combos = itertools.product(grid, repeat=len(config.regularizers))
-    weights = [dict(zip(config.regularizers, c)) for c in combos]
+    weights = _weight_vectors(grid, len(config.regularizers))
     (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
-    return best, objective
+    return dict(zip(config.regularizers, best.tolist())), objective
 
 
 def tune_l(
@@ -402,7 +450,6 @@ def tune_l(
     if config.l != "full":
         raise ConfigError("the truncation sweep sets l itself")
     depths = range(1, min(lst.n for lst in lists) + 1)
-    (best_l, _), objective, curve = _tune(
-        lists, config, depths, [config.lambdas], objective_of
-    )
+    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    (best_l, _), objective, curve = _tune(lists, config, depths, weights, objective_of)
     return best_l, objective, curve

@@ -70,6 +70,20 @@ def scalar_bleu_from_counts(matches, hyp_len, ref_len, cfg):
     return math.exp(log_sum / orders) * bp
 
 
+def scalar_bleu_from_stats(stats, cfg):
+    """Corpus BLEU from summed sufficient statistics, as Python scalars."""
+    order = cfg.bleu_max_order
+    matches, totals = stats[:order], stats[order : 2 * order]
+    hyp_len, ref_len = stats[2 * order], stats[2 * order + 1]
+    log_sum = 0.0
+    for k in range(order):
+        if matches[k] == 0:
+            return 0.0
+        log_sum += math.log(matches[k] / totals[k])
+    bp = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return math.exp(log_sum / order) * bp
+
+
 def scalar_chrf_from_counts(matches, hyp_len, ref_len, cfg):
     """Sentence chrF of one pair from its per-order character match counts."""
     beta_sq = cfg.chrf_beta * cfg.chrf_beta

@@ -1,5 +1,6 @@
 """Oracle analysis, probability tables, and the two tuners."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,7 +18,14 @@ from rmbr.analysis import (
     token_prob_by_length,
     tune_l,
 )
-from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
+from rmbr.core import (
+    CoarseToFine,
+    NBestList,
+    RerankConfig,
+    UtilityMatrix,
+    combine_scores,
+    rank_candidates,
+)
 from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError
 from rmbr.mbr import MatrixUtility, ServiceUtility, rerank
 from rmbr.metrics import corpus_bleu, sentence_bleu, sentence_chrf
@@ -224,23 +232,25 @@ def test_grid_search_prefers_lexicographically_smallest_combo():
 
 def test_grid_search_enumerates_grid_power_r(monkeypatch):
     lists = [_two_candidate_list("a b c", "x y z")]
-    calls = []
-    original = analysis._selection_objective
+    tried = []
+    original = analysis._grid_objectives
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recording(scored, weights, objective):
+        tried.append(weights.tolist())
+        return original(scored, weights, objective)
 
-    monkeypatch.setattr(analysis, "_selection_objective", counting)
+    monkeypatch.setattr(analysis, "_grid_objectives", recording)
 
+    grid = (0.1, 0.2, 0.3)
     config = RerankConfig(utility="bleu", lambdas={"qe": 0.0})
-    grid_search_lambdas(lists, config, grid=(0.1, 0.2, 0.3))
-    assert len(calls) == 3
+    grid_search_lambdas(lists, config, grid=grid)
+    assert tried == [[[0.1], [0.2], [0.3]]]
 
-    calls.clear()
+    tried.clear()
     config2 = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
-    grid_search_lambdas(lists, config2, grid=(0.1, 0.2, 0.3))
-    assert len(calls) == 9
+    grid_search_lambdas(lists, config2, grid=grid)
+    # one pass over all 3^2 vectors, in the order the search breaks ties by
+    assert tried == [[list(c) for c in itertools.product(grid, repeat=2)]]
 
 
 def test_grid_search_agrees_with_full_rerank():
@@ -258,26 +268,81 @@ def test_grid_search_agrees_with_full_rerank():
 @pytest.mark.parametrize("metric", ["bleu", "chrf"])
 def test_grid_objective_from_candidate_stats_is_exact(monkeypatch, metric):
     """Every grid point's objective, summed from per-candidate statistics,
-    equals corpus_objective on the selections it induces, bit for bit."""
+    equals corpus_objective on the selections rerank makes, bit for bit,
+    for several regularizer sets and grids with negative and zero weights."""
     rng = np.random.default_rng(34)
     lists = [random_list(rng, 6, with_extras=True) for _ in range(8)]
     seen = []
-    original = analysis._selection_objective
+    original = analysis._grid_objectives
 
-    def recording(scored, lambdas, objective):
-        value = original(scored, lambdas, objective)
-        seen.append((lambdas, value))
-        return value
+    def recording(scored, weights, objective):
+        curve = original(scored, weights, objective)
+        seen.extend(zip(weights.tolist(), curve))
+        return curve
 
-    monkeypatch.setattr(analysis, "_selection_objective", recording)
-    config = RerankConfig(utility="bleu", lambdas={"lp": 0.0, "qe": 0.0})
-    grid = (0.001, 0.01, 0.1, 1.0, 10.0)
-    grid_search_lambdas(lists, config, grid=grid, objective_metric=metric)
-    assert len(seen) == len(grid) ** 2
-    for lambdas, value in seen:
-        at_point = RerankConfig(utility="bleu", lambdas=lambdas)
-        selections = [rerank(lst, at_point).selected for lst in lists]
-        assert value == corpus_objective(lists, selections, metric)
+    monkeypatch.setattr(analysis, "_grid_objectives", recording)
+    cases = [
+        (("lp", "qe"), (0.001, 0.01, 0.1, 1.0, 10.0)),
+        (("lm", "bt", "mc_dropout"), (-1.0, 0.0, 0.5)),
+        (("entropy",), (-10.0, -0.1, 0.0, 3.0)),
+    ]
+    for names, grid in cases:
+        seen.clear()
+        config = RerankConfig(utility="bleu", lambdas=dict.fromkeys(names, 0.0))
+        grid_search_lambdas(lists, config, grid=grid, objective_metric=metric)
+        assert len(seen) == len(grid) ** len(names)
+        for weights, value in seen:
+            at_point = RerankConfig(utility="bleu", lambdas=dict(zip(names, weights)))
+            selections = [rerank(lst, at_point).selected for lst in lists]
+            assert value == corpus_objective(lists, selections, metric)
+
+
+def test_grid_selections_match_combine_and_rank(monkeypatch):
+    """The array pass picks what rank_candidates(combine_scores(...)) picks."""
+    rng = np.random.default_rng(36)
+    names = ("lp", "qe", "lm")
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    weights = analysis._weight_vectors(grid, len(names))
+    # blocks of 7 vectors on n = 4: 125 vectors end in a part block
+    monkeypatch.setattr(analysis, "_GRID_BLOCK_CELLS", 7 * 4)
+    for _ in range(20):
+        # few distinct values give exact ties and totals of +0.0 and -0.0;
+        # integer values stand in for integer log_probs
+        consensus = rng.choice([-0.0, 0.0, 0.5, -0.5], size=4).tolist()
+        values = [rng.integers(-2, 3, size=4).tolist() for _ in names]
+        regs = dict(zip(names, values))
+        picks = analysis._grid_selections(consensus, values, weights)
+        want = [
+            rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))[1]
+            for w in weights.tolist()
+        ]
+        assert picks.tolist() == want
+    # regularizers add in order: (1 - 1) + 2**-53 is 2**-53, (1 + 2**-53) - 1 is 0.0
+    consensus, values = [0.0, 1.0], [[0, -1], [0, 2.0**-53]]
+    lambdas = {"lm": 1.0, "qe": 1.0}
+    want = rank_candidates(combine_scores(consensus, dict(zip(lambdas, values)), lambdas))[1]
+    assert want == 1
+    assert analysis._grid_selections(consensus, values, np.ones((1, 2))).tolist() == [want]
+    # -0.0 and +0.0 tie, so the lower index wins either way round
+    no_weights = np.zeros((1, 0))
+    assert analysis._grid_selections([-0.0, 0.0], [], no_weights).tolist() == [0]
+    assert analysis._grid_selections([0.0, -0.0], [], no_weights).tolist() == [0]
+
+
+# weight 10 makes candidate 0's total inf - inf = nan, weight -10 makes it -inf
+@pytest.mark.parametrize("weight", [10.0, -10.0])
+def test_grid_selections_reject_non_finite_totals_as_ranking_does(weight):
+    consensus, values = [0.0, 0.0], [[1e308, 0.0], [-1e308, 1.0]]
+    regs = {"lm": values[0], "qe": values[1]}
+    lambdas = {"lm": weight, "qe": 10.0}
+    weights = np.array([[0.0, 0.0], [weight, 10.0]])
+    calls = [
+        lambda: rank_candidates(combine_scores(consensus, regs, lambdas)),
+        lambda: analysis._grid_selections(consensus, values, weights),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+            call()
 
 
 def test_tuners_accept_one_provider_per_list():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rmbr.metrics as metrics
 from rmbr.errors import ConfigError, InvalidInputError
 from rmbr.metrics import (
     MetricConfig,
@@ -15,12 +16,18 @@ from rmbr.metrics import (
     chrf_from_counts,
     chrf_scores,
     corpus_bleu,
+    corpus_bleu_scores,
     matches_against,
     sentence_bleu,
     sentence_chrf,
 )
 
-from conftest import scalar_bleu_from_counts, scalar_chrf_from_counts
+from conftest import (
+    random_tokens,
+    scalar_bleu_from_counts,
+    scalar_bleu_from_stats,
+    scalar_chrf_from_counts,
+)
 
 NO_SMOOTH = MetricConfig(bleu_smoothing="none")
 
@@ -143,6 +150,45 @@ def test_corpus_bleu_is_the_formula_over_summed_stats():
     ]
     sums = bleu_stats([h1], h1)[0] + bleu_stats([h2], r2)[0]
     assert bleu_from_stats(sums.tolist()) == corpus_bleu([h1, h2], [list(h1), r2])
+
+
+def test_corpus_bleu_blocks_sum_the_per_pair_stats(monkeypatch):
+    """Counting a corpus in blocks of pairs gives the per-pair sums exactly."""
+    rng = np.random.default_rng(41)
+    vocab = ["a", "b", "c", "d", "e", "f"]
+    # 150 pairs end in a part block; lengths from 1 so some hypotheses are
+    # shorter than the highest order
+    hyps = [random_tokens(rng, vocab, int(rng.integers(1, 13))) for _ in range(150)]
+    refs = [random_tokens(rng, vocab, int(rng.integers(1, 13))) for _ in range(150)]
+    want = sum(bleu_stats([h], r)[0] for h, r in zip(hyps, refs)).tolist()
+    pooled = []
+    original = metrics.bleu_from_stats
+
+    def recording(stats, cfg=None):
+        pooled.append(list(stats))
+        return original(stats, cfg)
+
+    monkeypatch.setattr(metrics, "bleu_from_stats", recording)
+    got = corpus_bleu(hyps, refs)
+    assert pooled == [want]
+    assert got == original(want) > 0.0
+
+
+@pytest.mark.parametrize("count", [40, 600])
+def test_corpus_bleu_scores_match_the_scalar_formula(count):
+    """Each row's score equals the scalar formula's bit for bit, on both
+    sides of the per-value/per-distinct-value switch."""
+    rng = np.random.default_rng(42)
+    totals = rng.integers(1, 300, size=(count, 4))
+    matches = rng.integers(0, totals + 1)
+    matches[rng.random(matches.shape) < 0.05] = 0
+    hyp = totals[:, 0] + rng.integers(0, 5, size=count)
+    ref = rng.integers(1, 400, size=count)
+    rows = np.column_stack([matches, totals, hyp, ref]).tolist()
+    want = [scalar_bleu_from_stats(row, MetricConfig()) for row in rows]
+    assert 0.0 in want
+    assert corpus_bleu_scores(rows).tolist() == want
+    assert [bleu_from_stats(row) for row in rows] == want
 
 
 def test_corpus_bleu_pools_counts():
