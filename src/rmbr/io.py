@@ -14,22 +14,20 @@ process's stdin/stdout.  Both sides send ``{"protocol": "rmbr-scorer/1"}``
 on connect.  Requests are ``{"id", "src", "hyp", "ref"}``; responses are
 ``{"id", "score"}`` or ``{"id", "error"}`` and may arrive out of order —
 the client realigns them by id.  Each response must arrive within the
-timeout (default 30 s, ``RMBR_SCORER_TIMEOUT_SECS`` overrides).  Responses
-are read on their own thread while a batch is written, so a batch larger
-than the pipe buffers cannot deadlock.
+timeout (default 30 s, ``RMBR_SCORER_TIMEOUT_SECS`` overrides), and so
+must each write to a scorer that has stopped reading.  One thread writes a
+batch and reads its responses over non-blocking descriptors, so a batch
+larger than the pipe buffers cannot deadlock.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
-import queue
-import socket
-import subprocess
+import select
 import threading
-import uuid
+import time
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -42,8 +40,6 @@ from .errors import (
     ScoringError,
     TransportError,
 )
-
-log = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = "rmbr-scorer/1"
 DEFAULT_TIMEOUT_SECS = 30.0
@@ -72,6 +68,8 @@ def atomic_write(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    import uuid
+
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -155,7 +153,9 @@ def load_nbest(path) -> list[NBestList]:
                 raise ParseError(str(e), line=line_no) from None
             probs = [c.log_prob for c in candidates]
             if any(a < b for a, b in zip(probs, probs[1:])):
-                log.warning(
+                import logging
+
+                logging.getLogger(__name__).warning(
                     "line %d: candidates not in descending log-prob order; re-sorting",
                     line_no,
                 )
@@ -348,25 +348,7 @@ def _resolve_timeout(timeout: float | None) -> float:
     return value
 
 
-class _ReaderThread(threading.Thread):
-    """Pumps lines from a stream into a queue so reads can time out, and
-    drains responses while a batch is still being written: read in the
-    calling thread, a batch larger than the pipe buffers deadlocks, the
-    client blocked on the scorer's full stdin while the scorer is blocked
-    on its full stdout."""
-
-    def __init__(self, stream):
-        super().__init__(daemon=True)
-        self.stream = stream
-        self.lines = queue.Queue()
-
-    def run(self):
-        try:
-            for line in self.stream:
-                self.lines.put(("line", line))
-            self.lines.put(("eof", None))
-        except Exception as e:  # stream closed under us, broken pipe, ...
-            self.lines.put(("error", e))
+_READ_CHUNK = 1 << 16
 
 
 class ScorerClient:
@@ -375,29 +357,28 @@ class ScorerClient:
     Build one with :meth:`connect_tcp` or :meth:`spawn`; both perform the
     protocol handshake.  ``score_pairs`` pipelines all requests of a batch
     and realigns responses by id, so the scorer may answer out of order.
-    The client is safe to share between threads (batches are serialized).
+    One thread does both directions: it waits on the non-blocking
+    descriptors with ``poll`` and writes requests while it reads
+    responses, so a batch larger than the pipe buffers cannot deadlock
+    and a scorer that stops reading runs into the timeout.  The client is
+    safe to share between threads (batches are serialized).
     """
 
-    def __init__(
-        self,
-        writer,
-        reader,
-        timeout: float | None = None,
-        shutdown=None,
-        on_close=None,
-    ):
+    def __init__(self, read_fd: int, write_fd: int, timeout: float | None = None, close=None):
         self.timeout = _resolve_timeout(timeout)
-        self._writer = writer
-        self._reader_thread = _ReaderThread(reader)
-        self._shutdown = shutdown
-        self._on_close = on_close
+        self._rfd = read_fd
+        self._wfd = write_fd
+        self._teardown = close
         self._closed = False
+        #: bytes read but not yet handed to a batch
+        self._unread = b""
         self._next_id = 0
         self._lock = threading.Lock()
         #: pairs of the batches this client got all scores for
         self.pairs_scored = 0
-        self._reader_thread.start()
         try:
+            os.set_blocking(read_fd, False)
+            os.set_blocking(write_fd, False)
             self._handshake()
         except BaseException:
             self.close()
@@ -405,72 +386,134 @@ class ScorerClient:
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, timeout: float | None = None):
+        import socket
+
         resolved = _resolve_timeout(timeout)
         try:
             sock = socket.create_connection((host, port), timeout=resolved)
         except OSError as e:
             raise TransportError(f"cannot connect to scorer at {host}:{port}: {e}") from None
-        sock.settimeout(None)
-        writer = sock.makefile("w", encoding="utf-8")
-        reader = sock.makefile("r", encoding="utf-8")
 
-        def shutdown():
-            sock.shutdown(socket.SHUT_RDWR)
+        def close():
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
 
-        return cls(
-            writer, reader, timeout=resolved, shutdown=shutdown, on_close=sock.close
-        )
+        fd = sock.fileno()
+        return cls(fd, fd, timeout=resolved, close=close)
 
     @classmethod
     def spawn(cls, argv: Sequence[str], timeout: float | None = None):
+        import subprocess
+
         timeout = _resolve_timeout(timeout)
         try:
             proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as e:
             raise TransportError(f"cannot start scorer {argv!r}: {e}") from None
 
         def stop():
+            proc.stdin.close()
             proc.terminate()
             try:
                 proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
-        return cls(proc.stdin, proc.stdout, timeout=timeout, shutdown=stop)
+        return cls(proc.stdout.fileno(), proc.stdin.fileno(), timeout=timeout, close=stop)
 
-    def _send(self, payload: str):
-        try:
-            self._writer.write(payload)
-            self._writer.flush()
-        except (OSError, ValueError) as e:
-            raise TransportError(f"cannot send to scorer: {e}") from None
+    def _exchange(self, payload: bytes, take) -> None:
+        """Write ``payload`` while passing each response line to ``take``.
 
-    def _next_line(self) -> str:
-        try:
-            kind, value = self._reader_thread.lines.get(timeout=self.timeout)
-        except queue.Empty:
-            raise TransportError(
-                f"timed out after {self.timeout}s waiting for scorer response"
-            ) from None
-        if kind == "eof":
-            raise TransportError("scorer closed the connection")
-        if kind == "error":
-            raise TransportError(f"scorer connection failed: {value}")
-        return value
+        ``take`` returns True once it needs no more lines; what was read
+        past that line is kept for the next exchange.  Every wait is
+        bounded by the timeout, which restarts when requests are written
+        or a complete response line arrives.  A last line that ends
+        without a newline is still a line, as in ``for line in file``.
+        """
+        rfd, wfd = self._rfd, self._wfd
+        out = memoryview(payload)
+        tail, self._unread = self._unread, b""
+        polled = {}
+        done = False
+
+        def feed(data: bytes) -> bool:
+            """Pass on the lines ``tail + data`` completes; it holds a newline."""
+            nonlocal tail
+            complete, _, tail = (tail + data).rpartition(b"\n")
+            try:
+                lines = complete.decode("utf-8").split("\n")
+            except UnicodeDecodeError as e:
+                raise TransportError(f"scorer connection failed: {e}") from None
+            for i, line in enumerate(lines):
+                if take(line):
+                    rest = "".join(f"{later}\n" for later in lines[i + 1 :])
+                    self._unread = rest.encode() + tail
+                    return True
+            return False
+
+        if b"\n" in tail:
+            done = feed(b"")
+        deadline = time.monotonic() + self.timeout
+        while True:
+            if out:
+                try:
+                    sent = os.write(wfd, out)
+                except BlockingIOError:
+                    sent = 0
+                except OSError as e:
+                    raise TransportError(f"cannot send to scorer: {e}") from None
+                if sent:
+                    out = out[sent:]
+                    deadline = time.monotonic() + self.timeout
+            if not done:
+                try:
+                    data = os.read(rfd, _READ_CHUNK)
+                except BlockingIOError:
+                    data = None
+                except OSError as e:
+                    raise TransportError(f"scorer connection failed: {e}") from None
+                if data == b"":
+                    if tail:  # the last line ends at EOF
+                        done = feed(b"\n")
+                    if not done:
+                        raise TransportError("scorer closed the connection")
+                elif data and b"\n" in data:
+                    deadline = time.monotonic() + self.timeout
+                    done = feed(data)
+                elif data:  # part of a line
+                    tail += data
+            if done and not out:
+                return
+            wanted = {wfd: select.POLLOUT} if out else {}
+            if not done:
+                wanted[rfd] = wanted.get(rfd, 0) | select.POLLIN
+            if wanted != polled:
+                poller = select.poll()
+                for fd, events in wanted.items():
+                    poller.register(fd, events)
+                polled = wanted
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not poller.poll(wait * 1000):
+                waiting_for = "to read requests" if out else "response"
+                raise TransportError(
+                    f"timed out after {self.timeout}s waiting for scorer {waiting_for}"
+                )
 
     def _handshake(self):
-        self._send(json.dumps({"protocol": PROTOCOL_VERSION}) + "\n")
-        line = self._next_line()
+        got = []
+        hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
+        self._exchange(hello, lambda line: got.append(line) or True)
         try:
-            greeting = json.loads(line)
+            greeting = json.loads(got[0])
         except json.JSONDecodeError:
+            line = got[0] + "\n"  # quoted with its newline, as read
             raise TransportError(f"bad scorer handshake: {line!r}") from None
         if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
             raise TransportError(
@@ -491,19 +534,22 @@ class ScorerClient:
                 raise TransportError("scorer client is closed")
             base = self._next_id
             self._next_id += len(pairs)
+            # json.dumps of each request dict, with each distinct text
+            # encoded once per batch
+            quoted = {text: json.dumps(text) for text in {t for pair in pairs for t in pair}}
             payload = "".join(
-                json.dumps({"id": base + i, "src": src, "hyp": hyp, "ref": ref})
-                + "\n"
+                f'{{"id": {base + i}, "src": {quoted[src]}, '
+                f'"hyp": {quoted[hyp]}, "ref": {quoted[ref]}}}\n'
                 for i, (src, hyp, ref) in enumerate(pairs)
-            )
-            self._send(payload)
-            pending = {base + i: i for i in range(len(pairs))}
+            ).encode()
+            pending = dict(zip(range(base, base + len(pairs)), range(len(pairs))))
             out: list[float | None] = [None] * len(pairs)
-            while pending:
-                line = self._next_line()
+
+            def take(line: str) -> bool:
                 try:
                     response = json.loads(line)
                 except json.JSONDecodeError:
+                    line += "\n"
                     raise TransportError(f"malformed scorer response: {line!r}") from None
                 rid = response.get("id") if isinstance(response, dict) else None
                 if rid not in pending:
@@ -525,38 +571,24 @@ class ScorerClient:
                         f"scorer returned a non-finite score for pair {pos}: {score!r}"
                     )
                 out[pos] = float(score)
+                return not pending
+
+            self._exchange(payload, take)
             self.pairs_scored += len(pairs)
             return out  # type: ignore[return-value]
 
     def close(self):
-        """Tear the connection down without racing the reader thread.
+        """Close the connection and stop a spawned scorer (idempotent).
 
-        The reader may be blocked inside the stream's buffered read (and
-        holding its lock), so the stream itself is only closed after the
-        shutdown hook has unblocked the reader and it has exited.
+        A batch in progress on another thread finishes first.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        try:
-            self._writer.close()
-        except (OSError, ValueError):
-            pass
-        if self._shutdown is not None:
+        if self._teardown is not None:
             try:
-                self._shutdown()
-            except OSError:
-                pass
-        self._reader_thread.join(timeout=5)
-        if not self._reader_thread.is_alive():
-            try:
-                self._reader_thread.stream.close()
-            except (OSError, ValueError):
-                pass
-        if self._on_close is not None:
-            try:
-                self._on_close()
+                self._teardown()
             except OSError:
                 pass
 

@@ -38,7 +38,6 @@ a provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
 
 from __future__ import annotations
 
-import shlex
 from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
@@ -274,6 +273,8 @@ class UtilitySession:
             raise ConfigError(f"unknown utility spec {spec!r}")
         timeout = _resolve_timeout(None)
         if rest.startswith("exec:"):
+            import shlex
+
             try:
                 argv = shlex.split(rest[len("exec:") :])
             except ValueError as e:

@@ -786,8 +786,16 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     _assert_all_gone(_started_pids(log))
 
 
-def test_importing_the_cli_loads_no_thread_pool():
-    code = "import sys, rmbr.cli; print('concurrent.futures' in sys.modules)"
+_RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "logging", "uuid")
+
+
+def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules():
+    """The thread pool is gone, and the transports, the re-sort warning and
+    temp-file names import what they need when they run."""
+    code = (
+        f"import sys, rmbr.cli; "
+        f"print([m for m in {_RARE_PATH_MODULES!r} if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=_SRC),
@@ -795,7 +803,7 @@ def test_importing_the_cli_loads_no_thread_pool():
         text=True,
         timeout=60,
     )
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_threads_only_on_rerank_and_c2f(dev_file, tmp_path, capsys):

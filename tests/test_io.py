@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -541,3 +542,159 @@ def test_scorer_client_reads_while_it_writes_a_batch_larger_than_the_pipes():
     except subprocess.TimeoutExpired:
         pytest.fail("the client and the scorer deadlocked on one large batch")
     assert done.returncode == 0, done.stderr
+
+
+_STALLED_SCORER = """
+import json, sys, time
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+time.sleep(30)
+"""
+
+_STALLED_CLIENT = """
+import sys, time
+from rmbr.errors import TransportError
+from rmbr.io import ScorerClient
+client = ScorerClient.spawn([sys.executable, "-c", sys.argv[1]], timeout=1)
+pairs = [("s", "h", "r" * 10) for i in range(20000)]
+start = time.monotonic()
+try:
+    client.score_pairs(pairs)
+except TransportError as e:
+    assert "timed out" in str(e), e
+else:
+    raise AssertionError("a batch to a scorer that reads nothing returned")
+assert time.monotonic() - start < 5, time.monotonic() - start
+client.close()
+"""
+
+
+def test_scorer_client_times_out_on_a_scorer_that_stops_reading():
+    """A scorer that answers the handshake and then reads nothing: the
+    client's write of about 1 MB fills the pipe, and the timeout must end
+    the batch instead of the write blocking forever.  It runs in a child
+    process with a deadline, so a hang fails the test instead of hanging it."""
+    src = os.path.dirname(os.path.dirname(rmbr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", _STALLED_CLIENT, _STALLED_SCORER]
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the client blocked writing to a scorer that stopped reading")
+    assert done.returncode == 0, done.stderr
+
+
+_AWKWARD_TEXTS = [
+    "naïve café — 日本語 😀",
+    'a "quoted" word',
+    "back\\slash \\n not a newline",
+    "tab\there, newline\nthere, cr\r, nul\x00, unit sep\x1f, del\x7f",
+    "line sep \u2028, paragraph sep \u2029, lone surrogate \ud800",
+    "",
+]
+
+
+def _recording_scorer(requests, line_end="\n"):
+    """A TCP scorer that keeps each request line's raw bytes and answers
+    with the line's length, ending every line it writes with ``line_end``."""
+
+    def handler(reader, writer):
+        writer.write(json.dumps({"protocol": PROTOCOL}) + line_end)
+        writer.flush()
+        reader.buffer.readline()
+        for raw in iter(reader.buffer.readline, b""):
+            requests.append(raw)
+            req = json.loads(raw)
+            writer.write(json.dumps({"id": req["id"], "score": float(len(raw))}) + line_end)
+            writer.flush()
+
+    from conftest import ScorerServer
+
+    return ScorerServer(handler)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_scorer_client_request_lines_are_json_dumps_of_the_request(line_end):
+    """Each request line is byte for byte ``json.dumps`` of its request
+    dict, for texts JSON must escape, a None source and texts repeated
+    within and across pairs; a scorer ending its lines with CRLF is read
+    as well as one ending them with LF."""
+    texts = _AWKWARD_TEXTS
+    batches = [
+        [
+            (None, texts[0], texts[1]),
+            (texts[2], texts[3], texts[4]),
+            (texts[0], texts[0], texts[5]),
+        ],
+        [(texts[4], texts[1], texts[4]), ("plain", "plain", "plain")],
+    ]
+    requests = []
+    server = _recording_scorer(requests, line_end)
+    try:
+        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+            scores = [client.score_pairs(batch) for batch in batches]
+    finally:
+        server.close()
+    pairs = [pair for batch in batches for pair in batch]
+    expected = [
+        (json.dumps({"id": i, "src": src, "hyp": hyp, "ref": ref}) + "\n").encode()
+        for i, (src, hyp, ref) in enumerate(pairs)
+    ]
+    assert requests == expected
+    assert [s for batch in scores for s in batch] == [float(len(line)) for line in expected]
+
+
+def _scripted_replies(script):
+    """A TCP scorer that answers the handshake and then writes raw
+    ``script(requests)`` bytes, in the pieces it returns, then hangs up."""
+
+    def handler(reader, writer):
+        writer.write(json.dumps({"protocol": PROTOCOL}) + "\n")
+        writer.flush()
+        reader.readline()
+        requests = [json.loads(reader.readline()) for _ in range(2)]
+        for piece in script(requests):
+            writer.buffer.write(piece)
+            writer.flush()
+            time.sleep(0.02)
+
+    from conftest import ScorerServer
+
+    return ScorerServer(handler)
+
+
+def _score_two(script):
+    server = _scripted_replies(script)
+    try:
+        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+            return client.score_pairs([("s", "a", "b"), ("s", "c", "d")])
+    finally:
+        server.close()
+
+
+def test_scorer_client_joins_lines_split_across_reads():
+    """Responses cut mid-line and mid-character arrive in pieces; the last
+    line may end at EOF without a newline, as a file's last line can."""
+
+    def script(reqs):
+        error = json.dumps({"id": reqs[1]["id"], "error": "naïve"}, ensure_ascii=False)
+        first = (json.dumps({"id": reqs[0]["id"], "score": 0.5}) + "\n" + error).encode()
+        cut = first.index("ï".encode()) + 1
+        return [first[:7], first[7:cut], first[cut:]]
+
+    with pytest.raises(ScoringError, match="pair 1: naïve"):
+        _score_two(script)
+
+    def unterminated(reqs):
+        lines = [json.dumps({"id": r["id"], "score": 1.5}) for r in reqs]
+        return ["\n".join(lines).encode()]
+
+    assert _score_two(unterminated) == [1.5, 1.5]
+
+
+def test_scorer_client_rejects_a_malformed_line():
+    def script(reqs):
+        return [(json.dumps({"id": reqs[0]["id"], "score": 0.5}) + "\nnot json\n").encode()]
+
+    with pytest.raises(TransportError, match=r"malformed scorer response: 'not json\\n'"):
+        _score_two(script)
