@@ -45,9 +45,13 @@ from .mbr import (
     regularizer_values,
     stored_consensus,
 )
-from .metrics import bleu_stats, corpus_bleu, corpus_bleu_scores, sentence_chrf
-
-OBJECTIVE_METRICS = ("bleu", "chrf")
+from .metrics import (
+    OBJECTIVE_METRICS,
+    bleu_stats,
+    corpus_bleu,
+    corpus_bleu_scores,
+    sentence_chrf,
+)
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:

@@ -34,6 +34,9 @@ on error and on Ctrl-C.  A reranking or tuning command then runs
 there, before the first score: it shares every line of the real run up
 to that point, so it evaluates no utility, starts no scorer and writes
 nothing.
+
+:mod:`rmbr.analysis` is imported by the handlers that use it, so
+``rerank``, ``c2f`` and ``eval`` never load it.
 """
 
 from __future__ import annotations
@@ -45,16 +48,6 @@ import sys
 import time
 from dataclasses import replace
 
-from .analysis import (
-    OBJECTIVE_METRICS,
-    check_lambda_grid,
-    check_objective,
-    grid_search_lambdas,
-    lambda_grid,
-    oracle_histogram,
-    token_prob_by_length,
-    tune_l,
-)
 from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
 from .errors import (
     ConfigError,
@@ -67,7 +60,7 @@ from .errors import (
 )
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
 from .mbr import MatrixUtility, UtilitySession, check_list, rerank
-from .metrics import corpus_bleu, sentence_chrf
+from .metrics import OBJECTIVE_METRICS, corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
     InvalidInputError,
@@ -285,6 +278,8 @@ def _emit_record(args, record, summary_lines):
 
 
 def _cmd_tune_lambda(args) -> int:
+    from .analysis import check_lambda_grid, check_objective, grid_search_lambdas, lambda_grid
+
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
@@ -320,6 +315,8 @@ def _cmd_tune_lambda(args) -> int:
 
 
 def _cmd_tune_l(args) -> int:
+    from .analysis import check_objective, tune_l
+
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
@@ -342,6 +339,8 @@ def _cmd_tune_l(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .analysis import check_objective, oracle_histogram
+
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
@@ -368,6 +367,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_tokenprob(args) -> int:
+    from .analysis import token_prob_by_length
+
     lists = load_nbest(args.input)
     table = token_prob_by_length(lists, interval_width=args.bins, which=args.which)
     if args.dry_run:

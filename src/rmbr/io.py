@@ -552,7 +552,8 @@ class ScorerClient:
                     line += "\n"
                     raise TransportError(f"malformed scorer response: {line!r}") from None
                 rid = response.get("id") if isinstance(response, dict) else None
-                if rid not in pending:
+                # exactly int: true and 1.0 would match id 1, and a list is unhashable
+                if type(rid) is not int or rid not in pending:
                     raise TransportError(
                         f"scorer response for unknown or duplicate id {rid!r}"
                     )

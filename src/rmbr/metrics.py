@@ -45,6 +45,9 @@ from .kernels import encode_ngram_blocks, pair_match_counts
 
 BLEU_SMOOTHING_MODES = ("none", "epsilon-floor")
 
+# Corpus metrics that tuning and the oracle can maximize.
+OBJECTIVE_METRICS = ("bleu", "chrf")
+
 
 @dataclass(frozen=True)
 class MetricConfig:

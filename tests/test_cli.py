@@ -1,6 +1,7 @@
 """End-to-end checks of the ``rmbr`` command line."""
 
 import argparse
+import importlib
 import json
 import os
 import signal
@@ -589,6 +590,23 @@ def test_scorer_error_response_exits_2(tmp_path, scorer_server, capsys):
     assert "no model loaded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle", [lambda rid: [rid], bool, float], ids=["list", "bool", "float"])
+def test_scorer_response_with_a_non_int_id_exits_2(tmp_path, scorer_server, capsys, mangle):
+    server = scorer_server(lambda req: {"id": mangle(req["id"]), "score": 0.5})
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, [make_list(["a b", "c d"])])
+    args = [
+        "rerank", "-i", nbest, "-o", tmp_path / "o.txt",
+        "--utility", f"service:127.0.0.1:{server.port}",
+    ]
+    assert run(args) == 2
+    # the first response already fails, the one for id 0
+    assert capsys.readouterr().err == (
+        f"error: scorer response for unknown or duplicate id {mangle(0)!r}\n"
+    )
+    assert not (tmp_path / "o.txt").exists()
+
+
 _NONFINITE_SCORER = """
 import json, os, sys
 with open(sys.argv[1], "w") as fh:
@@ -789,12 +807,10 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
 _RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "logging", "uuid")
 
 
-def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules():
-    """The thread pool is gone, and the transports, the re-sort warning and
-    temp-file names import what they need when they run."""
+def _modules_loaded_by(statement, prefixes):
     code = (
-        f"import sys, rmbr.cli; "
-        f"print([m for m in {_RARE_PATH_MODULES!r} if m in sys.modules])"
+        f"import sys; {statement}; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -803,7 +819,39 @@ def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules():
         text=True,
         timeout=60,
     )
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules():
+    """The thread pool is gone, and the transports, the re-sort warning,
+    temp-file names and the tuning and analysis commands import what they
+    need when they run."""
+    rare = (*_RARE_PATH_MODULES, "rmbr.analysis")
+    assert _modules_loaded_by("import rmbr.cli", rare) == "[]\n"
+    # the package itself loads no submodule until a name is used, and a
+    # submodule is an attribute of it, as when the package imported them all
+    assert _modules_loaded_by("import rmbr", ("rmbr.",)) == "[]\n"
+    loaded = _modules_loaded_by("import rmbr; rmbr.kernels.pair_match_counts", ("rmbr.",))
+    assert loaded == "['rmbr.kernels']\n"
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    for name in rmbr.__all__:
+        home = importlib.import_module(f"rmbr.{rmbr._HOME_OF[name]}")
+        value = getattr(rmbr, name)
+        assert value is vars(home)[name], name
+        # defined there, not imported there from elsewhere
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert set(rmbr.__all__) <= set(dir(rmbr))
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rmbr.no_such_name
+    assert not hasattr(rmbr, "make_utility")
+    with pytest.raises(ImportError):
+        exec("from rmbr import no_such_name", {})
 
 
 def test_threads_only_on_rerank_and_c2f(dev_file, tmp_path, capsys):

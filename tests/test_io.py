@@ -410,6 +410,19 @@ def test_scorer_client_unknown_id(scorer_server):
         client.close()
 
 
+@pytest.mark.parametrize("mangle", [lambda rid: [rid], bool, float], ids=["list", "bool", "float"])
+def test_scorer_client_accepts_only_int_ids(scorer_server, mangle):
+    # false and 0.0 compare equal to the pending id 0, and [0] is unhashable
+    server = scorer_server(lambda req: {"id": mangle(req["id"]), "score": 0.5})
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    try:
+        with pytest.raises(TransportError) as failed:
+            client.score_pairs([("s", "a", "b"), ("s", "b", "a")])
+        assert str(failed.value) == f"scorer response for unknown or duplicate id {mangle(0)!r}"
+    finally:
+        client.close()
+
+
 def test_scorer_client_non_numeric_score(scorer_server):
     server = scorer_server(lambda req: {"id": req["id"], "score": "high"})
     client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)

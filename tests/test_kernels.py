@@ -22,7 +22,7 @@ from rmbr.metrics import (
     sentence_chrf,
 )
 
-from conftest import clipped_matches, random_list
+from conftest import clipped_matches, ngram_counts, random_list
 
 CONFIGS = (MetricConfig(), MetricConfig(bleu_smoothing="none"))
 
@@ -135,6 +135,67 @@ def test_char_sequences_encode_like_token_sequences():
     got = pair_match_counts(counts, lengths, 2)
     assert got[0, 1].tolist() == clipped_matches("abab", "ba", 2)
     assert lengths.tolist() == [4, 2]
+
+
+def assert_encodes_like_oracle(seqs, order):
+    """Every count matrix holds each item's n-gram multiset, one column per
+    distinct n-gram, and every pair's match counts equal the oracle's."""
+    counts, lengths = encode_ngram_blocks(seqs, order)
+    assert lengths.tolist() == [len(seq) for seq in seqs]
+    for k, matrix in enumerate(counts, start=1):
+        grams = [ngram_counts(seq, k) for seq in seqs]
+        assert matrix.shape == (len(seqs), len(set().union(*grams)))
+        for row, gram in zip(matrix, grams):
+            assert sorted(row[row > 0].tolist()) == sorted(gram.values())
+    got = pair_match_counts(counts, lengths, len(seqs))
+    for i, hyp in enumerate(seqs):
+        for j, ref in enumerate(seqs):
+            assert got[i, j].tolist() == clipped_matches(hyp, ref, order)
+
+
+def test_encode_a_list_of_empty_sequences():
+    assert_encodes_like_oracle([[], [], []], 4)
+    assert_encodes_like_oracle(["", ""], 6)
+
+
+def test_encode_empty_sequences_among_non_empty_ones():
+    assert_encodes_like_oracle([[], ["a", "b", "a"], [], ["b", "a"], ["a"], []], 4)
+    assert_encodes_like_oracle(["", "abcab", "", "ba", ""], 6)
+
+
+def test_encode_a_large_vocabulary_and_long_sequences():
+    rng = np.random.default_rng(15)
+    # 100-160 tokens each over 400 words: n-gram keys run past 256 * 256
+    seqs = [
+        [f"w{int(i)}" for i in rng.integers(0, 400, size=int(rng.integers(100, 160)))]
+        for _ in range(5)
+    ]
+    assert len(set().union(*seqs)) > 256
+    assert_encodes_like_oracle(seqs, 4)
+
+
+def test_encode_numpy_integer_tokens():
+    rng = np.random.default_rng(16)
+    seqs = [list(rng.integers(0, 5, size=int(rng.integers(0, 25)))) for _ in range(6)]
+    assert isinstance(seqs[0][0], np.integer)
+    assert_encodes_like_oracle(seqs, 4)
+    # a numpy integer and the Python int of the same value are one token
+    (unigrams,), _ = encode_ngram_blocks([[np.int64(3)], [3]], 1)
+    assert unigrams.tolist() == [[1], [1]]
+
+
+def test_encode_rejects_ngram_keys_beyond_int64(monkeypatch):
+    seqs = [["a", "b", "a", "c"], ["c", "b"]]
+    # 3 tokens and 4 bigrams: order-2 keys take 3 * 3 = 9 values, order-3 keys 4 * 3 = 12
+    monkeypatch.setattr(kernels, "_INT64_KEYS", 12)
+    assert_encodes_like_oracle(seqs, 3)
+    monkeypatch.setattr(kernels, "_INT64_KEYS", 11)
+    assert len(encode_ngram_blocks(seqs, 2)[0]) == 2
+    with pytest.raises(ValueError, match="overflow int64"):
+        encode_ngram_blocks(seqs, 3)
+    monkeypatch.setattr(kernels, "_INT64_KEYS", 8)
+    with pytest.raises(ValueError, match="overflow int64"):
+        encode_ngram_blocks(seqs, 2)
 
 
 def oracle_bleu(hyp, ref, cfg):
