@@ -41,7 +41,6 @@ _HOMES = {
         "TransportError",
     ),
     "io": (
-        "ScorerClient",
         "load_nbest",
         "load_utility_matrices",
         "read_results",
@@ -64,6 +63,7 @@ _HOMES = {
         "rerank",
         "token_entropy",
     ),
+    "scorer": ("ScorerClient",),
     "metrics": (
         "MetricConfig",
         "corpus_bleu",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,9 @@ from .core import (
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
     ChrfUtility,
+    MatrixUtility,
     UtilitySession,
+    check_scored,
     expected_utilities,
     list_scores,
     regularizer_values,
@@ -312,7 +315,12 @@ def _weight_vectors(grid, r: int) -> np.ndarray:
 _GRID_BLOCK_CELLS = 1 << 16
 
 
-def _grid_selections(consensus, values, weights: np.ndarray) -> np.ndarray:
+def _check_ranks(totals: np.ndarray) -> None:
+    if not np.isfinite(totals).all():
+        raise InvalidInputError("total scores must be finite")
+
+
+def _grid_selections(consensus, values, weights: np.ndarray, check=_check_ranks) -> np.ndarray:
     """The candidate each weight vector selects on one list.
 
     ``values`` holds r rows of regularizer values, one per candidate, and
@@ -322,7 +330,8 @@ def _grid_selections(consensus, values, weights: np.ndarray) -> np.ndarray:
     performs, so they are bit-identical.  The selection is the first
     maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
     wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
-    time.  Raises as ``rank_candidates`` does if any total is not finite.
+    time.  ``check`` gets each block of totals; by default it raises as
+    ``rank_candidates`` does if any total is not finite.
     """
     base = np.asarray(consensus, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64).reshape(-1, base.size)
@@ -334,8 +343,7 @@ def _grid_selections(consensus, values, weights: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for k, row in enumerate(values):
                 totals += np.multiply.outer(block[:, k], row)
-        if not np.isfinite(totals).all():
-            raise InvalidInputError("total scores must be finite")
+        check(totals)
         picks[start : start + len(block)] = totals.argmax(axis=1)
     return picks
 
@@ -370,14 +378,15 @@ def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) ->
 def _grid_objectives(scored, weights: np.ndarray, objective: _ObjectiveStats) -> list[float]:
     """The objective of the selections each weight vector makes on the dev lists.
 
-    ``scored`` holds each list's consensus scores and regularizer values;
-    ``weights`` holds one weight vector per row.  Statistics are summed per
-    vector by Python's ``sum``, list by list in list order as
-    :func:`corpus_objective` sums chrF, with no (vectors x lists) array.
+    ``scored`` holds each list's consensus scores, regularizer values and
+    the check of its totals; ``weights`` holds one weight vector per row.
+    Statistics are summed per vector by Python's ``sum``, list by list in
+    list order as :func:`corpus_objective` sums chrF, with no
+    (vectors x lists) array.
     """
     sums = sum(
-        objective.list_stats(pos)[_grid_selections(consensus, values, weights)]
-        for pos, (consensus, values) in enumerate(scored)
+        objective.list_stats(pos)[_grid_selections(consensus, values, weights, check)]
+        for pos, (consensus, values, check) in enumerate(scored)
     )
     return objective.objectives(sums)
 
@@ -400,10 +409,17 @@ def _tune(lists, config, depths, weights, objective_of):
             list_scores(lst, p, config.resolve_l(lst.n), config.regularizers)
             for lst, p in zip(lists, providers)
         ]
+    # Totals that are not finite are a scoring failure, except a stored
+    # matrix's: they are input, checked only at the scored depth.
+    checks = [
+        _check_ranks if isinstance(p, MatrixUtility) else partial(check_scored, lst)
+        for lst, p in zip(lists, providers)
+    ]
     curve = []
     for l in depths:
         at_l = [
-            (expected_utilities(v, l or v.shape[1]), list(regs.values())) for v, regs in scored
+            (expected_utilities(v, l or v.shape[1]), list(regs.values()), check)
+            for (v, regs), check in zip(scored, checks)
         ]
         curve += _grid_objectives(at_l, weights, objective_of)
     best = max(range(len(curve)), key=curve.__getitem__)

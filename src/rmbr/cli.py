@@ -7,8 +7,9 @@ Subcommands: ``rerank`` (direct expected-utility reranking), ``c2f``
 of a hypothesis file).
 
 Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
-scorer-transport, scoring (including a non-finite score) or other runtime
-failures, and 130 on Ctrl-C.  An ``--output`` that names a directory is
+scorer-transport, scoring (including a non-finite score, or scores whose
+consensus or weighted totals are not finite) or other runtime failures,
+and 130 on Ctrl-C.  An ``--output`` that names a directory is
 invalid input, refused before any work.  Errors go to stderr prefixed
 ``error:``.  Output files are written to a temp file and renamed into
 place, so none is left half-written.  The commands that score (``rerank``, ``c2f``,
@@ -36,7 +37,8 @@ to that point, so it evaluates no utility, starts no scorer and writes
 nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
-``rerank``, ``c2f`` and ``eval`` never load it.
+``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
+only when a ``service:`` spec is resolved.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""File formats and the external-scorer client.
+"""File formats: n-best lists, utility matrices and results.
 
 N-best files and full-mode result files are UTF-8 line-delimited JSON, one
 record per line.  Utility-matrix files are a JSON header line
@@ -9,15 +9,10 @@ write/load round-trips are bit-exact.  An input that is a directory or not
 UTF-8 text is invalid input, as is a candidate whose text is blank or not
 a string, whose tokens are not a list, or a reference that is not a string.
 
-The scorer client speaks a line-JSON protocol over a TCP socket or a child
-process's stdin/stdout.  Both sides send ``{"protocol": "rmbr-scorer/1"}``
-on connect.  Requests are ``{"id", "src", "hyp", "ref"}``; responses are
-``{"id", "score"}`` or ``{"id", "error"}`` and may arrive out of order —
-the client realigns them by id.  Each response must arrive within the
-timeout (default 30 s, ``RMBR_SCORER_TIMEOUT_SECS`` overrides), and so
-must each write to a scorer that has stopped reading.  One thread writes a
-batch and reads its responses over non-blocking descriptors, so a batch
-larger than the pipe buffers cannot deadlock.
+The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
+still resolves to it, on first access, for the span tracer in
+``perfbench/spans.py``, which wraps the client's methods through this
+module; the alias goes when that tracer does.
 """
 
 from __future__ import annotations
@@ -25,25 +20,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import select
-import threading
-import time
 from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
 from .core import Candidate, NBestList, RerankResult, UtilityMatrix
-from .errors import (
-    InvalidInputError,
-    ParseError,
-    ScoringError,
-    TransportError,
-)
-
-PROTOCOL_VERSION = "rmbr-scorer/1"
-DEFAULT_TIMEOUT_SECS = 30.0
-TIMEOUT_ENV_VAR = "RMBR_SCORER_TIMEOUT_SECS"
+from .errors import InvalidInputError, ParseError
 
 RESULT_MODES = ("text", "full")
 
@@ -68,9 +51,7 @@ def atomic_write(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    import uuid
-
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{path}.{os.urandom(16).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
@@ -323,278 +304,9 @@ def read_results(path) -> list[RerankResult]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# scorer-service client
+def __getattr__(name):
+    if name == "ScorerClient":
+        from .scorer import ScorerClient
 
-
-def _resolve_timeout(timeout: float | None) -> float:
-    """The given timeout, else the environment's, else the default.
-
-    Raises :class:`InvalidInputError` unless it is a finite number > 0.
-    """
-    name = "scorer timeout"
-    if timeout is None:
-        name, timeout = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR)
-        if not timeout:
-            return DEFAULT_TIMEOUT_SECS
-    try:
-        value = float(timeout)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidInputError(
-            f"{name} must be a finite number of seconds > 0, got {timeout!r}"
-        )
-    return value
-
-
-_READ_CHUNK = 1 << 16
-
-
-class ScorerClient:
-    """Client for an external scorer speaking the line-JSON protocol.
-
-    Build one with :meth:`connect_tcp` or :meth:`spawn`; both perform the
-    protocol handshake.  ``score_pairs`` pipelines all requests of a batch
-    and realigns responses by id, so the scorer may answer out of order.
-    One thread does both directions: it waits on the non-blocking
-    descriptors with ``poll`` and writes requests while it reads
-    responses, so a batch larger than the pipe buffers cannot deadlock
-    and a scorer that stops reading runs into the timeout.  The client is
-    safe to share between threads (batches are serialized).
-    """
-
-    def __init__(self, read_fd: int, write_fd: int, timeout: float | None = None, close=None):
-        self.timeout = _resolve_timeout(timeout)
-        self._rfd = read_fd
-        self._wfd = write_fd
-        self._teardown = close
-        self._closed = False
-        #: bytes read but not yet handed to a batch
-        self._unread = b""
-        self._next_id = 0
-        self._lock = threading.Lock()
-        #: pairs of the batches this client got all scores for
-        self.pairs_scored = 0
-        try:
-            os.set_blocking(read_fd, False)
-            os.set_blocking(write_fd, False)
-            self._handshake()
-        except BaseException:
-            self.close()
-            raise
-
-    @classmethod
-    def connect_tcp(cls, host: str, port: int, timeout: float | None = None):
-        import socket
-
-        resolved = _resolve_timeout(timeout)
-        try:
-            sock = socket.create_connection((host, port), timeout=resolved)
-        except OSError as e:
-            raise TransportError(f"cannot connect to scorer at {host}:{port}: {e}") from None
-
-        def close():
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
-
-        fd = sock.fileno()
-        return cls(fd, fd, timeout=resolved, close=close)
-
-    @classmethod
-    def spawn(cls, argv: Sequence[str], timeout: float | None = None):
-        import subprocess
-
-        timeout = _resolve_timeout(timeout)
-        try:
-            proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
-            )
-        except OSError as e:
-            raise TransportError(f"cannot start scorer {argv!r}: {e}") from None
-
-        def stop():
-            proc.stdin.close()
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-
-        return cls(proc.stdout.fileno(), proc.stdin.fileno(), timeout=timeout, close=stop)
-
-    def _exchange(self, payload: bytes, take) -> None:
-        """Write ``payload`` while passing each response line to ``take``.
-
-        ``take`` returns True once it needs no more lines; what was read
-        past that line is kept for the next exchange.  Every wait is
-        bounded by the timeout, which restarts when requests are written
-        or a complete response line arrives.  A last line that ends
-        without a newline is still a line, as in ``for line in file``.
-        """
-        rfd, wfd = self._rfd, self._wfd
-        out = memoryview(payload)
-        tail, self._unread = self._unread, b""
-        polled = {}
-        done = False
-
-        def feed(data: bytes) -> bool:
-            """Pass on the lines ``tail + data`` completes; it holds a newline."""
-            nonlocal tail
-            complete, _, tail = (tail + data).rpartition(b"\n")
-            try:
-                lines = complete.decode("utf-8").split("\n")
-            except UnicodeDecodeError as e:
-                raise TransportError(f"scorer connection failed: {e}") from None
-            for i, line in enumerate(lines):
-                if take(line):
-                    rest = "".join(f"{later}\n" for later in lines[i + 1 :])
-                    self._unread = rest.encode() + tail
-                    return True
-            return False
-
-        if b"\n" in tail:
-            done = feed(b"")
-        deadline = time.monotonic() + self.timeout
-        while True:
-            if out:
-                try:
-                    sent = os.write(wfd, out)
-                except BlockingIOError:
-                    sent = 0
-                except OSError as e:
-                    raise TransportError(f"cannot send to scorer: {e}") from None
-                if sent:
-                    out = out[sent:]
-                    deadline = time.monotonic() + self.timeout
-            if not done:
-                try:
-                    data = os.read(rfd, _READ_CHUNK)
-                except BlockingIOError:
-                    data = None
-                except OSError as e:
-                    raise TransportError(f"scorer connection failed: {e}") from None
-                if data == b"":
-                    if tail:  # the last line ends at EOF
-                        done = feed(b"\n")
-                    if not done:
-                        raise TransportError("scorer closed the connection")
-                elif data and b"\n" in data:
-                    deadline = time.monotonic() + self.timeout
-                    done = feed(data)
-                elif data:  # part of a line
-                    tail += data
-            if done and not out:
-                return
-            wanted = {wfd: select.POLLOUT} if out else {}
-            if not done:
-                wanted[rfd] = wanted.get(rfd, 0) | select.POLLIN
-            if wanted != polled:
-                poller = select.poll()
-                for fd, events in wanted.items():
-                    poller.register(fd, events)
-                polled = wanted
-            wait = deadline - time.monotonic()
-            if wait <= 0 or not poller.poll(wait * 1000):
-                waiting_for = "to read requests" if out else "response"
-                raise TransportError(
-                    f"timed out after {self.timeout}s waiting for scorer {waiting_for}"
-                )
-
-    def _handshake(self):
-        got = []
-        hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
-        self._exchange(hello, lambda line: got.append(line) or True)
-        try:
-            greeting = json.loads(got[0])
-        except json.JSONDecodeError:
-            line = got[0] + "\n"  # quoted with its newline, as read
-            raise TransportError(f"bad scorer handshake: {line!r}") from None
-        if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
-            raise TransportError(
-                f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, "
-                f"got {greeting.get('protocol') if isinstance(greeting, dict) else greeting!r}"
-            )
-
-    def score_pairs(self, pairs: Sequence[tuple[str | None, str, str]]) -> list[float]:
-        """Score (source, hypothesis, reference) triples; source may be None.
-
-        Returns scores in the order of ``pairs`` regardless of the order the
-        scorer answered in.
-        """
-        if not pairs:
-            raise InvalidInputError("pairs must be non-empty")
-        with self._lock:
-            if self._closed:
-                raise TransportError("scorer client is closed")
-            base = self._next_id
-            self._next_id += len(pairs)
-            # json.dumps of each request dict, with each distinct text
-            # encoded once per batch
-            quoted = {text: json.dumps(text) for text in {t for pair in pairs for t in pair}}
-            payload = "".join(
-                f'{{"id": {base + i}, "src": {quoted[src]}, '
-                f'"hyp": {quoted[hyp]}, "ref": {quoted[ref]}}}\n'
-                for i, (src, hyp, ref) in enumerate(pairs)
-            ).encode()
-            pending = dict(zip(range(base, base + len(pairs)), range(len(pairs))))
-            out: list[float | None] = [None] * len(pairs)
-
-            def take(line: str) -> bool:
-                try:
-                    response = json.loads(line)
-                except json.JSONDecodeError:
-                    line += "\n"
-                    raise TransportError(f"malformed scorer response: {line!r}") from None
-                rid = response.get("id") if isinstance(response, dict) else None
-                # exactly int: true and 1.0 would match id 1, and a list is unhashable
-                if type(rid) is not int or rid not in pending:
-                    raise TransportError(
-                        f"scorer response for unknown or duplicate id {rid!r}"
-                    )
-                pos = pending.pop(rid)
-                if response.get("error") is not None:
-                    raise ScoringError(
-                        f"scorer failed on pair {pos}: {response['error']}"
-                    )
-                score = response.get("score")
-                if isinstance(score, bool) or not isinstance(score, (int, float)):
-                    raise TransportError(
-                        f"scorer response for pair {pos} has no numeric score"
-                    )
-                if not math.isfinite(score):
-                    raise ScoringError(
-                        f"scorer returned a non-finite score for pair {pos}: {score!r}"
-                    )
-                out[pos] = float(score)
-                return not pending
-
-            self._exchange(payload, take)
-            self.pairs_scored += len(pairs)
-            return out  # type: ignore[return-value]
-
-    def close(self):
-        """Close the connection and stop a spawned scorer (idempotent).
-
-        A batch in progress on another thread finishes first.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._teardown is not None:
-            try:
-                self._teardown()
-            except OSError:
-                pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        return ScorerClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ for non-negative integers.  So with the 0/1 indicator matrix B_t = (C >= t),
 the counts are sum_t B_t @ B_t[:l].T.  Only columns where some reference row
 (one of the first l) reaches t add anything, so each product keeps just
 those, and t runs up to the largest reference count (rarely above 2).  The
-products run in BLAS, which releases the GIL.  Each B_t is float32; every
+products run in BLAS.  Each B_t is float32; every
 partial sum is an integer no larger than a sequence length, and float32
 holds integers exactly up to 2**24, so the counts are exact.  The kernel
 checks that bound rather than assume it, as the encoder checks that its

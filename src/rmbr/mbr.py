@@ -23,25 +23,29 @@ count tensor into scores with one array routine per metric,
 :func:`~rmbr.metrics.bleu_scores` or :func:`~rmbr.metrics.chrf_scores`,
 whose 1 x 1 calls are the sentence metrics, so a pair's score is the same
 bit for bit on every path (``score_against`` uses the builder with the
-reference first and l = 1); a
-precomputed matrix can be loaded from disk; and an external scorer process
-can be attached over the line-JSON protocol, with one batch of pairs per
-list.  Spec strings become providers in a :class:`UtilitySession`, which
-resolves each spec once per run, starting and connecting nothing: a
-scorer opens on its first batch, and the session closes it.
-:func:`check_list` makes every check :func:`rerank` makes on a list
-before its first score, so a dry run is the real run stopped just before
-scoring (see :mod:`rmbr.cli`).  The built-in metrics use the
-default :class:`~rmbr.metrics.MetricConfig`; another is chosen by passing
-a provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
+reference first and l = 1); a precomputed matrix can be loaded from disk;
+and an external scorer process can be attached over the line-JSON
+protocol, with one batch of pairs per list.  Spec strings become providers
+in a :class:`UtilitySession`, which resolves each spec once per run,
+starting and connecting nothing: a scorer opens on its first batch, and
+the session closes it.  The scorer client and the ``service:`` syntax live
+in :mod:`rmbr.scorer`, which the session imports only when it resolves a
+``service:`` spec; the provider (:class:`ServiceUtility`), its first-batch
+opener and the session's lifetime and counters stay here.
+:func:`check_list` makes every check :func:`rerank` makes on a list before
+its first score, so a dry run is the real run stopped just before scoring
+(see :mod:`rmbr.cli`), and a consensus or total that is not finite after
+scoring is a scoring failure (:func:`check_scored`).  The built-in metrics
+use the default :class:`~rmbr.metrics.MetricConfig`; another is chosen by
+passing a provider such as ``BleuUtility(MetricConfig(...))`` in place of
+a spec.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import replace
-from functools import partial
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -59,8 +63,9 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     MissingScoreError,
+    ScoringError,
 )
-from .io import ScorerClient, _resolve_timeout, load_utility_matrices
+from .io import load_utility_matrices
 from .kernels import encode_ngram_blocks, pair_match_counts
 from .metrics import MetricConfig, bleu_scores, chrf_characters, chrf_scores
 
@@ -168,14 +173,14 @@ class MatrixUtility:
         )
 
 
-class _ScorerLike(Protocol):
-    def score_pairs(self, pairs: Sequence[tuple[str | None, str, str]]) -> list[float]: ...
-
-
 class ServiceUtility:
-    """A utility backed by an external scorer over the line-JSON protocol."""
+    """A utility backed by an external scorer over the line-JSON protocol.
 
-    def __init__(self, client: _ScorerLike, name: str = "service"):
+    ``client`` is anything with the ``score_pairs`` of
+    :class:`rmbr.scorer.ScorerClient`.
+    """
+
+    def __init__(self, client, name: str = "service"):
         self.client = client
         self.name = name
 
@@ -224,7 +229,8 @@ class UtilitySession:
     """
 
     def __init__(self):
-        self._clients: list[ScorerClient] = []
+        #: the scorer clients this session opened
+        self._clients: list = []
         self._closers = ExitStack()
 
     def __enter__(self) -> "UtilitySession":
@@ -244,7 +250,9 @@ class UtilitySession:
         holding one matrix, shared, or one per list), ``"service:exec:COMMAND"``
         or ``"service:HOST:PORT"`` with a port in 1..65535; any other value
         raises :class:`ConfigError`.  A ``service:`` spec also needs a valid
-        scorer timeout (:class:`InvalidInputError` if not).
+        scorer timeout (:class:`InvalidInputError` if not).  Only a
+        ``service:`` spec imports :mod:`rmbr.scorer`, whose
+        :func:`~rmbr.scorer.service_opener` parses it.
         """
         if isinstance(spec, (list, tuple)):
             if len(spec) != num_lists:
@@ -271,25 +279,12 @@ class UtilitySession:
             return utilities * (num_lists // len(utilities))
         if scheme != "service":
             raise ConfigError(f"unknown utility spec {spec!r}")
-        timeout = _resolve_timeout(None)
-        if rest.startswith("exec:"):
-            import shlex
+        from .scorer import service_opener
 
-            try:
-                argv = shlex.split(rest[len("exec:") :])
-            except ValueError as e:
-                raise ConfigError(f"bad scorer command in {spec!r}: {e}") from None
-            if not argv:
-                raise ConfigError(f"{spec!r} names no scorer command")
-            connect = partial(ScorerClient.spawn, argv)
-        else:
-            host, sep, port = rest.rpartition(":")
-            if not host or not sep or not port.isdigit() or not 1 <= int(port) <= 65535:
-                raise ConfigError(f"bad service address {rest!r}, want HOST:PORT")
-            connect = partial(ScorerClient.connect_tcp, host, int(port))
+        connect = service_opener(rest)
 
         def open_client():
-            client = self._closers.enter_context(connect(timeout=timeout))
+            client = self._closers.enter_context(connect())
             self._clients.append(client)
             return client
 
@@ -433,6 +428,19 @@ def check_list(nbest: NBestList, config: RerankConfig) -> None:
     rank_candidates(combine_scores(consensus, regs, config.lambdas))
 
 
+def check_scored(nbest: NBestList, totals) -> None:
+    """Raise :class:`ScoringError` unless every total of a scored list is finite.
+
+    :func:`check_list` (and, for a weight grid,
+    :func:`~rmbr.analysis.check_lambda_grid`) has proved that every value
+    known before scoring ranks, so a consensus or total that is not finite
+    after scoring comes from the utility's scores, for example a scorer's
+    finite values whose sum overflows: a scoring failure, not invalid input.
+    """
+    if not np.isfinite(totals).all():
+        raise ScoringError(f"list with source {nbest.source!r}: scores are not finite")
+
+
 def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
@@ -447,6 +455,7 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
     consensus = expected_utilities(values, l)
     totals = combine_scores(consensus, regularizers, config.lambdas)
+    check_scored(nbest, totals)
     ranking, selected = rank_candidates(totals)
     return RerankResult(
         mbr_scores=tuple(consensus),
@@ -475,7 +484,9 @@ def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
     check_list(nbest, config)
     n = nbest.n
     k = stages.keep
-    order, _ = rank_candidates(mbr_scores(build_utility_matrix(nbest, stages.proxy, n)))
+    consensus = mbr_scores(build_utility_matrix(nbest, stages.proxy, n))
+    check_scored(nbest, consensus)
+    order, _ = rank_candidates(consensus)
     survivors = sorted(order[:k])
     sub_list = NBestList(
         source=nbest.source,

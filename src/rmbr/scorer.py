@@ -1,0 +1,343 @@
+"""The external-scorer client: everything about reaching a scorer.
+
+A ``service:`` utility spec names a scorer that speaks a line-JSON
+protocol over a TCP socket or a child process's stdin/stdout.  Both sides
+send ``{"protocol": "rmbr-scorer/1"}`` on connect.  Requests are
+``{"id", "src", "hyp", "ref"}``; responses are ``{"id", "score"}`` or
+``{"id", "error"}`` and may arrive out of order — the client realigns them
+by id.  Each response must arrive within the timeout (default 30 s,
+``RMBR_SCORER_TIMEOUT_SECS`` overrides), and so must each write to a
+scorer that has stopped reading.  One thread writes a batch and reads its
+responses over non-blocking descriptors, so a batch larger than the pipe
+buffers cannot deadlock.
+
+:func:`service_opener` parses the text after ``service:`` and returns an
+opener that starts nothing until it is called.  Within rmbr, only
+:meth:`rmbr.mbr.UtilitySession.providers` imports this module, when it
+resolves a ``service:`` spec, so a BLEU, chrF or ``matrix:`` run never
+loads it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import select
+import threading
+import time
+from functools import partial
+from typing import Sequence
+
+from .errors import (
+    ConfigError,
+    InvalidInputError,
+    ScoringError,
+    TransportError,
+)
+
+PROTOCOL_VERSION = "rmbr-scorer/1"
+DEFAULT_TIMEOUT_SECS = 30.0
+TIMEOUT_ENV_VAR = "RMBR_SCORER_TIMEOUT_SECS"
+
+
+def _resolve_timeout(timeout: float | None) -> float:
+    """The given timeout, else the environment's, else the default.
+
+    Raises :class:`InvalidInputError` unless it is a finite number > 0.
+    """
+    name = "scorer timeout"
+    if timeout is None:
+        name, timeout = TIMEOUT_ENV_VAR, os.environ.get(TIMEOUT_ENV_VAR)
+        if not timeout:
+            return DEFAULT_TIMEOUT_SECS
+    try:
+        value = float(timeout)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(
+            f"{name} must be a finite number of seconds > 0, got {timeout!r}"
+        )
+    return value
+
+
+def service_opener(address: str):
+    """An opener of the scorer at ``address``, the text after ``service:``.
+
+    ``address`` is ``exec:COMMAND`` (a shell-quoted command to spawn) or
+    ``HOST:PORT`` with a port in 1..65535; anything else raises
+    :class:`ConfigError`.  The timeout is read first, from the environment,
+    and must be valid (:class:`InvalidInputError` if not).  The opener
+    takes no arguments and returns a connected :class:`ScorerClient`; it
+    uses the ``spawn`` or ``connect_tcp`` that the class holds when this
+    is called, and nothing starts until the opener is called.
+    """
+    spec = f"service:{address}"
+    timeout = _resolve_timeout(None)
+    if address.startswith("exec:"):
+        import shlex
+
+        try:
+            argv = shlex.split(address[len("exec:") :])
+        except ValueError as e:
+            raise ConfigError(f"bad scorer command in {spec!r}: {e}") from None
+        if not argv:
+            raise ConfigError(f"{spec!r} names no scorer command")
+        return partial(ScorerClient.spawn, argv, timeout=timeout)
+    host, sep, port = address.rpartition(":")
+    if not host or not sep or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise ConfigError(f"bad service address {address!r}, want HOST:PORT")
+    return partial(ScorerClient.connect_tcp, host, int(port), timeout=timeout)
+
+
+_READ_CHUNK = 1 << 16
+
+
+class ScorerClient:
+    """Client for an external scorer speaking the line-JSON protocol.
+
+    Build one with :meth:`connect_tcp` or :meth:`spawn`; both perform the
+    protocol handshake.  ``score_pairs`` pipelines all requests of a batch
+    and realigns responses by id, so the scorer may answer out of order.
+    One thread does both directions: it waits on the non-blocking
+    descriptors with ``poll`` and writes requests while it reads
+    responses, so a batch larger than the pipe buffers cannot deadlock
+    and a scorer that stops reading runs into the timeout.  The client is
+    safe to share between threads (batches are serialized).
+    """
+
+    def __init__(self, read_fd: int, write_fd: int, timeout: float | None = None, close=None):
+        self.timeout = _resolve_timeout(timeout)
+        self._rfd = read_fd
+        self._wfd = write_fd
+        self._teardown = close
+        self._closed = False
+        #: bytes read but not yet handed to a batch
+        self._unread = b""
+        self._next_id = 0
+        self._lock = threading.Lock()
+        #: pairs of the batches this client got all scores for
+        self.pairs_scored = 0
+        try:
+            os.set_blocking(read_fd, False)
+            os.set_blocking(write_fd, False)
+            self._handshake()
+        except BaseException:
+            self.close()
+            raise
+
+    @classmethod
+    def connect_tcp(cls, host: str, port: int, timeout: float | None = None):
+        import socket
+
+        resolved = _resolve_timeout(timeout)
+        try:
+            sock = socket.create_connection((host, port), timeout=resolved)
+        except OSError as e:
+            raise TransportError(f"cannot connect to scorer at {host}:{port}: {e}") from None
+
+        def close():
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
+
+        fd = sock.fileno()
+        return cls(fd, fd, timeout=resolved, close=close)
+
+    @classmethod
+    def spawn(cls, argv: Sequence[str], timeout: float | None = None):
+        import subprocess
+
+        timeout = _resolve_timeout(timeout)
+        try:
+            proc = subprocess.Popen(
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+            )
+        except OSError as e:
+            raise TransportError(f"cannot start scorer {argv!r}: {e}") from None
+
+        def stop():
+            proc.stdin.close()
+            proc.terminate()
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+        return cls(proc.stdout.fileno(), proc.stdin.fileno(), timeout=timeout, close=stop)
+
+    def _exchange(self, payload: bytes, take) -> None:
+        """Write ``payload`` while passing each response line to ``take``.
+
+        ``take`` returns True once it needs no more lines; what was read
+        past that line is kept for the next exchange.  Every wait is
+        bounded by the timeout, which restarts when requests are written
+        or a complete response line arrives.  A last line that ends
+        without a newline is still a line, as in ``for line in file``.
+        """
+        rfd, wfd = self._rfd, self._wfd
+        out = memoryview(payload)
+        tail, self._unread = self._unread, b""
+        polled = {}
+        done = False
+
+        def feed(data: bytes) -> bool:
+            """Pass on the lines ``tail + data`` completes; it holds a newline."""
+            nonlocal tail
+            complete, _, tail = (tail + data).rpartition(b"\n")
+            try:
+                lines = complete.decode("utf-8").split("\n")
+            except UnicodeDecodeError as e:
+                raise TransportError(f"scorer connection failed: {e}") from None
+            for i, line in enumerate(lines):
+                if take(line):
+                    rest = "".join(f"{later}\n" for later in lines[i + 1 :])
+                    self._unread = rest.encode() + tail
+                    return True
+            return False
+
+        if b"\n" in tail:
+            done = feed(b"")
+        deadline = time.monotonic() + self.timeout
+        while True:
+            if out:
+                try:
+                    sent = os.write(wfd, out)
+                except BlockingIOError:
+                    sent = 0
+                except OSError as e:
+                    raise TransportError(f"cannot send to scorer: {e}") from None
+                if sent:
+                    out = out[sent:]
+                    deadline = time.monotonic() + self.timeout
+            if not done:
+                try:
+                    data = os.read(rfd, _READ_CHUNK)
+                except BlockingIOError:
+                    data = None
+                except OSError as e:
+                    raise TransportError(f"scorer connection failed: {e}") from None
+                if data == b"":
+                    if tail:  # the last line ends at EOF
+                        done = feed(b"\n")
+                    if not done:
+                        raise TransportError("scorer closed the connection")
+                elif data and b"\n" in data:
+                    deadline = time.monotonic() + self.timeout
+                    done = feed(data)
+                elif data:  # part of a line
+                    tail += data
+            if done and not out:
+                return
+            wanted = {wfd: select.POLLOUT} if out else {}
+            if not done:
+                wanted[rfd] = wanted.get(rfd, 0) | select.POLLIN
+            if wanted != polled:
+                poller = select.poll()
+                for fd, events in wanted.items():
+                    poller.register(fd, events)
+                polled = wanted
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not poller.poll(wait * 1000):
+                waiting_for = "to read requests" if out else "response"
+                raise TransportError(
+                    f"timed out after {self.timeout}s waiting for scorer {waiting_for}"
+                )
+
+    def _handshake(self):
+        got = []
+        hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
+        self._exchange(hello, lambda line: got.append(line) or True)
+        try:
+            greeting = json.loads(got[0])
+        except json.JSONDecodeError:
+            line = got[0] + "\n"  # quoted with its newline, as read
+            raise TransportError(f"bad scorer handshake: {line!r}") from None
+        if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
+            raise TransportError(
+                f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, "
+                f"got {greeting.get('protocol') if isinstance(greeting, dict) else greeting!r}"
+            )
+
+    def score_pairs(self, pairs: Sequence[tuple[str | None, str, str]]) -> list[float]:
+        """Score (source, hypothesis, reference) triples; source may be None.
+
+        Returns scores in the order of ``pairs`` regardless of the order the
+        scorer answered in.
+        """
+        if not pairs:
+            raise InvalidInputError("pairs must be non-empty")
+        with self._lock:
+            if self._closed:
+                raise TransportError("scorer client is closed")
+            base = self._next_id
+            self._next_id += len(pairs)
+            # json.dumps of each request dict, with each distinct text
+            # encoded once per batch
+            quoted = {text: json.dumps(text) for text in {t for pair in pairs for t in pair}}
+            payload = "".join(
+                f'{{"id": {base + i}, "src": {quoted[src]}, '
+                f'"hyp": {quoted[hyp]}, "ref": {quoted[ref]}}}\n'
+                for i, (src, hyp, ref) in enumerate(pairs)
+            ).encode()
+            pending = dict(zip(range(base, base + len(pairs)), range(len(pairs))))
+            out: list[float | None] = [None] * len(pairs)
+
+            def take(line: str) -> bool:
+                try:
+                    response = json.loads(line)
+                except json.JSONDecodeError:
+                    line += "\n"
+                    raise TransportError(f"malformed scorer response: {line!r}") from None
+                rid = response.get("id") if isinstance(response, dict) else None
+                # exactly int: true and 1.0 would match id 1, and a list is unhashable
+                if type(rid) is not int or rid not in pending:
+                    raise TransportError(
+                        f"scorer response for unknown or duplicate id {rid!r}"
+                    )
+                pos = pending.pop(rid)
+                if response.get("error") is not None:
+                    raise ScoringError(
+                        f"scorer failed on pair {pos}: {response['error']}"
+                    )
+                score = response.get("score")
+                if isinstance(score, bool) or not isinstance(score, (int, float)):
+                    raise TransportError(
+                        f"scorer response for pair {pos} has no numeric score"
+                    )
+                if not math.isfinite(score):
+                    raise ScoringError(
+                        f"scorer returned a non-finite score for pair {pos}: {score!r}"
+                    )
+                out[pos] = float(score)
+                return not pending
+
+            self._exchange(payload, take)
+            self.pairs_scored += len(pairs)
+            return out  # type: ignore[return-value]
+
+    def close(self):
+        """Close the connection and stop a spawned scorer (idempotent).
+
+        A batch in progress on another thread finishes first.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        if self._teardown is not None:
+            try:
+                self._teardown()
+            except OSError:
+                pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()

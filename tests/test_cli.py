@@ -649,6 +649,8 @@ for line in sys.stdin:
     req = json.loads(line)
     if mode == "error":
         reply = {"id": req["id"], "error": "no model loaded"}
+    elif mode == "huge":
+        reply = {"id": req["id"], "score": 1e308}
     else:
         hyp, ref = set(req["hyp"].split()), set(req["ref"].split())
         reply = {"id": req["id"], "score": 2.0 * len(hyp & ref) / (len(hyp) + len(ref))}
@@ -728,6 +730,62 @@ def test_one_scorer_per_spec_and_none_outlives_the_run(
         # a start slower than the timeout fails the handshake before logging
         assert len(pids) <= specs
     _assert_all_gone(pids)
+
+
+_OVERFLOW_COMMANDS = {
+    "rerank": ["rerank", "--utility", "S"],
+    "c2f-proxy": ["c2f", "--utility", "bleu", "--proxy", "S", "--keep", "2"],
+    "c2f-target": ["c2f", "--utility", "S", "--proxy", "bleu", "--keep", "2"],
+    "tune-lambda": ["tune-lambda", "--utility", "S", "--regularizers", "qe"],
+    "tune-l": ["tune-l", "--utility", "S"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERFLOW_COMMANDS))
+def test_scorer_values_that_overflow_are_a_scoring_failure(tmp_path, capsys, command):
+    """A scorer that answers every pair with 1e308, which the protocol
+    allows, makes the consensus of a 2-candidate list overflow.  The values
+    known before scoring all rank, so that is a scoring failure (exit 2)
+    naming the list, as a non-finite score is: no output file, no scorer
+    left running.  Its dry run cannot see the scores and passes."""
+    cands = tuple(
+        make_candidate(t, -1.0 - i, external_scores={"qe": 0.5})
+        for i, t in enumerate(["a b", "a c"])
+    )
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, [NBestList("das haus", cands, reference="a b")])
+    spec, log = _logging_scorer(tmp_path, "huge")
+    args = [spec if w == "S" else w for w in _OVERFLOW_COMMANDS[command]]
+    args += ["-i", nbest, "-o", tmp_path / "out"]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: list with source 'das haus': scores are not finite\n"
+    )
+    assert list(tmp_path.glob("out*")) == []
+    pids = _started_pids(log)
+    assert len(pids) == 1
+    _assert_all_gone(pids)
+    assert run(args + ["--dry-run"]) == 0
+    assert len(_started_pids(log)) == 1
+
+
+def test_a_stored_matrix_that_overflows_only_at_a_shallower_depth_is_invalid_input(
+    tmp_path, capsys
+):
+    """The sweep's dry run checks a stored matrix at depth n only.  Its
+    9-column sum is finite (numpy adds 8 partial sums), but its first 3
+    columns sum past the float range, so depth 3 fails in the real run: as
+    invalid input, since the values come from a file, not from a scorer."""
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, [make_list([f"a w{i}" for i in range(9)], reference="a w1")])
+    values = np.zeros((9, 9))
+    values[0, :4] = [1e308, 0.0, 1e308, -1e308]
+    write_utility_matrix(tmp_path / "mat", UtilityMatrix(values=values, utility_name="ext"))
+    args = ["tune-l", "-i", nbest, "--utility", f"matrix:{tmp_path / 'mat'}"]
+    assert run(args + ["--dry-run"]) == 0
+    capsys.readouterr()
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: total scores must be finite\n"
 
 
 @pytest.mark.parametrize("dry", [False, True])
@@ -823,17 +881,45 @@ def _modules_loaded_by(statement, prefixes):
     return done.stdout
 
 
-def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules():
+def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules(tmp_path):
     """The thread pool is gone, and the transports, the re-sort warning,
-    temp-file names and the tuning and analysis commands import what they
-    need when they run."""
-    rare = (*_RARE_PATH_MODULES, "rmbr.analysis")
+    the tuning and analysis commands and the scorer client import what
+    they need when they run; temp-file names come from ``os.urandom``, so
+    no command imports ``uuid``."""
+    rare = (*_RARE_PATH_MODULES, "rmbr.analysis", "rmbr.scorer", "select")
     assert _modules_loaded_by("import rmbr.cli", rare) == "[]\n"
+    assert _modules_loaded_by("import rmbr.io", rare) == "[]\n"
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, [make_list(["a b c", "a b d", "x b c"])])
+    runs = {
+        "rerank": ["rerank", "--utility", "bleu"],
+        "c2f": ["c2f", "--utility", "bleu", "--proxy", "chrf", "--keep", "2"],
+    }
+    client = ("rmbr.scorer", "select", "uuid")
+    for name, words in runs.items():
+        args = [*words, "-i", str(nbest), "-o", str(tmp_path / name)]
+        command = f"from rmbr.cli import main; assert main({args!r}) == 0"
+        assert _modules_loaded_by(command, client).splitlines()[-1] == "[]", name
+        assert (tmp_path / name).exists()
+    spec, _ = _logging_scorer(tmp_path, "ok")
+    args = ["rerank", "-i", str(nbest), "-o", str(tmp_path / "s"), "--utility", spec]
+    command = f"from rmbr.cli import main; assert main({args!r}) == 0"
+    assert _modules_loaded_by(command, ("rmbr.scorer",)).splitlines()[-1] == "['rmbr.scorer']"
     # the package itself loads no submodule until a name is used, and a
     # submodule is an attribute of it, as when the package imported them all
     assert _modules_loaded_by("import rmbr", ("rmbr.",)) == "[]\n"
     loaded = _modules_loaded_by("import rmbr; rmbr.kernels.pair_match_counts", ("rmbr.",))
     assert loaded == "['rmbr.kernels']\n"
+
+
+def test_the_scorer_client_is_one_class_under_every_name():
+    import rmbr.io
+    import rmbr.scorer
+
+    assert rmbr.ScorerClient is rmbr.scorer.ScorerClient is rmbr.io.ScorerClient
+    assert rmbr._HOME_OF["ScorerClient"] == "scorer"
+    with pytest.raises(AttributeError, match="has no attribute 'PROTOCOL_VERSION'"):
+        rmbr.io.PROTOCOL_VERSION
 
 
 def test_every_public_name_resolves_to_its_home_module():

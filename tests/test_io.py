@@ -1,4 +1,4 @@
-"""File round-trips, parse errors, and the scorer-service client."""
+"""File round-trips, parse errors, and the scorer-service client (rmbr.scorer)."""
 
 import json
 import logging
@@ -23,7 +23,6 @@ from rmbr.errors import (
     TransportError,
 )
 from rmbr.io import (
-    ScorerClient,
     atomic_write,
     load_nbest,
     load_utility_matrices,
@@ -34,6 +33,7 @@ from rmbr.io import (
     write_utility_matrix,
 )
 from rmbr.mbr import rerank
+from rmbr.scorer import ScorerClient
 
 from conftest import (
     PROTOCOL,
@@ -534,7 +534,7 @@ def test_scorer_client_spawned_process():
 
 _BIG_BATCH_CLIENT = """
 import sys
-from rmbr.io import ScorerClient
+from rmbr.scorer import ScorerClient
 client = ScorerClient.spawn([sys.executable, "-c", sys.argv[1]], timeout=20)
 pairs = [("s", "h", "r" * (i % 7)) for i in range(20000)]
 assert client.score_pairs(pairs) == [float(i % 7) for i in range(20000)]
@@ -567,7 +567,7 @@ time.sleep(30)
 _STALLED_CLIENT = """
 import sys, time
 from rmbr.errors import TransportError
-from rmbr.io import ScorerClient
+from rmbr.scorer import ScorerClient
 client = ScorerClient.spawn([sys.executable, "-c", sys.argv[1]], timeout=1)
 pairs = [("s", "h", "r" * 10) for i in range(20000)]
 start = time.monotonic()
