@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -351,7 +351,8 @@ def _grid_selections(consensus, values, weights: np.ndarray, check=_check_ranks)
 def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) -> None:
     """Raise unless every weight vector over ``grid`` gives every list totals that rank.
 
-    Consensus is taken as :func:`~rmbr.mbr.check_list` takes it: a stored
+    The utility spec is resolved first (providers pass through), and
+    consensus is taken as :func:`~rmbr.mbr.check_list` takes it: a stored
     matrix's at depth ``config.l``, else zeros.  A list's worst case adds
     |consensus| to each |regularizer value| weighted by the grid's largest
     |weight|.  Rounding is monotone, so when that sum is finite no weight
@@ -361,8 +362,8 @@ def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) ->
     """
     names = config.regularizers
     top = max(abs(w) for w in grid)
-    utility = config.utility
-    utilities = utility if isinstance(utility, (list, tuple)) else [utility] * len(lists)
+    with UtilitySession() as session:
+        utilities = session.providers(config.utility, len(lists))
     for lst, u in zip(lists, utilities):
         consensus = stored_consensus(lst, u, config.resolve_l(lst.n))
         regs = {name: regularizer_values(lst, name) for name in names}
@@ -435,9 +436,11 @@ def grid_search_lambdas(
 ) -> tuple[dict, float]:
     """Exhaustive weight search over ``grid^r`` for the r active regularizers.
 
-    Maximizes the corpus objective of the induced selections at depth
-    ``config.l``; ties prefer the combination that enumerates first over
-    the ascending grid (i.e. the lexicographically smallest weight vector).
+    The utility spec is resolved once, for the grid check and the scoring
+    pass alike.  Maximizes the corpus objective of the induced selections
+    at depth ``config.l``; ties prefer the combination that enumerates
+    first over the ascending grid (i.e. the lexicographically smallest
+    weight vector).
     """
     objective_of = _ObjectiveStats(lists, objective_metric)
     if not lists:
@@ -445,9 +448,11 @@ def grid_search_lambdas(
     if not config.regularizers:
         raise ConfigError("grid search needs at least one active regularizer")
     grid = lambda_grid(grid)
-    check_lambda_grid(lists, config, grid)
-    weights = _weight_vectors(grid, len(config.regularizers))
-    (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
+    with UtilitySession() as session:
+        config = replace(config, utility=session.providers(config.utility, len(lists)))
+        check_lambda_grid(lists, config, grid)
+        weights = _weight_vectors(grid, len(config.regularizers))
+        (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
     return dict(zip(config.regularizers, best.tolist())), objective
 
 

@@ -8,6 +8,10 @@ space-separated decimals; several matrices may be concatenated in one file
 write/load round-trips are bit-exact.  An input that is a directory or not
 UTF-8 text is invalid input, as is a candidate whose text is blank or not
 a string, whose tokens are not a list, or a reference that is not a string.
+An n-best field of the wrong JSON type is a parse error naming the line:
+a number must be a JSON number (not a bool or a string), a number list an
+array of numbers, ``source`` a string or null, ``external_scores`` an
+object and ``candidates`` an array of objects.
 
 The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
 still resolves to it, on first access, for the span tracer in
@@ -78,18 +82,43 @@ def open_input(path):
 # n-best files
 
 
+# the types json.loads gives a JSON number (a bool is neither)
+_NUMBER_TYPES = {int, float}
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _numbers(rec: dict, key: str) -> list | None:
+    """An optional field holding an array of numbers; absent or null is None."""
+    values = rec.get(key)
+    if values is not None and not (
+        type(values) is list and set(map(type, values)) <= _NUMBER_TYPES
+    ):
+        raise ParseError(f"{key} must be an array of numbers, got {json.dumps(values)}")
+    return values
+
+
 def _candidate_from_record(rec: dict) -> Candidate:
     for key in ("text", "tokens", "log_prob"):
         if key not in rec:
             raise ParseError(f"candidate record is missing {key!r}")
+    scores = rec.get("external_scores")
+    if not isinstance(scores, (dict, type(None))):
+        raise ParseError(f"external_scores must be an object, got {json.dumps(scores)}")
     return Candidate(
         text=rec["text"],
         tokens=rec["tokens"],
-        log_prob=float(rec["log_prob"]),
-        token_log_probs=rec.get("token_log_probs"),
-        external_scores={k: float(v) for k, v in rec.get("external_scores", {}).items()},
-        mc_pass_scores=rec.get("mc_pass_scores"),
-        token_entropies=rec.get("token_entropies"),
+        log_prob=_number(rec["log_prob"], "log_prob"),
+        token_log_probs=_numbers(rec, "token_log_probs"),
+        external_scores={
+            k: _number(v, f"external score {k!r}") for k, v in (scores or {}).items()
+        },
+        mc_pass_scores=_numbers(rec, "mc_pass_scores"),
+        token_entropies=_numbers(rec, "token_entropies"),
     )
 
 
@@ -128,9 +157,17 @@ def load_nbest(path) -> list[NBestList]:
                 raise ParseError(
                     "record is missing 'source' or 'candidates'", line=line_no
                 )
+            if not isinstance(rec["source"], (str, type(None))):
+                raise ParseError(
+                    f"source must be a string or null, got {json.dumps(rec['source'])}",
+                    line=line_no,
+                )
+            cands = rec["candidates"]
+            if type(cands) is not list or not all(type(c) is dict for c in cands):
+                raise ParseError("candidates must be an array of objects", line=line_no)
             try:
-                candidates = [_candidate_from_record(c) for c in rec["candidates"]]
-            except (ParseError, TypeError, ValueError) as e:
+                candidates = [_candidate_from_record(c) for c in cands]
+            except (ParseError, TypeError, ValueError, OverflowError) as e:
                 raise ParseError(str(e), line=line_no) from None
             probs = [c.log_prob for c in candidates]
             if any(a < b for a, b in zip(probs, probs[1:])):
@@ -147,10 +184,10 @@ def load_nbest(path) -> list[NBestList]:
                         source=rec["source"],
                         candidates=tuple(candidates),
                         reference=rec.get("reference"),
-                        reference_token_log_probs=rec.get("reference_token_log_probs"),
+                        reference_token_log_probs=_numbers(rec, "reference_token_log_probs"),
                     )
                 )
-            except (TypeError, ValueError) as e:
+            except (ParseError, TypeError, ValueError) as e:
                 raise ParseError(str(e), line=line_no) from None
     if not lists:
         raise InvalidInputError(f"{path} holds no n-best lists")
@@ -211,7 +248,7 @@ def load_utility_matrices(path) -> list[UtilityMatrix]:
                 "matrix header must name utility_name, n and l", line=header_line
             )
         n, l = header["n"], header["l"]
-        if not (isinstance(n, int) and isinstance(l, int)) or n < 1 or l < 1:
+        if not all(type(d) is int and d >= 1 for d in (n, l)):
             raise ParseError(f"bad matrix dimensions n={n!r} l={l!r}", line=header_line)
         if pos + n >= len(lines):
             raise ParseError(

@@ -7,12 +7,13 @@ candidates of the same list (beam order, diagonal included):
 
 Regularizer terms are added on top with per-name weights; the combined
 score is maximized.  A coarse-to-fine mode first ranks the full list with a
-cheap proxy utility over all n pseudo-references, keeps the best k, and
-reranks only the survivors with the target utility, for n^2 + k^2 pair
-evaluations instead of n^2; a stored matrix can be the proxy but not the
-target, whose rows would belong to the full list.  :func:`list_scores` is
-the one per-list scoring step (utility values plus regularizer values) of
-:func:`rerank` and of the tuners in :mod:`rmbr.analysis`.
+cheap proxy utility over all n pseudo-references and keeps the best k;
+:func:`rerank` then scores the survivors with the target utility in the
+same steps as a one-stage rerank, for n^2 + k^2 pair evaluations instead
+of n^2.  A stored matrix can be the proxy but not the target, whose rows
+would belong to the full list.  :func:`list_scores` is the one per-list
+scoring step (utility values plus regularizer values) of both stages and
+of the tuners in :mod:`rmbr.analysis`.
 
 Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
 builder, which counts a list's n-grams into one matrix per order
@@ -32,8 +33,9 @@ the session closes it.  The scorer client and the ``service:`` syntax live
 in :mod:`rmbr.scorer`, which the session imports only when it resolves a
 ``service:`` spec; the provider (:class:`ServiceUtility`), its first-batch
 opener and the session's lifetime and counters stay here.
-:func:`check_list` makes every check :func:`rerank` makes on a list before
-its first score, so a dry run is the real run stopped just before scoring
+:func:`check_list` resolves the specs as :func:`rerank` does and then makes
+every check :func:`rerank` makes on a list before its first score, so a
+dry run is the real run stopped just before scoring
 (see :mod:`rmbr.cli`), and a consensus or total that is not finite after
 scoring is a scoring failure (:func:`check_scored`).  The built-in metrics
 use the default :class:`~rmbr.metrics.MetricConfig`; another is chosen by
@@ -386,8 +388,9 @@ def token_entropy(distribution) -> float:
 def list_scores(nbest: NBestList, utility, l: int, names) -> tuple[np.ndarray, dict]:
     """One list's n x l utility values and its values of each named regularizer.
 
-    The one scoring step of :func:`rerank` and of both tuners; a spec
-    string is resolved through :func:`build_utility_matrix`.
+    The one scoring step of :func:`rerank`, for both coarse-to-fine
+    stages, and of both tuners; it scores through
+    :func:`build_utility_matrix`.
     """
     values = build_utility_matrix(nbest, utility, l).values
     return values, {name: regularizer_values(nbest, name) for name in names}
@@ -403,23 +406,26 @@ def stored_consensus(nbest: NBestList, utility, l: int) -> list[float]:
 def check_list(nbest: NBestList, config: RerankConfig) -> None:
     """Make every check :func:`rerank` makes on a list before its first score.
 
-    The depth, or the coarse-to-fine ``keep``, must fit the list, and a
-    coarse-to-fine target must not be a stored matrix.  A stored matrix
-    must cover the list at the depth the run scores (n for a proxy), and
-    its consensus scores must rank.  The regularizer fields the weights
-    read must exist, and the weighted totals must rank, taking the
-    consensus as :func:`stored_consensus` does: a BLEU/chrF value, in
+    The specs are resolved first, as :func:`rerank` resolves them, so a
+    bad spec fails first and a ``matrix:`` string is checked as the matrix
+    it names.  The depth, or the coarse-to-fine ``keep``, must fit the
+    list, and a coarse-to-fine target must not be a stored matrix.  A
+    stored matrix must cover the list at the depth the run scores (n for
+    a proxy), and its consensus scores must rank.  The regularizer fields
+    the weights read must exist, and the weighted totals must rank, taking
+    the consensus as :func:`stored_consensus` does: a BLEU/chrF value, in
     [0, 1], cannot overflow a finite total, and a scorer's values are not
     known before scoring.  For coarse-to-fine the totals cover the
     candidates the proxy would drop too.
     """
+    with UtilitySession() as session:
+        (config,) = session.configs(config, 1)
     stages, utility = config.coarse_to_fine, config.utility
     if stages is not None:
-        for u in utility if isinstance(utility, (list, tuple)) else [utility]:
-            if isinstance(u, MatrixUtility) or isinstance(u, str) and u.startswith("matrix:"):
-                raise ConfigError(
-                    "a precomputed utility matrix cannot be the coarse-to-fine target"
-                )
+        if isinstance(utility, MatrixUtility):
+            raise ConfigError(
+                "a precomputed utility matrix cannot be the coarse-to-fine target"
+            )
         if stages.keep > nbest.n:
             raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
         rank_candidates(stored_consensus(nbest, stages.proxy, nbest.n))
@@ -444,63 +450,53 @@ def check_scored(nbest: NBestList, totals) -> None:
 def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
     """Score, combine and rank one n-best list under a config.
 
-    Honors ``config.coarse_to_fine`` when set; otherwise scores the list
-    with :func:`list_scores` at depth l (n * l pair evaluations).
-    Regularizers are combined and reported in ``config.lambdas`` order.
+    The target and, for coarse-to-fine, the proxy are resolved once, in one
+    :class:`UtilitySession` that keeps every scorer it opens until the call
+    returns, and the list goes through :func:`check_list` once.  With
+    ``config.coarse_to_fine`` set, the proxy scores all n candidates
+    against all n (no regularizers) and the best k survive, in list order;
+    otherwise all n survive.  The survivors are scored with
+    :func:`list_scores` at depth l, combined with the regularizers in
+    ``config.lambdas`` order and ranked: n * l pair evaluations in one
+    stage, n^2 + k^2 with coarse-to-fine.  Indices in the result refer to
+    the original list; only survivors carry scores.
     """
-    if config.coarse_to_fine is not None:
-        return coarse_to_fine(nbest, config)
-    check_list(nbest, config)
-    l = config.resolve_l(nbest.n)
-    values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
-    consensus = expected_utilities(values, l)
-    totals = combine_scores(consensus, regularizers, config.lambdas)
-    check_scored(nbest, totals)
-    ranking, selected = rank_candidates(totals)
+    with UtilitySession() as session:
+        (config,) = session.configs(config, 1)
+        check_list(nbest, config)
+        survivors, calls = list(range(nbest.n)), 0
+        stages = config.coarse_to_fine
+        if stages is not None:
+            values, _ = list_scores(nbest, stages.proxy, nbest.n, ())
+            proxy = expected_utilities(values, nbest.n)
+            check_scored(nbest, proxy)
+            order, _ = rank_candidates(proxy)
+            survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
+            nbest = replace(nbest, candidates=[nbest.candidates[i] for i in survivors])
+        l = config.resolve_l(nbest.n)
+        values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
+        consensus = expected_utilities(values, l)
+        totals = combine_scores(consensus, regularizers, config.lambdas)
+        check_scored(nbest, totals)
+        ranking, _ = rank_candidates(totals)
     return RerankResult(
         mbr_scores=tuple(consensus),
         regularizer_scores={k: tuple(v) for k, v in regularizers.items()},
         total_scores=tuple(totals),
-        ranking=tuple(ranking),
-        selected=selected,
-        utility_calls=nbest.n * l,
-        candidate_indices=tuple(range(nbest.n)),
+        ranking=tuple(survivors[r] for r in ranking),
+        selected=survivors[ranking[0]],
+        utility_calls=calls + nbest.n * l,
+        candidate_indices=tuple(survivors),
     )
 
 
 def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
-    """Two-stage rerank: proxy utility over the full list, target on survivors.
+    """Two-stage rerank: :func:`rerank` of a config that has stage settings.
 
-    Stage 1 scores all n candidates against all n with the proxy (no
-    regularizers) and keeps the top k.  Stage 2 reranks the k survivors
-    with the target utility and the configured regularizers.  Total pair
-    evaluations: n^2 + k^2.  All indices in the result refer to the
-    original list; only survivors carry scores.  Each stage resolves its
-    own spec string through :func:`build_utility_matrix`.
+    The proxy shortlists ``keep`` survivors over the full list and the
+    target reranks them with the configured regularizers, for n^2 + k^2
+    pair evaluations.
     """
-    stages = config.coarse_to_fine
-    if stages is None:
+    if config.coarse_to_fine is None:
         raise ConfigError("config has no coarse_to_fine stage settings")
-    check_list(nbest, config)
-    n = nbest.n
-    k = stages.keep
-    consensus = mbr_scores(build_utility_matrix(nbest, stages.proxy, n))
-    check_scored(nbest, consensus)
-    order, _ = rank_candidates(consensus)
-    survivors = sorted(order[:k])
-    sub_list = NBestList(
-        source=nbest.source,
-        candidates=tuple(nbest.candidates[i] for i in survivors),
-        reference=nbest.reference,
-        reference_token_log_probs=nbest.reference_token_log_probs,
-    )
-    sub_result = rerank(sub_list, replace(config, coarse_to_fine=None))
-    return RerankResult(
-        mbr_scores=sub_result.mbr_scores,
-        regularizer_scores=sub_result.regularizer_scores,
-        total_scores=sub_result.total_scores,
-        ranking=tuple(survivors[r] for r in sub_result.ranking),
-        selected=survivors[sub_result.selected],
-        utility_calls=n * n + sub_result.utility_calls,
-        candidate_indices=tuple(survivors),
-    )
+    return rerank(nbest, config)

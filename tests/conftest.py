@@ -162,6 +162,16 @@ def trivial_list(n, source="src", reference=None):
     return NBestList(source=source, candidates=cands, reference=reference)
 
 
+class Unscorable:
+    """A provider that fails the test if anything scores with it, for checks
+    that must raise before the first score."""
+
+    name = "unscorable"
+
+    def matrix(self, nbest, l):
+        raise AssertionError("scored before the checks")
+
+
 class IndexedUtility:
     """Stored values looked up by each candidate's ``t<i>`` text (see
     :func:`trivial_list`), so a sub-list is scored with its own rows and

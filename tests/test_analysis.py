@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rmbr.analysis as analysis
+import rmbr.mbr as mbr
 from rmbr.analysis import (
     check_lambda_grid,
     corpus_objective,
@@ -27,10 +28,11 @@ from rmbr.core import (
     rank_candidates,
 )
 from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError
+from rmbr.io import write_utility_matrix
 from rmbr.mbr import MatrixUtility, ServiceUtility, rerank
 from rmbr.metrics import corpus_bleu, sentence_bleu, sentence_chrf
 
-from conftest import make_candidate, make_list, random_list
+from conftest import Unscorable, make_candidate, make_list, random_list
 
 
 def test_corpus_objective_bleu_matches_direct_call():
@@ -376,13 +378,6 @@ def test_lambda_grid_is_sorted_distinct_and_finite():
             lambda_grid(bad)
 
 
-class _Unscorable:
-    name = "unscorable"
-
-    def matrix(self, nbest, l):
-        raise AssertionError("scored before the grid was checked")
-
-
 def _scored_list(**scores):
     cands = tuple(
         make_candidate(t, -1.0 - i, external_scores=scores) for i, t in enumerate(["a b", "a c"])
@@ -400,7 +395,7 @@ def test_lambda_grid_check_ranks_vectors_only_when_the_worst_case_overflows():
     # both raise before anything is scored
     for check in (check_lambda_grid, grid_search_lambdas):
         with pytest.raises(InvalidInputError, match="total scores must be finite"):
-            check(lists, replace(config, utility=_Unscorable()), [-1.0, 1.0])
+            check(lists, replace(config, utility=Unscorable()), [-1.0, 1.0])
 
 
 def test_lambda_grid_check_bounds_a_stored_matrix_consensus_by_its_size():
@@ -411,6 +406,23 @@ def test_lambda_grid_check_bounds_a_stored_matrix_consensus_by_its_size():
     check_lambda_grid(lists, config, [1.0])
     with pytest.raises(InvalidInputError, match="total scores must be finite"):
         check_lambda_grid(lists, config, [-1.0, 1.0])
+
+
+def test_lambda_grid_check_resolves_a_stored_matrix_spec(tmp_path, monkeypatch):
+    path = tmp_path / "big.mat"
+    big = UtilityMatrix(values=[[1.5e308, 1.5e308], [0.0, 0.0]], utility_name="ext")
+    write_utility_matrix(path, big)
+    lists = [_scored_list(qe=0.0)]
+    config = RerankConfig(utility=f"matrix:{path}", lambdas={"qe": 0.0})
+    with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+        check_lambda_grid(lists, config, [1.0])
+    # one read per call, shared by the grid check and the scoring pass
+    write_utility_matrix(path, UtilityMatrix(values=np.eye(2), utility_name="ext"))
+    reads = []
+    load = mbr.load_utility_matrices
+    monkeypatch.setattr(mbr, "load_utility_matrices", lambda p: reads.append(p) or load(p))
+    assert grid_search_lambdas(lists, config, grid=[1.0])[0] == {"qe": 1.0}
+    assert reads == [str(path)]
 
 
 def test_grid_search_requires_regularizers():

@@ -301,15 +301,54 @@ def test_each_subcommand_takes_only_the_flags_it_reads(dev_file, tmp_path, capsy
         assert capsys.readouterr().err.startswith("error:")
 
 
+_LIST_FIELDS = ("source", "candidates", "reference", "reference_token_log_probs")
+
+
 def _nbest_record(**edits):
-    """One list record in the file format, with candidate 1's fields edited."""
+    """One list record in the file format; an edit of a list field replaces
+    the list's, and every other edit is made to candidate 1."""
     cands = [
         {"text": "a b", "tokens": ["a", "b"], "log_prob": -1.0},
         {"text": "a c", "tokens": ["a", "c"], "log_prob": -2.0},
     ]
-    rec = {"source": "s", "candidates": cands, "reference": edits.pop("reference", "a b")}
+    rec = {"source": "s", "candidates": cands, "reference": "a b"}
+    rec.update({k: edits.pop(k) for k in _LIST_FIELDS if k in edits})
     cands[1].update(edits)
     return json.dumps(rec) + "\n"
+
+
+# a field of the wrong JSON type, and the start of the message naming it
+_WRONG_TYPES = {
+    "external-scores-array": ({"external_scores": [0.5]}, "external_scores must be an object"),
+    "external-score-true": ({"external_scores": {"qe": True}}, "external score 'qe' must be"),
+    "token-entropies-string": ({"token_entropies": "12"}, "token_entropies must be an array"),
+    "token-log-probs-string": ({"token_log_probs": "0"}, "token_log_probs must be an array"),
+    "mc-pass-scores-string-entry": ({"mc_pass_scores": [1.0, "2"]}, "mc_pass_scores must be"),
+    "reference-token-log-probs-string": (
+        {"reference_token_log_probs": "00"}, "reference_token_log_probs must be an array"
+    ),
+    "log-prob-false": ({"log_prob": False}, "log_prob must be a number, got false"),
+    "log-prob-string": ({"log_prob": "-1.5"}, 'log_prob must be a number, got "-1.5"'),
+    "log-prob-past-float-range": ({"log_prob": -(10**400)}, "int too large"),
+    "source-int": ({"source": 7}, "source must be a string or null, got 7"),
+    "source-list": ({"source": ["s"]}, "source must be a string or null"),
+    "candidates-object": (
+        {"candidates": {"text": "a b", "tokens": ["a", "b"], "log_prob": -1.0}},
+        "candidates must be an array of objects",
+    ),
+    "candidates-strings": ({"candidates": ["a b"]}, "candidates must be an array of objects"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_loader_rejects_a_field_of_the_wrong_json_type(tmp_path, capsys, case):
+    edit, message = _WRONG_TYPES[case]
+    path = tmp_path / "in.jsonl"
+    path.write_text(_nbest_record(**edit), encoding="utf-8")
+    assert run(["rerank", "-i", path, "-o", tmp_path / "out.txt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: {message}") and err.count("\n") == 1
+    assert list(tmp_path.glob("out.txt*")) == []
 
 
 # "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a

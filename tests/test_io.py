@@ -174,6 +174,8 @@ def test_matrix_multi_record_file(tmp_path):
         ("not json\n", 1),
         ('{"utility_name": "x", "n": 2}\n', 1),
         ('{"utility_name": "x", "n": 0, "l": 1}\n', 1),
+        ('{"utility_name": "x", "n": true, "l": true}\n0.5\n', 1),
+        ('{"utility_name": "x", "n": 1, "l": false}\n0.5\n', 1),
         ('{"utility_name": "x", "n": 1, "l": 2}\n0.1 0.2\n', 1),  # l > n
         ('{"utility_name": "x", "n": 2, "l": 1}\n0.5\n', 1),  # truncated body
         ('{"utility_name": "x", "n": 1, "l": 2}\n0.5\n', 2),  # short row

@@ -3,10 +3,12 @@
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rmbr.mbr as mbr
 from rmbr.core import (
     CoarseToFine,
     NBestList,
@@ -19,6 +21,7 @@ from rmbr.errors import (
     DimensionError,
     InvalidInputError,
     MissingScoreError,
+    ScoringError,
 )
 from rmbr.mbr import (
     BleuUtility,
@@ -27,6 +30,7 @@ from rmbr.mbr import (
     ServiceUtility,
     UtilitySession,
     build_utility_matrix,
+    check_list,
     coarse_to_fine,
     expected_utilities,
     mbr_scores,
@@ -39,6 +43,7 @@ from rmbr.metrics import sentence_bleu
 
 from conftest import (
     IndexedUtility,
+    Unscorable,
     make_candidate,
     make_list,
     random_list,
@@ -335,14 +340,16 @@ def test_session_resolves_builtin_specs_and_rejects_malformed_ones():
                 session.providers(spec, 1)
 
 
+# logs its pid to argv[1]; answers argv[2], else 0.5, for every pair
 _PID_LOGGING_SCORER = """
 import json, os, sys
 with open(sys.argv[1], "a") as fh:
     fh.write("%d\\n" % os.getpid())
+score = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
 print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
 sys.stdin.readline()
 for line in sys.stdin:
-    print(json.dumps({"id": json.loads(line)["id"], "score": 0.5}), flush=True)
+    print(json.dumps({"id": json.loads(line)["id"], "score": score}), flush=True)
 """
 
 
@@ -364,6 +371,79 @@ def test_session_starts_a_scorer_on_its_first_batch_and_reaps_it(tmp_path):
         os.kill(pids[0], 0)  # still running inside the session
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+def test_rerank_keeps_both_stages_scorers_until_it_returns(tmp_path, monkeypatch):
+    script = tmp_path / "scorer.py"
+    script.write_text(_PID_LOGGING_SCORER, encoding="utf-8")
+    log = tmp_path / "starts.log"
+    log.touch()
+    spec = f"service:exec:{sys.executable} {script} {log}"
+    lst = make_list(["a b", "c d", "e f"])
+
+    def started():
+        return [int(pid) for pid in log.read_text(encoding="utf-8").split()]
+
+    running = []  # scorers running at each stage's check, the proxy's first
+    check = mbr.check_scored
+
+    def check_while_running(nbest, totals):
+        for pid in started():
+            os.kill(pid, 0)
+        running.append(len(started()))
+        return check(nbest, totals)
+
+    monkeypatch.setattr(mbr, "check_scored", check_while_running)
+
+    def assert_one_scorer_per_spec_and_none_running():
+        pids = started()
+        log.write_text("", encoding="utf-8")
+        assert len(set(pids)) == 2 and running == [1, 2]
+        running.clear()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    config = RerankConfig(utility=spec, coarse_to_fine=CoarseToFine(spec, 2))
+    result = rerank(lst, config)
+    assert result.candidate_indices == (0, 1) and result.mbr_scores == (0.5, 0.5)
+    assert result.utility_calls == 3 * 3 + 2 * 2
+    assert_one_scorer_per_spec_and_none_running()
+    # the target answers 1e308 for every pair, so its consensus overflows
+    with pytest.raises(ScoringError, match="scores are not finite"):
+        rerank(lst, replace(config, utility=f"{spec} 1e308"))
+    assert_one_scorer_per_spec_and_none_running()
+
+
+def test_a_stored_matrix_spec_is_checked_before_any_score(tmp_path):
+    path = tmp_path / "big.mat"
+    big = UtilityMatrix(values=[[1.5e308, 1.5e308], [0.0, 0.0]], utility_name="ext")
+    write_utility_matrix(path, big)
+    lst = trivial_list(2)
+    for config in (
+        RerankConfig(utility=f"matrix:{path}"),
+        RerankConfig(utility=Unscorable(), coarse_to_fine=CoarseToFine(f"matrix:{path}", 1)),
+    ):
+        for call in (check_list, rerank):
+            with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+                call(lst, config)
+
+
+def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.mat"
+    write_utility_matrix(path, random_matrix(np.random.default_rng(19), 3))
+    reads = []
+    load = mbr.load_utility_matrices
+    monkeypatch.setattr(mbr, "load_utility_matrices", lambda p: reads.append(p) or load(p))
+    lst = trivial_list(3)
+    target = IndexedUtility(random_matrix(np.random.default_rng(20), 3))
+    for config in (
+        RerankConfig(utility=f"matrix:{path}"),
+        RerankConfig(utility=target, coarse_to_fine=CoarseToFine(f"matrix:{path}", 2)),
+    ):
+        rerank(lst, config)
+        assert reads == [str(path)]
+        reads.clear()
 
 
 def test_session_resolves_matrix_file_spec(tmp_path):
