@@ -1,5 +1,13 @@
 """Domain types and score-combination arithmetic.
 
+The constructors of these types are the one place that decides what a
+valid field is.  They check types and do not coerce: a number is a finite
+int, float or numpy real scalar, never a bool or a string; a number list
+is a list, tuple or 1-D array of numbers; an index is a non-negative int.
+Checked values are stored as floats, float tuples and ints, written to
+``vars(self)`` since the types are frozen.  A bad data field raises
+:class:`InvalidInputError`, a bad config field :class:`ConfigError`.
+
 A reranked score is the expected-utility (MBR) score of a candidate plus a
 weighted sum of regularizer scores.  All regularizer scores are stored
 higher-is-better: log-probability style scores come in as-is, uncertainty
@@ -10,9 +18,10 @@ terms is entirely the job of the weights.
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +34,40 @@ REGULARIZER_NAMES = ("lp", "lm", "bt", "qe", "mc_dropout", "entropy")
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0)
 
 
-def _as_float_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+# the exact types a number or an index may have: a bool is neither
+_INTEGER_TYPES = {int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])}
+_REAL_TYPES = _INTEGER_TYPES | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+
+
+def _show(value) -> str:
+    """``value`` as a JSON file writes it; repr stands in for what JSON cannot hold."""
+    return json.dumps(value, default=repr, skipkeys=True)
+
+
+def _items(values, what: str, types: set, noun: str) -> list | tuple:
+    """A list, tuple or 1-D array whose items all have one of ``types``."""
+    items = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
+    if not isinstance(items, (list, tuple)) or not set(map(type, items)) <= types:
+        raise InvalidInputError(f"{what} must be an array of {noun}, got {_show(values)}")
+    return items
+
+
+def _number(value, what: str, error=InvalidInputError) -> float:
+    """``value``, a number, as a float; ``error`` is raised if it is not one."""
+    if type(value) not in _REAL_TYPES:
+        raise error(f"{what} must be a number, got {_show(value)}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise error(f"int too large to convert to float: {what}") from None
+    if not math.isfinite(number):
+        raise error(f"{what} must be finite")
+    return number
+
+
+def _numbers(values, what: str) -> tuple[float, ...]:
+    """A number list, as floats."""
+    return tuple([_number(v, what) for v in _items(values, what, _REAL_TYPES, "numbers")])
 
 
 @dataclass(frozen=True)
@@ -34,14 +75,14 @@ class Candidate:
     """One hypothesis from an n-best list.
 
     ``text`` must hold a non-whitespace character; ``tokens`` is a
-    non-empty list or tuple of tokens, never a string.
-    ``log_prob`` is the sentence log-probability under the generating model.
-    ``external_scores`` holds per-candidate quality scores computed by
-    external models (keys "lm", "bt", "qe").  ``mc_pass_scores`` holds the
-    per-pass perturbed negative log-probabilities from stochastic forward
-    passes; ``token_entropies`` holds the per-token output-distribution
-    entropies.  Both uncertainty fields are raw (higher = more uncertain);
-    orientation is flipped when they are read as regularizers.
+    non-empty list, tuple or 1-D array of strings.  ``log_prob`` (<= 0) is
+    the sentence log-probability under the generating model.
+    ``external_scores`` maps names to quality scores computed by external
+    models (keys "lm", "bt", "qe"); None means none.  ``mc_pass_scores``
+    holds the per-pass perturbed negative log-probabilities from stochastic
+    forward passes; ``token_entropies`` holds the per-token
+    output-distribution entropies.  Both uncertainty fields are raw (higher
+    = more uncertain); orientation is flipped when read as regularizers.
     """
 
     text: str
@@ -57,39 +98,31 @@ class Candidate:
             raise InvalidInputError(
                 f"candidate text must hold a non-whitespace character, got {self.text!r}"
             )
-        if not isinstance(self.tokens, (list, tuple)):
-            raise InvalidInputError(f"candidate tokens must be a list, got {self.tokens!r}")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+        scores = {} if self.external_scores is None else self.external_scores
+        if not isinstance(scores, Mapping):
+            raise InvalidInputError(f"external_scores must be an object, got {_show(scores)}")
+        vars(self).update(
+            tokens=tuple(_items(self.tokens, "candidate tokens", {str}, "strings")),
+            log_prob=_number(self.log_prob, "log_prob"),
+            external_scores={k: _number(v, f"external score {k!r}") for k, v in scores.items()},
+        )
+        for name in ("token_log_probs", "mc_pass_scores", "token_entropies"):
+            if getattr(self, name) is not None:
+                vars(self)[name] = _numbers(getattr(self, name), name)
+        tlp, ent, n = self.token_log_probs, self.token_entropies, len(self.tokens)
+        if not n:
             raise InvalidInputError("candidate has no tokens")
-        if not math.isfinite(self.log_prob) or self.log_prob > 0.0:
-            raise InvalidInputError(
-                f"log_prob must be finite and <= 0, got {self.log_prob!r}"
-            )
-        if self.token_log_probs is not None:
-            tlp = _as_float_tuple(self.token_log_probs)
-            object.__setattr__(self, "token_log_probs", tlp)
-            if len(tlp) != len(self.tokens):
-                raise InvalidInputError(
-                    f"token_log_probs has {len(tlp)} entries for {len(self.tokens)} tokens"
-                )
-            if any(v > 0.0 for v in tlp):
-                raise InvalidInputError("token_log_probs entries must be <= 0")
-        if self.mc_pass_scores is not None:
-            object.__setattr__(
-                self, "mc_pass_scores", _as_float_tuple(self.mc_pass_scores)
-            )
-            if not self.mc_pass_scores:
-                raise InvalidInputError("mc_pass_scores is present but empty")
-        if self.token_entropies is not None:
-            ent = _as_float_tuple(self.token_entropies)
-            object.__setattr__(self, "token_entropies", ent)
-            if len(ent) != len(self.tokens):
-                raise InvalidInputError(
-                    f"token_entropies has {len(ent)} entries for {len(self.tokens)} tokens"
-                )
-            if any(v < 0.0 for v in ent):
-                raise InvalidInputError("token_entropies entries must be >= 0")
+        if self.log_prob > 0.0:
+            raise InvalidInputError(f"log_prob must be finite and <= 0, got {self.log_prob!r}")
+        for name, values in (("token_log_probs", tlp), ("token_entropies", ent)):
+            if values is not None and len(values) != n:
+                raise InvalidInputError(f"{name} has {len(values)} entries for {n} tokens")
+        if tlp and max(tlp) > 0.0:
+            raise InvalidInputError("token_log_probs entries must be <= 0")
+        if self.mc_pass_scores == ():
+            raise InvalidInputError("mc_pass_scores is present but empty")
+        if ent and min(ent) < 0.0:
+            raise InvalidInputError("token_entropies entries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,36 +130,35 @@ class NBestList:
     """A source sentence with its candidate list in beam order.
 
     Candidates must be sorted by descending ``log_prob`` (ties keep input
-    order); index 0 is the beam top-1.  ``reference``, a string or None, is
-    only needed for tuning and oracle analysis.  ``reference_token_log_probs``
-    optionally carries per-token log-probabilities of the reference under
-    the model (a force-decoded reference), used by token-probability analysis.
+    order); index 0 is the beam top-1.  ``source`` is a string or None.
+    ``reference``, a string or None, is only needed for tuning and oracle
+    analysis.  ``reference_token_log_probs`` optionally carries per-token
+    log-probabilities (each <= 0) of the reference under the model (a
+    force-decoded reference), used by token-probability analysis.
     """
 
-    source: str
+    source: str | None
     candidates: tuple[Candidate, ...]
     reference: str | None = None
     reference_token_log_probs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+        for name in ("source", "reference"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, type(None))):
+                raise InvalidInputError(f"{name} must be a string or null, got {_show(value)}")
+        candidates = _items(self.candidates, "candidates", {Candidate}, "Candidate objects")
+        vars(self)["candidates"] = tuple(candidates)
         if not self.candidates:
             raise InvalidInputError("n-best list has no candidates")
-        if not isinstance(self.reference, (str, type(None))):
-            raise InvalidInputError(
-                f"reference must be a string or null, got {self.reference!r}"
-            )
         probs = [c.log_prob for c in self.candidates]
         if any(a < b for a, b in zip(probs, probs[1:])):
-            raise InvalidInputError(
-                "candidates are not sorted by descending log_prob"
-            )
+            raise InvalidInputError("candidates are not sorted by descending log_prob")
         if self.reference_token_log_probs is not None:
-            object.__setattr__(
-                self,
-                "reference_token_log_probs",
-                _as_float_tuple(self.reference_token_log_probs),
-            )
+            ref_lp = _numbers(self.reference_token_log_probs, "reference_token_log_probs")
+            if any(v > 0.0 for v in ref_lp):
+                raise InvalidInputError("reference_token_log_probs entries must be <= 0")
+            vars(self)["reference_token_log_probs"] = ref_lp
 
     @property
     def n(self) -> int:
@@ -143,20 +175,20 @@ class UtilityMatrix:
     utility_name: str
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise InvalidInputError(f"utility matrix must hold numbers, got {values.dtype}")
+        values = values.astype(np.float64)  # a copy, frozen below
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise InvalidInputError(
                 f"utility matrix must be 2-D and non-empty, got shape {values.shape}"
             )
         if values.shape[1] > values.shape[0]:
-            raise InvalidInputError(
-                f"utility matrix has l={values.shape[1]} > n={values.shape[0]}"
-            )
+            raise InvalidInputError(f"utility matrix has l={values.shape[1]} > n={values.shape[0]}")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("utility matrix contains non-finite entries")
-        values = values.copy()
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        vars(self)["values"] = values
 
     @property
     def n(self) -> int:
@@ -176,9 +208,9 @@ class CoarseToFine:
     keep: int
 
     def __post_init__(self):
-        if int(self.keep) < 1:
-            raise ConfigError(f"coarse-to-fine keep must be >= 1, got {self.keep}")
-        object.__setattr__(self, "keep", int(self.keep))
+        if type(self.keep) not in _INTEGER_TYPES or self.keep < 1:
+            raise ConfigError(f"coarse-to-fine keep must be an integer >= 1, got {self.keep!r}")
+        vars(self)["keep"] = int(self.keep)
 
 
 @dataclass(frozen=True)
@@ -187,11 +219,11 @@ class RerankConfig:
 
     ``utility`` is either a spec string ("bleu", "chrf", "matrix:PATH",
     "service:ADDR") or a ready utility provider object.  ``l`` is the
-    truncation depth for the expected-utility sum ("full" means l = n); a
-    coarse-to-fine run reranks its survivors at full depth, so it takes
-    no other ``l``.  ``lambdas`` maps each active regularizer name to its
-    finite weight; its keys, in order, are the active regularizers and the
-    order they are combined and reported in.
+    truncation depth for the expected-utility sum, an integer >= 1 ("full"
+    means l = n); a coarse-to-fine run reranks its survivors at full depth,
+    so it takes no other ``l``.  ``lambdas`` maps each active regularizer
+    name to its finite weight; its keys, in order, are the active
+    regularizers and the order they are combined and reported in.
     """
 
     utility: object = "bleu"
@@ -200,20 +232,19 @@ class RerankConfig:
     coarse_to_fine: CoarseToFine | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lambdas", {k: float(v) for k, v in dict(self.lambdas).items()}
-        )
-        for name, weight in self.lambdas.items():
+        if not isinstance(self.lambdas, Mapping):
+            raise ConfigError(f"lambdas must be a mapping, got {self.lambdas!r}")
+        for name in self.lambdas:
             if name not in REGULARIZER_NAMES:
                 raise ConfigError(
                     f"unknown regularizer {name!r}; expected one of {REGULARIZER_NAMES}"
                 )
-            if not math.isfinite(weight):
-                raise ConfigError(f"lambda {name} must be finite, got {weight!r}")
-        if self.l != "full":
-            if int(self.l) < 1:
-                raise ConfigError(f"l must be >= 1 or 'full', got {self.l!r}")
-            object.__setattr__(self, "l", int(self.l))
+        lambdas = self.lambdas.items()
+        vars(self)["lambdas"] = {k: _number(v, f"lambda {k}", ConfigError) for k, v in lambdas}
+        if type(self.l) in _INTEGER_TYPES and self.l >= 1:
+            vars(self)["l"] = int(self.l)
+        elif not isinstance(self.l, str) or self.l != "full":
+            raise ConfigError(f"l must be an integer >= 1 or 'full', got {self.l!r}")
         if self.coarse_to_fine is not None and self.l != "full":
             raise ConfigError("coarse-to-fine reranks at full depth; l must be 'full'")
 
@@ -249,16 +280,23 @@ class RerankResult:
     candidate_indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mbr_scores", _as_float_tuple(self.mbr_scores))
-        object.__setattr__(self, "total_scores", _as_float_tuple(self.total_scores))
-        object.__setattr__(self, "ranking", tuple(int(i) for i in self.ranking))
-        object.__setattr__(
-            self, "candidate_indices", tuple(int(i) for i in self.candidate_indices)
-        )
-        object.__setattr__(
-            self,
-            "regularizer_scores",
-            {k: _as_float_tuple(v) for k, v in dict(self.regularizer_scores).items()},
+        scores = self.regularizer_scores
+        if not isinstance(scores, Mapping):
+            raise InvalidInputError(f"regularizer_scores must be an object, got {_show(scores)}")
+        for name in ("selected", "utility_calls"):
+            value = getattr(self, name)
+            if type(value) not in _INTEGER_TYPES or value < 0:
+                raise InvalidInputError(f"{name} must be an integer >= 0, got {_show(value)}")
+        vars(self).update(
+            mbr_scores=_numbers(self.mbr_scores, "mbr_scores"),
+            regularizer_scores={k: _numbers(v, f"regularizer {k!r}") for k, v in scores.items()},
+            total_scores=_numbers(self.total_scores, "total_scores"),
+            selected=int(self.selected),
+            utility_calls=int(self.utility_calls),
+            **{
+                name: tuple(map(int, _items(getattr(self, name), name, _INTEGER_TYPES, "integers")))
+                for name in ("ranking", "candidate_indices")
+            },
         )
         k = len(self.candidate_indices)
         if len(self.mbr_scores) != k or len(self.total_scores) != k:
@@ -266,9 +304,11 @@ class RerankResult:
         for name, vals in self.regularizer_scores.items():
             if len(vals) != k:
                 raise InvalidInputError(f"regularizer {name!r} has wrong length")
+        if min(self.candidate_indices, default=0) < 0:
+            raise InvalidInputError("candidate_indices must be >= 0")
         if sorted(self.ranking) != sorted(self.candidate_indices):
             raise InvalidInputError("ranking is not a permutation of candidate_indices")
-        if self.selected != self.ranking[0]:
+        if self.ranking[:1] != (self.selected,):
             raise InvalidInputError("selected must equal ranking[0]")
 
 

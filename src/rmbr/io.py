@@ -6,12 +6,10 @@ record per line.  Utility-matrix files are a JSON header line
 space-separated decimals; several matrices may be concatenated in one file
 (one per n-best list).  Floats are written with ``repr`` precision, so
 write/load round-trips are bit-exact.  An input that is a directory or not
-UTF-8 text is invalid input, as is a candidate whose text is blank or not
-a string, whose tokens are not a list, or a reference that is not a string.
-An n-best field of the wrong JSON type is a parse error naming the line:
-a number must be a JSON number (not a bool or a string), a number list an
-array of numbers, ``source`` a string or null, ``external_scores`` an
-object and ``candidates`` an array of objects.
+UTF-8 text is invalid input.  The constructors in :mod:`rmbr.core` decide
+field types; the loaders check JSON shape (an object per line, its
+required keys, ``candidates`` an array of objects) and name the line: a
+constructor's error becomes a parse error on that line.
 
 The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
 still resolves to it, on first access, for the span tracer in
@@ -25,6 +23,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -82,57 +81,13 @@ def open_input(path):
 # n-best files
 
 
-# the types json.loads gives a JSON number (a bool is neither)
-_NUMBER_TYPES = {int, float}
-
-
-def _number(value, what: str) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise ParseError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _numbers(rec: dict, key: str) -> list | None:
-    """An optional field holding an array of numbers; absent or null is None."""
-    values = rec.get(key)
-    if values is not None and not (
-        type(values) is list and set(map(type, values)) <= _NUMBER_TYPES
-    ):
-        raise ParseError(f"{key} must be an array of numbers, got {json.dumps(values)}")
-    return values
-
-
-def _candidate_from_record(rec: dict) -> Candidate:
-    for key in ("text", "tokens", "log_prob"):
-        if key not in rec:
-            raise ParseError(f"candidate record is missing {key!r}")
-    scores = rec.get("external_scores")
-    if not isinstance(scores, (dict, type(None))):
-        raise ParseError(f"external_scores must be an object, got {json.dumps(scores)}")
-    return Candidate(
-        text=rec["text"],
-        tokens=rec["tokens"],
-        log_prob=_number(rec["log_prob"], "log_prob"),
-        token_log_probs=_numbers(rec, "token_log_probs"),
-        external_scores={
-            k: _number(v, f"external score {k!r}") for k, v in (scores or {}).items()
-        },
-        mc_pass_scores=_numbers(rec, "mc_pass_scores"),
-        token_entropies=_numbers(rec, "token_entropies"),
-    )
+_CANDIDATE_FIELDS = [f.name for f in fields(Candidate)]
 
 
 def _candidate_to_record(cand: Candidate) -> dict:
-    rec = {"text": cand.text, "tokens": list(cand.tokens), "log_prob": cand.log_prob}
-    if cand.token_log_probs is not None:
-        rec["token_log_probs"] = list(cand.token_log_probs)
-    if cand.external_scores:
-        rec["external_scores"] = dict(cand.external_scores)
-    if cand.mc_pass_scores is not None:
-        rec["mc_pass_scores"] = list(cand.mc_pass_scores)
-    if cand.token_entropies is not None:
-        rec["token_entropies"] = list(cand.token_entropies)
-    return rec
+    """The candidate's fields in order, leaving out those that are None or empty."""
+    values = {key: getattr(cand, key) for key in _CANDIDATE_FIELDS}
+    return {key: v for key, v in values.items() if v is not None and v != {}}
 
 
 def load_nbest(path) -> list[NBestList]:
@@ -157,37 +112,32 @@ def load_nbest(path) -> list[NBestList]:
                 raise ParseError(
                     "record is missing 'source' or 'candidates'", line=line_no
                 )
-            if not isinstance(rec["source"], (str, type(None))):
-                raise ParseError(
-                    f"source must be a string or null, got {json.dumps(rec['source'])}",
-                    line=line_no,
-                )
             cands = rec["candidates"]
             if type(cands) is not list or not all(type(c) is dict for c in cands):
                 raise ParseError("candidates must be an array of objects", line=line_no)
+            for key in ("text", "tokens", "log_prob"):
+                if not all(key in c for c in cands):
+                    raise ParseError(f"candidate record is missing {key!r}", line=line_no)
             try:
-                candidates = [_candidate_from_record(c) for c in cands]
-            except (ParseError, TypeError, ValueError, OverflowError) as e:
-                raise ParseError(str(e), line=line_no) from None
-            probs = [c.log_prob for c in candidates]
-            if any(a < b for a, b in zip(probs, probs[1:])):
-                import logging
+                candidates = [Candidate(*map(c.get, _CANDIDATE_FIELDS)) for c in cands]
+                probs = [c.log_prob for c in candidates]
+                if any(a < b for a, b in zip(probs, probs[1:])):
+                    import logging
 
-                logging.getLogger(__name__).warning(
-                    "line %d: candidates not in descending log-prob order; re-sorting",
-                    line_no,
-                )
-                candidates.sort(key=lambda c: -c.log_prob)
-            try:
+                    logging.getLogger(__name__).warning(
+                        "line %d: candidates not in descending log-prob order; re-sorting",
+                        line_no,
+                    )
+                    candidates.sort(key=lambda c: -c.log_prob)
                 lists.append(
                     NBestList(
                         source=rec["source"],
-                        candidates=tuple(candidates),
+                        candidates=candidates,
                         reference=rec.get("reference"),
-                        reference_token_log_probs=_numbers(rec, "reference_token_log_probs"),
+                        reference_token_log_probs=rec.get("reference_token_log_probs"),
                     )
                 )
-            except (ParseError, TypeError, ValueError) as e:
+            except InvalidInputError as e:
                 raise ParseError(str(e), line=line_no) from None
     if not lists:
         raise InvalidInputError(f"{path} holds no n-best lists")
@@ -205,7 +155,7 @@ def write_nbest(path, lists: Sequence[NBestList]) -> None:
             if lst.reference is not None:
                 rec["reference"] = lst.reference
             if lst.reference_token_log_probs is not None:
-                rec["reference_token_log_probs"] = list(lst.reference_token_log_probs)
+                rec["reference_token_log_probs"] = lst.reference_token_log_probs
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
@@ -300,20 +250,22 @@ def write_results(path, results, lists, mode: str = "text") -> None:
                 "source": lst.source,
                 "selected": result.selected,
                 "selected_text": selected_text,
-                "ranking": list(result.ranking),
-                "candidate_indices": list(result.candidate_indices),
-                "mbr_scores": list(result.mbr_scores),
-                "regularizer_scores": {
-                    k: list(v) for k, v in result.regularizer_scores.items()
-                },
-                "total_scores": list(result.total_scores),
+                "ranking": result.ranking,
+                "candidate_indices": result.candidate_indices,
+                "mbr_scores": result.mbr_scores,
+                "regularizer_scores": result.regularizer_scores,
+                "total_scores": result.total_scores,
                 "utility_calls": result.utility_calls,
             }
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+_RESULT_FIELDS = [f.name for f in fields(RerankResult)]
+
+
 def read_results(path) -> list[RerankResult]:
-    """Re-load full-mode result records."""
+    """Re-load full-mode result records: each line a JSON object holding
+    every :class:`~rmbr.core.RerankResult` field."""
     results = []
     with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -321,20 +273,16 @@ def read_results(path) -> list[RerankResult]:
                 continue
             try:
                 rec = json.loads(line)
-                results.append(
-                    RerankResult(
-                        mbr_scores=rec["mbr_scores"],
-                        regularizer_scores=rec["regularizer_scores"],
-                        total_scores=rec["total_scores"],
-                        ranking=rec["ranking"],
-                        selected=rec["selected"],
-                        utility_calls=rec["utility_calls"],
-                        candidate_indices=rec["candidate_indices"],
-                    )
-                )
             except json.JSONDecodeError as e:
                 raise ParseError(f"bad JSON: {e}", line=line_no) from None
-            except (KeyError, InvalidInputError, TypeError, ValueError) as e:
+            if not isinstance(rec, dict):
+                raise ParseError("bad result record: expected a JSON object", line=line_no)
+            for key in _RESULT_FIELDS:
+                if key not in rec:
+                    raise ParseError(f"bad result record: missing {key!r}", line=line_no)
+            try:
+                results.append(RerankResult(*map(rec.get, _RESULT_FIELDS)))
+            except InvalidInputError as e:
                 raise ParseError(f"bad result record: {e}", line=line_no) from None
     if not results:
         raise InvalidInputError(f"{path} holds no results")

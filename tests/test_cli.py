@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -337,6 +338,24 @@ _WRONG_TYPES = {
         "candidates must be an array of objects",
     ),
     "candidates-strings": ({"candidates": ["a b"]}, "candidates must be an array of objects"),
+    "tokens-nested-list": ({"tokens": [["a"], "c"]}, "candidate tokens must be an array of"),
+    "tokens-object-entry": ({"tokens": [{"x": 1}, "c"]}, "candidate tokens must be an array of"),
+    "tokens-numbers": ({"tokens": [1, 2]}, "candidate tokens must be an array of strings"),
+    **{
+        f"{field}-{name}": (edit, f"{label} must be finite")
+        for name, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+        for field, edit, label in (
+            ("token-log-probs", {"token_log_probs": [-1.0, value]}, "token_log_probs"),
+            ("mc-pass-scores", {"mc_pass_scores": [value, 1.0]}, "mc_pass_scores"),
+            ("token-entropies", {"token_entropies": [value, 1.0]}, "token_entropies"),
+            ("external-score", {"external_scores": {"qe": value}}, "external score 'qe'"),
+            (
+                "reference-token-log-probs",
+                {"reference_token_log_probs": [value]},
+                "reference_token_log_probs",
+            ),
+        )
+    },
 }
 
 
@@ -351,12 +370,25 @@ def test_loader_rejects_a_field_of_the_wrong_json_type(tmp_path, capsys, case):
     assert list(tmp_path.glob("out.txt*")) == []
 
 
+def test_tokenprob_rejects_a_positive_reference_log_prob(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(_nbest_record(reference_token_log_probs=[0.5, 0.7]), encoding="utf-8")
+    args = ["tokenprob", "-i", path, "--which", "reference", "-o", tmp_path / "out.json"]
+    for dry in ([], ["--dry-run"]):
+        assert run(args + dry) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: reference_token_log_probs entries must be <= 0\n"
+        )
+    assert list(tmp_path.glob("out.json*")) == []
+
+
 # "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a
 # blank one; "BARE" lists carry no token log-probabilities.  "N3" holds one
 # list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one; the 2x2
 # "MATBIG" has a first row whose sum overflows.  "TEXT7",
-# "REF5", "TOKSTR" and "BLANKTEXT" hold one record with a non-string text,
-# a non-string reference, a string of tokens and a blank text; "BYTES" is
+# "REF5", "TOKSTR", "TOKNEST" and "BLANKTEXT" hold one record with a
+# non-string text, a non-string reference, a string of tokens, a list token
+# and a blank text; "BYTES" is
 # not UTF-8 and "DIR" is a directory.  "QE308" holds one list of two
 # candidates whose qe scores are 1e308.  A case that names no --utility gets
 # the scorer's, and one that names no -o writes to "out.json".
@@ -365,6 +397,7 @@ _DRY_RUN_CASES = {
     "text-int-bleu": ["rerank", "-i", "TEXT7"],
     "reference-int": ["tune-l", "-i", "REF5"],
     "tokens-string": ["rerank", "-i", "TOKSTR"],
+    "tokens-nested": ["rerank", "-i", "TOKNEST"],
     "blank-text-rerank": ["rerank", "-i", "BLANKTEXT", "--utility", "chrf"],
     "blank-text-c2f": [
         "c2f", "-i", "BLANKTEXT", "--utility", "chrf", "--proxy", "chrf", "--keep", "1"
@@ -474,6 +507,7 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
         ("TEXT7", {"text": 7}),
         ("REF5", {"reference": 5}),
         ("TOKSTR", {"tokens": "a b"}),
+        ("TOKNEST", {"tokens": [["a"], "c"]}),
         ("BLANKTEXT", {"text": " \t "}),
     ):
         files[name] = tmp_path / f"{name}.jsonl"

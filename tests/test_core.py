@@ -162,6 +162,146 @@ def test_rerank_result_consistency_checks():
         RerankResult(**{**ok, "regularizer_scores": {"lp": (1.0,)}})
 
 
+_RESULT = dict(
+    mbr_scores=(0.5, 0.4),
+    regularizer_scores={"lp": (-1.0, -2.0)},
+    total_scores=(0.4, 0.2),
+    ranking=(0, 1),
+    selected=0,
+    utility_calls=4,
+    candidate_indices=(0, 1),
+)
+
+# a field value each constructor used to coerce or let through, and the
+# error it raises now
+_STRICT_CASES = {
+    "entropies-string": (lambda: make_candidate("a b", -1.0, token_entropies="12"), "token_ent"),
+    "token-log-probs-string": (
+        lambda: make_candidate("a b", -1.0, token_log_probs="00"), "token_log_probs"
+    ),
+    "token-log-probs-bool": (
+        lambda: make_candidate("a b", -1.0, token_log_probs=[False, -1.0]), "token_log_probs"
+    ),
+    "log-prob-false": (lambda: make_candidate("a", False), "log_prob must be a number"),
+    "log-prob-string": (lambda: make_candidate("a", "-1"), "log_prob must be a number"),
+    "log-prob-numpy-bool": (lambda: make_candidate("a", np.bool_(False)), "log_prob"),
+    "log-prob-huge-int": (lambda: make_candidate("a", -(10**400)), "int too large"),
+    "mc-nan": (lambda: make_candidate("a", -1.0, mc_pass_scores=[1.0, math.nan]), "finite"),
+    "entropies-inf": (lambda: make_candidate("a", -1.0, token_entropies=[math.inf]), "finite"),
+    "entropies-2d": (
+        lambda: make_candidate("a", -1.0, token_entropies=np.ones((1, 1))), "token_entropies"
+    ),
+    "external-string": (
+        lambda: make_candidate("a", -1.0, external_scores={"qe": "0.5"}), "external score"
+    ),
+    "external-true": (
+        lambda: make_candidate("a", -1.0, external_scores={"qe": True}), "external score"
+    ),
+    "external-nan": (
+        lambda: make_candidate("a", -1.0, external_scores={"qe": math.nan}), "finite"
+    ),
+    "external-list": (
+        lambda: make_candidate("a", -1.0, external_scores=[("qe", 1.0)]), "external_scores"
+    ),
+    "tokens-ints": (lambda: Candidate("1 2", [1, 2], -1.0), "candidate tokens"),
+    "tokens-nested": (lambda: Candidate("a b", [["a"], "b"], -1.0), "candidate tokens"),
+    "tokens-string": (lambda: Candidate("ab", "ab", -1.0), "candidate tokens"),
+    "source-int": (lambda: NBestList(7, (make_candidate("a", -1.0),)), "source"),
+    "candidates-generator": (
+        lambda: NBestList("s", (make_candidate(t, -1.0) for t in "ab")), "candidates"
+    ),
+    "candidates-records": (lambda: NBestList("s", [{"text": "a"}]), "candidates"),
+    "reference-log-probs-string": (
+        lambda: make_list(["a"], reference_token_log_probs="00"), "reference_token_log_probs"
+    ),
+    "reference-log-probs-nan": (
+        lambda: make_list(["a"], reference_token_log_probs=[math.nan]), "finite"
+    ),
+    "reference-log-probs-positive": (
+        lambda: make_list(["a"], reference_token_log_probs=[-0.5, 0.5]),
+        "reference_token_log_probs entries must be <= 0",
+    ),
+    "l-float": (lambda: RerankConfig(l=2.7), "l must be an integer"),
+    "l-true": (lambda: RerankConfig(l=True), "l must be an integer"),
+    "l-string": (lambda: RerankConfig(l="3"), "l must be an integer"),
+    "lambda-string": (lambda: RerankConfig(lambdas={"lp": "0.5"}), "lambda lp must be a number"),
+    "lambda-true": (lambda: RerankConfig(lambdas={"qe": True}), "lambda qe must be a number"),
+    "lambdas-pairs": (lambda: RerankConfig(lambdas=[("lp", 1.0)]), "lambdas must be a mapping"),
+    "keep-string": (lambda: CoarseToFine("bleu", "3"), "keep must be an integer"),
+    "keep-float": (lambda: CoarseToFine("bleu", 2.9), "keep must be an integer"),
+    "keep-true": (lambda: CoarseToFine("bleu", True), "keep must be an integer"),
+    "mbr-scores-string": (lambda: RerankResult(**{**_RESULT, "mbr_scores": "12"}), "mbr_scores"),
+    "mbr-scores-nan": (
+        lambda: RerankResult(**{**_RESULT, "mbr_scores": (math.nan, 0.4)}), "finite"
+    ),
+    "regularizer-strings": (
+        lambda: RerankResult(**{**_RESULT, "regularizer_scores": {"lp": "12"}}), "regularizer"
+    ),
+    "ranking-floats": (lambda: RerankResult(**{**_RESULT, "ranking": (0.9, 1.7)}), "ranking"),
+    "indices-bools": (
+        lambda: RerankResult(**{**_RESULT, "candidate_indices": (True, False)}),
+        "candidate_indices",
+    ),
+    "indices-negative": (
+        lambda: RerankResult(**{**_RESULT, "candidate_indices": (0, -1), "ranking": (0, -1)}),
+        "candidate_indices",
+    ),
+    "selected-float": (lambda: RerankResult(**{**_RESULT, "selected": 0.0}), "selected"),
+    "calls-string": (lambda: RerankResult(**{**_RESULT, "utility_calls": "many"}), "utility_calls"),
+    "calls-negative": (lambda: RerankResult(**{**_RESULT, "utility_calls": -1}), "utility_calls"),
+    "matrix-strings": (lambda: UtilityMatrix([["1"]], "x"), "utility matrix must hold numbers"),
+    "matrix-bools": (lambda: UtilityMatrix([[True]], "x"), "utility matrix must hold numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRICT_CASES))
+def test_constructors_check_types_and_do_not_coerce(case):
+    build, message = _STRICT_CASES[case]
+    config = case.split("-")[0] in ("l", "lambda", "lambdas", "keep")
+    with pytest.raises(ConfigError if config else InvalidInputError, match=message):
+        build()
+
+
+def test_constructors_store_numpy_and_int_values_as_today():
+    c = Candidate(
+        "a b",
+        np.array(["a", "b"]),
+        np.float64(-1.0),
+        token_log_probs=np.array([-1, 0]),
+        external_scores={"qe": np.float32(0.5), "lm": -2},
+        mc_pass_scores=[np.int64(3), 1.5],
+        token_entropies=(np.float64(0.25), 1),
+    )
+    assert c.tokens == ("a", "b") and c.log_prob == -1.0
+    assert c.token_log_probs == (-1.0, 0.0)
+    assert c.external_scores == {"qe": 0.5, "lm": -2.0}
+    assert c.mc_pass_scores == (3.0, 1.5) and c.token_entropies == (0.25, 1.0)
+    lst = NBestList(None, [c], reference_token_log_probs=np.array([-0.5, 0.0]))
+    assert lst.candidates == (c,) and lst.reference_token_log_probs == (-0.5, 0.0)
+    floats = [c.log_prob, *c.token_log_probs, *c.external_scores.values(), *c.mc_pass_scores]
+    floats += [*c.token_entropies, *lst.reference_token_log_probs]
+    assert {type(v) for v in floats} == {float}
+    assert make_candidate("a", -1).log_prob == -1.0
+    config = RerankConfig(l=np.int64(3), lambdas={"lp": np.float64(0.5), "qe": 1})
+    assert config.l == 3 and config.lambdas == {"lp": 0.5, "qe": 1.0}
+    assert type(config.l) is int and {type(v) for v in config.lambdas.values()} == {float}
+    keep = CoarseToFine("bleu", np.int32(2)).keep
+    assert keep == 2 and type(keep) is int
+    result = RerankResult(
+        mbr_scores=np.array([0.5, 0.4]),
+        regularizer_scores={"lp": np.array([-1, -2])},
+        total_scores=[np.float64(0.4), 0.2],
+        ranking=np.array([0, 1]),
+        selected=np.int64(0),
+        utility_calls=np.int64(4),
+        candidate_indices=[0, np.int64(1)],
+    )
+    assert result == RerankResult(**_RESULT)
+    ints = [*result.ranking, *result.candidate_indices, result.selected, result.utility_calls]
+    assert {type(v) for v in ints} == {int}
+    assert {type(v) for v in result.mbr_scores + result.regularizer_scores["lp"]} == {float}
+
+
 def test_combine_scores_worked_example():
     mbr = [0.6, 0.6, 0.5]
     lp = [-1.0, -2.0, -0.5]

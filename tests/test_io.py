@@ -324,6 +324,40 @@ def test_read_results_errors(tmp_path):
         read_results(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"mbr_scores": "12"},
+        {"ranking": [0.9, 1.7]},
+        {"candidate_indices": [True, False]},
+        {"utility_calls": "many"},
+        {"total_scores": [float("nan"), 0.0]},
+        {"regularizer_scores": {"lp": [0.0, float("inf")]}},
+        {"selected": 0.0},
+        {"ranking": None},
+    ],
+    ids=lambda edit: json.dumps(edit),
+)
+def test_read_results_rejects_a_field_the_result_type_rejects(tmp_path, edit):
+    lists = [make_list(["a b", "a c"]) for _ in range(2)]
+    results = [rerank(lst, RerankConfig(lambdas={"lp": 0.5})) for lst in lists]
+    path = tmp_path / "out.full"
+    write_results(path, results, lists, mode="full")
+    assert read_results(path) == results
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), **edit})}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: bad result record: "):
+        read_results(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '{"selected": 0}'])
+def test_read_results_checks_record_shape(tmp_path, line):
+    path = tmp_path / "bad.full"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 1: bad result record: "):
+        read_results(path)
+
+
 # ---------------------------------------------------------------------------
 # scorer client
 
