@@ -13,9 +13,10 @@ list over blocks of weight vectors gives every vector's selection, and
 per-candidate objective statistics (corpus BLEU sufficient statistics or
 sentence chrF, computed once per list) are summed per vector, list by
 list; the objective formula then takes all vectors' sums at once.
-Before it scores, ``grid_search_lambdas`` checks
-with :func:`check_lambda_grid` that no weight vector overflows a list's
-totals.  Both tune a one-stage rerank and reject a
+Each makes the checks of :func:`check_tuning` once, before it scores:
+every weight vector must give every list totals that rank at every depth
+the run ranks, so a total that is not finite after scoring is a scoring
+failure.  Both tune a one-stage rerank and reject a
 coarse-to-fine config.  Every function that takes a utility accepts a spec
 string, one provider shared by all lists, or a list with one provider per
 list.  Objectives use the default :class:`~rmbr.metrics.MetricConfig`.
@@ -25,18 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_LAMBDA_GRID,
-    NBestList,
-    RerankConfig,
-    combine_scores,
-)
+from .core import DEFAULT_LAMBDA_GRID, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
     ChrfUtility,
@@ -46,7 +41,6 @@ from .mbr import (
     expected_utilities,
     list_scores,
     regularizer_values,
-    stored_consensus,
 )
 from .metrics import (
     OBJECTIVE_METRICS,
@@ -315,12 +309,7 @@ def _weight_vectors(grid, r: int) -> np.ndarray:
 _GRID_BLOCK_CELLS = 1 << 16
 
 
-def _check_ranks(totals: np.ndarray) -> None:
-    if not np.isfinite(totals).all():
-        raise InvalidInputError("total scores must be finite")
-
-
-def _grid_selections(consensus, values, weights: np.ndarray, check=_check_ranks) -> np.ndarray:
+def _grid_selections(consensus, values, weights: np.ndarray, nbest=None) -> np.ndarray:
     """The candidate each weight vector selects on one list.
 
     ``values`` holds r rows of regularizer values, one per candidate, and
@@ -330,8 +319,9 @@ def _grid_selections(consensus, values, weights: np.ndarray, check=_check_ranks)
     performs, so they are bit-identical.  The selection is the first
     maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
     wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
-    time.  ``check`` gets each block of totals; by default it raises as
-    ``rank_candidates`` does if any total is not finite.
+    time.  A block of totals that is not finite raises as
+    ``rank_candidates`` does, or, once the list ``nbest`` has been scored,
+    as :func:`~rmbr.mbr.check_scored` does.
     """
     base = np.asarray(consensus, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64).reshape(-1, base.size)
@@ -343,84 +333,109 @@ def _grid_selections(consensus, values, weights: np.ndarray, check=_check_ranks)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, row in enumerate(values):
                 totals += np.multiply.outer(block[:, k], row)
-        check(totals)
+        if nbest is not None:
+            check_scored(nbest, totals)
+        elif not np.isfinite(totals).all():
+            raise InvalidInputError("total scores must be finite")
         picks[start : start + len(block)] = totals.argmax(axis=1)
     return picks
 
 
-def check_lambda_grid(lists: Sequence[NBestList], config: RerankConfig, grid) -> None:
-    """Raise unless every weight vector over ``grid`` gives every list totals that rank.
+def _checked_tuning(session, lists, config, grid):
+    """Make :func:`check_tuning`'s checks, resolving the spec in ``session``.
 
-    The utility spec is resolved first (providers pass through), and
-    consensus is taken as :func:`~rmbr.mbr.check_list` takes it: a stored
-    matrix's at depth ``config.l``, else zeros.  A list's worst case adds
-    |consensus| to each |regularizer value| weighted by the grid's largest
-    |weight|.  Rounding is monotone, so when that sum is finite no weight
-    vector can overflow; only a list whose worst case overflows has the
-    totals of every weight vector computed, in the array pass that tuning
-    selects with.
+    Returns the run's providers, depths (None keeps every scored column)
+    and weight vectors, one per row.
     """
+    if not lists:
+        raise InvalidInputError("no dev lists")
+    if config.coarse_to_fine is not None:
+        raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
     names = config.regularizers
-    top = max(abs(w) for w in grid)
-    with UtilitySession() as session:
-        utilities = session.providers(config.utility, len(lists))
+    if grid is not None:
+        if not names:
+            raise ConfigError("grid search needs at least one active regularizer")
+        depths, weights = [None], _weight_vectors(lambda_grid(grid), len(names))
+    elif config.l != "full":
+        raise ConfigError("the truncation sweep sets l itself")
+    else:
+        depths = range(1, min(lst.n for lst in lists) + 1)
+        weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    top = np.abs(weights).max(axis=0)[:, None]
+    utilities = session.providers(config.utility, len(lists))
     for lst, u in zip(lists, utilities):
-        consensus = stored_consensus(lst, u, config.resolve_l(lst.n))
-        regs = {name: regularizer_values(lst, name) for name in names}
-        worst = combine_scores(
-            [abs(c) for c in consensus],
-            {name: [abs(v) for v in values] for name, values in regs.items()},
-            dict.fromkeys(names, top),
-        )
-        if not all(map(math.isfinite, worst)):
-            _grid_selections(consensus, list(regs.values()), _weight_vectors(grid, len(names)))
+        l = config.resolve_l(lst.n)
+        if isinstance(u, MatrixUtility):
+            stored = u.matrix(lst, l)  # its size is checked before the fields
+            consensus_at = (expected_utilities(stored, d or l) for d in depths)
+        else:
+            consensus_at = [[0.0] * lst.n]
+        regs = np.array([regularizer_values(lst, name) for name in names]).reshape(-1, lst.n)
+        with np.errstate(over="ignore"):
+            terms = top * np.abs(regs)
+            for consensus in consensus_at:
+                # added in the order _grid_selections adds, as combine_scores does
+                worst = np.abs(consensus)
+                for term in terms:
+                    worst += term
+                if not np.isfinite(worst).all():
+                    _grid_selections(consensus, regs, weights)
+    return utilities, depths, weights
+
+
+def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) -> None:
+    """Make every check a tuning run makes before its first score.
+
+    With a ``grid`` the run is :func:`grid_search_lambdas`', without one
+    :func:`tune_l`'s.  A stored matrix must cover each list at the scored
+    depth, and its consensus is taken at every depth the run ranks; any
+    other utility's is taken as zeros, as :func:`~rmbr.mbr.check_list`
+    takes it.  Only a list whose worst case (|consensus| plus each
+    |regularizer value| times the largest |weight| the run gives it)
+    overflows has every weight vector's totals computed: rounding is
+    monotone, so a finite worst case bounds them all.  The objective
+    metric and the references are :func:`check_objective`'s to check.
+    """
+    with UtilitySession() as session:
+        _checked_tuning(session, lists, config, grid)
 
 
 def _grid_objectives(scored, weights: np.ndarray, objective: _ObjectiveStats) -> list[float]:
     """The objective of the selections each weight vector makes on the dev lists.
 
-    ``scored`` holds each list's consensus scores, regularizer values and
-    the check of its totals; ``weights`` holds one weight vector per row.
+    ``scored`` holds each scored list's consensus scores, its regularizer
+    values and the list; ``weights`` holds one weight vector per row.
     Statistics are summed per vector by Python's ``sum``, list by list in
     list order as :func:`corpus_objective` sums chrF, with no
     (vectors x lists) array.
     """
     sums = sum(
-        objective.list_stats(pos)[_grid_selections(consensus, values, weights, check)]
-        for pos, (consensus, values, check) in enumerate(scored)
+        objective.list_stats(pos)[_grid_selections(consensus, values, weights, lst)]
+        for pos, (consensus, values, lst) in enumerate(scored)
     )
     return objective.objectives(sums)
 
 
-def _tune(lists, config, depths, weights, objective_of):
-    """Score each dev list once, then try every weight vector at every depth.
+def _tune(lists, config, grid, objective_of):
+    """Check, score each dev list once, then try every weight vector at every depth.
 
-    Each list is scored at depth ``config.l`` with the config's utility
-    spec resolved once for all lists; a depth of ``None`` keeps every
-    scored column.  ``weights`` holds one weight vector per row, in
-    ``config.regularizers`` order.  Returns the first ``(l, weights row)``
+    The run is the one :func:`check_tuning` checks for ``grid``.  Each
+    list is scored at depth ``config.l`` with the config's utility spec
+    resolved once for all lists.  Returns the first ``(l, weights row)``
     setting with the highest objective, that objective, and the objective
     of every setting, depth by depth.
     """
-    if config.coarse_to_fine is not None:
-        raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
     with UtilitySession() as session:
-        providers = session.providers(config.utility, len(lists))
+        utilities, depths, weights = _checked_tuning(session, lists, config, grid)
         scored = [
-            list_scores(lst, p, config.resolve_l(lst.n), config.regularizers)
-            for lst, p in zip(lists, providers)
+            list_scores(lst, u, config.resolve_l(lst.n), config.regularizers)
+            for lst, u in zip(lists, utilities)
         ]
-    # Totals that are not finite are a scoring failure, except a stored
-    # matrix's: they are input, checked only at the scored depth.
-    checks = [
-        _check_ranks if isinstance(p, MatrixUtility) else partial(check_scored, lst)
-        for lst, p in zip(lists, providers)
-    ]
     curve = []
     for l in depths:
         at_l = [
-            (expected_utilities(v, l or v.shape[1]), list(regs.values()), check)
-            for (v, regs), check in zip(scored, checks)
+            (expected_utilities(v, l or v.shape[1]), list(regs.values()), lst)
+            for lst, (v, regs) in zip(lists, scored)
         ]
         curve += _grid_objectives(at_l, weights, objective_of)
     best = max(range(len(curve)), key=curve.__getitem__)
@@ -443,16 +458,7 @@ def grid_search_lambdas(
     weight vector).
     """
     objective_of = _ObjectiveStats(lists, objective_metric)
-    if not lists:
-        raise InvalidInputError("no dev lists")
-    if not config.regularizers:
-        raise ConfigError("grid search needs at least one active regularizer")
-    grid = lambda_grid(grid)
-    with UtilitySession() as session:
-        config = replace(config, utility=session.providers(config.utility, len(lists)))
-        check_lambda_grid(lists, config, grid)
-        weights = _weight_vectors(grid, len(config.regularizers))
-        (_, best), objective, _ = _tune(lists, config, [None], weights, objective_of)
+    (_, best), objective, _ = _tune(lists, config, grid, objective_of)
     return dict(zip(config.regularizers, best.tolist())), objective
 
 
@@ -470,11 +476,5 @@ def tune_l(
     sweep sets l itself: ``config.l`` must be "full".
     """
     objective_of = _ObjectiveStats(lists, objective_metric)
-    if not lists:
-        raise InvalidInputError("no dev lists")
-    if config.l != "full":
-        raise ConfigError("the truncation sweep sets l itself")
-    depths = range(1, min(lst.n for lst in lists) + 1)
-    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
-    (best_l, _), objective, curve = _tune(lists, config, depths, weights, objective_of)
+    (best_l, _), objective, curve = _tune(lists, config, None, objective_of)
     return best_l, objective, curve

@@ -29,12 +29,11 @@ Every command that scores takes its utility providers from one
 resolved once per run (one scorer per ``service:`` spec, started on its
 first batch; a matrix file with one matrix per list gives each list its
 own), and every scorer is closed before the command returns, on success,
-on error and on Ctrl-C.  A reranking or tuning command then runs
-:func:`~rmbr.mbr.check_list` on every list (``tune-lambda`` also runs
-:func:`~rmbr.analysis.check_lambda_grid`), and ``--dry-run`` stops right
-there, before the first score: it shares every line of the real run up
-to that point, so it evaluates no utility, starts no scorer and writes
-nothing.
+on error and on Ctrl-C.  Before the first score, a reranking command
+runs :func:`~rmbr.mbr.check_list` on every list and a tuning command's
+tuner makes the checks of :func:`~rmbr.analysis.check_tuning`; a
+``--dry-run`` makes those same checks and stops, so it evaluates no
+utility, starts no scorer and writes nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
@@ -214,14 +213,6 @@ def _parse_l(value):
         raise ConfigError(f"--l wants an integer or 'full', got {value!r}") from None
 
 
-def _checked_configs(session, config, lists) -> list[RerankConfig]:
-    """Per-list configs with the specs resolved, every list through check_list."""
-    configs = session.configs(config, len(lists))
-    for lst, c in zip(lists, configs):
-        check_list(lst, c)
-    return configs
-
-
 def _validated(lists) -> int:
     """End a dry run."""
     print(f"ok: {len(lists)} lists validated")
@@ -261,7 +252,9 @@ def _cmd_rerank(args) -> int:
         coarse_to_fine=stages,
     )
     with UtilitySession() as session:
-        configs = _checked_configs(session, config, lists)
+        configs = session.configs(config, len(lists))
+        for lst, c in zip(lists, configs):
+            check_list(lst, c)
         if args.dry_run:
             return _validated(lists)
         results = [rerank(lst, c) for lst, c in zip(lists, configs)]
@@ -280,7 +273,7 @@ def _emit_record(args, record, summary_lines):
 
 
 def _cmd_tune_lambda(args) -> int:
-    from .analysis import check_lambda_grid, check_objective, grid_search_lambdas, lambda_grid
+    from .analysis import check_objective, check_tuning, grid_search_lambdas, lambda_grid
 
     started = time.monotonic()
     lists = load_nbest(args.input)
@@ -299,10 +292,9 @@ def _cmd_tune_lambda(args) -> int:
         utility=args.utility, l=_parse_l(args.l), lambdas={n: 0.0 for n in names}
     )
     with UtilitySession() as session:
-        configs = _checked_configs(session, config, lists)
-        config = replace(config, utility=[c.utility for c in configs])
-        check_lambda_grid(lists, config, grid)
+        config = replace(config, utility=session.providers(config.utility, len(lists)))
         if args.dry_run:
+            check_tuning(lists, config, grid)
             return _validated(lists)
         best, objective = grid_search_lambdas(lists, config, grid, args.metric)
     record = {"lambdas": best, "objective": objective, "metric": args.metric}
@@ -317,16 +309,16 @@ def _cmd_tune_lambda(args) -> int:
 
 
 def _cmd_tune_l(args) -> int:
-    from .analysis import check_objective, tune_l
+    from .analysis import check_objective, check_tuning, tune_l
 
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
     config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
     with UtilitySession() as session:
-        configs = _checked_configs(session, config, lists)
-        config = replace(config, utility=[c.utility for c in configs])
+        config = replace(config, utility=session.providers(config.utility, len(lists)))
         if args.dry_run:
+            check_tuning(lists, config)
             return _validated(lists)
         best_l, objective, curve = tune_l(lists, config, args.metric)
     record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}

@@ -82,7 +82,8 @@ class Candidate:
     holds the per-pass perturbed negative log-probabilities from stochastic
     forward passes; ``token_entropies`` holds the per-token
     output-distribution entropies.  Both uncertainty fields are raw (higher
-    = more uncertain); orientation is flipped when read as regularizers.
+    = more uncertain, each entry >= 0); orientation is flipped when read as
+    regularizers.
     """
 
     text: str
@@ -121,8 +122,9 @@ class Candidate:
             raise InvalidInputError("token_log_probs entries must be <= 0")
         if self.mc_pass_scores == ():
             raise InvalidInputError("mc_pass_scores is present but empty")
-        if ent and min(ent) < 0.0:
-            raise InvalidInputError("token_entropies entries must be >= 0")
+        for name, values in (("mc_pass_scores", self.mc_pass_scores), ("token_entropies", ent)):
+            if values and min(values) < 0.0:
+                raise InvalidInputError(f"{name} entries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,10 @@ class RerankConfig:
             vars(self)["l"] = int(self.l)
         elif not isinstance(self.l, str) or self.l != "full":
             raise ConfigError(f"l must be an integer >= 1 or 'full', got {self.l!r}")
+        if not isinstance(self.coarse_to_fine, (CoarseToFine, type(None))):
+            raise ConfigError(
+                f"coarse_to_fine must be a CoarseToFine or None, got {self.coarse_to_fine!r}"
+            )
         if self.coarse_to_fine is not None and self.l != "full":
             raise ConfigError("coarse-to-fine reranks at full depth; l must be 'full'")
 

@@ -437,8 +437,8 @@ def check_list(nbest: NBestList, config: RerankConfig) -> None:
 def check_scored(nbest: NBestList, totals) -> None:
     """Raise :class:`ScoringError` unless every total of a scored list is finite.
 
-    :func:`check_list` (and, for a weight grid,
-    :func:`~rmbr.analysis.check_lambda_grid`) has proved that every value
+    :func:`check_list` (and, for a tuning run,
+    :func:`~rmbr.analysis.check_tuning`) has proved that every value
     known before scoring ranks, so a consensus or total that is not finite
     after scoring comes from the utility's scores, for example a scorer's
     finite values whose sum overflows: a scoring failure, not invalid input.

@@ -10,7 +10,7 @@ import pytest
 import rmbr.analysis as analysis
 import rmbr.mbr as mbr
 from rmbr.analysis import (
-    check_lambda_grid,
+    check_tuning,
     corpus_objective,
     grid_search_lambdas,
     lambda_grid,
@@ -389,11 +389,11 @@ def test_lambda_grid_check_ranks_vectors_only_when_the_worst_case_overflows():
     lists = [_scored_list(qe=1e308, lm=-1e308)]
     config = RerankConfig(lambdas={"qe": 0.0, "lm": 0.0})
     # worst case 2e308 overflows, but the one vector (1, 1) gives totals of 0
-    check_lambda_grid(lists, config, [1.0])
+    check_tuning(lists, config, [1.0])
     assert grid_search_lambdas(lists, config, grid=[1.0])[0] == {"qe": 1.0, "lm": 1.0}
     # (-1, 1) gives -inf, though the signed sum at the largest weight is 0;
     # both raise before anything is scored
-    for check in (check_lambda_grid, grid_search_lambdas):
+    for check in (check_tuning, grid_search_lambdas):
         with pytest.raises(InvalidInputError, match="total scores must be finite"):
             check(lists, replace(config, utility=Unscorable()), [-1.0, 1.0])
 
@@ -403,9 +403,9 @@ def test_lambda_grid_check_bounds_a_stored_matrix_consensus_by_its_size():
     stored = UtilityMatrix(values=[[-1e308, 0.0], [0.0, 0.0]], utility_name="ext")
     config = RerankConfig(utility=MatrixUtility(stored), lambdas={"qe": 0.0})
     lists = [_scored_list(qe=1.5e308)]
-    check_lambda_grid(lists, config, [1.0])
+    check_tuning(lists, config, [1.0])
     with pytest.raises(InvalidInputError, match="total scores must be finite"):
-        check_lambda_grid(lists, config, [-1.0, 1.0])
+        check_tuning(lists, config, [-1.0, 1.0])
 
 
 def test_lambda_grid_check_resolves_a_stored_matrix_spec(tmp_path, monkeypatch):
@@ -415,7 +415,7 @@ def test_lambda_grid_check_resolves_a_stored_matrix_spec(tmp_path, monkeypatch):
     lists = [_scored_list(qe=0.0)]
     config = RerankConfig(utility=f"matrix:{path}", lambdas={"qe": 0.0})
     with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
-        check_lambda_grid(lists, config, [1.0])
+        check_tuning(lists, config, [1.0])
     # one read per call, shared by the grid check and the scoring pass
     write_utility_matrix(path, UtilityMatrix(values=np.eye(2), utility_name="ext"))
     reads = []

@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 import rmbr
+import rmbr.analysis as analysis
+import rmbr.cli as cli
+import rmbr.mbr as mbr
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import build_parser, main
 from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
-from rmbr.errors import InvalidInputError
+from rmbr.errors import InvalidInputError, MissingScoreError
 from rmbr.io import read_results, write_nbest, write_utility_matrices, write_utility_matrix
 from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
@@ -385,7 +388,9 @@ def test_tokenprob_rejects_a_positive_reference_log_prob(tmp_path, capsys):
 # "DEV" is the dev set; in "NOREF" and "BLANK" list 2 has no reference or a
 # blank one; "BARE" lists carry no token log-probabilities.  "N3" holds one
 # list of 3 candidates, "MAT2" a 2x2 matrix and "MAT3" a 3x3 one; the 2x2
-# "MATBIG" has a first row whose sum overflows.  "TEXT7",
+# "MATBIG" has a first row whose sum overflows.  "N9" holds one list of 9
+# candidates; the 9x9 "MATSHALLOW" has a first row whose 9 columns sum to a
+# finite value but whose first 3 overflow.  "TEXT7",
 # "REF5", "TOKSTR", "TOKNEST" and "BLANKTEXT" hold one record with a
 # non-string text, a non-string reference, a string of tokens, a list token
 # and a blank text; "BYTES" is
@@ -435,6 +440,7 @@ _DRY_RUN_CASES = {
         "c2f", "-i", "BARE", "--utility", "chrf", "--proxy", "matrix:MATBIG", "--keep", "1"
     ],
     "tune-l-matrix-overflow": ["tune-l", "-i", "BARE", "--utility", "matrix:MATBIG"],
+    "tune-l-matrix-shallow-overflow": ["tune-l", "-i", "N9", "--utility", "matrix:MATSHALLOW"],
     "tune-lambda-matrix-overflow": [
         "tune-lambda", "-i", "BARE", "--regularizers", "lp", "--utility", "matrix:MATBIG"
     ],
@@ -496,10 +502,15 @@ def test_dry_run_agrees_with_real_run(dev_file, tmp_path, capsys, case):
     write_nbest(files["QE308"], [NBestList("s", qe308, reference="a b")])
     files["N3"] = tmp_path / "n3.jsonl"
     write_nbest(files["N3"], [make_list(["x y z", "a b c", "a b d"], reference="a b d")])
+    files["N9"] = tmp_path / "n9.jsonl"
+    write_nbest(files["N9"], [make_list([f"a w{i}" for i in range(9)], reference="a w1")])
+    shallow = np.zeros((9, 9))
+    shallow[0, :4] = [1e308, 0.0, 1e308, -1e308]
     for name, rows in (
         ("MAT2", [[0.9, 0.1], [0.1, 0.5]]),
         ("MAT3", [[0.9] * 3, [0.1] * 3, [0.5] * 3]),
         ("MATBIG", [[1.5e308, 1.5e308], [0.0, 0.0]]),
+        ("MATSHALLOW", shallow),
     ):
         write_utility_matrix(tmp_path / name, UtilityMatrix(values=rows, utility_name="ext"))
         files[f"matrix:{name}"] = f"matrix:{tmp_path / name}"
@@ -845,20 +856,59 @@ def test_scorer_values_that_overflow_are_a_scoring_failure(tmp_path, capsys, com
 def test_a_stored_matrix_that_overflows_only_at_a_shallower_depth_is_invalid_input(
     tmp_path, capsys
 ):
-    """The sweep's dry run checks a stored matrix at depth n only.  Its
-    9-column sum is finite (numpy adds 8 partial sums), but its first 3
-    columns sum past the float range, so depth 3 fails in the real run: as
-    invalid input, since the values come from a file, not from a scorer."""
+    """The sweep checks a stored matrix at every depth it ranks, in its dry
+    run too.  Its 9-column sum is finite (numpy adds 8 partial sums), but
+    its first 3 columns sum past the float range, so depth 3 fails before
+    anything is scored: as invalid input, since the values come from a
+    file, not from a scorer."""
     nbest = tmp_path / "in.jsonl"
     write_nbest(nbest, [make_list([f"a w{i}" for i in range(9)], reference="a w1")])
     values = np.zeros((9, 9))
     values[0, :4] = [1e308, 0.0, 1e308, -1e308]
     write_utility_matrix(tmp_path / "mat", UtilityMatrix(values=values, utility_name="ext"))
     args = ["tune-l", "-i", nbest, "--utility", f"matrix:{tmp_path / 'mat'}"]
-    assert run(args + ["--dry-run"]) == 0
-    capsys.readouterr()
+    assert run(args + ["--dry-run"]) == 1
+    assert capsys.readouterr().err == "error: total scores must be finite\n"
     assert run(args) == 1
     assert capsys.readouterr().err == "error: total scores must be finite\n"
+
+
+def test_tuners_check_every_list_before_a_scorer_starts(tmp_path):
+    """List 1 lacks the weighted qe score: both library tuners raise before
+    they score list 0, so the scorer of their ``service:exec:`` spec never
+    starts."""
+    rng = np.random.default_rng(44)
+    lists = [random_list(rng, 3, with_extras=True) for _ in range(2)]
+    bare = tuple(replace(c, external_scores={}) for c in lists[1].candidates)
+    lists[1] = replace(lists[1], candidates=bare)
+    spec, log = _logging_scorer(tmp_path, "ok")
+    calls = [
+        lambda: tune_l(lists, RerankConfig(utility=spec, lambdas={"qe": 1.0})),
+        lambda: grid_search_lambdas(lists, RerankConfig(utility=spec, lambdas={"qe": 0.0})),
+    ]
+    for call in calls:
+        with pytest.raises(MissingScoreError, match="no external score 'qe'"):
+            call()
+    assert _started_pids(log) == []
+
+
+@pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize("command", ["tune-lambda", "tune-l"])
+def test_a_tuning_command_checks_once_and_never_through_check_list(
+    dev_file, tmp_path, monkeypatch, command, dry
+):
+    path, _ = dev_file
+    calls = []
+    checked = analysis._checked_tuning
+    monkeypatch.setattr(
+        analysis, "_checked_tuning", lambda *a: calls.append("tuning") or checked(*a)
+    )
+    for module in (cli, mbr):
+        monkeypatch.setattr(module, "check_list", lambda *a: calls.append("check_list"))
+    flags = ["--regularizers", "lp,qe"] if command == "tune-lambda" else ["--lambda", "qe=1"]
+    args = [command, "-i", path, "-o", tmp_path / "out", *flags]
+    assert run(args + (["--dry-run"] if dry else [])) == 0
+    assert calls == ["tuning"]
 
 
 @pytest.mark.parametrize("dry", [False, True])

@@ -187,6 +187,9 @@ _STRICT_CASES = {
     "log-prob-numpy-bool": (lambda: make_candidate("a", np.bool_(False)), "log_prob"),
     "log-prob-huge-int": (lambda: make_candidate("a", -(10**400)), "int too large"),
     "mc-nan": (lambda: make_candidate("a", -1.0, mc_pass_scores=[1.0, math.nan]), "finite"),
+    "mc-negative": (
+        lambda: make_candidate("a", -1.0, mc_pass_scores=[1.0, -0.5]), "mc_pass_scores entries"
+    ),
     "entropies-inf": (lambda: make_candidate("a", -1.0, token_entropies=[math.inf]), "finite"),
     "entropies-2d": (
         lambda: make_candidate("a", -1.0, token_entropies=np.ones((1, 1))), "token_entropies"
@@ -230,6 +233,7 @@ _STRICT_CASES = {
     "keep-string": (lambda: CoarseToFine("bleu", "3"), "keep must be an integer"),
     "keep-float": (lambda: CoarseToFine("bleu", 2.9), "keep must be an integer"),
     "keep-true": (lambda: CoarseToFine("bleu", True), "keep must be an integer"),
+    "stages-string": (lambda: RerankConfig(coarse_to_fine="chrf"), "must be a CoarseToFine"),
     "mbr-scores-string": (lambda: RerankResult(**{**_RESULT, "mbr_scores": "12"}), "mbr_scores"),
     "mbr-scores-nan": (
         lambda: RerankResult(**{**_RESULT, "mbr_scores": (math.nan, 0.4)}), "finite"
@@ -257,7 +261,7 @@ _STRICT_CASES = {
 @pytest.mark.parametrize("case", sorted(_STRICT_CASES))
 def test_constructors_check_types_and_do_not_coerce(case):
     build, message = _STRICT_CASES[case]
-    config = case.split("-")[0] in ("l", "lambda", "lambdas", "keep")
+    config = case.split("-")[0] in ("l", "lambda", "lambdas", "keep", "stages")
     with pytest.raises(ConfigError if config else InvalidInputError, match=message):
         build()
 
