@@ -7,19 +7,20 @@ probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
 set, along one path: the utility spec is resolved once for the whole dev
 set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
-spec, closed when the call returns), and each list is scored once by
-:func:`~rmbr.mbr.list_scores`.  Then, at each depth, one array pass per
-list over blocks of weight vectors gives every vector's selection, and
-per-candidate objective statistics (corpus BLEU sufficient statistics or
-sentence chrF, computed once per list) are summed per vector, list by
-list; the objective formula then takes all vectors' sums at once.
-Each makes the checks of :func:`check_tuning` once, before it scores:
-every weight vector must give every list totals that rank at every depth
-the run ranks, so a total that is not finite after scoring is a scoring
-failure.  Both tune a one-stage rerank and reject a
-coarse-to-fine config.  Every function that takes a utility accepts a spec
-string, one provider shared by all lists, or a list with one provider per
-list.  Objectives use the default :class:`~rmbr.metrics.MetricConfig`.
+spec, closed when the call returns), and each list goes through
+:func:`~rmbr.mbr.checked_values` once, before the first score, with every
+weight vector the run tries at every depth it ranks, so a total that is
+not finite after scoring is a scoring failure.  Each list is then scored
+once, with the regularizer values the check returned, and each
+candidate's objective statistics (corpus BLEU sufficient statistics or
+sentence chrF) are computed once.  At each depth, one array pass per list
+over blocks of weight vectors gives every vector's selection, the
+selected statistics are summed per vector, list by list, and the
+objective formula takes all vectors' sums at once.  Both tune a one-stage
+rerank and reject a coarse-to-fine config.  Every function that takes a
+utility accepts a spec string, one provider shared by all lists, or a
+list with one provider per list.  Objectives use the default
+:class:`~rmbr.metrics.MetricConfig`.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from .core import DEFAULT_LAMBDA_GRID, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import (
     ChrfUtility,
-    MatrixUtility,
     UtilitySession,
+    build_utility_matrix,
     check_scored,
+    checked_values,
     expected_utilities,
-    list_scores,
-    regularizer_values,
 )
 from .metrics import (
     OBJECTIVE_METRICS,
@@ -252,42 +252,6 @@ def token_prob_by_length(
     return TokenProbTable(interval_width=interval_width, which=which, rows=rows)
 
 
-class _ObjectiveStats:
-    """Per-candidate statistics of the corpus objective over a dev set.
-
-    A list's statistics are computed once, the first time the list is
-    used, for all its candidates at once: the rows of :func:`bleu_stats`
-    against the reference, or the candidates' sentence chrF.  The
-    objective of a selection sums the selected candidates' statistics in
-    list order and applies the formula :func:`corpus_objective` applies
-    (BLEU statistics are integers), so the two agree bit for bit.
-    """
-
-    def __init__(self, lists: Sequence[NBestList], metric: str):
-        check_objective(lists, metric)
-        self._lists = lists
-        self._metric = metric
-        self._stats: list = [None] * len(lists)
-
-    def list_stats(self, pos: int) -> np.ndarray:
-        """One row of statistics per candidate of list ``pos``."""
-        if self._stats[pos] is None:
-            lst = self._lists[pos]
-            if self._metric == "chrf":
-                scores = ChrfUtility().score_against(lst, lst.reference)
-                self._stats[pos] = np.array(scores, dtype=np.float64)
-            else:
-                ref = lst.reference.split()
-                self._stats[pos] = bleu_stats([c.tokens for c in lst.candidates], ref)
-        return self._stats[pos]
-
-    def objectives(self, sums: np.ndarray) -> list[float]:
-        """The objective of each row of statistics summed over all lists in list order."""
-        if self._metric == "chrf":
-            return (sums / len(self._lists)).tolist()
-        return corpus_bleu_scores(sums).tolist()
-
-
 def lambda_grid(weights) -> list[float]:
     """The distinct weights of a tuning grid, ascending; none may be non-finite."""
     grid = sorted({float(w) for w in weights})
@@ -309,8 +273,8 @@ def _weight_vectors(grid, r: int) -> np.ndarray:
 _GRID_BLOCK_CELLS = 1 << 16
 
 
-def _grid_selections(consensus, values, weights: np.ndarray, nbest=None) -> np.ndarray:
-    """The candidate each weight vector selects on one list.
+def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarray:
+    """The candidate each weight vector selects on the scored list ``nbest``.
 
     ``values`` holds r rows of regularizer values, one per candidate, and
     ``weights`` one row of r weights per vector, in the same order.  A
@@ -319,9 +283,8 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest=None) -> np.n
     performs, so they are bit-identical.  The selection is the first
     maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
     wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
-    time.  A block of totals that is not finite raises as
-    ``rank_candidates`` does, or, once the list ``nbest`` has been scored,
-    as :func:`~rmbr.mbr.check_scored` does.
+    time; a block of totals that is not finite raises as
+    :func:`~rmbr.mbr.check_scored` does.
     """
     base = np.asarray(consensus, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64).reshape(-1, base.size)
@@ -333,10 +296,7 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest=None) -> np.n
         with np.errstate(over="ignore", invalid="ignore"):
             for k, row in enumerate(values):
                 totals += np.multiply.outer(block[:, k], row)
-        if nbest is not None:
-            check_scored(nbest, totals)
-        elif not np.isfinite(totals).all():
-            raise InvalidInputError("total scores must be finite")
+        check_scored(nbest, totals)
         picks[start : start + len(block)] = totals.argmax(axis=1)
     return picks
 
@@ -344,8 +304,8 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest=None) -> np.n
 def _checked_tuning(session, lists, config, grid):
     """Make :func:`check_tuning`'s checks, resolving the spec in ``session``.
 
-    Returns the run's providers, depths (None keeps every scored column)
-    and weight vectors, one per row.
+    Returns the run's depths (None keeps every scored column), its weight
+    vectors, one per row, and each list's provider and regularizer rows.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
@@ -361,83 +321,80 @@ def _checked_tuning(session, lists, config, grid):
     else:
         depths = range(1, min(lst.n for lst in lists) + 1)
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)
-    top = np.abs(weights).max(axis=0)[:, None]
     utilities = session.providers(config.utility, len(lists))
-    for lst, u in zip(lists, utilities):
-        l = config.resolve_l(lst.n)
-        if isinstance(u, MatrixUtility):
-            stored = u.matrix(lst, l)  # its size is checked before the fields
-            consensus_at = (expected_utilities(stored, d or l) for d in depths)
-        else:
-            consensus_at = [[0.0] * lst.n]
-        regs = np.array([regularizer_values(lst, name) for name in names]).reshape(-1, lst.n)
-        with np.errstate(over="ignore"):
-            terms = top * np.abs(regs)
-            for consensus in consensus_at:
-                # added in the order _grid_selections adds, as combine_scores does
-                worst = np.abs(consensus)
-                for term in terms:
-                    worst += term
-                if not np.isfinite(worst).all():
-                    _grid_selections(consensus, regs, weights)
-    return utilities, depths, weights
+    checked = [
+        (u, checked_values(lst, u, config.resolve_l(lst.n), names, weights, depths))
+        for lst, u in zip(lists, utilities)
+    ]
+    return depths, weights, checked
 
 
 def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) -> None:
     """Make every check a tuning run makes before its first score.
 
     With a ``grid`` the run is :func:`grid_search_lambdas`', without one
-    :func:`tune_l`'s.  A stored matrix must cover each list at the scored
-    depth, and its consensus is taken at every depth the run ranks; any
-    other utility's is taken as zeros, as :func:`~rmbr.mbr.check_list`
-    takes it.  Only a list whose worst case (|consensus| plus each
-    |regularizer value| times the largest |weight| the run gives it)
-    overflows has every weight vector's totals computed: rounding is
-    monotone, so a finite worst case bounds them all.  The objective
-    metric and the references are :func:`check_objective`'s to check.
+    :func:`tune_l`'s.  Each list goes through :func:`~rmbr.mbr.checked_values`
+    once, with every weight vector the run tries and every depth it ranks:
+    a stored matrix must cover the list at the scored depth, the weighted
+    fields must exist, and every vector's totals must rank at every depth.
+    The objective metric and the references are :func:`check_objective`'s
+    to check.
     """
     with UtilitySession() as session:
         _checked_tuning(session, lists, config, grid)
 
 
-def _grid_objectives(scored, weights: np.ndarray, objective: _ObjectiveStats) -> list[float]:
+def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     """The objective of the selections each weight vector makes on the dev lists.
 
     ``scored`` holds each scored list's consensus scores, its regularizer
-    values and the list; ``weights`` holds one weight vector per row.
-    Statistics are summed per vector by Python's ``sum``, list by list in
-    list order as :func:`corpus_objective` sums chrF, with no
-    (vectors x lists) array.
+    rows, the list and its per-candidate objective statistics; ``weights``
+    holds one weight vector per row.  The selected candidates' statistics
+    are summed per vector by Python's ``sum``, list by list in list order as
+    :func:`corpus_objective` sums chrF, with no (vectors x lists) array,
+    and the formula :func:`corpus_objective` applies takes all vectors'
+    sums at once (BLEU statistics are integers), so the two agree bit for bit.
     """
     sums = sum(
-        objective.list_stats(pos)[_grid_selections(consensus, values, weights, lst)]
-        for pos, (consensus, values, lst) in enumerate(scored)
+        stats[_grid_selections(consensus, values, weights, lst)]
+        for consensus, values, lst, stats in scored
     )
-    return objective.objectives(sums)
+    if metric == "chrf":
+        return (sums / len(scored)).tolist()
+    return corpus_bleu_scores(sums).tolist()
 
 
-def _tune(lists, config, grid, objective_of):
+def _tune(lists, config, grid, metric):
     """Check, score each dev list once, then try every weight vector at every depth.
 
-    The run is the one :func:`check_tuning` checks for ``grid``.  Each
-    list is scored at depth ``config.l`` with the config's utility spec
-    resolved once for all lists.  Returns the first ``(l, weights row)``
-    setting with the highest objective, that objective, and the objective
-    of every setting, depth by depth.
+    The run is the one :func:`check_tuning` checks for ``grid``, and it
+    scores with the regularizer rows that check returns.  Each list is
+    scored at depth ``config.l`` with the config's utility spec resolved
+    once for all lists; then each candidate's objective statistics are
+    taken against the list's reference: the rows of :func:`bleu_stats`,
+    or its sentence chrF.  Returns the first ``(l, weights row)`` setting
+    with the highest objective, that objective, and the objective of every
+    setting, depth by depth.
     """
     with UtilitySession() as session:
-        utilities, depths, weights = _checked_tuning(session, lists, config, grid)
+        depths, weights, checked = _checked_tuning(session, lists, config, grid)
         scored = [
-            list_scores(lst, u, config.resolve_l(lst.n), config.regularizers)
-            for lst, u in zip(lists, utilities)
+            (build_utility_matrix(lst, u, config.resolve_l(lst.n)).values, regs)
+            for lst, (u, regs) in zip(lists, checked)
+        ]
+    if metric == "chrf":
+        stats = [np.array(ChrfUtility().score_against(lst, lst.reference)) for lst in lists]
+    else:
+        stats = [
+            bleu_stats([c.tokens for c in lst.candidates], lst.reference.split()) for lst in lists
         ]
     curve = []
     for l in depths:
         at_l = [
-            (expected_utilities(v, l or v.shape[1]), list(regs.values()), lst)
-            for lst, (v, regs) in zip(lists, scored)
+            (expected_utilities(v, l or v.shape[1]), regs, lst, s)
+            for lst, (v, regs), s in zip(lists, scored, stats)
         ]
-        curve += _grid_objectives(at_l, weights, objective_of)
+        curve += _grid_objectives(at_l, weights, metric)
     best = max(range(len(curve)), key=curve.__getitem__)
     depth, row = divmod(best, len(weights))
     return (depths[depth], weights[row]), curve[best], curve
@@ -457,8 +414,8 @@ def grid_search_lambdas(
     first over the ascending grid (i.e. the lexicographically smallest
     weight vector).
     """
-    objective_of = _ObjectiveStats(lists, objective_metric)
-    (_, best), objective, _ = _tune(lists, config, grid, objective_of)
+    check_objective(lists, objective_metric)
+    (_, best), objective, _ = _tune(lists, config, grid, objective_metric)
     return dict(zip(config.regularizers, best.tolist())), objective
 
 
@@ -475,6 +432,6 @@ def tune_l(
     what a fresh depth-l matrix would give.  Ties prefer smaller l.  The
     sweep sets l itself: ``config.l`` must be "full".
     """
-    objective_of = _ObjectiveStats(lists, objective_metric)
-    (best_l, _), objective, curve = _tune(lists, config, None, objective_of)
+    check_objective(lists, objective_metric)
+    (best_l, _), objective, curve = _tune(lists, config, None, objective_metric)
     return best_l, objective, curve

@@ -171,12 +171,17 @@ class NBestList:
 class UtilityMatrix:
     """Pairwise utility values: entry (i, j) scores candidate i against
     candidate j acting as pseudo-reference, for j over the first l candidates.
+    ``utility_name`` is a string.
     """
 
     values: np.ndarray
     utility_name: str
 
     def __post_init__(self):
+        if not isinstance(self.utility_name, str):
+            raise InvalidInputError(
+                f"utility_name must be a string, got {_show(self.utility_name)}"
+            )
         values = np.asarray(self.values)
         if values.dtype.kind not in "iuf":
             raise InvalidInputError(f"utility matrix must hold numbers, got {values.dtype}")

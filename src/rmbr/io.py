@@ -9,7 +9,8 @@ write/load round-trips are bit-exact.  An input that is a directory or not
 UTF-8 text is invalid input.  The constructors in :mod:`rmbr.core` decide
 field types; the loaders check JSON shape (an object per line, its
 required keys, ``candidates`` an array of objects) and name the line: a
-constructor's error becomes a parse error on that line.
+constructor's error becomes a parse error on that line (a matrix's on its
+header line).
 
 The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
 still resolves to it, on first access, for the span tracer in
@@ -220,7 +221,10 @@ def load_utility_matrices(path) -> list[UtilityMatrix]:
             if not all(math.isfinite(v) for v in row):
                 raise ParseError("matrix row holds a non-finite value", line=row_line)
             values[r] = row
-        matrices.append(UtilityMatrix(values=values, utility_name=header["utility_name"]))
+        try:
+            matrices.append(UtilityMatrix(values=values, utility_name=header["utility_name"]))
+        except InvalidInputError as e:
+            raise ParseError(str(e), line=header_line) from None
         pos += 1 + n
     if not matrices:
         raise InvalidInputError(f"{path} holds no utility matrices")

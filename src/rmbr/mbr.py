@@ -11,9 +11,7 @@ cheap proxy utility over all n pseudo-references and keeps the best k;
 :func:`rerank` then scores the survivors with the target utility in the
 same steps as a one-stage rerank, for n^2 + k^2 pair evaluations instead
 of n^2.  A stored matrix can be the proxy but not the target, whose rows
-would belong to the full list.  :func:`list_scores` is the one per-list
-scoring step (utility values plus regularizer values) of both stages and
-of the tuners in :mod:`rmbr.analysis`.
+would belong to the full list.
 
 Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
 builder, which counts a list's n-grams into one matrix per order
@@ -33,11 +31,15 @@ the session closes it.  The scorer client and the ``service:`` syntax live
 in :mod:`rmbr.scorer`, which the session imports only when it resolves a
 ``service:`` spec; the provider (:class:`ServiceUtility`), its first-batch
 opener and the session's lifetime and counters stay here.
-:func:`check_list` resolves the specs as :func:`rerank` does and then makes
-every check :func:`rerank` makes on a list before its first score, so a
-dry run is the real run stopped just before scoring
-(see :mod:`rmbr.cli`), and a consensus or total that is not finite after
-scoring is a scoring failure (:func:`check_scored`).  The built-in metrics
+:func:`checked_values` is the one exact pre-scoring check of every
+scoring command, for one weight vector or a tuner's whole grid: it
+raises exactly when some vector's totals would not rank, and returns the
+regularizer values the run then scores with.  :func:`check_list`
+resolves the specs as :func:`rerank` does and then makes every check
+:func:`rerank` makes on a list before its first score, so a dry run is
+the real run stopped just before scoring (see :mod:`rmbr.cli`), and a
+consensus or total that is not finite after scoring is a scoring failure
+(:func:`check_scored`).  The built-in metrics
 use the default :class:`~rmbr.metrics.MetricConfig`; another is chosen by
 passing a provider such as ``BleuUtility(MetricConfig(...))`` in place of
 a spec.
@@ -385,38 +387,55 @@ def token_entropy(distribution) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def list_scores(nbest: NBestList, utility, l: int, names) -> tuple[np.ndarray, dict]:
-    """One list's n x l utility values and its values of each named regularizer.
+def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(None,)):
+    """Check that every weight vector's totals rank; return the regularizer rows.
 
-    The one scoring step of :func:`rerank`, for both coarse-to-fine
-    stages, and of both tuners; it scores through
-    :func:`build_utility_matrix`.
+    The one pre-scoring check of every scoring command.  ``utility`` is a
+    resolved provider: a stored matrix must cover the list at depth ``l``
+    (checked before the fields), and its consensus is taken at each of
+    ``depths`` (None is ``l``); any other utility's is taken as zeros, since
+    a BLEU/chrF value, in [0, 1], cannot overflow a finite total and a
+    scorer's values are not known before scoring.  The fields the ``names``
+    read must exist.  ``weights`` holds one weight vector per row, in
+    ``names`` order: one row, or a full grid.  Totals add
+    ``consensus + w_1 * v_1 + ... + w_r * v_r`` in that order, as
+    :func:`combine_scores` does, and rounding is monotone, so the vectors
+    that take each term's smallest and largest product give every vector's
+    lowest and highest totals; each column's extremes belong to a real
+    vector, so this raises exactly when some vector's totals would not
+    rank.  Returns the r x n regularizer values, one row per name.
     """
-    values = build_utility_matrix(nbest, utility, l).values
-    return values, {name: regularizer_values(nbest, name) for name in names}
-
-
-def stored_consensus(nbest: NBestList, utility, l: int) -> list[float]:
-    """A stored matrix's consensus scores at depth l; zeros for any other utility."""
     if isinstance(utility, MatrixUtility):
-        return expected_utilities(utility.matrix(nbest, l), l)
-    return [0.0] * nbest.n
+        stored = utility.matrix(nbest, l)
+        consensus_at = np.array([expected_utilities(stored, d or l) for d in depths])
+    else:
+        consensus_at = np.zeros((1, nbest.n))
+    regs = np.array([regularizer_values(nbest, name) for name in names]).reshape(-1, nbest.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 2 x r x n; sorted, row 0 holds each term's smallest product and row 1
+        # its largest (a nan sorts last, so it reaches the highest totals)
+        products = np.array([weights.min(axis=0), weights.max(axis=0)])[:, :, None] * regs
+        products.sort(axis=0)
+        totals = consensus_at[:, None, :].repeat(2, axis=1)  # depths x (lowest, highest) x n
+        for k in range(len(regs)):
+            totals += products[:, k]
+    if not np.isfinite(totals).all():
+        raise InvalidInputError("total scores must be finite")
+    return regs
 
 
-def check_list(nbest: NBestList, config: RerankConfig) -> None:
+def check_list(nbest: NBestList, config: RerankConfig) -> np.ndarray:
     """Make every check :func:`rerank` makes on a list before its first score.
 
     The specs are resolved first, as :func:`rerank` resolves them, so a
     bad spec fails first and a ``matrix:`` string is checked as the matrix
     it names.  The depth, or the coarse-to-fine ``keep``, must fit the
-    list, and a coarse-to-fine target must not be a stored matrix.  A
-    stored matrix must cover the list at the depth the run scores (n for
-    a proxy), and its consensus scores must rank.  The regularizer fields
-    the weights read must exist, and the weighted totals must rank, taking
-    the consensus as :func:`stored_consensus` does: a BLEU/chrF value, in
-    [0, 1], cannot overflow a finite total, and a scorer's values are not
-    known before scoring.  For coarse-to-fine the totals cover the
-    candidates the proxy would drop too.
+    list, and a coarse-to-fine target must not be a stored matrix.  Then
+    :func:`checked_values` checks the proxy over all n candidates with no
+    regularizers, and the target at the run's depth with the config's
+    weights (for coarse-to-fine, over the candidates the proxy would drop
+    too).  Returns the target's regularizer values, one row per name in
+    ``config.lambdas`` order.
     """
     with UtilitySession() as session:
         (config,) = session.configs(config, 1)
@@ -428,10 +447,9 @@ def check_list(nbest: NBestList, config: RerankConfig) -> None:
             )
         if stages.keep > nbest.n:
             raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
-        rank_candidates(stored_consensus(nbest, stages.proxy, nbest.n))
-    consensus = stored_consensus(nbest, utility, config.resolve_l(nbest.n))
-    regs = {name: regularizer_values(nbest, name) for name in config.regularizers}
-    rank_candidates(combine_scores(consensus, regs, config.lambdas))
+        checked_values(nbest, stages.proxy, nbest.n, (), np.zeros((1, 0)))
+    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    return checked_values(nbest, utility, config.resolve_l(nbest.n), config.regularizers, weights)
 
 
 def check_scored(nbest: NBestList, totals) -> None:
@@ -452,36 +470,36 @@ def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
 
     The target and, for coarse-to-fine, the proxy are resolved once, in one
     :class:`UtilitySession` that keeps every scorer it opens until the call
-    returns, and the list goes through :func:`check_list` once.  With
-    ``config.coarse_to_fine`` set, the proxy scores all n candidates
-    against all n (no regularizers) and the best k survive, in list order;
-    otherwise all n survive.  The survivors are scored with
-    :func:`list_scores` at depth l, combined with the regularizers in
+    returns, and the list goes through :func:`check_list` once, whose
+    regularizer values the run scores with.  With ``config.coarse_to_fine``
+    set, the proxy scores all n candidates against all n (no regularizers)
+    and the best k survive, in list order; otherwise all n survive.  The
+    survivors are scored at depth l, combined with the regularizers in
     ``config.lambdas`` order and ranked: n * l pair evaluations in one
     stage, n^2 + k^2 with coarse-to-fine.  Indices in the result refer to
     the original list; only survivors carry scores.
     """
     with UtilitySession() as session:
         (config,) = session.configs(config, 1)
-        check_list(nbest, config)
+        regs = check_list(nbest, config)
         survivors, calls = list(range(nbest.n)), 0
         stages = config.coarse_to_fine
         if stages is not None:
-            values, _ = list_scores(nbest, stages.proxy, nbest.n, ())
-            proxy = expected_utilities(values, nbest.n)
+            proxy = mbr_scores(build_utility_matrix(nbest, stages.proxy, nbest.n))
             check_scored(nbest, proxy)
             order, _ = rank_candidates(proxy)
             survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
             nbest = replace(nbest, candidates=[nbest.candidates[i] for i in survivors])
+            regs = regs[:, survivors]
         l = config.resolve_l(nbest.n)
-        values, regularizers = list_scores(nbest, config.utility, l, config.regularizers)
-        consensus = expected_utilities(values, l)
+        consensus = mbr_scores(build_utility_matrix(nbest, config.utility, l))
+        regularizers = dict(zip(config.regularizers, regs.tolist()))
         totals = combine_scores(consensus, regularizers, config.lambdas)
         check_scored(nbest, totals)
         ranking, _ = rank_candidates(totals)
     return RerankResult(
         mbr_scores=tuple(consensus),
-        regularizer_scores={k: tuple(v) for k, v in regularizers.items()},
+        regularizer_scores=regularizers,
         total_scores=tuple(totals),
         ranking=tuple(survivors[r] for r in ranking),
         selected=survivors[ranking[0]],

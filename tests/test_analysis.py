@@ -27,12 +27,12 @@ from rmbr.core import (
     combine_scores,
     rank_candidates,
 )
-from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError
+from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError, ScoringError
 from rmbr.io import write_utility_matrix
 from rmbr.mbr import MatrixUtility, ServiceUtility, rerank
 from rmbr.metrics import corpus_bleu, sentence_bleu, sentence_chrf
 
-from conftest import Unscorable, make_candidate, make_list, random_list
+from conftest import Unscorable, make_candidate, make_list, random_list, trivial_list
 
 
 def test_corpus_objective_bleu_matches_direct_call():
@@ -313,7 +313,7 @@ def test_grid_selections_match_combine_and_rank(monkeypatch):
         consensus = rng.choice([-0.0, 0.0, 0.5, -0.5], size=4).tolist()
         values = [rng.integers(-2, 3, size=4).tolist() for _ in names]
         regs = dict(zip(names, values))
-        picks = analysis._grid_selections(consensus, values, weights)
+        picks = analysis._grid_selections(consensus, values, weights, trivial_list(4))
         want = [
             rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))[1]
             for w in weights.tolist()
@@ -324,27 +324,92 @@ def test_grid_selections_match_combine_and_rank(monkeypatch):
     lambdas = {"lm": 1.0, "qe": 1.0}
     want = rank_candidates(combine_scores(consensus, dict(zip(lambdas, values)), lambdas))[1]
     assert want == 1
-    assert analysis._grid_selections(consensus, values, np.ones((1, 2))).tolist() == [want]
+    pair = trivial_list(2)
+    assert analysis._grid_selections(consensus, values, np.ones((1, 2)), pair).tolist() == [want]
     # -0.0 and +0.0 tie, so the lower index wins either way round
     no_weights = np.zeros((1, 0))
-    assert analysis._grid_selections([-0.0, 0.0], [], no_weights).tolist() == [0]
-    assert analysis._grid_selections([0.0, -0.0], [], no_weights).tolist() == [0]
+    assert analysis._grid_selections([-0.0, 0.0], [], no_weights, pair).tolist() == [0]
+    assert analysis._grid_selections([0.0, -0.0], [], no_weights, pair).tolist() == [0]
+
+
+def _external_list(names, values):
+    """Candidates carrying external scores: ``values[k][i]`` is candidate i's ``names[k]``."""
+    texts = [f"t{i}" for i in range(len(values[0]) if values else 1)]
+    cands = tuple(
+        make_candidate(t, 0.0, external_scores={m: v[i] for m, v in zip(names, values)})
+        for i, t in enumerate(texts)
+    )
+    return NBestList("s", cands)
 
 
 # weight 10 makes candidate 0's total inf - inf = nan, weight -10 makes it -inf
 @pytest.mark.parametrize("weight", [10.0, -10.0])
-def test_grid_selections_reject_non_finite_totals_as_ranking_does(weight):
+def test_checked_values_rejects_non_finite_totals_as_ranking_does(weight):
     consensus, values = [0.0, 0.0], [[1e308, 0.0], [-1e308, 1.0]]
     regs = {"lm": values[0], "qe": values[1]}
     lambdas = {"lm": weight, "qe": 10.0}
     weights = np.array([[0.0, 0.0], [weight, 10.0]])
+    nbest = _external_list(("lm", "qe"), values)
     calls = [
         lambda: rank_candidates(combine_scores(consensus, regs, lambdas)),
-        lambda: analysis._grid_selections(consensus, values, weights),
+        lambda: mbr.checked_values(nbest, Unscorable(), 2, ("lm", "qe"), weights),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
             call()
+    # after scoring, the same totals are a scoring failure
+    with pytest.raises(ScoringError, match="scores are not finite"):
+        analysis._grid_selections(consensus, values, weights, nbest)
+
+
+def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():
+    """Brute force over random product grids: the check's two extreme vectors
+    per candidate stand for every vector the grid holds."""
+    rng = np.random.default_rng(41)
+    pool = [1e308, -1e308, 1.7e308, -1.7e308, 0.0, -0.0, 5e-324, -5e-324, 1.0]
+    weight_pool = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    outcomes = []
+    for _ in range(1500):
+        n, r = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        names = ("lm", "bt", "qe")[:r]
+        values = [rng.choice(pool, size=n).tolist() for _ in names]
+        stored = MatrixUtility(UtilityMatrix(rng.choice(pool, size=(n, 1)), utility_name="ext"))
+        nbest = _external_list(names, values) if r else trivial_list(n)
+        grid = sorted(rng.choice(weight_pool, size=int(rng.integers(1, 4)), replace=False))
+        weights = analysis._weight_vectors(grid, r) if r else np.zeros((1, 0))
+        consensus = mbr.expected_utilities(stored.matrix(nbest, 1), 1)
+        regs = dict(zip(names, values))
+        unrankable = False
+        for w in weights.tolist():
+            try:
+                rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))
+            except InvalidInputError:
+                unrankable = True
+        try:
+            regs = mbr.checked_values(nbest, stored, 1, names, weights)
+        except InvalidInputError:
+            raised = True
+        else:
+            raised = False
+            assert regs.tolist() == values if r else regs.shape == (0, n)
+        assert raised == unrankable
+        outcomes.append(raised)
+    assert 300 < sum(outcomes) < 1200
+
+
+def test_tuners_read_each_list_s_regularizer_values_once(monkeypatch):
+    rng = np.random.default_rng(42)
+    lists = [random_list(rng, 4, with_extras=True) for _ in range(3)]
+    calls = []
+    values = mbr.regularizer_values
+    monkeypatch.setattr(
+        mbr, "regularizer_values", lambda lst, name: calls.append(name) or values(lst, name)
+    )
+    grid_search_lambdas(lists, RerankConfig(lambdas={"lp": 0.0, "qe": 0.0}), grid=[0.1, 1.0])
+    assert sorted(calls) == ["lp"] * 3 + ["qe"] * 3
+    calls.clear()
+    tune_l(lists, RerankConfig(lambdas={"qe": 0.5}))
+    assert calls == ["qe"] * 3
 
 
 def test_tuners_accept_one_provider_per_list():

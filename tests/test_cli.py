@@ -554,6 +554,28 @@ def test_dry_run_checks_a_stored_matrix_at_the_real_depth(tmp_path):
         assert run(args + ["--utility", f"matrix:{mat}"] + dry) == 0
 
 
+@pytest.mark.parametrize(
+    "header,rows,message",
+    [
+        ('{"utility_name": 7, "n": 1, "l": 1}', "0.5", "utility_name must be a string, got 7"),
+        ('{"utility_name": "ext", "n": 1, "l": 2}', "0.1 0.2", "utility matrix has l=2 > n=1"),
+    ],
+    ids=["name-int", "l-above-n"],
+)
+def test_a_matrix_header_the_constructor_rejects_fails_on_its_line(
+    tmp_path, capsys, header, rows, message
+):
+    path = tmp_path / "n1.jsonl"
+    write_nbest(path, [make_list(["a b"])])
+    mat = tmp_path / "bad.mat"
+    mat.write_text(f"{header}\n{rows}\n", encoding="utf-8")
+    args = ["rerank", "-i", path, "-o", tmp_path / "o.txt", "--utility", f"matrix:{mat}"]
+    for dry in ([], ["--dry-run"]):
+        assert run(args + dry) == 1
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+    assert list(tmp_path.glob("o.txt*")) == []
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

@@ -255,6 +255,7 @@ _STRICT_CASES = {
     "calls-negative": (lambda: RerankResult(**{**_RESULT, "utility_calls": -1}), "utility_calls"),
     "matrix-strings": (lambda: UtilityMatrix([["1"]], "x"), "utility matrix must hold numbers"),
     "matrix-bools": (lambda: UtilityMatrix([[True]], "x"), "utility matrix must hold numbers"),
+    "matrix-name-int": (lambda: UtilityMatrix([[1.0]], 7), "utility_name must be a string"),
 }
 
 

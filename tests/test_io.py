@@ -177,6 +177,7 @@ def test_matrix_multi_record_file(tmp_path):
         ('{"utility_name": "x", "n": true, "l": true}\n0.5\n', 1),
         ('{"utility_name": "x", "n": 1, "l": false}\n0.5\n', 1),
         ('{"utility_name": "x", "n": 1, "l": 2}\n0.1 0.2\n', 1),  # l > n
+        ('{"utility_name": 7, "n": 1, "l": 1}\n0.5\n', 1),
         ('{"utility_name": "x", "n": 2, "l": 1}\n0.5\n', 1),  # truncated body
         ('{"utility_name": "x", "n": 1, "l": 2}\n0.5\n', 2),  # short row
         ('{"utility_name": "x", "n": 1, "l": 1}\nream\n', 2),
@@ -186,10 +187,9 @@ def test_matrix_multi_record_file(tmp_path):
 def test_matrix_parse_errors(tmp_path, content, line):
     path = tmp_path / "bad.matrix"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises((ParseError, InvalidInputError)) as err:
+    with pytest.raises(ParseError) as err:
         load_utility_matrices(path)
-    if isinstance(err.value, ParseError):
-        assert f"line {line}" in str(err.value) or err.value.line == line
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: ")
 
 
 def test_matrix_empty_file(tmp_path):

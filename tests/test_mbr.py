@@ -446,6 +446,25 @@ def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
         reads.clear()
 
 
+def test_rerank_reads_each_regularizer_once_and_scores_with_the_checked_values(monkeypatch):
+    rng = np.random.default_rng(23)
+    lst = random_list(rng, 5, with_extras=True)
+    calls = []
+    values = mbr.regularizer_values
+    monkeypatch.setattr(
+        mbr, "regularizer_values", lambda nbest, name: calls.append(name) or values(nbest, name)
+    )
+    lambdas = {"lp": 0.5, "qe": 1.0}
+    for stages in (None, CoarseToFine("chrf", 3)):
+        calls.clear()
+        result = rerank(lst, RerankConfig(lambdas=lambdas, coarse_to_fine=stages))
+        assert calls == ["lp", "qe"]
+        kept = [lst.candidates[i] for i in result.candidate_indices]
+        assert result.regularizer_scores == {
+            name: tuple(values(replace(lst, candidates=kept), name)) for name in lambdas
+        }
+
+
 def test_session_resolves_matrix_file_spec(tmp_path):
     from rmbr.io import write_utility_matrices
 
