@@ -11,7 +11,8 @@ spec, closed when the call returns), and each list goes through
 :func:`~rmbr.mbr.checked_values` once, before the first score, with every
 weight vector the run tries at every depth it ranks, so a total that is
 not finite after scoring is a scoring failure.  Each list is then scored
-once, with the regularizer values the check returned, and each
+once, with the regularizer values the check returned (a stored matrix's
+consensus rows come from the check too), and each
 candidate's objective statistics (corpus BLEU sufficient statistics or
 sentence chrF) are computed once.  At each depth, one array pass per list
 over blocks of weight vectors gives every vector's selection, the
@@ -40,7 +41,7 @@ from .mbr import (
     build_utility_matrix,
     check_scored,
     checked_values,
-    expected_utilities,
+    consensus_rows,
 )
 from .metrics import (
     OBJECTIVE_METRICS,
@@ -304,8 +305,10 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarra
 def _checked_tuning(session, lists, config, grid):
     """Make :func:`check_tuning`'s checks, resolving the spec in ``session``.
 
-    Returns the run's depths (None keeps every scored column), its weight
-    vectors, one per row, and each list's provider and regularizer rows.
+    ``grid`` is None for the truncation sweep, or a grid that
+    :func:`lambda_grid` returned.  Returns the run's depths (None keeps
+    every scored column), its weight vectors, one per row, and each list's
+    provider and the rows :func:`~rmbr.mbr.checked_values` returned.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
@@ -315,7 +318,7 @@ def _checked_tuning(session, lists, config, grid):
     if grid is not None:
         if not names:
             raise ConfigError("grid search needs at least one active regularizer")
-        depths, weights = [None], _weight_vectors(lambda_grid(grid), len(names))
+        depths, weights = [None], _weight_vectors(grid, len(names))
     elif config.l != "full":
         raise ConfigError("the truncation sweep sets l itself")
     else:
@@ -323,7 +326,7 @@ def _checked_tuning(session, lists, config, grid):
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)
     utilities = session.providers(config.utility, len(lists))
     checked = [
-        (u, checked_values(lst, u, config.resolve_l(lst.n), names, weights, depths))
+        (u, *checked_values(lst, u, config.resolve_l(lst.n), names, weights, depths))
         for lst, u in zip(lists, utilities)
     ]
     return depths, weights, checked
@@ -337,11 +340,11 @@ def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) ->
     once, with every weight vector the run tries and every depth it ranks:
     a stored matrix must cover the list at the scored depth, the weighted
     fields must exist, and every vector's totals must rank at every depth.
-    The objective metric and the references are :func:`check_objective`'s
-    to check.
+    The grid's weights are :func:`lambda_grid`'s to check, first, and the
+    objective metric and the references :func:`check_objective`'s.
     """
     with UtilitySession() as session:
-        _checked_tuning(session, lists, config, grid)
+        _checked_tuning(session, lists, config, None if grid is None else lambda_grid(grid))
 
 
 def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
@@ -364,24 +367,31 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     return corpus_bleu_scores(sums).tolist()
 
 
-def _tune(lists, config, grid, metric):
+def tune(lists, config, grid, metric):
     """Check, score each dev list once, then try every weight vector at every depth.
 
-    The run is the one :func:`check_tuning` checks for ``grid``, and it
-    scores with the regularizer rows that check returns.  Each list is
-    scored at depth ``config.l`` with the config's utility spec resolved
-    once for all lists; then each candidate's objective statistics are
-    taken against the list's reference: the rows of :func:`bleu_stats`,
-    or its sentence chrF.  Returns the first ``(l, weights row)`` setting
-    with the highest objective, that objective, and the objective of every
-    setting, depth by depth.
+    The body of both tuners, for a caller that has made their first
+    checks: :func:`check_objective` on ``lists`` and ``metric``, and, for
+    a grid search, :func:`lambda_grid` on the ``grid`` it passes (None is
+    the truncation sweep).  The run is the one :func:`check_tuning` checks
+    for ``grid``, and it scores with the rows that check returns: the
+    regularizer values, and a stored matrix's consensus at every depth.
+    Any other utility scores each list at depth ``config.l``, with the
+    config's utility spec resolved once for all lists.  Then each
+    candidate's objective statistics are taken against the list's
+    reference: the rows of :func:`bleu_stats`, or its sentence chrF.
+    Returns the first setting with the highest objective, as its depth
+    (None for a grid search) and its weights by name, that objective, and
+    the objective of every setting, depth by depth.
     """
     with UtilitySession() as session:
         depths, weights, checked = _checked_tuning(session, lists, config, grid)
-        scored = [
-            (build_utility_matrix(lst, u, config.resolve_l(lst.n)).values, regs)
-            for lst, (u, regs) in zip(lists, checked)
-        ]
+        scored = []
+        for lst, (u, consensus, regs) in zip(lists, checked):
+            if consensus is None:
+                l = config.resolve_l(lst.n)
+                consensus = consensus_rows(build_utility_matrix(lst, u, l).values, l, depths)
+            scored.append((consensus, regs))
     if metric == "chrf":
         stats = [np.array(ChrfUtility().score_against(lst, lst.reference)) for lst in lists]
     else:
@@ -389,15 +399,16 @@ def _tune(lists, config, grid, metric):
             bleu_stats([c.tokens for c in lst.candidates], lst.reference.split()) for lst in lists
         ]
     curve = []
-    for l in depths:
-        at_l = [
-            (expected_utilities(v, l or v.shape[1]), regs, lst, s)
-            for lst, (v, regs), s in zip(lists, scored, stats)
+    for d in range(len(depths)):
+        at_d = [
+            (consensus[d], regs, lst, s)
+            for lst, (consensus, regs), s in zip(lists, scored, stats)
         ]
-        curve += _grid_objectives(at_l, weights, metric)
+        curve += _grid_objectives(at_d, weights, metric)
     best = max(range(len(curve)), key=curve.__getitem__)
     depth, row = divmod(best, len(weights))
-    return (depths[depth], weights[row]), curve[best], curve
+    lambdas = dict(zip(config.regularizers, weights[row].tolist()))
+    return (depths[depth], lambdas), curve[best], curve
 
 
 def grid_search_lambdas(
@@ -415,8 +426,8 @@ def grid_search_lambdas(
     weight vector).
     """
     check_objective(lists, objective_metric)
-    (_, best), objective, _ = _tune(lists, config, grid, objective_metric)
-    return dict(zip(config.regularizers, best.tolist())), objective
+    (_, best), objective, _ = tune(lists, config, lambda_grid(grid), objective_metric)
+    return best, objective
 
 
 def tune_l(
@@ -433,5 +444,5 @@ def tune_l(
     sweep sets l itself: ``config.l`` must be "full".
     """
     check_objective(lists, objective_metric)
-    (best_l, _), objective, curve = _tune(lists, config, None, objective_metric)
+    (best_l, _), objective, curve = tune(lists, config, None, objective_metric)
     return best_l, objective, curve

@@ -37,12 +37,19 @@ utility, starts no scorer and writes nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
-only when a ``service:`` spec is resolved.
+only when a ``service:`` spec is resolved.  The tuning handlers check
+the objective and the weight grid first and then call the tuners' body,
+:func:`~rmbr.analysis.tune`, which does not check them again.
+
+``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
+:func:`run`, which freezes the heap before the interpreter exits; tests
+and the benchmark's traced runs call :func:`main` in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -273,7 +280,7 @@ def _emit_record(args, record, summary_lines):
 
 
 def _cmd_tune_lambda(args) -> int:
-    from .analysis import check_objective, check_tuning, grid_search_lambdas, lambda_grid
+    from .analysis import _checked_tuning, check_objective, lambda_grid, tune
 
     started = time.monotonic()
     lists = load_nbest(args.input)
@@ -294,9 +301,9 @@ def _cmd_tune_lambda(args) -> int:
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(config.utility, len(lists)))
         if args.dry_run:
-            check_tuning(lists, config, grid)
+            _checked_tuning(session, lists, config, grid)
             return _validated(lists)
-        best, objective = grid_search_lambdas(lists, config, grid, args.metric)
+        (_, best), objective, _ = tune(lists, config, grid, args.metric)
     record = {"lambdas": best, "objective": objective, "metric": args.metric}
     _emit_record(
         args,
@@ -309,7 +316,7 @@ def _cmd_tune_lambda(args) -> int:
 
 
 def _cmd_tune_l(args) -> int:
-    from .analysis import check_objective, check_tuning, tune_l
+    from .analysis import _checked_tuning, check_objective, tune
 
     started = time.monotonic()
     lists = load_nbest(args.input)
@@ -318,9 +325,9 @@ def _cmd_tune_l(args) -> int:
     with UtilitySession() as session:
         config = replace(config, utility=session.providers(config.utility, len(lists)))
         if args.dry_run:
-            check_tuning(lists, config)
+            _checked_tuning(session, lists, config, None)
             return _validated(lists)
-        best_l, objective, curve = tune_l(lists, config, args.metric)
+        (best_l, _), objective, curve = tune(lists, config, None, args.metric)
     record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
     _emit_record(
         args,
@@ -432,5 +439,21 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> None:
+    """The process entry of ``python -m rmbr.cli`` and the ``rmbr`` script.
+
+    Runs :func:`main` and exits with its code after ``gc.freeze()``: the
+    collections of interpreter shutdown then skip every object alive at
+    exit, the tens of thousands numpy and rmbr create at import, whose
+    walk was the largest cost of a run's teardown.  The exit is otherwise
+    the normal one: ``atexit`` handlers run, stdout and stderr are flushed
+    and a broken pipe is reported.  :func:`main` freezes nothing, so an
+    in-process caller keeps its collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -47,6 +47,7 @@ a spec.
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
 from dataclasses import replace
 from typing import Protocol
@@ -335,9 +336,31 @@ def expected_utilities(values: np.ndarray, l: int) -> list[float]:
     return [float(s) / l for s in sums]
 
 
+def consensus_rows(values: np.ndarray, l: int, depths=(None,)) -> np.ndarray:
+    """The consensus scores at each of ``depths`` (None is ``l``), one row each.
+
+    Each row holds :func:`expected_utilities` at its depth, value for value.
+    """
+    return np.array([expected_utilities(values, d or l) for d in depths])
+
+
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
     """Consensus score of each candidate: mean utility over the matrix columns."""
     return expected_utilities(matrix.values, matrix.l)
+
+
+def _negated_mean(values) -> float:
+    """``-sum(values) / len(values)``, finite where that sum overflows.
+
+    The entries are finite and >= 0 (the :class:`~rmbr.core.Candidate`
+    constructor checks), so their mean is finite and at most their
+    largest entry; only a sum that overflows takes the mean of the
+    entries divided first, capped at that entry.
+    """
+    total = sum(values)
+    if math.isfinite(total):
+        return -total / len(values)
+    return -min(sum(v / len(values) for v in values), max(values))
 
 
 def regularizer_values(nbest: NBestList, name: str) -> list[float]:
@@ -356,11 +379,11 @@ def regularizer_values(nbest: NBestList, name: str) -> list[float]:
         elif name == "mc_dropout":
             if cand.mc_pass_scores is None:
                 raise MissingScoreError(f"candidate {i} has no mc_pass_scores")
-            value = -sum(cand.mc_pass_scores) / len(cand.mc_pass_scores)
+            value = _negated_mean(cand.mc_pass_scores)
         elif name == "entropy":
             if cand.token_entropies is None:
                 raise MissingScoreError(f"candidate {i} has no token_entropies")
-            value = -sum(cand.token_entropies) / len(cand.token_entropies)
+            value = _negated_mean(cand.token_entropies)
         else:
             if name not in cand.external_scores:
                 raise MissingScoreError(f"candidate {i} has no external score {name!r}")
@@ -388,7 +411,7 @@ def token_entropy(distribution) -> float:
 
 
 def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(None,)):
-    """Check that every weight vector's totals rank; return the regularizer rows.
+    """Check that every weight vector's totals rank; return the rows it checked.
 
     The one pre-scoring check of every scoring command.  ``utility`` is a
     resolved provider: a stored matrix must cover the list at depth ``l``
@@ -403,13 +426,14 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
     that take each term's smallest and largest product give every vector's
     lowest and highest totals; each column's extremes belong to a real
     vector, so this raises exactly when some vector's totals would not
-    rank.  Returns the r x n regularizer values, one row per name.
+    rank.  Returns the stored matrix's consensus rows, one per depth (None
+    for any other utility), and the r x n regularizer values, one row per
+    name.
     """
+    consensus = None
     if isinstance(utility, MatrixUtility):
-        stored = utility.matrix(nbest, l)
-        consensus_at = np.array([expected_utilities(stored, d or l) for d in depths])
-    else:
-        consensus_at = np.zeros((1, nbest.n))
+        consensus = consensus_rows(utility.matrix(nbest, l), l, depths)
+    consensus_at = np.zeros((1, nbest.n)) if consensus is None else consensus
     regs = np.array([regularizer_values(nbest, name) for name in names]).reshape(-1, nbest.n)
     with np.errstate(over="ignore", invalid="ignore"):
         # 2 x r x n; sorted, row 0 holds each term's smallest product and row 1
@@ -421,7 +445,7 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
             totals += products[:, k]
     if not np.isfinite(totals).all():
         raise InvalidInputError("total scores must be finite")
-    return regs
+    return consensus, regs
 
 
 def check_list(nbest: NBestList, config: RerankConfig) -> np.ndarray:
@@ -449,7 +473,8 @@ def check_list(nbest: NBestList, config: RerankConfig) -> np.ndarray:
             raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
         checked_values(nbest, stages.proxy, nbest.n, (), np.zeros((1, 0)))
     weights = np.array([list(config.lambdas.values())], dtype=np.float64)
-    return checked_values(nbest, utility, config.resolve_l(nbest.n), config.regularizers, weights)
+    l = config.resolve_l(nbest.n)
+    return checked_values(nbest, utility, l, config.regularizers, weights)[1]
 
 
 def check_scored(nbest: NBestList, totals) -> None:

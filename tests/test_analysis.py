@@ -386,11 +386,12 @@ def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():
             except InvalidInputError:
                 unrankable = True
         try:
-            regs = mbr.checked_values(nbest, stored, 1, names, weights)
+            checked, regs = mbr.checked_values(nbest, stored, 1, names, weights)
         except InvalidInputError:
             raised = True
         else:
             raised = False
+            assert checked.tolist() == [consensus]
             assert regs.tolist() == values if r else regs.shape == (0, n)
         assert raised == unrankable
         outcomes.append(raised)
@@ -434,6 +435,37 @@ def test_tuners_accept_one_provider_per_list():
     assert curve[-1] == corpus_objective(lists, selections)
     with pytest.raises(InvalidInputError):
         tune_l(lists, RerankConfig(utility=per_list[:2]))
+
+
+def test_tuners_rank_with_the_consensus_their_check_took_from_a_stored_matrix(monkeypatch):
+    """Each list's stored matrix is read once, by the check, whose consensus
+    rows the tuner ranks; every depth of the sweep still selects what a
+    depth-l rerank selects."""
+    rng = np.random.default_rng(36)
+    lists = [random_list(rng, 5, with_extras=True) for _ in range(3)]
+    per_list = [
+        MatrixUtility(UtilityMatrix(values=rng.uniform(size=(5, 5)), utility_name="ext"))
+        for _ in lists
+    ]
+    reads = []
+    matrix = MatrixUtility.matrix
+    monkeypatch.setattr(
+        MatrixUtility, "matrix", lambda self, *a: reads.append(self) or matrix(self, *a)
+    )
+    for metric in ("bleu", "chrf"):
+        reads.clear()
+        _, _, curve = tune_l(lists, RerankConfig(utility=per_list, lambdas={"qe": 0.5}), metric)
+        assert reads == per_list
+        for l in range(1, 6):
+            config = RerankConfig(utility=per_list, l=l, lambdas={"qe": 0.5})
+            selections = [
+                rerank(lst, replace(config, utility=p)).selected
+                for lst, p in zip(lists, per_list)
+            ]
+            assert curve[l - 1] == corpus_objective(lists, selections, metric)
+    reads.clear()
+    grid_search_lambdas(lists, RerankConfig(utility=per_list, lambdas={"qe": 0.0}), grid=[1.0])
+    assert reads == per_list
 
 
 def test_lambda_grid_is_sorted_distinct_and_finite():

@@ -1,6 +1,7 @@
 """End-to-end checks of the ``rmbr`` command line."""
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -921,16 +922,22 @@ def test_a_tuning_command_checks_once_and_never_through_check_list(
 ):
     path, _ = dev_file
     calls = []
-    checked = analysis._checked_tuning
-    monkeypatch.setattr(
-        analysis, "_checked_tuning", lambda *a: calls.append("tuning") or checked(*a)
-    )
+    for name, tag in (
+        ("check_objective", "objective"),
+        ("lambda_grid", "grid"),
+        ("_checked_tuning", "tuning"),
+    ):
+        checked = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda *a, tag=tag, f=checked: calls.append(tag) or f(*a)
+        )
     for module in (cli, mbr):
         monkeypatch.setattr(module, "check_list", lambda *a: calls.append("check_list"))
     flags = ["--regularizers", "lp,qe"] if command == "tune-lambda" else ["--lambda", "qe=1"]
     args = [command, "-i", path, "-o", tmp_path / "out", *flags]
     assert run(args + (["--dry-run"] if dry else [])) == 0
-    assert calls == ["tuning"]
+    grid = ["grid"] if command == "tune-lambda" else []
+    assert calls == ["objective", *grid, "tuning"]
 
 
 @pytest.mark.parametrize("dry", [False, True])
@@ -1005,6 +1012,88 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     assert (proc.returncode, err) == (130, b"error: interrupted\n")
     assert list(tmp_path.glob("out*")) == []
     _assert_all_gone(_started_pids(log))
+
+
+def _run_process(args, *, probe=False):
+    """``python -m rmbr.cli ARGS`` in a child: exit code, stdout and stderr.
+
+    With ``probe``, the module runs as ``__main__`` under an ``atexit``
+    handler that appends the collector's freeze count to stderr.
+    """
+    argv = ["-m", "rmbr.cli", *map(str, args)]
+    if probe:
+        code = (
+            "import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+            f"sys.argv = ['rmbr', *{argv[2:]!r}]; "
+            "runpy.run_module('rmbr.cli', run_name='__main__', alter_sys=True)"
+        )
+        argv = ["-c", code]
+    done = subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _outputs(out):
+    """Read and remove the output file and its run report (without its timing)."""
+    files = {}
+    for path in sorted(out.parent.glob(out.name + "*")):
+        data = path.read_bytes()
+        if path.name.endswith(".report.json"):
+            report = json.loads(data)
+            del report["elapsed_seconds"]
+            data = report
+        files[path.name] = data
+        path.unlink()
+    return files
+
+
+@pytest.mark.parametrize(
+    "case", ["rerank", "tune-lambda-service", "dry-run", "invalid-input", "nan-scorer"]
+)
+def test_the_process_entry_exits_as_main_returns(dev_file, tmp_path, capsys, case):
+    """``python -m rmbr.cli`` gives the exit code, stdout, stderr and output
+    files of an in-process :func:`main`, which leaves the collector unfrozen."""
+    path, _ = dev_file
+    out = tmp_path / "out" / "o.txt"
+    out.parent.mkdir()
+    spec, log = _logging_scorer(tmp_path, "ok")
+    script = tmp_path / "nan.py"
+    script.write_text(_NONFINITE_SCORER, encoding="utf-8")
+    nan_spec = f"service:exec:{sys.executable} {script} {tmp_path / 'nan.pid'} NaN"
+    args, code = {
+        "rerank": (["rerank", "--lambda", "qe=0.5"], 0),
+        "tune-lambda-service": (["tune-lambda", "--utility", spec, "--regularizers", "qe"], 0),
+        "dry-run": (["tune-l", "--lambda", "lp=1", "--dry-run"], 0),
+        "invalid-input": (["rerank", "--l", "99"], 1),
+        "nan-scorer": (["rerank", "--utility", nan_spec], 2),
+    }[case]
+    args = [*args, "-i", path, "-o", out]
+    frozen = gc.get_freeze_count()
+    assert run(args) == code
+    assert gc.get_freeze_count() == frozen
+    in_process = (code, *capsys.readouterr(), _outputs(out))
+    assert (*_run_process(args), _outputs(out)) == in_process
+    assert bool(in_process[3]) == (case in ("rerank", "tune-lambda-service"))
+    _assert_all_gone(_started_pids(log))
+
+
+def test_the_process_entry_freezes_the_heap_before_exit(dev_file, tmp_path):
+    """``atexit`` handlers still run, after the entry has frozen the objects
+    alive at exit, so the shutdown collections skip them."""
+    path, _ = dev_file
+    args = ["rerank", "-i", path, "-o", tmp_path / "o.txt"]
+    code, stdout, stderr = _run_process(args, probe=True)
+    assert (code, stdout) == (0, f"reranked 6 lists -> {tmp_path / 'o.txt'}\n")
+    word, count = stderr.split()
+    assert word == "frozen" and int(count) > 1000
+    code, _, stderr = _run_process(args + ["--l", "99"], probe=True)
+    assert code == 1 and stderr.startswith("error: l=99 exceeds") and int(stderr.split()[-1]) > 1000
 
 
 _RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "logging", "uuid")

@@ -282,6 +282,26 @@ def test_regularizer_values_uncertainty_negated_means():
     assert regularizer_values(lst, "entropy") == [-0.5, -1.5]
 
 
+def test_uncertainty_means_stay_finite_where_their_sums_overflow():
+    """A finite sum keeps ``-sum / len`` bit for bit; one that overflows
+    still gives the finite mean, so a zero weight leaves the list rankable."""
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        values = (rng.random(int(rng.integers(1, 6))) * 10.0 ** rng.integers(-3, 300)).tolist()
+        lst = NBestList(source="s", candidates=(make_candidate("a", -1.0, mc_pass_scores=values),))
+        assert regularizer_values(lst, "mc_dropout") == [-sum(values) / len(values)]
+    cands = (
+        make_candidate("a b", -1.0, mc_pass_scores=[1e308, 1e308], token_entropies=[1e308] * 2),
+        make_candidate("a c", -2.0, mc_pass_scores=[1.7e308] * 3, token_entropies=[0.0, 1.7e308]),
+    )
+    lst = NBestList(source="s", candidates=cands)
+    assert regularizer_values(lst, "mc_dropout") == [-1e308, -1.7e308]
+    assert regularizer_values(lst, "entropy") == [-1e308, -0.85e308]
+    for name in ("mc_dropout", "entropy"):
+        result = rerank(lst, RerankConfig(lambdas={name: 0.0}))
+        assert result.regularizer_scores[name] == tuple(regularizer_values(lst, name))
+
+
 def test_regularizer_values_missing_uncertainty_fields():
     lst = make_list(["a"])
     with pytest.raises(MissingScoreError):
