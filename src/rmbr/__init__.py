@@ -56,11 +56,11 @@ _HOMES = {
         "ServiceUtility",
         "UtilitySession",
         "build_utility_matrix",
-        "check_list",
-        "coarse_to_fine",
+        "check_reranking",
         "mbr_scores",
         "regularizer_values",
         "rerank",
+        "rerank_lists",
         "token_entropy",
     ),
     "scorer": ("ScorerClient",),

@@ -35,14 +35,7 @@ import numpy as np
 
 from .core import DEFAULT_LAMBDA_GRID, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
-from .mbr import (
-    ChrfUtility,
-    UtilitySession,
-    build_utility_matrix,
-    check_scored,
-    checked_values,
-    consensus_rows,
-)
+from .mbr import ChrfUtility, UtilitySession, check_scored, checked_values, scored_consensus
 from .metrics import (
     OBJECTIVE_METRICS,
     bleu_stats,
@@ -376,7 +369,8 @@ def tune(lists, config, grid, metric):
     the truncation sweep).  The run is the one :func:`check_tuning` checks
     for ``grid``, and it scores with the rows that check returns: the
     regularizer values, and a stored matrix's consensus at every depth.
-    Any other utility scores each list at depth ``config.l``, with the
+    Any other utility scores each list at depth ``config.l``
+    (:func:`~rmbr.mbr.scored_consensus`, as reranking does), with the
     config's utility spec resolved once for all lists.  Then each
     candidate's objective statistics are taken against the list's
     reference: the rows of :func:`bleu_stats`, or its sentence chrF.
@@ -386,12 +380,10 @@ def tune(lists, config, grid, metric):
     """
     with UtilitySession() as session:
         depths, weights, checked = _checked_tuning(session, lists, config, grid)
-        scored = []
-        for lst, (u, consensus, regs) in zip(lists, checked):
-            if consensus is None:
-                l = config.resolve_l(lst.n)
-                consensus = consensus_rows(build_utility_matrix(lst, u, l).values, l, depths)
-            scored.append((consensus, regs))
+        scored = [
+            (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
+            for lst, (u, consensus, regs) in zip(lists, checked)
+        ]
     if metric == "chrf":
         stats = [np.array(ChrfUtility().score_against(lst, lst.reference)) for lst in lists]
     else:

@@ -29,17 +29,18 @@ Every command that scores takes its utility providers from one
 resolved once per run (one scorer per ``service:`` spec, started on its
 first batch; a matrix file with one matrix per list gives each list its
 own), and every scorer is closed before the command returns, on success,
-on error and on Ctrl-C.  Before the first score, a reranking command
-runs :func:`~rmbr.mbr.check_list` on every list and a tuning command's
-tuner makes the checks of :func:`~rmbr.analysis.check_tuning`; a
-``--dry-run`` makes those same checks and stops, so it evaluates no
+on error and on Ctrl-C.  A reranking or tuning command hands all lists
+to one call, :func:`~rmbr.mbr.rerank_lists` or :func:`~rmbr.analysis.tune`,
+which checks every list before the first score of any; a ``--dry-run``
+makes those checks (:func:`~rmbr.mbr.check_reranking`,
+:func:`~rmbr.analysis.check_tuning`) and stops, so it evaluates no
 utility, starts no scorer and writes nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
 only when a ``service:`` spec is resolved.  The tuning handlers check
-the objective and the weight grid first and then call the tuners' body,
-:func:`~rmbr.analysis.tune`, which does not check them again.
+the objective and the weight grid first, and the tuners' body does not
+check them again.
 
 ``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
 :func:`run`, which freezes the heap before the interpreter exits; tests
@@ -54,7 +55,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
 from .errors import (
@@ -67,7 +67,7 @@ from .errors import (
     TransportError,
 )
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
-from .mbr import MatrixUtility, UtilitySession, check_list, rerank
+from .mbr import MatrixUtility, UtilitySession, check_reranking, rerank_lists
 from .metrics import OBJECTIVE_METRICS, corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
@@ -259,12 +259,11 @@ def _cmd_rerank(args) -> int:
         coarse_to_fine=stages,
     )
     with UtilitySession() as session:
-        configs = session.configs(config, len(lists))
-        for lst, c in zip(lists, configs):
-            check_list(lst, c)
+        config = session.resolve(config, len(lists))
         if args.dry_run:
+            check_reranking(lists, config)
             return _validated(lists)
-        results = [rerank(lst, c) for lst, c in zip(lists, configs)]
+        results = rerank_lists(lists, config)
     write_results(args.output, results, lists, mode=args.mode)
     _write_report(args, lists, results, started, session)
     print(f"reranked {len(lists)} lists -> {args.output}")
@@ -299,7 +298,7 @@ def _cmd_tune_lambda(args) -> int:
         utility=args.utility, l=_parse_l(args.l), lambdas={n: 0.0 for n in names}
     )
     with UtilitySession() as session:
-        config = replace(config, utility=session.providers(config.utility, len(lists)))
+        config = session.resolve(config, len(lists))
         if args.dry_run:
             _checked_tuning(session, lists, config, grid)
             return _validated(lists)
@@ -323,7 +322,7 @@ def _cmd_tune_l(args) -> int:
     check_objective(lists, args.metric)
     config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
     with UtilitySession() as session:
-        config = replace(config, utility=session.providers(config.utility, len(lists)))
+        config = session.resolve(config, len(lists))
         if args.dry_run:
             _checked_tuning(session, lists, config, None)
             return _validated(lists)

@@ -8,8 +8,8 @@ candidates of the same list (beam order, diagonal included):
 Regularizer terms are added on top with per-name weights; the combined
 score is maximized.  A coarse-to-fine mode first ranks the full list with a
 cheap proxy utility over all n pseudo-references and keeps the best k;
-:func:`rerank` then scores the survivors with the target utility in the
-same steps as a one-stage rerank, for n^2 + k^2 pair evaluations instead
+:func:`rerank_lists` then scores the survivors with the target utility in
+the same steps as a one-stage rerank, for n^2 + k^2 pair evaluations instead
 of n^2.  A stored matrix can be the proxy but not the target, whose rows
 would belong to the full list.
 
@@ -32,17 +32,15 @@ in :mod:`rmbr.scorer`, which the session imports only when it resolves a
 ``service:`` spec; the provider (:class:`ServiceUtility`), its first-batch
 opener and the session's lifetime and counters stay here.
 :func:`checked_values` is the one exact pre-scoring check of every
-scoring command, for one weight vector or a tuner's whole grid: it
-raises exactly when some vector's totals would not rank, and returns the
-regularizer values the run then scores with.  :func:`check_list`
-resolves the specs as :func:`rerank` does and then makes every check
-:func:`rerank` makes on a list before its first score, so a dry run is
-the real run stopped just before scoring (see :mod:`rmbr.cli`), and a
+scoring command: it raises exactly when some weight vector's totals
+would not rank, and returns the rows the run scores with.
+:func:`rerank_lists` is the one reranking body, for any number of lists;
+:func:`check_reranking` makes its checks and stops, so a dry run is the
+real run stopped just before scoring (see :mod:`rmbr.cli`), and a
 consensus or total that is not finite after scoring is a scoring failure
-(:func:`check_scored`).  The built-in metrics
-use the default :class:`~rmbr.metrics.MetricConfig`; another is chosen by
-passing a provider such as ``BleuUtility(MetricConfig(...))`` in place of
-a spec.
+(:func:`check_scored`).  The built-in metrics use the default
+:class:`~rmbr.metrics.MetricConfig`; another is chosen by passing a
+provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
 """
 
 from __future__ import annotations
@@ -160,16 +158,12 @@ class MatrixUtility:
         self._matrix = matrix
         self.name = matrix.utility_name
 
-    def check_size(self, n: int, l: int) -> None:
-        """Raise unless the stored matrix covers n candidates at depth l."""
-        if self._matrix.n < n or self._matrix.l < l:
+    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
+        if self._matrix.n < nbest.n or self._matrix.l < l:
             raise DimensionError(
                 f"stored matrix is {self._matrix.n}x{self._matrix.l}, "
-                f"need at least {n}x{l}"
+                f"need at least {nbest.n}x{l}"
             )
-
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        self.check_size(nbest.n, l)
         return np.asarray(self._matrix.values[: nbest.n, :l])
 
     def score_against(self, nbest, reference):
@@ -227,7 +221,7 @@ class UtilitySession:
     holding a single matrix, gives one provider shared by all lists (a
     ``service:`` spec gets one scorer, started or connected on its first
     batch).  A ready provider is shared by all lists, and a list or tuple
-    of providers must hold one per list.  Scorers the session opened are
+    must hold one provider per list.  Scorers the session opened are
     closed when it exits, on success, on error and on interrupt; providers
     passed in are left open, so a session opened inside a call that was
     handed providers closes nothing of its caller's.
@@ -254,8 +248,9 @@ class UtilitySession:
         A spec string is ``"bleu"``, ``"chrf"``, ``"matrix:PATH"`` (a file
         holding one matrix, shared, or one per list), ``"service:exec:COMMAND"``
         or ``"service:HOST:PORT"`` with a port in 1..65535; any other value
-        raises :class:`ConfigError`.  A ``service:`` spec also needs a valid
-        scorer timeout (:class:`InvalidInputError` if not).  Only a
+        raises :class:`ConfigError`, as does a list element that is not a
+        provider.  A ``service:`` spec also needs a valid scorer timeout
+        (:class:`InvalidInputError` if not).  Only a
         ``service:`` spec imports :mod:`rmbr.scorer`, whose
         :func:`~rmbr.scorer.service_opener` parses it.
         """
@@ -264,6 +259,9 @@ class UtilitySession:
                 raise InvalidInputError(
                     f"got {len(spec)} utility providers for {num_lists} lists"
                 )
+            for provider in spec:
+                if not hasattr(provider, "matrix"):
+                    raise ConfigError(f"a per-list utility must be a provider, got {provider!r}")
             return list(spec)
         if hasattr(spec, "matrix"):
             return [spec] * num_lists
@@ -295,17 +293,12 @@ class UtilitySession:
 
         return [ServiceUtility(_ScorerOnFirstBatch(open_client))] * num_lists
 
-    def configs(self, config: RerankConfig, num_lists: int) -> list[RerankConfig]:
-        """Per-list copies of a config with the target and proxy resolved."""
-        utilities = self.providers(config.utility, num_lists)
-        stages = config.coarse_to_fine
-        if stages is None:
-            return [replace(config, utility=u) for u in utilities]
-        proxies = self.providers(stages.proxy, num_lists)
-        return [
-            replace(config, utility=u, coarse_to_fine=replace(stages, proxy=p))
-            for u, p in zip(utilities, proxies)
-        ]
+    def resolve(self, config: RerankConfig, num_lists: int) -> RerankConfig:
+        """The config with its target and proxy resolved, one provider per list each."""
+        utility, stages = self.providers(config.utility, num_lists), config.coarse_to_fine
+        if stages is not None:
+            stages = replace(stages, proxy=self.providers(stages.proxy, num_lists))
+        return replace(config, utility=utility, coarse_to_fine=stages)
 
     def counters(self) -> dict:
         """Scorers this session opened and the pairs they scored."""
@@ -342,6 +335,17 @@ def consensus_rows(values: np.ndarray, l: int, depths=(None,)) -> np.ndarray:
     Each row holds :func:`expected_utilities` at its depth, value for value.
     """
     return np.array([expected_utilities(values, d or l) for d in depths])
+
+
+def scored_consensus(nbest: NBestList, utility, l: int, checked, depths=(None,)) -> np.ndarray:
+    """The consensus rows :func:`checked_values` returned, else the list's.
+
+    ``checked`` is None unless ``utility`` is a stored matrix; then the list
+    is scored at depth ``l`` and its :func:`consensus_rows` taken.
+    """
+    if checked is not None:
+        return checked
+    return consensus_rows(build_utility_matrix(nbest, utility, l).values, l, depths)
 
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
@@ -448,39 +452,45 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
     return consensus, regs
 
 
-def check_list(nbest: NBestList, config: RerankConfig) -> np.ndarray:
-    """Make every check :func:`rerank` makes on a list before its first score.
+def _checked_lists(session, lists, config: RerankConfig):
+    """:func:`check_reranking`'s checks in ``session``: returns the resolved
+    config and, per list, the proxy's consensus (None without coarse-to-fine)
+    and the target's :func:`checked_values` rows.
+    """
+    config = session.resolve(config, len(lists))
+    stages, utilities = config.coarse_to_fine, config.utility
+    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    if stages is not None and any(isinstance(u, MatrixUtility) for u in utilities):
+        raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
+    checked = []
+    for i, nbest in enumerate(lists):
+        proxy = None
+        if stages is not None:
+            if stages.keep > nbest.n:
+                raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
+            proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), np.zeros((1, 0)))
+        l = config.resolve_l(nbest.n)
+        target = checked_values(nbest, utilities[i], l, config.regularizers, weights)
+        checked.append((proxy, *target))
+    return config, checked
 
-    The specs are resolved first, as :func:`rerank` resolves them, so a
-    bad spec fails first and a ``matrix:`` string is checked as the matrix
-    it names.  The depth, or the coarse-to-fine ``keep``, must fit the
-    list, and a coarse-to-fine target must not be a stored matrix.  Then
-    :func:`checked_values` checks the proxy over all n candidates with no
-    regularizers, and the target at the run's depth with the config's
-    weights (for coarse-to-fine, over the candidates the proxy would drop
-    too).  Returns the target's regularizer values, one row per name in
-    ``config.lambdas`` order.
+
+def check_reranking(lists, config: RerankConfig) -> None:
+    """Make every check :func:`rerank_lists` makes before its first score.
+
+    The specs are resolved first, and a coarse-to-fine target must not be
+    a stored matrix.  Then, list by list, ``keep`` and the depth must fit,
+    and :func:`checked_values` checks the proxy over all n candidates with
+    no regularizers, then the target with the config's weights.
     """
     with UtilitySession() as session:
-        (config,) = session.configs(config, 1)
-    stages, utility = config.coarse_to_fine, config.utility
-    if stages is not None:
-        if isinstance(utility, MatrixUtility):
-            raise ConfigError(
-                "a precomputed utility matrix cannot be the coarse-to-fine target"
-            )
-        if stages.keep > nbest.n:
-            raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
-        checked_values(nbest, stages.proxy, nbest.n, (), np.zeros((1, 0)))
-    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
-    l = config.resolve_l(nbest.n)
-    return checked_values(nbest, utility, l, config.regularizers, weights)[1]
+        _checked_lists(session, lists, config)
 
 
 def check_scored(nbest: NBestList, totals) -> None:
     """Raise :class:`ScoringError` unless every total of a scored list is finite.
 
-    :func:`check_list` (and, for a tuning run,
+    :func:`check_reranking` (and, for a tuning run,
     :func:`~rmbr.analysis.check_tuning`) has proved that every value
     known before scoring ranks, so a consensus or total that is not finite
     after scoring comes from the utility's scores, for example a scorer's
@@ -490,56 +500,54 @@ def check_scored(nbest: NBestList, totals) -> None:
         raise ScoringError(f"list with source {nbest.source!r}: scores are not finite")
 
 
-def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
-    """Score, combine and rank one n-best list under a config.
+def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
+    """Score, combine and rank each n-best list under a config.
 
-    The target and, for coarse-to-fine, the proxy are resolved once, in one
-    :class:`UtilitySession` that keeps every scorer it opens until the call
-    returns, and the list goes through :func:`check_list` once, whose
-    regularizer values the run scores with.  With ``config.coarse_to_fine``
-    set, the proxy scores all n candidates against all n (no regularizers)
-    and the best k survive, in list order; otherwise all n survive.  The
-    survivors are scored at depth l, combined with the regularizers in
-    ``config.lambdas`` order and ranked: n * l pair evaluations in one
-    stage, n^2 + k^2 with coarse-to-fine.  Indices in the result refer to
-    the original list; only survivors carry scores.
+    The target and the proxy are resolved once for all lists (a spec, one
+    provider, or one per list) in one :class:`UtilitySession`, which keeps
+    every scorer it opens until the call returns.  Every list passes
+    :func:`check_reranking`'s checks before the first score of any, and is
+    scored with the rows they returned (:func:`scored_consensus`).  With
+    ``config.coarse_to_fine``, the proxy scores all n candidates against
+    all n and the best k survive, in list order.  The survivors are scored
+    at depth l, combined with the regularizers in ``config.lambdas`` order
+    and ranked: n * l pair evaluations, or n^2 + k^2 with coarse-to-fine.
+    Lists are scored in order, none after one fails; a result's indices
+    refer to its original list, and only survivors carry scores.
     """
+    results = []
     with UtilitySession() as session:
-        (config,) = session.configs(config, 1)
-        regs = check_list(nbest, config)
-        survivors, calls = list(range(nbest.n)), 0
+        config, checked = _checked_lists(session, lists, config)
         stages = config.coarse_to_fine
-        if stages is not None:
-            proxy = mbr_scores(build_utility_matrix(nbest, stages.proxy, nbest.n))
-            check_scored(nbest, proxy)
-            order, _ = rank_candidates(proxy)
-            survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
-            nbest = replace(nbest, candidates=[nbest.candidates[i] for i in survivors])
-            regs = regs[:, survivors]
-        l = config.resolve_l(nbest.n)
-        consensus = mbr_scores(build_utility_matrix(nbest, config.utility, l))
-        regularizers = dict(zip(config.regularizers, regs.tolist()))
-        totals = combine_scores(consensus, regularizers, config.lambdas)
-        check_scored(nbest, totals)
-        ranking, _ = rank_candidates(totals)
-    return RerankResult(
-        mbr_scores=tuple(consensus),
-        regularizer_scores=regularizers,
-        total_scores=tuple(totals),
-        ranking=tuple(survivors[r] for r in ranking),
-        selected=survivors[ranking[0]],
-        utility_calls=calls + nbest.n * l,
-        candidate_indices=tuple(survivors),
-    )
+        for i, (nbest, (proxy, consensus, regs)) in enumerate(zip(lists, checked)):
+            survivors, calls = list(range(nbest.n)), 0
+            if stages is not None:
+                proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
+                check_scored(nbest, proxy)
+                order, _ = rank_candidates(proxy)
+                survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
+                nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
+                regs = regs[:, survivors]
+            l = config.resolve_l(nbest.n)
+            consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
+            regularizers = dict(zip(config.regularizers, regs.tolist()))
+            totals = combine_scores(consensus, regularizers, config.lambdas)
+            check_scored(nbest, totals)
+            ranking, _ = rank_candidates(totals)
+            results.append(
+                RerankResult(
+                    mbr_scores=tuple(consensus),
+                    regularizer_scores=regularizers,
+                    total_scores=tuple(totals),
+                    ranking=tuple(survivors[r] for r in ranking),
+                    selected=survivors[ranking[0]],
+                    utility_calls=calls + nbest.n * l,
+                    candidate_indices=tuple(survivors),
+                )
+            )
+    return results
 
 
-def coarse_to_fine(nbest: NBestList, config: RerankConfig) -> RerankResult:
-    """Two-stage rerank: :func:`rerank` of a config that has stage settings.
-
-    The proxy shortlists ``keep`` survivors over the full list and the
-    target reranks them with the configured regularizers, for n^2 + k^2
-    pair evaluations.
-    """
-    if config.coarse_to_fine is None:
-        raise ConfigError("config has no coarse_to_fine stage settings")
-    return rerank(nbest, config)
+def rerank(nbest: NBestList, config: RerankConfig) -> RerankResult:
+    """Score, combine and rank one n-best list: :func:`rerank_lists` of it alone."""
+    return rerank_lists([nbest], config)[0]

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+from collections import Counter
 import importlib
 import json
 import math
@@ -916,6 +917,58 @@ def test_tuners_check_every_list_before_a_scorer_starts(tmp_path):
 
 
 @pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize("command, checks", [("rerank", 4), ("c2f", 8)])
+def test_a_reranking_command_checks_each_list_once_and_reads_a_stored_matrix_once(
+    tmp_path, monkeypatch, command, checks, dry
+):
+    """4 lists, each read through a per-list stored matrix (the c2f proxy)
+    and weighted by two regularizers: one check per list and stage, one
+    matrix read per list and one read per list and regularizer, in a dry
+    run as in a real one."""
+    rng = np.random.default_rng(57)
+    lists = [random_list(rng, 5, with_extras=True) for _ in range(4)]
+    nbest, matrices = tmp_path / "in.jsonl", tmp_path / "m.mat"
+    write_nbest(nbest, lists)
+    write_utility_matrices(matrices, [random_matrix(rng, 5) for _ in lists])
+    calls = []
+    for owner, name in (
+        (mbr, "checked_values"),
+        (mbr, "regularizer_values"),
+        (MatrixUtility, "matrix"),
+    ):
+        counted = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, name=name, f=counted: calls.append(name) or f(*a)
+        )
+    stage = ["--utility", f"matrix:{matrices}"]
+    if command == "c2f":
+        stage = ["--proxy", f"matrix:{matrices}", "--keep", "3"]
+    args = [command, "-i", nbest, "-o", tmp_path / "out", *stage]
+    args += ["--lambda", "lp=0.1", "--lambda", "qe=0.2"] + (["--dry-run"] if dry else [])
+    assert run(args) == 0
+    assert Counter(calls) == {"checked_values": checks, "matrix": 4, "regularizer_values": 8}
+
+
+@pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize("command", ["rerank", "c2f-target", "c2f-proxy", "c2f-both"])
+def test_a_reranking_command_checks_every_list_before_a_scorer_starts(
+    tmp_path, capsys, command, dry
+):
+    rng = np.random.default_rng(58)
+    lists = [random_list(rng, 5, with_extras=True) for _ in range(4)]
+    bare = tuple(replace(c, external_scores={}) for c in lists[3].candidates)
+    lists[3] = replace(lists[3], candidates=bare)
+    nbest = tmp_path / "in.jsonl"
+    write_nbest(nbest, lists)
+    spec, log = _logging_scorer(tmp_path, "ok")
+    args, _ = _scorer_command(command, spec, "-i", nbest, "-o", tmp_path / "out")
+    assert run(args + ["--lambda", "qe=1"] + (["--dry-run"] if dry else [])) == 1
+    assert capsys.readouterr().err == "error: candidate 0 has no external score 'qe'\n"
+    assert _started_pids(log) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dry", [False, True])
 @pytest.mark.parametrize("command", ["tune-lambda", "tune-l"])
 def test_a_tuning_command_checks_once_and_never_through_check_list(
     dev_file, tmp_path, monkeypatch, command, dry
@@ -932,7 +985,7 @@ def test_a_tuning_command_checks_once_and_never_through_check_list(
             analysis, name, lambda *a, tag=tag, f=checked: calls.append(tag) or f(*a)
         )
     for module in (cli, mbr):
-        monkeypatch.setattr(module, "check_list", lambda *a: calls.append("check_list"))
+        monkeypatch.setattr(module, "check_reranking", lambda *a: calls.append("check_list"))
     flags = ["--regularizers", "lp,qe"] if command == "tune-lambda" else ["--lambda", "qe=1"]
     args = [command, "-i", path, "-o", tmp_path / "out", *flags]
     assert run(args + (["--dry-run"] if dry else [])) == 0

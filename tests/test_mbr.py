@@ -30,15 +30,16 @@ from rmbr.mbr import (
     ServiceUtility,
     UtilitySession,
     build_utility_matrix,
-    check_list,
-    coarse_to_fine,
+    check_reranking,
     expected_utilities,
     mbr_scores,
     regularizer_values,
     rerank,
+    rerank_lists,
     token_entropy,
 )
-from rmbr.io import write_utility_matrix
+from rmbr.analysis import grid_search_lambdas, tune_l
+from rmbr.io import write_utility_matrices, write_utility_matrix
 from rmbr.metrics import sentence_bleu
 
 from conftest import (
@@ -208,7 +209,7 @@ def test_coarse_to_fine_scores_survivors_like_a_fresh_sublist():
         lambdas={"lp": 0.1},
         coarse_to_fine=CoarseToFine(proxy="chrf", keep=4),
     )
-    staged = coarse_to_fine(lst, cfg)
+    staged = rerank(lst, cfg)
     survivors = staged.candidate_indices
     assert survivors == tuple(sorted(survivors)) and len(survivors) == 4
     sub = NBestList(
@@ -236,11 +237,6 @@ def test_coarse_to_fine_rejects_a_stored_matrix_target(tmp_path):
             rerank(lst, config)
     proxy_only = CoarseToFine(MatrixUtility(stored), 2)
     assert rerank(lst, RerankConfig(coarse_to_fine=proxy_only)).candidate_indices == (0, 2)
-
-
-def test_coarse_to_fine_without_stage_settings():
-    with pytest.raises(ConfigError):
-        coarse_to_fine(trivial_list(2), RerankConfig(utility="bleu"))
 
 
 def test_coarse_to_fine_keep_bounds():
@@ -444,9 +440,29 @@ def test_a_stored_matrix_spec_is_checked_before_any_score(tmp_path):
         RerankConfig(utility=f"matrix:{path}"),
         RerankConfig(utility=Unscorable(), coarse_to_fine=CoarseToFine(f"matrix:{path}", 1)),
     ):
-        for call in (check_list, rerank):
+        for call in (check_reranking, rerank_lists):
             with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
-                call(lst, config)
+                call([lst], config)
+
+
+def test_a_per_list_utility_list_must_hold_providers(tmp_path):
+    """A spec string inside a provider list is refused, not read later: the
+    overflowing matrix it names would have passed the check unread."""
+    path = tmp_path / "big.mat"
+    big = UtilityMatrix(values=[[1.5e308, 1.5e308], [0.0, 0.0]], utility_name="ext")
+    write_utility_matrix(path, big)
+    lst = trivial_list(2, reference="t0")
+    config = RerankConfig(utility=[f"matrix:{path}"])
+    calls = [
+        lambda: check_reranking([lst], config),
+        lambda: rerank(lst, config),
+        lambda: tune_l([lst], config),
+        lambda: grid_search_lambdas([lst], replace(config, lambdas={"lp": 0.0})),
+        lambda: UtilitySession().providers([BleuUtility(), "bleu"], 2),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="^a per-list utility must be a provider, got "):
+            call()
 
 
 def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
@@ -576,3 +592,73 @@ def test_rerank_selects_consensus_over_beam_top():
         for a in lst.candidates
     ]
     assert list(result.mbr_scores) == sims
+
+
+_OVERLAP_SCORER = """
+import json, sys
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+for line in sys.stdin:
+    req = json.loads(line)
+    hyp, ref = set(req["hyp"].split()), set(req["ref"].split())
+    score = 2.0 * len(hyp & ref) / (len(hyp) + len(ref))
+    print(json.dumps({"id": req["id"], "score": score}), flush=True)
+"""
+
+
+def _list_config(config, i):
+    """List i's config, from a config resolved for all lists."""
+    stages = config.coarse_to_fine
+    if stages is not None:
+        stages = replace(stages, proxy=stages.proxy[i])
+    return replace(config, utility=config.utility[i], coarse_to_fine=stages)
+
+
+def test_rerank_lists_equals_rerank_list_by_list(tmp_path):
+    rng = np.random.default_rng(52)
+    lists = [random_list(rng, 6, with_extras=True) for _ in range(4)]
+    shared, per_list = tmp_path / "shared.mat", tmp_path / "per.mat"
+    write_utility_matrix(shared, random_matrix(rng, 6))
+    write_utility_matrices(per_list, [random_matrix(rng, 6) for _ in lists])
+    script = tmp_path / "scorer.py"
+    script.write_text(_OVERLAP_SCORER, encoding="utf-8")
+    service = f"service:exec:{sys.executable} {script}"
+    lambdas = {"lp": 0.1, "qe": 0.2}
+    specs = ["bleu", "chrf", f"matrix:{shared}", f"matrix:{per_list}", service]
+    configs = [RerankConfig(utility=u, l=l, lambdas=lambdas) for u in specs for l in ("full", 3)]
+    configs += [
+        RerankConfig(utility=target, lambdas=lambdas, coarse_to_fine=CoarseToFine(proxy, 4))
+        for target in ("bleu", service)
+        for proxy in ("chrf", f"matrix:{shared}", f"matrix:{per_list}", service)
+    ]
+    for config in configs:
+        with UtilitySession() as session:
+            resolved = session.resolve(config, len(lists))
+            alone = [rerank(lst, _list_config(resolved, i)) for i, lst in enumerate(lists)]
+        together = rerank_lists(lists, config)
+        assert repr(together) == repr(alone) and together == alone
+        if str(per_list) not in repr(config):
+            assert together == [rerank(lst, config) for lst in lists]
+        assert all(type(v) is float for r in together for v in r.total_scores)
+
+
+@pytest.mark.parametrize("call", [check_reranking, rerank_lists])
+def test_a_list_that_fails_its_check_fails_the_run_before_any_scorer_starts(tmp_path, call):
+    rng = np.random.default_rng(53)
+    lists = [random_list(rng, 4, with_extras=True) for _ in range(4)]
+    bare = tuple(replace(c, external_scores={}) for c in lists[3].candidates)
+    lists[3] = replace(lists[3], candidates=bare)
+    script = tmp_path / "scorer.py"
+    script.write_text(_PID_LOGGING_SCORER, encoding="utf-8")
+    log = tmp_path / "starts.log"
+    log.touch()
+    spec = f"service:exec:{sys.executable} {script} {log}"
+    for stages in (None, CoarseToFine(spec, 2)):
+        config = RerankConfig(utility=spec, lambdas={"qe": 1.0}, coarse_to_fine=stages)
+        with pytest.raises(MissingScoreError, match="no external score 'qe'"):
+            call(lists, config)
+        with UtilitySession() as session:
+            with pytest.raises(MissingScoreError, match="no external score 'qe'"):
+                call(lists, session.resolve(config, len(lists)))
+            assert session.counters() == {"scorer_processes": 0, "scorer_pairs": 0}
+    assert log.read_text(encoding="utf-8") == ""
