@@ -23,6 +23,7 @@ _HOMES = {
         "REGULARIZER_NAMES",
         "Candidate",
         "CoarseToFine",
+        "MetricConfig",
         "NBestList",
         "RerankConfig",
         "RerankResult",
@@ -65,7 +66,6 @@ _HOMES = {
     ),
     "scorer": ("ScorerClient",),
     "metrics": (
-        "MetricConfig",
         "corpus_bleu",
         "sentence_bleu",
         "sentence_chrf",

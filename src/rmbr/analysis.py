@@ -8,20 +8,23 @@ weights and the truncation depth by maximizing a corpus objective on a dev
 set, along one path: the utility spec is resolved once for the whole dev
 set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
 spec, closed when the call returns), and each list goes through
-:func:`~rmbr.mbr.checked_values` once, before the first score, with every
-weight vector the run tries at every depth it ranks, so a total that is
-not finite after scoring is a scoring failure.  Each list is then scored
-once, with the regularizer values the check returned (a stored matrix's
-consensus rows come from the check too), and each
-candidate's objective statistics (corpus BLEU sufficient statistics or
-sentence chrF) are computed once.  At each depth, one array pass per list
+:func:`~rmbr.mbr.checked_values` once, before the first score, at every
+depth it ranks, with the two weight vectors that hold the grid's
+smallest and largest weights (they stand for every vector the run
+tries), so a total that is not finite after scoring is a scoring
+failure.  Each list is then scored once, with the regularizer values the
+check returned (a stored matrix's consensus rows come from the check
+too), and each candidate's objective statistics (corpus BLEU sufficient
+statistics or sentence chrF) are computed once.  At each depth, one array pass per list
 over blocks of weight vectors gives every vector's selection, the
 selected statistics are summed per vector, list by list, and the
 objective formula takes all vectors' sums at once.  Both tune a one-stage
 rerank and reject a coarse-to-fine config.  Every function that takes a
 utility accepts a spec string, one provider shared by all lists, or a
 list with one provider per list.  Objectives use the default
-:class:`~rmbr.metrics.MetricConfig`.
+:class:`~rmbr.core.MetricConfig`.  numpy and :mod:`rmbr.metrics` are
+imported by the functions that score, where they run, so every check
+here, and a tuning command's dry run, loads neither.
 """
 
 from __future__ import annotations
@@ -31,18 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core import DEFAULT_LAMBDA_GRID, NBestList, RerankConfig
+from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import ChrfUtility, UtilitySession, check_scored, checked_values, scored_consensus
-from .metrics import (
-    OBJECTIVE_METRICS,
-    bleu_stats,
-    corpus_bleu,
-    corpus_bleu_scores,
-    sentence_chrf,
-)
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:
@@ -64,6 +58,8 @@ def corpus_objective(
     ``metric`` is "bleu" (corpus BLEU over whitespace-tokenized references)
     or "chrf" (mean sentence chrF).
     """
+    from .metrics import corpus_bleu, sentence_chrf
+
     check_objective(lists, metric)
     if len(selections) != len(lists):
         raise InvalidInputError(
@@ -258,6 +254,8 @@ def lambda_grid(weights) -> list[float]:
 
 def _weight_vectors(grid, r: int) -> np.ndarray:
     """Every weight vector over ``grid``, one row each, in ``itertools.product`` order."""
+    import numpy as np
+
     return np.array(list(itertools.product(grid, repeat=r)), dtype=np.float64).reshape(-1, r)
 
 
@@ -280,6 +278,8 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarra
     time; a block of totals that is not finite raises as
     :func:`~rmbr.mbr.check_scored` does.
     """
+    import numpy as np
+
     base = np.asarray(consensus, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64).reshape(-1, base.size)
     step = max(1, _GRID_BLOCK_CELLS // base.size)
@@ -299,9 +299,13 @@ def _checked_tuning(session, lists, config, grid):
     """Make :func:`check_tuning`'s checks, resolving the spec in ``session``.
 
     ``grid`` is None for the truncation sweep, or a grid that
-    :func:`lambda_grid` returned.  Returns the run's depths (None keeps
-    every scored column), its weight vectors, one per row, and each list's
-    provider and the rows :func:`~rmbr.mbr.checked_values` returned.
+    :func:`lambda_grid` returned.  A grid's vectors are checked through
+    the two that take its smallest and its largest weight in every
+    column: they hold each column's extremes, which is all
+    :func:`~rmbr.mbr.checked_values` reads of the vectors, so the check
+    equals checking all ``len(grid) ** r`` of them.  Returns the run's
+    depths (None keeps every scored column) and each list's provider and
+    the rows :func:`~rmbr.mbr.checked_values` returned.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
@@ -311,18 +315,18 @@ def _checked_tuning(session, lists, config, grid):
     if grid is not None:
         if not names:
             raise ConfigError("grid search needs at least one active regularizer")
-        depths, weights = [None], _weight_vectors(grid, len(names))
+        depths, weights = [None], [(min(grid),) * len(names), (max(grid),) * len(names)]
     elif config.l != "full":
         raise ConfigError("the truncation sweep sets l itself")
     else:
         depths = range(1, min(lst.n for lst in lists) + 1)
-        weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+        weights = [list(config.lambdas.values())]
     utilities = session.providers(config.utility, len(lists))
     checked = [
         (u, *checked_values(lst, u, config.resolve_l(lst.n), names, weights, depths))
         for lst, u in zip(lists, utilities)
     ]
-    return depths, weights, checked
+    return depths, checked
 
 
 def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) -> None:
@@ -330,9 +334,10 @@ def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) ->
 
     With a ``grid`` the run is :func:`grid_search_lambdas`', without one
     :func:`tune_l`'s.  Each list goes through :func:`~rmbr.mbr.checked_values`
-    once, with every weight vector the run tries and every depth it ranks:
-    a stored matrix must cover the list at the scored depth, the weighted
-    fields must exist, and every vector's totals must rank at every depth.
+    once, at every depth the run ranks, with the grid's two extreme vectors
+    (see :func:`_checked_tuning`): a stored matrix must cover the list at
+    the scored depth, the weighted fields must exist, and every vector's
+    totals must rank at every depth.
     The grid's weights are :func:`lambda_grid`'s to check, first, and the
     objective metric and the references :func:`check_objective`'s.
     """
@@ -351,6 +356,8 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     and the formula :func:`corpus_objective` applies takes all vectors'
     sums at once (BLEU statistics are integers), so the two agree bit for bit.
     """
+    from .metrics import corpus_bleu_scores
+
     sums = sum(
         stats[_grid_selections(consensus, values, weights, lst)]
         for consensus, values, lst, stats in scored
@@ -378,12 +385,20 @@ def tune(lists, config, grid, metric):
     (None for a grid search) and its weights by name, that objective, and
     the objective of every setting, depth by depth.
     """
+    import numpy as np
+
+    from .metrics import bleu_stats
+
     with UtilitySession() as session:
-        depths, weights, checked = _checked_tuning(session, lists, config, grid)
+        depths, checked = _checked_tuning(session, lists, config, grid)
         scored = [
             (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
             for lst, (u, consensus, regs) in zip(lists, checked)
         ]
+    if grid is None:
+        weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    else:
+        weights = _weight_vectors(grid, len(config.regularizers))
     if metric == "chrf":
         stats = [np.array(ChrfUtility().score_against(lst, lst.reference)) for lst in lists]
     else:

@@ -38,9 +38,12 @@ utility, starts no scorer and writes nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
-only when a ``service:`` spec is resolved.  The tuning handlers check
-the objective and the weight grid first, and the tuners' body does not
-check them again.
+only when a ``service:`` spec is resolved.  numpy, :mod:`rmbr.kernels`
+and :mod:`rmbr.metrics` load where the run first scores (or reads a
+stored matrix, or ``eval`` takes its metric), never at import: without a
+``matrix:`` spec, ``--help``, a dry run and a run that fails a check end
+before numpy loads.  The tuning handlers check the objective and the
+weight grid first, and the tuners' body does not check them again.
 
 ``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
 :func:`run`, which freezes the heap before the interpreter exits; tests
@@ -56,7 +59,13 @@ import os
 import sys
 import time
 
-from .core import DEFAULT_LAMBDA_GRID, REGULARIZER_NAMES, CoarseToFine, RerankConfig
+from .core import (
+    DEFAULT_LAMBDA_GRID,
+    OBJECTIVE_METRICS,
+    REGULARIZER_NAMES,
+    CoarseToFine,
+    RerankConfig,
+)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -68,7 +77,6 @@ from .errors import (
 )
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
 from .mbr import MatrixUtility, UtilitySession, check_reranking, rerank_lists
-from .metrics import OBJECTIVE_METRICS, corpus_bleu, sentence_chrf
 
 _VALIDATION_ERRORS = (
     InvalidInputError,
@@ -394,6 +402,8 @@ def _cmd_eval(args) -> int:
     if args.dry_run:
         print(f"ok: {len(hyps)} sentence pairs")
         return 0
+    from .metrics import corpus_bleu, sentence_chrf
+
     if args.metric == "bleu":
         score = corpus_bleu([h.split() for h in hyps], [r.split() for r in refs])
     else:

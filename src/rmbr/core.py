@@ -7,6 +7,14 @@ is a list, tuple or 1-D array of numbers; an index is a non-negative int.
 Checked values are stored as floats, float tuples and ints, written to
 ``vars(self)`` since the types are frozen.  A bad data field raises
 :class:`InvalidInputError`, a bad config field :class:`ConfigError`.
+This module does not import numpy: numpy's integer and float scalar types
+join the accepted ones the first time a check meets a type it does not
+know after numpy is loaded, which is exact, since no numpy value exists
+before.  Only :class:`UtilityMatrix` imports numpy.
+
+The metric settings (:class:`MetricConfig`) and the names of the corpus
+objectives live here too, so that a command checks them without loading
+the metrics.
 
 A reranked score is the expected-utility (MBR) score of a candidate plus a
 weighted sum of regularizer scores.  All regularizer scores are stored
@@ -20,10 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 
@@ -33,10 +40,32 @@ REGULARIZER_NAMES = ("lp", "lm", "bt", "qe", "mc_dropout", "entropy")
 #: The conventional weight grid used when tuning regularizer weights.
 DEFAULT_LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0)
 
+BLEU_SMOOTHING_MODES = ("none", "epsilon-floor")
 
-# the exact types a number or an index may have: a bool is neither
-_INTEGER_TYPES = {int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])}
-_REAL_TYPES = _INTEGER_TYPES | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+# Corpus metrics that tuning and the oracle can maximize.
+OBJECTIVE_METRICS = ("bleu", "chrf")
+
+
+# the exact types a number or an index may have: a bool is neither; numpy's
+# scalar types are added by _typed once numpy is loaded
+_INTEGER_TYPES = {int}
+_REAL_TYPES = {int, float}
+
+
+def _typed(kinds: set, types: set) -> bool:
+    """Whether every type in ``kinds`` is one of ``types``.
+
+    The first time this finds a type it does not know after numpy is
+    loaded, numpy's integer and float scalar types join the accepted ones.
+    """
+    if kinds <= types:
+        return True
+    np = sys.modules.get("numpy")
+    if np is None or np.float64 in _REAL_TYPES:
+        return False
+    _INTEGER_TYPES.update(np.dtype(c).type for c in np.typecodes["AllInteger"])
+    _REAL_TYPES.update(_INTEGER_TYPES, (np.dtype(c).type for c in np.typecodes["Float"]))
+    return kinds <= types
 
 
 def _show(value) -> str:
@@ -46,15 +75,18 @@ def _show(value) -> str:
 
 def _items(values, what: str, types: set, noun: str) -> list | tuple:
     """A list, tuple or 1-D array whose items all have one of ``types``."""
-    items = values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else values
-    if not isinstance(items, (list, tuple)) or not set(map(type, items)) <= types:
+    items = values
+    np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    if np is not None and isinstance(values, np.ndarray) and values.ndim == 1:
+        items = values.tolist()
+    if not isinstance(items, (list, tuple)) or not _typed(set(map(type, items)), types):
         raise InvalidInputError(f"{what} must be an array of {noun}, got {_show(values)}")
     return items
 
 
 def _number(value, what: str, error=InvalidInputError) -> float:
     """``value``, a number, as a float; ``error`` is raised if it is not one."""
-    if type(value) not in _REAL_TYPES:
+    if type(value) not in _REAL_TYPES and not _typed({type(value)}, _REAL_TYPES):
         raise error(f"{what} must be a number, got {_show(value)}")
     try:
         number = float(value)
@@ -178,6 +210,8 @@ class UtilityMatrix:
     utility_name: str
 
     def __post_init__(self):
+        import numpy as np
+
         if not isinstance(self.utility_name, str):
             raise InvalidInputError(
                 f"utility_name must be a string, got {_show(self.utility_name)}"
@@ -215,7 +249,7 @@ class CoarseToFine:
     keep: int
 
     def __post_init__(self):
-        if type(self.keep) not in _INTEGER_TYPES or self.keep < 1:
+        if not _typed({type(self.keep)}, _INTEGER_TYPES) or self.keep < 1:
             raise ConfigError(f"coarse-to-fine keep must be an integer >= 1, got {self.keep!r}")
         vars(self)["keep"] = int(self.keep)
 
@@ -248,7 +282,7 @@ class RerankConfig:
                 )
         lambdas = self.lambdas.items()
         vars(self)["lambdas"] = {k: _number(v, f"lambda {k}", ConfigError) for k, v in lambdas}
-        if type(self.l) in _INTEGER_TYPES and self.l >= 1:
+        if _typed({type(self.l)}, _INTEGER_TYPES) and self.l >= 1:
             vars(self)["l"] = int(self.l)
         elif not isinstance(self.l, str) or self.l != "full":
             raise ConfigError(f"l must be an integer >= 1 or 'full', got {self.l!r}")
@@ -296,7 +330,7 @@ class RerankResult:
             raise InvalidInputError(f"regularizer_scores must be an object, got {_show(scores)}")
         for name in ("selected", "utility_calls"):
             value = getattr(self, name)
-            if type(value) not in _INTEGER_TYPES or value < 0:
+            if not _typed({type(value)}, _INTEGER_TYPES) or value < 0:
                 raise InvalidInputError(f"{name} must be an integer >= 0, got {_show(value)}")
         vars(self).update(
             mbr_scores=_numbers(self.mbr_scores, "mbr_scores"),
@@ -321,6 +355,31 @@ class RerankResult:
             raise InvalidInputError("ranking is not a permutation of candidate_indices")
         if self.ranking[:1] != (self.selected,):
             raise InvalidInputError("selected must equal ranking[0]")
+
+
+@dataclass(frozen=True)
+class MetricConfig:
+    """Hyperparameters for the built-in lexical metrics."""
+
+    bleu_max_order: int = 4
+    bleu_smoothing: str = "epsilon-floor"
+    bleu_epsilon: float = 0.1
+    chrf_char_order: int = 6
+    chrf_beta: float = 2.0
+
+    def __post_init__(self):
+        if self.bleu_max_order < 1:
+            raise ConfigError(f"bleu_max_order must be >= 1, got {self.bleu_max_order}")
+        if self.chrf_char_order < 1:
+            raise ConfigError(f"chrf_char_order must be >= 1, got {self.chrf_char_order}")
+        if self.bleu_smoothing not in BLEU_SMOOTHING_MODES:
+            raise ConfigError(
+                f"bleu_smoothing must be one of {BLEU_SMOOTHING_MODES}, got {self.bleu_smoothing!r}"
+            )
+        if self.bleu_smoothing == "epsilon-floor" and not self.bleu_epsilon > 0.0:
+            raise ConfigError(f"bleu_epsilon must be > 0, got {self.bleu_epsilon}")
+        if not self.chrf_beta > 0.0:
+            raise ConfigError(f"chrf_beta must be > 0, got {self.chrf_beta}")
 
 
 def combine_scores(

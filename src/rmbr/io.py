@@ -27,8 +27,6 @@ from contextlib import contextmanager
 from dataclasses import fields
 from typing import Sequence
 
-import numpy as np
-
 from .core import Candidate, NBestList, RerankResult, UtilityMatrix
 from .errors import InvalidInputError, ParseError
 
@@ -180,7 +178,9 @@ def write_utility_matrices(path, matrices: Sequence[UtilityMatrix]) -> None:
 
 
 def load_utility_matrices(path) -> list[UtilityMatrix]:
-    """Read every matrix stored in a file."""
+    """Read every matrix stored in a file; the one function here that loads numpy."""
+    import numpy as np
+
     matrices = []
     with open_input(path) as fh:
         lines = fh.read().splitlines()

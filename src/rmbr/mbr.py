@@ -39,8 +39,18 @@ would not rank, and returns the rows the run scores with.
 real run stopped just before scoring (see :mod:`rmbr.cli`), and a
 consensus or total that is not finite after scoring is a scoring failure
 (:func:`check_scored`).  The built-in metrics use the default
-:class:`~rmbr.metrics.MetricConfig`; another is chosen by passing a
+:class:`~rmbr.core.MetricConfig`; another is chosen by passing a
 provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
+
+numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
+functions that compute on arrays, where they run, so resolving specs and
+every check up to and including :func:`checked_values` load none of them:
+numpy loads at the first score, or with a stored matrix, whose file is
+read into an array.  :func:`encode_ngram_blocks` and
+:func:`pair_match_counts` are forwarders to :mod:`rmbr.kernels`, kept
+under the names the builders call because the benchmark's span tracer
+(``perfbench/spans.py``) wraps those names on this module; they go when
+that tracer does.
 """
 
 from __future__ import annotations
@@ -50,10 +60,9 @@ from contextlib import ExitStack
 from dataclasses import replace
 from typing import Protocol
 
-import numpy as np
-
 from .core import (
     REGULARIZER_NAMES,
+    MetricConfig,
     NBestList,
     RerankConfig,
     RerankResult,
@@ -69,8 +78,6 @@ from .errors import (
     ScoringError,
 )
 from .io import load_utility_matrices
-from .kernels import encode_ngram_blocks, pair_match_counts
-from .metrics import MetricConfig, bleu_scores, chrf_characters, chrf_scores
 
 
 class Utility(Protocol):
@@ -88,6 +95,20 @@ class Utility(Protocol):
     def score_against(self, nbest: NBestList, reference: str) -> list[float]: ...
 
 
+def encode_ngram_blocks(seqs, order):
+    """:func:`rmbr.kernels.encode_ngram_blocks`, under the name the builders call."""
+    from .kernels import encode_ngram_blocks
+
+    return encode_ngram_blocks(seqs, order)
+
+
+def pair_match_counts(counts, lengths, l):
+    """:func:`rmbr.kernels.pair_match_counts`, under the name the builders call."""
+    from .kernels import pair_match_counts
+
+    return pair_match_counts(counts, lengths, l)
+
+
 # Count tensor cells scored per call of a count->score routine.  Its float
 # temporaries are a few times the cells it is given, so scoring a block of
 # rows at a time keeps them near a megabyte however large n * l grows.
@@ -96,6 +117,8 @@ _SCORE_BLOCK_CELLS = 1 << 14
 
 def _ngram_matrix(seqs, order, l, scores, config) -> np.ndarray:
     """Score each sequence against the first l with an array count->score routine."""
+    import numpy as np
+
     counts, lengths = encode_ngram_blocks(seqs, order)
     matches = pair_match_counts(counts, lengths, l)
     rows = max(1, _SCORE_BLOCK_CELLS // (l * order))
@@ -115,6 +138,8 @@ class BleuUtility:
         self.config = config or MetricConfig()
 
     def _scores(self, seqs, l) -> np.ndarray:
+        from .metrics import bleu_scores
+
         order = self.config.bleu_max_order
         return _ngram_matrix(seqs, order, l, bleu_scores, self.config)
 
@@ -137,13 +162,19 @@ class ChrfUtility:
         self.config = config or MetricConfig()
 
     def _scores(self, seqs, l) -> np.ndarray:
+        from .metrics import chrf_scores
+
         order = self.config.chrf_char_order
         return _ngram_matrix(seqs, order, l, chrf_scores, self.config)
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
+        from .metrics import chrf_characters
+
         return self._scores([chrf_characters(c.text) for c in nbest.candidates], l)
 
     def score_against(self, nbest, reference):
+        from .metrics import chrf_characters
+
         ref = chrf_characters(reference)
         if not ref:
             raise InvalidInputError("reference is empty after whitespace stripping")
@@ -164,7 +195,7 @@ class MatrixUtility:
                 f"stored matrix is {self._matrix.n}x{self._matrix.l}, "
                 f"need at least {nbest.n}x{l}"
             )
-        return np.asarray(self._matrix.values[: nbest.n, :l])
+        return self._matrix.values[: nbest.n, :l]
 
     def score_against(self, nbest, reference):
         raise ConfigError(
@@ -189,6 +220,8 @@ class ServiceUtility:
             for hyp in nbest.candidates
             for ref in nbest.candidates[:l]
         ]
+        import numpy as np
+
         scores = self.client.score_pairs(pairs)
         return np.array(scores, dtype=np.float64).reshape(nbest.n, l)
 
@@ -324,7 +357,10 @@ def expected_utilities(values: np.ndarray, l: int) -> list[float]:
     matrix truncated to l columns gives exactly the scores a fresh n x l
     matrix would.
     """
-    with np.errstate(over="ignore"):  # rank_candidates rejects an inf sum
+    import numpy as np
+
+    # rank_candidates rejects an inf sum, and a nan one (inf + -inf in numpy's pairwise sum)
+    with np.errstate(over="ignore", invalid="ignore"):
         sums = values[:, :l].sum(axis=1)
     return [float(s) / l for s in sums]
 
@@ -334,6 +370,8 @@ def consensus_rows(values: np.ndarray, l: int, depths=(None,)) -> np.ndarray:
 
     Each row holds :func:`expected_utilities` at its depth, value for value.
     """
+    import numpy as np
+
     return np.array([expected_utilities(values, d or l) for d in depths])
 
 
@@ -402,6 +440,8 @@ def token_entropy(distribution) -> float:
     Entries must be non-negative and sum to 1 within 1e-6; zero
     probabilities contribute nothing.
     """
+    import numpy as np
+
     p = np.asarray(distribution, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise InvalidInputError("distribution must be a non-empty 1-D array")
@@ -424,31 +464,37 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
     a BLEU/chrF value, in [0, 1], cannot overflow a finite total and a
     scorer's values are not known before scoring.  The fields the ``names``
     read must exist.  ``weights`` holds one weight vector per row, in
-    ``names`` order: one row, or a full grid.  Totals add
-    ``consensus + w_1 * v_1 + ... + w_r * v_r`` in that order, as
-    :func:`combine_scores` does, and rounding is monotone, so the vectors
-    that take each term's smallest and largest product give every vector's
-    lowest and highest totals; each column's extremes belong to a real
-    vector, so this raises exactly when some vector's totals would not
-    rank.  Returns the stored matrix's consensus rows, one per depth (None
-    for any other utility), and the r x n regularizer values, one row per
-    name.
+    ``names`` order: one row, or the vectors that hold a grid's extremes.
+    Totals add ``consensus + w_1 * v_1 + ... + w_r * v_r`` in that order, as
+    :func:`combine_scores` does, and rounding is monotone, so a candidate's
+    smallest consensus over the depths plus each term's smallest product
+    gives its lowest total at every depth and vector, and its largest
+    consensus plus each term's largest product its highest; each column's
+    extremes belong to a real vector, so this raises exactly when some
+    vector's totals would not rank at some depth.  The sums are Python
+    float additions, the IEEE float64 operations numpy would make, so the
+    check loads no numpy.  Returns the stored matrix's consensus rows, one
+    per depth (None for any other utility), and the regularizer values as
+    r float rows of n, one per name.
     """
-    consensus = None
+    consensus, lows, highs = None, [0.0] * nbest.n, [0.0] * nbest.n
     if isinstance(utility, MatrixUtility):
         consensus = consensus_rows(utility.matrix(nbest, l), l, depths)
-    consensus_at = np.zeros((1, nbest.n)) if consensus is None else consensus
-    regs = np.array([regularizer_values(nbest, name) for name in names]).reshape(-1, nbest.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 2 x r x n; sorted, row 0 holds each term's smallest product and row 1
-        # its largest (a nan sorts last, so it reaches the highest totals)
-        products = np.array([weights.min(axis=0), weights.max(axis=0)])[:, :, None] * regs
-        products.sort(axis=0)
-        totals = consensus_at[:, None, :].repeat(2, axis=1)  # depths x (lowest, highest) x n
-        for k in range(len(regs)):
-            totals += products[:, k]
-    if not np.isfinite(totals).all():
-        raise InvalidInputError("total scores must be finite")
+        # numpy's min and max keep a nan, which then fails its totals
+        lows, highs = consensus.min(axis=0).tolist(), consensus.max(axis=0).tolist()
+    regs = [regularizer_values(nbest, name) for name in names]
+    # as Python floats: products of numpy scalars that overflow would warn
+    columns = zip(*[[float(w) for w in row] for row in weights])
+    extremes = [(min(column), max(column)) for column in columns]
+    for i, (lowest, highest) in enumerate(zip(lows, highs)):
+        for (lo, hi), values in zip(extremes, regs):
+            low, high = lo * values[i], hi * values[i]
+            if high < low:  # false for a nan, which then reaches a total
+                low, high = high, low
+            lowest += low
+            highest += high
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
+            raise InvalidInputError("total scores must be finite")
     return consensus, regs
 
 
@@ -459,7 +505,7 @@ def _checked_lists(session, lists, config: RerankConfig):
     """
     config = session.resolve(config, len(lists))
     stages, utilities = config.coarse_to_fine, config.utility
-    weights = np.array([list(config.lambdas.values())], dtype=np.float64)
+    weights = [list(config.lambdas.values())]
     if stages is not None and any(isinstance(u, MatrixUtility) for u in utilities):
         raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
     checked = []
@@ -468,7 +514,7 @@ def _checked_lists(session, lists, config: RerankConfig):
         if stages is not None:
             if stages.keep > nbest.n:
                 raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
-            proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), np.zeros((1, 0)))
+            proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
         l = config.resolve_l(nbest.n)
         target = checked_values(nbest, utilities[i], l, config.regularizers, weights)
         checked.append((proxy, *target))
@@ -496,6 +542,8 @@ def check_scored(nbest: NBestList, totals) -> None:
     after scoring comes from the utility's scores, for example a scorer's
     finite values whose sum overflows: a scoring failure, not invalid input.
     """
+    import numpy as np
+
     if not np.isfinite(totals).all():
         raise ScoringError(f"list with source {nbest.source!r}: scores are not finite")
 
@@ -527,10 +575,10 @@ def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
                 order, _ = rank_candidates(proxy)
                 survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
                 nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
-                regs = regs[:, survivors]
+                regs = [[row[j] for j in survivors] for row in regs]
             l = config.resolve_l(nbest.n)
             consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
-            regularizers = dict(zip(config.regularizers, regs.tolist()))
+            regularizers = dict(zip(config.regularizers, regs))
             totals = combine_scores(consensus, regularizers, config.lambdas)
             check_scored(nbest, totals)
             ranking, _ = rank_candidates(totals)

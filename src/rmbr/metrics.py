@@ -35,43 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+# the metric settings live in rmbr.core, which loads without numpy; re-exported
+from .core import BLEU_SMOOTHING_MODES, OBJECTIVE_METRICS, MetricConfig
+from .errors import InvalidInputError
 from .kernels import encode_ngram_blocks, pair_match_counts
-
-BLEU_SMOOTHING_MODES = ("none", "epsilon-floor")
-
-# Corpus metrics that tuning and the oracle can maximize.
-OBJECTIVE_METRICS = ("bleu", "chrf")
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Hyperparameters for the built-in lexical metrics."""
-
-    bleu_max_order: int = 4
-    bleu_smoothing: str = "epsilon-floor"
-    bleu_epsilon: float = 0.1
-    chrf_char_order: int = 6
-    chrf_beta: float = 2.0
-
-    def __post_init__(self):
-        if self.bleu_max_order < 1:
-            raise ConfigError(f"bleu_max_order must be >= 1, got {self.bleu_max_order}")
-        if self.chrf_char_order < 1:
-            raise ConfigError(f"chrf_char_order must be >= 1, got {self.chrf_char_order}")
-        if self.bleu_smoothing not in BLEU_SMOOTHING_MODES:
-            raise ConfigError(
-                f"bleu_smoothing must be one of {BLEU_SMOOTHING_MODES}, got {self.bleu_smoothing!r}"
-            )
-        if self.bleu_smoothing == "epsilon-floor" and not self.bleu_epsilon > 0.0:
-            raise ConfigError(f"bleu_epsilon must be > 0, got {self.bleu_epsilon}")
-        if not self.chrf_beta > 0.0:
-            raise ConfigError(f"chrf_beta must be > 0, got {self.chrf_beta}")
 
 
 def matches_against(hyps: Sequence[Sequence], ref: Sequence, max_order: int) -> np.ndarray:

@@ -392,10 +392,77 @@ def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():
         else:
             raised = False
             assert checked.tolist() == [consensus]
-            assert regs.tolist() == values if r else regs.shape == (0, n)
+            assert regs == values
         assert raised == unrankable
         outcomes.append(raised)
     assert 300 < sum(outcomes) < 1200
+
+
+def test_check_tuning_raises_exactly_when_some_vector_cannot_be_ranked_at_some_depth():
+    """Brute force over random lists, stored matrices or none, and grids or
+    depth sweeps: the check takes only a grid's two extreme vectors and each
+    candidate's extreme consensus over the depths, and raises exactly when
+    some vector the run tries gives a list totals that do not rank at some
+    depth it ranks."""
+    rng = np.random.default_rng(43)
+    pool = [1e308, -1e308, 1.7e308, -1.7e308, 0.0, -0.0, 5e-324, -5e-324, 1.0]
+    weight_pool = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    outcomes = []
+    for case in range(1500):
+        n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        names = ("lm", "bt", "qe")[:r]
+        lists = []
+        for _ in range(int(rng.integers(1, 3))):
+            values = [rng.choice(pool, size=n).tolist() for _ in names]
+            lists.append(_external_list(names, values))
+        stored = None
+        if rng.integers(2):
+            stored = [
+                MatrixUtility(UtilityMatrix(rng.choice(pool, size=(n, n)), utility_name="ext"))
+                for _ in lists
+            ]
+        weights = rng.choice(weight_pool, size=int(rng.integers(1, 4)), replace=False).tolist()
+        grid, depths = (weights, [n]) if case % 2 else (None, range(1, n + 1))
+        vectors = analysis._weight_vectors(lambda_grid(weights), r).tolist()
+        if grid is None:
+            vectors = [weights[:1] * r]
+        unrankable = False
+        for i, lst in enumerate(lists):
+            regs = {name: mbr.regularizer_values(lst, name) for name in names}
+            for d, w in itertools.product(depths, vectors):
+                consensus = [0.0] * n
+                if stored is not None:
+                    consensus = mbr.expected_utilities(stored[i].matrix(lst, n), d)
+                try:
+                    rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))
+                except InvalidInputError:
+                    unrankable = True
+        config = RerankConfig(
+            utility=Unscorable() if stored is None else stored,
+            lambdas=dict(zip(names, vectors[0])),
+        )
+        try:
+            check_tuning(lists, config, grid)
+        except InvalidInputError:
+            raised = True
+        else:
+            raised = False
+        assert raised == unrankable
+        outcomes.append(raised)
+    assert 300 < sum(outcomes) < 1200
+
+
+def test_the_sweep_check_fails_a_depth_whose_consensus_is_nan():
+    """numpy's pairwise sum of candidate 0's first 8 values is (inf) + (-inf),
+    so its depth-8 consensus is nan while depths 1-7 are finite: the sweep's
+    check fails it, as ranking that depth would, and warns nothing."""
+    values = np.zeros((8, 8))
+    values[0] = [-1e308, 0.0, 1e308, 1e308, 0.0, -1e308, -1e308, -1e308]
+    consensus = mbr.consensus_rows(values, 8, range(1, 9))[:, 0]
+    assert np.isnan(consensus[-1]) and np.isfinite(consensus[:-1]).all()
+    config = RerankConfig(utility=MatrixUtility(UtilityMatrix(values, utility_name="ext")))
+    with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+        check_tuning([trivial_list(8)], config)
 
 
 def test_tuners_read_each_list_s_regularizer_values_once(monkeypatch):

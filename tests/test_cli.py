@@ -1067,17 +1067,23 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     _assert_all_gone(_started_pids(log))
 
 
-def _run_process(args, *, probe=False):
+# probes for _run_process: the collector's freeze count, and the array modules loaded
+_FROZEN = "'frozen', gc.get_freeze_count()"
+_ARRAY_MODULES = ("numpy", "rmbr.kernels", "rmbr.metrics")
+_ARRAYS_LOADED = f"sorted(m for m in sys.modules if m in {_ARRAY_MODULES!r})"
+
+
+def _run_process(args, *, probe=None):
     """``python -m rmbr.cli ARGS`` in a child: exit code, stdout and stderr.
 
     With ``probe``, the module runs as ``__main__`` under an ``atexit``
-    handler that appends the collector's freeze count to stderr.
+    handler that appends ``print(PROBE)`` to stderr, as :data:`_FROZEN`.
     """
     argv = ["-m", "rmbr.cli", *map(str, args)]
     if probe:
         code = (
             "import atexit, gc, runpy, sys; "
-            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+            f"atexit.register(lambda: print({probe}, file=sys.stderr)); "
             f"sys.argv = ['rmbr', *{argv[2:]!r}]; "
             "runpy.run_module('rmbr.cli', run_name='__main__', alter_sys=True)"
         )
@@ -1141,11 +1147,11 @@ def test_the_process_entry_freezes_the_heap_before_exit(dev_file, tmp_path):
     alive at exit, so the shutdown collections skip them."""
     path, _ = dev_file
     args = ["rerank", "-i", path, "-o", tmp_path / "o.txt"]
-    code, stdout, stderr = _run_process(args, probe=True)
+    code, stdout, stderr = _run_process(args, probe=_FROZEN)
     assert (code, stdout) == (0, f"reranked 6 lists -> {tmp_path / 'o.txt'}\n")
     word, count = stderr.split()
     assert word == "frozen" and int(count) > 1000
-    code, _, stderr = _run_process(args + ["--l", "99"], probe=True)
+    code, _, stderr = _run_process(args + ["--l", "99"], probe=_FROZEN)
     assert code == 1 and stderr.startswith("error: l=99 exceeds") and int(stderr.split()[-1]) > 1000
 
 
@@ -1154,7 +1160,7 @@ _RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "lo
 
 def _modules_loaded_by(statement, prefixes):
     code = (
-        f"import sys; {statement}; "
+        f"import sys\n{statement}\n"
         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     done = subprocess.run(
@@ -1170,10 +1176,10 @@ def _modules_loaded_by(statement, prefixes):
 
 def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules(tmp_path):
     """The thread pool is gone, and the transports, the re-sort warning,
-    the tuning and analysis commands and the scorer client import what
-    they need when they run; temp-file names come from ``os.urandom``, so
-    no command imports ``uuid``."""
-    rare = (*_RARE_PATH_MODULES, "rmbr.analysis", "rmbr.scorer", "select")
+    the tuning and analysis commands, the scorer client and numpy are
+    imported when they are needed; temp-file names come from
+    ``os.urandom``, so no command imports ``uuid``."""
+    rare = (*_RARE_PATH_MODULES, "rmbr.analysis", "rmbr.scorer", "select", "numpy")
     assert _modules_loaded_by("import rmbr.cli", rare) == "[]\n"
     assert _modules_loaded_by("import rmbr.io", rare) == "[]\n"
     nbest = tmp_path / "in.jsonl"
@@ -1197,6 +1203,101 @@ def test_importing_the_cli_loads_no_pool_scorer_or_rare_path_modules(tmp_path):
     assert _modules_loaded_by("import rmbr", ("rmbr.",)) == "[]\n"
     loaded = _modules_loaded_by("import rmbr; rmbr.kernels.pair_match_counts", ("rmbr.",))
     assert loaded == "['rmbr.kernels']\n"
+
+
+def test_numpy_loads_at_the_first_score_and_never_before(dev_file, tmp_path):
+    """numpy, the kernels and the metrics load where a run first scores:
+    ``--help``, a run that fails a check, every dry run and ``tokenprob``
+    end without them, and a real ``rerank`` and ``eval`` load all three."""
+    path, _ = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    text = tmp_path / "text.txt"
+    text.write_text("a b c\nd e\n", encoding="utf-8")
+    out = tmp_path / "out"
+    io_args = ["-i", path, "-o", out]
+    evaluate = ["eval", "--hyps", text, "--refs", text]
+    runs = {
+        "help": (["--help"], 0),
+        "exit 1": (["rerank", *io_args, "--l", "99"], 1),
+        "rerank": (["rerank", *io_args, "--lambda", "lp=0.1", "--dry-run"], 0),
+        "c2f": (["c2f", *io_args, "--proxy", "chrf", "--keep", "2", "--dry-run"], 0),
+        "tune-lambda": (["tune-lambda", *io_args, "--regularizers", "lp,qe", "--dry-run"], 0),
+        "tune-lambda service": (
+            ["tune-lambda", *io_args, "--utility", spec, "--regularizers", "qe", "--dry-run"],
+            0,
+        ),
+        "tune-l": (["tune-l", *io_args, "--lambda", "qe=1", "--dry-run"], 0),
+        "oracle": (["oracle", *io_args, "--dry-run"], 0),
+        "eval": ([*evaluate, "--dry-run"], 0),
+        "tokenprob": (["tokenprob", "-i", path], 0),
+    }
+    for name, (args, want) in runs.items():
+        code, _, stderr = _run_process(args, probe=_ARRAYS_LOADED)
+        assert (code, stderr.splitlines()[-1]) == (want, "[]"), name
+    assert _started_pids(log) == []
+    assert not out.exists()
+    for args in (["rerank", *io_args], evaluate):
+        code, _, stderr = _run_process(args, probe=_ARRAYS_LOADED)
+        assert (code, stderr.splitlines()[-1]) == (0, str(sorted(_ARRAY_MODULES))), args[0]
+
+
+_NUMPY_AFTER_CORE = """
+import json
+from rmbr.core import Candidate, RerankConfig, RerankResult
+from rmbr.errors import ConfigError, InvalidInputError
+
+assert "numpy" not in sys.modules
+plain = Candidate("a b", ["a", "b"], -1.0, token_log_probs=[-0.5, 0.0], external_scores={"qe": 1})
+config = RerankConfig(l=2, lambdas={"lp": 0.5})
+result = RerankResult([0.5], {}, [0.5], [0], 0, 1, [0])
+import numpy as np
+
+FIRST
+built = Candidate(
+    "a b",
+    np.array(["a", "b"]),
+    np.float64(-1.0),
+    token_log_probs=np.array([-0.5, 0.0]),
+    external_scores={"qe": np.int64(1)},
+)
+assert built == plain
+assert {type(t) for t in built.tokens} == {str}
+stored = (built.log_prob, *built.token_log_probs, *built.external_scores.values())
+assert {type(v) for v in stored} == {float}
+tuned = RerankConfig(l=np.int64(2), lambdas={"lp": np.float64(0.5)})
+assert tuned == config and type(tuned.l) is int and type(tuned.lambdas["lp"]) is float
+counts = (np.int64(0), np.int64(1), [np.int64(0)])
+assert RerankResult(np.array([0.5]), {}, [np.float32(0.5)], np.array([0]), *counts) == result
+try:
+    Candidate("a b", ["a", "b"], np.bool_(False))
+except InvalidInputError as e:
+    assert str(e) == "log_prob must be a number, got " + json.dumps(repr(np.bool_(False))), e
+else:
+    raise AssertionError("np.bool_ taken as a number")
+try:
+    RerankConfig(l=np.bool_(True))
+except ConfigError as e:
+    assert str(e) == f"l must be an integer >= 1 or 'full', got {np.bool_(True)!r}", e
+else:
+    raise AssertionError("np.bool_ taken as an index")
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        'Candidate("a b", ["a", "b"], np.float64(-1.0))',
+        'Candidate("a", ["a"], -1.0, token_log_probs=[np.float32(-0.5)])',
+        "RerankConfig(l=np.int64(2))",
+        "try:\n    RerankConfig(lambdas={'lp': np.bool_(True)})\nexcept ConfigError:\n    pass",
+    ],
+    ids=["number", "number list", "index", "bool"],
+)
+def test_numpy_values_are_taken_once_numpy_loads_after_a_numpy_free_start(first):
+    """The constructors accept numpy's integer and float scalars, and 1-D
+    arrays, from the first check after numpy is loaded, whichever check that
+    is, and store them as the same plain values; ``np.bool_`` is no number."""
+    assert _modules_loaded_by(_NUMPY_AFTER_CORE.replace("FIRST", first), ("rmbr.k",)) == "[]\n"
 
 
 def test_the_scorer_client_is_one_class_under_every_name():
