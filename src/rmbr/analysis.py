@@ -7,15 +7,16 @@ probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
 set, along one path: the utility spec is resolved once for the whole dev
 set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
-spec, closed when the call returns), and each list goes through
-:func:`~rmbr.mbr.checked_values` once, before the first score, at every
-depth it ranks, with the two weight vectors that hold the grid's
-smallest and largest weights (they stand for every vector the run
-tries), so a total that is not finite after scoring is a scoring
-failure.  Each list is then scored once, with the regularizer values the
-check returned (a stored matrix's consensus rows come from the check
-too), and each candidate's objective statistics (corpus BLEU sufficient
-statistics or sentence chrF) are computed once.  At each depth, one array pass per list
+spec, closed when the call returns), and the lists pass reranking's own
+check pass, :func:`~rmbr.mbr._checked_lists`, before the first score: it
+calls :func:`~rmbr.mbr.checked_values` once per list, at every depth the
+run ranks, with the two weight vectors that hold the grid's smallest and
+largest weights (they stand for every vector the run tries), so a total
+that is not finite after scoring is a scoring failure.  Each list is
+then scored once, with the regularizer values the check returned (a
+stored matrix's consensus rows come from the check too), and each
+candidate's objective statistics (corpus BLEU sufficient statistics or
+sentence chrF) are computed once.  At each depth, one array pass per list
 over blocks of weight vectors gives every vector's selection, the
 selected statistics are summed per vector, list by list, and the
 objective formula takes all vectors' sums at once.  Both tune a one-stage
@@ -36,7 +37,7 @@ from typing import Sequence
 
 from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
-from .mbr import ChrfUtility, UtilitySession, check_scored, checked_values, scored_consensus
+from .mbr import ChrfUtility, UtilitySession, _checked_lists, check_scored, scored_consensus
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:
@@ -296,7 +297,7 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarra
 
 
 def _checked_tuning(session, lists, config, grid):
-    """Make :func:`check_tuning`'s checks, resolving the spec in ``session``.
+    """Check the tuning rules, then make :func:`~rmbr.mbr._checked_lists`' checks.
 
     ``grid`` is None for the truncation sweep, or a grid that
     :func:`lambda_grid` returned.  A grid's vectors are checked through
@@ -304,29 +305,24 @@ def _checked_tuning(session, lists, config, grid):
     column: they hold each column's extremes, which is all
     :func:`~rmbr.mbr.checked_values` reads of the vectors, so the check
     equals checking all ``len(grid) ** r`` of them.  Returns the run's
-    depths (None keeps every scored column) and each list's provider and
-    the rows :func:`~rmbr.mbr.checked_values` returned.
+    depths (None keeps every scored column), the resolved config and each
+    list's checked rows.
     """
     if not lists:
         raise InvalidInputError("no dev lists")
     if config.coarse_to_fine is not None:
         raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
-    names = config.regularizers
+    weights = None
     if grid is not None:
-        if not names:
+        if not config.regularizers:
             raise ConfigError("grid search needs at least one active regularizer")
-        depths, weights = [None], [(min(grid),) * len(names), (max(grid),) * len(names)]
+        depths = [None]
+        weights = [(w,) * len(config.regularizers) for w in (min(grid), max(grid))]
     elif config.l != "full":
         raise ConfigError("the truncation sweep sets l itself")
     else:
         depths = range(1, min(lst.n for lst in lists) + 1)
-        weights = [list(config.lambdas.values())]
-    utilities = session.providers(config.utility, len(lists))
-    checked = [
-        (u, *checked_values(lst, u, config.resolve_l(lst.n), names, weights, depths))
-        for lst, u in zip(lists, utilities)
-    ]
-    return depths, checked
+    return (depths, *_checked_lists(session, lists, config, weights, depths))
 
 
 def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) -> None:
@@ -390,10 +386,10 @@ def tune(lists, config, grid, metric):
     from .metrics import bleu_stats
 
     with UtilitySession() as session:
-        depths, checked = _checked_tuning(session, lists, config, grid)
+        depths, config, checked = _checked_tuning(session, lists, config, grid)
         scored = [
             (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
-            for lst, (u, consensus, regs) in zip(lists, checked)
+            for lst, u, (_, consensus, regs) in zip(lists, config.utility, checked)
         ]
     if grid is None:
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)

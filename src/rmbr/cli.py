@@ -42,8 +42,10 @@ only when a ``service:`` spec is resolved.  numpy, :mod:`rmbr.kernels`
 and :mod:`rmbr.metrics` load where the run first scores (or reads a
 stored matrix, or ``eval`` takes its metric), never at import: without a
 ``matrix:`` spec, ``--help``, a dry run and a run that fails a check end
-before numpy loads.  The tuning handlers check the objective and the
-weight grid first, and the tuners' body does not check them again.
+before numpy loads.  One handler serves ``tune-lambda`` and ``tune-l``,
+as one serves ``rerank`` and ``c2f``: it checks the objective and the
+weight grid first, and the tuners' body does not check them again; the
+tuners' per-list check is reranking's check pass.
 
 ``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
 :func:`run`, which freezes the heap before the interpreter exits; tests
@@ -175,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid",
         default=",".join(str(g) for g in DEFAULT_LAMBDA_GRID),
-        help="comma-separated candidate weights",
+        help="comma-separated candidate weights; give a grid that starts with a "
+        "negative weight as one word, --grid=-1,1",
     )
     p.add_argument("--metric", choices=OBJECTIVE_METRICS, default="bleu")
 
@@ -286,61 +289,39 @@ def _emit_record(args, record, summary_lines):
             fh.write(json.dumps(record, indent=2) + "\n")
 
 
-def _cmd_tune_lambda(args) -> int:
+def _cmd_tune(args) -> int:
     from .analysis import _checked_tuning, check_objective, lambda_grid, tune
 
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
-    names = tuple(n for n in args.regularizers.split(",") if n)
-    if not names:
-        raise ConfigError("--regularizers names no regularizers")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"--regularizers repeats a name: {args.regularizers!r}")
-    try:
-        weights = [float(g) for g in args.grid.split(",") if g]
-    except ValueError:
-        raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
-    grid = lambda_grid(weights)
-    config = RerankConfig(
-        utility=args.utility, l=_parse_l(args.l), lambdas={n: 0.0 for n in names}
-    )
+    if args.command == "tune-l":
+        grid, l, lambdas = None, "full", _parse_lambdas(args.lambdas)
+    else:
+        names = tuple(n for n in args.regularizers.split(",") if n)
+        if not names:
+            raise ConfigError("--regularizers names no regularizers")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"--regularizers repeats a name: {args.regularizers!r}")
+        try:
+            weights = [float(g) for g in args.grid.split(",") if g]
+        except ValueError:
+            raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
+        grid, l, lambdas = lambda_grid(weights), _parse_l(args.l), {n: 0.0 for n in names}
+    config = RerankConfig(utility=args.utility, l=l, lambdas=lambdas)
     with UtilitySession() as session:
         config = session.resolve(config, len(lists))
         if args.dry_run:
             _checked_tuning(session, lists, config, grid)
             return _validated(lists)
-        (_, best), objective, _ = tune(lists, config, grid, args.metric)
-    record = {"lambdas": best, "objective": objective, "metric": args.metric}
-    _emit_record(
-        args,
-        record,
-        [f"best lambdas: {json.dumps(best)}", f"{args.metric}: {objective:.6f}"],
-    )
-    if args.output:
-        _write_report(args, lists, None, started, session)
-    return 0
-
-
-def _cmd_tune_l(args) -> int:
-    from .analysis import _checked_tuning, check_objective, tune
-
-    started = time.monotonic()
-    lists = load_nbest(args.input)
-    check_objective(lists, args.metric)
-    config = RerankConfig(utility=args.utility, lambdas=_parse_lambdas(args.lambdas))
-    with UtilitySession() as session:
-        config = session.resolve(config, len(lists))
-        if args.dry_run:
-            _checked_tuning(session, lists, config, None)
-            return _validated(lists)
-        (best_l, _), objective, curve = tune(lists, config, None, args.metric)
-    record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
-    _emit_record(
-        args,
-        record,
-        [f"best l: {best_l}", f"{args.metric}: {objective:.6f}"],
-    )
+        (best_l, best), objective, curve = tune(lists, config, grid, args.metric)
+    if grid is None:
+        record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
+        best_line = f"best l: {best_l}"
+    else:
+        record = {"lambdas": best, "objective": objective, "metric": args.metric}
+        best_line = f"best lambdas: {json.dumps(best)}"
+    _emit_record(args, record, [best_line, f"{args.metric}: {objective:.6f}"])
     if args.output:
         _write_report(args, lists, None, started, session)
     return 0
@@ -416,8 +397,8 @@ def _cmd_eval(args) -> int:
 _COMMANDS = {
     "rerank": _cmd_rerank,
     "c2f": _cmd_rerank,
-    "tune-lambda": _cmd_tune_lambda,
-    "tune-l": _cmd_tune_l,
+    "tune-lambda": _cmd_tune,
+    "tune-l": _cmd_tune,
     "oracle": _cmd_oracle,
     "tokenprob": _cmd_tokenprob,
     "eval": _cmd_eval,

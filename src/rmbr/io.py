@@ -13,9 +13,10 @@ constructor's error becomes a parse error on that line (a matrix's on its
 header line).
 
 The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
-still resolves to it, on first access, for the span tracer in
-``perfbench/spans.py``, which wraps the client's methods through this
-module; the alias goes when that tracer does.
+still resolves to it, on first access: the release gate
+(``tests/test_acceptance.py``) imports it from here, and the span tracer
+in ``perfbench/spans.py`` wraps the client's methods through this module,
+so the alias outlives that tracer.
 """
 
 from __future__ import annotations

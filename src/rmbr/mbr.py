@@ -498,14 +498,18 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
     return consensus, regs
 
 
-def _checked_lists(session, lists, config: RerankConfig):
-    """:func:`check_reranking`'s checks in ``session``: returns the resolved
-    config and, per list, the proxy's consensus (None without coarse-to-fine)
-    and the target's :func:`checked_values` rows.
+def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(None,)):
+    """The per-list pre-scoring check of every reranking and tuning run.
+
+    Resolves the config in ``session`` and checks :func:`check_reranking`'s
+    rules, then passes each list to :func:`checked_values` once, with the
+    config's weight row unless ``weights`` are given, at each of ``depths``.
+    Returns the resolved config and, per list, the proxy's consensus (None
+    without coarse-to-fine) and the target's :func:`checked_values` rows.
     """
     config = session.resolve(config, len(lists))
     stages, utilities = config.coarse_to_fine, config.utility
-    weights = [list(config.lambdas.values())]
+    weights = weights or [list(config.lambdas.values())]
     if stages is not None and any(isinstance(u, MatrixUtility) for u in utilities):
         raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
     checked = []
@@ -516,7 +520,7 @@ def _checked_lists(session, lists, config: RerankConfig):
                 raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
             proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
         l = config.resolve_l(nbest.n)
-        target = checked_values(nbest, utilities[i], l, config.regularizers, weights)
+        target = checked_values(nbest, utilities[i], l, config.regularizers, weights, depths)
         checked.append((proxy, *target))
     return config, checked
 

@@ -242,6 +242,45 @@ def test_tune_l_writes_record(dev_file, tmp_path):
     assert record == {"l": best_l, "objective": objective, "curve": list(curve), "metric": "chrf"}
 
 
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+@pytest.mark.parametrize("command", ["tune-lambda", "tune-l"])
+def test_tuner_output_bytes(dev_file, tmp_path, capsys, command, metric):
+    """The record file is the record in its documented key order, indented
+    by two, and stdout is the best setting and the objective, exactly."""
+    path, lists = dev_file
+    out = tmp_path / "tuned.json"
+    if command == "tune-lambda":
+        flags = ["--regularizers", "lp,qe", "--grid", "0.1,1"]
+        config = RerankConfig(lambdas={"lp": 0.0, "qe": 0.0})
+        best, objective = grid_search_lambdas(lists, config, (0.1, 1.0), metric)
+        record = {"lambdas": best, "objective": objective, "metric": metric}
+        best_line = f"best lambdas: {json.dumps(best)}"
+    else:
+        flags = ["--lambda", "qe=0.5"]
+        best_l, objective, curve = tune_l(lists, RerankConfig(lambdas={"qe": 0.5}), metric)
+        record = {"l": best_l, "objective": objective, "curve": curve, "metric": metric}
+        best_line = f"best l: {best_l}"
+    assert run([command, "-i", path, "-o", out, "--metric", metric, *flags]) == 0
+    assert out.read_text(encoding="utf-8") == json.dumps(record, indent=2) + "\n"
+    assert capsys.readouterr().out == f"{best_line}\n{metric}: {objective:.6f}\n"
+
+
+def test_a_negative_grid_given_as_one_word_is_searched(tmp_path):
+    """``--grid=-1,1`` is a grid: weight -1 on qe picks the reference-like
+    candidate, which qe scores lower."""
+    cands = (
+        make_candidate("bad stuff out there", -0.1, external_scores={"qe": 1.0}),
+        make_candidate("good words in here", -0.2, external_scores={"qe": 0.0}),
+    )
+    lists = [NBestList(source="s", candidates=cands, reference="good words in here")]
+    path, out = tmp_path / "dev.jsonl", tmp_path / "tuned.json"
+    write_nbest(path, lists)
+    assert run(["tune-lambda", "-i", path, "-o", out, "--regularizers", "qe", "--grid=-1,1"]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["lambdas"] == {"qe": -1.0}
+    assert record["objective"] == 1.0
+
+
 def test_oracle_writes_record_and_table(dev_file, tmp_path, capsys):
     path, lists = dev_file
     out = tmp_path / "oracle.json"
@@ -991,6 +1030,34 @@ def test_a_tuning_command_checks_once_and_never_through_check_list(
     assert run(args + (["--dry-run"] if dry else [])) == 0
     grid = ["grid"] if command == "tune-lambda" else []
     assert calls == ["objective", *grid, "tuning"]
+
+
+@pytest.mark.parametrize("dry", [False, True])
+@pytest.mark.parametrize("command", ["tune-lambda", "tune-l"])
+def test_a_tuning_command_checks_its_lists_through_the_reranking_check_pass(
+    dev_file, tmp_path, monkeypatch, command, dry
+):
+    """One call of ``_checked_lists`` per run: a grid search passes its two
+    extreme weight rows at its one depth, a sweep every depth 1..min n with
+    the config's own weight row."""
+    path, _ = dev_file
+    calls = []
+    checked = mbr._checked_lists
+
+    def recorded(session, lists, config, weights=None, depths=(None,)):
+        calls.append((dict(config.lambdas), weights, list(depths)))
+        return checked(session, lists, config, weights, depths)
+
+    monkeypatch.setattr(analysis, "_checked_lists", recorded)
+    if command == "tune-lambda":
+        flags = ["--regularizers", "lp,qe", "--grid=0.5,-1,2"]
+        want = ({"lp": 0.0, "qe": 0.0}, [(-1.0, -1.0), (2.0, 2.0)], [None])
+    else:
+        flags = ["--lambda", "qe=1", "--lambda", "lp=0.5"]
+        want = ({"qe": 1.0, "lp": 0.5}, None, [1, 2, 3, 4, 5])
+    args = [command, "-i", path, "-o", tmp_path / "out", *flags]
+    assert run(args + (["--dry-run"] if dry else [])) == 0
+    assert calls == [want]
 
 
 @pytest.mark.parametrize("dry", [False, True])
