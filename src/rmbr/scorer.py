@@ -9,7 +9,10 @@ by id.  Each response must arrive within the timeout (default 30 s,
 ``RMBR_SCORER_TIMEOUT_SECS`` overrides), and so must each write to a
 scorer that has stopped reading.  One thread writes a batch and reads its
 responses over non-blocking descriptors, so a batch larger than the pipe
-buffers cannot deadlock.
+buffers cannot deadlock.  The responses are one stream of lines per
+client: lines read past a batch's last answer go first to the next batch.
+After a failed batch the client stays usable: the next batch first sends
+what the failed one left unwritten, and drops late answers to its requests.
 
 :func:`service_opener` parses the text after ``service:`` and returns an
 opener that starts nothing until it is called.  Within rmbr, only
@@ -26,6 +29,7 @@ import os
 import select
 import threading
 import time
+from collections import deque
 from functools import partial
 from typing import Sequence
 
@@ -103,8 +107,11 @@ class ScorerClient:
     One thread does both directions: it waits on the non-blocking
     descriptors with ``poll`` and writes requests while it reads
     responses, so a batch larger than the pipe buffers cannot deadlock
-    and a scorer that stops reading runs into the timeout.  The client is
-    safe to share between threads (batches are serialized).
+    and a scorer that stops reading runs into the timeout.  Each batch
+    takes lines from one stream that outlives it (:meth:`_responses`):
+    what one batch read past its last answer, or left unwritten when it
+    failed, the next batch takes or sends first.  The client is safe to
+    share between threads (batches are serialized).
     """
 
     def __init__(self, read_fd: int, write_fd: int, timeout: float | None = None, close=None):
@@ -113,8 +120,10 @@ class ScorerClient:
         self._wfd = write_fd
         self._teardown = close
         self._closed = False
-        #: bytes read but not yet handed to a batch
-        self._unread = b""
+        #: lines read but not yet handed to a batch, and a partial line
+        self._lines, self._tail = deque(), b""
+        #: requests a failed batch left unwritten, and the ids not yet answered
+        self._unsent, self._pending = b"", {}
         self._next_id = 0
         self._lock = threading.Lock()
         #: pairs of the batches this client got all scores for
@@ -171,40 +180,27 @@ class ScorerClient:
 
         return cls(proc.stdout.fileno(), proc.stdin.fileno(), timeout=timeout, close=stop)
 
-    def _exchange(self, payload: bytes, take) -> None:
-        """Write ``payload`` while passing each response line to ``take``.
+    def _responses(self, payload: bytes):
+        """Write ``payload`` while yielding the scorer's response lines.
 
-        ``take`` returns True once it needs no more lines; what was read
-        past that line is kept for the next exchange.  Every wait is
-        bounded by the timeout, which restarts when requests are written
-        or a complete response line arrives.  A last line that ends
-        without a newline is still a line, as in ``for line in file``.
+        Lines already read come first, then each read's lines as they
+        arrive; a caller that stops early leaves the rest for the next
+        call, and requests it left unwritten go out first then.  Every
+        wait is bounded by the timeout, which restarts when requests are
+        written or complete lines arrive.  Each read's complete lines are
+        decoded at once, so one invalid byte fails them all.  A last line
+        that ends at EOF without a newline is still a line, as in ``for
+        line in file``.
         """
-        rfd, wfd = self._rfd, self._wfd
-        out = memoryview(payload)
-        tail, self._unread = self._unread, b""
-        polled = {}
-        done = False
-
-        def feed(data: bytes) -> bool:
-            """Pass on the lines ``tail + data`` completes; it holds a newline."""
-            nonlocal tail
-            complete, _, tail = (tail + data).rpartition(b"\n")
-            try:
-                lines = complete.decode("utf-8").split("\n")
-            except UnicodeDecodeError as e:
-                raise TransportError(f"scorer connection failed: {e}") from None
-            for i, line in enumerate(lines):
-                if take(line):
-                    rest = "".join(f"{later}\n" for later in lines[i + 1 :])
-                    self._unread = rest.encode() + tail
-                    return True
-            return False
-
-        if b"\n" in tail:
-            done = feed(b"")
+        rfd, wfd, lines = self._rfd, self._wfd, self._lines
+        out = memoryview(bytes(self._unsent) + payload)
+        poller = select.poll()  # register() replaces a descriptor's mask
+        poller.register(rfd, select.POLLIN)
+        poller.register(wfd, select.POLLOUT | (select.POLLIN if wfd == rfd else 0))
         deadline = time.monotonic() + self.timeout
         while True:
+            while lines:
+                yield lines.popleft()
             if out:
                 try:
                     sent = os.write(wfd, out)
@@ -213,50 +209,43 @@ class ScorerClient:
                 except OSError as e:
                     raise TransportError(f"cannot send to scorer: {e}") from None
                 if sent:
-                    out = out[sent:]
+                    # b"" once all is sent, so no view keeps the payload
+                    self._unsent = out = out[sent:] or b""
                     deadline = time.monotonic() + self.timeout
-            if not done:
-                try:
-                    data = os.read(rfd, _READ_CHUNK)
-                except BlockingIOError:
-                    data = None
-                except OSError as e:
-                    raise TransportError(f"scorer connection failed: {e}") from None
-                if data == b"":
-                    if tail:  # the last line ends at EOF
-                        done = feed(b"\n")
-                    if not done:
-                        raise TransportError("scorer closed the connection")
-                elif data and b"\n" in data:
-                    deadline = time.monotonic() + self.timeout
-                    done = feed(data)
-                elif data:  # part of a line
-                    tail += data
-            if done and not out:
-                return
-            wanted = {wfd: select.POLLOUT} if out else {}
-            if not done:
-                wanted[rfd] = wanted.get(rfd, 0) | select.POLLIN
-            if wanted != polled:
-                poller = select.poll()
-                for fd, events in wanted.items():
-                    poller.register(fd, events)
-                polled = wanted
+                    if not out:
+                        poller.unregister(wfd)
+                        poller.register(rfd, select.POLLIN)
             wait = deadline - time.monotonic()
             if wait <= 0 or not poller.poll(wait * 1000):
                 waiting_for = "to read requests" if out else "response"
                 raise TransportError(
                     f"timed out after {self.timeout}s waiting for scorer {waiting_for}"
                 )
+            try:
+                data = os.read(rfd, _READ_CHUNK)
+            except BlockingIOError:
+                continue
+            except OSError as e:
+                raise TransportError(f"scorer connection failed: {e}") from None
+            if not data:
+                if not self._tail:
+                    raise TransportError("scorer closed the connection")
+                data = b"\n"  # the last line ends at EOF
+            complete, newline, self._tail = (self._tail + data).rpartition(b"\n")
+            if newline:
+                try:
+                    lines.extend(complete.decode("utf-8").split("\n"))
+                except UnicodeDecodeError as e:
+                    raise TransportError(f"scorer connection failed: {e}") from None
+                deadline = time.monotonic() + self.timeout
 
     def _handshake(self):
-        got = []
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
-        self._exchange(hello, lambda line: got.append(line) or True)
+        line = next(self._responses(hello))
         try:
-            greeting = json.loads(got[0])
+            greeting = json.loads(line)
         except json.JSONDecodeError:
-            line = got[0] + "\n"  # quoted with its newline, as read
+            line += "\n"  # quoted with its newline, as read
             raise TransportError(f"bad scorer handshake: {line!r}") from None
         if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
             raise TransportError(
@@ -268,7 +257,8 @@ class ScorerClient:
         """Score (source, hypothesis, reference) triples; source may be None.
 
         Returns scores in the order of ``pairs`` regardless of the order the
-        scorer answered in.
+        scorer answered in.  If the batch fails, the next one first sends
+        what it left unwritten, and drops late answers to its requests.
         """
         if not pairs:
             raise InvalidInputError("pairs must be non-empty")
@@ -285,10 +275,13 @@ class ScorerClient:
                 f'"hyp": {quoted[hyp]}, "ref": {quoted[ref]}}}\n'
                 for i, (src, hyp, ref) in enumerate(pairs)
             ).encode()
-            pending = dict(zip(range(base, base + len(pairs)), range(len(pairs))))
+            # every id sent and not yet answered, with its pair's position;
+            # ids below base are a failed batch's, and their answers are dropped
+            pending = self._pending
+            pending.update(zip(range(base, base + len(pairs)), range(len(pairs))))
             out: list[float | None] = [None] * len(pairs)
-
-            def take(line: str) -> bool:
+            left = len(pairs)
+            for line in self._responses(payload):
                 try:
                     response = json.loads(line)
                 except json.JSONDecodeError:
@@ -301,6 +294,8 @@ class ScorerClient:
                         f"scorer response for unknown or duplicate id {rid!r}"
                     )
                 pos = pending.pop(rid)
+                if rid < base:
+                    continue
                 if response.get("error") is not None:
                     raise ScoringError(
                         f"scorer failed on pair {pos}: {response['error']}"
@@ -315,9 +310,9 @@ class ScorerClient:
                         f"scorer returned a non-finite score for pair {pos}: {score!r}"
                     )
                 out[pos] = float(score)
-                return not pending
-
-            self._exchange(payload, take)
+                left -= 1
+                if not left:
+                    break
             self.pairs_scored += len(pairs)
             return out  # type: ignore[return-value]
 

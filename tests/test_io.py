@@ -479,6 +479,38 @@ def test_scorer_client_timeout(scorer_server):
         client.close()
 
 
+def test_scorer_client_drops_late_answers_to_a_batch_that_failed(scorer_server):
+    """An error answer fails its batch while the batch's other answers are
+    still on the way; the next batch on the client drops them and gets its
+    own score."""
+
+    def fail_bad(req):
+        if req["hyp"] == "bad":
+            return {"id": req["id"], "error": "cannot score that"}
+        time.sleep(0.2)  # the failed batch's other answers arrive late
+        return {"id": req["id"], "score": float(len(req["hyp"]))}
+
+    server = scorer_server(fail_bad)
+    with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+        with pytest.raises(ScoringError, match="pair 0"):
+            client.score_pairs([("s", "bad", "r"), ("s", "ok", "r"), ("s", "ok2", "r")])
+        assert client.score_pairs([("s", "okay", "r")]) == [4.0]
+        assert client.pairs_scored == 1
+
+
+def test_scorer_client_drops_a_late_answer_after_a_timeout(scorer_server):
+    def slow_first(req):
+        time.sleep(0.6 if req["hyp"] == "slow" else 0)
+        return {"id": req["id"], "score": float(len(req["hyp"]))}
+
+    server = scorer_server(slow_first)
+    with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=0.3) as client:
+        with pytest.raises(TransportError, match="waiting for scorer response"):
+            client.score_pairs([("s", "slow", "r")])
+        # the answer to id 0 arrives during this batch, before its own
+        assert client.score_pairs([("s", "fast", "r")]) == [4.0]
+
+
 def test_scorer_client_protocol_mismatch(scorer_server):
     server = scorer_server(echo_id_score, handshake="rmbr-scorer/0")
     with pytest.raises(TransportError, match="protocol"):
@@ -566,6 +598,33 @@ def test_scorer_client_spawned_process():
     finally:
         client.close()
     client.close()  # idempotent
+
+
+_FAIL_FIRST_SCRIPT = """
+import json, sys
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+for line in sys.stdin:
+    req = json.loads(line)
+    if req["hyp"] == "bad":
+        print(json.dumps({"id": req["id"], "error": "cannot score that"}), flush=True)
+    else:
+        print(json.dumps({"id": req["id"], "score": float(len(req["ref"]))}), flush=True)
+"""
+
+
+def test_scorer_client_sends_what_a_failed_batch_left_unwritten_first():
+    """A batch of about 1 MB fails on its first answer while most of it is
+    unwritten, one request cut in half; the next batch sends the rest
+    first, so the scorer reads whole lines, and drops the late answers."""
+    client = ScorerClient.spawn([sys.executable, "-c", _FAIL_FIRST_SCRIPT], timeout=10)
+    try:
+        pairs = [("s", "bad" if i == 0 else "h", "r" * 10) for i in range(20000)]
+        with pytest.raises(ScoringError, match="pair 0"):
+            client.score_pairs(pairs)
+        assert client.score_pairs([("s", "h", "rrr")]) == [3.0]
+    finally:
+        client.close()
 
 
 _BIG_BATCH_CLIENT = """
@@ -747,3 +806,33 @@ def test_scorer_client_rejects_a_malformed_line():
 
     with pytest.raises(TransportError, match=r"malformed scorer response: 'not json\\n'"):
         _score_two(script)
+
+
+def test_scorer_client_fails_a_read_whose_lines_are_not_all_utf8():
+    """The read that holds the last answer also holds a line that is not
+    UTF-8: the batch fails, though it has all its answers."""
+
+    def script(reqs):
+        first, last = (json.dumps({"id": r["id"], "score": 0.5}) + "\n" for r in reqs)
+        return [first.encode(), last.encode() + b"\xff\n"]
+
+    with pytest.raises(TransportError, match="codec can't decode byte 0xff"):
+        _score_two(script)
+
+
+def test_scorer_client_hands_lines_read_past_a_batch_to_the_next():
+    """A repeated last answer, read with the batch's last answer, is the
+    first line the next batch reads."""
+
+    def script(reqs):
+        lines = [json.dumps({"id": r["id"], "score": 0.5}) + "\n" for r in reqs]
+        return [(lines[0] + lines[1] + lines[1]).encode()]
+
+    server = _scripted_replies(script)
+    try:
+        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+            assert client.score_pairs([("s", "a", "b"), ("s", "c", "d")]) == [0.5, 0.5]
+            with pytest.raises(TransportError, match="unknown or duplicate id 1$"):
+                client.score_pairs([("s", "e", "f")])
+    finally:
+        server.close()
