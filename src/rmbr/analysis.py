@@ -5,27 +5,27 @@ oracle-rank histogram shows where in the beam those best candidates sit.
 The token-probability table relates sentence length to mean per-token
 probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
-set, along one path: the utility spec is resolved once for the whole dev
-set in a :class:`~rmbr.mbr.UtilitySession` (one scorer per ``service:``
-spec, closed when the call returns), and the lists pass reranking's own
-check pass, :func:`~rmbr.mbr._checked_lists`, before the first score: it
-calls :func:`~rmbr.mbr.checked_values` once per list, at every depth the
-run ranks, with the two weight vectors that hold the grid's smallest and
-largest weights (they stand for every vector the run tries), so a total
-that is not finite after scoring is a scoring failure.  Each list is
-then scored once, with the regularizer values the check returned (a
-stored matrix's consensus rows come from the check too), and each
+set.  The oracle and the tuners each check and score in one
+:class:`~rmbr.mbr.UtilitySession`, through the providers resolved there
+once for all lists (one scorer per ``service:`` spec, closed when the
+call returns): one check pass takes every list before the first score,
+and one body scores each list with what the check returned.  The
+oracle's check, :func:`_checked_oracle`, wants a bin width of at least 1
+and providers that score against a reference; its body,
+:func:`_oracle_picks`, makes one ``score_against`` call per list.  The
+tuners' check is reranking's, :func:`~rmbr.mbr._checked_lists`, through
+:func:`_checked_tuning`, so a total that is not finite after scoring is
+a scoring failure.  Their body, :func:`tune`, scores each list once (a
+stored matrix's consensus rows come from the check), takes each
 candidate's objective statistics (corpus BLEU sufficient statistics or
-sentence chrF) are computed once.  At each depth, one array pass per list
-over blocks of weight vectors gives every vector's selection, the
-selected statistics are summed per vector, list by list, and the
-objective formula takes all vectors' sums at once.  Both tune a one-stage
-rerank and reject a coarse-to-fine config.  Every function that takes a
-utility accepts a spec string, one provider shared by all lists, or a
-list with one provider per list.  Objectives use the default
+sentence chrF) once, and at each depth gives every weight vector's
+selection in one array pass per list.  Both tune a one-stage rerank and
+reject a coarse-to-fine config.  Every function that takes a utility
+accepts a spec string, one provider shared by all lists, or a list with
+one provider per list.  Objectives use the default
 :class:`~rmbr.core.MetricConfig`.  numpy and :mod:`rmbr.metrics` are
 imported by the functions that score, where they run, so every check
-here, and a tuning command's dry run, loads neither.
+here, and the dry run of a tuning or oracle command, loads neither.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from typing import Sequence
 
 from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
-from .mbr import ChrfUtility, UtilitySession, _checked_lists, check_scored, scored_consensus
+from .mbr import ChrfUtility, MatrixUtility, UtilitySession, _checked_lists, check_scored
+from .mbr import scored_consensus
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:
@@ -76,6 +77,28 @@ def corpus_objective(
     return sum(scores) / len(scores)
 
 
+def _checked_oracle(session, lists, utility, bin_width, name="bin_width") -> list:
+    """The oracle's pre-scoring check: lists, a bin width (``name``) >= 1, and
+    providers, resolved in ``session`` and returned, that score against a reference."""
+    if not lists:
+        raise InvalidInputError("no lists")
+    if bin_width < 1:
+        raise ConfigError(f"{name} must be >= 1, got {bin_width}")
+    providers = session.providers(utility, len(lists))
+    for provider in providers:
+        if isinstance(provider, MatrixUtility):
+            raise ConfigError("a precomputed utility matrix cannot score against new references")
+        if not hasattr(provider, "score_against"):
+            raise ConfigError(f"an oracle utility needs score_against, got {provider!r}")
+    return providers
+
+
+def _oracle_picks(lists, providers) -> list[tuple[int, float]]:
+    """Each list's best candidate against its reference, the first on a tie, and its score."""
+    scores = [provider.score_against(lst, lst.reference) for lst, provider in zip(lists, providers)]
+    return [max(enumerate(s), key=lambda pick: pick[1]) for s in scores]
+
+
 def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
     """The candidate closest to the true reference, and its score.
 
@@ -84,10 +107,7 @@ def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
     if nbest.reference is None:
         raise InvalidInputError("oracle selection needs a reference")
     with UtilitySession() as session:
-        (provider,) = session.providers(utility, 1)
-        scores = provider.score_against(nbest, nbest.reference)
-    best_index = max(range(len(scores)), key=scores.__getitem__)
-    return best_index, scores[best_index]
+        return _oracle_picks([nbest], _checked_oracle(session, [nbest], utility, 1))[0]
 
 
 @dataclass(frozen=True)
@@ -122,10 +142,7 @@ class OracleReport:
 
 
 def oracle_histogram(
-    lists: Sequence[NBestList],
-    utility="bleu",
-    bin_width: int = 5,
-    objective_metric: str = "bleu",
+    lists: Sequence[NBestList], utility="bleu", bin_width: int = 5, objective_metric: str = "bleu"
 ) -> OracleReport:
     """Oracle-rank histogram over a corpus.
 
@@ -134,29 +151,20 @@ def oracle_histogram(
     oracle selections — the reranking ceiling.
     """
     check_objective(lists, objective_metric)
-    if not lists:
-        raise InvalidInputError("no lists")
-    if bin_width < 1:
-        raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
     with UtilitySession() as session:
-        providers = session.providers(utility, len(lists))
-        picks = [oracle_select(lst, p) for lst, p in zip(lists, providers)]
-    indices = tuple(i for i, _ in picks)
-    scores = tuple(s for _, s in picks)
-    n_bins = (max(lst.n for lst in lists) + bin_width - 1) // bin_width
-    counts = [0] * n_bins
+        picks = _oracle_picks(lists, _checked_oracle(session, lists, utility, bin_width))
+    return _oracle_report(lists, picks, bin_width, objective_metric)
+
+
+def _oracle_report(lists, picks, bin_width, objective_metric) -> OracleReport:
+    """The histogram and corpus metric of the oracle's ``picks``, one per list."""
+    indices, scores = zip(*picks)
+    counts = [0] * ((max(lst.n for lst in lists) + bin_width - 1) // bin_width)
     for idx in indices:
         counts[idx // bin_width] += 1
     proportions = tuple(c / len(lists) for c in counts)
     corpus_metric = corpus_objective(lists, indices, objective_metric)
-    return OracleReport(
-        indices=indices,
-        scores=scores,
-        bin_width=bin_width,
-        bin_counts=tuple(counts),
-        proportions=proportions,
-        corpus_metric=corpus_metric,
-    )
+    return OracleReport(indices, scores, bin_width, tuple(counts), proportions, corpus_metric)
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,19 @@ one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
 effect.  They rerank the lists one after another, in input order, and
 start no further list once one fails.
 
-Every command that scores takes its utility providers from one
-:class:`~rmbr.mbr.UtilitySession`: each ``--utility``/``--proxy`` spec is
-resolved once per run (one scorer per ``service:`` spec, started on its
-first batch; a matrix file with one matrix per list gives each list its
-own), and every scorer is closed before the command returns, on success,
-on error and on Ctrl-C.  A reranking or tuning command hands all lists
-to one call, :func:`~rmbr.mbr.rerank_lists` or :func:`~rmbr.analysis.tune`,
-which checks every list before the first score of any; a ``--dry-run``
-makes those checks (:func:`~rmbr.mbr.check_reranking`,
-:func:`~rmbr.analysis.check_tuning`) and stops, so it evaluates no
-utility, starts no scorer and writes nothing.
+Every command that scores resolves its ``--utility``/``--proxy`` specs
+once per run in one :class:`~rmbr.mbr.UtilitySession` (one scorer per
+``service:`` spec, started on its first batch; a matrix file with one
+matrix per list gives each list its own), and checks and scores through
+the providers resolved there, with no session per list; every scorer is
+closed before the command returns, on success, on error and on Ctrl-C.
+One handler serves ``rerank`` and ``c2f``, and one ``tune-lambda`` and
+``tune-l``, checking the objective and the weight grid first.  Each
+scoring command has one check pass, made on every list before the first
+score of any, and one body that scores with what it returned:
+:func:`~rmbr.mbr.rerank_lists`, :func:`~rmbr.analysis.tune`, and the
+oracle's in :mod:`rmbr.analysis`.  A ``--dry-run`` makes the checks and
+stops, so it evaluates no utility, starts no scorer and writes nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
@@ -42,10 +44,7 @@ only when a ``service:`` spec is resolved.  numpy, :mod:`rmbr.kernels`
 and :mod:`rmbr.metrics` load where the run first scores (or reads a
 stored matrix, or ``eval`` takes its metric), never at import: without a
 ``matrix:`` spec, ``--help``, a dry run and a run that fails a check end
-before numpy loads.  One handler serves ``tune-lambda`` and ``tune-l``,
-as one serves ``rerank`` and ``c2f``: it checks the objective and the
-weight grid first, and the tuners' body does not check them again; the
-tuners' per-list check is reranking's check pass.
+before numpy loads.
 
 ``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
 :func:`run`, which freezes the heap before the interpreter exits; tests
@@ -67,6 +66,7 @@ from .core import (
     REGULARIZER_NAMES,
     CoarseToFine,
     RerankConfig,
+    check_corpus,
 )
 from .errors import (
     ConfigError,
@@ -78,7 +78,7 @@ from .errors import (
     TransportError,
 )
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
-from .mbr import MatrixUtility, UtilitySession, check_reranking, rerank_lists
+from .mbr import UtilitySession, check_reranking, rerank_lists
 
 _VALIDATION_ERRORS = (
     InvalidInputError,
@@ -328,27 +328,16 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .analysis import check_objective, oracle_histogram
+    from .analysis import _checked_oracle, _oracle_picks, _oracle_report, check_objective
 
     started = time.monotonic()
     lists = load_nbest(args.input)
     check_objective(lists, args.metric)
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     with UtilitySession() as session:
-        providers = session.providers(args.utility, len(lists))
-        if any(isinstance(p, MatrixUtility) for p in providers):
-            raise ConfigError(
-                "a precomputed utility matrix cannot score against new references"
-            )
+        providers = _checked_oracle(session, lists, args.utility, args.bins, "--bins")
         if args.dry_run:
             return _validated(lists)
-        report = oracle_histogram(
-            lists,
-            utility=providers,
-            bin_width=args.bins,
-            objective_metric=args.metric,
-        )
+        report = _oracle_report(lists, _oracle_picks(lists, providers), args.bins, args.metric)
     _emit_record(args, report.to_record(), [report.format_table()])
     if args.output:
         _write_report(args, lists, None, started, session)
@@ -371,22 +360,15 @@ def _cmd_eval(args) -> int:
         hyps = [line.rstrip("\n") for line in fh]
     with open_input(args.refs) as fh:
         refs = [line.rstrip("\n") for line in fh]
-    if len(hyps) != len(refs):
-        raise InvalidInputError(
-            f"{len(hyps)} hypotheses but {len(refs)} references"
-        )
-    if not hyps:
-        raise InvalidInputError("empty corpus")
-    for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
-        if not hyp.split() or not ref.split():
-            raise InvalidInputError(f"empty sentence at corpus position {pos}")
+    tokens = [h.split() for h in hyps], [r.split() for r in refs]
+    check_corpus(*tokens)
     if args.dry_run:
         print(f"ok: {len(hyps)} sentence pairs")
         return 0
     from .metrics import corpus_bleu, sentence_chrf
 
     if args.metric == "bleu":
-        score = corpus_bleu([h.split() for h in hyps], [r.split() for r in refs])
+        score = corpus_bleu(*tokens)
     else:
         scores = [sentence_chrf(h, r) for h, r in zip(hyps, refs)]
         score = sum(scores) / len(scores)

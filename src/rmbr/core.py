@@ -12,9 +12,9 @@ join the accepted ones the first time a check meets a type it does not
 know after numpy is loaded, which is exact, since no numpy value exists
 before.  Only :class:`UtilityMatrix` imports numpy.
 
-The metric settings (:class:`MetricConfig`) and the names of the corpus
-objectives live here too, so that a command checks them without loading
-the metrics.
+The metric settings (:class:`MetricConfig`), the names of the corpus
+objectives and the corpus check of corpus BLEU (:func:`check_corpus`)
+live here too, so that a command checks them without loading the metrics.
 
 A reranked score is the expected-utility (MBR) score of a candidate plus a
 weighted sum of regularizer scores.  All regularizer scores are stored
@@ -380,6 +380,17 @@ class MetricConfig:
             raise ConfigError(f"bleu_epsilon must be > 0, got {self.bleu_epsilon}")
         if not self.chrf_beta > 0.0:
             raise ConfigError(f"chrf_beta must be > 0, got {self.chrf_beta}")
+
+
+def check_corpus(hyps: Sequence, refs: Sequence) -> None:
+    """Check tokenized sentence pairs: as many of each side, some, and none empty."""
+    if len(hyps) != len(refs):
+        raise InvalidInputError(f"{len(hyps)} hypotheses but {len(refs)} references")
+    if not hyps:
+        raise InvalidInputError("empty corpus")
+    for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
+        if not hyp or not ref:
+            raise InvalidInputError(f"empty sentence at corpus position {pos}")
 
 
 def combine_scores(

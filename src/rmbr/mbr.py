@@ -24,23 +24,22 @@ whose 1 x 1 calls are the sentence metrics, so a pair's score is the same
 bit for bit on every path (``score_against`` uses the builder with the
 reference first and l = 1); a precomputed matrix can be loaded from disk;
 and an external scorer process can be attached over the line-JSON
-protocol, with one batch of pairs per list.  Spec strings become providers
-in a :class:`UtilitySession`, which resolves each spec once per run,
-starting and connecting nothing: a scorer opens on its first batch, and
-the session closes it.  The scorer client and the ``service:`` syntax live
-in :mod:`rmbr.scorer`, which the session imports only when it resolves a
-``service:`` spec; the provider (:class:`ServiceUtility`), its first-batch
-opener and the session's lifetime and counters stay here.
+protocol (:mod:`rmbr.scorer`, imported only for a ``service:`` spec),
+with one batch of pairs per list.  The built-in metrics use the default
+:class:`~rmbr.core.MetricConfig`; pass a provider such as
+``BleuUtility(MetricConfig(...))`` in place of a spec for another.
+
+A run checks and scores through the providers its :class:`UtilitySession`
+resolved, once per spec and starting nothing (a scorer opens on its first
+batch, and the session closes it); no list opens a session of its own.
 :func:`checked_values` is the one exact pre-scoring check of every
 scoring command: it raises exactly when some weight vector's totals
-would not rank, and returns the rows the run scores with.
-:func:`rerank_lists` is the one reranking body, for any number of lists;
-:func:`check_reranking` makes its checks and stops, so a dry run is the
-real run stopped just before scoring (see :mod:`rmbr.cli`), and a
+would not rank, and returns the rows the run scores with;
+:func:`scored_matrix` is the one scoring call.  :func:`rerank_lists` is
+the one reranking body; :func:`check_reranking` makes its checks and
+stops, so a dry run is the real run stopped just before scoring, and a
 consensus or total that is not finite after scoring is a scoring failure
-(:func:`check_scored`).  The built-in metrics use the default
-:class:`~rmbr.core.MetricConfig`; another is chosen by passing a
-provider such as ``BleuUtility(MetricConfig(...))`` in place of a spec.
+(:func:`check_scored`).
 
 numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
 functions that compute on arrays, where they run, so resolving specs and
@@ -81,11 +80,11 @@ from .io import load_utility_matrices
 
 
 class Utility(Protocol):
-    """A pairwise utility over candidates.
+    """A pairwise utility over candidates: a provider has a ``name`` and ``matrix``.
 
     ``matrix`` scores every candidate against the first ``l`` candidates of
-    the list; ``score_against`` scores every candidate against an arbitrary
-    reference text, one score per candidate (used for oracle analysis).
+    the list.  Only the oracle needs ``score_against``, which scores every
+    candidate against an arbitrary reference text, one score per candidate.
     """
 
     name: str
@@ -293,10 +292,12 @@ class UtilitySession:
                     f"got {len(spec)} utility providers for {num_lists} lists"
                 )
             for provider in spec:
-                if not hasattr(provider, "matrix"):
+                if not (hasattr(provider, "matrix") and hasattr(provider, "name")):
                     raise ConfigError(f"a per-list utility must be a provider, got {provider!r}")
             return list(spec)
         if hasattr(spec, "matrix"):
+            if not hasattr(spec, "name"):
+                raise ConfigError(f"a utility provider needs a name, got {spec!r}")
             return [spec] * num_lists
         if not isinstance(spec, str):
             raise ConfigError(f"unknown utility spec {spec!r}")
@@ -341,13 +342,22 @@ class UtilitySession:
         }
 
 
+def scored_matrix(nbest: NBestList, provider, l: int) -> UtilityMatrix:
+    """The one scoring call: a resolved provider's checked n x l matrix of the list."""
+    import numpy as np
+
+    values = provider.matrix(nbest, l)
+    if np.shape(values) != (nbest.n, l):
+        raise DimensionError(f"{provider.name} gave shape {np.shape(values)}, not {(nbest.n, l)}")
+    return UtilityMatrix(values=values, utility_name=provider.name)
+
+
 def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
-    """Score every candidate against the list's top-l candidates."""
+    """Score every candidate against the list's top-l candidates (:func:`scored_matrix`)."""
     if not 1 <= l <= nbest.n:
         raise InvalidInputError(f"l must be in 1..{nbest.n}, got {l}")
     with UtilitySession() as session:
-        (provider,) = session.providers(utility, 1)
-        return UtilityMatrix(values=provider.matrix(nbest, l), utility_name=provider.name)
+        return scored_matrix(nbest, session.providers(utility, 1)[0], l)
 
 
 def expected_utilities(values: np.ndarray, l: int) -> list[float]:
@@ -383,7 +393,7 @@ def scored_consensus(nbest: NBestList, utility, l: int, checked, depths=(None,))
     """
     if checked is not None:
         return checked
-    return consensus_rows(build_utility_matrix(nbest, utility, l).values, l, depths)
+    return consensus_rows(scored_matrix(nbest, utility, l).values, l, depths)
 
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 # the metric settings live in rmbr.core, which loads without numpy; re-exported
-from .core import BLEU_SMOOTHING_MODES, OBJECTIVE_METRICS, MetricConfig
+from .core import BLEU_SMOOTHING_MODES, OBJECTIVE_METRICS, MetricConfig, check_corpus
 from .errors import InvalidInputError
 from .kernels import encode_ngram_blocks, pair_match_counts
 
@@ -289,15 +289,7 @@ def corpus_bleu(
     each hypothesis's counts against its own reference.
     """
     cfg = cfg or MetricConfig()
-    if len(hyps) != len(refs):
-        raise InvalidInputError(
-            f"got {len(hyps)} hypotheses for {len(refs)} references"
-        )
-    if not hyps:
-        raise InvalidInputError("empty corpus")
-    for pos, (hyp, ref) in enumerate(zip(hyps, refs)):
-        if not hyp or not ref:
-            raise InvalidInputError(f"empty sentence at corpus position {pos}")
+    check_corpus(hyps, refs)
     order = cfg.bleu_max_order
     sums = np.zeros(2 * order + 2, dtype=np.int64)
     for start in range(0, len(hyps), _CORPUS_BLOCK_PAIRS):

@@ -145,6 +145,39 @@ def test_oracle_histogram_validation():
         oracle_histogram([make_list(["a"], reference="a")], bin_width=0)
 
 
+class _NoScoreAgainst:
+    """A provider with a name and a matrix, which the oracle cannot use."""
+
+    name = "plain"
+
+    def matrix(self, nbest, l):
+        return np.ones((nbest.n, l))
+
+
+def test_an_oracle_utility_that_cannot_score_against_a_reference_fails_before_any_score(
+    tmp_path,
+):
+    lists = [make_list(["a b", "c d"], reference="a b") for _ in range(2)]
+    path = tmp_path / "m.mat"
+    write_utility_matrix(path, UtilityMatrix(values=np.ones((2, 2)), utility_name="ext"))
+    stored = "^a precomputed utility matrix cannot score against new references$"
+    for unusable, message in (
+        (_NoScoreAgainst(), "^an oracle utility needs score_against, got "),
+        (MatrixUtility(UtilityMatrix(values=np.ones((2, 2)), utility_name="ext")), stored),
+    ):
+        client = _CountingClient()
+        # the usable provider comes first: nothing may be scored before the refusal
+        with pytest.raises(ConfigError, match=message):
+            oracle_histogram(lists, utility=[ServiceUtility(client), unusable])
+        with pytest.raises(ConfigError, match=message):
+            oracle_select(lists[0], unusable)
+        assert client.calls == 0
+    spec = f"matrix:{path}"
+    for call in (lambda: oracle_histogram(lists, spec), lambda: oracle_select(lists[0], spec)):
+        with pytest.raises(ConfigError, match=stored):
+            call()
+
+
 def test_token_prob_by_length_top1():
     half = math.log(0.5)
     lists = [

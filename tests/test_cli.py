@@ -22,7 +22,7 @@ import rmbr.cli as cli
 import rmbr.mbr as mbr
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import build_parser, main
-from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix
+from rmbr.core import CoarseToFine, NBestList, RerankConfig, UtilityMatrix, check_corpus
 from rmbr.errors import InvalidInputError, MissingScoreError
 from rmbr.io import read_results, write_nbest, write_utility_matrices, write_utility_matrix
 from rmbr.mbr import MatrixUtility, rerank
@@ -690,6 +690,27 @@ def test_eval_empty_files_exit_1(tmp_path, capsys, metric, dry):
     args += ["--metric", metric] + (["--dry-run"] if dry else [])
     assert run(args) == 1
     assert capsys.readouterr().err == "error: empty corpus\n"
+
+
+@pytest.mark.parametrize(
+    "hyps, refs, message",
+    [
+        ("a\nb\n", "a\n", "2 hypotheses but 1 references"),
+        ("", "", "empty corpus"),
+        ("a\n \n", "a\nb\n", "empty sentence at corpus position 1"),
+    ],
+    ids=["length", "empty-corpus", "empty-sentence"],
+)
+def test_eval_and_corpus_bleu_make_one_corpus_check(tmp_path, capsys, hyps, refs, message):
+    (tmp_path / "h.txt").write_text(hyps, encoding="utf-8")
+    (tmp_path / "r.txt").write_text(refs, encoding="utf-8")
+    for dry in ([], ["--dry-run"]):
+        assert run(["eval", "--hyps", tmp_path / "h.txt", "--refs", tmp_path / "r.txt", *dry]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    tokens = [h.split() for h in hyps.splitlines()], [r.split() for r in refs.splitlines()]
+    for check in (check_corpus, corpus_bleu):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            check(*tokens)
 
 
 _WHITESPACE_REFERENCE_ERRORS = {
@@ -1450,6 +1471,35 @@ def test_report_counts_pairs_from_concurrent_threads(dev_file, tmp_path):
     assert report["scorer_processes"] == 1
     assert report["scorer_pairs"] == sum(lst.n * lst.n for lst in lists)
     _assert_all_gone(_started_pids(log))
+
+
+@pytest.mark.parametrize(
+    "words, sessions",
+    [
+        (["oracle"], 1),
+        (["rerank", "--lambda", "lp=0.1"], 2),
+        (["c2f", "--keep", "2", "--utility", "chrf"], 2),
+        (["tune-lambda", "--regularizers", "lp,qe"], 2),
+        (["tune-l"], 2),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_scoring_run_opens_no_session_per_list(tmp_path, monkeypatch, words, sessions):
+    """The command's session resolves the specs, and the library body it calls
+    opens at most one more, which passes the resolved providers through."""
+    rng = np.random.default_rng(45)
+    path = tmp_path / "dev.jsonl"
+    write_nbest(path, [random_list(rng, 4, with_extras=True) for _ in range(3)])
+    opened = []
+    init = mbr.UtilitySession.__init__
+
+    def counted(session):
+        opened.append(session)
+        init(session)
+
+    monkeypatch.setattr(mbr.UtilitySession, "__init__", counted)
+    assert run([words[0], "-i", path, "-o", tmp_path / "out", *words[1:]]) == 0
+    assert len(opened) == sessions
 
 
 def test_rerank_checks_l_before_starting_a_scorer(tmp_path):

@@ -465,6 +465,63 @@ def test_a_per_list_utility_list_must_hold_providers(tmp_path):
             call()
 
 
+class _Nameless:
+    """Has a provider's ``matrix`` but no ``name``."""
+
+    def matrix(self, nbest, l):
+        return np.ones((nbest.n, l))
+
+
+@pytest.mark.parametrize(
+    "utility, message",
+    [
+        (_Nameless(), "^a utility provider needs a name, got "),
+        ([_Nameless()], "^a per-list utility must be a provider, got "),
+    ],
+)
+def test_a_provider_without_a_name_is_refused_where_it_is_resolved(utility, message):
+    lst = trivial_list(2, reference="t0")
+    config = RerankConfig(utility=utility)
+    calls = [
+        lambda: UtilitySession().providers(utility, 1),
+        lambda: check_reranking([lst], config),
+        lambda: rerank(lst, config),
+        lambda: tune_l([lst], config),
+        lambda: build_utility_matrix(lst, utility, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=message):
+            call()
+
+
+class _Shaped:
+    """A provider whose matrix has ``rows`` more rows and ``cols`` more columns than asked."""
+
+    name = "shaped"
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = rows, cols
+
+    def matrix(self, nbest, l):
+        return np.ones((nbest.n + self.rows, l + self.cols))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, -1), (1, 0), (-1, 0), (0, 1)])
+def test_a_provider_matrix_of_any_other_shape_than_n_by_l_is_a_dimension_error(rows, cols):
+    lst = trivial_list(3)
+    util = _Shaped(rows, cols)
+    stages = CoarseToFine(util, 2)
+    for call in (
+        lambda: rerank(lst, RerankConfig(utility=util)),
+        lambda: rerank(lst, RerankConfig(utility=util, l=2)),
+        lambda: rerank(lst, RerankConfig(utility=BleuUtility(), coarse_to_fine=stages)),
+        lambda: build_utility_matrix(lst, util, 3),
+    ):
+        with pytest.raises(DimensionError, match=r"^shaped gave shape \(\d, \d\), not \(\d, \d\)$"):
+            call()
+    assert rerank(lst, RerankConfig(utility=_Shaped(0, 0))).mbr_scores == (1.0, 1.0, 1.0)
+
+
 def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
     path = tmp_path / "m.mat"
     write_utility_matrix(path, random_matrix(np.random.default_rng(19), 3))
