@@ -10,21 +10,22 @@ set.  The oracle and the tuners each check and score in one
 once for all lists (one scorer per ``service:`` spec, closed when the
 call returns): one check pass takes every list before the first score,
 and one body scores each list with what the check returned.  The
-oracle's check, :func:`_checked_oracle`, wants a bin width of at least 1
-and providers that score against a reference; its body,
-:func:`_oracle_picks`, makes one ``score_against`` call per list.  The
-tuners' check is reranking's, :func:`~rmbr.mbr._checked_lists`, through
-:func:`_checked_tuning`, so a total that is not finite after scoring is
-a scoring failure.  Their body, :func:`tune`, scores each list once (a
-stored matrix's consensus rows come from the check), takes each
-candidate's objective statistics (corpus BLEU sufficient statistics or
-sentence chrF) once, and at each depth gives every weight vector's
-selection in one array pass per list.  Both tune a one-stage rerank and
-reject a coarse-to-fine config.  Every function that takes a utility
-accepts a spec string, one provider shared by all lists, or a list with
-one provider per list.  Objectives use the default
-:class:`~rmbr.core.MetricConfig`.  numpy and :mod:`rmbr.metrics` are
-imported by the functions that score, where they run, so every check
+oracle's check, :func:`_checked_oracle`, wants a non-blank reference in
+every list, a bin width of at least 1 and providers that are not a
+stored matrix; its body, :func:`_oracle_picks`, scores each list against
+its reference with :func:`~rmbr.mbr.reference_scores`, one depth-1
+scoring call per list.  The tuners' check is reranking's,
+:func:`~rmbr.mbr._checked_lists`, through :func:`_checked_tuning`, so a
+total that is not finite after scoring is a scoring failure.  Their
+body, :func:`tune`, scores each list once (a stored matrix's consensus
+rows come from the check), takes each candidate's objective statistics
+(corpus BLEU sufficient statistics or sentence chrF) once, and at each
+depth gives every weight vector's selection in one array pass per list.
+Both tune a one-stage rerank and reject a coarse-to-fine config.  Every
+function that takes a utility accepts a spec string, one provider shared
+by all lists, or a list with one provider per list.  Objectives use the
+default :class:`~rmbr.core.MetricConfig`.  numpy and :mod:`rmbr.metrics`
+are imported by the functions that score, where they run, so every check
 here, and the dry run of a tuning or oracle command, loads neither.
 """
 
@@ -38,7 +39,7 @@ from typing import Sequence
 from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
 from .errors import ConfigError, InvalidInputError, MissingScoreError
 from .mbr import ChrfUtility, MatrixUtility, UtilitySession, _checked_lists, check_scored
-from .mbr import scored_consensus
+from .mbr import reference_scores, scored_consensus
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:
@@ -77,25 +78,24 @@ def corpus_objective(
     return sum(scores) / len(scores)
 
 
-def _checked_oracle(session, lists, utility, bin_width, name="bin_width") -> list:
-    """The oracle's pre-scoring check: lists, a bin width (``name``) >= 1, and
-    providers, resolved in ``session`` and returned, that score against a reference."""
+def _checked_oracle(session, lists, utility, bin_width, metric, name="bin_width") -> list:
+    """The oracle's pre-scoring check: :func:`check_objective` of ``metric``,
+    lists, a bin width (``name``) >= 1, and providers, resolved in ``session``
+    and returned, that are not a stored matrix."""
+    check_objective(lists, metric)
     if not lists:
         raise InvalidInputError("no lists")
     if bin_width < 1:
         raise ConfigError(f"{name} must be >= 1, got {bin_width}")
     providers = session.providers(utility, len(lists))
-    for provider in providers:
-        if isinstance(provider, MatrixUtility):
-            raise ConfigError("a precomputed utility matrix cannot score against new references")
-        if not hasattr(provider, "score_against"):
-            raise ConfigError(f"an oracle utility needs score_against, got {provider!r}")
+    if any(isinstance(provider, MatrixUtility) for provider in providers):
+        raise ConfigError("a precomputed utility matrix cannot score against new references")
     return providers
 
 
 def _oracle_picks(lists, providers) -> list[tuple[int, float]]:
     """Each list's best candidate against its reference, the first on a tie, and its score."""
-    scores = [provider.score_against(lst, lst.reference) for lst, provider in zip(lists, providers)]
+    scores = [reference_scores(lst, provider) for lst, provider in zip(lists, providers)]
     return [max(enumerate(s), key=lambda pick: pick[1]) for s in scores]
 
 
@@ -104,10 +104,8 @@ def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
 
     Ties go to the earlier (better beam rank) candidate.
     """
-    if nbest.reference is None:
-        raise InvalidInputError("oracle selection needs a reference")
     with UtilitySession() as session:
-        return _oracle_picks([nbest], _checked_oracle(session, [nbest], utility, 1))[0]
+        return _oracle_picks([nbest], _checked_oracle(session, [nbest], utility, 1, "bleu"))[0]
 
 
 @dataclass(frozen=True)
@@ -150,9 +148,9 @@ def oracle_histogram(
     proportions sum to 1.  ``corpus_metric`` is the corpus objective of the
     oracle selections — the reranking ceiling.
     """
-    check_objective(lists, objective_metric)
     with UtilitySession() as session:
-        picks = _oracle_picks(lists, _checked_oracle(session, lists, utility, bin_width))
+        providers = _checked_oracle(session, lists, utility, bin_width, objective_metric)
+        picks = _oracle_picks(lists, providers)
     return _oracle_report(lists, picks, bin_width, objective_metric)
 
 
@@ -384,7 +382,8 @@ def tune(lists, config, grid, metric):
     (:func:`~rmbr.mbr.scored_consensus`, as reranking does), with the
     config's utility spec resolved once for all lists.  Then each
     candidate's objective statistics are taken against the list's
-    reference: the rows of :func:`bleu_stats`, or its sentence chrF.
+    reference: the rows of :func:`bleu_stats`, or its sentence chrF
+    (:func:`~rmbr.mbr.reference_scores` with chrF).
     Returns the first setting with the highest objective, as its depth
     (None for a grid search) and its weights by name, that objective, and
     the objective of every setting, depth by depth.
@@ -404,7 +403,7 @@ def tune(lists, config, grid, metric):
     else:
         weights = _weight_vectors(grid, len(config.regularizers))
     if metric == "chrf":
-        stats = [np.array(ChrfUtility().score_against(lst, lst.reference)) for lst in lists]
+        stats = [np.array(reference_scores(lst, ChrfUtility())) for lst in lists]
     else:
         stats = [
             bleu_stats([c.tokens for c in lst.candidates], lst.reference.split()) for lst in lists

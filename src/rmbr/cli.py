@@ -328,13 +328,12 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .analysis import _checked_oracle, _oracle_picks, _oracle_report, check_objective
+    from .analysis import _checked_oracle, _oracle_picks, _oracle_report
 
     started = time.monotonic()
     lists = load_nbest(args.input)
-    check_objective(lists, args.metric)
     with UtilitySession() as session:
-        providers = _checked_oracle(session, lists, args.utility, args.bins, "--bins")
+        providers = _checked_oracle(session, lists, args.utility, args.bins, args.metric, "--bins")
         if args.dry_run:
             return _validated(lists)
         report = _oracle_report(lists, _oracle_picks(lists, providers), args.bins, args.metric)

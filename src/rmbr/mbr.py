@@ -21,8 +21,7 @@ indicator matrix products in BLAS, exact in integers), and turns the whole
 count tensor into scores with one array routine per metric,
 :func:`~rmbr.metrics.bleu_scores` or :func:`~rmbr.metrics.chrf_scores`,
 whose 1 x 1 calls are the sentence metrics, so a pair's score is the same
-bit for bit on every path (``score_against`` uses the builder with the
-reference first and l = 1); a precomputed matrix can be loaded from disk;
+bit for bit on every path; a precomputed matrix can be loaded from disk;
 and an external scorer process can be attached over the line-JSON
 protocol (:mod:`rmbr.scorer`, imported only for a ``service:`` spec),
 with one batch of pairs per list.  The built-in metrics use the default
@@ -35,11 +34,13 @@ batch, and the session closes it); no list opens a session of its own.
 :func:`checked_values` is the one exact pre-scoring check of every
 scoring command: it raises exactly when some weight vector's totals
 would not rank, and returns the rows the run scores with;
-:func:`scored_matrix` is the one scoring call.  :func:`rerank_lists` is
-the one reranking body; :func:`check_reranking` makes its checks and
-stops, so a dry run is the real run stopped just before scoring, and a
-consensus or total that is not finite after scoring is a scoring failure
-(:func:`check_scored`).
+:func:`scored_matrix` is the one scoring call, and a provider has no
+other: :func:`reference_scores` scores a list against its reference
+through it, at depth 1 with the reference put first.
+:func:`rerank_lists` is the one reranking body; :func:`check_reranking`
+makes its checks and stops, so a dry run is the real run stopped just
+before scoring, and a consensus or total that is not finite after
+scoring is a scoring failure (:func:`check_scored`).
 
 numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
 functions that compute on arrays, where they run, so resolving specs and
@@ -61,6 +62,7 @@ from typing import Protocol
 
 from .core import (
     REGULARIZER_NAMES,
+    Candidate,
     MetricConfig,
     NBestList,
     RerankConfig,
@@ -83,15 +85,12 @@ class Utility(Protocol):
     """A pairwise utility over candidates: a provider has a ``name`` and ``matrix``.
 
     ``matrix`` scores every candidate against the first ``l`` candidates of
-    the list.  Only the oracle needs ``score_against``, which scores every
-    candidate against an arbitrary reference text, one score per candidate.
+    the list; :func:`reference_scores` scores against a reference through it.
     """
 
     name: str
 
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray: ...
-
-    def score_against(self, nbest: NBestList, reference: str) -> list[float]: ...
 
 
 def encode_ngram_blocks(seqs, order):
@@ -145,12 +144,6 @@ class BleuUtility:
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
         return self._scores([c.tokens for c in nbest.candidates], l)
 
-    def score_against(self, nbest, reference):
-        ref = tuple(reference.split())
-        if not ref:
-            raise InvalidInputError("reference is empty")
-        return self._scores([ref, *(c.tokens for c in nbest.candidates)], 1)[1:, 0].tolist()
-
 
 class ChrfUtility:
     """Character n-gram F-score between candidate texts, via the match-count kernel."""
@@ -171,15 +164,6 @@ class ChrfUtility:
 
         return self._scores([chrf_characters(c.text) for c in nbest.candidates], l)
 
-    def score_against(self, nbest, reference):
-        from .metrics import chrf_characters
-
-        ref = chrf_characters(reference)
-        if not ref:
-            raise InvalidInputError("reference is empty after whitespace stripping")
-        hyps = [chrf_characters(c.text) for c in nbest.candidates]
-        return self._scores([ref, *hyps], 1)[1:, 0].tolist()
-
 
 class MatrixUtility:
     """A utility whose pairwise values were precomputed and stored."""
@@ -195,11 +179,6 @@ class MatrixUtility:
                 f"need at least {nbest.n}x{l}"
             )
         return self._matrix.values[: nbest.n, :l]
-
-    def score_against(self, nbest, reference):
-        raise ConfigError(
-            "a precomputed utility matrix cannot score against new references"
-        )
 
 
 class ServiceUtility:
@@ -223,11 +202,6 @@ class ServiceUtility:
 
         scores = self.client.score_pairs(pairs)
         return np.array(scores, dtype=np.float64).reshape(nbest.n, l)
-
-    def score_against(self, nbest, reference):
-        return self.client.score_pairs(
-            [(nbest.source, c.text, reference) for c in nbest.candidates]
-        )
 
 
 class _ScorerOnFirstBatch:
@@ -350,6 +324,19 @@ def scored_matrix(nbest: NBestList, provider, l: int) -> UtilityMatrix:
     if np.shape(values) != (nbest.n, l):
         raise DimensionError(f"{provider.name} gave shape {np.shape(values)}, not {(nbest.n, l)}")
     return UtilityMatrix(values=values, utility_name=provider.name)
+
+
+def reference_scores(nbest: NBestList, provider) -> list[float]:
+    """Each candidate's score against the list's reference, through :func:`scored_matrix`.
+
+    The reference is put first as a candidate (log-prob 0.0, its
+    whitespace tokens) and the list scored at depth 1; its rows 1..n are
+    the scores.  The reference must hold a non-whitespace character, and
+    the provider must not be a stored matrix, whose rows are the list's.
+    """
+    reference = Candidate(text=nbest.reference, tokens=nbest.reference.split(), log_prob=0.0)
+    with_reference = replace(nbest, candidates=(reference, *nbest.candidates))
+    return scored_matrix(with_reference, provider, 1).values[1:, 0].tolist()
 
 
 def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
@@ -514,6 +501,7 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
     Resolves the config in ``session`` and checks :func:`check_reranking`'s
     rules, then passes each list to :func:`checked_values` once, with the
     config's weight row unless ``weights`` are given, at each of ``depths``.
+    A missing regularizer field is reported with its 0-based list index.
     Returns the resolved config and, per list, the proxy's consensus (None
     without coarse-to-fine) and the target's :func:`checked_values` rows.
     """
@@ -530,7 +518,10 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
                 raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
             proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
         l = config.resolve_l(nbest.n)
-        target = checked_values(nbest, utilities[i], l, config.regularizers, weights, depths)
+        try:
+            target = checked_values(nbest, utilities[i], l, config.regularizers, weights, depths)
+        except MissingScoreError as missing:
+            raise MissingScoreError(f"list {i}: {missing}") from None
         checked.append((proxy, *target))
     return config, checked
 

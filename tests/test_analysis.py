@@ -145,13 +145,14 @@ def test_oracle_histogram_validation():
         oracle_histogram([make_list(["a"], reference="a")], bin_width=0)
 
 
-class _NoScoreAgainst:
-    """A provider with a name and a matrix, which the oracle cannot use."""
+class _NameAndMatrix:
+    """A provider with a name and a matrix and nothing else: exact-match utility."""
 
     name = "plain"
 
     def matrix(self, nbest, l):
-        return np.ones((nbest.n, l))
+        refs = nbest.candidates[:l]
+        return np.array([[float(c.text == r.text) for r in refs] for c in nbest.candidates])
 
 
 def test_an_oracle_utility_that_cannot_score_against_a_reference_fails_before_any_score(
@@ -161,17 +162,19 @@ def test_an_oracle_utility_that_cannot_score_against_a_reference_fails_before_an
     path = tmp_path / "m.mat"
     write_utility_matrix(path, UtilityMatrix(values=np.ones((2, 2)), utility_name="ext"))
     stored = "^a precomputed utility matrix cannot score against new references$"
-    for unusable, message in (
-        (_NoScoreAgainst(), "^an oracle utility needs score_against, got "),
-        (MatrixUtility(UtilityMatrix(values=np.ones((2, 2)), utility_name="ext")), stored),
-    ):
-        client = _CountingClient()
-        # the usable provider comes first: nothing may be scored before the refusal
-        with pytest.raises(ConfigError, match=message):
-            oracle_histogram(lists, utility=[ServiceUtility(client), unusable])
-        with pytest.raises(ConfigError, match=message):
-            oracle_select(lists[0], unusable)
-        assert client.calls == 0
+    unusable = MatrixUtility(UtilityMatrix(values=np.ones((2, 2)), utility_name="ext"))
+    client = _CountingClient()
+    # the usable provider comes first: nothing may be scored before the refusal
+    with pytest.raises(ConfigError, match=stored):
+        oracle_histogram(lists, utility=[ServiceUtility(client), unusable])
+    with pytest.raises(ConfigError, match=stored):
+        oracle_select(lists[0], unusable)
+    assert client.calls == 0
+    # a name and a matrix are all the oracle needs of any other provider
+    dev = [make_list(["a b", "c d"], reference=ref) for ref in ("c d", "a b", "e f")]
+    report = oracle_histogram(dev, utility=_NameAndMatrix(), bin_width=1)
+    assert (report.indices, report.scores) == ((1, 0, 0), (1.0, 1.0, 0.0))
+    assert oracle_select(dev[0], _NameAndMatrix()) == (1, 1.0)
     spec = f"matrix:{path}"
     for call in (lambda: oracle_histogram(lists, spec), lambda: oracle_select(lists[0], spec)):
         with pytest.raises(ConfigError, match=stored):
@@ -706,8 +709,6 @@ class _NoCalls:
     def matrix(self, nbest, l):
         raise AssertionError("utility evaluated")
 
-    score_against = matrix
-
 
 @pytest.mark.parametrize("reference", [None, "", " \t "])
 def test_reference_check_comes_before_utility_work(reference):
@@ -723,6 +724,17 @@ def test_reference_check_comes_before_utility_work(reference):
             call()
     with pytest.raises(ConfigError, match="finite"):
         grid_search_lambdas(lists[:1], config, grid=(0.1, math.nan))
+
+
+@pytest.mark.parametrize("utility", ["bleu", "chrf", "service"])
+def test_a_blank_reference_fails_the_oracle_the_same_way_for_every_provider(utility):
+    client = _CountingClient()
+    provider = ServiceUtility(client) if utility == "service" else utility
+    lst = make_list(["a b", "c d"], reference="   ")
+    for call in (lambda: oracle_select(lst, provider), lambda: oracle_histogram([lst], provider)):
+        with pytest.raises(InvalidInputError, match="^list 0 has no reference$"):
+            call()
+    assert client.calls == 0
 
 
 def test_tune_l_uses_truncation_consistent_scores():

@@ -1023,7 +1023,7 @@ def test_a_reranking_command_checks_every_list_before_a_scorer_starts(
     spec, log = _logging_scorer(tmp_path, "ok")
     args, _ = _scorer_command(command, spec, "-i", nbest, "-o", tmp_path / "out")
     assert run(args + ["--lambda", "qe=1"] + (["--dry-run"] if dry else [])) == 1
-    assert capsys.readouterr().err == "error: candidate 0 has no external score 'qe'\n"
+    assert capsys.readouterr().err == "error: list 3: candidate 0 has no external score 'qe'\n"
     assert _started_pids(log) == []
     assert not (tmp_path / "out").exists()
 
@@ -1440,7 +1440,8 @@ def test_oracle_report_counts_scorer_work(dev_file, tmp_path):
     report = json.loads((tmp_path / "oracle.json.report.json").read_text(encoding="utf-8"))
     assert report["command"] == "oracle"
     assert report["scorer_processes"] == 1
-    assert report["scorer_pairs"] == sum(lst.n for lst in lists)
+    # each list is scored with its reference put first: n candidates and the reference
+    assert report["scorer_pairs"] == sum(lst.n + 1 for lst in lists)
     _assert_all_gone(_started_pids(log))
 
 

@@ -6,13 +6,14 @@ path.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rmbr import kernels, mbr
 from rmbr.kernels import encode_ngram_blocks, pair_match_counts
-from rmbr.mbr import BleuUtility, ChrfUtility
+from rmbr.mbr import BleuUtility, ChrfUtility, reference_scores
 from rmbr.metrics import (
     MetricConfig,
     bleu_from_counts,
@@ -248,14 +249,14 @@ def test_score_against_equals_oracle_exactly(case):
     reference = REFERENCES[case]
     rng = np.random.default_rng(9)
     # a three-word vocabulary makes candidates repeat n-grams too
-    lst = random_list(rng, 6, vocab=["w1", "w2", "w3"])
+    lst = replace(random_list(rng, 6, vocab=["w1", "w2", "w3"]), reference=reference)
     for cfg in CONFIGS:
         want = [oracle_bleu(c.tokens, reference.split(), cfg) for c in lst.candidates]
-        assert BleuUtility(cfg).score_against(lst, reference) == want
+        assert reference_scores(lst, BleuUtility(cfg)) == want
         assert [sentence_bleu(c.tokens, reference.split(), cfg) for c in lst.candidates] == want
     cfg = MetricConfig()
     want = [oracle_chrf(c.text, reference, cfg) for c in lst.candidates]
-    assert ChrfUtility().score_against(lst, reference) == want
+    assert reference_scores(lst, ChrfUtility()) == want
     assert [sentence_chrf(c.text, reference) for c in lst.candidates] == want
 
 
@@ -275,7 +276,7 @@ def test_utilities_count_through_the_traced_kernel_names(monkeypatch):
         assert "matrix" in vars(type(utility))
         for score in (
             lambda lst: utility.matrix(lst, lst.n),
-            lambda lst: utility.score_against(lst, lst.reference),
+            lambda lst: reference_scores(lst, utility),
         ):
             calls.clear()
             for lst in lists:

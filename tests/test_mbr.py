@@ -35,6 +35,7 @@ from rmbr.mbr import (
     mbr_scores,
     regularizer_values,
     rerank,
+    reference_scores,
     rerank_lists,
     token_entropy,
 )
@@ -581,8 +582,6 @@ def test_matrix_utility_requires_big_enough_matrix():
         with pytest.raises(DimensionError):
             util.matrix(trivial_list(n), l)
     assert np.array_equal(util.matrix(trivial_list(2), 1), matrix.values[:2, :1])
-    with pytest.raises(ConfigError):
-        util.score_against(trivial_list(1), "ref")
 
 
 def test_matrix_utility_crops_rows_and_columns():
@@ -612,8 +611,9 @@ def test_service_utility_orientation():
     assert got[2, 1] == float(3 * 10 + 2)
     assert client.pairs[0] == ("the source", "a", "a")
     assert all(src == "the source" for src, _, _ in client.pairs)
-    assert util.score_against(lst, "ref") == [13.0, 23.0, 33.0]
-    assert client.pairs == [("the source", h, "ref") for h in ("a", "bb", "ccc")]
+    # the reference is scored first, against itself: rows 1..n are the candidates
+    assert reference_scores(replace(lst, reference="ref"), util) == [13.0, 23.0, 33.0]
+    assert client.pairs == [("the source", h, "ref") for h in ("ref", "a", "bb", "ccc")]
 
 
 def test_chrf_utility_rejects_whitespace_only_candidate():
