@@ -272,8 +272,8 @@ def _weight_vectors(grid, r: int) -> np.ndarray:
 _GRID_BLOCK_CELLS = 1 << 16
 
 
-def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarray:
-    """The candidate each weight vector selects on the scored list ``nbest``.
+def _grid_selections(consensus, values, weights: np.ndarray, index: int) -> np.ndarray:
+    """The candidate each weight vector selects on the scored list ``index`` (0-based).
 
     ``values`` holds r rows of regularizer values, one per candidate, and
     ``weights`` one row of r weights per vector, in the same order.  A
@@ -282,8 +282,8 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarra
     performs, so they are bit-identical.  The selection is the first
     maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
     wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
-    time; a block of totals that is not finite raises as
-    :func:`~rmbr.mbr.check_scored` does.
+    time; a block of totals that is not finite raises
+    :func:`~rmbr.mbr.check_scored`'s error, which names the list ``index``.
     """
     import numpy as np
 
@@ -297,7 +297,7 @@ def _grid_selections(consensus, values, weights: np.ndarray, nbest) -> np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):
             for k, row in enumerate(values):
                 totals += np.multiply.outer(block[:, k], row)
-        check_scored(nbest, totals)
+        check_scored(index, totals)
         picks[start : start + len(block)] = totals.argmax(axis=1)
     return picks
 
@@ -351,7 +351,7 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     """The objective of the selections each weight vector makes on the dev lists.
 
     ``scored`` holds each scored list's consensus scores, its regularizer
-    rows, the list and its per-candidate objective statistics; ``weights``
+    rows and its per-candidate objective statistics, in list order; ``weights``
     holds one weight vector per row.  The selected candidates' statistics
     are summed per vector by Python's ``sum``, list by list in list order as
     :func:`corpus_objective` sums chrF, with no (vectors x lists) array,
@@ -361,8 +361,8 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     from .metrics import corpus_bleu_scores
 
     sums = sum(
-        stats[_grid_selections(consensus, values, weights, lst)]
-        for consensus, values, lst, stats in scored
+        stats[_grid_selections(consensus, values, weights, i)]
+        for i, (consensus, values, stats) in enumerate(scored)
     )
     if metric == "chrf":
         return (sums / len(scored)).tolist()
@@ -410,10 +410,7 @@ def tune(lists, config, grid, metric):
         ]
     curve = []
     for d in range(len(depths)):
-        at_d = [
-            (consensus[d], regs, lst, s)
-            for lst, (consensus, regs), s in zip(lists, scored, stats)
-        ]
+        at_d = [(consensus[d], regs, s) for (consensus, regs), s in zip(scored, stats)]
         curve += _grid_objectives(at_d, weights, metric)
     best = max(range(len(curve)), key=curve.__getitem__)
     depth, row = divmod(best, len(weights))

@@ -6,18 +6,20 @@ Subcommands: ``rerank`` (direct expected-utility reranking), ``c2f``
 ``tokenprob`` (token-probability-by-length table), ``eval`` (corpus metric
 of a hypothesis file).
 
-Exit codes: 0 on success, 1 for invalid input or configuration, 2 for
-scorer-transport, scoring (including a non-finite score, or scores whose
-consensus or weighted totals are not finite) or other runtime failures,
-and 130 on Ctrl-C.  An ``--output`` that names a directory is
-invalid input, refused before any work.  Errors go to stderr prefixed
-``error:``.  Output files are written to a temp file and renamed into
-place, so none is left half-written.  The commands that score (``rerank``, ``c2f``,
-``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
-next to their output file (``<output>.report.json``) with timings and
-call counts, including the scorer connections the run opened and the
-pairs they scored; the report is informational and not part of the
-output contract.
+Exit codes: 0 on success; an rmbr error's class gives its ``exit_code``
+(:mod:`rmbr.errors`): 1 for invalid input or configuration, 2 for
+scorer-transport or scoring failures (including a non-finite score, or
+scores whose consensus or weighted totals are not finite); a missing file
+is 1, any other OS error 2, and Ctrl-C 130.  A check failure of one list
+names its 0-based index, ``list i:``.  An ``--output`` that names a
+directory is invalid input, refused before any work.  Errors go to stderr
+as one line prefixed ``error:``.  Output files are written to a temp file
+and renamed into place, so none is left half-written.  The commands that
+score (``rerank``, ``c2f``, ``tune-lambda``, ``tune-l`` and ``oracle``)
+also write a JSON run report next to their output file
+(``<output>.report.json``) with timings and call counts, including the
+scorer connections the run opened and the pairs they scored; the report
+is informational and not part of the output contract.
 
 Each subcommand accepts only the flags it reads, by full name only, with
 one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
@@ -68,25 +70,9 @@ from .core import (
     RerankConfig,
     check_corpus,
 )
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvalidInputError,
-    MissingScoreError,
-    ParseError,
-    ScoringError,
-    TransportError,
-)
+from .errors import ConfigError, InvalidInputError, RmbrError
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
 from .mbr import UtilitySession, check_reranking, rerank_lists
-
-_VALIDATION_ERRORS = (
-    InvalidInputError,
-    ConfigError,
-    ParseError,
-    DimensionError,
-    MissingScoreError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,12 +385,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_output(args)
         return _COMMANDS[args.command](args)
-    except (*_VALIDATION_ERRORS, FileNotFoundError) as e:
+    except (RmbrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (TransportError, ScoringError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return getattr(e, "exit_code", 1 if isinstance(e, FileNotFoundError) else 2)
     except KeyboardInterrupt:  # the session has closed its scorers by now
         print("error: interrupted", file=sys.stderr)
         return 130

@@ -1,13 +1,16 @@
 """Exception hierarchy for the rmbr package.
 
-Validation-type errors (bad inputs, bad configuration, malformed files)
-are distinct from runtime errors (transport failures, remote scoring
-failures) so the CLI can map them to different exit codes.
+A class's ``exit_code`` is the CLI's exit status for it: 1 for validation
+errors (bad inputs, bad configuration, malformed files), 2 for runtime
+errors (transport failures, remote scoring failures).  A check failure of
+one n-best list names its 0-based index, ``list i:``.
 """
 
 
 class RmbrError(Exception):
     """Base class for all rmbr errors."""
+
+    exit_code = 1
 
 
 class InvalidInputError(RmbrError, ValueError):
@@ -39,6 +42,10 @@ class DimensionError(RmbrError):
 class TransportError(RmbrError):
     """Scorer-service connection, protocol, or timeout failure."""
 
+    exit_code = 2
+
 
 class ScoringError(RmbrError):
     """The scorer service returned an error response for a request."""
+
+    exit_code = 2

@@ -76,6 +76,7 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     MissingScoreError,
+    RmbrError,
     ScoringError,
 )
 from .io import load_utility_matrices
@@ -135,14 +136,11 @@ class BleuUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
-    def _scores(self, seqs, l) -> np.ndarray:
+    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
         from .metrics import bleu_scores
 
-        order = self.config.bleu_max_order
-        return _ngram_matrix(seqs, order, l, bleu_scores, self.config)
-
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        return self._scores([c.tokens for c in nbest.candidates], l)
+        seqs = [c.tokens for c in nbest.candidates]
+        return _ngram_matrix(seqs, self.config.bleu_max_order, l, bleu_scores, self.config)
 
 
 class ChrfUtility:
@@ -153,16 +151,11 @@ class ChrfUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
-    def _scores(self, seqs, l) -> np.ndarray:
-        from .metrics import chrf_scores
-
-        order = self.config.chrf_char_order
-        return _ngram_matrix(seqs, order, l, chrf_scores, self.config)
-
     def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        from .metrics import chrf_characters
+        from .metrics import chrf_characters, chrf_scores
 
-        return self._scores([chrf_characters(c.text) for c in nbest.candidates], l)
+        seqs = [chrf_characters(c.text) for c in nbest.candidates]
+        return _ngram_matrix(seqs, self.config.chrf_char_order, l, chrf_scores, self.config)
 
 
 class MatrixUtility:
@@ -501,7 +494,7 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
     Resolves the config in ``session`` and checks :func:`check_reranking`'s
     rules, then passes each list to :func:`checked_values` once, with the
     config's weight row unless ``weights`` are given, at each of ``depths``.
-    A missing regularizer field is reported with its 0-based list index.
+    A list's check failure is raised as its class, prefixed ``list i:``.
     Returns the resolved config and, per list, the proxy's consensus (None
     without coarse-to-fine) and the target's :func:`checked_values` rows.
     """
@@ -512,16 +505,16 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
         raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
     checked = []
     for i, nbest in enumerate(lists):
-        proxy = None
-        if stages is not None:
-            if stages.keep > nbest.n:
-                raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
-            proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
-        l = config.resolve_l(nbest.n)
         try:
+            proxy = None
+            if stages is not None:
+                if stages.keep > nbest.n:
+                    raise InvalidInputError(f"keep={stages.keep} exceeds list size {nbest.n}")
+                proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
+            l = config.resolve_l(nbest.n)
             target = checked_values(nbest, utilities[i], l, config.regularizers, weights, depths)
-        except MissingScoreError as missing:
-            raise MissingScoreError(f"list {i}: {missing}") from None
+        except RmbrError as e:
+            raise type(e)(f"list {i}: {e}") from None
         checked.append((proxy, *target))
     return config, checked
 
@@ -538,8 +531,8 @@ def check_reranking(lists, config: RerankConfig) -> None:
         _checked_lists(session, lists, config)
 
 
-def check_scored(nbest: NBestList, totals) -> None:
-    """Raise :class:`ScoringError` unless every total of a scored list is finite.
+def check_scored(index: int, totals) -> None:
+    """Raise :class:`ScoringError`, naming list ``index``, unless every total is finite.
 
     :func:`check_reranking` (and, for a tuning run,
     :func:`~rmbr.analysis.check_tuning`) has proved that every value
@@ -550,7 +543,7 @@ def check_scored(nbest: NBestList, totals) -> None:
     import numpy as np
 
     if not np.isfinite(totals).all():
-        raise ScoringError(f"list with source {nbest.source!r}: scores are not finite")
+        raise ScoringError(f"list {index}: scores are not finite")
 
 
 def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
@@ -576,7 +569,7 @@ def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
             survivors, calls = list(range(nbest.n)), 0
             if stages is not None:
                 proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
-                check_scored(nbest, proxy)
+                check_scored(i, proxy)
                 order, _ = rank_candidates(proxy)
                 survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
                 nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
@@ -585,7 +578,7 @@ def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
             consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
             regularizers = dict(zip(config.regularizers, regs))
             totals = combine_scores(consensus, regularizers, config.lambdas)
-            check_scored(nbest, totals)
+            check_scored(i, totals)
             ranking, _ = rank_candidates(totals)
             results.append(
                 RerankResult(

@@ -497,7 +497,7 @@ def test_the_sweep_check_fails_a_depth_whose_consensus_is_nan():
     consensus = mbr.consensus_rows(values, 8, range(1, 9))[:, 0]
     assert np.isnan(consensus[-1]) and np.isfinite(consensus[:-1]).all()
     config = RerankConfig(utility=MatrixUtility(UtilityMatrix(values, utility_name="ext")))
-    with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+    with pytest.raises(InvalidInputError, match="^list 0: total scores must be finite$"):
         check_tuning([trivial_list(8)], config)
 
 
@@ -614,7 +614,7 @@ def test_lambda_grid_check_resolves_a_stored_matrix_spec(tmp_path, monkeypatch):
     write_utility_matrix(path, big)
     lists = [_scored_list(qe=0.0)]
     config = RerankConfig(utility=f"matrix:{path}", lambdas={"qe": 0.0})
-    with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+    with pytest.raises(InvalidInputError, match="^list 0: total scores must be finite$"):
         check_tuning(lists, config, [1.0])
     # one read per call, shared by the grid check and the scoring pass
     write_utility_matrix(path, UtilityMatrix(values=np.eye(2), utility_name="ext"))

@@ -19,6 +19,7 @@ import pytest
 import rmbr
 import rmbr.analysis as analysis
 import rmbr.cli as cli
+import rmbr.errors as errors
 import rmbr.mbr as mbr
 from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length, tune_l
 from rmbr.cli import build_parser, main
@@ -621,6 +622,45 @@ def test_a_matrix_header_the_constructor_rejects_fails_on_its_line(
 # failure modes and exit codes
 
 
+# the exit status README documents for each class in rmbr.errors
+_DOCUMENTED_EXIT_CODES = {
+    "RmbrError": 1,
+    "InvalidInputError": 1,
+    "ConfigError": 1,
+    "MissingScoreError": 1,
+    "ParseError": 1,
+    "DimensionError": 1,
+    "TransportError": 2,
+    "ScoringError": 2,
+}
+_ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.RmbrError)
+]
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_rmbr_error_exits_with_its_documented_status(monkeypatch, capsys, error):
+    """Whatever a command raises of :mod:`rmbr.errors`, the base class
+    included, ``main()`` returns the status documented for its class and
+    prints one ``error:`` line."""
+
+    def fail(args):
+        raise error("it failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+    assert run(["eval", "--hyps", "h.txt", "--refs", "r.txt"]) == (
+        _DOCUMENTED_EXIT_CODES[error.__name__]
+    )
+    assert capsys.readouterr() == ("", "error: it failed\n")
+
+
+def test_a_lambda_without_a_value_exits_1(dev_file, tmp_path, capsys):
+    path, _ = dev_file
+    assert run(["rerank", "-i", path, "-o", tmp_path / "o.txt", "--lambda", "qe"]) == 1
+    assert capsys.readouterr().err == "error: --lambda wants NAME=VALUE, got 'qe'\n"
+    assert list(tmp_path.glob("o.txt*")) == []
+
+
 def test_validation_failures_exit_1(dev_file, tmp_path, capsys):
     path, _ = dev_file
     out = tmp_path / "o.txt"
@@ -927,7 +967,7 @@ def test_scorer_values_that_overflow_are_a_scoring_failure(tmp_path, capsys, com
     args += ["-i", nbest, "-o", tmp_path / "out"]
     assert run(args) == 2
     assert capsys.readouterr().err == (
-        "error: list with source 'das haus': scores are not finite\n"
+        "error: list 0: scores are not finite\n"
     )
     assert list(tmp_path.glob("out*")) == []
     pids = _started_pids(log)
@@ -952,9 +992,9 @@ def test_a_stored_matrix_that_overflows_only_at_a_shallower_depth_is_invalid_inp
     write_utility_matrix(tmp_path / "mat", UtilityMatrix(values=values, utility_name="ext"))
     args = ["tune-l", "-i", nbest, "--utility", f"matrix:{tmp_path / 'mat'}"]
     assert run(args + ["--dry-run"]) == 1
-    assert capsys.readouterr().err == "error: total scores must be finite\n"
+    assert capsys.readouterr().err == "error: list 0: total scores must be finite\n"
     assert run(args) == 1
-    assert capsys.readouterr().err == "error: total scores must be finite\n"
+    assert capsys.readouterr().err == "error: list 0: total scores must be finite\n"
 
 
 def test_tuners_check_every_list_before_a_scorer_starts(tmp_path):
@@ -1240,7 +1280,11 @@ def test_the_process_entry_freezes_the_heap_before_exit(dev_file, tmp_path):
     word, count = stderr.split()
     assert word == "frozen" and int(count) > 1000
     code, _, stderr = _run_process(args + ["--l", "99"], probe=_FROZEN)
-    assert code == 1 and stderr.startswith("error: l=99 exceeds") and int(stderr.split()[-1]) > 1000
+    assert (
+        code == 1
+        and stderr.startswith("error: list 0: l=99 exceeds")
+        and int(stderr.split()[-1]) > 1000
+    )
 
 
 _RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "logging", "uuid")

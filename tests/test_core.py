@@ -33,6 +33,11 @@ def test_candidate_rejects_empty_tokens():
         Candidate(text="", tokens=(), log_prob=-1.0)
 
 
+def test_candidate_with_text_but_no_tokens_is_refused():
+    with pytest.raises(InvalidInputError, match="^candidate has no tokens$"):
+        Candidate(text="a", tokens=[], log_prob=-1.0)
+
+
 @pytest.mark.parametrize("lp", [0.5, math.inf, math.nan])
 def test_candidate_rejects_bad_log_prob(lp):
     with pytest.raises(InvalidInputError):

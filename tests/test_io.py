@@ -82,6 +82,18 @@ def test_load_nbest_reports_bad_json_line(tmp_path):
         load_nbest(path)
 
 
+def test_load_nbest_skips_blank_lines_and_refuses_a_record_that_is_not_an_object(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    good = json.dumps(
+        {"source": "s", "candidates": [{"text": "a", "tokens": ["a"], "log_prob": -1}]}
+    )
+    path.write_text(f"{good}\n\n{good}\n", encoding="utf-8")
+    assert len(load_nbest(path)) == 2
+    path.write_text(f"{good}\n\n[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^line 3: expected a JSON object$"):
+        load_nbest(path)
+
+
 def test_load_nbest_missing_keys(tmp_path):
     path = tmp_path / "missing.jsonl"
     path.write_text('{"source": "s"}\n', encoding="utf-8")
@@ -548,6 +560,14 @@ def test_scorer_client_eof_mid_batch(scorer_server):
         client.close()
     finally:
         server.close()
+
+
+def test_a_closed_scorer_client_scores_nothing(scorer_server):
+    server = scorer_server(echo_id_score)
+    client = ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    client.close()
+    with pytest.raises(TransportError, match="^scorer client is closed$"):
+        client.score_pairs([("s", "a", "b")])
 
 
 def test_scorer_client_rejects_empty_batch(scorer_server):

@@ -39,7 +39,7 @@ from rmbr.mbr import (
     rerank_lists,
     token_entropy,
 )
-from rmbr.analysis import grid_search_lambdas, tune_l
+from rmbr.analysis import check_tuning, grid_search_lambdas, tune_l
 from rmbr.io import write_utility_matrices, write_utility_matrix
 from rmbr.metrics import sentence_bleu
 
@@ -355,6 +355,8 @@ def test_session_resolves_builtin_specs_and_rejects_malformed_ones():
         ):
             with pytest.raises(ConfigError):
                 session.providers(spec, 1)
+        with pytest.raises(ConfigError, match="^unknown utility spec 5$"):
+            session.providers(5, 1)
 
 
 # logs its pid to argv[1]; answers argv[2], else 0.5, for every pair
@@ -442,8 +444,22 @@ def test_a_stored_matrix_spec_is_checked_before_any_score(tmp_path):
         RerankConfig(utility=Unscorable(), coarse_to_fine=CoarseToFine(f"matrix:{path}", 1)),
     ):
         for call in (check_reranking, rerank_lists):
-            with pytest.raises(InvalidInputError, match="^total scores must be finite$"):
+            with pytest.raises(InvalidInputError, match="^list 0: total scores must be finite$"):
                 call([lst], config)
+
+
+def test_a_per_list_matrix_too_small_for_its_list_names_the_list(tmp_path):
+    """Every check names the list it fails by its 0-based index: here list
+    2's stored matrix is 2x2 for a list of 3, in reranking and tuning."""
+    rng = np.random.default_rng(29)
+    path = tmp_path / "per-list.matrix"
+    write_utility_matrices(path, [random_matrix(rng, n) for n in (3, 3, 2)])
+    lists = [trivial_list(3)] * 3
+    config = RerankConfig(utility=f"matrix:{path}")
+    message = "^list 2: stored matrix is 2x2, need at least 3x3$"
+    for call in (rerank_lists, check_reranking, check_tuning):
+        with pytest.raises(DimensionError, match=message):
+            call(lists, config)
 
 
 def test_a_per_list_utility_list_must_hold_providers(tmp_path):
