@@ -6,17 +6,19 @@ The token-probability table relates sentence length to mean per-token
 probability.  ``grid_search_lambdas`` and ``tune_l`` pick regularizer
 weights and the truncation depth by maximizing a corpus objective on a dev
 set.  The oracle and the tuners each check and score in one
-:class:`~rmbr.mbr.UtilitySession`, through the providers resolved there
-once for all lists (one scorer per ``service:`` spec, closed when the
-call returns): one check pass takes every list before the first score,
-and one body scores each list with what the check returned.  The
-oracle's check, :func:`_checked_oracle`, wants a non-blank reference in
-every list, a bin width of at least 1 and providers that are not a
-stored matrix; its body, :func:`_oracle_picks`, scores each list against
-its reference with :func:`~rmbr.mbr.reference_scores`, one depth-1
-scoring call per list.  The tuners' check is reranking's,
-:func:`~rmbr.mbr._checked_lists`, through :func:`_checked_tuning`, so a
-total that is not finite after scoring is a scoring failure.  Their
+:class:`~rmbr.mbr.UtilitySession`, the one the library call or the CLI
+handler opened, through the providers resolved there once for all lists
+(one scorer per ``service:`` spec, closed with the session): one check
+pass takes every list before the first score, then one body scores each
+list with what the check returned, and a dry run stops between them.
+Both checks start with :func:`check_objective`: lists, each with a
+non-blank reference.  The oracle's, :func:`_checked_oracle`, then wants
+a bin width of at least 1 and providers that are not a stored matrix;
+its body, :func:`_oracle_picks`, scores each list against its reference
+with :func:`~rmbr.mbr.reference_scores`, one depth-1 scoring call per
+list.  The tuners', :func:`_checked_tuning`, checks the weight grid and
+the tuning rules, then makes reranking's, :func:`~rmbr.mbr._checked_lists`,
+so a total that is not finite after scoring is a scoring failure.  Their
 body, :func:`tune`, scores each list once (a stored matrix's consensus
 rows come from the check), takes each candidate's objective statistics
 (corpus BLEU sufficient statistics or sentence chrF) once, and at each
@@ -43,12 +45,14 @@ from .mbr import reference_scores, scored_consensus
 
 
 def check_objective(lists: Sequence[NBestList], metric: str) -> None:
-    """Check the metric name, and that every list has a non-blank reference."""
+    """Check the metric name, that there are lists, and that each has a non-blank reference."""
     if metric not in OBJECTIVE_METRICS:
         raise ConfigError(f"metric must be one of {OBJECTIVE_METRICS}, got {metric!r}")
+    if not lists:
+        raise InvalidInputError("no lists")
     for i, lst in enumerate(lists):
         if lst.reference is None or not lst.reference.strip():
-            raise InvalidInputError(f"list {i} has no reference")
+            raise InvalidInputError(f"list {i}: no reference")
 
 
 def corpus_objective(
@@ -78,15 +82,13 @@ def corpus_objective(
     return sum(scores) / len(scores)
 
 
-def _checked_oracle(session, lists, utility, bin_width, metric, name="bin_width") -> list:
+def _checked_oracle(session, lists, utility, bin_width, metric) -> list:
     """The oracle's pre-scoring check: :func:`check_objective` of ``metric``,
-    lists, a bin width (``name``) >= 1, and providers, resolved in ``session``
-    and returned, that are not a stored matrix."""
+    a bin width >= 1, and providers, resolved in ``session`` and returned,
+    that are not a stored matrix."""
     check_objective(lists, metric)
-    if not lists:
-        raise InvalidInputError("no lists")
     if bin_width < 1:
-        raise ConfigError(f"{name} must be >= 1, got {bin_width}")
+        raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
     providers = session.providers(utility, len(lists))
     if any(isinstance(provider, MatrixUtility) for provider in providers):
         raise ConfigError("a precomputed utility matrix cannot score against new references")
@@ -230,9 +232,7 @@ def token_prob_by_length(
         else:
             log_probs = lst.reference_token_log_probs
             if not log_probs:
-                raise MissingScoreError(
-                    f"list {i} has no reference_token_log_probs"
-                )
+                raise MissingScoreError(f"list {i}: no reference_token_log_probs")
         mean_prob = sum(math.exp(v) for v in log_probs) / len(log_probs)
         bucket = (len(log_probs) - 1) // interval_width
         sums[bucket] = sums.get(bucket, 0.0) + mean_prob
@@ -250,13 +250,14 @@ def token_prob_by_length(
 
 
 def lambda_grid(weights) -> list[float]:
-    """The distinct weights of a tuning grid, ascending; none may be non-finite."""
-    grid = sorted({float(w) for w in weights})
-    if not grid:
+    """The distinct weights of a tuning grid, ascending; none may be non-finite (a
+    bad grid is named as given: each nan hashes by identity, so a set has no order)."""
+    weights = [float(w) for w in weights]
+    if not weights:
         raise ConfigError("empty weight grid")
-    if not all(math.isfinite(w) for w in grid):
-        raise ConfigError(f"weight grid values must be finite, got {grid}")
-    return grid
+    if not all(math.isfinite(w) for w in weights):
+        raise ConfigError(f"weight grid values must be finite, got {weights}")
+    return sorted(set(weights))
 
 
 def _weight_vectors(grid, r: int) -> np.ndarray:
@@ -302,20 +303,24 @@ def _grid_selections(consensus, values, weights: np.ndarray, index: int) -> np.n
     return picks
 
 
-def _checked_tuning(session, lists, config, grid):
-    """Check the tuning rules, then make :func:`~rmbr.mbr._checked_lists`' checks.
+def _checked_tuning(session, lists, config, grid, metric):
+    """The tuners' whole pre-scoring check, in ``session``.
 
-    ``grid`` is None for the truncation sweep, or a grid that
-    :func:`lambda_grid` returned.  A grid's vectors are checked through
-    the two that take its smallest and its largest weight in every
-    column: they hold each column's extremes, which is all
-    :func:`~rmbr.mbr.checked_values` reads of the vectors, so the check
-    equals checking all ``len(grid) ** r`` of them.  Returns the run's
-    depths (None keeps every scored column), the resolved config and each
-    list's checked rows.
+    :func:`check_objective` of ``metric``, then :func:`lambda_grid` of
+    ``grid`` (None is the truncation sweep), then the tuning rules, then
+    :func:`~rmbr.mbr._checked_lists`' checks, each list once at every depth
+    the run ranks: a stored matrix must cover the list at the scored depth,
+    the weighted fields must exist, and every vector's totals must rank at
+    every depth.  A grid's vectors are checked through the two that take
+    its smallest and its largest weight in every column: they hold each
+    column's extremes, which is all :func:`~rmbr.mbr.checked_values` reads
+    of the vectors, so the check equals checking all ``len(grid) ** r`` of
+    them.  Returns what :func:`tune` takes after the metric: the checked
+    grid, the run's depths (None keeps every scored column), the resolved
+    config and each list's checked rows.
     """
-    if not lists:
-        raise InvalidInputError("no dev lists")
+    check_objective(lists, metric)
+    grid = None if grid is None else lambda_grid(grid)
     if config.coarse_to_fine is not None:
         raise ConfigError("tuning reranks in one stage; coarse_to_fine must be None")
     weights = None
@@ -328,23 +333,15 @@ def _checked_tuning(session, lists, config, grid):
         raise ConfigError("the truncation sweep sets l itself")
     else:
         depths = range(1, min(lst.n for lst in lists) + 1)
-    return (depths, *_checked_lists(session, lists, config, weights, depths))
+    return (grid, depths, *_checked_lists(session, lists, config, weights, depths))
 
 
-def check_tuning(lists: Sequence[NBestList], config: RerankConfig, grid=None) -> None:
-    """Make every check a tuning run makes before its first score.
-
-    With a ``grid`` the run is :func:`grid_search_lambdas`', without one
-    :func:`tune_l`'s.  Each list goes through :func:`~rmbr.mbr.checked_values`
-    once, at every depth the run ranks, with the grid's two extreme vectors
-    (see :func:`_checked_tuning`): a stored matrix must cover the list at
-    the scored depth, the weighted fields must exist, and every vector's
-    totals must rank at every depth.
-    The grid's weights are :func:`lambda_grid`'s to check, first, and the
-    objective metric and the references :func:`check_objective`'s.
-    """
+def check_tuning(lists, config: RerankConfig, grid=None, objective_metric="bleu") -> None:
+    """Make every check a tuning run makes before its first score:
+    :func:`_checked_tuning`, in a session of its own.  With a ``grid`` the
+    run is :func:`grid_search_lambdas`', without one :func:`tune_l`'s."""
     with UtilitySession() as session:
-        _checked_tuning(session, lists, config, None if grid is None else lambda_grid(grid))
+        _checked_tuning(session, lists, config, grid, objective_metric)
 
 
 def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
@@ -369,20 +366,18 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     return corpus_bleu_scores(sums).tolist()
 
 
-def tune(lists, config, grid, metric):
-    """Check, score each dev list once, then try every weight vector at every depth.
+def tune(lists, metric, grid, depths, config, checked):
+    """Score each dev list once, then try every weight vector at every depth.
 
-    The body of both tuners, for a caller that has made their first
-    checks: :func:`check_objective` on ``lists`` and ``metric``, and, for
-    a grid search, :func:`lambda_grid` on the ``grid`` it passes (None is
-    the truncation sweep).  The run is the one :func:`check_tuning` checks
-    for ``grid``, and it scores with the rows that check returns: the
-    regularizer values, and a stored matrix's consensus at every depth.
-    Any other utility scores each list at depth ``config.l``
-    (:func:`~rmbr.mbr.scored_consensus`, as reranking does), with the
-    config's utility spec resolved once for all lists.  Then each
-    candidate's objective statistics are taken against the list's
-    reference: the rows of :func:`bleu_stats`, or its sentence chrF
+    The body of both tuners, over what :func:`_checked_tuning` returned for
+    ``lists`` and ``metric``: the checked ``grid`` (None is the truncation
+    sweep), the ``depths``, the resolved ``config`` and the rows the check
+    returned: the regularizer values, and a stored matrix's consensus at
+    every depth.  Any other utility scores each list at depth ``config.l``
+    (:func:`~rmbr.mbr.scored_consensus`, as reranking does), through the
+    providers the check resolved.  Then each candidate's objective
+    statistics are taken against the list's reference: the rows of
+    :func:`bleu_stats`, or its sentence chrF
     (:func:`~rmbr.mbr.reference_scores` with chrF).
     Returns the first setting with the highest objective, as its depth
     (None for a grid search) and its weights by name, that objective, and
@@ -392,12 +387,10 @@ def tune(lists, config, grid, metric):
 
     from .metrics import bleu_stats
 
-    with UtilitySession() as session:
-        depths, config, checked = _checked_tuning(session, lists, config, grid)
-        scored = [
-            (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
-            for lst, u, (_, consensus, regs) in zip(lists, config.utility, checked)
-        ]
+    scored = [
+        (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
+        for lst, u, (_, consensus, regs) in zip(lists, config.utility, checked)
+    ]
     if grid is None:
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)
     else:
@@ -432,8 +425,9 @@ def grid_search_lambdas(
     first over the ascending grid (i.e. the lexicographically smallest
     weight vector).
     """
-    check_objective(lists, objective_metric)
-    (_, best), objective, _ = tune(lists, config, lambda_grid(grid), objective_metric)
+    with UtilitySession() as session:
+        checked = _checked_tuning(session, lists, config, grid, objective_metric)
+        (_, best), objective, _ = tune(lists, objective_metric, *checked)
     return best, objective
 
 
@@ -450,6 +444,7 @@ def tune_l(
     what a fresh depth-l matrix would give.  Ties prefer smaller l.  The
     sweep sets l itself: ``config.l`` must be "full".
     """
-    check_objective(lists, objective_metric)
-    (best_l, _), objective, curve = tune(lists, config, None, objective_metric)
+    with UtilitySession() as session:
+        checked = _checked_tuning(session, lists, config, None, objective_metric)
+        (best_l, _), objective, curve = tune(lists, objective_metric, *checked)
     return best_l, objective, curve

@@ -9,36 +9,38 @@ of a hypothesis file).
 Exit codes: 0 on success; an rmbr error's class gives its ``exit_code``
 (:mod:`rmbr.errors`): 1 for invalid input or configuration, 2 for
 scorer-transport or scoring failures (including a non-finite score, or
-scores whose consensus or weighted totals are not finite); a missing file
-is 1, any other OS error 2, and Ctrl-C 130.  A check failure of one list
-names its 0-based index, ``list i:``.  An ``--output`` that names a
-directory is invalid input, refused before any work.  Errors go to stderr
-as one line prefixed ``error:``.  Output files are written to a temp file
-and renamed into place, so none is left half-written.  The commands that
-score (``rerank``, ``c2f``, ``tune-lambda``, ``tune-l`` and ``oracle``)
-also write a JSON run report next to their output file
-(``<output>.report.json``) with timings and call counts, including the
-scorer connections the run opened and the pairs they scored; the report
-is informational and not part of the output contract.
+scores whose consensus or weighted totals are not finite); a missing
+file is 1, any other OS error 2, and Ctrl-C 130.  A check failure of one
+list names its 0-based index, ``list i:``.  An ``--output`` that names a
+directory, and a ``--bins`` below 1, are refused before any work.
+Errors go to stderr as one line prefixed ``error:``.  Output files are
+written to a temp file and renamed into place, so none is left
+half-written.  The commands that score (``rerank``, ``c2f``,
+``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
+next to their output file (``<output>.report.json``) with timings and
+call counts, including the scorer connections the run opened and the
+pairs they scored; the report is informational and not part of the
+output contract.
 
 Each subcommand accepts only the flags it reads, by full name only, with
 one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
 effect.  They rerank the lists one after another, in input order, and
 start no further list once one fails.
 
-Every command that scores resolves its ``--utility``/``--proxy`` specs
-once per run in one :class:`~rmbr.mbr.UtilitySession` (one scorer per
-``service:`` spec, started on its first batch; a matrix file with one
-matrix per list gives each list its own), and checks and scores through
-the providers resolved there, with no session per list; every scorer is
-closed before the command returns, on success, on error and on Ctrl-C.
-One handler serves ``rerank`` and ``c2f``, and one ``tune-lambda`` and
-``tune-l``, checking the objective and the weight grid first.  Each
-scoring command has one check pass, made on every list before the first
-score of any, and one body that scores with what it returned:
-:func:`~rmbr.mbr.rerank_lists`, :func:`~rmbr.analysis.tune`, and the
-oracle's in :mod:`rmbr.analysis`.  A ``--dry-run`` makes the checks and
-stops, so it evaluates no utility, starts no scorer and writes nothing.
+Every command that scores opens one :class:`~rmbr.mbr.UtilitySession`
+per run and no other.  Its ``--utility``/``--proxy`` specs are resolved
+there once (one scorer per ``service:`` spec, started on its first batch;
+a matrix file with one matrix per list gives each list its own); every
+scorer is closed before the command returns, on success, on error and on
+Ctrl-C.  One handler serves ``rerank`` and ``c2f``, and one
+``tune-lambda`` and ``tune-l``.  In its session, each scoring command
+runs one check pass on every list before the first score of any, then
+one body that scores with what it returned:
+:func:`~rmbr.mbr._checked_lists` then :func:`~rmbr.mbr._reranked`,
+:func:`~rmbr.analysis._checked_tuning` then :func:`~rmbr.analysis.tune`,
+and the oracle's pair in :mod:`rmbr.analysis`.  A ``--dry-run`` stops
+between the two, so it evaluates no utility, starts no scorer and writes
+nothing.
 
 :mod:`rmbr.analysis` is imported by the handlers that use it, so
 ``rerank``, ``c2f`` and ``eval`` never load it, and :mod:`rmbr.scorer`
@@ -72,7 +74,7 @@ from .core import (
 )
 from .errors import ConfigError, InvalidInputError, RmbrError
 from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
-from .mbr import UtilitySession, check_reranking, rerank_lists
+from .mbr import UtilitySession, _checked_lists, _reranked
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,11 +258,10 @@ def _cmd_rerank(args) -> int:
         coarse_to_fine=stages,
     )
     with UtilitySession() as session:
-        config = session.resolve(config, len(lists))
+        config, checked = _checked_lists(session, lists, config)
         if args.dry_run:
-            check_reranking(lists, config)
             return _validated(lists)
-        results = rerank_lists(lists, config)
+        results = _reranked(lists, config, checked)
     write_results(args.output, results, lists, mode=args.mode)
     _write_report(args, lists, results, started, session)
     print(f"reranked {len(lists)} lists -> {args.output}")
@@ -276,11 +277,10 @@ def _emit_record(args, record, summary_lines):
 
 
 def _cmd_tune(args) -> int:
-    from .analysis import _checked_tuning, check_objective, lambda_grid, tune
+    from .analysis import _checked_tuning, tune
 
     started = time.monotonic()
     lists = load_nbest(args.input)
-    check_objective(lists, args.metric)
     if args.command == "tune-l":
         grid, l, lambdas = None, "full", _parse_lambdas(args.lambdas)
     else:
@@ -290,17 +290,16 @@ def _cmd_tune(args) -> int:
         if len(set(names)) != len(names):
             raise ConfigError(f"--regularizers repeats a name: {args.regularizers!r}")
         try:
-            weights = [float(g) for g in args.grid.split(",") if g]
+            grid = [float(g) for g in args.grid.split(",") if g]
         except ValueError:
             raise ConfigError(f"--grid holds a non-number: {args.grid!r}") from None
-        grid, l, lambdas = lambda_grid(weights), _parse_l(args.l), {n: 0.0 for n in names}
+        l, lambdas = _parse_l(args.l), {n: 0.0 for n in names}
     config = RerankConfig(utility=args.utility, l=l, lambdas=lambdas)
     with UtilitySession() as session:
-        config = session.resolve(config, len(lists))
+        checked = _checked_tuning(session, lists, config, grid, args.metric)
         if args.dry_run:
-            _checked_tuning(session, lists, config, grid)
             return _validated(lists)
-        (best_l, best), objective, curve = tune(lists, config, grid, args.metric)
+        (best_l, best), objective, curve = tune(lists, args.metric, *checked)
     if grid is None:
         record = {"l": best_l, "objective": objective, "curve": curve, "metric": args.metric}
         best_line = f"best l: {best_l}"
@@ -319,7 +318,7 @@ def _cmd_oracle(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
     with UtilitySession() as session:
-        providers = _checked_oracle(session, lists, args.utility, args.bins, args.metric, "--bins")
+        providers = _checked_oracle(session, lists, args.utility, args.bins, args.metric)
         if args.dry_run:
             return _validated(lists)
         report = _oracle_report(lists, _oracle_picks(lists, providers), args.bins, args.metric)
@@ -372,18 +371,20 @@ _COMMANDS = {
 }
 
 
-def _check_output(args) -> None:
-    """Refuse an ``--output`` that names a directory before any work."""
+def _check_args(args) -> None:
+    """Refuse an ``--output`` that names a directory, and ``--bins`` below 1, before any work."""
     output = getattr(args, "output", None)
     if output is not None and os.path.isdir(output):
         raise InvalidInputError(f"output path {output} is a directory")
+    if getattr(args, "bins", 1) < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_output(args)
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except (RmbrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

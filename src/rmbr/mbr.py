@@ -28,19 +28,21 @@ with one batch of pairs per list.  The built-in metrics use the default
 :class:`~rmbr.core.MetricConfig`; pass a provider such as
 ``BleuUtility(MetricConfig(...))`` in place of a spec for another.
 
-A run checks and scores through the providers its :class:`UtilitySession`
-resolved, once per spec and starting nothing (a scorer opens on its first
-batch, and the session closes it); no list opens a session of its own.
-:func:`checked_values` is the one exact pre-scoring check of every
-scoring command: it raises exactly when some weight vector's totals
-would not rank, and returns the rows the run scores with;
-:func:`scored_matrix` is the one scoring call, and a provider has no
-other: :func:`reference_scores` scores a list against its reference
-through it, at depth 1 with the reference put first.
-:func:`rerank_lists` is the one reranking body; :func:`check_reranking`
-makes its checks and stops, so a dry run is the real run stopped just
-before scoring, and a consensus or total that is not finite after
-scoring is a scoring failure (:func:`check_scored`).
+A run checks and scores in one :class:`UtilitySession`, through the
+providers resolved there once per spec, starting nothing (a scorer opens
+on its first batch, and the session closes it): one check pass,
+:func:`_checked_lists`, then one body, :func:`_reranked`.
+:func:`rerank_lists` opens a session for both, :func:`check_reranking`
+one for the check alone, and the CLI runs both in its own and stops
+between them on a dry run, so a dry run is the real run stopped just
+before scoring.  :func:`checked_values` is the one exact pre-scoring
+check of every scoring command: it raises exactly when some weight
+vector's totals would not rank, and returns the rows the run scores
+with, so a consensus or total that is not finite after scoring is a
+scoring failure (:func:`check_scored`).  :func:`scored_matrix` is the
+one scoring call, and a provider has no other: :func:`reference_scores`
+scores a list against its reference through it, at depth 1 with the
+reference put first.
 
 numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
 functions that compute on arrays, where they run, so resolving specs and
@@ -489,12 +491,14 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
 
 
 def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(None,)):
-    """The per-list pre-scoring check of every reranking and tuning run.
+    """The one pre-scoring check pass of every reranking and tuning run.
 
-    Resolves the config in ``session`` and checks :func:`check_reranking`'s
-    rules, then passes each list to :func:`checked_values` once, with the
-    config's weight row unless ``weights`` are given, at each of ``depths``.
-    A list's check failure is raised as its class, prefixed ``list i:``.
+    Resolves the config in ``session``; a coarse-to-fine target must not
+    be a stored matrix.  Then, list by list, ``keep`` and the depth must
+    fit, and :func:`checked_values` checks the proxy over all n candidates
+    with no regularizers, then the target with the config's weight row
+    unless ``weights`` are given, at each of ``depths``.  A list's check
+    failure is raised as its class, prefixed ``list i:``.
     Returns the resolved config and, per list, the proxy's consensus (None
     without coarse-to-fine) and the target's :func:`checked_values` rows.
     """
@@ -520,13 +524,8 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
 
 
 def check_reranking(lists, config: RerankConfig) -> None:
-    """Make every check :func:`rerank_lists` makes before its first score.
-
-    The specs are resolved first, and a coarse-to-fine target must not be
-    a stored matrix.  Then, list by list, ``keep`` and the depth must fit,
-    and :func:`checked_values` checks the proxy over all n candidates with
-    no regularizers, then the target with the config's weights.
-    """
+    """Make every check :func:`rerank_lists` makes before its first score:
+    :func:`_checked_lists`, in a session of its own."""
     with UtilitySession() as session:
         _checked_lists(session, lists, config)
 
@@ -547,50 +546,55 @@ def check_scored(index: int, totals) -> None:
 
 
 def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
-    """Score, combine and rank each n-best list under a config.
+    """Check every list (:func:`_checked_lists`), then score, combine and
+    rank each (:func:`_reranked`) under a config, in one
+    :class:`UtilitySession` that resolves the target and the proxy once for
+    all lists (a spec, one provider, or one per list) and keeps every
+    scorer it opens until the call returns."""
+    with UtilitySession() as session:
+        return _reranked(lists, *_checked_lists(session, lists, config))
 
-    The target and the proxy are resolved once for all lists (a spec, one
-    provider, or one per list) in one :class:`UtilitySession`, which keeps
-    every scorer it opens until the call returns.  Every list passes
-    :func:`check_reranking`'s checks before the first score of any, and is
-    scored with the rows they returned (:func:`scored_consensus`).  With
-    ``config.coarse_to_fine``, the proxy scores all n candidates against
-    all n and the best k survive, in list order.  The survivors are scored
-    at depth l, combined with the regularizers in ``config.lambdas`` order
-    and ranked: n * l pair evaluations, or n^2 + k^2 with coarse-to-fine.
-    Lists are scored in order, none after one fails; a result's indices
-    refer to its original list, and only survivors carry scores.
+
+def _reranked(lists, config: RerankConfig, checked) -> list[RerankResult]:
+    """The reranking body: each list scored with the rows :func:`_checked_lists`
+    returned for it (:func:`scored_consensus`).
+
+    With ``config.coarse_to_fine``, the proxy scores all n candidates
+    against all n and the best k survive, in list order.  The survivors are
+    scored at depth l, combined with the regularizers in ``config.lambdas``
+    order and ranked: n * l pair evaluations, or n^2 + k^2 with
+    coarse-to-fine.  Lists are scored in order, none after one fails; a
+    result's indices refer to its original list, and only survivors carry
+    scores.
     """
     results = []
-    with UtilitySession() as session:
-        config, checked = _checked_lists(session, lists, config)
-        stages = config.coarse_to_fine
-        for i, (nbest, (proxy, consensus, regs)) in enumerate(zip(lists, checked)):
-            survivors, calls = list(range(nbest.n)), 0
-            if stages is not None:
-                proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
-                check_scored(i, proxy)
-                order, _ = rank_candidates(proxy)
-                survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
-                nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
-                regs = [[row[j] for j in survivors] for row in regs]
-            l = config.resolve_l(nbest.n)
-            consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
-            regularizers = dict(zip(config.regularizers, regs))
-            totals = combine_scores(consensus, regularizers, config.lambdas)
-            check_scored(i, totals)
-            ranking, _ = rank_candidates(totals)
-            results.append(
-                RerankResult(
-                    mbr_scores=tuple(consensus),
-                    regularizer_scores=regularizers,
-                    total_scores=tuple(totals),
-                    ranking=tuple(survivors[r] for r in ranking),
-                    selected=survivors[ranking[0]],
-                    utility_calls=calls + nbest.n * l,
-                    candidate_indices=tuple(survivors),
-                )
+    stages = config.coarse_to_fine
+    for i, (nbest, (proxy, consensus, regs)) in enumerate(zip(lists, checked)):
+        survivors, calls = list(range(nbest.n)), 0
+        if stages is not None:
+            proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
+            check_scored(i, proxy)
+            order, _ = rank_candidates(proxy)
+            survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
+            nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
+            regs = [[row[j] for j in survivors] for row in regs]
+        l = config.resolve_l(nbest.n)
+        consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
+        regularizers = dict(zip(config.regularizers, regs))
+        totals = combine_scores(consensus, regularizers, config.lambdas)
+        check_scored(i, totals)
+        ranking, _ = rank_candidates(totals)
+        results.append(
+            RerankResult(
+                mbr_scores=tuple(consensus),
+                regularizer_scores=regularizers,
+                total_scores=tuple(totals),
+                ranking=tuple(survivors[r] for r in ranking),
+                selected=survivors[ranking[0]],
+                utility_calls=calls + nbest.n * l,
+                candidate_indices=tuple(survivors),
             )
+        )
     return results
 
 

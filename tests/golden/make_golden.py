@@ -248,12 +248,16 @@ _BASE_CASES = {
     "tune-lambda-fail3": [
         "tune-lambda", "-i", "fail3.jsonl", "-o", "out", "--regularizers", "qe",
     ],
+    "tune-lambda-blank-reference": [
+        "tune-lambda", "-i", "blankref.jsonl", "-o", "out", "--regularizers", "lp",
+    ],
     "tune-l-bleu": _TUNE_L,
     "tune-l-chrf": [*_TUNE_L, "--utility", "chrf", "--metric", "chrf", "--lambda", "lp=0.1"],
     "tune-l-matrix-shared": [*_TUNE_L, "--utility", "matrix:shared.mat"],
     "tune-l-matrix-per-list": [*_TUNE_L, "--utility", "matrix:perlist.mat", "--lambda", "lm=1"],
     "tune-l-fail0": ["tune-l", "-i", "fail0.jsonl", "-o", "out", "--lambda", "qe=0.5"],
     "tune-l-fail3": ["tune-l", "-i", "fail3.jsonl", "-o", "out", "--lambda", "qe=0.5"],
+    "tune-l-blank-reference": ["tune-l", "-i", "blankref.jsonl", "-o", "out"],
     "oracle-bleu": _ORACLE,
     "oracle-chrf": [*_ORACLE, "--utility", "chrf", "--metric", "chrf", "--bins", "2"],
     "oracle-stdout": ["oracle", "-i", "dev.jsonl", "--bins", "3"],
@@ -267,6 +271,7 @@ _BASE_CASES = {
     "tokenprob-reference": [
         "tokenprob", "-i", "dev.jsonl", "-o", "out", "--which", "reference", "--bins", "3",
     ],
+    "tokenprob-bins-0": ["tokenprob", "-i", "dev.jsonl", "-o", "out", "--bins", "0"],
     "eval-bleu": ["eval", "--hyps", "hyps.txt", "--refs", "refs.txt"],
     "eval-chrf": ["eval", "--hyps", "hyps.txt", "--refs", "refs.txt", "--metric", "chrf"],
     "eval-length-mismatch": ["eval", "--hyps", "hyps.txt", "--refs", "refs4.txt"],

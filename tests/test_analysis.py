@@ -27,7 +27,13 @@ from rmbr.core import (
     combine_scores,
     rank_candidates,
 )
-from rmbr.errors import ConfigError, InvalidInputError, MissingScoreError, ScoringError
+from rmbr.errors import (
+    ConfigError,
+    InvalidInputError,
+    MissingScoreError,
+    RmbrError,
+    ScoringError,
+)
 from rmbr.io import write_utility_matrix
 from rmbr.mbr import MatrixUtility, ServiceUtility, rerank
 from rmbr.metrics import corpus_bleu, sentence_bleu, sentence_chrf
@@ -450,7 +456,7 @@ def test_check_tuning_raises_exactly_when_some_vector_cannot_be_ranked_at_some_d
         lists = []
         for _ in range(int(rng.integers(1, 3))):
             values = [rng.choice(pool, size=n).tolist() for _ in names]
-            lists.append(_external_list(names, values))
+            lists.append(replace(_external_list(names, values), reference="t0"))
         stored = None
         if rng.integers(2):
             stored = [
@@ -498,7 +504,7 @@ def test_the_sweep_check_fails_a_depth_whose_consensus_is_nan():
     assert np.isnan(consensus[-1]) and np.isfinite(consensus[:-1]).all()
     config = RerankConfig(utility=MatrixUtility(UtilityMatrix(values, utility_name="ext")))
     with pytest.raises(InvalidInputError, match="^list 0: total scores must be finite$"):
-        check_tuning([trivial_list(8)], config)
+        check_tuning([trivial_list(8, reference="t0")], config)
 
 
 def test_tuners_read_each_list_s_regularizer_values_once(monkeypatch):
@@ -720,10 +726,108 @@ def test_reference_check_comes_before_utility_work(reference):
         lambda: oracle_histogram(lists, utility=_NoCalls()),
     ]
     for call in calls:
-        with pytest.raises(InvalidInputError, match="^list 1 has no reference$"):
+        with pytest.raises(InvalidInputError, match="^list 1: no reference$"):
             call()
     with pytest.raises(ConfigError, match="finite"):
         grid_search_lambdas(lists[:1], config, grid=(0.1, math.nan))
+
+
+def _raised(call, *args):
+    """The class and message of the rmbr error ``call(*args)`` raises, or None if it returns."""
+    try:
+        call(*args)
+    except RmbrError as e:
+        return type(e), str(e)
+    return None
+
+
+_DEV = (
+    make_list(["a b", "c d"], [-1.0, -2.0], reference="a b"),
+    make_list(["e f", "e g"], reference="e f"),
+)
+_NO_LISTS = (InvalidInputError, "no lists")
+_NO_REFERENCE = (InvalidInputError, "list 1: no reference")
+_OVERFLOW = (InvalidInputError, "list 0: total scores must be finite")
+_METRICS = ("bleu", "chrf")
+
+# name: (lists, lambdas, grid, metric, coarse_to_fine, what both calls raise)
+_TUNING_DEFECTS = {
+    "no-lists": ([], {"lp": 0.0}, [0.5], "bleu", None, _NO_LISTS),
+    "missing-reference": (
+        [_DEV[0], replace(_DEV[1], reference=None)], {"lp": 0.0}, [0.5], "chrf", None,
+        _NO_REFERENCE,
+    ),
+    "blank-reference": (
+        [_DEV[0], replace(_DEV[1], reference=" \t ")], {"lp": 0.0}, [0.5], "bleu", None,
+        _NO_REFERENCE,
+    ),
+    "unknown-metric": (
+        _DEV, {"lp": 0.0}, [0.5], "ter", None,
+        (ConfigError, f"metric must be one of {_METRICS}, got 'ter'"),
+    ),
+    "empty-grid": (_DEV, {"lp": 0.0}, [], "bleu", None, (ConfigError, "empty weight grid")),
+    "non-finite-weight": (
+        _DEV, {"lp": 0.0}, [0.5, math.inf], "bleu", None,
+        (ConfigError, "weight grid values must be finite, got [0.5, inf]"),
+    ),
+    "overflowing-weight": (_DEV, {"lp": 1e308}, [1e308], "bleu", None, _OVERFLOW),
+    "coarse-to-fine": (
+        _DEV, {"lp": 0.0}, [0.5], "bleu", CoarseToFine("bleu", 9),
+        (ConfigError, "tuning reranks in one stage; coarse_to_fine must be None"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tuner, defect",
+    [
+        (tuner, defect)
+        for defect in sorted(_TUNING_DEFECTS)
+        for tuner in ("grid_search_lambdas", "tune_l")
+        if tuner == "grid_search_lambdas" or defect not in ("empty-grid", "non-finite-weight")
+    ],
+)
+def test_check_tuning_raises_exactly_what_its_tuning_run_raises(tuner, defect):
+    """The library check and the run it checks fail one way, with nothing
+    scored: the provider fails the test on its first score.  The sweep
+    takes no grid, so it has no grid defects."""
+    lists, lambdas, grid, metric, stages, want = _TUNING_DEFECTS[defect]
+    config = RerankConfig(utility=Unscorable(), lambdas=lambdas, coarse_to_fine=stages)
+    if tuner == "tune_l":
+        grid, run = None, (tune_l, lists, config, metric)
+    else:
+        run = (grid_search_lambdas, lists, config, grid, metric)
+    assert _raised(check_tuning, lists, config, grid, metric) == want
+    assert _raised(*run) == want
+
+
+# name: (lists, lambdas, coarse_to_fine, what both calls raise, or None)
+_RERANKING_DEFECTS = {
+    "no-lists": ([], {"lp": 0.0}, None, None),
+    "keep-too-large": (
+        _DEV, {}, CoarseToFine(Unscorable(), 3),
+        (InvalidInputError, "list 0: keep=3 exceeds list size 2"),
+    ),
+    "overflowing-weight": (_DEV, {"lp": 1e308}, None, _OVERFLOW),
+    "missing-field": (
+        _DEV, {"qe": 1.0}, None,
+        (MissingScoreError, "list 0: candidate 0 has no external score 'qe'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_RERANKING_DEFECTS))
+def test_check_reranking_raises_exactly_what_rerank_lists_raises(defect):
+    lists, lambdas, stages, want = _RERANKING_DEFECTS[defect]
+    config = RerankConfig(utility=Unscorable(), lambdas=lambdas, coarse_to_fine=stages)
+    assert _raised(mbr.check_reranking, lists, config) == want
+    assert _raised(mbr.rerank_lists, lists, config) == want
+
+
+@pytest.mark.parametrize("metric", _METRICS)
+def test_the_objective_of_no_lists_is_invalid_input(metric):
+    with pytest.raises(InvalidInputError, match="^no lists$"):
+        corpus_objective([], [], metric)
 
 
 @pytest.mark.parametrize("utility", ["bleu", "chrf", "service"])
@@ -732,7 +836,7 @@ def test_a_blank_reference_fails_the_oracle_the_same_way_for_every_provider(util
     provider = ServiceUtility(client) if utility == "service" else utility
     lst = make_list(["a b", "c d"], reference="   ")
     for call in (lambda: oracle_select(lst, provider), lambda: oracle_histogram([lst], provider)):
-        with pytest.raises(InvalidInputError, match="^list 0 has no reference$"):
+        with pytest.raises(InvalidInputError, match="^list 0: no reference$"):
             call()
     assert client.calls == 0
 

@@ -754,12 +754,12 @@ def test_eval_and_corpus_bleu_make_one_corpus_check(tmp_path, capsys, hyps, refs
 
 
 _WHITESPACE_REFERENCE_ERRORS = {
-    ("oracle", "bleu"): "list 0 has no reference",
-    ("tune-l", "bleu"): "list 0 has no reference",
-    ("tune-lambda", "bleu"): "list 0 has no reference",
-    ("oracle", "chrf"): "list 0 has no reference",
-    ("tune-l", "chrf"): "list 0 has no reference",
-    ("tune-lambda", "chrf"): "list 0 has no reference",
+    ("oracle", "bleu"): "list 0: no reference",
+    ("tune-l", "bleu"): "list 0: no reference",
+    ("tune-lambda", "bleu"): "list 0: no reference",
+    ("oracle", "chrf"): "list 0: no reference",
+    ("tune-l", "chrf"): "list 0: no reference",
+    ("tune-lambda", "chrf"): "list 0: no reference",
 }
 
 
@@ -1084,13 +1084,12 @@ def test_a_tuning_command_checks_once_and_never_through_check_list(
         monkeypatch.setattr(
             analysis, name, lambda *a, tag=tag, f=checked: calls.append(tag) or f(*a)
         )
-    for module in (cli, mbr):
-        monkeypatch.setattr(module, "check_reranking", lambda *a: calls.append("check_list"))
+    monkeypatch.setattr(mbr, "check_reranking", lambda *a: calls.append("check_list"))
     flags = ["--regularizers", "lp,qe"] if command == "tune-lambda" else ["--lambda", "qe=1"]
     args = [command, "-i", path, "-o", tmp_path / "out", *flags]
     assert run(args + (["--dry-run"] if dry else [])) == 0
     grid = ["grid"] if command == "tune-lambda" else []
-    assert calls == ["objective", *grid, "tuning"]
+    assert calls == ["tuning", "objective", *grid]
 
 
 @pytest.mark.parametrize("dry", [False, True])
@@ -1522,16 +1521,16 @@ def test_report_counts_pairs_from_concurrent_threads(dev_file, tmp_path):
     "words, sessions",
     [
         (["oracle"], 1),
-        (["rerank", "--lambda", "lp=0.1"], 2),
-        (["c2f", "--keep", "2", "--utility", "chrf"], 2),
-        (["tune-lambda", "--regularizers", "lp,qe"], 2),
-        (["tune-l"], 2),
+        (["rerank", "--lambda", "lp=0.1"], 1),
+        (["c2f", "--keep", "2", "--utility", "chrf"], 1),
+        (["tune-lambda", "--regularizers", "lp,qe"], 1),
+        (["tune-l"], 1),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
 def test_a_scoring_run_opens_no_session_per_list(tmp_path, monkeypatch, words, sessions):
-    """The command's session resolves the specs, and the library body it calls
-    opens at most one more, which passes the resolved providers through."""
+    """The command opens one session, and checks, stops on ``--dry-run`` and
+    scores in it: no library call opens another, real or dry."""
     rng = np.random.default_rng(45)
     path = tmp_path / "dev.jsonl"
     write_nbest(path, [random_list(rng, 4, with_extras=True) for _ in range(3)])
@@ -1543,8 +1542,10 @@ def test_a_scoring_run_opens_no_session_per_list(tmp_path, monkeypatch, words, s
         init(session)
 
     monkeypatch.setattr(mbr.UtilitySession, "__init__", counted)
-    assert run([words[0], "-i", path, "-o", tmp_path / "out", *words[1:]]) == 0
-    assert len(opened) == sessions
+    for dry in ([], ["--dry-run"]):
+        opened.clear()
+        assert run([words[0], "-i", path, "-o", tmp_path / "out", *words[1:], *dry]) == 0
+        assert len(opened) == sessions
 
 
 def test_rerank_checks_l_before_starting_a_scorer(tmp_path):

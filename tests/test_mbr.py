@@ -454,7 +454,7 @@ def test_a_per_list_matrix_too_small_for_its_list_names_the_list(tmp_path):
     rng = np.random.default_rng(29)
     path = tmp_path / "per-list.matrix"
     write_utility_matrices(path, [random_matrix(rng, n) for n in (3, 3, 2)])
-    lists = [trivial_list(3)] * 3
+    lists = [trivial_list(3, reference="t0")] * 3
     config = RerankConfig(utility=f"matrix:{path}")
     message = "^list 2: stored matrix is 2x2, need at least 3x3$"
     for call in (rerank_lists, check_reranking, check_tuning):
