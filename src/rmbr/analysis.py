@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
-from .errors import ConfigError, InvalidInputError, MissingScoreError
+from .errors import ConfigError, InvalidInputError, MissingScoreError, in_list
 from .mbr import ChrfUtility, MatrixUtility, UtilitySession, _checked_lists, check_scored
 from .mbr import reference_scores, scored_consensus
 
@@ -51,8 +51,9 @@ def check_objective(lists: Sequence[NBestList], metric: str) -> None:
     if not lists:
         raise InvalidInputError("no lists")
     for i, lst in enumerate(lists):
-        if lst.reference is None or not lst.reference.strip():
-            raise InvalidInputError(f"list {i}: no reference")
+        with in_list(i):
+            if lst.reference is None or not lst.reference.strip():
+                raise InvalidInputError("no reference")
 
 
 def corpus_objective(
@@ -97,8 +98,11 @@ def _checked_oracle(session, lists, utility, bin_width, metric) -> list:
 
 def _oracle_picks(lists, providers) -> list[tuple[int, float]]:
     """Each list's best candidate against its reference, the first on a tie, and its score."""
-    scores = [reference_scores(lst, provider) for lst, provider in zip(lists, providers)]
-    return [max(enumerate(s), key=lambda pick: pick[1]) for s in scores]
+    picks = []
+    for i, (lst, provider) in enumerate(zip(lists, providers)):
+        with in_list(i):
+            picks.append(max(enumerate(reference_scores(lst, provider)), key=lambda p: p[1]))
+    return picks
 
 
 def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
@@ -222,17 +226,15 @@ def token_prob_by_length(
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for i, lst in enumerate(lists):
-        if which == "top1":
-            cand = lst.candidates[0]
-            if cand.token_log_probs is None:
-                raise MissingScoreError(
-                    f"list {i}: top candidate has no token_log_probs"
-                )
-            log_probs = cand.token_log_probs
-        else:
-            log_probs = lst.reference_token_log_probs
-            if not log_probs:
-                raise MissingScoreError(f"list {i}: no reference_token_log_probs")
+        with in_list(i):
+            if which == "top1":
+                log_probs = lst.candidates[0].token_log_probs
+                if log_probs is None:
+                    raise MissingScoreError("top candidate has no token_log_probs")
+            else:
+                log_probs = lst.reference_token_log_probs
+                if not log_probs:
+                    raise MissingScoreError("no reference_token_log_probs")
         mean_prob = sum(math.exp(v) for v in log_probs) / len(log_probs)
         bucket = (len(log_probs) - 1) // interval_width
         sums[bucket] = sums.get(bucket, 0.0) + mean_prob
@@ -273,8 +275,8 @@ def _weight_vectors(grid, r: int) -> np.ndarray:
 _GRID_BLOCK_CELLS = 1 << 16
 
 
-def _grid_selections(consensus, values, weights: np.ndarray, index: int) -> np.ndarray:
-    """The candidate each weight vector selects on the scored list ``index`` (0-based).
+def _grid_selections(consensus, values, weights: np.ndarray) -> np.ndarray:
+    """The candidate each weight vector selects on one scored list.
 
     ``values`` holds r rows of regularizer values, one per candidate, and
     ``weights`` one row of r weights per vector, in the same order.  A
@@ -284,7 +286,7 @@ def _grid_selections(consensus, values, weights: np.ndarray, index: int) -> np.n
     maximum, as in :func:`~rmbr.core.rank_candidates` (the lower index
     wins a tie, and +0.0 equals -0.0).  Vectors are taken a block at a
     time; a block of totals that is not finite raises
-    :func:`~rmbr.mbr.check_scored`'s error, which names the list ``index``.
+    :func:`~rmbr.mbr.check_scored`'s error, for the caller to name the list.
     """
     import numpy as np
 
@@ -298,7 +300,7 @@ def _grid_selections(consensus, values, weights: np.ndarray, index: int) -> np.n
         with np.errstate(over="ignore", invalid="ignore"):
             for k, row in enumerate(values):
                 totals += np.multiply.outer(block[:, k], row)
-        check_scored(index, totals)
+        check_scored(totals)
         picks[start : start + len(block)] = totals.argmax(axis=1)
     return picks
 
@@ -350,17 +352,17 @@ def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     ``scored`` holds each scored list's consensus scores, its regularizer
     rows and its per-candidate objective statistics, in list order; ``weights``
     holds one weight vector per row.  The selected candidates' statistics
-    are summed per vector by Python's ``sum``, list by list in list order as
-    :func:`corpus_objective` sums chrF, with no (vectors x lists) array,
-    and the formula :func:`corpus_objective` applies takes all vectors'
-    sums at once (BLEU statistics are integers), so the two agree bit for bit.
+    are summed per vector, list by list in list order as :func:`corpus_objective`
+    sums chrF, with no (vectors x lists) array, and the formula
+    :func:`corpus_objective` applies takes all vectors' sums at once (BLEU
+    statistics are integers), so the two agree bit for bit.
     """
     from .metrics import corpus_bleu_scores
 
-    sums = sum(
-        stats[_grid_selections(consensus, values, weights, i)]
-        for i, (consensus, values, stats) in enumerate(scored)
-    )
+    sums = 0
+    for i, (consensus, values, stats) in enumerate(scored):
+        with in_list(i):
+            sums = sums + stats[_grid_selections(consensus, values, weights)]
     if metric == "chrf":
         return (sums / len(scored)).tolist()
     return corpus_bleu_scores(sums).tolist()
@@ -374,10 +376,10 @@ def tune(lists, metric, grid, depths, config, checked):
     sweep), the ``depths``, the resolved ``config`` and the rows the check
     returned: the regularizer values, and a stored matrix's consensus at
     every depth.  Any other utility scores each list at depth ``config.l``
-    (:func:`~rmbr.mbr.scored_consensus`, as reranking does), through the
-    providers the check resolved.  Then each candidate's objective
-    statistics are taken against the list's reference: the rows of
-    :func:`bleu_stats`, or its sentence chrF
+    (:func:`~rmbr.mbr.scored_consensus`, as reranking does) through the
+    providers the check resolved, in one pass under :func:`~rmbr.errors.in_list`
+    that also takes each candidate's objective statistics against the list's
+    reference: the rows of :func:`bleu_stats`, or its sentence chrF
     (:func:`~rmbr.mbr.reference_scores` with chrF).
     Returns the first setting with the highest objective, as its depth
     (None for a grid search) and its weights by name, that objective, and
@@ -387,23 +389,22 @@ def tune(lists, metric, grid, depths, config, checked):
 
     from .metrics import bleu_stats
 
-    scored = [
-        (scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths), regs)
-        for lst, u, (_, consensus, regs) in zip(lists, config.utility, checked)
-    ]
+    scored = []
+    for i, (lst, u, (_, consensus, regs)) in enumerate(zip(lists, config.utility, checked)):
+        with in_list(i):
+            consensus = scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths)
+            if metric == "chrf":
+                stats = np.array(reference_scores(lst, ChrfUtility()))
+            else:
+                stats = bleu_stats([c.tokens for c in lst.candidates], lst.reference.split())
+        scored.append((consensus, regs, stats))
     if grid is None:
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)
     else:
         weights = _weight_vectors(grid, len(config.regularizers))
-    if metric == "chrf":
-        stats = [np.array(reference_scores(lst, ChrfUtility())) for lst in lists]
-    else:
-        stats = [
-            bleu_stats([c.tokens for c in lst.candidates], lst.reference.split()) for lst in lists
-        ]
     curve = []
     for d in range(len(depths)):
-        at_d = [(consensus[d], regs, s) for (consensus, regs), s in zip(scored, stats)]
+        at_d = [(consensus[d], regs, stats) for consensus, regs, stats in scored]
         curve += _grid_objectives(at_d, weights, metric)
     best = max(range(len(curve)), key=curve.__getitem__)
     depth, row = divmod(best, len(weights))

@@ -10,9 +10,9 @@ Exit codes: 0 on success; an rmbr error's class gives its ``exit_code``
 (:mod:`rmbr.errors`): 1 for invalid input or configuration, 2 for
 scorer-transport or scoring failures (including a non-finite score, or
 scores whose consensus or weighted totals are not finite); a missing
-file is 1, any other OS error 2, and Ctrl-C 130.  A check failure of one
-list names its 0-based index, ``list i:``.  An ``--output`` that names a
-directory, and a ``--bins`` below 1, are refused before any work.
+file is 1, any other OS error 2, and Ctrl-C 130.  An error raised while
+list i is checked or scored names it, ``list i:``.  An ``--output`` that
+names a directory, and a ``--bins`` below 1, are refused before any work.
 Errors go to stderr as one line prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  The commands that score (``rerank``, ``c2f``,

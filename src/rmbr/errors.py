@@ -2,9 +2,11 @@
 
 A class's ``exit_code`` is the CLI's exit status for it: 1 for validation
 errors (bad inputs, bad configuration, malformed files), 2 for runtime
-errors (transport failures, remote scoring failures).  A check failure of
-one n-best list names its 0-based index, ``list i:``.
+errors (transport failures, remote scoring failures).  Every error raised
+while n-best list i is checked or scored starts ``list i:`` (:func:`in_list`).
 """
+
+from contextlib import contextmanager
 
 
 class RmbrError(Exception):
@@ -49,3 +51,13 @@ class ScoringError(RmbrError):
     """The scorer service returned an error response for a request."""
 
     exit_code = 2
+
+
+@contextmanager
+def in_list(index: int):
+    """Re-raise an rmbr error raised inside as its own class, so its exit code is kept, with
+    ``list index: `` in front; any other exception, ``KeyboardInterrupt`` too, passes untouched."""
+    try:
+        yield
+    except RmbrError as e:
+        raise type(e)(f"list {index}: {e}") from None

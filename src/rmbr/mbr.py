@@ -78,8 +78,8 @@ from .errors import (
     DimensionError,
     InvalidInputError,
     MissingScoreError,
-    RmbrError,
     ScoringError,
+    in_list,
 )
 from .io import load_utility_matrices
 
@@ -497,8 +497,8 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
     be a stored matrix.  Then, list by list, ``keep`` and the depth must
     fit, and :func:`checked_values` checks the proxy over all n candidates
     with no regularizers, then the target with the config's weight row
-    unless ``weights`` are given, at each of ``depths``.  A list's check
-    failure is raised as its class, prefixed ``list i:``.
+    unless ``weights`` are given, at each of ``depths``, each list under
+    :func:`~rmbr.errors.in_list`, so its failure names it.
     Returns the resolved config and, per list, the proxy's consensus (None
     without coarse-to-fine) and the target's :func:`checked_values` rows.
     """
@@ -509,7 +509,7 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
         raise ConfigError("a precomputed utility matrix cannot be the coarse-to-fine target")
     checked = []
     for i, nbest in enumerate(lists):
-        try:
+        with in_list(i):
             proxy = None
             if stages is not None:
                 if stages.keep > nbest.n:
@@ -517,8 +517,6 @@ def _checked_lists(session, lists, config: RerankConfig, weights=None, depths=(N
                 proxy, _ = checked_values(nbest, stages.proxy[i], nbest.n, (), [()])
             l = config.resolve_l(nbest.n)
             target = checked_values(nbest, utilities[i], l, config.regularizers, weights, depths)
-        except RmbrError as e:
-            raise type(e)(f"list {i}: {e}") from None
         checked.append((proxy, *target))
     return config, checked
 
@@ -530,8 +528,8 @@ def check_reranking(lists, config: RerankConfig) -> None:
         _checked_lists(session, lists, config)
 
 
-def check_scored(index: int, totals) -> None:
-    """Raise :class:`ScoringError`, naming list ``index``, unless every total is finite.
+def check_scored(totals) -> None:
+    """Raise :class:`ScoringError` unless every total is finite.
 
     :func:`check_reranking` (and, for a tuning run,
     :func:`~rmbr.analysis.check_tuning`) has proved that every value
@@ -542,7 +540,7 @@ def check_scored(index: int, totals) -> None:
     import numpy as np
 
     if not np.isfinite(totals).all():
-        raise ScoringError(f"list {index}: scores are not finite")
+        raise ScoringError("scores are not finite")
 
 
 def rerank_lists(lists, config: RerankConfig) -> list[RerankResult]:
@@ -563,27 +561,28 @@ def _reranked(lists, config: RerankConfig, checked) -> list[RerankResult]:
     against all n and the best k survive, in list order.  The survivors are
     scored at depth l, combined with the regularizers in ``config.lambdas``
     order and ranked: n * l pair evaluations, or n^2 + k^2 with
-    coarse-to-fine.  Lists are scored in order, none after one fails; a
-    result's indices refer to its original list, and only survivors carry
-    scores.
+    coarse-to-fine.  Lists are scored in order, none after one fails, whose
+    error names it (:func:`~rmbr.errors.in_list`); a result's indices refer
+    to its original list, and only survivors carry scores.
     """
     results = []
     stages = config.coarse_to_fine
     for i, (nbest, (proxy, consensus, regs)) in enumerate(zip(lists, checked)):
-        survivors, calls = list(range(nbest.n)), 0
-        if stages is not None:
-            proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
-            check_scored(i, proxy)
-            order, _ = rank_candidates(proxy)
-            survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
-            nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
-            regs = [[row[j] for j in survivors] for row in regs]
-        l = config.resolve_l(nbest.n)
-        consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
-        regularizers = dict(zip(config.regularizers, regs))
-        totals = combine_scores(consensus, regularizers, config.lambdas)
-        check_scored(i, totals)
-        ranking, _ = rank_candidates(totals)
+        with in_list(i):
+            survivors, calls = list(range(nbest.n)), 0
+            if stages is not None:
+                proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
+                check_scored(proxy)
+                order, _ = rank_candidates(proxy)
+                survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
+                nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
+                regs = [[row[j] for j in survivors] for row in regs]
+            l = config.resolve_l(nbest.n)
+            consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
+            regularizers = dict(zip(config.regularizers, regs))
+            totals = combine_scores(consensus, regularizers, config.lambdas)
+            check_scored(totals)
+            ranking, _ = rank_candidates(totals)
         results.append(
             RerankResult(
                 mbr_scores=tuple(consensus),

@@ -96,6 +96,8 @@ def service_opener(address: str):
 
 
 _READ_CHUNK = 1 << 16
+# bytes of the longest response line read; a pair's answer is a few dozen
+_MAX_LINE = 1 << 20
 
 
 class ScorerClient:
@@ -120,8 +122,8 @@ class ScorerClient:
         self._wfd = write_fd
         self._teardown = close
         self._closed = False
-        #: lines read but not yet handed to a batch, and a partial line
-        self._lines, self._tail = deque(), b""
+        #: lines read but not yet handed to a batch, and a partial line's chunks
+        self._lines, self._tail = deque(), []
         #: requests a failed batch left unwritten, and the ids not yet answered
         self._unsent, self._pending = b"", {}
         self._next_id = 0
@@ -190,7 +192,10 @@ class ScorerClient:
         written or complete lines arrive.  Each read's complete lines are
         decoded at once, so one invalid byte fails them all.  A last line
         that ends at EOF without a newline is still a line, as in ``for
-        line in file``.
+        line in file``.  A partial line is kept as its chunks and joined
+        when its newline arrives, so a long line costs linear time.  One
+        longer than ``_MAX_LINE`` bytes fails at once and what was read of
+        it is dropped, so its rest reaches the next call as a line of its own.
         """
         rfd, wfd, lines = self._rfd, self._wfd, self._lines
         out = memoryview(bytes(self._unsent) + payload)
@@ -231,13 +236,20 @@ class ScorerClient:
                 if not self._tail:
                     raise TransportError("scorer closed the connection")
                 data = b"\n"  # the last line ends at EOF
-            complete, newline, self._tail = (self._tail + data).rpartition(b"\n")
-            if newline:
-                try:
-                    lines.extend(complete.decode("utf-8").split("\n"))
-                except UnicodeDecodeError as e:
-                    raise TransportError(f"scorer connection failed: {e}") from None
-                deadline = time.monotonic() + self.timeout
+            end = data.find(b"\n")  # of the line the partial one continues
+            if sum(map(len, self._tail)) + (len(data) if end < 0 else end) > _MAX_LINE:
+                self._tail = []
+                raise TransportError(f"scorer response line longer than {_MAX_LINE} bytes")
+            self._tail.append(data)
+            if end < 0:
+                continue
+            complete, _, rest = b"".join(self._tail).rpartition(b"\n")
+            self._tail = [rest] if rest else []
+            try:
+                lines.extend(complete.decode("utf-8").split("\n"))
+            except UnicodeDecodeError as e:
+                raise TransportError(f"scorer connection failed: {e}") from None
+            deadline = time.monotonic() + self.timeout
 
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()

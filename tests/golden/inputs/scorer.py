@@ -4,6 +4,10 @@ print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
 sys.stdin.readline()
 for line in sys.stdin:
     req = json.loads(line)
+    if mode in ("error3", "stall3") and req["src"] == "source 3":
+        if mode == "error3":
+            print('{"id": %d, "error": "boom"}' % req["id"], flush=True)
+        continue
     if mode == "nan":
         score = "NaN"
     elif mode == "huge":

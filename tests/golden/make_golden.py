@@ -25,6 +25,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
@@ -88,7 +89,8 @@ _LISTS = [
     ),
 ]
 
-# one script, three behaviours: Dice overlap of the word sets, NaN, or 1e308
+# one script, five behaviours: Dice overlap of the word sets, NaN, 1e308, or
+# Dice except for list 3's requests, which get an error answer or none at all
 _SCORER = """\
 import json, sys
 mode = sys.argv[1]
@@ -96,6 +98,10 @@ print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
 sys.stdin.readline()
 for line in sys.stdin:
     req = json.loads(line)
+    if mode in ("error3", "stall3") and req["src"] == "source 3":
+        if mode == "error3":
+            print('{"id": %d, "error": "boom"}' % req["id"], flush=True)
+        continue
     if mode == "nan":
         score = "NaN"
     elif mode == "huge":
@@ -213,6 +219,8 @@ _BASE_CASES = {
     "rerank-fail0": ["rerank", "-i", "fail0.jsonl", "-o", "out", "--lambda", "qe=0.5"],
     "rerank-fail3": ["rerank", "-i", "fail3.jsonl", "-o", "out", "--lambda", "qe=0.5"],
     "rerank-service": [*_RERANK, "--utility", f"{_SERVICE} ok", "--mode", "full"],
+    "rerank-service-error3": [*_RERANK, "--utility", f"{_SERVICE} error3"],
+    "rerank-service-stall3": [*_RERANK, "--utility", f"{_SERVICE} stall3"],
     "c2f-bleu-chrf": [
         *_C2F, "--proxy", "bleu", "--utility", "chrf", "--keep", "3",
         "--lambda", "lp=0.1", "--mode", "full",
@@ -242,6 +250,9 @@ _BASE_CASES = {
     "tune-lambda-service": [
         *_TUNE_LAMBDA, "--utility", f"{_SERVICE} ok", "--regularizers", "lp", "--grid=0,1",
     ],
+    "tune-lambda-service-error3": [
+        *_TUNE_LAMBDA, "--utility", f"{_SERVICE} error3", "--regularizers", "lp", "--grid=0,1",
+    ],
     "tune-lambda-fail0": [
         "tune-lambda", "-i", "fail0.jsonl", "-o", "out", "--regularizers", "qe",
     ],
@@ -266,6 +277,7 @@ _BASE_CASES = {
     "oracle-blank-reference": ["oracle", "-i", "blankref.jsonl", "-o", "out"],
     "oracle-service": [*_ORACLE, "--utility", f"{_SERVICE} ok"],
     "oracle-service-nan": [*_ORACLE, "--utility", f"{_SERVICE} nan"],
+    "oracle-service-error3": [*_ORACLE, "--utility", f"{_SERVICE} error3"],
     "oracle-service-huge": [*_ORACLE, "--utility", f"{_SERVICE} huge"],
     "tokenprob-top1": ["tokenprob", "-i", "dev.jsonl", "-o", "out"],
     "tokenprob-reference": [
@@ -291,15 +303,24 @@ def _plain(text: str, directory: Path) -> str:
 
 
 def run_case(args, directory: Path) -> dict:
-    """Run one case through ``main()`` in ``directory``, a fresh copy of the inputs."""
+    """Run one case through ``main()`` in ``directory``, a fresh copy of the inputs.
+
+    A case whose scorer stalls runs with a scorer timeout of 2 s, well above a
+    scorer's start-up, and the environment is restored afterwards.
+    """
     from rmbr.cli import main
 
     argv = [a.replace("{python}", sys.executable) for a in args]
+    env = {"RMBR_SCORER_TIMEOUT_SECS": "2"} if f"{_SERVICE} stall3" in args else {}
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with (
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+            mock.patch.dict(os.environ, env),
+        ):
             code = main(argv)
     finally:
         os.chdir(cwd)

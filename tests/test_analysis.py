@@ -355,7 +355,7 @@ def test_grid_selections_match_combine_and_rank(monkeypatch):
         consensus = rng.choice([-0.0, 0.0, 0.5, -0.5], size=4).tolist()
         values = [rng.integers(-2, 3, size=4).tolist() for _ in names]
         regs = dict(zip(names, values))
-        picks = analysis._grid_selections(consensus, values, weights, trivial_list(4))
+        picks = analysis._grid_selections(consensus, values, weights)
         want = [
             rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))[1]
             for w in weights.tolist()
@@ -366,12 +366,11 @@ def test_grid_selections_match_combine_and_rank(monkeypatch):
     lambdas = {"lm": 1.0, "qe": 1.0}
     want = rank_candidates(combine_scores(consensus, dict(zip(lambdas, values)), lambdas))[1]
     assert want == 1
-    pair = trivial_list(2)
-    assert analysis._grid_selections(consensus, values, np.ones((1, 2)), pair).tolist() == [want]
+    assert analysis._grid_selections(consensus, values, np.ones((1, 2))).tolist() == [want]
     # -0.0 and +0.0 tie, so the lower index wins either way round
     no_weights = np.zeros((1, 0))
-    assert analysis._grid_selections([-0.0, 0.0], [], no_weights, pair).tolist() == [0]
-    assert analysis._grid_selections([0.0, -0.0], [], no_weights, pair).tolist() == [0]
+    assert analysis._grid_selections([-0.0, 0.0], [], no_weights).tolist() == [0]
+    assert analysis._grid_selections([0.0, -0.0], [], no_weights).tolist() == [0]
 
 
 def _external_list(names, values):
@@ -401,7 +400,7 @@ def test_checked_values_rejects_non_finite_totals_as_ranking_does(weight):
             call()
     # after scoring, the same totals are a scoring failure
     with pytest.raises(ScoringError, match="scores are not finite"):
-        analysis._grid_selections(consensus, values, weights, nbest)
+        analysis._grid_selections(consensus, values, weights)
 
 
 def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():

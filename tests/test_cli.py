@@ -29,7 +29,15 @@ from rmbr.io import read_results, write_nbest, write_utility_matrices, write_uti
 from rmbr.mbr import MatrixUtility, rerank
 from rmbr.metrics import corpus_bleu
 
-from conftest import length_score, make_candidate, make_list, random_list, random_matrix
+from conftest import (
+    PROTOCOL,
+    ScorerServer,
+    length_score,
+    make_candidate,
+    make_list,
+    random_list,
+    random_matrix,
+)
 
 # where ``rmbr`` is imported from, for the commands run as child processes
 _SRC = os.path.dirname(os.path.dirname(rmbr.__file__))
@@ -654,6 +662,24 @@ def test_every_rmbr_error_exits_with_its_documented_status(monkeypatch, capsys, 
     assert capsys.readouterr() == ("", "error: it failed\n")
 
 
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_in_list_names_the_list_and_keeps_the_class_and_its_exit_code(error):
+    with pytest.raises(error) as raised:
+        with errors.in_list(3):
+            raise error("it failed")
+    assert type(raised.value) is error and str(raised.value) == "list 3: it failed"
+    assert raised.value.exit_code == _DOCUMENTED_EXIT_CODES[error.__name__]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_in_list_lets_every_other_exception_pass_unchanged(error):
+    thrown = error("it failed")
+    with pytest.raises(error) as raised:
+        with errors.in_list(3):
+            raise thrown
+    assert raised.value is thrown and str(thrown) == "it failed"
+
+
 def test_a_lambda_without_a_value_exits_1(dev_file, tmp_path, capsys):
     path, _ = dev_file
     assert run(["rerank", "-i", path, "-o", tmp_path / "o.txt", "--lambda", "qe"]) == 1
@@ -810,9 +836,86 @@ def test_scorer_response_with_a_non_int_id_exits_2(tmp_path, scorer_server, caps
     assert run(args) == 2
     # the first response already fails, the one for id 0
     assert capsys.readouterr().err == (
-        f"error: scorer response for unknown or duplicate id {mangle(0)!r}\n"
+        f"error: list 0: scorer response for unknown or duplicate id {mangle(0)!r}\n"
     )
     assert not (tmp_path / "o.txt").exists()
+
+
+def _half(req):
+    return json.dumps({"id": req["id"], "score": 0.5})
+
+
+def _boom(req):
+    return json.dumps({"id": req["id"], "error": "boom"})
+
+
+def _failing_on_list_3(answer):
+    """A TCP scorer that scores every pair 0.5 but list 3's: its requests get
+    ``answer(request)``, one response line, or no answer where that is None."""
+
+    def handler(reader, writer):
+        writer.write(json.dumps({"protocol": PROTOCOL}) + "\n")
+        writer.flush()
+        reader.readline()
+        for line in reader:
+            req = json.loads(line)
+            reply = (answer if req["src"] == "source 3" else _half)(req)
+            if reply is not None:
+                writer.write(reply + "\n")
+                writer.flush()
+
+    return ScorerServer(handler)
+
+
+# each run's flags past its input and output, with "{bad}" for the failing
+# scorer's spec and "{ok}" for one that scores every pair
+_SCORING_RUNS = {
+    "rerank": ["rerank", "--utility", "{bad}"],
+    "c2f-proxy": ["c2f", "--keep", "2", "--proxy", "{bad}", "--utility", "{ok}"],
+    "c2f-target": ["c2f", "--keep", "2", "--proxy", "{ok}", "--utility", "{bad}"],
+    "tune-lambda": ["tune-lambda", "--utility", "{bad}", "--regularizers", "lp", "--grid=0,1"],
+    "tune-l": ["tune-l", "--utility", "{bad}"],
+    "oracle": ["oracle", "--utility", "{bad}"],
+}
+
+
+@pytest.mark.parametrize(
+    "run_name, answer, message",
+    [
+        *[(name, _boom, "scorer failed on pair 0: boom") for name in _SCORING_RUNS],
+        ("rerank", lambda req: '{"id": %d, "score": NaN}' % req["id"],
+         "scorer returned a non-finite score for pair 0: nan"),
+        ("rerank", lambda req: "not json", "malformed scorer response: 'not json\\n'"),
+        ("rerank", lambda req: '{"id": "x", "score": 0.5}',
+         "scorer response for unknown or duplicate id 'x'"),
+        ("rerank", lambda req: None, "timed out after 1.0s waiting for scorer response"),
+    ],
+    ids=[*_SCORING_RUNS, "rerank-nan", "rerank-malformed", "rerank-str-id", "rerank-timeout"],
+)
+def test_every_scorer_failure_names_its_list(
+    tmp_path, monkeypatch, capsys, run_name, answer, message
+):
+    """A scorer that fails only on list 3's requests: every scoring command
+    exits 2 with the client's message after ``list 3:``, and writes nothing."""
+    monkeypatch.setenv("RMBR_SCORER_TIMEOUT_SECS", "1")
+    lists = [
+        make_list(["a b", "b c", "c d"], source=f"source {i}", reference="a b c")
+        for i in range(5)
+    ]
+    path = tmp_path / "dev.jsonl"
+    write_nbest(path, lists)
+    # one server per stage: a server serves one connection at a time
+    bad, ok = _failing_on_list_3(answer), _failing_on_list_3(_half)
+    specs = {"{bad}": f"service:127.0.0.1:{bad.port}", "{ok}": f"service:127.0.0.1:{ok.port}"}
+    command, *flags = _SCORING_RUNS[run_name]
+    flags = [specs.get(flag, flag) for flag in flags]
+    try:
+        code = run([command, "-i", path, "-o", tmp_path / "out", *flags])
+    finally:
+        bad.close()
+        ok.close()
+    assert (code, capsys.readouterr().err) == (2, f"error: list 3: {message}\n")
+    assert list(tmp_path.glob("out*")) == []
 
 
 _NONFINITE_SCORER = """

@@ -187,7 +187,7 @@ def test_a_scorer_that_answers_nan_fails_only_the_real_run(tmp_path, command):
     assert log.read_text(encoding="utf-8") == ""
     code, _, err = _run(args)
     assert code == 2
-    assert err == "error: scorer returned a non-finite score for pair 0: nan\n"
+    assert err == "error: list 0: scorer returned a non-finite score for pair 0: nan\n"
     assert _outputs(tmp_path) == []
     pids = [int(pid) for pid in log.read_text(encoding="utf-8").split()]
     assert len(pids) == 1

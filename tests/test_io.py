@@ -820,6 +820,51 @@ def test_scorer_client_joins_lines_split_across_reads():
     assert _score_two(unterminated) == [1.5, 1.5]
 
 
+def test_scorer_client_fails_a_response_line_past_its_bound_at_once():
+    """A scorer that writes 16 MB with no newline: the batch fails as soon as
+    the partial line passes the bound, well inside the timeout."""
+
+    def script(reqs):
+        return [b"x" * (16 << 20)]
+
+    start = time.monotonic()
+    with pytest.raises(TransportError, match=f"^scorer response line longer than {1 << 20} bytes$"):
+        _score_two(script)
+    assert time.monotonic() - start < 3
+
+
+def test_scorer_client_drops_a_line_past_its_bound_and_reads_on():
+    """What was read of a line past the bound is dropped with the failed
+    batch; its rest is the next batch's malformed line, and the batch after
+    that reads its answer."""
+
+    def script(reqs):
+        return [b"x" * ((1 << 20) + (100 << 10)) + b'\n{"id": 3, "score": 0.5}\n']
+
+    server = _scripted_replies(script)
+    try:
+        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+            with pytest.raises(TransportError, match="longer than"):
+                client.score_pairs([("s", "a", "b"), ("s", "c", "d")])
+            with pytest.raises(TransportError, match=r"^malformed scorer response: 'x+\\n'$"):
+                client.score_pairs([("s", "e", "f")])
+            assert client.score_pairs([("s", "g", "h")]) == [0.5]
+    finally:
+        server.close()
+
+
+def test_scorer_client_reads_a_long_error_text_whole():
+    """A 512 KB error answer, read in many pieces, arrives whole."""
+    text = "e" * (512 << 10)
+
+    def script(reqs):
+        return [(json.dumps({"id": reqs[0]["id"], "error": text}) + "\n").encode()]
+
+    with pytest.raises(ScoringError) as failed:
+        _score_two(script)
+    assert str(failed.value) == f"scorer failed on pair 0: {text}"
+
+
 def test_scorer_client_rejects_a_malformed_line():
     def script(reqs):
         return [(json.dumps({"id": reqs[0]["id"], "score": 0.5}) + "\nnot json\n").encode()]

@@ -406,11 +406,11 @@ def test_rerank_keeps_both_stages_scorers_until_it_returns(tmp_path, monkeypatch
     running = []  # scorers running at each stage's check, the proxy's first
     check = mbr.check_scored
 
-    def check_while_running(nbest, totals):
+    def check_while_running(totals):
         for pid in started():
             os.kill(pid, 0)
         running.append(len(started()))
-        return check(nbest, totals)
+        return check(totals)
 
     monkeypatch.setattr(mbr, "check_scored", check_while_running)
 
@@ -528,13 +528,18 @@ def test_a_provider_matrix_of_any_other_shape_than_n_by_l_is_a_dimension_error(r
     lst = trivial_list(3)
     util = _Shaped(rows, cols)
     stages = CoarseToFine(util, 2)
-    for call in (
-        lambda: rerank(lst, RerankConfig(utility=util)),
-        lambda: rerank(lst, RerankConfig(utility=util, l=2)),
-        lambda: rerank(lst, RerankConfig(utility=BleuUtility(), coarse_to_fine=stages)),
-        lambda: build_utility_matrix(lst, util, 3),
+    shape = r"shaped gave shape \(\d, \d\), not \(\d, \d\)$"
+    # a rerank names the list; build_utility_matrix scores one list, unnamed
+    for call, prefix in (
+        (lambda: rerank(lst, RerankConfig(utility=util)), "list 0: "),
+        (lambda: rerank(lst, RerankConfig(utility=util, l=2)), "list 0: "),
+        (
+            lambda: rerank(lst, RerankConfig(utility=BleuUtility(), coarse_to_fine=stages)),
+            "list 0: ",
+        ),
+        (lambda: build_utility_matrix(lst, util, 3), ""),
     ):
-        with pytest.raises(DimensionError, match=r"^shaped gave shape \(\d, \d\), not \(\d, \d\)$"):
+        with pytest.raises(DimensionError, match=f"^{prefix}{shape}"):
             call()
     assert rerank(lst, RerankConfig(utility=_Shaped(0, 0))).mbr_scores == (1.0, 1.0, 1.0)
 
