@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig
+from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig, _integer, _number
 from .errors import ConfigError, InvalidInputError, MissingScoreError, in_list
 from .mbr import ChrfUtility, MatrixUtility, UtilitySession, _checked_lists, check_scored
 from .mbr import reference_scores, scored_consensus
@@ -61,12 +61,9 @@ def corpus_objective(
     selections: Sequence[int],
     metric: str = "bleu",
 ) -> float:
-    """Corpus score of one selected candidate per list against the references.
-
-    ``metric`` is "bleu" (corpus BLEU over whitespace-tokenized references)
-    or "chrf" (mean sentence chrF).
-    """
-    from .metrics import corpus_bleu, sentence_chrf
+    """Corpus score of one selected candidate per list against the references:
+    :func:`~rmbr.metrics.corpus_score` of ``metric``, "bleu" or "chrf"."""
+    from .metrics import corpus_score
 
     check_objective(lists, metric)
     if len(selections) != len(lists):
@@ -74,26 +71,20 @@ def corpus_objective(
             f"got {len(selections)} selections for {len(lists)} lists"
         )
     picked = [lst.candidates[sel] for lst, sel in zip(lists, selections)]
-    if metric == "bleu":
-        return corpus_bleu(
-            [list(c.tokens) for c in picked],
-            [lst.reference.split() for lst in lists],
-        )
-    scores = [sentence_chrf(c.text, lst.reference) for c, lst in zip(picked, lists)]
-    return sum(scores) / len(scores)
+    refs = [lst.reference for lst in lists]
+    return corpus_score(metric, [c.text for c in picked], refs, [list(c.tokens) for c in picked])
 
 
-def _checked_oracle(session, lists, utility, bin_width, metric) -> list:
-    """The oracle's pre-scoring check: :func:`check_objective` of ``metric``,
-    a bin width >= 1, and providers, resolved in ``session`` and returned,
-    that are not a stored matrix."""
+def _checked_oracle(session, lists, utility, bin_width, metric) -> tuple[int, list]:
+    """The oracle's pre-scoring check: :func:`check_objective` of ``metric``, an integer
+    bin width >= 1, returned as an int, and providers, resolved in ``session`` and
+    returned, that are not a stored matrix."""
     check_objective(lists, metric)
-    if bin_width < 1:
-        raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
+    bin_width = _integer(bin_width, "bin_width", 1, ConfigError)
     providers = session.providers(utility, len(lists))
     if any(isinstance(provider, MatrixUtility) for provider in providers):
         raise ConfigError("a precomputed utility matrix cannot score against new references")
-    return providers
+    return bin_width, providers
 
 
 def _oracle_picks(lists, providers) -> list[tuple[int, float]]:
@@ -111,7 +102,7 @@ def oracle_select(nbest: NBestList, utility="bleu") -> tuple[int, float]:
     Ties go to the earlier (better beam rank) candidate.
     """
     with UtilitySession() as session:
-        return _oracle_picks([nbest], _checked_oracle(session, [nbest], utility, 1, "bleu"))[0]
+        return _oracle_picks([nbest], _checked_oracle(session, [nbest], utility, 1, "bleu")[1])[0]
 
 
 @dataclass(frozen=True)
@@ -155,9 +146,9 @@ def oracle_histogram(
     oracle selections — the reranking ceiling.
     """
     with UtilitySession() as session:
-        providers = _checked_oracle(session, lists, utility, bin_width, objective_metric)
+        width, providers = _checked_oracle(session, lists, utility, bin_width, objective_metric)
         picks = _oracle_picks(lists, providers)
-    return _oracle_report(lists, picks, bin_width, objective_metric)
+    return _oracle_report(lists, picks, width, objective_metric)
 
 
 def _oracle_report(lists, picks, bin_width, objective_metric) -> OracleReport:
@@ -219,8 +210,7 @@ def token_prob_by_length(
     """
     if which not in ("top1", "reference"):
         raise ConfigError(f"which must be 'top1' or 'reference', got {which!r}")
-    if interval_width < 1:
-        raise ConfigError(f"interval_width must be >= 1, got {interval_width}")
+    interval_width = _integer(interval_width, "interval_width", 1, ConfigError)
     if not lists:
         raise InvalidInputError("no lists")
     sums: dict[int, float] = {}
@@ -252,9 +242,9 @@ def token_prob_by_length(
 
 
 def lambda_grid(weights) -> list[float]:
-    """The distinct weights of a tuning grid, ascending; none may be non-finite (a
-    bad grid is named as given: each nan hashes by identity, so a set has no order)."""
-    weights = [float(w) for w in weights]
+    """The distinct weights of a tuning grid, ascending; each a number, none non-finite
+    (a bad grid is named as given: each nan hashes by identity, so a set has no order)."""
+    weights = [_number(w, "weight grid value", ConfigError, finite=False) for w in weights]
     if not weights:
         raise ConfigError("empty weight grid")
     if not all(math.isfinite(w) for w in weights):

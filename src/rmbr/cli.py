@@ -12,7 +12,8 @@ scorer-transport or scoring failures (including a non-finite score, or
 scores whose consensus or weighted totals are not finite); a missing
 file is 1, any other OS error 2, and Ctrl-C 130.  An error raised while
 list i is checked or scored names it, ``list i:``.  An ``--output`` that
-names a directory, and a ``--bins`` below 1, are refused before any work.
+names a directory, or whose run report would be one, and a ``--bins``
+below 1, are refused before any work.
 Errors go to stderr as one line prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  The commands that score (``rerank``, ``c2f``,
@@ -70,6 +71,7 @@ from .core import (
     REGULARIZER_NAMES,
     CoarseToFine,
     RerankConfig,
+    _integer,
     check_corpus,
 )
 from .errors import ConfigError, InvalidInputError, RmbrError
@@ -248,8 +250,7 @@ def _write_report(args, lists, results, started, session):
 def _cmd_rerank(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _integer(args.threads, "--threads", 1, ConfigError)
     stages = CoarseToFine(args.proxy, args.keep) if args.command == "c2f" else None
     config = RerankConfig(
         utility=args.utility,
@@ -318,10 +319,10 @@ def _cmd_oracle(args) -> int:
     started = time.monotonic()
     lists = load_nbest(args.input)
     with UtilitySession() as session:
-        providers = _checked_oracle(session, lists, args.utility, args.bins, args.metric)
+        bins, providers = _checked_oracle(session, lists, args.utility, args.bins, args.metric)
         if args.dry_run:
             return _validated(lists)
-        report = _oracle_report(lists, _oracle_picks(lists, providers), args.bins, args.metric)
+        report = _oracle_report(lists, _oracle_picks(lists, providers), bins, args.metric)
     _emit_record(args, report.to_record(), [report.format_table()])
     if args.output:
         _write_report(args, lists, None, started, session)
@@ -349,14 +350,9 @@ def _cmd_eval(args) -> int:
     if args.dry_run:
         print(f"ok: {len(hyps)} sentence pairs")
         return 0
-    from .metrics import corpus_bleu, sentence_chrf
+    from .metrics import corpus_score
 
-    if args.metric == "bleu":
-        score = corpus_bleu(*tokens)
-    else:
-        scores = [sentence_chrf(h, r) for h, r in zip(hyps, refs)]
-        score = sum(scores) / len(scores)
-    print(f"{args.metric} {score!r}")
+    print(f"{args.metric} {corpus_score(args.metric, hyps, refs, tokens[0])!r}")
     return 0
 
 
@@ -371,11 +367,19 @@ _COMMANDS = {
 }
 
 
+# the commands that write a run report beside their output
+_REPORTING = ("rerank", "c2f", "tune-lambda", "tune-l", "oracle")
+
+
 def _check_args(args) -> None:
-    """Refuse an ``--output`` that names a directory, and ``--bins`` below 1, before any work."""
-    output = getattr(args, "output", None)
-    if output is not None and os.path.isdir(output):
-        raise InvalidInputError(f"output path {output} is a directory")
+    """Refuse an ``--output``, or a run report's ``<output>.report.json``, that names a
+    directory, and ``--bins`` below 1, before any work."""
+    outputs = [] if getattr(args, "output", None) is None else [args.output]
+    if outputs and args.command in _REPORTING:
+        outputs.append(f"{args.output}.report.json")
+    for path in outputs:
+        if os.path.isdir(path):
+            raise InvalidInputError(f"output path {path} is a directory")
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
 

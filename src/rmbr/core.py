@@ -2,8 +2,10 @@
 
 The constructors of these types are the one place that decides what a
 valid field is.  They check types and do not coerce: a number is a finite
-int, float or numpy real scalar, never a bool or a string; a number list
-is a list, tuple or 1-D array of numbers; an index is a non-negative int.
+int, float or numpy real scalar, never a bool or a string; an integer is an
+int or numpy integer scalar >= a minimum, never a bool; a number list is a
+list, tuple or 1-D array of numbers.  Other modules check what a caller
+sets with the same two checks, :func:`_number` and :func:`_integer`.
 Checked values are stored as floats, float tuples and ints, written to
 ``vars(self)`` since the types are frozen.  A bad data field raises
 :class:`InvalidInputError`, a bad config field :class:`ConfigError`.
@@ -17,11 +19,12 @@ objectives and the corpus check of corpus BLEU (:func:`check_corpus`)
 live here too, so that a command checks them without loading the metrics.
 
 A reranked score is the expected-utility (MBR) score of a candidate plus a
-weighted sum of regularizer scores.  All regularizer scores are stored
-higher-is-better: log-probability style scores come in as-is, uncertainty
-scores are negated at ingestion, so a positive weight always rewards
-quality/confidence.  No normalization is applied anywhere; balancing the
-terms is entirely the job of the weights.
+weighted sum of regularizer scores.  All regularizer scores are read
+higher-is-better: log-probability style scores as-is, and uncertainty
+scores, which a :class:`Candidate` stores raw, negated when
+:func:`rmbr.mbr.regularizer_values` reads them, so a positive weight
+always rewards quality/confidence.  No normalization is applied
+anywhere; balancing the terms is entirely the job of the weights.
 """
 
 from __future__ import annotations
@@ -84,17 +87,24 @@ def _items(values, what: str, types: set, noun: str) -> list | tuple:
     return items
 
 
-def _number(value, what: str, error=InvalidInputError) -> float:
-    """``value``, a number, as a float; ``error`` is raised if it is not one."""
+def _number(value, what: str, error=InvalidInputError, finite=True) -> float:
+    """``value``, a number (finite if ``finite``), as a float; else ``error`` is raised."""
     if type(value) not in _REAL_TYPES and not _typed({type(value)}, _REAL_TYPES):
         raise error(f"{what} must be a number, got {_show(value)}")
     try:
         number = float(value)
     except OverflowError:
         raise error(f"int too large to convert to float: {what}") from None
-    if not math.isfinite(number):
+    if finite and not math.isfinite(number):
         raise error(f"{what} must be finite")
     return number
+
+
+def _integer(value, what: str, least: int, error=InvalidInputError, also: str = "") -> int:
+    """``value``, an int or numpy integer (never a bool) >= ``least``, as an int; else ``error``."""
+    if not _typed({type(value)}, _INTEGER_TYPES) or value < least:
+        raise error(f"{what} must be an integer >= {least}{also}, got {value!r}")
+    return int(value)
 
 
 def _numbers(values, what: str) -> tuple[float, ...]:
@@ -249,9 +259,7 @@ class CoarseToFine:
     keep: int
 
     def __post_init__(self):
-        if not _typed({type(self.keep)}, _INTEGER_TYPES) or self.keep < 1:
-            raise ConfigError(f"coarse-to-fine keep must be an integer >= 1, got {self.keep!r}")
-        vars(self)["keep"] = int(self.keep)
+        vars(self)["keep"] = _integer(self.keep, "coarse-to-fine keep", 1, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -282,10 +290,8 @@ class RerankConfig:
                 )
         lambdas = self.lambdas.items()
         vars(self)["lambdas"] = {k: _number(v, f"lambda {k}", ConfigError) for k, v in lambdas}
-        if _typed({type(self.l)}, _INTEGER_TYPES) and self.l >= 1:
-            vars(self)["l"] = int(self.l)
-        elif not isinstance(self.l, str) or self.l != "full":
-            raise ConfigError(f"l must be an integer >= 1 or 'full', got {self.l!r}")
+        if not isinstance(self.l, str) or self.l != "full":
+            vars(self)["l"] = _integer(self.l, "l", 1, ConfigError, " or 'full'")
         if not isinstance(self.coarse_to_fine, (CoarseToFine, type(None))):
             raise ConfigError(
                 f"coarse_to_fine must be a CoarseToFine or None, got {self.coarse_to_fine!r}"
@@ -328,16 +334,12 @@ class RerankResult:
         scores = self.regularizer_scores
         if not isinstance(scores, Mapping):
             raise InvalidInputError(f"regularizer_scores must be an object, got {_show(scores)}")
-        for name in ("selected", "utility_calls"):
-            value = getattr(self, name)
-            if not _typed({type(value)}, _INTEGER_TYPES) or value < 0:
-                raise InvalidInputError(f"{name} must be an integer >= 0, got {_show(value)}")
         vars(self).update(
+            selected=_integer(self.selected, "selected", 0),
+            utility_calls=_integer(self.utility_calls, "utility_calls", 0),
             mbr_scores=_numbers(self.mbr_scores, "mbr_scores"),
             regularizer_scores={k: _numbers(v, f"regularizer {k!r}") for k, v in scores.items()},
             total_scores=_numbers(self.total_scores, "total_scores"),
-            selected=int(self.selected),
-            utility_calls=int(self.utility_calls),
             **{
                 name: tuple(map(int, _items(getattr(self, name), name, _INTEGER_TYPES, "integers")))
                 for name in ("ranking", "candidate_indices")
@@ -368,10 +370,9 @@ class MetricConfig:
     chrf_beta: float = 2.0
 
     def __post_init__(self):
-        if self.bleu_max_order < 1:
-            raise ConfigError(f"bleu_max_order must be >= 1, got {self.bleu_max_order}")
-        if self.chrf_char_order < 1:
-            raise ConfigError(f"chrf_char_order must be >= 1, got {self.chrf_char_order}")
+        orders, reals = ("bleu_max_order", "chrf_char_order"), ("bleu_epsilon", "chrf_beta")
+        vars(self).update({k: _integer(getattr(self, k), k, 1, ConfigError) for k in orders})
+        vars(self).update({k: _number(getattr(self, k), k, ConfigError) for k in reals})
         if self.bleu_smoothing not in BLEU_SMOOTHING_MODES:
             raise ConfigError(
                 f"bleu_smoothing must be one of {BLEU_SMOOTHING_MODES}, got {self.bleu_smoothing!r}"

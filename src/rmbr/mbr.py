@@ -70,6 +70,7 @@ from .core import (
     RerankConfig,
     RerankResult,
     UtilityMatrix,
+    _integer,
     combine_scores,
     rank_candidates,
 )
@@ -336,7 +337,8 @@ def reference_scores(nbest: NBestList, provider) -> list[float]:
 
 def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
     """Score every candidate against the list's top-l candidates (:func:`scored_matrix`)."""
-    if not 1 <= l <= nbest.n:
+    l = _integer(l, "l", 1)
+    if l > nbest.n:
         raise InvalidInputError(f"l must be in 1..{nbest.n}, got {l}")
     with UtilitySession() as session:
         return scored_matrix(nbest, session.providers(utility, 1)[0], l)

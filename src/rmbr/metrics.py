@@ -302,3 +302,20 @@ def corpus_bleu(
         matches = pair_match_counts(counts, lengths, size)[size + pairs, pairs]
         sums += _stat_rows(matches, lengths[size:], lengths[:size]).sum(axis=0)
     return bleu_from_stats(sums.tolist(), cfg)
+
+
+def corpus_score(
+    metric: str, hyps: Sequence[str], refs: Sequence[str], hyp_tokens: Sequence[Sequence[str]]
+) -> float:
+    """The corpus objective ``metric`` of hypothesis texts against reference texts.
+
+    "bleu" is :func:`corpus_bleu` of ``hyp_tokens``, each hypothesis's
+    tokens, against the references split at whitespace; "chrf" is the mean
+    :func:`sentence_chrf` of the texts, summed in list order (``np.mean``
+    may differ in the last bit).  ``eval`` and the tuners' objective both
+    score through this, so they agree bit for bit.
+    """
+    if metric == "bleu":
+        return corpus_bleu(hyp_tokens, [ref.split() for ref in refs])
+    scores = [sentence_chrf(hyp, ref) for hyp, ref in zip(hyps, refs)]
+    return sum(scores) / len(scores)

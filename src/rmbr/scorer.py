@@ -98,6 +98,24 @@ def service_opener(address: str):
 _READ_CHUNK = 1 << 16
 # bytes of the longest response line read; a pair's answer is a few dozen
 _MAX_LINE = 1 << 20
+# characters of a malformed response line that an error quotes; of a longer one,
+# up to _MAX_LINE bytes, it quotes this many and gives the length
+_QUOTED_CHARS = 1 << 17
+
+
+def _decoded(line: str, what: str):
+    """The JSON value of a response ``line``.  A malformed one raises
+    :class:`TransportError` headed ``what``: it quotes the line with its
+    newline, as read, or the first ``_QUOTED_CHARS`` characters of a longer
+    one and its length."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        read = line + "\n"
+        quoted = repr(read[:_QUOTED_CHARS])
+        if len(read) > _QUOTED_CHARS:
+            quoted += f"... ({len(read)} characters)"
+        raise TransportError(f"{what}: {quoted}") from None
 
 
 class ScorerClient:
@@ -253,12 +271,7 @@ class ScorerClient:
 
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
-        line = next(self._responses(hello))
-        try:
-            greeting = json.loads(line)
-        except json.JSONDecodeError:
-            line += "\n"  # quoted with its newline, as read
-            raise TransportError(f"bad scorer handshake: {line!r}") from None
+        greeting = _decoded(next(self._responses(hello)), "bad scorer handshake")
         if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
             raise TransportError(
                 f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, "
@@ -294,11 +307,7 @@ class ScorerClient:
             out: list[float | None] = [None] * len(pairs)
             left = len(pairs)
             for line in self._responses(payload):
-                try:
-                    response = json.loads(line)
-                except json.JSONDecodeError:
-                    line += "\n"
-                    raise TransportError(f"malformed scorer response: {line!r}") from None
+                response = _decoded(line, "malformed scorer response")
                 rid = response.get("id") if isinstance(response, dict) else None
                 # exactly int: true and 1.0 would match id 1, and a list is unhashable
                 if type(rid) is not int or rid not in pending:

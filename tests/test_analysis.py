@@ -577,8 +577,8 @@ def test_tuners_rank_with_the_consensus_their_check_took_from_a_stored_matrix(mo
 
 
 def test_lambda_grid_is_sorted_distinct_and_finite():
-    assert lambda_grid([1.0, 0.1, 1, "0.5"]) == [0.1, 0.5, 1.0]
-    for bad in ([], [0.1, math.nan], [math.inf]):
+    assert lambda_grid([1.0, 0.1, 1, np.float64(0.5)]) == [0.1, 0.5, 1.0]
+    for bad in ([], [0.1, math.nan], [math.inf], [1.0, "0.5"], [True]):
         with pytest.raises(ConfigError):
             lambda_grid(bad)
 

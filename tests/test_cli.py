@@ -626,6 +626,52 @@ def test_a_matrix_header_the_constructor_rejects_fails_on_its_line(
     assert list(tmp_path.glob("o.txt*")) == []
 
 
+# the commands that write a run report, each with the flags it needs
+_REPORTING_RUNS = {
+    "rerank": [],
+    "c2f": ["--keep", "2"],
+    "tune-lambda": ["--regularizers", "lp"],
+    "tune-l": [],
+    "oracle": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTING_RUNS))
+def test_a_run_report_path_that_is_a_directory_is_refused_before_any_work(
+    dev_file, tmp_path, capsys, command
+):
+    """A command that writes ``<output>.report.json`` refuses a directory
+    there as it refuses one at ``-o``: dry and real exit 1 with the same
+    error line, no output is written and no scorer starts."""
+    dev, _ = dev_file
+    spec, log = _logging_scorer(tmp_path, "ok")
+    out = tmp_path / "out"
+    (tmp_path / "out.report.json").mkdir()
+    args = [command, "-i", dev, *_REPORTING_RUNS[command], "-o", out, "--utility", spec]
+    for dry in ([], ["--dry-run"]):
+        assert run(args + dry) == 1
+        assert capsys.readouterr().err == f"error: output path {out}.report.json is a directory\n"
+    assert not out.exists()
+    assert _started_pids(log) == []
+    # tokenprob writes no report, so a directory there is no matter
+    assert run(["tokenprob", "-i", dev, "-o", out]) == 0 and out.is_file()
+
+
+def test_eval_equals_corpus_objective_bit_for_bit(dev_file, tmp_path, capsys):
+    """``eval`` and the tuners' objective take one corpus score: corpus BLEU,
+    or the mean sentence chrF summed in list order."""
+    _, lists = dev_file
+    picks = [i % lst.n for i, lst in enumerate(lists)]
+    hyps, refs = tmp_path / "h.txt", tmp_path / "r.txt"
+    picked = [lst.candidates[i].text for lst, i in zip(lists, picks)]
+    hyps.write_text("".join(f"{text}\n" for text in picked), "utf-8")
+    refs.write_text("".join(f"{lst.reference}\n" for lst in lists), "utf-8")
+    for metric in ("chrf", "bleu"):
+        assert run(["eval", "--hyps", hyps, "--refs", refs, "--metric", metric]) == 0
+        want = analysis.corpus_objective(lists, picks, metric)
+        assert capsys.readouterr().out == f"{metric} {want!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 

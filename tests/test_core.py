@@ -6,9 +6,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from rmbr.analysis import grid_search_lambdas, oracle_histogram, token_prob_by_length
 from rmbr.core import (
     Candidate,
     CoarseToFine,
+    MetricConfig,
     NBestList,
     RerankConfig,
     RerankResult,
@@ -17,6 +19,7 @@ from rmbr.core import (
     rank_candidates,
 )
 from rmbr.errors import ConfigError, InvalidInputError
+from rmbr.mbr import build_utility_matrix
 
 from conftest import make_candidate, make_list
 
@@ -310,6 +313,101 @@ def test_constructors_store_numpy_and_int_values_as_today():
     ints = [*result.ranking, *result.candidate_indices, result.selected, result.utility_calls]
     assert {type(v) for v in ints} == {int}
     assert {type(v) for v in result.mbr_scores + result.regularizer_scores["lp"]} == {float}
+
+
+def _dev():
+    top = make_candidate("a b", -1.0, token_log_probs=[-0.5, -0.5])
+    return [NBestList("s", (top, make_candidate("a c", -2.0)), reference="a b")]
+
+
+# name: (a call with a value a caller sets, the error it raises and its message)
+_CALLER_SET_VALUES = {
+    "bleu-order-string": (
+        lambda: MetricConfig(bleu_max_order="4"),
+        ConfigError, "bleu_max_order must be an integer >= 1, got '4'",
+    ),
+    "bleu-order-true": (
+        lambda: MetricConfig(bleu_max_order=True),
+        ConfigError, "bleu_max_order must be an integer >= 1, got True",
+    ),
+    "chrf-order-float": (
+        lambda: MetricConfig(chrf_char_order=6.0),
+        ConfigError, "chrf_char_order must be an integer >= 1, got 6.0",
+    ),
+    "chrf-beta-inf": (
+        lambda: MetricConfig(chrf_beta=math.inf), ConfigError, "chrf_beta must be finite"
+    ),
+    "chrf-beta-string": (
+        lambda: MetricConfig(chrf_beta="2"), ConfigError, 'chrf_beta must be a number, got "2"'
+    ),
+    "bleu-epsilon-inf": (
+        lambda: MetricConfig(bleu_epsilon=math.inf), ConfigError, "bleu_epsilon must be finite"
+    ),
+    "bleu-epsilon-true": (
+        lambda: MetricConfig(bleu_epsilon=True),
+        ConfigError, "bleu_epsilon must be a number, got true",
+    ),
+    "bin-width-float": (
+        lambda: oracle_histogram(_dev(), bin_width=2.5),
+        ConfigError, "bin_width must be an integer >= 1, got 2.5",
+    ),
+    "bin-width-true": (
+        lambda: oracle_histogram(_dev(), bin_width=True),
+        ConfigError, "bin_width must be an integer >= 1, got True",
+    ),
+    "interval-width-float": (
+        lambda: token_prob_by_length(_dev(), interval_width=2.5),
+        ConfigError, "interval_width must be an integer >= 1, got 2.5",
+    ),
+    "interval-width-true": (
+        lambda: token_prob_by_length(_dev(), interval_width=True),
+        ConfigError, "interval_width must be an integer >= 1, got True",
+    ),
+    "matrix-l-float": (
+        lambda: build_utility_matrix(_dev()[0], "bleu", 2.5),
+        InvalidInputError, "l must be an integer >= 1, got 2.5",
+    ),
+    "matrix-l-true": (
+        lambda: build_utility_matrix(_dev()[0], "bleu", True),
+        InvalidInputError, "l must be an integer >= 1, got True",
+    ),
+    "grid-string": (
+        lambda: grid_search_lambdas(_dev(), RerankConfig(lambdas={"lp": 0.0}), ["1", True]),
+        ConfigError, 'weight grid value must be a number, got "1"',
+    ),
+    "grid-true": (
+        lambda: grid_search_lambdas(_dev(), RerankConfig(lambdas={"lp": 0.0}), [0.5, True]),
+        ConfigError, "weight grid value must be a number, got true",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CALLER_SET_VALUES))
+def test_every_caller_set_value_goes_through_the_core_checks(case):
+    """A metric setting, a bin or interval width, a matrix depth and a grid
+    weight each raise an rmbr error naming the value: none escapes as a
+    ``TypeError``, is taken as another type, or gives a nan or inf score."""
+    build, error, message = _CALLER_SET_VALUES[case]
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_numpy_integers_pass_every_integer_check_and_are_stored_as_ints():
+    metric = MetricConfig(bleu_max_order=np.int32(2), chrf_char_order=np.int64(3))
+    assert metric == MetricConfig(bleu_max_order=2, chrf_char_order=3)
+    assert {type(metric.bleu_max_order), type(metric.chrf_char_order)} == {int}
+    reals = MetricConfig(bleu_epsilon=np.float32(0.5), chrf_beta=1)
+    assert (reals.bleu_epsilon, reals.chrf_beta) == (0.5, 1.0)
+    assert {type(reals.bleu_epsilon), type(reals.chrf_beta)} == {float}
+    oracle = oracle_histogram(_dev(), bin_width=np.int64(2))
+    assert oracle == oracle_histogram(_dev(), bin_width=2) and type(oracle.bin_width) is int
+    table = token_prob_by_length(_dev(), interval_width=np.uint8(2))
+    assert table == token_prob_by_length(_dev(), interval_width=2)
+    bounds = [table.interval_width, *(v for r in table.rows for v in (r.lo, r.hi))]
+    assert {type(v) for v in bounds} == {int}
+    matrix = build_utility_matrix(_dev()[0], "bleu", np.int64(2)).values
+    assert np.array_equal(matrix, build_utility_matrix(_dev()[0], "bleu", 2).values)
 
 
 def test_combine_scores_worked_example():

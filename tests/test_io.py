@@ -873,6 +873,40 @@ def test_scorer_client_rejects_a_malformed_line():
         _score_two(script)
 
 
+@pytest.mark.parametrize("where", ["response", "handshake"])
+def test_scorer_client_quotes_a_long_malformed_line_as_a_prefix_and_its_length(where):
+    """A malformed line of 512 KiB, under the line bound, is quoted as its
+    first ``_QUOTED_CHARS`` characters and its length, in the handshake as
+    in a batch; shorter lines are quoted whole (the tests above)."""
+    from rmbr.scorer import _QUOTED_CHARS
+
+    line = "x" * (512 << 10)
+    head = _QUOTED_CHARS * "x"
+    heading = "bad scorer handshake" if where == "handshake" else "malformed scorer response"
+    want = f"{heading}: '{head}'... ({len(line) + 1} characters)"
+
+    def handler(reader, writer):
+        if where == "response":
+            writer.write(json.dumps({"protocol": PROTOCOL}) + "\n")
+            writer.flush()
+            reader.readline()
+            reader.readline()
+        writer.write(line + "\n")
+        writer.flush()
+        reader.readline()
+
+    from conftest import ScorerServer
+
+    server = ScorerServer(handler)
+    try:
+        with pytest.raises(TransportError) as failed:
+            with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
+                client.score_pairs([("s", "a", "b")])
+    finally:
+        server.close()
+    assert str(failed.value) == want
+
+
 def test_scorer_client_fails_a_read_whose_lines_are_not_all_utf8():
     """The read that holds the last answer also holds a line that is not
     UTF-8: the batch fails, though it has all its answers."""
