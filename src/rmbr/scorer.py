@@ -98,24 +98,34 @@ def service_opener(address: str):
 _READ_CHUNK = 1 << 16
 # bytes of the longest response line read; a pair's answer is a few dozen
 _MAX_LINE = 1 << 20
-# characters of a malformed response line that an error quotes; of a longer one,
-# up to _MAX_LINE bytes, it quotes this many and gives the length
-_QUOTED_CHARS = 1 << 17
+# characters of a scorer's text that an error quotes; of a longer text, it
+# quotes this many and gives the length
+_QUOTED_CHARS = 256
+
+
+def _quoted(value) -> str:
+    """``repr(value)``, cut to about ``_QUOTED_CHARS`` characters: a longer
+    string is quoted as its first ``_QUOTED_CHARS`` characters and its
+    length, and the repr of any other value is cut the same way."""
+    if isinstance(value, str):
+        text, quoted = value, repr(value[:_QUOTED_CHARS])
+    else:
+        text = repr(value)
+        quoted = text[:_QUOTED_CHARS]
+    if len(text) > _QUOTED_CHARS:
+        quoted += f"... ({len(text)} characters)"
+    return quoted
 
 
 def _decoded(line: str, what: str):
     """The JSON value of a response ``line``.  A malformed one raises
-    :class:`TransportError` headed ``what``: it quotes the line with its
-    newline, as read, or the first ``_QUOTED_CHARS`` characters of a longer
-    one and its length."""
+    :class:`TransportError` headed ``what`` that quotes the line with its
+    newline, as read, through :func:`_quoted`."""
     try:
         return json.loads(line)
     except json.JSONDecodeError:
         read = line + "\n"
-        quoted = repr(read[:_QUOTED_CHARS])
-        if len(read) > _QUOTED_CHARS:
-            quoted += f"... ({len(read)} characters)"
-        raise TransportError(f"{what}: {quoted}") from None
+        raise TransportError(f"{what}: {_quoted(read)}") from None
 
 
 class ScorerClient:
@@ -272,10 +282,10 @@ class ScorerClient:
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
         greeting = _decoded(next(self._responses(hello)), "bad scorer handshake")
-        if not isinstance(greeting, dict) or greeting.get("protocol") != PROTOCOL_VERSION:
+        got = greeting.get("protocol") if isinstance(greeting, dict) else greeting
+        if not isinstance(greeting, dict) or got != PROTOCOL_VERSION:
             raise TransportError(
-                f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, "
-                f"got {greeting.get('protocol') if isinstance(greeting, dict) else greeting!r}"
+                f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, got {_quoted(got)}"
             )
 
     def score_pairs(self, pairs: Sequence[tuple[str | None, str, str]]) -> list[float]:

@@ -1343,27 +1343,34 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     _assert_all_gone(_started_pids(log))
 
 
-# probes for _run_process: the collector's freeze count, and the array modules loaded
-_FROZEN = "'frozen', gc.get_freeze_count()"
+# probes for _run_process: the collector's state, and the array modules loaded
+_COLLECTOR = "'collector', gc.isenabled(), gc.get_freeze_count()"
 _ARRAY_MODULES = ("numpy", "rmbr.kernels", "rmbr.metrics")
 _ARRAYS_LOADED = f"sorted(m for m in sys.modules if m in {_ARRAY_MODULES!r})"
+# how the process enters: ``python -m rmbr.cli``, or as the installed
+# ``rmbr`` script does, by importing the module and calling its run()
+_ENTRIES = ("module", "script")
 
 
-def _run_process(args, *, probe=None):
+def _run_process(args, *, probe=None, entry="module"):
     """``python -m rmbr.cli ARGS`` in a child: exit code, stdout and stderr.
 
-    With ``probe``, the module runs as ``__main__`` under an ``atexit``
-    handler that appends ``print(PROBE)`` to stderr, as :data:`_FROZEN`.
+    With ``entry="script"`` the child enters as the installed ``rmbr``
+    script does.  With ``probe``, an ``atexit`` handler registered before
+    rmbr loads appends ``print(PROBE)`` to stderr, as :data:`_COLLECTOR`;
+    the module entry then runs the module as ``__main__``.
     """
     argv = ["-m", "rmbr.cli", *map(str, args)]
+    setup = ""
     if probe:
-        code = (
-            "import atexit, gc, runpy, sys; "
-            f"atexit.register(lambda: print({probe}, file=sys.stderr)); "
-            f"sys.argv = ['rmbr', *{argv[2:]!r}]; "
-            "runpy.run_module('rmbr.cli', run_name='__main__', alter_sys=True)"
+        setup = f"import atexit, gc; atexit.register(lambda: print({probe}, file=sys.stderr)); "
+    if probe or entry == "script":
+        enter = (
+            "from rmbr.cli import run; run()"
+            if entry == "script"
+            else "import runpy; runpy.run_module('rmbr.cli', run_name='__main__', alter_sys=True)"
         )
-        argv = ["-c", code]
+        argv = ["-c", f"import sys; {setup}sys.argv = ['rmbr', *{argv[2:]!r}]; {enter}"]
     done = subprocess.run(
         [sys.executable, *argv],
         env=dict(os.environ, PYTHONPATH=_SRC),
@@ -1392,8 +1399,9 @@ def _outputs(out):
     "case", ["rerank", "tune-lambda-service", "dry-run", "invalid-input", "nan-scorer"]
 )
 def test_the_process_entry_exits_as_main_returns(dev_file, tmp_path, capsys, case):
-    """``python -m rmbr.cli`` gives the exit code, stdout, stderr and output
-    files of an in-process :func:`main`, which leaves the collector unfrozen."""
+    """``python -m rmbr.cli`` and the installed script give the exit code,
+    stdout, stderr and output files of an in-process :func:`main`, which
+    leaves the collector on and unfrozen."""
     path, _ = dev_file
     out = tmp_path / "out" / "o.txt"
     out.parent.mkdir()
@@ -1410,29 +1418,67 @@ def test_the_process_entry_exits_as_main_returns(dev_file, tmp_path, capsys, cas
     }[case]
     args = [*args, "-i", path, "-o", out]
     frozen = gc.get_freeze_count()
+    assert gc.isenabled()
     assert run(args) == code
-    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
     in_process = (code, *capsys.readouterr(), _outputs(out))
-    assert (*_run_process(args), _outputs(out)) == in_process
+    for entry in _ENTRIES:
+        assert (*_run_process(args, entry=entry), _outputs(out)) == in_process, entry
     assert bool(in_process[3]) == (case in ("rerank", "tune-lambda-service"))
     _assert_all_gone(_started_pids(log))
 
 
 def test_the_process_entry_freezes_the_heap_before_exit(dev_file, tmp_path):
-    """``atexit`` handlers still run, after the entry has frozen the objects
-    alive at exit, so the shutdown collections skip them."""
+    """Both entries turn the cyclic collector off for the run and freeze the
+    objects alive at exit, so the shutdown collections skip them; ``atexit``
+    handlers still run after that, and a failing run exits the same way."""
     path, _ = dev_file
     args = ["rerank", "-i", path, "-o", tmp_path / "o.txt"]
-    code, stdout, stderr = _run_process(args, probe=_FROZEN)
-    assert (code, stdout) == (0, f"reranked 6 lists -> {tmp_path / 'o.txt'}\n")
-    word, count = stderr.split()
-    assert word == "frozen" and int(count) > 1000
-    code, _, stderr = _run_process(args + ["--l", "99"], probe=_FROZEN)
-    assert (
-        code == 1
-        and stderr.startswith("error: list 0: l=99 exceeds")
-        and int(stderr.split()[-1]) > 1000
-    )
+    for entry in _ENTRIES:
+        code, stdout, stderr = _run_process(args, probe=_COLLECTOR, entry=entry)
+        assert (code, stdout) == (0, f"reranked 6 lists -> {tmp_path / 'o.txt'}\n"), entry
+        word, enabled, count = stderr.split()
+        assert (word, enabled) == ("collector", "False") and int(count) > 1000, entry
+        code, _, stderr = _run_process(args + ["--l", "99"], probe=_COLLECTOR, entry=entry)
+        assert code == 1 and stderr.startswith("error: list 0: l=99 exceeds"), entry
+        assert stderr.split()[-2] == "False" and int(stderr.split()[-1]) > 1000, entry
+
+
+_GARBAGE_RUNS = {
+    "rerank": ["rerank", "--lambda", "lp=0.1", "--mode", "full"],
+    "c2f": ["c2f", "--proxy", "chrf", "--keep", "3", "--mode", "full"],
+    "service-rerank": ["rerank", "--utility", "S"],
+    "tune-lambda": ["tune-lambda", "--regularizers", "lp,qe"],
+    "tune-l": ["tune-l", "--lambda", "lp=0.1"],
+    "oracle": ["oracle"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GARBAGE_RUNS))
+def test_a_run_leaves_as_much_cyclic_garbage_for_32_lists_as_for_4(tmp_path, command):
+    """Why the process entry can run without the cyclic collector: a run
+    leaves a fixed amount of cyclic garbage, however many lists it scores.
+    The first run may import what later runs reuse, so it is not counted."""
+    spec, _ = _logging_scorer(tmp_path, "ok")
+    words = [spec if w == "S" else w for w in _GARBAGE_RUNS[command]]
+    paths = {}
+    for size in (4, 32):
+        rng = np.random.default_rng(size)
+        paths[size] = tmp_path / f"in{size}.jsonl"
+        write_nbest(paths[size], [random_list(rng, 6, with_extras=True) for _ in range(size)])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = []
+        for size in (4, 4, 32):
+            gc.collect()
+            assert run([*words, "-i", paths[size], "-o", tmp_path / "out"]) == 0
+            assert not gc.isenabled()
+            garbage.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert garbage[1] == garbage[2], garbage
 
 
 _RARE_PATH_MODULES = ("concurrent.futures", "socket", "subprocess", "queue", "logging", "uuid")

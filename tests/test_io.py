@@ -529,6 +529,36 @@ def test_scorer_client_protocol_mismatch(scorer_server):
         ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
 
 
+@pytest.mark.parametrize(
+    "greeting, got",
+    [
+        ({"protocol": "rmbr-scorer/0"}, "'rmbr-scorer/0'"),
+        ({}, "None"),
+        ({"protocol": "x" * 500_000}, f"'{'x' * 256}'... (500000 characters)"),
+        ([0] * 200_000, f"{repr([0] * 200_000)[:256]}... (600000 characters)"),
+    ],
+    ids=["short", "missing", "long-string", "long-list"],
+)
+def test_scorer_client_quotes_a_wrong_protocol_within_the_bound(greeting, got):
+    """A greeting that parses but names another protocol is quoted as its
+    value, a long one as its prefix and its length."""
+
+    def handler(reader, writer):
+        writer.write(json.dumps(greeting) + "\n")
+        writer.flush()
+        reader.readline()
+
+    from conftest import ScorerServer
+
+    server = ScorerServer(handler)
+    try:
+        with pytest.raises(TransportError) as failed:
+            ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
+    finally:
+        server.close()
+    assert str(failed.value) == f"scorer protocol mismatch: want 'rmbr-scorer/1', got {got}"
+
+
 def test_scorer_client_connection_refused():
     import socket
 
@@ -835,8 +865,9 @@ def test_scorer_client_fails_a_response_line_past_its_bound_at_once():
 
 def test_scorer_client_drops_a_line_past_its_bound_and_reads_on():
     """What was read of a line past the bound is dropped with the failed
-    batch; its rest is the next batch's malformed line, and the batch after
-    that reads its answer."""
+    batch; its rest is the next batch's malformed line, quoted as its
+    prefix and length, and the batch after that reads its answer."""
+    from rmbr.scorer import _QUOTED_CHARS
 
     def script(reqs):
         return [b"x" * ((1 << 20) + (100 << 10)) + b'\n{"id": 3, "score": 0.5}\n']
@@ -846,7 +877,8 @@ def test_scorer_client_drops_a_line_past_its_bound_and_reads_on():
         with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
             with pytest.raises(TransportError, match="longer than"):
                 client.score_pairs([("s", "a", "b"), ("s", "c", "d")])
-            with pytest.raises(TransportError, match=r"^malformed scorer response: 'x+\\n'$"):
+            rest = rf"^malformed scorer response: 'x{{{_QUOTED_CHARS}}}'\.\.\. \(\d+ characters\)$"
+            with pytest.raises(TransportError, match=rest):
                 client.score_pairs([("s", "e", "f")])
             assert client.score_pairs([("s", "g", "h")]) == [0.5]
     finally:

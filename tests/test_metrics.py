@@ -244,6 +244,7 @@ BLEU_CONFIGS = (
     NO_SMOOTH,
     MetricConfig(bleu_max_order=6, bleu_epsilon=2.5),
     MetricConfig(bleu_max_order=1),
+    MetricConfig(bleu_max_order=6, bleu_smoothing="none"),
 )
 CHRF_CONFIGS = (
     MetricConfig(),
@@ -275,9 +276,10 @@ def random_match_tensor(rng, n, l, order, min_len, max_len):
 def test_bleu_scores_equal_scalar_oracle_on_random_tensors(cfg):
     # sizes on both sides of the one-distinct-value-at-a-time threshold; the
     # long lengths give many length ratios, some of whose brevity penalties
-    # np.exp rounds differently from math.exp
+    # np.exp rounds differently from math.exp, and up to 400 tokens they
+    # index tables of side 512
     rng = np.random.default_rng(11)
-    for n, l, max_len in ((1, 1, 8), (3, 2, 8), (30, 20, 8), (30, 20, 60)):
+    for n, l, max_len in ((1, 1, 8), (3, 2, 8), (30, 20, 8), (30, 20, 60), (12, 10, 400)):
         matches, hyp, ref = random_match_tensor(rng, n, l, cfg.bleu_max_order, 0, max_len)
         got = bleu_scores(matches, hyp, ref, cfg)
         assert got.shape == (n, l) and got.dtype == np.float64
@@ -304,6 +306,11 @@ BLEU_EDGES = {
     "zero-at-order-2": ([3, 0, 0, 0], 5, 4),
     "zero-at-order-4": ([4, 3, 2, 0], 6, 9),
     "hyp-longer-than-ref": ([3, 2, 1, 1], 9, 3),
+    "empty-hyp": ([0, 0, 0, 0], 0, 5),
+    "empty-ref": ([0, 0, 0, 0], 7, 0),
+    "empty-both": ([0, 0, 0, 0], 0, 0),
+    "long-hyp": ([300, 250, 101, 0], 400, 390),
+    "long-ref": ([30, 20, 10, 5], 31, 400),
 }
 CHRF_EDGES = {
     "hyp-shorter-than-order": ([2, 1, 0, 0, 0, 0], 3, 10),
@@ -315,12 +322,39 @@ CHRF_EDGES = {
 
 
 @pytest.mark.parametrize("case", sorted(BLEU_EDGES))
-@pytest.mark.parametrize("cfg", BLEU_CONFIGS[:2] + (MetricConfig(bleu_epsilon=2.5),))
+@pytest.mark.parametrize(
+    "cfg", BLEU_CONFIGS[:2] + (MetricConfig(bleu_epsilon=2.5),) + BLEU_CONFIGS[2:]
+)
 def test_bleu_edge_cases_equal_scalar_oracle(case, cfg):
     matches, hyp_len, ref_len = BLEU_EDGES[case]
+    matches = (matches + [0, 0])[: cfg.bleu_max_order]
     want = scalar_bleu_from_counts(matches, hyp_len, ref_len, cfg)
     assert bleu_from_counts(matches, hyp_len, ref_len, cfg) == want
     assert bleu_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0] == want
+
+
+def test_bleu_tables_grow_for_longer_sentences_and_are_built_once():
+    """A call longer than every earlier one grows the tables; a later call
+    of that length or shorter builds none, so long sentences cost one
+    table build per process, not one per call."""
+    tables = (metrics._log_terms, metrics._brevities)
+    for table in tables:
+        table.cache_clear()
+    rng = np.random.default_rng(13)
+
+    def scored(max_len):
+        for cfg in BLEU_CONFIGS:
+            matches, hyp, ref = random_match_tensor(rng, 8, 6, cfg.bleu_max_order, 0, max_len)
+            want = oracle_matrix(scalar_bleu_from_counts, matches, hyp, ref, cfg)
+            assert np.array_equal(bleu_scores(matches, hyp, ref, cfg), want)
+        return [table.cache_info().misses for table in tables]
+
+    short = scored(12)
+    grown = scored(400)
+    assert all(g > s for g, s in zip(grown, short))
+    assert metrics._log_terms(512, 0.1).shape == (2, 512, 512)
+    assert scored(400) == scored(12) == grown
+    assert not metrics._brevities(512).flags.writeable
 
 
 @pytest.mark.parametrize("case", sorted(CHRF_EDGES))
