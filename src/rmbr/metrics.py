@@ -116,11 +116,6 @@ def _offsets(order: int) -> np.ndarray:
 # tokens (side 1024, 24 MiB) 0.4 s.
 
 
-def _table_side(largest: int) -> int:
-    """The power of two above ``largest``: the side of a table that indexes 0..largest."""
-    return 1 << int(largest).bit_length()
-
-
 @functools.cache
 def _log_terms(side: int, floor: float) -> np.ndarray:
     """BLEU's log terms at [layer, count, total], for counts and totals below ``side``.
@@ -174,7 +169,9 @@ def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     ref = np.asarray(ref_lens, dtype=np.int64)
     # 0 where the hypothesis is too short for the order, which is skipped
     totals = np.maximum(hyp[:, None] - np.arange(order), 0)
-    side = _table_side(max(counts.max(initial=0), hyp.max(initial=0), ref.max(initial=0)))
+    # the tables' side: the power of two above every count and length
+    largest = max(counts.max(initial=0), hyp.max(initial=0), ref.max(initial=0))
+    side = 1 << int(largest).bit_length()
     floor = cfg.bleu_epsilon if cfg.bleu_smoothing == "epsilon-floor" else 0.0
     # Flat indices into _log_terms: order 1 reads layer 0, the others layer
     # 1.  Order 1 never takes the floor, so a zero unigram count's log term
