@@ -53,21 +53,15 @@ before numpy loads.
 
 ``python -m rmbr.cli`` and the installed ``rmbr`` script enter through
 :func:`run`, which runs the command with the cyclic garbage collector off
-(``python -m rmbr.cli`` turns it off before this module loads the rest of
-rmbr) and freezes the heap before the interpreter exits; tests and the
+and freezes the heap before the interpreter exits; tests and the
 benchmark's traced runs call :func:`main` in-process, which leaves the
 collector as it was.
 """
 
 from __future__ import annotations
 
-import gc
-
-if __name__ == "__main__":
-    # ``python -m rmbr.cli``: no cyclic collection while rmbr's modules load (see run)
-    gc.disable()
-
 import argparse
+import gc
 import json
 import os
 import sys
@@ -413,16 +407,15 @@ def run() -> None:
     with its code after ``gc.freeze()``.  A run leaves a few hundred
     objects of cyclic garbage, as many for 4 lists as for 32, so the
     process has nothing to gain from the collections the collector would
-    start, each a walk of the young objects (37 on an 8-list BLEU rerank).
-    Run as ``python -m rmbr.cli``, the module turns the collector off
-    before it loads the rest of rmbr.  Interpreter shutdown still collects
-    with the collector off; the freeze makes those collections skip every
-    object alive at exit, the tens of thousands numpy and rmbr create at
-    import, whose walk was the largest cost of a run's teardown.  The exit
-    is otherwise the normal one: ``atexit`` handlers run, stdout and
-    stderr are flushed and a broken pipe is reported.  :func:`main` turns
-    nothing off and freezes nothing, so an in-process caller keeps its
-    collector as it was.
+    start, each a walk of the young objects (29 of the 37 an 8-list BLEU
+    rerank made; the other 8 come while this module loads).  Interpreter
+    shutdown still collects with the collector off; the freeze makes those
+    collections skip every object alive at exit, the tens of thousands
+    numpy and rmbr create at import, whose walk was the largest cost of a
+    run's teardown.  The exit is otherwise the normal one: ``atexit``
+    handlers run, stdout and stderr are flushed and a broken pipe is
+    reported.  :func:`main` turns nothing off and freezes nothing, so an
+    in-process caller keeps its collector as it was.
     """
     gc.disable()
     code = main()

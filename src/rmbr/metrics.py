@@ -28,12 +28,12 @@ array operations in the definition's order (orders summed first to
 last), logs and exps go through ``math.log``/``math.exp`` (which
 ``np.log``/``np.exp`` may differ from in the last bit), and skipped
 orders and zero scores are encoded in the values, never by a division
-that could warn.  Sentence BLEU's log terms and brevity penalties depend
-only on integers (a match count and an n-gram total, a pair of lengths),
-so :func:`bleu_scores` reads them from tables indexed by those integers,
-built once per process and grown to the longest sentence it has scored.
-The final exps of sentence BLEU and the logs and exps of corpus BLEU go
-through ``math`` once per distinct value (``_exact``).
+that could warn.  Sentence BLEU's log terms depend only on two integers,
+a match count and an n-gram total, so :func:`bleu_scores` reads them from
+blocks built once per hypothesis length and process, and takes each
+brevity penalty once per distinct pair of lengths in the call.  The final
+exps of sentence BLEU and the logs and exps of corpus BLEU go through
+``math`` once per distinct value (``_exact``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,15 @@ from typing import Sequence
 import numpy as np
 
 # the metric settings live in rmbr.core, which loads without numpy; re-exported
-from .core import BLEU_SMOOTHING_MODES, OBJECTIVE_METRICS, MetricConfig, check_corpus
+from .core import (
+    _INTEGER_TYPES,
+    BLEU_SMOOTHING_MODES,
+    OBJECTIVE_METRICS,
+    MetricConfig,
+    _integer,
+    _items,
+    check_corpus,
+)
 from .errors import InvalidInputError
 from .kernels import encode_ngram_blocks, pair_match_counts
 
@@ -106,48 +114,42 @@ def _offsets(order: int) -> np.ndarray:
     return _read_only(np.arange(order, dtype=np.float64))
 
 
-# BLEU's log terms and brevity penalties are functions of small integers: a
-# match count, an n-gram total, a pair of lengths.  bleu_scores looks them up
-# in tables built once per process, each entry the float64 division and the
-# math call a scalar loop makes.  A table's side is a power of two, so a
-# longer sentence builds one table once and every shorter call reuses it.
-# On a 2-vCPU x86 VM the tables of 15-35 token sentences (side 64) took
-# about 2 ms to build, of 400 tokens (side 512, 6 MiB) 0.1 s, and of 1000
-# tokens (side 1024, 24 MiB) 0.4 s.
+# BLEU's log terms are functions of two small integers: a match count and
+# an n-gram total.  bleu_scores reads them from one block per hypothesis
+# length, built the first time a hypothesis of that length is scored and kept
+# for the process; each entry is the float64 division and the math.log a
+# scalar loop makes.  A block holds (hypothesis length + 1) * order entries,
+# so the blocks kept grow with the lengths scored: 156 KiB for a 5000-token
+# hypothesis at order 4, built in about 2.5 ms on a 2-vCPU x86 VM.
 
 
 @functools.cache
-def _log_terms(side: int, floor: float) -> np.ndarray:
-    """BLEU's log terms at [layer, count, total], for counts and totals below ``side``.
+def _log_terms(hyp_len: int, order: int, floor: float) -> np.ndarray:
+    """BLEU's log terms of a hypothesis of ``hyp_len`` >= 1 tokens, at [k, count].
 
-    Layer 0 holds order 1's terms, layer 1 those of the orders above it,
-    where a count of 0 counts as ``floor``: the smoothing floor, or 0.0
-    without smoothing.  A ratio of 0.0 has the log term -inf.  Total 0 is
-    an order the hypothesis has no n-grams of: its count is taken as at
-    least 1 and divided by 1, so a zero count adds a log term of 0.0 and
-    the order is skipped.
+    Row k holds the terms of the counts 0..hyp_len at order k+1, whose
+    n-gram total is ``hyp_len - k``.  Above order 1 a count of 0 counts as
+    ``floor``: the smoothing floor, or 0.0 without smoothing.  A ratio of
+    0.0 has the log term -inf.  A total of 0 or less is an order the
+    hypothesis has no n-grams of: its count is taken as at least 1 and
+    divided by 1, so a zero count adds a log term of 0.0 and the order is
+    skipped.
     """
-    values = np.arange(side, dtype=np.float64)
-    at_least_1 = np.maximum(values, 1.0)
-    ratios = values[:, None] / at_least_1
-    ratios[0] = floor / at_least_1
-    ratios[:, 0] = at_least_1
-    floored = np.full(ratios.shape, -math.inf)
+    totals = np.maximum(hyp_len - np.arange(order, dtype=np.float64), 1.0)[:, None]
+    ratios = np.arange(hyp_len + 1, dtype=np.float64) / totals
+    # order 1's total is hyp_len >= 1, so its zero count keeps the ratio 0.0
+    ratios[1:, 0] = np.where(hyp_len > np.arange(1, order), floor / totals[1:, 0], 1.0)
+    terms = np.full(ratios.shape, -math.inf)
     positive = ratios > 0.0
-    floored[positive] = _mapped(math.log, ratios[positive])
-    unfloored = floored.copy()
-    unfloored[0, 1:] = -math.inf
-    return _read_only(np.stack([unfloored, floored]))
+    terms[positive] = _mapped(math.log, ratios[positive])
+    return _read_only(terms)
 
 
-@functools.cache
-def _brevities(side: int) -> np.ndarray:
-    """BLEU's brevity penalty at [ref_len, hyp_len], for lengths below ``side``;
-    a hypothesis length of 0 is taken as 1."""
-    lengths = np.arange(side, dtype=np.float64)
-    # min(0.0, 1.0 - ratio), the exponent _brevity takes
-    exponents = np.minimum(1.0 - lengths[:, None] / np.maximum(lengths, 1.0), 0.0)
-    return _read_only(_mapped(math.exp, exponents))
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D int64 array, ascending, and the index of
+    each element among them (``np.unique`` takes twice as long on short arrays)."""
+    distinct = np.array(sorted(set(values.tolist())), dtype=np.int64)
+    return distinct, distinct.searchsorted(values)
 
 
 def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
@@ -157,7 +159,9 @@ def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     the clipped order-(k+1) match count of hypothesis i against reference
     j, as :func:`rmbr.kernels.pair_match_counts` returns it.  ``hyp_lens``
     (n) and ``ref_lens`` (l) are token counts.  All three are non-negative
-    integers.  Returns the n x l float64 scores.  This is the one BLEU
+    integers, and a count is at most the hypothesis's n-grams of its order;
+    the scores of other values are undefined (:func:`bleu_from_counts`
+    rejects them).  Returns the n x l float64 scores.  This is the one BLEU
     formula: the matrix builders and the sentence metric (a 1 x 1 call,
     :func:`bleu_from_counts`) share it.
     """
@@ -167,24 +171,26 @@ def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     # gives the same score 0 without a division by zero.
     hyp = np.maximum(np.asarray(hyp_lens, dtype=np.int64), 1)
     ref = np.asarray(ref_lens, dtype=np.int64)
-    # 0 where the hypothesis is too short for the order, which is skipped
-    totals = np.maximum(hyp[:, None] - np.arange(order), 0)
-    # the tables' side: the power of two above every count and length
-    largest = max(counts.max(initial=0), hyp.max(initial=0), ref.max(initial=0))
-    side = 1 << int(largest).bit_length()
     floor = cfg.bleu_epsilon if cfg.bleu_smoothing == "epsilon-floor" else 0.0
-    # Flat indices into _log_terms: order 1 reads layer 0, the others layer
-    # 1.  Order 1 never takes the floor, so a zero unigram count's log term
+    # The log terms of each distinct hypothesis length, end to end: the term
+    # of count m at order k+1 of hypothesis i is at first[i] + k * (hyp[i] + 1)
+    # + m.  Order 1 never takes the floor, so a zero unigram count's log term
     # is -inf and the score exp(-inf) * bp is 0.0.
-    totals[:, 1:] += side * side
-    index = counts * side
-    index += totals[:, None, :]
-    terms = _log_terms(side, floor).ravel().take(index)
+    lengths, which = _distinct(hyp)
+    # the leading empty block is where the first length's block starts
+    blocks = [np.empty(0), *(_log_terms(h, order, floor) for h in lengths.tolist())]
+    first = np.cumsum([block.size for block in blocks])[which]
+    rows = first[:, None] + np.arange(order) * (hyp + 1)[:, None]
+    terms = np.concatenate(blocks, axis=None).take(counts + rows[:, None, :])
     # adds in order, ((t1 + t2) + t3) + t4, as a scalar loop does
     log_sum = terms[..., 0].copy()
     for k in range(1, order):
         log_sum += terms[..., k]
-    bp = _brevities(side)[ref[None, :], hyp[:, None]]
+    # the brevity penalty of each distinct pair of lengths, through _brevity's
+    # exponent min(0.0, 1.0 - ratio)
+    refs, ref_which = _distinct(ref)
+    exponents = np.minimum(1.0 - refs / lengths[:, None], 0.0)
+    bp = _mapped(math.exp, exponents)[which[:, None], ref_which]
     # divided by the effective order: the orders the hypothesis has n-grams of
     return _exact(math.exp, log_sum / np.minimum(hyp, order)[:, None]) * bp
 
@@ -194,9 +200,23 @@ def bleu_from_counts(
 ) -> float:
     """Sentence BLEU of one pair: a 1 x 1 call of :func:`bleu_scores`.
 
-    ``matches[k]`` is the clipped match count at order k+1.
+    ``matches[k]`` is the clipped match count at order k+1: a non-negative
+    integer no larger than the hypothesis's n-grams of that order.
+    ``hyp_len`` and ``ref_len`` are non-negative integers.  Other values
+    raise :class:`InvalidInputError`.
     """
-    return float(bleu_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0])
+    hyp_len = _integer(hyp_len, "hyp_len", 0)
+    ref_len = _integer(ref_len, "ref_len", 0)
+    counts = _items(matches, "matches", _INTEGER_TYPES, "integers")
+    order = cfg.bleu_max_order
+    if len(counts) != order or not all(
+        0 <= count <= max(hyp_len - k, 0) for k, count in enumerate(counts)
+    ):
+        raise InvalidInputError(
+            f"matches must be {order} counts, each from 0 to the hypothesis's "
+            f"n-grams of its order, got {list(counts)!r} for hyp_len {hyp_len}"
+        )
+    return float(bleu_scores([[counts]], [hyp_len], [ref_len], cfg)[0, 0])
 
 
 def sentence_bleu(

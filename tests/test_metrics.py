@@ -1,6 +1,8 @@
 """Metric correctness: identities, degenerate cases, and frozen goldens."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,7 +279,7 @@ def test_bleu_scores_equal_scalar_oracle_on_random_tensors(cfg):
     # sizes on both sides of the one-distinct-value-at-a-time threshold; the
     # long lengths give many length ratios, some of whose brevity penalties
     # np.exp rounds differently from math.exp, and up to 400 tokens they
-    # index tables of side 512
+    # read log terms of many hypothesis lengths
     rng = np.random.default_rng(11)
     for n, l, max_len in ((1, 1, 8), (3, 2, 8), (30, 20, 8), (30, 20, 60), (12, 10, 400)):
         matches, hyp, ref = random_match_tensor(rng, n, l, cfg.bleu_max_order, 0, max_len)
@@ -333,28 +335,69 @@ def test_bleu_edge_cases_equal_scalar_oracle(case, cfg):
     assert bleu_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0] == want
 
 
-def test_bleu_tables_grow_for_longer_sentences_and_are_built_once():
-    """A call longer than every earlier one grows the tables; a later call
-    of that length or shorter builds none, so long sentences cost one
-    table build per process, not one per call."""
-    tables = (metrics._log_terms, metrics._brevities)
-    for table in tables:
-        table.cache_clear()
+def test_bleu_log_terms_are_built_once_per_hypothesis_length():
+    """The log terms of a hypothesis length are built the first time a
+    hypothesis of that length is scored; a call that brings no new length
+    builds none, so a long sentence costs one build per process, not one
+    per call."""
+    metrics._log_terms.cache_clear()
     rng = np.random.default_rng(13)
+    cfg = MetricConfig()
+    built = set()
+    for max_len in (12, 400, 400, 12):
+        matches, hyp, ref = random_match_tensor(rng, 8, 6, cfg.bleu_max_order, 0, max_len)
+        want = oracle_matrix(scalar_bleu_from_counts, matches, hyp, ref, cfg)
+        assert np.array_equal(bleu_scores(matches, hyp, ref, cfg), want)
+        built |= set(np.maximum(hyp, 1).tolist())
+        assert metrics._log_terms.cache_info().misses == len(built)
+    bleu_scores(matches[::-1], hyp[::-1], ref, cfg)
+    assert metrics._log_terms.cache_info().misses == len(built)
+    block = metrics._log_terms(400, cfg.bleu_max_order, cfg.bleu_epsilon)
+    assert block.shape == (4, 401) and not block.flags.writeable
 
-    def scored(max_len):
-        for cfg in BLEU_CONFIGS:
-            matches, hyp, ref = random_match_tensor(rng, 8, 6, cfg.bleu_max_order, 0, max_len)
-            want = oracle_matrix(scalar_bleu_from_counts, matches, hyp, ref, cfg)
-            assert np.array_equal(bleu_scores(matches, hyp, ref, cfg), want)
-        return [table.cache_info().misses for table in tables]
 
-    short = scored(12)
-    grown = scored(400)
-    assert all(g > s for g, s in zip(grown, short))
-    assert metrics._log_terms(512, 0.1).shape == (2, 512, 512)
-    assert scored(400) == scored(12) == grown
-    assert not metrics._brevities(512).flags.writeable
+@pytest.mark.parametrize("cfg", BLEU_CONFIGS)
+def test_5000_token_pairs_score_in_memory_linear_in_their_length(cfg):
+    """A 5000-token hypothesis or reference (one looping sampled candidate,
+    say) scores as the scalar oracle does, with log terms for its own
+    length only: a table indexed by (count, total) or (ref_len, hyp_len)
+    would take hundreds of MiB and seconds to build."""
+    metrics._log_terms.cache_clear()
+    rng = np.random.default_rng(17)
+    matches, hyp, ref = random_match_tensor(rng, 2, 3, cfg.bleu_max_order, 4990, 5000)
+    hyp[1], ref[2] = 7, 6
+    matches[1] = np.minimum(matches[1], np.maximum(7 - np.arange(cfg.bleu_max_order), 0))
+    matches[0, 0, 1:] = 0
+    want = oracle_matrix(scalar_bleu_from_counts, matches, hyp, ref, cfg)
+    tracemalloc.start()
+    start = time.process_time()
+    got = bleu_scores(matches, hyp, ref, cfg)
+    seconds = time.process_time() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 8 << 20 and seconds < 2.0, (peak, seconds)
+
+
+@pytest.mark.parametrize(
+    "matches, hyp_len, ref_len",
+    [
+        pytest.param([3, -1, 0, 0], 5, 5, id="negative-count"),
+        pytest.param([3, 2.5, 0, 0], 5, 5, id="fractional-count"),
+        pytest.param([True, 0, 0, 0], 5, 5, id="bool-count"),
+        pytest.param([6, 2, 1, 0], 5, 5, id="more-matches-than-ngrams"),
+        pytest.param([2, 1, 1, 0], 2, 5, id="match-at-an-order-with-no-ngrams"),
+        pytest.param([3, 2, 1], 5, 5, id="too-few-orders"),
+        pytest.param([3, 2, 1, 0], -5, 5, id="negative-hyp-len"),
+        pytest.param([3, 2, 1, 0], 5, -1, id="negative-ref-len"),
+        pytest.param([3, 2, 1, 0], 5, 5.0, id="fractional-ref-len"),
+    ],
+)
+def test_bleu_from_counts_rejects_counts_no_pair_has(matches, hyp_len, ref_len):
+    """The one-pair call checks what the array routine takes on trust: a
+    negative or fractional count would index the wrong log term."""
+    with pytest.raises(InvalidInputError):
+        bleu_from_counts(matches, hyp_len, ref_len, MetricConfig())
 
 
 @pytest.mark.parametrize("case", sorted(CHRF_EDGES))
