@@ -14,19 +14,20 @@ list with what the check returned, and a dry run stops between them.
 Both checks start with :func:`check_objective`: lists, each with a
 non-blank reference.  The oracle's, :func:`_checked_oracle`, then wants
 a bin width of at least 1 and providers that are not a stored matrix;
-its body, :func:`_oracle_picks`, scores each list against its reference
-with :func:`~rmbr.mbr.reference_scores`, one depth-1 scoring call per
-list.  The tuners', :func:`_checked_tuning`, checks the weight grid and
-the tuning rules, then makes reranking's, :func:`~rmbr.mbr._checked_lists`,
-so a total that is not finite after scoring is a scoring failure.  Their
-body, :func:`tune`, scores each list once (a stored matrix's consensus
-rows come from the check), takes each candidate's objective statistics
-(corpus BLEU sufficient statistics or sentence chrF) once, and at each
-depth gives every weight vector's selection in one array pass per list.
-Both tune a one-stage rerank and reject a coarse-to-fine config.  Every
-function that takes a utility accepts a spec string, one provider shared
-by all lists, or a list with one provider per list.  Objectives use the
-default :class:`~rmbr.core.MetricConfig`.  numpy and :mod:`rmbr.metrics`
+its body, :func:`_oracle_picks`, scores each list against its reference,
+one depth-1 :func:`~rmbr.mbr.reference_scores` call per list.  The
+tuners', :func:`_checked_tuning`, checks the weight grid and the tuning
+rules, then makes reranking's, :func:`~rmbr.mbr._checked_lists`, so a
+total that is not finite after scoring is a scoring failure.  Their body,
+:func:`tune`, scores each list once, takes its candidates' objective
+statistics once, and at each depth gives every weight vector's selection
+in one array pass per list.  Both tune a one-stage rerank and reject a
+coarse-to-fine config.  What an objective is, its statistics and their
+formula, is decided in :mod:`rmbr.metrics` alone
+(:func:`~rmbr.metrics.objective_stats`, :func:`~rmbr.metrics.objective`),
+with the default :class:`~rmbr.core.MetricConfig`; nothing here branches
+on the metric.  A utility is a spec string, one provider shared by all
+lists, or a list of one provider per list.  numpy and :mod:`rmbr.metrics`
 are imported by the functions that score, where they run, so every check
 here, and the dry run of a tuning or oracle command, loads neither.
 """
@@ -40,7 +41,7 @@ from typing import Sequence
 
 from .core import DEFAULT_LAMBDA_GRID, OBJECTIVE_METRICS, NBestList, RerankConfig, _integer, _number
 from .errors import ConfigError, InvalidInputError, MissingScoreError, in_list
-from .mbr import ChrfUtility, MatrixUtility, UtilitySession, _checked_lists, check_scored
+from .mbr import MatrixUtility, UtilitySession, _checked_lists, check_scored
 from .mbr import reference_scores, scored_consensus
 
 
@@ -339,23 +340,20 @@ def check_tuning(lists, config: RerankConfig, grid=None, objective_metric="bleu"
 def _grid_objectives(scored, weights: np.ndarray, metric: str) -> list[float]:
     """The objective of the selections each weight vector makes on the dev lists.
 
-    ``scored`` holds each scored list's consensus scores, its regularizer
-    rows and its per-candidate objective statistics, in list order; ``weights``
-    holds one weight vector per row.  The selected candidates' statistics
-    are summed per vector, list by list in list order as :func:`corpus_objective`
-    sums chrF, with no (vectors x lists) array, and the formula
-    :func:`corpus_objective` applies takes all vectors' sums at once (BLEU
-    statistics are integers), so the two agree bit for bit.
+    ``scored`` holds each list's consensus scores, regularizer rows and
+    :func:`~rmbr.metrics.objective_stats` rows; ``weights`` one vector per
+    row.  Each vector's selected rows add up list by list, in list order,
+    with no (vectors x lists) array, and :func:`~rmbr.metrics.objective`
+    takes all vectors' sums at once: :func:`corpus_objective`'s sums and
+    formula, so the two agree bit for bit.
     """
-    from .metrics import corpus_bleu_scores
+    from .metrics import objective
 
     sums = 0
     for i, (consensus, values, stats) in enumerate(scored):
         with in_list(i):
             sums = sums + stats[_grid_selections(consensus, values, weights)]
-    if metric == "chrf":
-        return (sums / len(scored)).tolist()
-    return corpus_bleu_scores(sums).tolist()
+    return objective(metric, sums, len(scored)).tolist()
 
 
 def tune(lists, metric, grid, depths, config, checked):
@@ -369,24 +367,21 @@ def tune(lists, metric, grid, depths, config, checked):
     (:func:`~rmbr.mbr.scored_consensus`, as reranking does) through the
     providers the check resolved, in one pass under :func:`~rmbr.errors.in_list`
     that also takes each candidate's objective statistics against the list's
-    reference: the rows of :func:`bleu_stats`, or its sentence chrF
-    (:func:`~rmbr.mbr.reference_scores` with chrF).
+    reference, one :func:`~rmbr.metrics.objective_stats` call per list.
     Returns the first setting with the highest objective, as its depth
     (None for a grid search) and its weights by name, that objective, and
     the objective of every setting, depth by depth.
     """
     import numpy as np
 
-    from .metrics import bleu_stats
+    from .metrics import objective_stats
 
     scored = []
     for i, (lst, u, (_, consensus, regs)) in enumerate(zip(lists, config.utility, checked)):
         with in_list(i):
             consensus = scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths)
-            if metric == "chrf":
-                stats = np.array(reference_scores(lst, ChrfUtility()))
-            else:
-                stats = bleu_stats([c.tokens for c in lst.candidates], lst.reference.split())
+            texts, tokens = zip(*[(c.text, c.tokens) for c in lst.candidates])
+            stats = objective_stats(metric, texts, [lst.reference] * lst.n, tokens)
         scored.append((consensus, regs, stats))
     if grid is None:
         weights = np.array([list(config.lambdas.values())], dtype=np.float64)

@@ -25,8 +25,8 @@ checks that bound rather than assume it, as the encoder checks that its
 n-gram keys fit in int64.
 
 This is rmbr's only n-gram counter: matrices, sentence metrics, corpus
-BLEU, oracle and tuning all count here (against one reference: item 0,
-l = 1).  Counts are integers; one array routine per metric in
+BLEU, oracle and tuning all count here (references first, then the items
+scored against them).  Counts are integers; one array routine per metric in
 :mod:`rmbr.metrics` turns the whole (n, l, order) tensor into scores, and
 a single pair is a 1 x 1 call of the same routine, so every path gives a
 pair the same score bit for bit.

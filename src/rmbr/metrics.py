@@ -1,4 +1,5 @@
-"""Lexical similarity metrics: sentence BLEU, sentence chrF, corpus BLEU.
+"""Lexical similarity metrics (sentence BLEU, sentence chrF, corpus BLEU)
+and the corpus objectives that ``eval`` prints and the tuners maximize.
 
 Sentence BLEU is the geometric mean of clipped modified n-gram precisions
 over orders 1..max_order, times the brevity penalty
@@ -7,33 +8,33 @@ n-grams at all are dropped from the geometric mean (effective order), so
 the identity score of a short sentence with itself is still 1.  With
 epsilon-floor smoothing, a zero match count at order >= 2 is replaced by a
 small constant; a zero unigram match always yields score 0.  Corpus BLEU
-sums per-sentence sufficient statistics (:func:`bleu_stats`) over the
-whole corpus first, applies one formula to the sums
-(:func:`corpus_bleu_scores`, one row per corpus) and is never smoothed.
+sums per-sentence sufficient statistics over the whole corpus first,
+applies one formula to the sums (:func:`corpus_bleu_scores`) and is never
+smoothed.  Sentence chrF is the F-beta score over character n-grams
+(whitespace removed), averaged over orders 1..char_order; orders where
+neither side has any n-grams are skipped.
 
-Sentence chrF is the F-beta score over character n-grams (whitespace
-removed), averaged over orders 1..char_order; orders where neither side
-has any n-grams are skipped.
+A corpus objective is decided here alone: :func:`objective_stats` gives
+each hypothesis a row of statistics against its own reference, and
+:func:`objective` turns rows summed in list order into corpus BLEU or
+mean chrF, for ``eval``, ``corpus_objective`` and the tuners alike.
 
 All functions are pure; clipped match counts come from the kernel in
-:mod:`rmbr.kernels`: one call per reference for the sentence metrics and
-:func:`bleu_stats` (:func:`matches_against`), and one per block of
-sentence pairs for :func:`corpus_bleu`.
-Counts become scores in one array routine per metric,
-:func:`bleu_scores` and :func:`chrf_scores`, over a whole (n, l, order)
-count tensor; :func:`bleu_from_counts` and :func:`chrf_from_counts` score
-one pair as a 1 x 1 call of them.  Every score equals the per-pair
-definition above bit for bit: divisions, sums and products are float64
-array operations in the definition's order (orders summed first to
-last), logs and exps go through ``math.log``/``math.exp`` (which
-``np.log``/``np.exp`` may differ from in the last bit), and skipped
-orders and zero scores are encoded in the values, never by a division
-that could warn.  Sentence BLEU's log terms depend only on two integers,
-a match count and an n-gram total, so :func:`bleu_scores` reads them from
-blocks built once per hypothesis length and process, and takes each
-brevity penalty once per distinct pair of lengths in the call.  The final
-exps of sentence BLEU and the logs and exps of corpus BLEU go through
-``math`` once per distinct value (``_exact``).
+:mod:`rmbr.kernels`, each hypothesis against its own reference through
+one paired counter (:func:`_reference_matches`).  Counts become scores in
+one array routine per metric, :func:`bleu_scores` and :func:`chrf_scores`,
+over a whole (n, l, order) count tensor; :func:`bleu_from_counts` and
+:func:`chrf_from_counts` score one pair as a 1 x 1 call of them.  Every
+score equals the per-pair definition above bit for bit: divisions, sums
+and products are float64 array operations in the definition's order
+(orders summed first to last), logs and exps go through
+``math.log``/``math.exp`` (which ``np.log``/``np.exp`` may differ from in
+the last bit), and skipped orders and zero scores are encoded in the
+values, never by a division that could warn.  Sentence BLEU's log terms
+are read from blocks built once per hypothesis length and process, and
+each brevity penalty is taken once per distinct pair of lengths in the
+call.  The final exps of sentence BLEU and the logs and exps of corpus
+BLEU go through ``math`` once per distinct value (``_exact``).
 """
 
 from __future__ import annotations
@@ -58,15 +59,34 @@ from .errors import InvalidInputError
 from .kernels import encode_ngram_blocks, pair_match_counts
 
 
-def matches_against(hyps: Sequence[Sequence], ref: Sequence, max_order: int) -> np.ndarray:
-    """Clipped n-gram match counts of each hypothesis against one reference.
+# References counted per kernel call in _reference_matches.  The kernel
+# counts each hypothesis of a block against all its references, so the waste
+# grows with the block: on 2000 pairs of 15-35 tokens, blocks of 8-32 took
+# 0.15-0.27 s, of 64 0.25-0.35 s and of 256 0.96 s.
+_CORPUS_BLOCK_PAIRS = 16
 
-    Returns an int64 array of shape ``(len(hyps), max_order)`` whose row i
-    holds hypothesis i's counts at orders 1..max_order: each hypothesis
-    n-gram counts at most as often as it occurs in the reference.
+
+def _reference_matches(hyps: Sequence[Sequence], refs: Sequence[Sequence], max_order: int):
+    """The int64 clipped match counts of each ``hyps[i]`` against ``refs[i]``,
+    shape ``(len(hyps), max_order)``, and the hypothesis and reference lengths.
+
+    Equal references next to each other count as one.  A block of up to
+    ``_CORPUS_BLOCK_PAIRS`` references is one encode, references first, then
+    their hypotheses, and one kernel call: n hypotheses of one reference
+    are one encode of n + 1 items and one call at l = 1.
     """
-    counts, lengths = encode_ngram_blocks([ref, *hyps], max_order)
-    return pair_match_counts(counts, lengths, 1)[1:, 0]
+    bounds = [i for i in range(len(refs)) if i == 0 or refs[i] != refs[i - 1]] + [len(refs)]
+    matches, lengths = [], []
+    for b in range(0, len(bounds) - 1, _CORPUS_BLOCK_PAIRS):
+        block = bounds[b : b + _CORPUS_BLOCK_PAIRS + 1]
+        size, lo, hi = len(block) - 1, block[0], block[-1]
+        seqs = [*(refs[i] for i in block[:-1]), *hyps[lo:hi]]
+        counts, lens = encode_ngram_blocks(seqs, max_order)
+        which = np.repeat(np.arange(size), np.diff(block))
+        matches.append(pair_match_counts(counts, lens, size)[size + np.arange(hi - lo), which])
+        lengths.append(np.stack([lens[size:], lens[which]]))
+    hyp_lens, ref_lens = np.concatenate(lengths, axis=1)
+    return np.concatenate(matches), hyp_lens, ref_lens
 
 
 # Below this many values an array goes through ``math`` value by value; from
@@ -106,6 +126,15 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     """``table``, made read-only: a cached array is shared by every caller."""
     table.flags.writeable = False
     return table
+
+
+def _in_order_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, added first to last, ((v1 + v2) + v3) + ...,
+    as a scalar loop adds (``np.sum`` may add in another order)."""
+    total = values[..., 0].copy()
+    for k in range(1, values.shape[-1]):
+        total += values[..., k]
+    return total
 
 
 @functools.cache
@@ -182,10 +211,7 @@ def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     first = np.cumsum([block.size for block in blocks])[which]
     rows = first[:, None] + np.arange(order) * (hyp + 1)[:, None]
     terms = np.concatenate(blocks, axis=None).take(counts + rows[:, None, :])
-    # adds in order, ((t1 + t2) + t3) + t4, as a scalar loop does
-    log_sum = terms[..., 0].copy()
-    for k in range(1, order):
-        log_sum += terms[..., k]
+    log_sum = _in_order_sum(terms)
     # the brevity penalty of each distinct pair of lengths, through _brevity's
     # exponent min(0.0, 1.0 - ratio)
     refs, ref_which = _distinct(ref)
@@ -195,9 +221,21 @@ def bleu_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     return _exact(math.exp, log_sum / np.minimum(hyp, order)[:, None]) * bp
 
 
-def bleu_from_counts(
-    matches: Sequence[int], hyp_len: int, ref_len: int, cfg: MetricConfig
-) -> float:
+def _one_pair(matches, hyp_len, ref_len, order: int, side: str) -> tuple:
+    """A one-pair call's arguments, checked: lengths, and counts up to ``side``'s n-grams."""
+    hyp_len = _integer(hyp_len, "hyp_len", 0)
+    ref_len = _integer(ref_len, "ref_len", 0)
+    counts = _items(matches, "matches", _INTEGER_TYPES, "integers")
+    most = hyp_len if side == "hypothesis" else min(hyp_len, ref_len)
+    if len(counts) != order or not all(0 <= c <= max(most - k, 0) for k, c in enumerate(counts)):
+        raise InvalidInputError(
+            f"matches must be {order} counts, each from 0 to the {side}'s n-grams "
+            f"of its order, got {list(counts)!r} for hyp_len {hyp_len} and ref_len {ref_len}"
+        )
+    return [[counts]], [hyp_len], [ref_len]
+
+
+def bleu_from_counts(matches, hyp_len: int, ref_len: int, cfg: MetricConfig) -> float:
     """Sentence BLEU of one pair: a 1 x 1 call of :func:`bleu_scores`.
 
     ``matches[k]`` is the clipped match count at order k+1: a non-negative
@@ -205,18 +243,8 @@ def bleu_from_counts(
     ``hyp_len`` and ``ref_len`` are non-negative integers.  Other values
     raise :class:`InvalidInputError`.
     """
-    hyp_len = _integer(hyp_len, "hyp_len", 0)
-    ref_len = _integer(ref_len, "ref_len", 0)
-    counts = _items(matches, "matches", _INTEGER_TYPES, "integers")
-    order = cfg.bleu_max_order
-    if len(counts) != order or not all(
-        0 <= count <= max(hyp_len - k, 0) for k, count in enumerate(counts)
-    ):
-        raise InvalidInputError(
-            f"matches must be {order} counts, each from 0 to the hypothesis's "
-            f"n-grams of its order, got {list(counts)!r} for hyp_len {hyp_len}"
-        )
-    return float(bleu_scores([[counts]], [hyp_len], [ref_len], cfg)[0, 0])
+    pair = _one_pair(matches, hyp_len, ref_len, cfg.bleu_max_order, "hypothesis")
+    return float(bleu_scores(*pair, cfg)[0, 0])
 
 
 def sentence_bleu(
@@ -228,7 +256,7 @@ def sentence_bleu(
         raise InvalidInputError("hypothesis is empty")
     if not ref:
         raise InvalidInputError("reference is empty")
-    (matches,) = matches_against([hyp], ref, cfg.bleu_max_order)
+    (matches,), _, _ = _reference_matches([hyp], [ref], cfg.bleu_max_order)
     return bleu_from_counts(matches, len(hyp), len(ref), cfg)
 
 
@@ -269,18 +297,19 @@ def chrf_scores(matches, hyp_lens, ref_lens, cfg: MetricConfig) -> np.ndarray:
     f *= 1.0 + beta_sq
     f *= recall
     f /= denom
-    # accumulate adds in order, from order 1 up, as a scalar loop does
-    return np.add.accumulate(f, -1)[..., -1] / orders
+    return _in_order_sum(f) / orders
 
 
-def chrf_from_counts(
-    matches: Sequence[int], hyp_len: int, ref_len: int, cfg: MetricConfig
-) -> float:
+def chrf_from_counts(matches, hyp_len: int, ref_len: int, cfg: MetricConfig) -> float:
     """Sentence chrF of one pair: a 1 x 1 call of :func:`chrf_scores`.
 
-    ``hyp_len`` / ``ref_len`` are character counts after whitespace removal.
+    ``hyp_len`` and ``ref_len`` are character counts after whitespace
+    removal, integers >= 0 and not both 0; ``matches[k]``, the clipped match
+    count at order k+1, is an integer from 0 to the shorter side's n-grams
+    of that order.  Other values raise :class:`InvalidInputError`.
     """
-    return float(chrf_scores([[matches]], [hyp_len], [ref_len], cfg)[0, 0])
+    pair = _one_pair(matches, hyp_len, ref_len, cfg.chrf_char_order, "shorter side")
+    return float(chrf_scores(*pair, cfg)[0, 0])
 
 
 def sentence_chrf(hyp: str, ref: str, cfg: MetricConfig | None = None) -> float:
@@ -292,35 +321,19 @@ def sentence_chrf(hyp: str, ref: str, cfg: MetricConfig | None = None) -> float:
         raise InvalidInputError("hypothesis is empty after whitespace stripping")
     if not ref_chars:
         raise InvalidInputError("reference is empty after whitespace stripping")
-    (matches,) = matches_against([hyp_chars], ref_chars, cfg.chrf_char_order)
+    (matches,), _, _ = _reference_matches([hyp_chars], [ref_chars], cfg.chrf_char_order)
     return chrf_from_counts(matches, len(hyp_chars), len(ref_chars), cfg)
 
 
-def _stat_rows(matches: np.ndarray, hyp_lens: np.ndarray, ref_lens) -> np.ndarray:
-    """:func:`bleu_stats` rows from match counts and hypothesis and reference lengths."""
+def _stat_rows(matches: np.ndarray, hyp_lens: np.ndarray, ref_lens: np.ndarray) -> np.ndarray:
+    """Corpus-BLEU sufficient statistics, one int64 row per pair: the clipped match counts
+    and hypothesis n-gram totals per order, then both lengths.  A corpus's are their sums."""
     totals = np.maximum(hyp_lens[:, None] - np.arange(matches.shape[1]), 0)
-    refs = np.broadcast_to(ref_lens, hyp_lens.shape)
-    return np.column_stack([matches, totals, hyp_lens, refs])
-
-
-def bleu_stats(
-    hyps: Sequence[Sequence[str]], ref: Sequence[str], cfg: MetricConfig | None = None
-) -> np.ndarray:
-    """Corpus-BLEU sufficient statistics of each hypothesis against one reference.
-
-    One int64 row per hypothesis: ``max_order`` clipped match counts, then
-    ``max_order`` hypothesis n-gram totals, then the hypothesis and
-    reference lengths.  Statistics of a corpus are the element-wise sums
-    over its pairs; all are integers, so the sums do not depend on the
-    order they are taken in.
-    """
-    cfg = cfg or MetricConfig()
-    lengths = np.array([len(hyp) for hyp in hyps], dtype=np.int64)
-    return _stat_rows(matches_against(hyps, ref, cfg.bleu_max_order), lengths, len(ref))
+    return np.column_stack([matches, totals, hyp_lens, ref_lens])
 
 
 def corpus_bleu_scores(stats, cfg: MetricConfig | None = None) -> np.ndarray:
-    """Corpus BLEU of each row of summed :func:`bleu_stats`, as float64.
+    """Corpus BLEU of each row of summed sufficient statistics, as float64.
 
     Never smoothed: any order with zero pooled matches gives score 0.
     This is the one corpus BLEU formula; :func:`bleu_from_stats` is its
@@ -334,66 +347,58 @@ def corpus_bleu_scores(stats, cfg: MetricConfig | None = None) -> np.ndarray:
     scored = (rows[:, :order] != 0).all(axis=1)
     matches, totals = rows[scored, :order], rows[scored, order : 2 * order]
     hyp_len, ref_len = rows[scored, 2 * order], rows[scored, 2 * order + 1]
-    log_sum = np.add.accumulate(_exact(math.log, matches / totals), -1)[:, -1]
+    log_sum = _in_order_sum(_exact(math.log, matches / totals))
     out = np.zeros(len(rows))
     out[scored] = _exact(math.exp, log_sum / order) * _exact(_brevity, ref_len / hyp_len)
     return out
 
 
 def bleu_from_stats(stats: Sequence[int], cfg: MetricConfig | None = None) -> float:
-    """Corpus BLEU from summed :func:`bleu_stats`: a one-row call of :func:`corpus_bleu_scores`."""
+    """Corpus BLEU from summed statistics: a one-row :func:`corpus_bleu_scores` call."""
     return float(corpus_bleu_scores([stats], cfg)[0])
 
 
-# Sentence pairs counted per kernel call in corpus_bleu.  The kernel counts
-# every hypothesis of a block against every reference of it to give the
-# paired diagonal, so the waste grows with the block: on 2000 pairs of
-# 15-35 tokens, blocks of 8-32 took 0.15-0.27 s, of 64 0.25-0.35 s and of
-# 256 0.96 s.
-_CORPUS_BLOCK_PAIRS = 16
-
-
 def corpus_bleu(
-    hyps: Sequence[Sequence[str]],
-    refs: Sequence[Sequence[str]],
-    cfg: MetricConfig | None = None,
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], cfg: MetricConfig | None = None
 ) -> float:
     """Corpus-level BLEU: counts are pooled over all sentence pairs before
     the precisions are formed; the brevity penalty uses pooled lengths.
-
-    Never smoothed: any order with zero pooled matches gives score 0.
-    Pairs are counted a block at a time: one encode of the block's
-    references and hypotheses and one kernel call, whose diagonal holds
-    each hypothesis's counts against its own reference.
-    """
+    Never smoothed: any order with zero pooled matches gives score 0."""
     cfg = cfg or MetricConfig()
     check_corpus(hyps, refs)
-    order = cfg.bleu_max_order
-    sums = np.zeros(2 * order + 2, dtype=np.int64)
-    for start in range(0, len(hyps), _CORPUS_BLOCK_PAIRS):
-        block_refs = refs[start : start + _CORPUS_BLOCK_PAIRS]
-        size = len(block_refs)
-        counts, lengths = encode_ngram_blocks(
-            [*block_refs, *hyps[start : start + size]], order
-        )
-        pairs = np.arange(size)
-        matches = pair_match_counts(counts, lengths, size)[size + pairs, pairs]
-        sums += _stat_rows(matches, lengths[size:], lengths[:size]).sum(axis=0)
-    return bleu_from_stats(sums.tolist(), cfg)
+    stats = _stat_rows(*_reference_matches(hyps, refs, cfg.bleu_max_order))
+    return bleu_from_stats(stats.sum(axis=0).tolist(), cfg)
 
 
-def corpus_score(
-    metric: str, hyps: Sequence[str], refs: Sequence[str], hyp_tokens: Sequence[Sequence[str]]
-) -> float:
-    """The corpus objective ``metric`` of hypothesis texts against reference texts.
-
-    "bleu" is :func:`corpus_bleu` of ``hyp_tokens``, each hypothesis's
-    tokens, against the references split at whitespace; "chrf" is the mean
-    :func:`sentence_chrf` of the texts, summed in list order (``np.mean``
-    may differ in the last bit).  ``eval`` and the tuners' objective both
-    score through this, so they agree bit for bit.
-    """
+def objective_stats(metric: str, hyps, refs, hyp_tokens) -> np.ndarray:
+    """Each hypothesis's row toward the corpus objective ``metric`` against its
+    own reference, with the default :class:`MetricConfig`: for "bleu"
+    :func:`_stat_rows` of ``hyp_tokens`` against the reference texts split at
+    whitespace, for "chrf" one column, the pair's sentence chrF of the texts."""
+    cfg = MetricConfig()
     if metric == "bleu":
-        return corpus_bleu(hyp_tokens, [ref.split() for ref in refs])
-    scores = [sentence_chrf(hyp, ref) for hyp, ref in zip(hyps, refs)]
-    return sum(scores) / len(scores)
+        ref_tokens = [ref.split() for ref in refs]
+        return _stat_rows(*_reference_matches(hyp_tokens, ref_tokens, cfg.bleu_max_order))
+    hyp_chars = [chrf_characters(hyp) for hyp in hyps]
+    ref_chars = [chrf_characters(ref) for ref in refs]
+    matches, hyp_lens, ref_lens = _reference_matches(hyp_chars, ref_chars, cfg.chrf_char_order)
+    # one reference per row: the (N, 1) reference lengths pair row i with reference i
+    return chrf_scores(matches[:, None], hyp_lens, ref_lens[:, None], cfg)
+
+
+def objective(metric: str, sums, count: int) -> np.ndarray:
+    """The corpus objective ``metric`` of each row of :func:`objective_stats`
+    summed over ``count`` pairs: corpus BLEU of the sums, or the sum of
+    sentence chrF (added in list order) over ``count``."""
+    if metric == "bleu":
+        return corpus_bleu_scores(sums)
+    return np.asarray(sums)[:, 0] / count
+
+
+def corpus_score(metric: str, hyps, refs, hyp_tokens) -> float:
+    """The corpus objective ``metric`` of hypothesis texts against reference texts:
+    :func:`objective` of the :func:`objective_stats` rows, added in list order
+    (``np.sum`` may differ in the last bit), so "bleu" is :func:`corpus_bleu`
+    of ``hyp_tokens`` and "chrf" the mean :func:`sentence_chrf` of the texts."""
+    stats = objective_stats(metric, hyps, refs, hyp_tokens)
+    return float(objective(metric, np.add.accumulate(stats)[-1:], len(stats))[0])

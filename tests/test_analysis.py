@@ -9,6 +9,7 @@ import pytest
 
 import rmbr.analysis as analysis
 import rmbr.mbr as mbr
+import rmbr.metrics as metrics
 from rmbr.analysis import (
     check_tuning,
     corpus_objective,
@@ -243,6 +244,8 @@ def test_token_prob_by_length_missing_fields():
         token_prob_by_length([make_list(["a b"])], which="best")
     with pytest.raises(ConfigError):
         token_prob_by_length([make_list(["a b"])], interval_width=0)
+    with pytest.raises(InvalidInputError, match="^no lists$"):
+        token_prob_by_length([])
 
 
 def _two_candidate_list(ref_text, junk_text, qe_good=1.0, qe_junk=0.0):
@@ -519,6 +522,21 @@ def test_tuners_read_each_list_s_regularizer_values_once(monkeypatch):
     calls.clear()
     tune_l(lists, RerankConfig(lambdas={"qe": 0.5}))
     assert calls == ["qe"] * 3
+
+
+@pytest.mark.parametrize("metric", ["bleu", "chrf"])
+def test_tuners_count_each_list_s_objective_in_one_kernel_call(monkeypatch, metric):
+    """A list's candidates share one encode of its reference: the objective
+    statistics cost one kernel call per list, over n + 1 items at l = 1."""
+    rng = np.random.default_rng(43)
+    lists = [random_list(rng, n) for n in (5, 7, 6)]
+    calls = []
+    counter = metrics.pair_match_counts
+    monkeypatch.setattr(
+        metrics, "pair_match_counts", lambda c, n, l: calls.append((len(n), l)) or counter(c, n, l)
+    )
+    tune_l(lists, RerankConfig(utility="bleu"), objective_metric=metric)
+    assert calls == [(lst.n + 1, 1) for lst in lists]
 
 
 def test_tuners_accept_one_provider_per_list():

@@ -168,6 +168,8 @@ def test_rerank_result_consistency_checks():
         RerankResult(**{**ok, "mbr_scores": (0.5,)})
     with pytest.raises(InvalidInputError):
         RerankResult(**{**ok, "regularizer_scores": {"lp": (1.0,)}})
+    with pytest.raises(InvalidInputError, match="^regularizer_scores must be an object, got "):
+        RerankResult(**{**ok, "regularizer_scores": [("lp", (1.0, 2.0))]})
 
 
 _RESULT = dict(

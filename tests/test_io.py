@@ -334,6 +334,10 @@ def test_read_results_errors(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(InvalidInputError):
         read_results(path)
+    # a blank line is skipped, and a line that is not JSON is named by its number
+    path.write_text("\n{not json\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: bad JSON: "):
+        read_results(path)
 
 
 @pytest.mark.parametrize(

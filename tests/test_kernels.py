@@ -19,6 +19,7 @@ from rmbr.metrics import (
     bleu_from_counts,
     chrf_characters,
     chrf_from_counts,
+    objective_stats,
     sentence_bleu,
     sentence_chrf,
 )
@@ -52,6 +53,8 @@ def test_encode_blocks_structure():
     assert trigrams.tolist() == [[1], [0]]
     # an order no item reaches has no columns
     assert encode_ngram_blocks(seqs, 4)[0][3].shape == (2, 0)
+    with pytest.raises(ValueError, match="max_order must be >= 1, got 0"):
+        encode_ngram_blocks(seqs, 0)
 
 
 def test_encode_blocks_interning_is_shared_across_items():
@@ -258,6 +261,9 @@ def test_score_against_equals_oracle_exactly(case):
     want = [oracle_chrf(c.text, reference, cfg) for c in lst.candidates]
     assert reference_scores(lst, ChrfUtility()) == want
     assert [sentence_chrf(c.text, reference) for c in lst.candidates] == want
+    # the tuners' chrF objective statistics of the list
+    texts, tokens = [c.text for c in lst.candidates], [c.tokens for c in lst.candidates]
+    assert objective_stats("chrf", texts, [reference] * lst.n, tokens)[:, 0].tolist() == want
 
 
 def test_utilities_count_through_the_traced_kernel_names(monkeypatch):

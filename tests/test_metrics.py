@@ -14,12 +14,13 @@ from rmbr.metrics import (
     bleu_from_counts,
     bleu_from_stats,
     bleu_scores,
-    bleu_stats,
     chrf_from_counts,
     chrf_scores,
     corpus_bleu,
     corpus_bleu_scores,
-    matches_against,
+    corpus_score,
+    objective,
+    objective_stats,
     sentence_bleu,
     sentence_chrf,
 )
@@ -40,13 +41,14 @@ CORPUS_TWO_SENTENCE = 0.837592239708627  # precisions 9/10, 7/8, 5/6, 3/4; BP = 
 
 
 def test_clipped_matches_clips_at_reference_count():
-    # one row per hypothesis, one column per order
-    got = matches_against([["the", "the", "the"], ["the", "cat"]], ["the", "cat"], 2)
-    assert got.dtype == np.int64
-    assert got.tolist() == [[1, 0], [2, 1]]
-    # hyp has a:2 b:2 but ref caps them at a:2 b:1
-    assert matches_against([["a", "b", "a", "b"]], ["a", "b", "a"], 2).tolist() == [[3, 2]]
-    assert matches_against([], ["a"], 3).shape == (0, 3)
+    # one row per pair, one column per order, then both sides' lengths
+    hyps = [["the", "the", "the"], ["the", "cat"], ["a", "b", "a", "b"]]
+    refs = [["the", "cat"], ["the", "cat"], ["a", "b", "a"]]
+    got, hyp_lens, ref_lens = metrics._reference_matches(hyps, refs, 2)
+    assert got.dtype == hyp_lens.dtype == ref_lens.dtype == np.int64
+    # the last hyp has a:2 b:2 but its ref caps them at a:2 b:1
+    assert got.tolist() == [[1, 0], [2, 1], [3, 2]]
+    assert (hyp_lens.tolist(), ref_lens.tolist()) == ([3, 2, 4], [2, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -145,24 +147,56 @@ def test_corpus_bleu_is_the_formula_over_summed_stats():
     h1 = ["the", "black", "cat", "sat", "down"]
     h2 = ["a", "b", "c", "d", "e"]
     r2 = ["a", "b", "c", "d", "x"]
+    texts = [" ".join(h1), " ".join(h2), " ".join(r2)]
     # matches per order, totals per order, hypothesis and reference length
-    assert bleu_stats([h2, h1], r2).tolist() == [
+    assert objective_stats("bleu", texts[1::-1], texts[2:] * 2, [h2, h1]).tolist() == [
         [4, 3, 2, 1, 5, 4, 3, 2, 5, 5],
         [0, 0, 0, 0, 5, 4, 3, 2, 5, 5],
     ]
-    sums = bleu_stats([h1], h1)[0] + bleu_stats([h2], r2)[0]
-    assert bleu_from_stats(sums.tolist()) == corpus_bleu([h1, h2], [list(h1), r2])
+    sums = objective_stats("bleu", texts[:2], [texts[0], texts[2]], [h1, h2]).sum(axis=0)
+    want = corpus_bleu([h1, h2], [list(h1), r2])
+    assert bleu_from_stats(sums.tolist()) == objective("bleu", [sums], 2)[0] == want
 
 
 def test_corpus_bleu_blocks_sum_the_per_pair_stats(monkeypatch):
-    """Counting a corpus in blocks of pairs gives the per-pair sums exactly."""
+    """Counting a corpus in blocks of references gives each pair's own
+    statistics exactly, for both objectives: BLEU's rows are the one-pair
+    rows, chrF's the pair's sentence_chrf, bit for bit."""
     rng = np.random.default_rng(41)
     vocab = ["a", "b", "c", "d", "e", "f"]
-    # 150 pairs end in a part block; lengths from 1 so some hypotheses are
-    # shorter than the highest order
+    # lengths from 1, so some hypotheses are shorter than the highest order
+    # of BLEU (4 tokens) and of chrF (6 characters)
     hyps = [random_tokens(rng, vocab, int(rng.integers(1, 13))) for _ in range(150)]
     refs = [random_tokens(rng, vocab, int(rng.integers(1, 13))) for _ in range(150)]
-    want = sum(bleu_stats([h], r)[0] for h, r in zip(hyps, refs)).tolist()
+    # references repeated back to back (one counted reference each run) and apart
+    refs[20:26] = [refs[20]] * 3 + [list(refs[23])] * 3
+    refs[90], refs[140] = refs[3], list(refs[3])
+    runs = 1 + sum(a != b for a, b in zip(refs, refs[1:]))
+    block = metrics._CORPUS_BLOCK_PAIRS
+    # more than one block of references, and the last one part full
+    assert runs > 2 * block and runs % block
+    hyp_texts, ref_texts = [" ".join(h) for h in hyps], [" ".join(r) for r in refs]
+    calls = []
+    counter = metrics.pair_match_counts
+    monkeypatch.setattr(
+        metrics, "pair_match_counts", lambda c, n, l: calls.append(l) or counter(c, n, l)
+    )
+    stats = {}
+    for metric in ("bleu", "chrf"):
+        calls.clear()
+        stats[metric] = objective_stats(metric, hyp_texts, ref_texts, hyps)
+        # one kernel call per block of references, the last with the rest
+        assert calls == [block] * (runs // block) + [runs % block]
+    pairs = list(zip(hyp_texts, ref_texts, hyps))
+    one_pair = [objective_stats("bleu", [h], [r], [t])[0].tolist() for h, r, t in pairs]
+    assert stats["bleu"].tolist() == one_pair
+    assert stats["chrf"][:, 0].tolist() == [sentence_chrf(h, r) for h, r, _ in pairs]
+    # corpus_score sums the rows in list order: chrF as a scalar loop adds
+    chrf_sum = 0.0
+    for h, r, _ in pairs:
+        chrf_sum += sentence_chrf(h, r)
+    assert corpus_score("chrf", hyp_texts, ref_texts, hyps) == chrf_sum / len(pairs)
+    want = stats["bleu"].sum(axis=0).tolist()
     pooled = []
     original = metrics.bleu_from_stats
 
@@ -173,7 +207,7 @@ def test_corpus_bleu_blocks_sum_the_per_pair_stats(monkeypatch):
     monkeypatch.setattr(metrics, "bleu_from_stats", recording)
     got = corpus_bleu(hyps, refs)
     assert pooled == [want]
-    assert got == original(want) > 0.0
+    assert got == original(want) == corpus_score("bleu", hyp_texts, ref_texts, hyps) > 0.0
 
 
 @pytest.mark.parametrize("count", [40, 600])
@@ -398,6 +432,26 @@ def test_bleu_from_counts_rejects_counts_no_pair_has(matches, hyp_len, ref_len):
     negative or fractional count would index the wrong log term."""
     with pytest.raises(InvalidInputError):
         bleu_from_counts(matches, hyp_len, ref_len, MetricConfig())
+
+
+@pytest.mark.parametrize(
+    "matches, hyp_len, ref_len",
+    [
+        pytest.param([-1, 0, 0, 0, 0, 0], 3, 3, id="negative-count"),
+        pytest.param([1.5, 0, 0, 0, 0, 0], 3, 3, id="fractional-count"),
+        pytest.param([True, 0, 0, 0, 0, 0], 3, 3, id="bool-count"),
+        pytest.param([9, 0, 0, 0, 0, 0], 3, 3, id="more-matches-than-ngrams"),
+        pytest.param([3, 0, 0, 0, 0, 0], 5, 2, id="more-matches-than-the-reference-has"),
+        pytest.param([2, 1, 1, 0, 0, 0], 5, 2, id="match-at-an-order-the-reference-lacks"),
+        pytest.param([3, 2, 1], 3, 3, id="too-few-orders"),
+        pytest.param([0, 0, 0, 0, 0, 0], -2, 3, id="negative-hyp-len"),
+        pytest.param([0, 0, 0, 0, 0, 0], 3, 3.0, id="fractional-ref-len"),
+    ],
+)
+def test_chrf_from_counts_rejects_counts_no_pair_has(matches, hyp_len, ref_len):
+    """A clipped count is at most the shorter side's n-grams of its order."""
+    with pytest.raises(InvalidInputError, match="matches|hyp_len|ref_len"):
+        chrf_from_counts(matches, hyp_len, ref_len, MetricConfig())
 
 
 @pytest.mark.parametrize("case", sorted(CHRF_EDGES))
