@@ -15,7 +15,7 @@ Both checks start with :func:`check_objective`: lists, each with a
 non-blank reference.  The oracle's, :func:`_checked_oracle`, then wants
 a bin width of at least 1 and providers that are not a stored matrix;
 its body, :func:`_oracle_picks`, scores each list against its reference,
-one depth-1 :func:`~rmbr.mbr.reference_scores` call per list.  The
+one :func:`~rmbr.mbr.reference_scores` call per list.  The
 tuners', :func:`_checked_tuning`, checks the weight grid and the tuning
 rules, then makes reranking's, :func:`~rmbr.mbr._checked_lists`, so a
 total that is not finite after scoring is a scoring failure.  Their body,
@@ -379,7 +379,8 @@ def tune(lists, metric, grid, depths, config, checked):
     scored = []
     for i, (lst, u, (_, consensus, regs)) in enumerate(zip(lists, config.utility, checked)):
         with in_list(i):
-            consensus = scored_consensus(lst, u, config.resolve_l(lst.n), consensus, depths)
+            l = config.resolve_l(lst.n)
+            consensus = scored_consensus(lst, u, range(lst.n), l, consensus, depths)
             texts, tokens = zip(*[(c.text, c.tokens) for c in lst.candidates])
             stats = objective_stats(metric, texts, [lst.reference] * lst.n, tokens)
         scored.append((consensus, regs, stats))

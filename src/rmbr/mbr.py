@@ -8,10 +8,10 @@ candidates of the same list (beam order, diagonal included):
 Regularizer terms are added on top with per-name weights; the combined
 score is maximized.  A coarse-to-fine mode first ranks the full list with a
 cheap proxy utility over all n pseudo-references and keeps the best k;
-:func:`rerank_lists` then scores the survivors with the target utility in
-the same steps as a one-stage rerank, for n^2 + k^2 pair evaluations instead
-of n^2.  A stored matrix can be the proxy but not the target, whose rows
-would belong to the full list.
+:func:`rerank_lists` then reranks the survivors against the first l of them
+with the target utility as a one-stage rerank would, for n^2 + k^2 pair
+evaluations instead of n^2.  A stored matrix can be the proxy but not the
+target: the check pass cannot know the survivors before the proxy scores.
 
 Utilities are pluggable: the built-in BLEU/chrF matrix builders share one
 builder, which counts a list's n-grams into one matrix per order
@@ -40,9 +40,8 @@ check of every scoring command: it raises exactly when some weight
 vector's totals would not rank, and returns the rows the run scores
 with, so a consensus or total that is not finite after scoring is a
 scoring failure (:func:`check_scored`).  :func:`scored_matrix` is the
-one scoring call, and a provider has no other: :func:`reference_scores`
-scores a list against its reference through it, at depth 1 with the
-reference put first.
+one scoring call, and a provider has no other: rows against the first l
+of them, or against a reference text (:func:`reference_scores`).
 
 numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
 functions that compute on arrays, where they run, so resolving specs and
@@ -64,7 +63,6 @@ from typing import Protocol
 
 from .core import (
     REGULARIZER_NAMES,
-    Candidate,
     MetricConfig,
     NBestList,
     RerankConfig,
@@ -88,13 +86,13 @@ from .io import load_utility_matrices
 class Utility(Protocol):
     """A pairwise utility over candidates: a provider has a ``name`` and ``matrix``.
 
-    ``matrix`` scores every candidate against the first ``l`` candidates of
-    the list; :func:`reference_scores` scores against a reference through it.
+    ``matrix(nbest, rows, refs)`` scores the candidates at ``rows`` (ascending
+    indices) against the first ``refs`` of them (an int) or the text ``refs``.
     """
 
     name: str
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray: ...
+    def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray: ...
 
 
 def encode_ngram_blocks(seqs, order):
@@ -117,16 +115,19 @@ def pair_match_counts(counts, lengths, l):
 _SCORE_BLOCK_CELLS = 1 << 14
 
 
-def _ngram_matrix(seqs, order, l, scores, config) -> np.ndarray:
-    """Score each sequence against the first l with an array count->score routine."""
+def _ngram_matrix(seqs, refs, order, scores, config) -> np.ndarray:
+    """Score each sequence against the first ``refs`` of them, or against the
+    sequence ``refs`` as item 0 at depth 1, its own row unscored."""
     import numpy as np
 
+    outside = not isinstance(refs, int)
+    seqs, l = ([refs, *seqs], 1) if outside else (seqs, refs)
     counts, lengths = encode_ngram_blocks(seqs, order)
     matches = pair_match_counts(counts, lengths, l)
     rows = max(1, _SCORE_BLOCK_CELLS // (l * order))
     blocks = [
         scores(matches[i : i + rows], lengths[i : i + rows], lengths[:l], config)
-        for i in range(0, len(seqs), rows)
+        for i in range(int(outside), len(seqs), rows)
     ]
     return np.concatenate(blocks)
 
@@ -139,11 +140,12 @@ class BleuUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
+    def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray:
         from .metrics import bleu_scores
 
-        seqs = [c.tokens for c in nbest.candidates]
-        return _ngram_matrix(seqs, self.config.bleu_max_order, l, bleu_scores, self.config)
+        seqs = [nbest.candidates[i].tokens for i in rows]
+        refs = refs.split() if isinstance(refs, str) else refs
+        return _ngram_matrix(seqs, refs, self.config.bleu_max_order, bleu_scores, self.config)
 
 
 class ChrfUtility:
@@ -154,27 +156,30 @@ class ChrfUtility:
     def __init__(self, config: MetricConfig | None = None):
         self.config = config or MetricConfig()
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
+    def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray:
         from .metrics import chrf_characters, chrf_scores
 
-        seqs = [chrf_characters(c.text) for c in nbest.candidates]
-        return _ngram_matrix(seqs, self.config.chrf_char_order, l, chrf_scores, self.config)
+        seqs = [chrf_characters(nbest.candidates[i].text) for i in rows]
+        refs = chrf_characters(refs) if isinstance(refs, str) else refs
+        return _ngram_matrix(seqs, refs, self.config.chrf_char_order, chrf_scores, self.config)
 
 
 class MatrixUtility:
-    """A utility whose pairwise values were precomputed and stored."""
+    """Precomputed, stored utility values of pairs of the list's candidates."""
 
     def __init__(self, matrix: UtilityMatrix):
         self._matrix = matrix
         self.name = matrix.utility_name
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        if self._matrix.n < nbest.n or self._matrix.l < l:
+    def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray:
+        if isinstance(refs, str):
+            raise ConfigError("a precomputed utility matrix cannot score against new references")
+        if self._matrix.n < nbest.n or self._matrix.l < refs:
             raise DimensionError(
                 f"stored matrix is {self._matrix.n}x{self._matrix.l}, "
-                f"need at least {nbest.n}x{l}"
+                f"need at least {nbest.n}x{refs}"
             )
-        return self._matrix.values[: nbest.n, :l]
+        return self._matrix.values[rows][:, rows[:refs]]
 
 
 class ServiceUtility:
@@ -188,16 +193,14 @@ class ServiceUtility:
         self.client = client
         self.name = name
 
-    def matrix(self, nbest: NBestList, l: int) -> np.ndarray:
-        pairs = [
-            (nbest.source, hyp.text, ref.text)
-            for hyp in nbest.candidates
-            for ref in nbest.candidates[:l]
-        ]
+    def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray:
+        hyps = [nbest.candidates[i].text for i in rows]
+        refs = [refs] if isinstance(refs, str) else hyps[:refs]
+        pairs = [(nbest.source, hyp, ref) for hyp in hyps for ref in refs]
         import numpy as np
 
         scores = self.client.score_pairs(pairs)
-        return np.array(scores, dtype=np.float64).reshape(nbest.n, l)
+        return np.array(scores, dtype=np.float64).reshape(len(hyps), len(refs))
 
 
 class _ScorerOnFirstBatch:
@@ -312,27 +315,22 @@ class UtilitySession:
         }
 
 
-def scored_matrix(nbest: NBestList, provider, l: int) -> UtilityMatrix:
-    """The one scoring call: a resolved provider's checked n x l matrix of the list."""
+def scored_matrix(nbest: NBestList, provider, rows, refs: int | str) -> UtilityMatrix:
+    """The one scoring call: a resolved provider's checked :class:`Utility` matrix."""
     import numpy as np
 
-    values = provider.matrix(nbest, l)
-    if np.shape(values) != (nbest.n, l):
-        raise DimensionError(f"{provider.name} gave shape {np.shape(values)}, not {(nbest.n, l)}")
+    values = provider.matrix(nbest, rows, refs)
+    shape = (len(rows), 1 if isinstance(refs, str) else refs)
+    if np.shape(values) != shape:
+        raise DimensionError(f"{provider.name} gave shape {np.shape(values)}, not {shape}")
     return UtilityMatrix(values=values, utility_name=provider.name)
 
 
 def reference_scores(nbest: NBestList, provider) -> list[float]:
-    """Each candidate's score against the list's reference, through :func:`scored_matrix`.
-
-    The reference is put first as a candidate (log-prob 0.0, its
-    whitespace tokens) and the list scored at depth 1; its rows 1..n are
-    the scores.  The reference must hold a non-whitespace character, and
-    the provider must not be a stored matrix, whose rows are the list's.
-    """
-    reference = Candidate(text=nbest.reference, tokens=nbest.reference.split(), log_prob=0.0)
-    with_reference = replace(nbest, candidates=(reference, *nbest.candidates))
-    return scored_matrix(with_reference, provider, 1).values[1:, 0].tolist()
+    """Each candidate's score against the list's reference (:func:`scored_matrix`)."""
+    if nbest.reference is None or not nbest.reference.strip():
+        raise InvalidInputError("no reference")
+    return scored_matrix(nbest, provider, range(nbest.n), nbest.reference).values[:, 0].tolist()
 
 
 def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
@@ -341,7 +339,7 @@ def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
     if l > nbest.n:
         raise InvalidInputError(f"l must be in 1..{nbest.n}, got {l}")
     with UtilitySession() as session:
-        return scored_matrix(nbest, session.providers(utility, 1)[0], l)
+        return scored_matrix(nbest, session.providers(utility, 1)[0], range(nbest.n), l)
 
 
 def expected_utilities(values: np.ndarray, l: int) -> list[float]:
@@ -369,15 +367,15 @@ def consensus_rows(values: np.ndarray, l: int, depths=(None,)) -> np.ndarray:
     return np.array([expected_utilities(values, d or l) for d in depths])
 
 
-def scored_consensus(nbest: NBestList, utility, l: int, checked, depths=(None,)) -> np.ndarray:
-    """The consensus rows :func:`checked_values` returned, else the list's.
+def scored_consensus(nbest: NBestList, utility, rows, l: int, checked, depths=(None,)):
+    """The consensus rows :func:`checked_values` returned, else those of ``rows``.
 
-    ``checked`` is None unless ``utility`` is a stored matrix; then the list
-    is scored at depth ``l`` and its :func:`consensus_rows` taken.
+    ``checked`` is None unless ``utility`` is a stored matrix; then ``rows``
+    are scored against the first ``l`` of them and :func:`consensus_rows` taken.
     """
     if checked is not None:
         return checked
-    return consensus_rows(scored_matrix(nbest, utility, l).values, l, depths)
+    return consensus_rows(scored_matrix(nbest, utility, rows, l).values, l, depths)
 
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
@@ -473,7 +471,7 @@ def checked_values(nbest: NBestList, utility, l: int, names, weights, depths=(No
     """
     consensus, lows, highs = None, [0.0] * nbest.n, [0.0] * nbest.n
     if isinstance(utility, MatrixUtility):
-        consensus = consensus_rows(utility.matrix(nbest, l), l, depths)
+        consensus = consensus_rows(utility.matrix(nbest, range(nbest.n), l), l, depths)
         # numpy's min and max keep a nan, which then fails its totals
         lows, highs = consensus.min(axis=0).tolist(), consensus.max(axis=0).tolist()
     regs = [regularizer_values(nbest, name) for name in names]
@@ -561,26 +559,25 @@ def _reranked(lists, config: RerankConfig, checked) -> list[RerankResult]:
 
     With ``config.coarse_to_fine``, the proxy scores all n candidates
     against all n and the best k survive, in list order.  The survivors are
-    scored at depth l, combined with the regularizers in ``config.lambdas``
-    order and ranked: n * l pair evaluations, or n^2 + k^2 with
-    coarse-to-fine.  Lists are scored in order, none after one fails, whose
-    error names it (:func:`~rmbr.errors.in_list`); a result's indices refer
-    to its original list, and only survivors carry scores.
+    scored against the first l of them, combined with the regularizers in
+    ``config.lambdas`` order and ranked: n * l pair evaluations, or n^2 + k^2
+    with coarse-to-fine.  Lists are scored in order, none after one fails,
+    whose error names it (:func:`~rmbr.errors.in_list`); a result's indices
+    refer to its original list, and only survivors carry scores.
     """
     results = []
     stages = config.coarse_to_fine
     for i, (nbest, (proxy, consensus, regs)) in enumerate(zip(lists, checked)):
         with in_list(i):
-            survivors, calls = list(range(nbest.n)), 0
+            rows, calls = range(nbest.n), 0
             if stages is not None:
-                proxy = scored_consensus(nbest, stages.proxy[i], nbest.n, proxy)[0].tolist()
+                proxy = scored_consensus(nbest, stages.proxy[i], rows, nbest.n, proxy)[0]
                 check_scored(proxy)
-                order, _ = rank_candidates(proxy)
-                survivors, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
-                nbest = replace(nbest, candidates=[nbest.candidates[j] for j in survivors])
-                regs = [[row[j] for j in survivors] for row in regs]
-            l = config.resolve_l(nbest.n)
-            consensus = scored_consensus(nbest, config.utility[i], l, consensus)[0].tolist()
+                order, _ = rank_candidates(proxy.tolist())
+                rows, calls = sorted(order[: stages.keep]), nbest.n * nbest.n
+                regs = [[values[j] for j in rows] for values in regs]
+            l = config.resolve_l(len(rows))
+            consensus = scored_consensus(nbest, config.utility[i], rows, l, consensus)[0].tolist()
             regularizers = dict(zip(config.regularizers, regs))
             totals = combine_scores(consensus, regularizers, config.lambdas)
             check_scored(totals)
@@ -590,10 +587,10 @@ def _reranked(lists, config: RerankConfig, checked) -> list[RerankResult]:
                 mbr_scores=tuple(consensus),
                 regularizer_scores=regularizers,
                 total_scores=tuple(totals),
-                ranking=tuple(survivors[r] for r in ranking),
-                selected=survivors[ranking[0]],
-                utility_calls=calls + nbest.n * l,
-                candidate_indices=tuple(survivors),
+                ranking=tuple(rows[r] for r in ranking),
+                selected=rows[ranking[0]],
+                utility_calls=calls + len(rows) * l,
+                candidate_indices=tuple(rows),
             )
         )
     return results

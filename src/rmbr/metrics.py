@@ -374,14 +374,16 @@ def objective_stats(metric: str, hyps, refs, hyp_tokens) -> np.ndarray:
     """Each hypothesis's row toward the corpus objective ``metric`` against its
     own reference, with the default :class:`MetricConfig`: for "bleu"
     :func:`_stat_rows` of ``hyp_tokens`` against the reference texts split at
-    whitespace, for "chrf" one column, the pair's sentence chrF of the texts."""
+    whitespace, for "chrf" one column, the pair's sentence chrF of the texts.
+    Each distinct reference text is split once, and its repeats share it."""
     cfg = MetricConfig()
+    split = str.split if metric == "bleu" else chrf_characters
+    once = {ref: split(ref) for ref in set(refs)}
+    refs = [once[ref] for ref in refs]
     if metric == "bleu":
-        ref_tokens = [ref.split() for ref in refs]
-        return _stat_rows(*_reference_matches(hyp_tokens, ref_tokens, cfg.bleu_max_order))
+        return _stat_rows(*_reference_matches(hyp_tokens, refs, cfg.bleu_max_order))
     hyp_chars = [chrf_characters(hyp) for hyp in hyps]
-    ref_chars = [chrf_characters(ref) for ref in refs]
-    matches, hyp_lens, ref_lens = _reference_matches(hyp_chars, ref_chars, cfg.chrf_char_order)
+    matches, hyp_lens, ref_lens = _reference_matches(hyp_chars, refs, cfg.chrf_char_order)
     # one reference per row: the (N, 1) reference lengths pair row i with reference i
     return chrf_scores(matches[:, None], hyp_lens, ref_lens[:, None], cfg)
 

@@ -168,23 +168,21 @@ class Unscorable:
 
     name = "unscorable"
 
-    def matrix(self, nbest, l):
+    def matrix(self, nbest, rows, refs):
         raise AssertionError("scored before the checks")
 
 
 class IndexedUtility:
-    """Stored values looked up by each candidate's ``t<i>`` text (see
-    :func:`trivial_list`), so a sub-list is scored with its own rows and
-    columns: a coarse-to-fine target, which a stored matrix cannot be."""
+    """Stored values of the rows asked for against the first l of them: a
+    coarse-to-fine target, which a stored matrix cannot be."""
 
     name = "indexed"
 
     def __init__(self, matrix):
         self.values = matrix.values
 
-    def matrix(self, nbest, l):
-        rows = [int(c.text[1:]) for c in nbest.candidates]
-        return self.values[np.ix_(rows, rows[:l])]
+    def matrix(self, nbest, rows, refs):
+        return self.values[np.ix_(rows, rows[:refs])]
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,10 @@ class _NameAndMatrix:
 
     name = "plain"
 
-    def matrix(self, nbest, l):
-        refs = nbest.candidates[:l]
-        return np.array([[float(c.text == r.text) for r in refs] for c in nbest.candidates])
+    def matrix(self, nbest, rows, refs):
+        texts = [nbest.candidates[i].text for i in rows]
+        refs = [refs] if isinstance(refs, str) else texts[:refs]
+        return np.array([[float(hyp == ref) for ref in refs] for hyp in texts])
 
 
 def test_an_oracle_utility_that_cannot_score_against_a_reference_fails_before_any_score(
@@ -421,7 +422,7 @@ def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():
         nbest = _external_list(names, values) if r else trivial_list(n)
         grid = sorted(rng.choice(weight_pool, size=int(rng.integers(1, 4)), replace=False))
         weights = analysis._weight_vectors(grid, r) if r else np.zeros((1, 0))
-        consensus = mbr.expected_utilities(stored.matrix(nbest, 1), 1)
+        consensus = mbr.expected_utilities(stored.matrix(nbest, range(n), 1), 1)
         regs = dict(zip(names, values))
         unrankable = False
         for w in weights.tolist():
@@ -476,7 +477,7 @@ def test_check_tuning_raises_exactly_when_some_vector_cannot_be_ranked_at_some_d
             for d, w in itertools.product(depths, vectors):
                 consensus = [0.0] * n
                 if stored is not None:
-                    consensus = mbr.expected_utilities(stored[i].matrix(lst, n), d)
+                    consensus = mbr.expected_utilities(stored[i].matrix(lst, range(n), n), d)
                 try:
                     rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))
                 except InvalidInputError:
@@ -729,7 +730,7 @@ class _NoCalls:
 
     name = "none"
 
-    def matrix(self, nbest, l):
+    def matrix(self, nbest, rows, refs):
         raise AssertionError("utility evaluated")
 
 
@@ -745,6 +746,8 @@ def test_reference_check_comes_before_utility_work(reference):
     for call in calls:
         with pytest.raises(InvalidInputError, match="^list 1: no reference$"):
             call()
+    with pytest.raises(InvalidInputError, match="^no reference$"):
+        mbr.reference_scores(lists[1], _NoCalls())
     with pytest.raises(ConfigError, match="finite"):
         grid_search_lambdas(lists[:1], config, grid=(0.1, math.nan))
 

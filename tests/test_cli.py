@@ -1678,8 +1678,8 @@ def test_oracle_report_counts_scorer_work(dev_file, tmp_path):
     report = json.loads((tmp_path / "oracle.json.report.json").read_text(encoding="utf-8"))
     assert report["command"] == "oracle"
     assert report["scorer_processes"] == 1
-    # each list is scored with its reference put first: n candidates and the reference
-    assert report["scorer_pairs"] == sum(lst.n + 1 for lst in lists)
+    # each list's candidates are scored against its reference: one pair each
+    assert report["scorer_pairs"] == sum(lst.n for lst in lists)
     _assert_all_gone(_started_pids(log))
 
 

@@ -218,7 +218,7 @@ def test_bleu_matrix_equals_double_loop_exactly():
     for _ in range(5):
         lst = random_list(rng, int(rng.integers(2, 8)))
         for cfg in CONFIGS:
-            matrix = BleuUtility(cfg).matrix(lst, lst.n)
+            matrix = BleuUtility(cfg).matrix(lst, range(lst.n), lst.n)
             for i, hyp in enumerate(lst.candidates):
                 for j, ref in enumerate(lst.candidates):
                     want = oracle_bleu(hyp.tokens, ref.tokens, cfg)
@@ -231,7 +231,7 @@ def test_chrf_matrix_equals_double_loop_exactly():
     cfg = MetricConfig()
     for _ in range(5):
         lst = random_list(rng, int(rng.integers(2, 8)))
-        matrix = ChrfUtility().matrix(lst, lst.n)
+        matrix = ChrfUtility().matrix(lst, range(lst.n), lst.n)
         for i, hyp in enumerate(lst.candidates):
             for j, ref in enumerate(lst.candidates):
                 want = oracle_chrf(hyp.text, ref.text, cfg)
@@ -281,7 +281,7 @@ def test_utilities_count_through_the_traced_kernel_names(monkeypatch):
     for utility in (BleuUtility(), ChrfUtility()):
         assert "matrix" in vars(type(utility))
         for score in (
-            lambda lst: utility.matrix(lst, lst.n),
+            lambda lst: utility.matrix(lst, range(lst.n), lst.n),
             lambda lst: reference_scores(lst, utility),
         ):
             calls.clear()
@@ -293,17 +293,17 @@ def test_utilities_count_through_the_traced_kernel_names(monkeypatch):
 def test_diagonal_is_identity_score():
     rng = np.random.default_rng(8)
     lst = random_list(rng, 6)
-    assert np.all(np.diag(BleuUtility().matrix(lst, lst.n)) == 1.0)
-    assert np.all(np.diag(ChrfUtility().matrix(lst, lst.n)) == 1.0)
+    assert np.all(np.diag(BleuUtility().matrix(lst, range(lst.n), lst.n)) == 1.0)
+    assert np.all(np.diag(ChrfUtility().matrix(lst, range(lst.n), lst.n)) == 1.0)
 
 
 def test_matrix_scored_in_row_blocks_equals_one_block(monkeypatch):
     rng = np.random.default_rng(13)
     lst = random_list(rng, 9)
     utilities = (BleuUtility(), ChrfUtility(), BleuUtility(CONFIGS[1]))
-    want = [u.matrix(lst, 5) for u in utilities]
+    want = [u.matrix(lst, range(lst.n), 5) for u in utilities]
     # one row of the count tensor per call of the count->score routine
     monkeypatch.setattr(mbr, "_SCORE_BLOCK_CELLS", 1)
     for utility, one_block in zip(utilities, want):
-        got = utility.matrix(lst, 5)
+        got = utility.matrix(lst, range(lst.n), 5)
         assert got.shape == (9, 5) and np.array_equal(got, one_block)

@@ -39,7 +39,7 @@ from rmbr.mbr import (
     rerank_lists,
     token_entropy,
 )
-from rmbr.analysis import check_tuning, grid_search_lambdas, tune_l
+from rmbr.analysis import check_tuning, grid_search_lambdas, oracle_select, tune_l
 from rmbr.io import write_utility_matrices, write_utility_matrix
 from rmbr.metrics import sentence_bleu
 
@@ -383,7 +383,7 @@ def test_session_starts_a_scorer_on_its_first_batch_and_reaps_it(tmp_path):
         assert isinstance(provider, ServiceUtility)
         assert log.read_text(encoding="utf-8") == ""
         assert session.counters() == {"scorer_processes": 0, "scorer_pairs": 0}
-        assert np.array_equal(provider.matrix(lst, 2), np.full((3, 2), 0.5))
+        assert np.array_equal(provider.matrix(lst, range(3), 2), np.full((3, 2), 0.5))
         pids = [int(pid) for pid in log.read_text(encoding="utf-8").split()]
         assert len(pids) == 1
         assert session.counters() == {"scorer_processes": 1, "scorer_pairs": 3 * 2}
@@ -485,8 +485,8 @@ def test_a_per_list_utility_list_must_hold_providers(tmp_path):
 class _Nameless:
     """Has a provider's ``matrix`` but no ``name``."""
 
-    def matrix(self, nbest, l):
-        return np.ones((nbest.n, l))
+    def matrix(self, nbest, rows, refs):
+        return np.ones((len(rows), refs))
 
 
 @pytest.mark.parametrize(
@@ -519,29 +519,34 @@ class _Shaped:
     def __init__(self, rows, cols):
         self.rows, self.cols = rows, cols
 
-    def matrix(self, nbest, l):
-        return np.ones((nbest.n + self.rows, l + self.cols))
+    def matrix(self, nbest, rows, refs):
+        cols = 1 if isinstance(refs, str) else refs
+        return np.ones((len(rows) + self.rows, cols + self.cols))
 
 
 @pytest.mark.parametrize("rows, cols", [(0, -1), (1, 0), (-1, 0), (0, 1)])
 def test_a_provider_matrix_of_any_other_shape_than_n_by_l_is_a_dimension_error(rows, cols):
-    lst = trivial_list(3)
+    lst = trivial_list(3, reference="t0")
     util = _Shaped(rows, cols)
     stages = CoarseToFine(util, 2)
-    shape = r"shaped gave shape \(\d, \d\), not \(\d, \d\)$"
-    # a rerank names the list; build_utility_matrix scores one list, unnamed
-    for call, prefix in (
-        (lambda: rerank(lst, RerankConfig(utility=util)), "list 0: "),
-        (lambda: rerank(lst, RerankConfig(utility=util, l=2)), "list 0: "),
+    # a rerank names the list; build_utility_matrix and reference_scores
+    # score one list, unnamed; against the reference text the shape is (n, 1)
+    for call, prefix, want in (
+        (lambda: rerank(lst, RerankConfig(utility=util)), "list 0: ", (3, 3)),
+        (lambda: rerank(lst, RerankConfig(utility=util, l=2)), "list 0: ", (3, 2)),
         (
             lambda: rerank(lst, RerankConfig(utility=BleuUtility(), coarse_to_fine=stages)),
             "list 0: ",
+            (3, 3),
         ),
-        (lambda: build_utility_matrix(lst, util, 3), ""),
+        (lambda: build_utility_matrix(lst, util, 3), "", (3, 3)),
+        (lambda: reference_scores(lst, util), "", (3, 1)),
     ):
+        shape = rf"shaped gave shape \(\d, \d\), not \({want[0]}, {want[1]}\)$"
         with pytest.raises(DimensionError, match=f"^{prefix}{shape}"):
             call()
     assert rerank(lst, RerankConfig(utility=_Shaped(0, 0))).mbr_scores == (1.0, 1.0, 1.0)
+    assert reference_scores(lst, _Shaped(0, 0)) == [1.0, 1.0, 1.0]
 
 
 def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
@@ -601,15 +606,71 @@ def test_matrix_utility_requires_big_enough_matrix():
     util = MatrixUtility(matrix)
     for n, l in ((4, 4), (4, 3), (3, 4)):
         with pytest.raises(DimensionError):
-            util.matrix(trivial_list(n), l)
-    assert np.array_equal(util.matrix(trivial_list(2), 1), matrix.values[:2, :1])
+            util.matrix(trivial_list(n), range(n), l)
+    assert np.array_equal(util.matrix(trivial_list(2), range(2), 1), matrix.values[:2, :1])
+
+
+def test_a_stored_matrix_refuses_to_score_against_a_reference():
+    # a stored matrix holds pairs of the list's candidates: its column 0 is
+    # candidate 0, which must not stand in for the reference
+    lst = make_list(["a", "b", "c"], reference="a")
+    util = MatrixUtility(UtilityMatrix(values=np.arange(16.0).reshape(4, 4), utility_name="m"))
+    with pytest.raises(
+        ConfigError, match="^a precomputed utility matrix cannot score against new references$"
+    ):
+        reference_scores(lst, util)
+
+
+class _Recording:
+    """A BLEU provider that records the rows and references of every call."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def matrix(self, nbest, rows, refs):
+        self.calls.append((list(rows), refs))
+        return BleuUtility().matrix(nbest, rows, refs)
+
+
+def test_each_run_asks_its_providers_for_the_rows_and_references_it_scores():
+    texts = [
+        "zz yy xx ww",
+        "the cat sat on the mat",
+        "the cat sat on a mat",
+        "a cat sat on the mat",
+        "the cat is on the mat",
+    ]
+    lst = make_list(texts, reference="the cat sat on the mat")
+    n, everything = lst.n, list(range(lst.n))
+    target = _Recording()
+    rerank(lst, RerankConfig(utility=target, l=3))
+    assert target.calls == [(everything, 3)]
+    proxy, target = _Recording(), _Recording()
+    config = RerankConfig(utility=target, coarse_to_fine=CoarseToFine(proxy, 3))
+    survivors = list(rerank(lst, config).candidate_indices)
+    # the proxy's best three, in list order: the outlier at index 0 is pruned
+    order, _ = rank_candidates(mbr_scores(build_utility_matrix(lst, "bleu", n)))
+    assert survivors == sorted(order[:3]) and 0 not in survivors
+    assert proxy.calls == [(everything, n)]
+    assert target.calls == [(survivors, config.resolve_l(3))]
+    oracle = _Recording()
+    oracle_select(lst, oracle)
+    assert oracle.calls == [(everything, "the cat sat on the mat")]
+    sweep = _Recording()
+    tune_l([lst], RerankConfig(utility=sweep))
+    assert sweep.calls == [(everything, n)]
 
 
 def test_matrix_utility_crops_rows_and_columns():
     values = np.arange(12.0).reshape(4, 3) / 12.0
     util = MatrixUtility(UtilityMatrix(values=values, utility_name="toy"))
-    got = util.matrix(trivial_list(2), 2)
+    got = util.matrix(trivial_list(2), range(2), 2)
     assert np.array_equal(got, values[:2, :2])
+    # other rows are scored against the first l of them
+    got = util.matrix(trivial_list(4), [0, 2], 2)
+    assert np.array_equal(got, values[np.ix_([0, 2], [0, 2])])
 
 
 class _RecordingClient:
@@ -626,15 +687,15 @@ def test_service_utility_orientation():
     client = _RecordingClient()
     util = ServiceUtility(client)
     lst = make_list(["a", "bb", "ccc"], source="the source")
-    got = util.matrix(lst, 2)
+    got = util.matrix(lst, range(3), 2)
     assert got.shape == (3, 2)
     # row = hypothesis, column = pseudo-reference
     assert got[2, 1] == float(3 * 10 + 2)
     assert client.pairs[0] == ("the source", "a", "a")
     assert all(src == "the source" for src, _, _ in client.pairs)
-    # the reference is scored first, against itself: rows 1..n are the candidates
+    # the reference is one outside column: one pair per candidate
     assert reference_scores(replace(lst, reference="ref"), util) == [13.0, 23.0, 33.0]
-    assert client.pairs == [("the source", h, "ref") for h in ("ref", "a", "bb", "ccc")]
+    assert client.pairs == [("the source", h, "ref") for h in ("a", "bb", "ccc")]
 
 
 def test_chrf_utility_rejects_whitespace_only_candidate():
@@ -648,8 +709,8 @@ def test_chrf_utility_rejects_whitespace_only_candidate():
 def test_bleu_utility_respects_l():
     rng = np.random.default_rng(19)
     lst = random_list(rng, 6)
-    full = BleuUtility().matrix(lst, 6)
-    trunc = BleuUtility().matrix(lst, 2)
+    full = BleuUtility().matrix(lst, range(6), 6)
+    trunc = BleuUtility().matrix(lst, range(6), 2)
     assert trunc.shape == (6, 2)
     assert np.array_equal(trunc, full[:, :2])
 
