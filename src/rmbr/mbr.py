@@ -174,10 +174,12 @@ class MatrixUtility:
     def matrix(self, nbest: NBestList, rows, refs: int | str) -> np.ndarray:
         if isinstance(refs, str):
             raise ConfigError("a precomputed utility matrix cannot score against new references")
-        if self._matrix.n < nbest.n or self._matrix.l < refs:
+        # rows ascend, so the first refs of them end at rows[refs - 1]; more
+        # refs than rows ask for refs columns
+        n, l = max(rows) + 1, max(refs, rows[:refs][-1] + 1)
+        if self._matrix.n < n or self._matrix.l < l:
             raise DimensionError(
-                f"stored matrix is {self._matrix.n}x{self._matrix.l}, "
-                f"need at least {nbest.n}x{refs}"
+                f"stored matrix is {self._matrix.n}x{self._matrix.l}, need at least {n}x{l}"
             )
         return self._matrix.values[rows][:, rows[:refs]]
 
@@ -316,13 +318,18 @@ class UtilitySession:
 
 
 def scored_matrix(nbest: NBestList, provider, rows, refs: int | str) -> UtilityMatrix:
-    """The one scoring call: a resolved provider's checked :class:`Utility` matrix."""
+    """The one scoring call: a resolved provider's checked :class:`Utility` matrix.
+
+    A value that is not finite is a :class:`ScoringError`, as a scorer's is."""
     import numpy as np
 
     values = provider.matrix(nbest, rows, refs)
     shape = (len(rows), 1 if isinstance(refs, str) else refs)
     if np.shape(values) != shape:
         raise DimensionError(f"{provider.name} gave shape {np.shape(values)}, not {shape}")
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise ScoringError(f"{provider.name} gave non-finite scores")
     return UtilityMatrix(values=values, utility_name=provider.name)
 
 

@@ -9,10 +9,8 @@ by id.  Each response must arrive within the timeout (default 30 s,
 ``RMBR_SCORER_TIMEOUT_SECS`` overrides), and so must each write to a
 scorer that has stopped reading.  One thread writes a batch and reads its
 responses over non-blocking descriptors, so a batch larger than the pipe
-buffers cannot deadlock.  The responses are one stream of lines per
-client: lines read past a batch's last answer go first to the next batch.
-After a failed batch the client stays usable: the next batch first sends
-what the failed one left unwritten, and drops late answers to its requests.
+buffers cannot deadlock.  A line read past the answers of an exchange, the
+handshake or one batch, fails it, and a batch that fails closes the client.
 
 :func:`service_opener` parses the text after ``service:`` and returns an
 opener that starts nothing until it is called.  Within rmbr, only
@@ -29,7 +27,6 @@ import os
 import select
 import threading
 import time
-from collections import deque
 from functools import partial
 from typing import Sequence
 
@@ -128,6 +125,24 @@ def _decoded(line: str, what: str):
         raise TransportError(f"{what}: {_quoted(read)}") from None
 
 
+def _record(line: str, pending: dict[int, int], out: list) -> None:
+    """Pop response ``line``'s id from ``pending``, and put its score in ``out`` at its pair."""
+    response = _decoded(line, "malformed scorer response")
+    rid = response.get("id") if isinstance(response, dict) else None
+    # exactly int: true and 1.0 would match id 1, and a list is unhashable
+    if type(rid) is not int or rid not in pending:
+        raise TransportError(f"scorer response for unknown or duplicate id {rid!r}")
+    pos = pending.pop(rid)
+    if response.get("error") is not None:
+        raise ScoringError(f"scorer failed on pair {pos}: {response['error']}")
+    score = response.get("score")
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise TransportError(f"scorer response for pair {pos} has no numeric score")
+    if not math.isfinite(score):
+        raise ScoringError(f"scorer returned a non-finite score for pair {pos}: {score!r}")
+    out[pos] = float(score)
+
+
 class ScorerClient:
     """Client for an external scorer speaking the line-JSON protocol.
 
@@ -137,11 +152,9 @@ class ScorerClient:
     One thread does both directions: it waits on the non-blocking
     descriptors with ``poll`` and writes requests while it reads
     responses, so a batch larger than the pipe buffers cannot deadlock
-    and a scorer that stops reading runs into the timeout.  Each batch
-    takes lines from one stream that outlives it (:meth:`_responses`):
-    what one batch read past its last answer, or left unwritten when it
-    failed, the next batch takes or sends first.  The client is safe to
-    share between threads (batches are serialized).
+    and a scorer that stops reading runs into the timeout.  A batch that
+    fails closes the client.  The client is safe to share between threads
+    (batches are serialized).
     """
 
     def __init__(self, read_fd: int, write_fd: int, timeout: float | None = None, close=None):
@@ -150,10 +163,6 @@ class ScorerClient:
         self._wfd = write_fd
         self._teardown = close
         self._closed = False
-        #: lines read but not yet handed to a batch, and a partial line's chunks
-        self._lines, self._tail = deque(), []
-        #: requests a failed batch left unwritten, and the ids not yet answered
-        self._unsent, self._pending = b"", {}
         self._next_id = 0
         self._lock = threading.Lock()
         #: pairs of the batches this client got all scores for
@@ -211,29 +220,24 @@ class ScorerClient:
         return cls(proc.stdout.fileno(), proc.stdin.fileno(), timeout=timeout, close=stop)
 
     def _responses(self, payload: bytes):
-        """Write ``payload`` while yielding the scorer's response lines.
+        """Write ``payload`` while yielding each read's response lines as a list.
 
-        Lines already read come first, then each read's lines as they
-        arrive; a caller that stops early leaves the rest for the next
-        call, and requests it left unwritten go out first then.  Every
-        wait is bounded by the timeout, which restarts when requests are
-        written or complete lines arrive.  Each read's complete lines are
-        decoded at once, so one invalid byte fails them all.  A last line
-        that ends at EOF without a newline is still a line, as in ``for
-        line in file``.  A partial line is kept as its chunks and joined
-        when its newline arrives, so a long line costs linear time.  One
-        longer than ``_MAX_LINE`` bytes fails at once and what was read of
-        it is dropped, so its rest reaches the next call as a line of its own.
+        Every wait is bounded by the timeout, which restarts when requests
+        are written or complete lines arrive.  Each read's complete lines
+        are decoded at once, so one invalid byte fails them all.  A last
+        line that ends at EOF without a newline is still a line, as in
+        ``for line in file``.  A partial line is kept as its chunks and
+        joined when its newline arrives, so a long line costs linear time;
+        one longer than ``_MAX_LINE`` bytes fails at once.  What a caller
+        that stops early has not taken or sent is dropped.
         """
-        rfd, wfd, lines = self._rfd, self._wfd, self._lines
-        out = memoryview(bytes(self._unsent) + payload)
+        rfd, wfd = self._rfd, self._wfd
+        out, tail = memoryview(payload), []
         poller = select.poll()  # register() replaces a descriptor's mask
         poller.register(rfd, select.POLLIN)
         poller.register(wfd, select.POLLOUT | (select.POLLIN if wfd == rfd else 0))
         deadline = time.monotonic() + self.timeout
         while True:
-            while lines:
-                yield lines.popleft()
             if out:
                 try:
                     sent = os.write(wfd, out)
@@ -242,8 +246,7 @@ class ScorerClient:
                 except OSError as e:
                     raise TransportError(f"cannot send to scorer: {e}") from None
                 if sent:
-                    # b"" once all is sent, so no view keeps the payload
-                    self._unsent = out = out[sent:] or b""
+                    out = out[sent:]
                     deadline = time.monotonic() + self.timeout
                     if not out:
                         poller.unregister(wfd)
@@ -261,39 +264,42 @@ class ScorerClient:
             except OSError as e:
                 raise TransportError(f"scorer connection failed: {e}") from None
             if not data:
-                if not self._tail:
+                if not tail:
                     raise TransportError("scorer closed the connection")
                 data = b"\n"  # the last line ends at EOF
             end = data.find(b"\n")  # of the line the partial one continues
-            if sum(map(len, self._tail)) + (len(data) if end < 0 else end) > _MAX_LINE:
-                self._tail = []
+            if sum(map(len, tail)) + (len(data) if end < 0 else end) > _MAX_LINE:
                 raise TransportError(f"scorer response line longer than {_MAX_LINE} bytes")
-            self._tail.append(data)
+            tail.append(data)
             if end < 0:
                 continue
-            complete, _, rest = b"".join(self._tail).rpartition(b"\n")
-            self._tail = [rest] if rest else []
+            complete, _, rest = b"".join(tail).rpartition(b"\n")
+            tail = [rest] if rest else []
             try:
-                lines.extend(complete.decode("utf-8").split("\n"))
+                lines = complete.decode("utf-8").split("\n")
             except UnicodeDecodeError as e:
                 raise TransportError(f"scorer connection failed: {e}") from None
             deadline = time.monotonic() + self.timeout
+            yield lines
 
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()
-        greeting = _decoded(next(self._responses(hello)), "bad scorer handshake")
+        lines = next(self._responses(hello))
+        greeting = _decoded(lines[0], "bad scorer handshake")
         got = greeting.get("protocol") if isinstance(greeting, dict) else greeting
         if not isinstance(greeting, dict) or got != PROTOCOL_VERSION:
             raise TransportError(
                 f"scorer protocol mismatch: want {PROTOCOL_VERSION!r}, got {_quoted(got)}"
             )
+        if len(lines) > 1:
+            raise TransportError(f"scorer sent a line past its handshake: {_quoted(lines[1])}")
 
     def score_pairs(self, pairs: Sequence[tuple[str | None, str, str]]) -> list[float]:
         """Score (source, hypothesis, reference) triples; source may be None.
 
         Returns scores in the order of ``pairs`` regardless of the order the
-        scorer answered in.  If the batch fails, the next one first sends
-        what it left unwritten, and drops late answers to its requests.
+        scorer answered in.  A line read with the last answer fails the batch,
+        and a batch that fails, for any reason, closes the client.
         """
         if not pairs:
             raise InvalidInputError("pairs must be non-empty")
@@ -310,40 +316,18 @@ class ScorerClient:
                 f'"hyp": {quoted[hyp]}, "ref": {quoted[ref]}}}\n'
                 for i, (src, hyp, ref) in enumerate(pairs)
             ).encode()
-            # every id sent and not yet answered, with its pair's position;
-            # ids below base are a failed batch's, and their answers are dropped
-            pending = self._pending
-            pending.update(zip(range(base, base + len(pairs)), range(len(pairs))))
+            # every id sent and not yet answered, with its pair's position
+            pending = dict(zip(range(base, base + len(pairs)), range(len(pairs))))
             out: list[float | None] = [None] * len(pairs)
-            left = len(pairs)
-            for line in self._responses(payload):
-                response = _decoded(line, "malformed scorer response")
-                rid = response.get("id") if isinstance(response, dict) else None
-                # exactly int: true and 1.0 would match id 1, and a list is unhashable
-                if type(rid) is not int or rid not in pending:
-                    raise TransportError(
-                        f"scorer response for unknown or duplicate id {rid!r}"
-                    )
-                pos = pending.pop(rid)
-                if rid < base:
-                    continue
-                if response.get("error") is not None:
-                    raise ScoringError(
-                        f"scorer failed on pair {pos}: {response['error']}"
-                    )
-                score = response.get("score")
-                if isinstance(score, bool) or not isinstance(score, (int, float)):
-                    raise TransportError(
-                        f"scorer response for pair {pos} has no numeric score"
-                    )
-                if not math.isfinite(score):
-                    raise ScoringError(
-                        f"scorer returned a non-finite score for pair {pos}: {score!r}"
-                    )
-                out[pos] = float(score)
-                left -= 1
-                if not left:
-                    break
+            try:
+                for lines in self._responses(payload):
+                    for line in lines:
+                        _record(line, pending, out)
+                    if not pending:
+                        break
+            except BaseException:
+                self._close()
+                raise
             self.pairs_scored += len(pairs)
             return out  # type: ignore[return-value]
 
@@ -353,14 +337,16 @@ class ScorerClient:
         A batch in progress on another thread finishes first.
         """
         with self._lock:
-            if self._closed:
-                return
+            self._close()
+
+    def _close(self):  # close(), for a caller that holds the lock
+        if not self._closed:
             self._closed = True
-        if self._teardown is not None:
-            try:
-                self._teardown()
-            except OSError:
-                pass
+            if self._teardown is not None:
+                try:
+                    self._teardown()
+                except OSError:
+                    pass
 
     def __enter__(self):
         return self

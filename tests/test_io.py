@@ -495,38 +495,6 @@ def test_scorer_client_timeout(scorer_server):
         client.close()
 
 
-def test_scorer_client_drops_late_answers_to_a_batch_that_failed(scorer_server):
-    """An error answer fails its batch while the batch's other answers are
-    still on the way; the next batch on the client drops them and gets its
-    own score."""
-
-    def fail_bad(req):
-        if req["hyp"] == "bad":
-            return {"id": req["id"], "error": "cannot score that"}
-        time.sleep(0.2)  # the failed batch's other answers arrive late
-        return {"id": req["id"], "score": float(len(req["hyp"]))}
-
-    server = scorer_server(fail_bad)
-    with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
-        with pytest.raises(ScoringError, match="pair 0"):
-            client.score_pairs([("s", "bad", "r"), ("s", "ok", "r"), ("s", "ok2", "r")])
-        assert client.score_pairs([("s", "okay", "r")]) == [4.0]
-        assert client.pairs_scored == 1
-
-
-def test_scorer_client_drops_a_late_answer_after_a_timeout(scorer_server):
-    def slow_first(req):
-        time.sleep(0.6 if req["hyp"] == "slow" else 0)
-        return {"id": req["id"], "score": float(len(req["hyp"]))}
-
-    server = scorer_server(slow_first)
-    with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=0.3) as client:
-        with pytest.raises(TransportError, match="waiting for scorer response"):
-            client.score_pairs([("s", "slow", "r")])
-        # the answer to id 0 arrives during this batch, before its own
-        assert client.score_pairs([("s", "fast", "r")]) == [4.0]
-
-
 def test_scorer_client_protocol_mismatch(scorer_server):
     server = scorer_server(echo_id_score, handshake="rmbr-scorer/0")
     with pytest.raises(TransportError, match="protocol"):
@@ -652,33 +620,6 @@ def test_scorer_client_spawned_process():
     finally:
         client.close()
     client.close()  # idempotent
-
-
-_FAIL_FIRST_SCRIPT = """
-import json, sys
-print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
-sys.stdin.readline()
-for line in sys.stdin:
-    req = json.loads(line)
-    if req["hyp"] == "bad":
-        print(json.dumps({"id": req["id"], "error": "cannot score that"}), flush=True)
-    else:
-        print(json.dumps({"id": req["id"], "score": float(len(req["ref"]))}), flush=True)
-"""
-
-
-def test_scorer_client_sends_what_a_failed_batch_left_unwritten_first():
-    """A batch of about 1 MB fails on its first answer while most of it is
-    unwritten, one request cut in half; the next batch sends the rest
-    first, so the scorer reads whole lines, and drops the late answers."""
-    client = ScorerClient.spawn([sys.executable, "-c", _FAIL_FIRST_SCRIPT], timeout=10)
-    try:
-        pairs = [("s", "bad" if i == 0 else "h", "r" * 10) for i in range(20000)]
-        with pytest.raises(ScoringError, match="pair 0"):
-            client.score_pairs(pairs)
-        assert client.score_pairs([("s", "h", "rrr")]) == [3.0]
-    finally:
-        client.close()
 
 
 _BIG_BATCH_CLIENT = """
@@ -867,28 +808,6 @@ def test_scorer_client_fails_a_response_line_past_its_bound_at_once():
     assert time.monotonic() - start < 3
 
 
-def test_scorer_client_drops_a_line_past_its_bound_and_reads_on():
-    """What was read of a line past the bound is dropped with the failed
-    batch; its rest is the next batch's malformed line, quoted as its
-    prefix and length, and the batch after that reads its answer."""
-    from rmbr.scorer import _QUOTED_CHARS
-
-    def script(reqs):
-        return [b"x" * ((1 << 20) + (100 << 10)) + b'\n{"id": 3, "score": 0.5}\n']
-
-    server = _scripted_replies(script)
-    try:
-        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
-            with pytest.raises(TransportError, match="longer than"):
-                client.score_pairs([("s", "a", "b"), ("s", "c", "d")])
-            rest = rf"^malformed scorer response: 'x{{{_QUOTED_CHARS}}}'\.\.\. \(\d+ characters\)$"
-            with pytest.raises(TransportError, match=rest):
-                client.score_pairs([("s", "e", "f")])
-            assert client.score_pairs([("s", "g", "h")]) == [0.5]
-    finally:
-        server.close()
-
-
 def test_scorer_client_reads_a_long_error_text_whole():
     """A 512 KB error answer, read in many pieces, arrives whole."""
     text = "e" * (512 << 10)
@@ -955,19 +874,84 @@ def test_scorer_client_fails_a_read_whose_lines_are_not_all_utf8():
         _score_two(script)
 
 
-def test_scorer_client_hands_lines_read_past_a_batch_to_the_next():
-    """A repeated last answer, read with the batch's last answer, is the
-    first line the next batch reads."""
+def test_scorer_client_fails_a_batch_on_a_line_read_past_its_last_answer():
+    """A repeated last answer, read with the batch's last answer, fails the
+    batch, though it has all its answers."""
 
     def script(reqs):
         lines = [json.dumps({"id": r["id"], "score": 0.5}) + "\n" for r in reqs]
         return [(lines[0] + lines[1] + lines[1]).encode()]
 
-    server = _scripted_replies(script)
+    with pytest.raises(TransportError, match="unknown or duplicate id 1$"):
+        _score_two(script)
+
+
+def test_scorer_client_fails_a_handshake_read_with_a_line_past_it():
+    def handler(reader, writer):
+        writer.write(json.dumps({"protocol": PROTOCOL}) + '\n{"id": 0, "score": 0.5}\n')
+        writer.flush()
+        reader.readline()
+
+    from conftest import ScorerServer
+
+    server = ScorerServer(handler)
     try:
-        with ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5) as client:
-            assert client.score_pairs([("s", "a", "b"), ("s", "c", "d")]) == [0.5, 0.5]
-            with pytest.raises(TransportError, match="unknown or duplicate id 1$"):
-                client.score_pairs([("s", "e", "f")])
+        with pytest.raises(TransportError) as failed:
+            ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
     finally:
         server.close()
+    assert str(failed.value) == """scorer sent a line past its handshake: '{"id": 0, "score": 0.5}'"""
+
+
+_FAILING_SCORER = """
+import json, sys, time
+print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+sys.stdin.readline()
+rid = json.loads(sys.stdin.readline())["id"]
+answers = {
+    "error": json.dumps({"id": rid, "error": "cannot score that"}),
+    "non-finite": json.dumps({"id": rid, "score": float("nan")}),
+    "unknown-id": json.dumps({"id": rid + 1, "score": 0.5}),
+    "malformed": "not json",
+    "long-line": "x" * ((1 << 20) + 1),
+}
+if sys.argv[1] == "timeout":
+    time.sleep(30)
+print(answers[sys.argv[1]], flush=True)
+sys.stdin.read()
+"""
+
+
+_BATCH_FAILURES = {
+    "error": (ScoringError, "^scorer failed on pair 0: cannot score that$"),
+    "non-finite": (ScoringError, "^scorer returned a non-finite score for pair 0: nan$"),
+    "unknown-id": (TransportError, "^scorer response for unknown or duplicate id 1$"),
+    "malformed": (TransportError, r"^malformed scorer response: 'not json\\n'$"),
+    "long-line": (TransportError, f"^scorer response line longer than {1 << 20} bytes$"),
+    "timeout": (TransportError, "^timed out after 1.0s waiting for scorer response$"),
+}
+
+
+@pytest.mark.parametrize("failure", list(_BATCH_FAILURES))
+def test_a_failed_batch_closes_the_scorer_client_and_stops_its_scorer(monkeypatch, failure):
+    """Whatever fails a batch, the client is closed after it: the spawned
+    scorer has exited, and the next batch scores nothing."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    argv = [sys.executable, "-c", _FAILING_SCORER, failure]
+    client = ScorerClient.spawn(argv, timeout=1 if failure == "timeout" else 10)
+    try:
+        error, message = _BATCH_FAILURES[failure]
+        with pytest.raises(error, match=message):
+            client.score_pairs([("s", "h", "r")])
+        assert started[0].poll() is not None and client.pairs_scored == 0
+        with pytest.raises(TransportError, match="^scorer client is closed$"):
+            client.score_pairs([("s", "h", "r")])
+    finally:
+        client.close()

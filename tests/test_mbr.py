@@ -549,6 +549,23 @@ def test_a_provider_matrix_of_any_other_shape_than_n_by_l_is_a_dimension_error(r
     assert reference_scores(lst, _Shaped(0, 0)) == [1.0, 1.0, 1.0]
 
 
+class _NonFinite:
+    """A provider that scores its first pair NaN and every other 1."""
+
+    name = "nan"
+
+    def matrix(self, nbest, rows, refs):
+        values = np.ones((len(rows), refs))
+        values[0, 0] = np.nan
+        return values
+
+
+def test_a_provider_non_finite_score_is_a_scoring_error():
+    # a scoring failure (exit code 2), as a scorer's non-finite score is, not bad input
+    with pytest.raises(ScoringError, match="^list 0: nan gave non-finite scores$"):
+        rerank(trivial_list(3), RerankConfig(utility=_NonFinite()))
+
+
 def test_rerank_reads_a_matrix_file_once(tmp_path, monkeypatch):
     path = tmp_path / "m.mat"
     write_utility_matrix(path, random_matrix(np.random.default_rng(19), 3))
@@ -608,6 +625,10 @@ def test_matrix_utility_requires_big_enough_matrix():
         with pytest.raises(DimensionError):
             util.matrix(trivial_list(n), range(n), l)
     assert np.array_equal(util.matrix(trivial_list(2), range(2), 1), matrix.values[:2, :1])
+    # rows other than range(n) need the stored columns up to their l-th
+    stored = MatrixUtility(UtilityMatrix(values=np.arange(12.0).reshape(4, 3), utility_name="m"))
+    with pytest.raises(DimensionError, match="^stored matrix is 4x3, need at least 4x4$"):
+        stored.matrix(trivial_list(4), [1, 3], 2)
 
 
 def test_a_stored_matrix_refuses_to_score_against_a_reference():
