@@ -10,10 +10,11 @@ Exit codes: 0 on success; an rmbr error's class gives its ``exit_code``
 (:mod:`rmbr.errors`): 1 for invalid input or configuration, 2 for
 scorer-transport or scoring failures (including a non-finite score, or
 scores whose consensus or weighted totals are not finite); a missing
-file is 1, any other OS error 2, and Ctrl-C 130.  An error raised while
-list i is checked or scored names it, ``list i:``.  An ``--output`` that
-names a directory, or whose run report would be one, and a ``--bins``
-below 1, are refused before any work.
+file is 1, any other OS error 2, Ctrl-C 130 and SIGTERM 143 (under
+:func:`run`).  An error raised while list i is checked or scored names it,
+``list i:``.  An ``--output``, or its run report, that the output rule of
+:mod:`rmbr.io` refuses (exit 1), and a ``--bins`` below 1, are refused
+before any work, in a dry run too.
 Errors go to stderr as one line prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  The commands that score (``rerank``, ``c2f``,
@@ -63,7 +64,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 
@@ -76,8 +76,8 @@ from .core import (
     _integer,
     check_corpus,
 )
-from .errors import ConfigError, InvalidInputError, RmbrError
-from .io import RESULT_MODES, atomic_write, load_nbest, open_input, write_results
+from .errors import ConfigError, RmbrError
+from .io import RESULT_MODES, _output_target, atomic_write, load_nbest, open_input, write_results
 from .mbr import UtilitySession, _checked_lists, _reranked
 
 
@@ -374,16 +374,23 @@ _REPORTING = ("rerank", "c2f", "tune-lambda", "tune-l", "oracle")
 
 
 def _check_args(args) -> None:
-    """Refuse an ``--output``, or a run report's ``<output>.report.json``, that names a
-    directory, and ``--bins`` below 1, before any work."""
+    """Refuse an ``--output``, or a run report's ``<output>.report.json``, that
+    :func:`~rmbr.io.atomic_write` would refuse, and ``--bins`` below 1, before any work."""
     outputs = [] if getattr(args, "output", None) is None else [args.output]
     if outputs and args.command in _REPORTING:
         outputs.append(f"{args.output}.report.json")
     for path in outputs:
-        if os.path.isdir(path):
-            raise InvalidInputError(f"output path {path} is a directory")
+        _output_target(path)
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM under :func:`run`: it unwinds the run as Ctrl-C does."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def main(argv=None) -> int:
@@ -395,9 +402,10 @@ def main(argv=None) -> int:
     except (RmbrError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 1 if isinstance(e, FileNotFoundError) else 2)
-    except KeyboardInterrupt:  # the session has closed its scorers by now
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as e:  # the session has closed its scorers by now
+        terminated = isinstance(e, _Terminated)
+        print(f"error: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        return 143 if terminated else 130
 
 
 def run() -> None:
@@ -414,9 +422,13 @@ def run() -> None:
     numpy and rmbr create at import, whose walk was the largest cost of a
     run's teardown.  The exit is otherwise the normal one: ``atexit``
     handlers run, stdout and stderr are flushed and a broken pipe is
-    reported.  :func:`main` turns nothing off and freezes nothing, so an
-    in-process caller keeps its collector as it was.
+    reported.  SIGTERM unwinds the run as Ctrl-C does, exit 143.  :func:`main`
+    turns nothing off, freezes nothing and installs no signal handler, so an
+    in-process caller keeps its collector and handlers as they were.
     """
+    import signal
+
+    signal.signal(signal.SIGTERM, _terminate)
     gc.disable()
     code = main()
     gc.freeze()

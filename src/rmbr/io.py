@@ -7,10 +7,12 @@ space-separated decimals; several matrices may be concatenated in one file
 (one per n-best list).  Floats are written with ``repr`` precision, so
 write/load round-trips are bit-exact.  An input that is a directory or not
 UTF-8 text is invalid input.  The constructors in :mod:`rmbr.core` decide
-field types; the loaders check JSON shape (an object per line, its
-required keys, ``candidates`` an array of objects) and name the line: a
-constructor's error becomes a parse error on that line (a matrix's on its
-header line).
+field types; the loaders check JSON shape (an object per line, read by the
+one line-JSON reader, then its required keys, ``candidates`` an array of
+objects) and name the line: a constructor's error becomes a parse error on
+that line (a matrix's on its header line).  Every file is written through
+:func:`atomic_write`, whose one rule, :func:`_output_target`, the CLI also
+asks about each output path before any work.
 
 The external-scorer client is :mod:`rmbr.scorer`.  ``rmbr.io.ScorerClient``
 still resolves to it, on first access: the release gate
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Sequence
@@ -38,30 +41,49 @@ RESULT_MODES = ("text", "full")
 # output files
 
 
+def _output_target(path):
+    """The one statement of :func:`atomic_write`'s rule: ``None`` to write ``path`` in place,
+    else the file to replace through a temp file beside it.  An existing path that is not a
+    regular file by ``os.stat`` of the path as given (``/dev/stdout``, a pipe, a FIFO) is
+    written in place, and a directory is refused.  Any other path is replaced, a symlink's
+    target in its place, whose directory must exist, be a directory and be writable."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = 0
+    if stat.S_ISDIR(mode):
+        raise InvalidInputError(f"output path {path} is a directory")
+    if mode and not stat.S_ISREG(mode):
+        return None
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise InvalidInputError(f"output path {path}: {folder} is not a writable directory")
+    return target
+
+
 @contextmanager
 def atomic_write(path):
     """Open ``path`` for UTF-8 text writing so it is never seen half-written.
 
-    Text goes to a temp file in the same directory, which is flushed to disk
-    and renamed over ``path`` only when the block exits cleanly.  On any
-    error the temp file is removed and an existing ``path`` is untouched.
-    A symlink is followed, so its target is replaced and the link kept; a
-    path that is not a regular file, such as ``/dev/stdout`` or a pipe,
-    cannot be replaced and is written in place.
+    Where :func:`_output_target` says, text is written in place; elsewhere it goes
+    to a temp file beside the target, flushed to disk and renamed over the target
+    only when the block exits cleanly.  On any exception, Ctrl-C (and SIGTERM under
+    :func:`rmbr.cli.run`) too, the temp file is removed and the target untouched.
     """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    target = _output_target(path)
+    if target is None:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = f"{path}.{os.urandom(16).hex()}.tmp"
+    tmp = f"{target}.{os.urandom(16).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -90,14 +112,12 @@ def _candidate_to_record(cand: Candidate) -> dict:
     return {key: v for key, v in values.items() if v is not None and v != {}}
 
 
-def load_nbest(path) -> list[NBestList]:
-    """Read n-best lists from a line-JSON file.
-
-    Candidates that are not in descending log-prob order are stably
-    re-sorted with a warning.  Malformed lines raise a parse error naming
-    the 1-based line number; an empty file is invalid input.
-    """
-    lists = []
+def _load_records(path, build, what: str, prefix: str = "") -> list:
+    """``build(record, line_no)`` for each record of a line-JSON file, skipping blank lines.
+    Bad JSON, a line that is not an object and an :class:`InvalidInputError` from ``build``
+    (its message after ``prefix``) are parse errors naming the 1-based line; a file without
+    records is invalid input, ``holds no {what}``."""
+    items = []
     with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -107,41 +127,47 @@ def load_nbest(path) -> list[NBestList]:
             except json.JSONDecodeError as e:
                 raise ParseError(f"bad JSON: {e}", line=line_no) from None
             if not isinstance(rec, dict):
-                raise ParseError("expected a JSON object", line=line_no)
-            if "source" not in rec or "candidates" not in rec:
-                raise ParseError(
-                    "record is missing 'source' or 'candidates'", line=line_no
-                )
-            cands = rec["candidates"]
-            if type(cands) is not list or not all(type(c) is dict for c in cands):
-                raise ParseError("candidates must be an array of objects", line=line_no)
-            for key in ("text", "tokens", "log_prob"):
-                if not all(key in c for c in cands):
-                    raise ParseError(f"candidate record is missing {key!r}", line=line_no)
+                raise ParseError(f"{prefix}expected a JSON object", line=line_no)
             try:
-                candidates = [Candidate(*map(c.get, _CANDIDATE_FIELDS)) for c in cands]
-                probs = [c.log_prob for c in candidates]
-                if any(a < b for a, b in zip(probs, probs[1:])):
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "line %d: candidates not in descending log-prob order; re-sorting",
-                        line_no,
-                    )
-                    candidates.sort(key=lambda c: -c.log_prob)
-                lists.append(
-                    NBestList(
-                        source=rec["source"],
-                        candidates=candidates,
-                        reference=rec.get("reference"),
-                        reference_token_log_probs=rec.get("reference_token_log_probs"),
-                    )
-                )
+                items.append(build(rec, line_no))
             except InvalidInputError as e:
-                raise ParseError(str(e), line=line_no) from None
-    if not lists:
-        raise InvalidInputError(f"{path} holds no n-best lists")
-    return lists
+                raise ParseError(f"{prefix}{e}", line=line_no) from None
+    if not items:
+        raise InvalidInputError(f"{path} holds no {what}")
+    return items
+
+
+def _nbest_list(rec: dict, line_no: int) -> NBestList:
+    if "source" not in rec or "candidates" not in rec:
+        raise ParseError("record is missing 'source' or 'candidates'", line=line_no)
+    cands = rec["candidates"]
+    if type(cands) is not list or not all(type(c) is dict for c in cands):
+        raise ParseError("candidates must be an array of objects", line=line_no)
+    for key in ("text", "tokens", "log_prob"):
+        if not all(key in c for c in cands):
+            raise ParseError(f"candidate record is missing {key!r}", line=line_no)
+    candidates = [Candidate(*map(c.get, _CANDIDATE_FIELDS)) for c in cands]
+    probs = [c.log_prob for c in candidates]
+    if any(a < b for a, b in zip(probs, probs[1:])):
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "line %d: candidates not in descending log-prob order; re-sorting", line_no
+        )
+        candidates.sort(key=lambda c: -c.log_prob)
+    return NBestList(
+        rec["source"], candidates, rec.get("reference"), rec.get("reference_token_log_probs")
+    )
+
+
+def load_nbest(path) -> list[NBestList]:
+    """Read n-best lists from a line-JSON file.
+
+    Candidates that are not in descending log-prob order are stably
+    re-sorted with a warning.  Malformed lines raise a parse error naming
+    the 1-based line number; an empty file is invalid input.
+    """
+    return _load_records(path, _nbest_list, "n-best lists")
 
 
 def write_nbest(path, lists: Sequence[NBestList]) -> None:
@@ -268,30 +294,17 @@ def write_results(path, results, lists, mode: str = "text") -> None:
 _RESULT_FIELDS = [f.name for f in fields(RerankResult)]
 
 
+def _result(rec: dict, line_no: int) -> RerankResult:
+    for key in _RESULT_FIELDS:
+        if key not in rec:
+            raise ParseError(f"bad result record: missing {key!r}", line=line_no)
+    return RerankResult(*map(rec.get, _RESULT_FIELDS))
+
+
 def read_results(path) -> list[RerankResult]:
     """Re-load full-mode result records: each line a JSON object holding
     every :class:`~rmbr.core.RerankResult` field."""
-    results = []
-    with open_input(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"bad JSON: {e}", line=line_no) from None
-            if not isinstance(rec, dict):
-                raise ParseError("bad result record: expected a JSON object", line=line_no)
-            for key in _RESULT_FIELDS:
-                if key not in rec:
-                    raise ParseError(f"bad result record: missing {key!r}", line=line_no)
-            try:
-                results.append(RerankResult(*map(rec.get, _RESULT_FIELDS)))
-            except InvalidInputError as e:
-                raise ParseError(f"bad result record: {e}", line=line_no) from None
-    if not results:
-        raise InvalidInputError(f"{path} holds no results")
-    return results
+    return _load_records(path, _result, "results", "bad result record: ")
 
 
 def __getattr__(name):

@@ -636,25 +636,59 @@ _REPORTING_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_REPORTING_RUNS))
+def _paired(commands, variants):
+    """Each command with each variant; the first variant's cases keep the
+    command alone as their id."""
+    return [
+        pytest.param(c, v, id=c if v == variants[0] else f"{c}-{v}")
+        for v in variants
+        for c in sorted(commands)
+    ]
+
+
+# places where an output cannot be written: a directory at its report path,
+# a missing directory and a regular file as its parent
+_UNWRITABLE = ("directory", "missing-directory", "file-as-parent")
+
+
+@pytest.mark.parametrize("command,place", _paired(_REPORTING_RUNS, _UNWRITABLE))
 def test_a_run_report_path_that_is_a_directory_is_refused_before_any_work(
-    dev_file, tmp_path, capsys, command
+    dev_file, tmp_path, capsys, command, place
 ):
     """A command that writes ``<output>.report.json`` refuses a directory
-    there as it refuses one at ``-o``: dry and real exit 1 with the same
-    error line, no output is written and no scorer starts."""
+    there as it refuses one at ``-o``, and an ``-o`` in a missing directory
+    or under a regular file: dry and real exit 1 with the same error line,
+    nothing is written and no scorer starts."""
     dev, _ = dev_file
     spec, log = _logging_scorer(tmp_path, "ok")
-    out = tmp_path / "out"
-    (tmp_path / "out.report.json").mkdir()
+    if place == "directory":
+        out = tmp_path / "out"
+        (tmp_path / "out.report.json").mkdir()
+        message = f"output path {out}.report.json is a directory"
+    else:
+        parent = tmp_path / "missing" if place == "missing-directory" else tmp_path / "dev.jsonl"
+        out = parent / "out"
+        message = f"output path {out}: {os.path.realpath(parent)} is not a writable directory"
+    files = sorted(tmp_path.iterdir())
     args = [command, "-i", dev, *_REPORTING_RUNS[command], "-o", out, "--utility", spec]
     for dry in ([], ["--dry-run"]):
         assert run(args + dry) == 1
-        assert capsys.readouterr().err == f"error: output path {out}.report.json is a directory\n"
-    assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == files
     assert _started_pids(log) == []
-    # tokenprob writes no report, so a directory there is no matter
-    assert run(["tokenprob", "-i", dev, "-o", out]) == 0 and out.is_file()
+    if place == "directory":
+        # tokenprob writes no report, so a directory there is no matter
+        assert run(["tokenprob", "-i", dev, "-o", out]) == 0 and out.is_file()
+
+
+def test_an_output_on_dev_stdout_reaches_a_pipe(dev_file, tmp_path, capsys):
+    """``-o /dev/stdout`` with stdout a pipe is written in place: the run
+    exits 0 and the pipe gets the summary, then the file a path would get."""
+    dev, _ = dev_file
+    assert run(["tokenprob", "-i", dev, "-o", tmp_path / "t.json"]) == 0
+    summary = capsys.readouterr().out
+    record = (tmp_path / "t.json").read_text(encoding="utf-8")
+    assert _run_process(["tokenprob", "-i", dev, "-o", "/dev/stdout"]) == (0, summary + record, "")
 
 
 def test_eval_equals_corpus_objective_bit_for_bit(dev_file, tmp_path, capsys):
@@ -1314,11 +1348,18 @@ def test_rerank_starts_no_list_after_a_stalled_one(tmp_path, capsys, monkeypatch
     _assert_all_gone(_started_pids(log))
 
 
-@pytest.mark.parametrize("command", sorted(_SCORER_COMMANDS))
-def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command):
-    """SIGINT while a scorer stalls on its first batch ends the command well
-    inside the 30 s scorer timeout with one error line and exit code 130,
-    writes no output and leaves no scorer."""
+# how each signal ends a run: its exit code and its one error line
+_STOPS = {
+    "sigint": (signal.SIGINT, 130, b"error: interrupted\n"),
+    "sigterm": (signal.SIGTERM, 143, b"error: terminated\n"),
+}
+
+
+@pytest.mark.parametrize("command,stop", _paired(_SCORER_COMMANDS, tuple(_STOPS)))
+def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command, stop):
+    """SIGINT, or SIGTERM, while a scorer stalls on its first batch ends the
+    command well inside the 30 s scorer timeout with one error line and exit
+    code 130, or 143, writes no output and leaves no scorer."""
     path, _ = dev_file
     spec, log = _logging_scorer(tmp_path, "stall")
     args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
@@ -1330,15 +1371,16 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
         while not (tmp_path / "starts.log.requests").exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        proc.send_signal(signal.SIGINT)
+        signum, code, message = _STOPS[stop]
+        proc.send_signal(signum)
         try:
             _, err = proc.communicate(timeout=5)
         except subprocess.TimeoutExpired:
-            pytest.fail("the command outlived Ctrl-C by 5 s")
+            pytest.fail(f"the command outlived {signum.name} by 5 s")
     finally:
         proc.kill()
         proc.communicate()
-    assert (proc.returncode, err) == (130, b"error: interrupted\n")
+    assert (proc.returncode, err) == (code, message)
     assert list(tmp_path.glob("out*")) == []
     _assert_all_gone(_started_pids(log))
 

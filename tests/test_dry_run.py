@@ -3,7 +3,8 @@
 Each case draws an n-best file of 1-4 lists, makes 0-2 mutations of the
 kinds that have broken a check before (odd numbers, blank or odd texts
 and tokens, missing or blank references and regularizer fields, token
-vectors of the wrong length), and draws random flags for one subcommand.
+vectors of the wrong length), and draws random flags for one subcommand
+and, one time in five, an output path that no run can write.
 It runs the command through ``main()`` with ``--dry-run``, then for real:
 no exception may escape, both must exit with the same code, a failing
 pair must print the same error, and neither a dry run nor a failing run
@@ -126,6 +127,14 @@ def _flags(rng, command) -> list:
     return [*bins, "--which", rng.choice(["top1", "reference"])]
 
 
+def _output(rng, directory, nbest) -> str:
+    """``out`` in ``directory``, or one time in five a path no run can write: the
+    directory itself, a file in a missing directory or one under the n-best file."""
+    if rng.random() < 0.8:
+        return str(directory / "out")
+    return str(rng.choice([directory, directory / "missing" / "out", nbest / "out"]))
+
+
 def _run(args):
     """Exit code, stdout and stderr of ``main(args)``."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -140,23 +149,28 @@ def _outputs(directory) -> list:
 
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_a_dry_run_is_the_real_run_stopped_before_scoring(tmp_path, command):
-    failures = 0
+    failures = refused = 0
     for case in range(_CASES_PER_COMMAND):
         rng = random.Random(3100 + case)
         path = tmp_path / f"case{case}.jsonl"
         path.write_text(_nbest_text(rng), encoding="utf-8")
-        args = [command, "-i", str(path), "-o", str(tmp_path / "out"), *_flags(rng, command)]
+        flags = _flags(rng, command)
+        output = _output(rng, tmp_path, path)
+        args = [command, "-i", str(path), "-o", output, *flags]
         dry = _run([*args, "--dry-run"])
         assert _outputs(tmp_path) == [], args
         real = _run(args)
         assert dry[0] == real[0], (args, dry, real)
+        if output != str(tmp_path / "out"):
+            refused += 1
+            assert real[:2] == (1, "") and real[2].startswith(f"error: output path {output}")
         if real[0] != 0:
             failures += 1
             assert dry[2] == real[2], args
             assert _outputs(tmp_path) == [], args
         for name in _outputs(tmp_path):
             os.remove(tmp_path / name)
-    assert 0 < failures < _CASES_PER_COMMAND
+    assert 0 < refused < failures < _CASES_PER_COMMAND
 
 
 _NAN_SCORER = """

@@ -284,6 +284,14 @@ def test_atomic_write_keeps_symlink_and_writes_through_pipes(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "real.txt"]
 
+    # a pipe's /proc/self/fd link resolves to no file, "pipe:[N]": it is still written in place
+    read_fd, write_fd = os.pipe()
+    with atomic_write(f"/proc/self/fd/{write_fd}") as fh:
+        fh.write("piped\n")
+    os.close(write_fd)
+    with open(read_fd, encoding="utf-8") as fh:
+        assert fh.read() == "piped\n"
+
 
 def _write_two_results(path):
     rng = np.random.default_rng(21)
@@ -900,7 +908,8 @@ def test_scorer_client_fails_a_handshake_read_with_a_line_past_it():
             ScorerClient.connect_tcp("127.0.0.1", server.port, timeout=5)
     finally:
         server.close()
-    assert str(failed.value) == """scorer sent a line past its handshake: '{"id": 0, "score": 0.5}'"""
+    line = '{"id": 0, "score": 0.5}'
+    assert str(failed.value) == f"scorer sent a line past its handshake: '{line}'"
 
 
 _FAILING_SCORER = """
