@@ -19,10 +19,11 @@ Errors go to stderr as one line prefixed ``error:``.  Output files are
 written to a temp file and renamed into place, so none is left
 half-written.  The commands that score (``rerank``, ``c2f``,
 ``tune-lambda``, ``tune-l`` and ``oracle``) also write a JSON run report
-next to their output file (``<output>.report.json``) with timings and
-call counts, including the scorer connections the run opened and the
-pairs they scored; the report is informational and not part of the
-output contract.
+next to an output file that is replaced (``<output>.report.json``) with
+timings and call counts, including the scorer connections the run opened
+and the pairs they scored; an output written in place (``/dev/stdout``,
+a pipe, a FIFO) gets no report.  The report is informational and not
+part of the output contract.
 
 Each subcommand accepts only the flags it reads, by full name only, with
 one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
@@ -230,6 +231,9 @@ def _validated(lists) -> int:
 
 
 def _write_report(args, lists, results, started, session):
+    path = _report_path(args)
+    if path is None:
+        return
     config_echo = {
         k: v
         for k, v in vars(args).items()
@@ -245,7 +249,7 @@ def _write_report(args, lists, results, started, session):
     if results is not None:
         report["utility_calls"] = [r.utility_calls for r in results]
         report["total_utility_calls"] = sum(r.utility_calls for r in results)
-    with atomic_write(f"{args.output}.report.json") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
 
 
@@ -310,8 +314,7 @@ def _cmd_tune(args) -> int:
         record = {"lambdas": best, "objective": objective, "metric": args.metric}
         best_line = f"best lambdas: {json.dumps(best)}"
     _emit_record(args, record, [best_line, f"{args.metric}: {objective:.6f}"])
-    if args.output:
-        _write_report(args, lists, None, started, session)
+    _write_report(args, lists, None, started, session)
     return 0
 
 
@@ -326,8 +329,7 @@ def _cmd_oracle(args) -> int:
             return _validated(lists)
         report = _oracle_report(lists, _oracle_picks(lists, providers), bins, args.metric)
     _emit_record(args, report.to_record(), [report.format_table()])
-    if args.output:
-        _write_report(args, lists, None, started, session)
+    _write_report(args, lists, None, started, session)
     return 0
 
 
@@ -373,14 +375,23 @@ _COMMANDS = {
 _REPORTING = ("rerank", "c2f", "tune-lambda", "tune-l", "oracle")
 
 
+def _report_path(args):
+    """The run report's path, ``<output>.report.json``, or None: a report is
+    written only beside an ``--output`` that :func:`~rmbr.io._output_target`
+    replaces, so an output written in place (``/dev/stdout``, a FIFO) gets
+    none.  Raises as that rule does for an ``--output`` it refuses."""
+    output = getattr(args, "output", None)
+    if output is None or _output_target(output) is None or args.command not in _REPORTING:
+        return None
+    return f"{output}.report.json"
+
+
 def _check_args(args) -> None:
-    """Refuse an ``--output``, or a run report's ``<output>.report.json``, that
+    """Refuse an ``--output``, or its run report (:func:`_report_path`), that
     :func:`~rmbr.io.atomic_write` would refuse, and ``--bins`` below 1, before any work."""
-    outputs = [] if getattr(args, "output", None) is None else [args.output]
-    if outputs and args.command in _REPORTING:
-        outputs.append(f"{args.output}.report.json")
-    for path in outputs:
-        _output_target(path)
+    report = _report_path(args)
+    if report is not None:
+        _output_target(report)
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
 

@@ -30,8 +30,8 @@ with one batch of pairs per list.  The built-in metrics use the default
 
 A run checks and scores in one :class:`UtilitySession`, through the
 providers resolved there once per spec, starting nothing (a scorer opens
-on its first batch, and the session closes it): one check pass,
-:func:`_checked_lists`, then one body, :func:`_reranked`.
+on its first batch, never after the session has closed it): one check
+pass, :func:`_checked_lists`, then one body, :func:`_reranked`.
 :func:`rerank_lists` opens a session for both, :func:`check_reranking`
 one for the check alone, and the CLI runs both in its own and stops
 between them on a dry run, so a dry run is the real run stopped just
@@ -41,7 +41,8 @@ vector's totals would not rank, and returns the rows the run scores
 with, so a consensus or total that is not finite after scoring is a
 scoring failure (:func:`check_scored`).  :func:`scored_matrix` is the
 one scoring call, and a provider has no other: rows against the first l
-of them, or against a reference text (:func:`reference_scores`).
+of them, or against a reference text (:func:`reference_scores`); and
+:func:`consensus_rows` takes every consensus from the values it gives.
 
 numpy, :mod:`rmbr.kernels` and :mod:`rmbr.metrics` are imported by the
 functions that compute on arrays, where they run, so resolving specs and
@@ -78,6 +79,7 @@ from .errors import (
     InvalidInputError,
     MissingScoreError,
     ScoringError,
+    TransportError,
     in_list,
 )
 from .io import load_utility_matrices
@@ -205,17 +207,19 @@ class ServiceUtility:
         return np.array(scores, dtype=np.float64).reshape(len(hyps), len(refs))
 
 
-class _ScorerOnFirstBatch:
-    """A scorer client that ``open_client()`` opens on the first batch."""
+class _Scorer:
+    """One resolved ``service:`` spec's scorer, opened through its session on the first
+    batch; a first batch after the session has closed raises :class:`TransportError`."""
 
-    def __init__(self, open_client):
-        self._open = open_client
-        self._client = None
+    def __init__(self, session: "UtilitySession", connect):
+        self.session, self.connect, self.client = session, connect, None
 
     def score_pairs(self, pairs):
-        if self._client is None:
-            self._client = self._open()
-        return self._client.score_pairs(pairs)
+        if self.client is None:
+            if self.session._closed:
+                raise TransportError("the session that resolved this scorer has closed")
+            self.client = self.session._closers.enter_context(self.connect())
+        return self.client.score_pairs(pairs)
 
 
 class UtilitySession:
@@ -228,16 +232,17 @@ class UtilitySession:
     holding a single matrix, gives one provider shared by all lists (a
     ``service:`` spec gets one scorer, started or connected on its first
     batch).  A ready provider is shared by all lists, and a list or tuple
-    must hold one provider per list.  Scorers the session opened are
-    closed when it exits, on success, on error and on interrupt; providers
-    passed in are left open, so a session opened inside a call that was
-    handed providers closes nothing of its caller's.
+    must hold one provider per list.  Scorers the session opened are closed
+    when it exits, on success, on error and on interrupt, and its providers
+    start none after that; providers passed in are left open, so a session
+    opened inside a call handed providers closes nothing of its caller's.
     """
 
     def __init__(self):
-        #: the scorer clients this session opened
-        self._clients: list = []
+        #: one record per ``service:`` spec this session resolved
+        self._scorers: list[_Scorer] = []
         self._closers = ExitStack()
+        self._closed = False
 
     def __enter__(self) -> "UtilitySession":
         return self
@@ -247,6 +252,7 @@ class UtilitySession:
 
     def close(self) -> None:
         """Close every scorer the session opened (idempotent)."""
+        self._closed = True
         self._closers.close()
 
     def providers(self, spec, num_lists: int) -> list:
@@ -293,14 +299,8 @@ class UtilitySession:
             raise ConfigError(f"unknown utility spec {spec!r}")
         from .scorer import service_opener
 
-        connect = service_opener(rest)
-
-        def open_client():
-            client = self._closers.enter_context(connect())
-            self._clients.append(client)
-            return client
-
-        return [ServiceUtility(_ScorerOnFirstBatch(open_client))] * num_lists
+        self._scorers.append(_Scorer(self, service_opener(rest)))
+        return [ServiceUtility(self._scorers[-1])] * num_lists
 
     def resolve(self, config: RerankConfig, num_lists: int) -> RerankConfig:
         """The config with its target and proxy resolved, one provider per list each."""
@@ -311,10 +311,9 @@ class UtilitySession:
 
     def counters(self) -> dict:
         """Scorers this session opened and the pairs they scored."""
-        return {
-            "scorer_processes": len(self._clients),
-            "scorer_pairs": sum(c.pairs_scored for c in self._clients),
-        }
+        clients = [s.client for s in self._scorers if s.client is not None]
+        pairs = sum(c.pairs_scored for c in clients)
+        return {"scorer_processes": len(clients), "scorer_pairs": pairs}
 
 
 def scored_matrix(nbest: NBestList, provider, rows, refs: int | str) -> UtilityMatrix:
@@ -349,29 +348,18 @@ def build_utility_matrix(nbest: NBestList, utility, l: int) -> UtilityMatrix:
         return scored_matrix(nbest, session.providers(utility, 1)[0], range(nbest.n), l)
 
 
-def expected_utilities(values: np.ndarray, l: int) -> list[float]:
-    """Row means over the first l columns: the consensus score per candidate.
-
-    Shared by reranking and the truncation sweep so that a stored n x n
-    matrix truncated to l columns gives exactly the scores a fresh n x l
-    matrix would.
-    """
-    import numpy as np
-
-    # rank_candidates rejects an inf sum, and a nan one (inf + -inf in numpy's pairwise sum)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = values[:, :l].sum(axis=1)
-    return [float(s) / l for s in sums]
-
-
 def consensus_rows(values: np.ndarray, l: int, depths=(None,)) -> np.ndarray:
     """The consensus scores at each of ``depths`` (None is ``l``), one row each.
 
-    Each row holds :func:`expected_utilities` at its depth, value for value.
+    At depth d, each row's sum over its first d columns divided by d in float64,
+    so a stored n x n matrix cut to d columns gives what a fresh n x d one would.
     """
     import numpy as np
 
-    return np.array([expected_utilities(values, d or l) for d in depths])
+    depths = [d or l for d in depths]
+    # rank_candidates rejects an inf sum, and a nan one (inf + -inf in numpy's pairwise sum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([values[:, :d].sum(axis=1).astype(np.float64) / d for d in depths])
 
 
 def scored_consensus(nbest: NBestList, utility, rows, l: int, checked, depths=(None,)):
@@ -387,7 +375,7 @@ def scored_consensus(nbest: NBestList, utility, rows, l: int, checked, depths=(N
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
     """Consensus score of each candidate: mean utility over the matrix columns."""
-    return expected_utilities(matrix.values, matrix.l)
+    return consensus_rows(matrix.values, matrix.l)[0].tolist()
 
 
 def _negated_mean(values) -> float:

@@ -422,7 +422,7 @@ def test_checked_values_raises_exactly_when_some_vector_cannot_be_ranked():
         nbest = _external_list(names, values) if r else trivial_list(n)
         grid = sorted(rng.choice(weight_pool, size=int(rng.integers(1, 4)), replace=False))
         weights = analysis._weight_vectors(grid, r) if r else np.zeros((1, 0))
-        consensus = mbr.expected_utilities(stored.matrix(nbest, range(n), 1), 1)
+        consensus = mbr.consensus_rows(stored.matrix(nbest, range(n), 1), 1)[0].tolist()
         regs = dict(zip(names, values))
         unrankable = False
         for w in weights.tolist():
@@ -477,7 +477,8 @@ def test_check_tuning_raises_exactly_when_some_vector_cannot_be_ranked_at_some_d
             for d, w in itertools.product(depths, vectors):
                 consensus = [0.0] * n
                 if stored is not None:
-                    consensus = mbr.expected_utilities(stored[i].matrix(lst, range(n), n), d)
+                    matrix = stored[i].matrix(lst, range(n), n)
+                    consensus = mbr.consensus_rows(matrix, d)[0].tolist()
                 try:
                     rank_candidates(combine_scores(consensus, regs, dict(zip(names, w))))
                 except InvalidInputError:

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -679,6 +680,32 @@ def test_a_run_report_path_that_is_a_directory_is_refused_before_any_work(
     if place == "directory":
         # tokenprob writes no report, so a directory there is no matter
         assert run(["tokenprob", "-i", dev, "-o", out]) == 0 and out.is_file()
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTING_RUNS))
+def test_an_output_written_in_place_gets_no_run_report(dev_file, tmp_path, command):
+    """A report is written only beside an output that is replaced: with a
+    FIFO at ``-o``, dry and real runs exit 0, the reader gets the bytes a
+    regular file gets, and no ``fifo.report.json`` appears; the regular
+    file still gets its report."""
+    dev, _ = dev_file
+    args = [command, "-i", dev, *_REPORTING_RUNS[command], "-o"]
+    assert run(args + [tmp_path / "out"]) == 0
+    assert (tmp_path / "out.report.json").is_file()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert run(args + [fifo, "--dry-run"]) == 0
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    assert run(args + [fifo]) == 0
+    reader.join(timeout=30)
+    assert got == [(tmp_path / "out").read_text(encoding="utf-8")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dev.jsonl", "fifo", "out", "out.report.json"
+    ]
 
 
 def test_an_output_on_dev_stdout_reaches_a_pipe(dev_file, tmp_path, capsys):

@@ -22,6 +22,7 @@ from rmbr.errors import (
     InvalidInputError,
     MissingScoreError,
     ScoringError,
+    TransportError,
 )
 from rmbr.mbr import (
     BleuUtility,
@@ -31,7 +32,7 @@ from rmbr.mbr import (
     UtilitySession,
     build_utility_matrix,
     check_reranking,
-    expected_utilities,
+    consensus_rows,
     mbr_scores,
     regularizer_values,
     rerank,
@@ -73,7 +74,7 @@ def test_truncated_scores_match_truncated_matrix_exactly():
         values = rng.uniform(size=(n, n))
         for l in range(1, n + 1):
             direct = mbr_scores(UtilityMatrix(values=values[:, :l], utility_name="x"))
-            sliced = expected_utilities(values, l)
+            sliced = consensus_rows(values, l)[0].tolist()
             assert direct == sliced
 
 
@@ -98,7 +99,7 @@ def test_rerank_brute_force_small():
             best = max(range(n), key=lambda i: (means[i], -i))
             assert result.selected == best
             assert result.utility_calls == n * l
-            assert list(result.mbr_scores) == expected_utilities(matrix.values, l)
+            assert list(result.mbr_scores) == consensus_rows(matrix.values, l)[0].tolist()
 
 
 def test_rerank_utility_call_law():
@@ -390,6 +391,28 @@ def test_session_starts_a_scorer_on_its_first_batch_and_reaps_it(tmp_path):
         os.kill(pids[0], 0)  # still running inside the session
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)
+
+
+def test_a_provider_of_a_closed_session_starts_no_scorer(tmp_path):
+    """A provider a session resolved raises TransportError on its first batch
+    once the session has closed, as the target or the proxy, so no scorer
+    outlives the session that owns it."""
+    script = tmp_path / "scorer.py"
+    script.write_text(_PID_LOGGING_SCORER, encoding="utf-8")
+    log = tmp_path / "starts.log"
+    log.touch()
+    spec = f"service:exec:{sys.executable} {script} {log}"
+    lists = [make_list(["a b", "c d", "e f"])] * 2
+    for stages in (None, CoarseToFine(spec, 2)):
+        with UtilitySession() as session:
+            shared = session.resolve(RerankConfig(utility=spec, coarse_to_fine=stages), 2)
+            check_reranking(lists, shared)
+        with pytest.raises(TransportError, match="^list 0: the session .* has closed$"):
+            rerank_lists(lists, shared)
+        with pytest.raises(TransportError, match="has closed"):
+            shared.utility[1].matrix(lists[1], range(3), 3)
+        assert session.counters() == {"scorer_processes": 0, "scorer_pairs": 0}
+    assert log.read_text(encoding="utf-8") == ""
 
 
 def test_rerank_keeps_both_stages_scorers_until_it_returns(tmp_path, monkeypatch):
