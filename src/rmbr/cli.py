@@ -22,8 +22,9 @@ half-written.  The commands that score (``rerank``, ``c2f``,
 next to an output file that is replaced (``<output>.report.json``) with
 timings and call counts, including the scorer connections the run opened
 and the pairs they scored; an output written in place (``/dev/stdout``,
-a pipe, a FIFO) gets no report.  The report is informational and not
-part of the output contract.
+a pipe, a FIFO) gets no report, and the run prints its summary to
+stderr, so a pipe on stdout gets the output alone.  The report is
+informational and not part of the output contract.
 
 Each subcommand accepts only the flags it reads, by full name only, with
 one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
@@ -271,13 +272,20 @@ def _cmd_rerank(args) -> int:
         results = _reranked(lists, config, checked)
     write_results(args.output, results, lists, mode=args.mode)
     _write_report(args, lists, results, started, session)
-    print(f"reranked {len(lists)} lists -> {args.output}")
+    _summarize(args, [f"reranked {len(lists)} lists -> {args.output}"])
     return 0
 
 
+def _summarize(args, lines):
+    """Print a run's summary ``lines`` to stdout, or to stderr when its ``--output``
+    is written in place (``/dev/stdout``, a FIFO), so that stream holds the output alone."""
+    in_place = args.output is not None and _output_target(args.output) is None
+    for line in lines:
+        print(line, file=sys.stderr if in_place else sys.stdout)
+
+
 def _emit_record(args, record, summary_lines):
-    for line in summary_lines:
-        print(line)
+    _summarize(args, summary_lines)
     if args.output:
         with atomic_write(args.output) as fh:
             fh.write(json.dumps(record, indent=2) + "\n")

@@ -114,9 +114,9 @@ def _candidate_to_record(cand: Candidate) -> dict:
 
 def _load_records(path, build, what: str, prefix: str = "") -> list:
     """``build(record, line_no)`` for each record of a line-JSON file, skipping blank lines.
-    Bad JSON, a line that is not an object and an :class:`InvalidInputError` from ``build``
-    (its message after ``prefix``) are parse errors naming the 1-based line; a file without
-    records is invalid input, ``holds no {what}``."""
+    Bad JSON (a line nested too deeply to decode too), a line that is not an object and an
+    :class:`InvalidInputError` from ``build`` (its message after ``prefix``) are parse errors
+    naming the 1-based line; a file without records is invalid input, ``holds no {what}``."""
     items = []
     with open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -124,7 +124,7 @@ def _load_records(path, build, what: str, prefix: str = "") -> list:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise ParseError(f"bad JSON: {e}", line=line_no) from None
             if not isinstance(rec, dict):
                 raise ParseError(f"{prefix}expected a JSON object", line=line_no)
@@ -219,7 +219,7 @@ def load_utility_matrices(path) -> list[UtilityMatrix]:
         header_line = pos + 1
         try:
             header = json.loads(lines[pos])
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ParseError(f"bad matrix header: {e}", line=header_line) from None
         if not isinstance(header, dict) or not {"utility_name", "n", "l"} <= set(header):
             raise ParseError(

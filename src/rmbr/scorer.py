@@ -11,6 +11,11 @@ scorer that has stopped reading.  One thread writes a batch and reads its
 responses over non-blocking descriptors, so a batch larger than the pipe
 buffers cannot deadlock.  A line read past the answers of an exchange, the
 handshake or one batch, fails it, and a batch that fails closes the client.
+Once a batch's requests are all written, the client pauses ``_BURST_S``
+after each read that leaves answers pending, so the next read takes every
+answer written meanwhile: a scorer that flushes each answer line costs one
+read per burst of answers, not one wakeup per line.  A line nested too
+deeply to decode is malformed, as a line that is not JSON is.
 
 :func:`service_opener` parses the text after ``service:`` and returns an
 opener that starts nothing until it is called.  Within rmbr, only
@@ -93,6 +98,9 @@ def service_opener(address: str):
 
 
 _READ_CHUNK = 1 << 16
+# seconds the client waits, once a batch is written, after a read that leaves
+# answers pending, so its next read takes a burst of answers and not one line
+_BURST_S = 0.0003
 # bytes of the longest response line read; a pair's answer is a few dozen
 _MAX_LINE = 1 << 20
 # characters of a scorer's text that an error quotes; of a longer text, it
@@ -114,13 +122,28 @@ def _quoted(value) -> str:
     return quoted
 
 
+_scan = json.JSONDecoder().scan_once
+
+
 def _decoded(line: str, what: str):
-    """The JSON value of a response ``line``.  A malformed one raises
+    """The JSON value of a response ``line``, as ``json.loads`` gives it.  A
+    malformed one, or one nested too deeply to decode, raises
     :class:`TransportError` headed ``what`` that quotes the line with its
-    newline, as read, through :func:`_quoted`."""
+    newline, as read, through :func:`_quoted`.
+
+    A line that is one JSON value and nothing else is decoded by the
+    scanner alone; any other line (surrounding whitespace, a ``\\r`` end,
+    extra data, an error) goes through ``json.loads``, which takes or
+    refuses it as it always has."""
+    try:
+        value, end = _scan(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         read = line + "\n"
         raise TransportError(f"{what}: {_quoted(read)}") from None
 
@@ -223,13 +246,18 @@ class ScorerClient:
         """Write ``payload`` while yielding each read's response lines as a list.
 
         Every wait is bounded by the timeout, which restarts when requests
-        are written or complete lines arrive.  Each read's complete lines
-        are decoded at once, so one invalid byte fails them all.  A last
-        line that ends at EOF without a newline is still a line, as in
-        ``for line in file``.  A partial line is kept as its chunks and
-        joined when its newline arrives, so a long line costs linear time;
-        one longer than ``_MAX_LINE`` bytes fails at once.  What a caller
-        that stops early has not taken or sent is dropped.
+        are written or complete lines arrive.  Once the whole payload is
+        written, a caller that asks for more lines after a read gets them
+        after a pause of ``_BURST_S``, inside the wait, so one read takes
+        all the answers of a burst.  While requests are still unwritten it
+        never pauses, so a scorer is never left waiting for input, and the
+        handshake, which takes one read, never pauses.  Each read's
+        complete lines are decoded at once, so one invalid byte fails them
+        all.  A last line that ends at EOF without a newline is still a
+        line, as in ``for line in file``.  A partial line is kept as its
+        chunks and joined when its newline arrives, so a long line costs
+        linear time; one longer than ``_MAX_LINE`` bytes fails at once.
+        What a caller that stops early has not taken or sent is dropped.
         """
         rfd, wfd = self._rfd, self._wfd
         out, tail = memoryview(payload), []
@@ -281,6 +309,8 @@ class ScorerClient:
                 raise TransportError(f"scorer connection failed: {e}") from None
             deadline = time.monotonic() + self.timeout
             yield lines
+            if not out:
+                time.sleep(_BURST_S)
 
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()

@@ -710,12 +710,35 @@ def test_an_output_written_in_place_gets_no_run_report(dev_file, tmp_path, comma
 
 def test_an_output_on_dev_stdout_reaches_a_pipe(dev_file, tmp_path, capsys):
     """``-o /dev/stdout`` with stdout a pipe is written in place: the run
-    exits 0 and the pipe gets the summary, then the file a path would get."""
+    exits 0, the pipe gets the file a path would get, and stderr the summary."""
     dev, _ = dev_file
     assert run(["tokenprob", "-i", dev, "-o", tmp_path / "t.json"]) == 0
     summary = capsys.readouterr().out
     record = (tmp_path / "t.json").read_text(encoding="utf-8")
-    assert _run_process(["tokenprob", "-i", dev, "-o", "/dev/stdout"]) == (0, summary + record, "")
+    assert _run_process(["tokenprob", "-i", dev, "-o", "/dev/stdout"]) == (0, record, summary)
+
+
+@pytest.mark.parametrize(
+    "command", [["rerank", "--mode", "full"], ["tune-lambda", "--regularizers", "lp"]],
+    ids=["rerank-full", "tune-lambda"],
+)
+def test_a_pipe_on_dev_stdout_holds_the_output_alone(dev_file, tmp_path, capsys, command):
+    """A run whose ``-o`` is ``/dev/stdout`` on a pipe prints its summary to
+    stderr, so the captured bytes are the output a path gets, which
+    ``read_results`` or ``json.loads`` reads whole."""
+    dev, _ = dev_file
+    out = tmp_path / "out"
+    assert run([*command, "-i", dev, "-o", out]) == 0
+    summary = capsys.readouterr().out
+    code, piped, err = _run_process([*command, "-i", dev, "-o", "/dev/stdout"])
+    assert (code, piped) == (0, out.read_text(encoding="utf-8"))
+    assert err == summary.replace(str(out), "/dev/stdout")
+    captured = tmp_path / "captured"
+    captured.write_text(piped, encoding="utf-8")
+    if command[0] == "rerank":
+        assert read_results(captured) == read_results(out)
+    else:
+        assert json.loads(piped) == json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_eval_equals_corpus_objective_bit_for_bit(dev_file, tmp_path, capsys):
@@ -735,6 +758,49 @@ def test_eval_equals_corpus_objective_bit_for_bit(dev_file, tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
+
+
+_DEEP_SCORER = """
+import json, sys
+deep = "[" * 200000
+if sys.argv[1] == "response":
+    print(json.dumps({"protocol": "rmbr-scorer/1"}), flush=True)
+    sys.stdin.readline()
+    sys.stdin.readline()
+print(deep, flush=True)
+sys.stdin.read()
+"""
+
+
+@pytest.mark.parametrize("where", ["nbest", "matrix-header", "handshake", "response"])
+def test_a_deeply_nested_json_line_ends_the_run_with_one_error_line(
+    dev_file, tmp_path, capsys, where
+):
+    """A line nested too deeply to decode, in the n-best file, at a matrix
+    header or from a scorer, ends ``rerank`` with one ``error:`` line and
+    the exit code of its kind, not a traceback."""
+    dev, _ = dev_file
+    deep = "[" * 200000
+    args = ["rerank", "-i", dev, "-o", tmp_path / "out"]
+    if where == "nbest":
+        (tmp_path / "deep.jsonl").write_text(deep + "\n", encoding="utf-8")
+        args[2] = tmp_path / "deep.jsonl"
+        want = 1, "error: line 1: bad JSON: maximum recursion depth exceeded"
+    elif where == "matrix-header":
+        (tmp_path / "m.txt").write_text(deep + "\n", encoding="utf-8")
+        args += ["--utility", f"matrix:{tmp_path / 'm.txt'}"]
+        want = 1, "error: line 1: bad matrix header: maximum recursion depth exceeded"
+    else:
+        script = tmp_path / "deep.py"
+        script.write_text(_DEEP_SCORER, encoding="utf-8")
+        args += ["--utility", f"service:exec:{sys.executable} {script} {where}"]
+        heading = "bad scorer handshake" if where == "handshake" else "malformed scorer response"
+        want = 2, f"error: list 0: {heading}: '{'[' * 256}'... (200001 characters)\n"
+    code = run(args)
+    err = capsys.readouterr().err
+    assert (code, err[: len(want[1])]) == want
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.glob("out*")) == []
 
 
 # the exit status README documents for each class in rmbr.errors

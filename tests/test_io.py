@@ -1,7 +1,9 @@
 """File round-trips, parse errors, and the scorer-service client (rmbr.scorer)."""
 
+import itertools
 import json
 import logging
+import math
 import os
 import stat
 import subprocess
@@ -80,6 +82,23 @@ def test_load_nbest_reports_bad_json_line(tmp_path):
     path.write_text(good + "\n{oops\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_nbest(path)
+
+
+# a line nested past what the JSON decoder can recurse into
+_DEEP_LINE = "[" * 200000
+
+
+@pytest.mark.parametrize("reader", ["nbest", "results", "matrix-header"])
+def test_a_deeply_nested_line_is_bad_json_to_every_file_reader(tmp_path, reader):
+    """A line nested too deeply to decode is bad JSON on its line, not a
+    ``RecursionError``, in the n-best and result readers and at a matrix
+    header."""
+    path = tmp_path / "deep"
+    path.write_text(f"\n{_DEEP_LINE}\n", encoding="utf-8")
+    load = {"nbest": load_nbest, "results": read_results}.get(reader, load_utility_matrices)
+    heading = "bad matrix header" if reader == "matrix-header" else "bad JSON"
+    with pytest.raises(ParseError, match=f"^line 2: {heading}: maximum recursion depth"):
+        load(path)
 
 
 def test_load_nbest_skips_blank_lines_and_refuses_a_record_that_is_not_an_object(tmp_path):
@@ -695,6 +714,108 @@ def test_scorer_client_times_out_on_a_scorer_that_stops_reading():
     assert done.returncode == 0, done.stderr
 
 
+class _Seam:
+    """``module`` with some of its names replaced, to stand in for it as one
+    module's global (``rmbr.scorer.os``, ``rmbr.scorer.time``)."""
+
+    def __init__(self, module, **replaced):
+        self._module = module
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def _piped_client():
+    """A client on two pipes whose other ends the test holds: it writes
+    answers to ``answers`` and reads requests from ``requests``.  The
+    greeting is written before the client connects."""
+    answers_r, answers = os.pipe()
+    requests, requests_w = os.pipe()
+    os.write(answers, (json.dumps({"protocol": PROTOCOL}) + "\n").encode())
+    fds = (answers_r, answers, requests, requests_w)
+    client = ScorerClient(answers_r, requests_w, timeout=5, close=lambda: list(map(os.close, fds)))
+    assert os.read(requests, 1 << 16) == (json.dumps({"protocol": PROTOCOL}) + "\n").encode()
+    return client, answers, requests
+
+
+def _answer(rid):
+    return (json.dumps({"id": rid, "score": float(rid)}) + "\n").encode()
+
+
+@pytest.mark.parametrize("k", [1, 7, 143])
+def test_scorer_client_reads_the_answers_of_a_pause_in_one_read(monkeypatch, k):
+    """Once a batch is written, the client pauses before each further read,
+    and that read takes every answer written meanwhile.  The first of 144
+    answers is waiting and each pause writes the next k, so the batch takes
+    1 + ceil(143 / k) reads, one per pause after the first."""
+    import rmbr.scorer as scorer
+
+    client, answers, _ = _piped_client()
+    reads, later = [], iter(range(1, 144))
+
+    def read(fd, size):
+        reads.append(fd)
+        return os.read(fd, size)
+
+    def pause(seconds):
+        assert seconds == scorer._BURST_S
+        os.write(answers, b"".join(map(_answer, itertools.islice(later, k))))
+
+    monkeypatch.setattr(scorer, "os", _Seam(os, read=read))
+    monkeypatch.setattr(scorer, "time", _Seam(time, sleep=pause))
+    os.write(answers, _answer(0))
+    try:
+        assert client.score_pairs([("s", "h", "r")] * 144) == [float(i) for i in range(144)]
+    finally:
+        client.close()
+    assert len(reads) == 1 + math.ceil(143 / k)
+    assert next(later, None) is None
+
+
+def test_scorer_client_never_pauses_while_requests_are_unwritten(monkeypatch):
+    """A batch of about 300 KB, far past the pipe buffer, to a scorer that
+    answers each request as it reads it: the client reads answers while it
+    still has requests to write, and pauses only once it has written them
+    all."""
+    import rmbr.scorer as scorer
+
+    client, answers, requests = _piped_client()
+    pairs = [("s", "h", "r" * 1000)] * 300
+    written, reads_while_writing, pauses = [0], [], []
+
+    def write(fd, data):
+        sent = os.write(fd, data)
+        written[0] += bytes(data[:sent]).count(b"\n")
+        return sent
+
+    def read(fd, size):
+        reads_while_writing.append(written[0] < len(pairs))
+        return os.read(fd, size)
+
+    def pause(seconds):
+        pauses.append(written[0])
+        time.sleep(seconds)
+
+    def serve():
+        with open(requests, "rb", closefd=False) as reader:
+            for _ in pairs:
+                os.write(answers, _answer(json.loads(reader.readline())["id"]))
+
+    monkeypatch.setattr(scorer, "os", _Seam(os, read=read, write=write))
+    monkeypatch.setattr(scorer, "time", _Seam(time, sleep=pause))
+    scorer_thread = threading.Thread(target=serve, daemon=True)
+    scorer_thread.start()
+    try:
+        assert client.score_pairs(pairs) == [float(i) for i in range(len(pairs))]
+    finally:
+        scorer_thread.join(timeout=10)
+        client.close()
+    assert not scorer_thread.is_alive()
+    assert any(reads_while_writing)
+    assert set(pauses) <= {len(pairs)}
+
+
 _AWKWARD_TEXTS = [
     "naïve café — 日本語 😀",
     'a "quoted" word',
@@ -834,6 +955,44 @@ def test_scorer_client_rejects_a_malformed_line():
 
     with pytest.raises(TransportError, match=r"malformed scorer response: 'not json\\n'"):
         _score_two(script)
+
+
+_CANONICAL = '{"id": 3, "score": 0.25}'
+
+
+@pytest.mark.parametrize(
+    "line, want",
+    [
+        (_CANONICAL, {"id": 3, "score": 0.25}),
+        (_CANONICAL + "\r", {"id": 3, "score": 0.25}),
+        (f"  {_CANONICAL}  ", {"id": 3, "score": 0.25}),
+        ("1, 2", TransportError("malformed scorer response: '1, 2\\n'")),
+        (
+            '{"id": 1}{"id": 2}',
+            TransportError("""malformed scorer response: '{"id": 1}{"id": 2}\\n'"""),
+        ),
+        ("", TransportError("malformed scorer response: '\\n'")),
+        ("7", 7),
+        (_DEEP_LINE, TransportError(
+            f"malformed scorer response: '{'[' * 256}'... ({len(_DEEP_LINE) + 1} characters)"
+        )),
+    ],
+    ids=["canonical", "crlf", "spaces", "sequence", "two-objects", "empty", "number", "deep"],
+)
+def test_scorer_client_decodes_a_line_as_json_loads_does(line, want):
+    """Each answer line gives the value ``json.loads`` gives, of the same
+    types, or the ``TransportError`` that quotes it; a line nested too
+    deeply to decode is malformed too."""
+    from rmbr.scorer import _decoded
+
+    if isinstance(want, TransportError):
+        with pytest.raises(TransportError) as failed:
+            _decoded(line, "malformed scorer response")
+        assert str(failed.value) == str(want)
+    else:
+        got = _decoded(line, "malformed scorer response")
+        assert got == want == json.loads(line)
+        assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("where", ["response", "handshake"])
