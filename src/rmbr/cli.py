@@ -22,9 +22,10 @@ half-written.  The commands that score (``rerank``, ``c2f``,
 next to an output file that is replaced (``<output>.report.json``) with
 timings and call counts, including the scorer connections the run opened
 and the pairs they scored; an output written in place (``/dev/stdout``,
-a pipe, a FIFO) gets no report, and the run prints its summary to
-stderr, so a pipe on stdout gets the output alone.  The report is
-informational and not part of the output contract.
+a pipe, a FIFO) gets no report.  A run whose output is stdout's own file
+(``-o /dev/stdout``) prints its summary to stderr, so stdout gets the
+output alone.  The report is informational and not part of the output
+contract.
 
 Each subcommand accepts only the flags it reads, by full name only, with
 one exception: ``rerank`` and ``c2f`` accept ``--threads``, which has no
@@ -66,6 +67,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 
@@ -278,10 +280,20 @@ def _cmd_rerank(args) -> int:
 
 def _summarize(args, lines):
     """Print a run's summary ``lines`` to stdout, or to stderr when its ``--output``
-    is written in place (``/dev/stdout``, a FIFO), so that stream holds the output alone."""
-    in_place = args.output is not None and _output_target(args.output) is None
+    is the file stdout writes to (``-o /dev/stdout``), so that stream holds the output alone."""
+    stream = sys.stderr if _is_stdout(args.output) else sys.stdout
     for line in lines:
-        print(line, file=sys.stderr if in_place else sys.stdout)
+        print(line, file=stream)
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` names the file that stdout writes to."""
+    if path is None:
+        return False
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such file, or a stdout with no file
+        return False
 
 
 def _emit_record(args, record, summary_lines):

@@ -122,25 +122,10 @@ def _quoted(value) -> str:
     return quoted
 
 
-_scan = json.JSONDecoder().scan_once
-
-
 def _decoded(line: str, what: str):
-    """The JSON value of a response ``line``, as ``json.loads`` gives it.  A
-    malformed one, or one nested too deeply to decode, raises
-    :class:`TransportError` headed ``what`` that quotes the line with its
-    newline, as read, through :func:`_quoted`.
-
-    A line that is one JSON value and nothing else is decoded by the
-    scanner alone; any other line (surrounding whitespace, a ``\\r`` end,
-    extra data, an error) goes through ``json.loads``, which takes or
-    refuses it as it always has."""
-    try:
-        value, end = _scan(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
+    """The JSON value of a response ``line``.  A malformed one, or one nested
+    too deeply to decode, raises :class:`TransportError` headed ``what`` that
+    quotes the line with its newline, as read, through :func:`_quoted`."""
     try:
         return json.loads(line)
     except (json.JSONDecodeError, RecursionError):

@@ -741,6 +741,18 @@ def test_a_pipe_on_dev_stdout_holds_the_output_alone(dev_file, tmp_path, capsys,
         assert json.loads(piped) == json.loads(out.read_text(encoding="utf-8"))
 
 
+def test_an_output_on_dev_stderr_leaves_the_summary_on_stdout(dev_file, tmp_path, capsys):
+    """Only an output on stdout's own file moves the summary: with
+    ``-o /dev/stderr``, stderr gets the output alone and stdout the summary."""
+    dev, _ = dev_file
+    out = tmp_path / "out"
+    assert run(["rerank", "--mode", "full", "-i", dev, "-o", out]) == 0
+    summary = capsys.readouterr().out
+    code, printed, err = _run_process(["rerank", "--mode", "full", "-i", dev, "-o", "/dev/stderr"])
+    assert (code, err) == (0, out.read_text(encoding="utf-8"))
+    assert printed == summary.replace(str(out), "/dev/stderr")
+
+
 def test_eval_equals_corpus_objective_bit_for_bit(dev_file, tmp_path, capsys):
     """``eval`` and the tuners' objective take one corpus score: corpus BLEU,
     or the mean sentence chrF summed in list order."""
