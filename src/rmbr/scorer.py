@@ -11,11 +11,11 @@ scorer that has stopped reading.  One thread writes a batch and reads its
 responses over non-blocking descriptors, so a batch larger than the pipe
 buffers cannot deadlock.  A line read past the answers of an exchange, the
 handshake or one batch, fails it, and a batch that fails closes the client.
-Once a batch's requests are all written, the client pauses ``_BURST_S``
-after each read that leaves answers pending, so the next read takes every
-answer written meanwhile: a scorer that flushes each answer line costs one
-read per burst of answers, not one wakeup per line.  A line nested too
-deeply to decode is malformed, as a line that is not JSON is.
+After each read that leaves answers pending, the client pauses
+``_BURST_S``, so the next read takes every answer written meanwhile: a
+scorer that flushes each answer line costs one read per burst of answers,
+not one wakeup per line, whether or not the batch fits the pipe.  A line
+nested too deeply to decode is malformed, as a line that is not JSON is.
 
 :func:`service_opener` parses the text after ``service:`` and returns an
 opener that starts nothing until it is called.  Within rmbr, only
@@ -98,8 +98,8 @@ def service_opener(address: str):
 
 
 _READ_CHUNK = 1 << 16
-# seconds the client waits, once a batch is written, after a read that leaves
-# answers pending, so its next read takes a burst of answers and not one line
+# seconds the client waits after a read that leaves answers pending, so its
+# next read takes a burst of answers and not one line
 _BURST_S = 0.0003
 # bytes of the longest response line read; a pair's answer is a few dozen
 _MAX_LINE = 1 << 20
@@ -231,18 +231,19 @@ class ScorerClient:
         """Write ``payload`` while yielding each read's response lines as a list.
 
         Every wait is bounded by the timeout, which restarts when requests
-        are written or complete lines arrive.  Once the whole payload is
-        written, a caller that asks for more lines after a read gets them
-        after a pause of ``_BURST_S``, inside the wait, so one read takes
-        all the answers of a burst.  While requests are still unwritten it
-        never pauses, so a scorer is never left waiting for input, and the
-        handshake, which takes one read, never pauses.  Each read's
-        complete lines are decoded at once, so one invalid byte fails them
-        all.  A last line that ends at EOF without a newline is still a
-        line, as in ``for line in file``.  A partial line is kept as its
-        chunks and joined when its newline arrives, so a long line costs
-        linear time; one longer than ``_MAX_LINE`` bytes fails at once.
-        What a caller that stops early has not taken or sent is dropped.
+        are written or complete lines arrive.  A caller that asks for more
+        lines after a read gets them after a pause of ``_BURST_S``, inside
+        the wait, so one read takes a burst of answers.  Each pass writes
+        all it can before it polls, so a pause follows the last request or
+        a write cut short by a full buffer and never leaves the scorer
+        waiting for input; the handshake takes one read and never pauses.
+        Each read's complete lines are decoded at once, so one invalid
+        byte fails them all.  A last line that ends at EOF without a
+        newline is still a line, as in ``for line in file``.  A partial
+        line is kept as its chunks and joined when its newline arrives, so
+        a long line costs linear time; one longer than ``_MAX_LINE`` bytes
+        fails at once.  What a caller that stops early has not taken or
+        sent is dropped.
         """
         rfd, wfd = self._rfd, self._wfd
         out, tail = memoryview(payload), []
@@ -294,8 +295,7 @@ class ScorerClient:
                 raise TransportError(f"scorer connection failed: {e}") from None
             deadline = time.monotonic() + self.timeout
             yield lines
-            if not out:
-                time.sleep(_BURST_S)
+            time.sleep(_BURST_S)
 
     def _handshake(self):
         hello = (json.dumps({"protocol": PROTOCOL_VERSION}) + "\n").encode()

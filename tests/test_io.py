@@ -773,47 +773,65 @@ def test_scorer_client_reads_the_answers_of_a_pause_in_one_read(monkeypatch, k):
     assert next(later, None) is None
 
 
-def test_scorer_client_never_pauses_while_requests_are_unwritten(monkeypatch):
+def test_scorer_client_pauses_only_once_it_has_written_all_it_can(monkeypatch):
     """A batch of about 300 KB, far past the pipe buffer, to a scorer that
-    answers each request as it reads it: the client reads answers while it
-    still has requests to write, and pauses only once it has written them
-    all."""
+    takes about one request and answers what it has read at each call the
+    client makes, and takes every request waiting in a pause.  Each pause
+    follows a write cut short by the full pipe, or the batch's last
+    request; the client pauses while requests are still unwritten, and
+    each read after a pause takes its answers, so the batch takes far
+    fewer reads than it has answers."""
     import rmbr.scorer as scorer
 
     client, answers, requests = _piped_client()
+    os.set_blocking(requests, False)
     pairs = [("s", "h", "r" * 1000)] * 300
-    written, reads_while_writing, pauses = [0], [], []
+    written, short, reads, pauses = [0], [False], [], []
+    taken = [b""]
+
+    def take(size):
+        """The scorer reads up to ``size`` request bytes and answers each
+        complete request line it has."""
+        while size > 0:
+            try:
+                data = os.read(requests, min(size, 1 << 16))
+            except BlockingIOError:
+                break
+            assert data, "the client closed its requests mid-batch"
+            size -= len(data)
+            *lines, taken[0] = (taken[0] + data).split(b"\n")
+            os.write(answers, b"".join(_answer(json.loads(line)["id"]) for line in lines))
 
     def write(fd, data):
-        sent = os.write(fd, data)
+        short[0] = True  # a write that raises BlockingIOError sent nothing
+        try:
+            sent = os.write(fd, data)
+        finally:
+            take(1100)
+        short[0] = sent < len(data)
         written[0] += bytes(data[:sent]).count(b"\n")
         return sent
 
     def read(fd, size):
-        reads_while_writing.append(written[0] < len(pairs))
-        return os.read(fd, size)
+        reads.append(fd)
+        data = os.read(fd, size)
+        take(1100)
+        return data
 
     def pause(seconds):
-        pauses.append(written[0])
-        time.sleep(seconds)
-
-    def serve():
-        with open(requests, "rb", closefd=False) as reader:
-            for _ in pairs:
-                os.write(answers, _answer(json.loads(reader.readline())["id"]))
+        assert seconds == scorer._BURST_S
+        pauses.append((short[0], written[0] == len(pairs)))
+        take(1 << 30)
 
     monkeypatch.setattr(scorer, "os", _Seam(os, read=read, write=write))
     monkeypatch.setattr(scorer, "time", _Seam(time, sleep=pause))
-    scorer_thread = threading.Thread(target=serve, daemon=True)
-    scorer_thread.start()
     try:
         assert client.score_pairs(pairs) == [float(i) for i in range(len(pairs))]
     finally:
-        scorer_thread.join(timeout=10)
         client.close()
-    assert not scorer_thread.is_alive()
-    assert any(reads_while_writing)
-    assert set(pauses) <= {len(pairs)}
+    assert all(cut_short or all_written for cut_short, all_written in pauses)
+    assert any(not all_written for _, all_written in pauses)
+    assert len(reads) < len(pairs) / 10
 
 
 _AWKWARD_TEXTS = [
