@@ -1470,7 +1470,15 @@ def test_ctrl_c_ends_the_run_and_its_scorers_at_once(dev_file, tmp_path, command
     args, _ = _scorer_command(command, spec, "-i", path, "-o", tmp_path / "out")
     env = dict(os.environ, PYTHONPATH=_SRC, RMBR_SCORER_TIMEOUT_SECS="30")
     argv = [sys.executable, "-m", "rmbr.cli", *map(str, args)]
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # SIGINT at its default in the child, however the suite was started: a
+    # background job inherits it ignored, and then Python installs no handler
+    proc = subprocess.Popen(
+        argv,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
     try:
         deadline = time.monotonic() + 30
         while not (tmp_path / "starts.log.requests").exists():
